@@ -415,10 +415,8 @@ def main() -> None:
             "ocr_batch_size": 128,
             "fanout_batch_size": 32,
             "balance_blocks": None,   # barrier-free: no repartition
-            "merge_before_shuffle": True,
             "read_cpus": 0.25,
             "num_partitions": max(32, NUM_CPUS * 4),
-            "fuse_finalize": True,
         },
     }
     ray.shutdown()

@@ -131,10 +131,11 @@ def cmd_status(args) -> int:
     for row in metrics.to_pylist():
         counts[row["status"]] = counts.get(row["status"], 0) + 1
     manifest = store.load_manifest()
+    total_partitions = store.load_meta().get("num_partitions", 0)
     out = {
         "status_counts": counts,
         "partitions_committed": manifest.num_rows,
-        "eta_seconds": compute_eta_seconds(metrics, args.total_partitions),
+        "eta_seconds": compute_eta_seconds(metrics, total_partitions),
     }
     print(json.dumps(out))
     return 0
@@ -328,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
 
     s = sub.add_parser("status")
     s.add_argument("--out", required=True)
-    s.add_argument("--total-partitions", type=int, default=32)
     s.set_defaults(fn=cmd_status)
 
     x = sub.add_parser("reset")

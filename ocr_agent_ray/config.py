@@ -87,15 +87,4 @@ class PipelineSettings:
                                        # small fused fan-out tasks. Turn on
                                        # for pathological per-doc skew
                                        # (single multi-thousand-page docs).
-    merge_before_shuffle: bool = True  # streaming coalesce of OCR output
-                                       # blocks (one per OCR task) into few
-                                       # fat blocks before the assembly
-                                       # groupby — the sort shuffle pays
-                                       # ~per-block overhead, so feeding it
-                                       # hundreds of task-sized blocks
-                                       # dominates wall time
-    merge_batch_size: int = 8192       # rows per coalesced pre-shuffle block
     fail_fast: bool = False            # reference --fail-fast (cli.py:74-85)
-    fuse_finalize: bool = True         # run post-processing inside the OCR
-                                       # actor (one fewer operator); False
-                                       # keeps a separate finalize stage

@@ -41,7 +41,6 @@ for pathological keys.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pandas as pd
@@ -53,73 +52,60 @@ import pyarrow as pa
 # thread, and if the ONLY python references to those shards die while that
 # SUBMISSION-TIME resolution is in flight the driver hits a fatal
 # ReferenceCounter 'submitted_task_ref_count > 0' check (observed ~1-in-5
-# full 180-query sweeps before round 3). Once resolution completes, Ray's
-# own task-argument reference counting owns the shards for as long as any
-# task needs them — the danger window is ONLY submission/resolution, which
-# finishes in milliseconds-to-seconds. Every wave therefore registers a
-# holder here with a generous time-to-live (far beyond any plausible
-# resolution lag), and one supervised reaper thread drops expired pins.
-# The reaper deliberately NEVER touches the Ray API — and dropping an
-# ObjectRef IS a Ray API access (ObjectRef.__del__ calls the core worker's
-# reference counter, a fatal 'core worker already shutdown' abort if
-# ray.shutdown() already ran: observed killing the full bench when the
-# last waves' pins expired ~TTL after the final query, exactly as
-# shutdown completed). The reaper therefore only MOVES expired holders to
-# a graveyard; the destructor-running drop happens exclusively on the
-# MAIN thread, drained at the next exchange call while Ray is live. If no
-# further exchange runs, the graveyard persists to interpreter exit —
-# bounded (the final waves' shards only) and safe: refs freed during
-# interpreter finalization have never aborted, unlike a live thread
-# dropping them post-shutdown. This replaces round-3's one unjoined
-# daemon thread per wave.
+# full 180-query sweeps before round 3). Every wave therefore registers its
+# task refs with a holder of its input shard refs, and the holder is
+# dropped once ray.wait reports every task of the wave finished: a finished
+# task needs its args no more, so Ray, not a timer, ends the pin.
+# Finished waves are dropped only at the next exchange call, on the
+# caller's thread while Ray is live — dropping an ObjectRef IS a Ray API
+# access (ObjectRef.__del__ calls the core worker's reference counter, a
+# fatal 'core worker already shutdown' abort after ray.shutdown(): observed
+# when a background reaper dropped pins as the bench shut down). So no
+# thread runs here. A wave registered under an earlier Ray session is
+# dropped unchecked: its tasks ended with that session, and ray.wait
+# rejects refs whose owner is gone. If no further exchange runs, the last
+# waves stay pinned to interpreter exit — bounded, and refs freed during
+# interpreter finalization have never aborted. A pinned wave also keeps its
+# task refs, so its outputs stay in the object store until that next call.
 # ---------------------------------------------------------------------------
-_PIN_LOCK = threading.Lock()
-_PIN_ENTRIES: list[list] = []  # [expires_at_monotonic, holder]
-_EXPIRED_HOLDERS: list = []    # dropped ONLY from the main thread
-_REAPER_STARTED = False
-_PIN_TTL_SEC = 120.0  # submission resolution is ms-scale; 120 s is slack
+_WAVES_LOCK = threading.Lock()
+_PINNED_WAVES: list[tuple] = []  # (task refs, holder, driver worker id)
 
 
-def _drain_expired() -> None:
-    """Run expired holders' ObjectRef destructors on the CALLER's thread
-    (every call site is main-thread pipeline code with Ray live)."""
-    with _PIN_LOCK:
-        dead = _EXPIRED_HOLDERS[:]
-        _EXPIRED_HOLDERS.clear()
-    del dead
+def _release_finished_waves() -> None:
+    """Drop the pins of every wave whose tasks have all finished."""
+    import ray
+
+    if not ray.is_initialized():  # dropping refs now could abort
+        return
+    me = ray.get_runtime_context().get_worker_id()
+    with _WAVES_LOCK:
+        live = []
+        for refs, holder, owner in _PINNED_WAVES:
+            if owner != me:
+                continue
+            _, pending = ray.wait(refs, num_returns=len(refs), timeout=0,
+                                  fetch_local=False)
+            if pending:
+                live.append((refs, holder, owner))
+        _PINNED_WAVES[:] = live
 
 
 def _pin_until_complete(refs, holder) -> None:
-    """Pin ``holder`` (the wave's input shard refs) past the submission
-    window of the tasks behind ``refs``. ``refs`` is accepted for call-site
-    clarity; expiry is time-based (see the registry note above)."""
-    global _REAPER_STARTED
-    del refs  # lifetime beyond submission is owned by Ray's ref counting
-    _drain_expired()
-    with _PIN_LOCK:
-        _PIN_ENTRIES.append([time.monotonic() + _PIN_TTL_SEC, holder])
-        if not _REAPER_STARTED:
-            threading.Thread(target=_reap_loop, daemon=True,
-                             name="ocr-agent-ray-shard-reaper").start()
-            _REAPER_STARTED = True
+    """Pin ``holder`` (the wave's input shard refs) until ray.wait reports
+    every task behind ``refs`` finished (checked at later exchange calls)."""
+    import ray
 
-
-def _reap_loop() -> None:
-    while True:
-        now = time.monotonic()
-        with _PIN_LOCK:
-            live = [e for e in _PIN_ENTRIES if e[0] > now]
-            _EXPIRED_HOLDERS.extend(
-                e[1] for e in _PIN_ENTRIES if e[0] <= now)
-            _PIN_ENTRIES[:] = live
-        time.sleep(1.0)
+    me = ray.get_runtime_context().get_worker_id()
+    with _WAVES_LOCK:
+        _PINNED_WAVES.append((list(refs), holder, me))
 
 
 def pinned_waves() -> int:
     """Number of reduce/coalesce waves whose shard pins are still held
     (observability/testing hook)."""
-    with _PIN_LOCK:
-        return len(_PIN_ENTRIES)
+    with _WAVES_LOCK:
+        return len(_PINNED_WAVES)
 
 
 def _split_block(block: pa.Table, bucket_col: str, num_buckets: int,
@@ -227,6 +213,7 @@ class ExchangedShards:
         import ray
         import ray.data as rd
 
+        _release_finished_waves()
         reduce_ = ray.remote(_reduce_bucket)
         num_buckets = len(self.counts)
         out_refs = [
@@ -240,9 +227,9 @@ class ExchangedShards:
         ds = rd.from_arrow_refs(out_refs)
         # PIN the shard refs until every reduce task has finished (see the
         # registry note at the top of this module). Two guards: the Dataset
-        # carries a strong ref for its own lifetime, and the reaper
-        # registry holds one until ray.wait reports all reduces complete,
-        # covering derived datasets that drop this object early.
+        # carries a strong ref for its own lifetime, and the registry holds
+        # one until ray.wait reports all reduces complete, covering derived
+        # datasets that drop this object early.
         ds._ocr_agent_ray_pinned_shards = self
         _pin_until_complete(out_refs, self)
         return ds
@@ -251,7 +238,7 @@ class ExchangedShards:
         """Drop this handle's shard refs (the multi-pass working set).
 
         Safe at any time: waves already submitted stay pinned by the
-        reaper registry until they complete; this only ends the REUSE
+        registry until they complete; this only ends the REUSE
         lifetime, letting the object store free the shards once no wave
         needs them."""
         self.shard_refs = []
@@ -281,6 +268,7 @@ def exchange_shards(ds, *, bucket_col: str, num_buckets: int,
     reduce task's arg list shrinks by the same factor."""
     import ray
 
+    _release_finished_waves()
     split = ray.remote(num_returns=num_buckets + 1)(_split_block)
 
     # launch one split per upstream block AS IT IS PRODUCED — the

@@ -1,20 +1,23 @@
 """Flagship extraction pipeline: interleaved docs → extracted span docs.
 
 Ray-Data-first restatement of the reference's enqueue→run→merge lifecycle
-(/root/reference/src/ocr_agent/cli.py:161-256):
+(/root/reference/src/ocr_agent/cli.py:161-256), one path from read to
+commit:
 
     read docs (parquet/Lance, column-pruned)
-      → map_batches(FanOutStage)          # doc → work units (enqueue fan-out)
-      → map_batches(OcrStage, actor pool) # the GPU hot loop, N-wide
-      → map_batches(FinalizeStage)        # post-process + drop-empty + headers
-      → groupby(partition_id).map_groups(PartitionAssembler)
-                                          # THE one shuffle; per-doc ordered
-                                          # assembly + atomic checkpoint commit
+      → map_batches(FanOutStage)             # doc → work units (enqueue fan-out)
+      → map_batches(OcrFinalizeStage, pool)  # the GPU hot loop, N-wide, with
+                                             # post-process + drop-empty +
+                                             # headers in the same actor call
+      → bucket_map_groups(partition_id, PartitionAssembler)
+                                             # THE one shuffle (raw-Ray hash
+                                             # exchange); per-doc ordered
+                                             # assembly + atomic checkpoint commit
 
-Everything is lazy/streaming with backpressure; nothing materializes the
-full dataset. Resume filters committed partitions out at the top with a
-broadcast set (anti-join, SURVEY.md §2.4) — no shuffle, no re-read of done
-work.
+The fan-out map fuses into the OCR actor operator, so each actor task
+fans out and OCRs one read bundle in place. Resume filters committed
+partitions out right after fan-out with a broadcast set (anti-join,
+SURVEY.md §2.4) — no shuffle, no re-OCR of done work.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import pyarrow.compute as pc
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
 from ocr_agent_ray.stages.assemble import PartitionAssembler
 from ocr_agent_ray.stages.fanout import FanOutStage
-from ocr_agent_ray.stages.ocr import MockOcrEngine, OcrStage
-from ocr_agent_ray.stages.postprocess import FinalizeStage
+from ocr_agent_ray.stages.ocr import MockOcrEngine, OcrFinalizeStage
 
 
 def build_extract_pipeline(
@@ -85,52 +87,18 @@ def build_extract_pipeline(
     # autoscaling pool: min must stay below the CPU count or the pool
     # reserves every core and starves the read/shuffle stages; benches pin
     # min == max to skip ramp-up. GPU deployment: num_gpus=1, same callable.
-    pool_kwargs = dict(
+    final = units.map_batches(
+        OcrFinalizeStage,
+        fn_constructor_kwargs={"engine_factory": engine_factory,
+                               "fail_fast": settings.fail_fast,
+                               "metrics_dir": out_dir,
+                               "math_style": post.math_delimiter_style},
         batch_format="pyarrow",
         batch_size=settings.ocr_batch_size,
         concurrency=(min(settings.ocr_min_actors, settings.ocr_concurrency),
                      settings.ocr_concurrency),
         num_cpus=settings.ocr_num_cpus,
     )
-    if settings.fuse_finalize:
-        from ocr_agent_ray.stages.ocr import OcrFinalizeStage
-
-        final = units.map_batches(
-            OcrFinalizeStage,
-            fn_constructor_kwargs={"engine_factory": engine_factory,
-                                   "fail_fast": settings.fail_fast,
-                                   "metrics_dir": out_dir,
-                                   "math_style": post.math_delimiter_style},
-            **pool_kwargs,
-        )
-    else:
-        ocred = units.map_batches(
-            OcrStage,
-            fn_constructor_kwargs={"engine_factory": engine_factory,
-                                   "fail_fast": settings.fail_fast,
-                                   "metrics_dir": out_dir},
-            **pool_kwargs,
-        )
-        final = ocred.map_batches(
-            FinalizeStage(math_style=post.math_delimiter_style, metrics_dir=out_dir),
-            batch_format="pyarrow",
-            batch_size=settings.ocr_batch_size,
-        )
-
-    if settings.merge_before_shuffle:
-        # Streaming coalesce: OCR emits one block per task (hundreds of
-        # small blocks) and the sort-based groupby below pays a fixed
-        # ~per-block cost, so merge them into few fat blocks first. A task
-        # map with a distinct fractional CPU so it can't fuse into the
-        # actor pool (fusion would keep the small output blocks) and can
-        # run beside a pinned pool.
-        def _coalesce(b: pa.Table) -> pa.Table:
-            return b
-
-        final = final.map_batches(
-            _coalesce, batch_format="pyarrow",
-            batch_size=settings.merge_batch_size, num_cpus=0.26,
-        )
 
     assembler = PartitionAssembler(out_dir=out_dir)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ocr_agent_ray.schema import ASSEMBLED_SCHEMA, SPAN_STRUCT, validate_schema
-from ocr_agent_ray.state.checkpoint import CheckpointStore
+from ocr_agent_ray.state.checkpoint import CheckpointStore, count_spans
 
 
 def assemble_group(table: pa.Table) -> pa.Table:
@@ -72,7 +72,8 @@ def assemble_group(table: pa.Table) -> pa.Table:
 
 
 class PartitionAssembler:
-    """``groupby('partition_id').map_groups`` callable.
+    """Per-partition reduce kernel of the flagship's hash exchange
+    (``bucket_map_groups`` on ``partition_id``).
 
     Without ``out_dir``: returns assembled ``(doc_id, spans)`` rows.
     With ``out_dir``: additionally commits the partition atomically to the
@@ -92,16 +93,17 @@ class PartitionAssembler:
         if self.store is not None and len(group) > 0:
             pid = int(group["partition_id"][0].as_py())
             wall_ms = int((time.monotonic() - t0) * 1000)
+            num_spans = count_spans(assembled)
             metrics = [
                 {
                     "partition_id": pid,
                     "stage": "assemble",
                     "status": "completed",
                     "rows_in": len(group),
-                    "rows_out": int(sum(len(s) for s in assembled["spans"].to_pylist())),
+                    "rows_out": num_spans,
                     "wall_ms": wall_ms,
                     "error_message": None,
                 }
             ]
-            self.store.write_partition(pid, assembled, metrics)
+            self.store.write_partition(pid, assembled, metrics, num_spans=num_spans)
         return assembled

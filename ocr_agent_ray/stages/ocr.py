@@ -317,12 +317,13 @@ class DeepSeekOcr2Engine:
 
 
 class OcrFinalizeStage:
-    """OCR + finalize fused in one actor callable.
+    """OCR + finalize fused in one actor callable — the flagship's OCR
+    operator.
 
     Post-processing is cheap CPU relative to inference, so running it
-    inside the OCR actor removes an entire operator (its task overhead and
-    block hop) from the hot path; the separate FinalizeStage remains for
-    pipelines that need the intermediate units.
+    inside the OCR actor saves an operator (its task overhead and block
+    hop) on the hot path. Both halves write to ONE metrics spool, so an
+    actor keeps one spool file.
     """
 
     def __init__(self, engine_factory=None, fail_fast: bool = False,
@@ -331,7 +332,8 @@ class OcrFinalizeStage:
             engine_factory=engine_factory or MockOcrEngine,
             fail_fast=fail_fast, metrics_dir=metrics_dir,
         )
-        self.finalize = FinalizeStage(math_style=math_style, metrics_dir=metrics_dir)
+        self.finalize = FinalizeStage(math_style=math_style)
+        self.finalize.spool = self.ocr.spool
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.finalize(self.ocr(batch))

@@ -10,6 +10,7 @@ write-then-commit per partition:
       data/part-{pid}.parquet        # written to *.tmp then os.replace
       manifest/part-{pid}.json       # existence == committed (atomic rename)
       metrics/part-{pid}.json        # per-stage lineage + metrics rows
+      metrics/spool-{uid}.jsonl      # stage metrics appended by map stages
 
 A partition either has a committed manifest entry (data file is complete)
 or it doesn't (any partial tmp data is ignored and rewritten). Resume =
@@ -35,6 +36,7 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ocr_agent_ray.schema import PARTITION_MANIFEST_SCHEMA, STAGE_METRICS_SCHEMA
 
@@ -59,10 +61,8 @@ class CheckpointStore:
         for d in (self.data_dir, self.manifest_dir, self.metrics_dir):
             os.makedirs(d, exist_ok=True)
         if run_meta is not None:
-            mpath = os.path.join(self.out_dir, "meta.json")
-            if os.path.exists(mpath):
-                with open(mpath) as f:
-                    existing = json.load(f)
+            existing = self.load_meta()
+            if existing:
                 if existing != run_meta:
                     diff = {
                         k: {"checkpoint": existing.get(k), "run": run_meta.get(k)}
@@ -76,8 +76,16 @@ class CheckpointStore:
                         "a fresh out_dir"
                     )
             else:
-                _atomic_write_json(mpath, run_meta)
+                _atomic_write_json(os.path.join(self.out_dir, "meta.json"), run_meta)
         return self
+
+    def load_meta(self) -> dict:
+        """The run configuration pinned by ``initialize`` ({} if none)."""
+        try:
+            with open(os.path.join(self.out_dir, "meta.json")) as f:
+                return json.load(f)
+        except FileNotFoundError:
+            return {}
 
     # --- commit path (called from inside write tasks) ---------------------
 
@@ -89,11 +97,14 @@ class CheckpointStore:
         partition_id: int,
         table: pa.Table,
         metrics_rows: list[dict],
+        num_spans: int | None = None,
     ) -> str:
         """Atomically write one partition's output and commit it.
 
         Order matters: data first (tmp+rename), then metrics, then the
         manifest marker LAST — a marker implies everything else is durable.
+        ``num_spans`` is the caller's ``count_spans(table)`` when it already
+        has one; otherwise it is counted here.
         """
         import pyarrow.parquet as pq
 
@@ -105,12 +116,11 @@ class CheckpointStore:
         mpath = os.path.join(self.metrics_dir, f"part-{partition_id:05d}.json")
         _atomic_write_json(mpath, metrics_rows)
 
-        num_spans = sum(len(s) for s in table["spans"].to_pylist()) if "spans" in table.column_names else len(table)
         entry = {
             "partition_id": partition_id,
             "committed_at_unix_ms": int(time.time() * 1000),
             "num_docs": len(table),
-            "num_spans": int(num_spans),
+            "num_spans": count_spans(table) if num_spans is None else num_spans,
             "output_fragment": final,
         }
         _atomic_write_json(
@@ -159,12 +169,21 @@ class CheckpointStore:
         return pa.Table.from_pylist(rows, schema=PARTITION_MANIFEST_SCHEMA)
 
     def load_metrics(self) -> pa.Table:
+        """Commit metrics (``part-*.json``) plus every spool's JSON lines.
+
+        A spool's last line is complete only if the file ends in a newline;
+        otherwise its writer died mid-append and that torn tail is skipped."""
         rows: list[dict] = []
         if os.path.isdir(self.metrics_dir):
             for name in sorted(os.listdir(self.metrics_dir)):
+                path = os.path.join(self.metrics_dir, name)
                 if name.endswith(".json"):
-                    with open(os.path.join(self.metrics_dir, name)) as f:
+                    with open(path) as f:
                         rows.extend(json.load(f))
+                elif name.endswith(".jsonl"):
+                    with open(path, encoding="utf-8") as f:
+                        lines = f.read().split("\n")
+                    rows.extend(json.loads(line) for line in lines[:-1])
         return pa.Table.from_pylist(rows, schema=STAGE_METRICS_SCHEMA)
 
     def read_output(self):
@@ -177,6 +196,14 @@ class CheckpointStore:
         return rd.read_parquet(files)
 
 
+def count_spans(table: pa.Table) -> int:
+    """Total spans over an assembled table's ``spans`` lists (one row per
+    doc when there is no ``spans`` column), counted in Arrow."""
+    if "spans" not in table.column_names:
+        return len(table)
+    return int(pc.sum(pc.list_value_length(table["spans"])).as_py() or 0)
+
+
 def _atomic_write_json(path: str, obj) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
@@ -187,45 +214,36 @@ def _atomic_write_json(path: str, obj) -> None:
 class MetricsSpool:
     """Per-stage lineage/metrics writer usable from inside map stages.
 
-    Bounded-file-count design: each spool instance owns a rotating json
-    file under ``<out_dir>/metrics`` that is atomically REWRITTEN with the
-    accumulated buffer on every append and sealed (rotated to a new
-    sequence number) at ``rows_per_file`` rows. So:
+    Append-only: each spool instance owns one ``spool-{uid}.jsonl`` under
+    ``<out_dir>/metrics`` and writes each ``append`` call's rows to it as
+    JSON lines, one write per call, flushed when the file closes. So:
 
     - totals are exact after every batch (nothing is held back waiting
       for a flush — actor teardown runs no finalizer in Ray, measured),
-    - file count is ~total_rows/rows_per_file per actor, not one per
-      batch (millions of tiny files at real scale),
-    - a crash loses nothing (the last atomic rewrite holds every row up
-      to the last completed batch).
+    - an append costs O(rows appended), and an OCR actor keeps one file,
+    - a crash can tear only the final line, which ``load_metrics`` skips.
 
-    The instance id is assigned lazily in the worker (task-pool stages
+    The file name is drawn lazily in the worker (task-pool stages
     deserialize the UDF per task; a driver-assigned id would collide).
     ``CheckpointStore.load_metrics`` merges spool files with the
     per-partition commit metrics.
     """
 
-    def __init__(self, out_dir: str, rows_per_file: int = 512) -> None:
+    def __init__(self, out_dir: str) -> None:
         self.dir = os.path.join(out_dir, "metrics")
-        self.rows_per_file = rows_per_file
-        self._buf: list[dict] = []
-        self._seq = 0
-        self._uid: str | None = None
+        self._path: str | None = None
 
     def append(self, stage: str, rows: list[dict]) -> None:
         if not rows:
             return
-        if self._uid is None:
+        if self._path is None:
             import uuid
 
             os.makedirs(self.dir, exist_ok=True)
-            self._uid = f"{os.getpid()}-{uuid.uuid4().hex[:12]}"
-        self._buf.extend(rows)
-        name = f"spool-{self._uid}-{self._seq:05d}.json"
-        _atomic_write_json(os.path.join(self.dir, name), self._buf)
-        if len(self._buf) >= self.rows_per_file:
-            self._seq += 1
-            self._buf = []
+            name = f"spool-{os.getpid()}-{uuid.uuid4().hex[:12]}.jsonl"
+            self._path = os.path.join(self.dir, name)
+        with open(self._path, "a", encoding="utf-8") as f:
+            f.write("".join(json.dumps(r) + "\n" for r in rows))
 
     def rows_for(self, stage: str, batch_partition_ids, wall_ms: int,
                  rows_out: int | None = None,

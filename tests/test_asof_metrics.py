@@ -80,29 +80,52 @@ def test_metrics_spool_and_eta(tmp_path):
 
 
 def test_metrics_spool_bounded_files_exact_totals(tmp_path):
-    """Rotating spool: every row durable after every append, file count
-    ~rows/rows_per_file instead of one per batch."""
+    """Append-only spool: every row readable after every append, one
+    JSON-lines file per spool however many batches it appends."""
     import os
 
     out = str(tmp_path / "spool")
     CheckpointStore(out).initialize()
-    spool = MetricsSpool(out, rows_per_file=64)
+    spool = MetricsSpool(out)
     total = 0
     for batch in range(100):
         rows = spool.rows_for("ocr", [batch % 7] * 10, wall_ms=5)
         total += sum(r["rows_in"] for r in rows)
         spool.append("ocr", rows)
-        # durability invariant: everything appended so far is on disk
-        if batch in (0, 13, 57):
-            m = CheckpointStore(out).load_metrics()
-            assert sum(r["rows_in"] for r in m.to_pylist()) == total
+        m = CheckpointStore(out).load_metrics()
+        assert sum(r["rows_in"] for r in m.to_pylist()) == total
 
-    m = CheckpointStore(out).load_metrics().to_pylist()
-    assert sum(r["rows_in"] for r in m) == total == 1000
-    n_files = len([f for f in os.listdir(os.path.join(out, "metrics"))
-                   if f.startswith("spool-")])
-    n_rows = len(m)
-    assert n_files <= n_rows // 64 + 1   # bounded, NOT one per batch (100)
+    assert total == 1000
+    names = [f for f in os.listdir(os.path.join(out, "metrics"))
+             if f.startswith("spool-")]
+    assert len(names) == 1 and names[0].endswith(".jsonl")
+    # a second spool (another actor) gets its own file
+    other = MetricsSpool(out)
+    other.append("ocr", other.rows_for("ocr", [3], wall_ms=1))
+    assert len([f for f in os.listdir(os.path.join(out, "metrics"))
+                if f.startswith("spool-")]) == 2
+
+
+def test_metrics_spool_torn_last_line_loses_only_that_line(tmp_path):
+    """A writer killed mid-append leaves a final line with no newline;
+    load_metrics skips exactly that line and keeps every complete one."""
+    import os
+
+    out = str(tmp_path / "torn")
+    store = CheckpointStore(out).initialize()
+    spool = MetricsSpool(out)
+    spool.append("ocr", spool.rows_for("ocr", [0, 1, 1], wall_ms=9))
+    spool.append("ocr", spool.rows_for("ocr", [2], wall_ms=4))
+    (name,) = os.listdir(store.metrics_dir)
+    path = os.path.join(store.metrics_dir, name)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    assert len(lines) == 3
+    with open(path, "a") as f:
+        f.write(lines[0][: len(lines[0]) // 2])  # torn copy of a row
+
+    rows = store.load_metrics().to_pylist()
+    assert [(r["partition_id"], r["rows_in"]) for r in rows] == [(0, 1), (1, 2), (2, 1)]
 
 
 def test_extract_run_spools_stage_metrics(ray_session, tmp_path):

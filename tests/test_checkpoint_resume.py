@@ -112,6 +112,8 @@ def test_manifest_contents(ray_session, tmp_path):
     assert manifest
     total_docs = sum(m["num_docs"] for m in manifest)
     assert total_docs == store.read_output().count()
+    committed_spans = sum(len(r["spans"]) for r in store.read_output().take_all())
+    assert sum(m["num_spans"] for m in manifest) == committed_spans
     for m in manifest:
         assert os.path.exists(m["output_fragment"])
         with open(
@@ -140,3 +142,24 @@ def test_resume_refuses_changed_run_config(ray_session, tmp_path):
             rd.from_arrow(corpus), out_dir,
             settings=PipelineSettings(num_partitions=8, ocr_concurrency=2),
         )
+
+
+def test_cli_status_eta_uses_run_partition_count(tmp_path, capsys):
+    """`cli status` takes the partition count from the run's meta.json, so
+    a run made with --num-partitions 64 gets its ETA against 64, not 32."""
+    from ocr_agent_ray.cli import main
+
+    out_dir = str(tmp_path / "ckpt64")
+    store = CheckpointStore(out_dir).initialize(
+        {"num_partitions": 64, "engine": "MockOcrEngine", "math_style": "dollar"})
+    table = generate_documents(1, seed=3).select(["doc_id"])
+    for pid in (0, 1):
+        store.write_partition(pid, table, [{
+            "partition_id": pid, "stage": "assemble", "status": "completed",
+            "rows_in": 1, "rows_out": 1, "wall_ms": 500, "error_message": None,
+        }])
+
+    assert main(["status", "--out", out_dir]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["partitions_committed"] == 2
+    assert status["eta_seconds"] == 0.5 * (64 - 2)

@@ -337,18 +337,12 @@ def test_shard_coalescing_same_output_and_bounded_refs(ray_session):
     assert merged.shard_refs == []
 
 
-def test_reaper_drains_expired_waves(ray_session, monkeypatch):
-    """Pins expire after the submission-window TTL and leave the registry
-    (no unbounded growth). The reaper never calls the Ray API, so there
-    is no background-thread-vs-ray.shutdown race; past the TTL, Ray's
-    task-argument reference counting owns the shards."""
-    import time as _t
-
+def test_finished_waves_release_their_pins(ray_session):
+    """A wave's shard pins last until ray.wait reports its tasks finished:
+    the next exchange call drops every consumed wave, so after each of k
+    consumed waves at most that last wave is still pinned — no timer, no
+    sleeps, no unbounded growth."""
     from ocr_agent_ray.pipelines import exchange as ex
-
-    monkeypatch.setattr(ex, "_PIN_TTL_SEC", 2.0)
-    with ex._PIN_LOCK:  # earlier tests' pins carry the 120s default TTL
-        ex._PIN_ENTRIES.clear()
 
     df = _events(200)
     base = rd.from_pandas(df).map_batches(
@@ -361,12 +355,8 @@ def test_reaper_drains_expired_waves(ray_session, monkeypatch):
     for _ in range(5):
         out = ex.exchange_shards(base, bucket_col="__b", num_buckets=4,
                                  mode="direct").reduce(_kernel)
-        out.to_pandas()
-    assert ex.pinned_waves() >= 1  # registered
-    deadline = _t.time() + 30
-    while ex.pinned_waves() > 0 and _t.time() < deadline:
-        _t.sleep(0.25)
-    assert ex.pinned_waves() == 0
+        assert int(out.to_pandas()["n"].sum()) == 200
+        assert ex.pinned_waves() <= 1
 
 
 def test_shutdown_immediately_after_wave_is_clean():
@@ -405,13 +395,13 @@ def test_shutdown_immediately_after_wave_is_clean():
 
 
 def test_pin_expiry_after_shutdown_is_clean():
-    """Regression for the round-4 FULL-bench crash: the process outlives
-    the pin TTL after ray.shutdown() (last waves' pins expire while the
-    driver is formatting output). The reaper must not run ObjectRef
-    destructors from its thread — that is a core-worker access and a
-    fatal abort post-shutdown; expired holders move to a graveyard that
-    only the main thread drains. Runs in a subprocess (own Ray session,
-    and the crash kills the process)."""
+    """Regression for the round-4 FULL-bench crash: the process idles
+    after ray.shutdown() with the last wave still pinned (the old TTL
+    reaper dropped those refs from its thread here: a core-worker access
+    and a fatal abort post-shutdown). Pins are only ever dropped by an
+    exchange call on the caller's thread while Ray is live, so idling and
+    exiting stay clean. Runs in a subprocess (own Ray session, and the
+    crash kills the process)."""
     import subprocess
     import sys
     import textwrap
@@ -425,7 +415,6 @@ def test_pin_expiry_after_shutdown_is_clean():
         from ocr_agent_ray.serialization import register_for_ray_workers
         register_for_ray_workers()
         from ocr_agent_ray.pipelines import exchange as ex
-        ex._PIN_TTL_SEC = 1.0   # expire fast so the window opens
         df = pd.DataFrame({"k": list(range(2000))})
         base = rd.from_pandas(df).map_batches(
             lambda b: b.assign(__b=(b["k"] % 4).astype("int64")),
@@ -434,9 +423,9 @@ def test_pin_expiry_after_shutdown_is_clean():
                                  mode="direct").reduce(
             lambda g: pd.DataFrame({"n": [len(g)]}))
         assert int(out.to_pandas()["n"].sum()) == 2000
+        assert ex.pinned_waves() >= 1
         ray.shutdown()
-        time.sleep(4)        # pins expire NOW, with Ray gone; the old
-        assert True          # reaper dropped refs here -> fatal abort
+        time.sleep(4)        # idle with Ray gone and the wave pinned
         print("CLEAN-EXIT")
     """)
     proc = subprocess.run([sys.executable, "-c", code], cwd="/root/repo",
