@@ -51,7 +51,7 @@ def _run_flagship(work_ms: float | None = None) -> dict:
     """Headline: interleaved corpus -> extraction pipeline (docs + units/s).
 
     The mock engine emulates GRAFT_OCR_WORK_MS of model latency per page
-    (real DeepSeek-OCR-2 runs ~1 s/page on GPU) so the OCR actor pool is
+    (real DeepSeek-OCR-2 runs ~1 s/page on GPU) so the OCR tasks are
     compute-bound like the real deployment.
     """
     import functools
@@ -65,10 +65,9 @@ def _run_flagship(work_ms: float | None = None) -> dict:
 
     settings = PipelineSettings(
         ocr_concurrency=max(2, NUM_CPUS - 2),
-        ocr_min_actors=max(2, NUM_CPUS - 2),  # pinned pool: no ramp-up
         ocr_batch_size=128,
-        # barrier-free granularity: fan-out fuses into the OCR actor op,
-        # so each actor task is a ~fanout_batch_size-doc bundle
+        # barrier-free granularity: each OCR task fans out, OCRs and
+        # finalizes one ~fanout_batch_size-doc bundle
         fanout_batch_size=32,
         num_partitions=max(32, NUM_CPUS * 4),
         balance_blocks=None,
@@ -77,7 +76,7 @@ def _run_flagship(work_ms: float | None = None) -> dict:
     ds = build_extract_pipeline(
         # read blocks smaller than the fan-out bundle so bundling (which
         # never splits a block) actually yields ~32-doc tasks; fractional
-        # read CPUs keep the read flowing beside the pinned actor pool
+        # read CPUs keep the read flowing beside the OCR tasks
         read_documents(CORPUS_DIR, num_blocks=max(64, BENCH_DOCS // 32),
                        read_cpus=0.25),
         engine_factory=functools.partial(
@@ -411,7 +410,7 @@ def main() -> None:
         "config": {
             "bench_docs": BENCH_DOCS,
             "ocr_work_ms": OCR_WORK_MS,
-            "ocr_actors": max(2, NUM_CPUS - 2),
+            "ocr_concurrency": max(2, NUM_CPUS - 2),
             "ocr_batch_size": 128,
             "fanout_batch_size": 32,
             "balance_blocks": None,   # barrier-free: no repartition
@@ -427,7 +426,7 @@ def scaling() -> None:
     def run_once(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
         # larger corpus for scaling runs: amortizes the per-run fixed cost
-        # (actor-pool spin-up, the assembly shuffle) that a real
+        # (worker start-up, the assembly shuffle) that a real
         # long-running 100 TB job pays once
         env.setdefault("GRAFT_BENCH_DOCS", "36000")
         env.setdefault("GRAFT_BENCH_REPEATS", "1")

@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="docs per fused fan-out+OCR task (task granularity)")
     r.add_argument("--read-cpus", type=float, default=0.25,
                    help="fractional CPUs per read task (keeps reads flowing "
-                        "beside the pinned actor pool)")
+                        "beside the OCR tasks)")
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("status")

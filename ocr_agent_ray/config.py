@@ -4,7 +4,7 @@ Mirrors the surface of the reference's config plane
 (/root/reference/src/ocr_agent/config.py:32-122): model name/revision,
 prompt override, image sizes, crop mode, math-delimiter style — plus the
 pipeline-level knobs that only exist in a distributed engine (batch sizes,
-actor-pool width, partition count).
+OCR task width, partition count).
 """
 
 from __future__ import annotations
@@ -69,11 +69,14 @@ class PipelineSettings:
     """Distributed-execution knobs (ours; no reference equivalent — the
     reference is strictly sequential, cli.py:224-244)."""
 
-    ocr_batch_size: int = 256          # work units per OCR actor call
-    ocr_concurrency: int = 4           # actor-pool max size
-    ocr_min_actors: int = 1            # pool min; keep < cluster CPUs to
-                                       # leave room for the other stages
-    ocr_num_cpus: float = 1.0          # reserved per actor (GPU adapter: num_gpus=1)
+    ocr_batch_size: int = 256          # work units per OCR engine call
+    ocr_concurrency: int = 4           # max concurrent OCR tasks
+    ocr_min_actors: int = 1            # unused: the OCR operator is a task
+                                       # map_batches, and Ray Data task ops
+                                       # take only an integer concurrency.
+                                       # Kept so existing callers that set
+                                       # it still construct.
+    ocr_num_cpus: float = 1.0          # reserved per OCR task (GPU adapter: num_gpus=1)
     fanout_batch_size: int = 512       # documents per fan-out batch
     num_partitions: int = 32           # checkpoint / output partitions
     balance_blocks: int | None = None  # EXPLICIT skew leveling: repartition

@@ -56,23 +56,24 @@ import pyarrow as pa
 # task refs with a holder of its input shard refs, and the holder is
 # dropped once ray.wait reports every task of the wave finished: a finished
 # task needs its args no more, so Ray, not a timer, ends the pin.
-# Finished waves are dropped only at the next exchange call, on the
+# Finished waves are dropped at the next exchange call (or an explicit
+# release_finished_waves() from a caller that consumed its output), on the
 # caller's thread while Ray is live — dropping an ObjectRef IS a Ray API
 # access (ObjectRef.__del__ calls the core worker's reference counter, a
 # fatal 'core worker already shutdown' abort after ray.shutdown(): observed
 # when a background reaper dropped pins as the bench shut down). So no
 # thread runs here. A wave registered under an earlier Ray session is
 # dropped unchecked: its tasks ended with that session, and ray.wait
-# rejects refs whose owner is gone. If no further exchange runs, the last
-# waves stay pinned to interpreter exit — bounded, and refs freed during
-# interpreter finalization have never aborted. A pinned wave also keeps its
-# task refs, so its outputs stay in the object store until that next call.
+# rejects refs whose owner is gone. If no further exchange or release runs,
+# the last waves stay pinned to interpreter exit — bounded, and refs freed
+# during interpreter finalization have never aborted. A pinned wave also
+# keeps its task refs, so its outputs stay in the object store until then.
 # ---------------------------------------------------------------------------
 _WAVES_LOCK = threading.Lock()
 _PINNED_WAVES: list[tuple] = []  # (task refs, holder, driver worker id)
 
 
-def _release_finished_waves() -> None:
+def release_finished_waves() -> None:
     """Drop the pins of every wave whose tasks have all finished."""
     import ray
 
@@ -213,25 +214,26 @@ class ExchangedShards:
         import ray
         import ray.data as rd
 
-        _release_finished_waves()
+        release_finished_waves()
         reduce_ = ray.remote(_reduce_bucket)
-        num_buckets = len(self.counts)
+        # pickle the kernel once per wave; Ray hands each task the value
+        kernel_ref = ray.put(kernel)
         out_refs = [
-            reduce_.remote(kernel, group_col, arrow_kernel,
+            reduce_.remote(kernel_ref, group_col, arrow_kernel,
                            *(shards[b] for shards in self.shard_refs))
             for b in np.flatnonzero(self.counts)
         ]
         if not out_refs:  # empty input: schema probe (see _reduce_bucket)
-            out_refs = [reduce_.remote(kernel, group_col, arrow_kernel,
+            out_refs = [reduce_.remote(kernel_ref, group_col, arrow_kernel,
                                        self.shard_refs[0][0])]
         ds = rd.from_arrow_refs(out_refs)
         # PIN the shard refs until every reduce task has finished (see the
         # registry note at the top of this module). Two guards: the Dataset
         # carries a strong ref for its own lifetime, and the registry holds
-        # one until ray.wait reports all reduces complete, covering derived
-        # datasets that drop this object early.
+        # one (with the kernel's ref) until ray.wait reports all reduces
+        # complete, covering derived datasets that drop this object early.
         ds._ocr_agent_ray_pinned_shards = self
-        _pin_until_complete(out_refs, self)
+        _pin_until_complete(out_refs, (self, kernel_ref))
         return ds
 
     def release(self) -> None:
@@ -268,7 +270,7 @@ def exchange_shards(ds, *, bucket_col: str, num_buckets: int,
     reduce task's arg list shrinks by the same factor."""
     import ray
 
-    _release_finished_waves()
+    release_finished_waves()
     split = ray.remote(num_returns=num_buckets + 1)(_split_block)
 
     # launch one split per upstream block AS IT IS PRODUCED — the

@@ -5,30 +5,82 @@ Ray-Data-first restatement of the reference's enqueue→run→merge lifecycle
 commit:
 
     read docs (parquet/Lance, column-pruned)
-      → map_batches(FanOutStage)             # doc → work units (enqueue fan-out)
-      → map_batches(OcrFinalizeStage, pool)  # the GPU hot loop, N-wide, with
-                                             # post-process + drop-empty +
-                                             # headers in the same actor call
+      → map_batches(ExtractTask)             # ONE task op, N-wide: fan-out
+                                             # (enqueue), resume filter, OCR
+                                             # (the GPU hot loop), post-process
+                                             # + drop-empty + headers per
+                                             # read bundle
       → bucket_map_groups(partition_id, PartitionAssembler)
                                              # THE one shuffle (raw-Ray hash
                                              # exchange); per-doc ordered
                                              # assembly + atomic checkpoint commit
 
-The fan-out map fuses into the OCR actor operator, so each actor task
-fans out and OCRs one read bundle in place. Resume filters committed
-partitions out right after fan-out with a broadcast set (anti-join,
-SURVEY.md §2.4) — no shuffle, no re-OCR of done work.
+The OCR operator is a task ``map_batches``, not an actor pool: Ray Data
+runs its tasks on warm pooled workers that already import ``ray.data``,
+so no run waits for a fresh actor process, and each task takes its
+engine from a cache that lives as long as its worker process
+(stages/ocr.py ``process_stage``) — a costly model loads once per worker
+process and stays loaded across runs, shards and resumes. Resume filters
+committed partitions out right after fan-out with a broadcast set
+(anti-join, SURVEY.md §2.4) — no shuffle, no re-OCR of done work.
 """
 
 from __future__ import annotations
+
+import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
 from ocr_agent_ray.stages.assemble import PartitionAssembler
-from ocr_agent_ray.stages.fanout import FanOutStage
-from ocr_agent_ray.stages.ocr import MockOcrEngine, OcrFinalizeStage
+from ocr_agent_ray.stages.fanout import fan_out_documents
+from ocr_agent_ray.stages.ocr import MockOcrEngine, engine_key, process_stage
+
+
+class ExtractTask:
+    """Task-based ``map_batches`` callable: fan-out → drop committed →
+    OCR → finalize for one batch of documents.
+
+    Deserialized afresh for every task, so it holds only constants made
+    where the pipeline is built; the engine and the per-run
+    :class:`OcrFinalizeStage` come from the worker process
+    (``process_stage``), keyed by this run's id and a digest of the
+    engine factory."""
+
+    def __init__(self, *, engine_factory, settings: PipelineSettings,
+                 math_style: str, out_dir: str | None,
+                 skip_partitions: set[int] | None) -> None:
+        self.run_id = uuid.uuid4().hex
+        self.engine_factory = engine_factory
+        self.engine_key = engine_key(engine_factory)
+        self.num_partitions = settings.num_partitions
+        self.ocr_batch_size = settings.ocr_batch_size
+        self.fail_fast = settings.fail_fast
+        self.math_style = math_style
+        self.out_dir = out_dir
+        self.done = (pa.array(sorted(skip_partitions), pa.int32())
+                     if skip_partitions else None)
+
+    def fan_out(self, docs: pa.Table) -> pa.Table:
+        units = fan_out_documents(docs, num_partitions=self.num_partitions)
+        if self.done is None:
+            return units
+        return units.filter(pc.invert(pc.is_in(units["partition_id"],
+                                               value_set=self.done)))
+
+    def ocr(self, units: pa.Table) -> pa.Table:
+        stage = process_stage(self.run_id, self.engine_factory, self.engine_key,
+                              fail_fast=self.fail_fast, metrics_dir=self.out_dir,
+                              math_style=self.math_style)
+        # engine calls see at most ocr_batch_size units; an empty input
+        # still makes one call, for the output schema
+        step = self.ocr_batch_size
+        return pa.concat_tables([stage(units.slice(lo, step))
+                                 for lo in range(0, max(len(units), 1), step)])
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        return self.ocr(self.fan_out(docs))
 
 
 def build_extract_pipeline(
@@ -48,57 +100,35 @@ def build_extract_pipeline(
     (count/take/write) waits for per-partition assembly + commit."""
     settings = settings or PipelineSettings()
     post = post or PostProcessSettings()
-
-    # Barrier-free task granularity (default): the fan-out map carries the
-    # pool's default resource spec, so Ray FUSES it into the OCR actor op —
-    # each actor task reads a ~fanout_batch_size-doc bundle, fans it out
-    # and OCRs it in place. OCR task granularity therefore equals the
-    # fan-out bundle (keep fanout_batch_size small and read blocks smaller
-    # than it), no repartition needed and the pipeline streams end-to-end.
-    # balance_blocks instead inserts an explicit cost-leveling repartition
-    # (an all-to-all barrier) between fan-out and OCR — the north-rule
-    # lever for pathological per-doc skew, where one multi-thousand-page
-    # doc must spread across many OCR tasks.
-    units = docs_ds.map_batches(
-        FanOutStage(num_partitions=settings.num_partitions),
-        batch_format="pyarrow",
-        batch_size=settings.fanout_batch_size,
-    )
-
-    if skip_partitions:
-        done = pa.array(sorted(skip_partitions), pa.int32())
-
-        def _drop_committed(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.invert(pc.is_in(batch["partition_id"], value_set=done))
-            )
-
-        units = units.map_batches(_drop_committed, batch_format="pyarrow")
+    task = ExtractTask(engine_factory=engine_factory, settings=settings,
+                       math_style=post.math_delimiter_style, out_dir=out_dir,
+                       skip_partitions=skip_partitions)
+    # At most ocr_concurrency OCR tasks run at once, each reserving
+    # ocr_num_cpus (GPU deployment: num_gpus=1 instead; see the
+    # DeepSeekOcr2Engine docstring for what max_calls=1 changes).
+    ocr_args = dict(batch_format="pyarrow", concurrency=settings.ocr_concurrency,
+                    num_cpus=settings.ocr_num_cpus)
 
     if settings.balance_blocks:
         # Skew leveling (north_rule): after per-page fan-out every unit has
         # ~equal cost (the reference's own leveling insight,
         # queue_store.py:91-123), so row-balanced blocks are cost-balanced —
         # a 200-page doc spreads across many OCR tasks instead of straggling
-        # one. Without this, the actor pool receives a handful of fat,
-        # uneven bundles and the slowest bundle sets the wall time.
-        units = units.repartition(settings.balance_blocks)
-
-    # autoscaling pool: min must stay below the CPU count or the pool
-    # reserves every core and starves the read/shuffle stages; benches pin
-    # min == max to skip ramp-up. GPU deployment: num_gpus=1, same callable.
-    final = units.map_batches(
-        OcrFinalizeStage,
-        fn_constructor_kwargs={"engine_factory": engine_factory,
-                               "fail_fast": settings.fail_fast,
-                               "metrics_dir": out_dir,
-                               "math_style": post.math_delimiter_style},
-        batch_format="pyarrow",
-        batch_size=settings.ocr_batch_size,
-        concurrency=(min(settings.ocr_min_actors, settings.ocr_concurrency),
-                     settings.ocr_concurrency),
-        num_cpus=settings.ocr_num_cpus,
-    )
+        # one. The repartition is an all-to-all barrier between fan-out and
+        # OCR, so it is opt-in.
+        units = docs_ds.map_batches(
+            task.fan_out, batch_format="pyarrow",
+            batch_size=settings.fanout_batch_size,
+        ).repartition(settings.balance_blocks)
+        final = units.map_batches(task.ocr, batch_size=settings.ocr_batch_size,
+                                  **ocr_args)
+    else:
+        # Barrier-free (default): each task fans out, OCRs and finalizes
+        # one ~fanout_batch_size-doc bundle in place, so OCR granularity
+        # is the fan-out bundle (keep fanout_batch_size small and read
+        # blocks smaller than it) and the pipeline streams end-to-end.
+        final = docs_ds.map_batches(task, batch_size=settings.fanout_batch_size,
+                                    **ocr_args)
 
     assembler = PartitionAssembler(out_dir=out_dir)
 
@@ -108,7 +138,7 @@ def build_extract_pipeline(
     # THE one shuffle, as a raw-Ray hash exchange (pipelines/exchange.py):
     # partition_id is already a dense bucket id in [0, num_partitions), so
     # the sort-based groupby's O(n log n) global sort is pure overhead.
-    # The exchange's split side streams with the OCR pool; per-partition
+    # The exchange's split side streams with the OCR tasks; per-partition
     # assembly + atomic commit run one reduce task per non-empty partition.
     from ocr_agent_ray.pipelines.exchange import bucket_map_groups
 
@@ -135,6 +165,7 @@ def run_extract_checkpointed(
     ``reset``). New DOCUMENTS arriving as new shards belong to the
     incremental path (sources/watch.py), which keys exactly-once on the
     shard, not the hash partition."""
+    from ocr_agent_ray.pipelines.exchange import release_finished_waves
     from ocr_agent_ray.state.checkpoint import CheckpointStore
 
     settings = settings or PipelineSettings()
@@ -156,6 +187,9 @@ def run_extract_checkpointed(
     )
     # Consume fully but stream — count() only pulls row counts per block.
     n_docs = pipe.count()
+    # every reduce has finished: drop the wave's pins now, so the run's
+    # assembled output is not held in the object store after we return
+    release_finished_waves()
     after = store.committed_ids()
     return {
         "partitions_committed_before": len(already),

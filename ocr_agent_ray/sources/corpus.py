@@ -162,13 +162,13 @@ def read_documents(path: str, num_blocks: int | None = None,
     via ray.data.read_lance when the package is available, else parquet —
     sources/readers.py).
 
-    Block count defaults to 4x the cluster CPUs: downstream actor-pool
+    Block count defaults to 4x the cluster CPUs: downstream OCR task
     concurrency is bounded by input block count, so a handful of fat files
-    must split into enough blocks to keep every actor fed.
+    must split into enough blocks to keep every OCR task slot fed.
 
     ``read_cpus``: fractional CPU request per read task (e.g. 0.25) so
-    reads keep flowing beside a pinned actor pool that reserves most of
-    the node — with default 1-CPU read tasks and an N-2-actor pool, reads
+    reads keep flowing beside OCR tasks that reserve most of the node —
+    with default 1-CPU read tasks and N-2 concurrent OCR tasks, reads
     trickle 2-wide and starve the pipeline start.
     """
     import ray

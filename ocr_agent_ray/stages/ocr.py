@@ -1,10 +1,12 @@
-"""OCR engine adapters + the actor-pool inference stage.
+"""OCR engine adapters + the flagship's fused OCR→finalize stage.
 
 The reference's hot loop is one GPU inference per task inside a lazily
 loaded singleton runner (/root/reference/src/ocr_agent/deepseek_ocr2_runner.py:72-177).
-Here the same shape becomes a Ray Data actor pool: the engine is
-constructed ONCE per actor in ``__init__`` and invoked per Arrow batch in
-``__call__`` — N concurrent copies of the reference's load-once semantics.
+Here the same shape is a per-worker-process engine cache: the flagship's
+OCR operator is a task-based ``map_batches`` (pipelines/extract.py), and
+each task takes its engine from :func:`process_stage`, which builds the
+engine once per Ray worker process and keeps it loaded across tasks and
+runs — N worker processes, each with the reference's load-once semantics.
 
 Engines implement ``infer_batch(media_refs, page_indices) -> list[Any]``
 (batch-of-images -> batch-of-raw-model-results); raw results are normalized
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import types
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
@@ -105,7 +109,7 @@ def mock_markdown_for(media_ref: str, page_index: int | None) -> Any:
 
 
 class MockOcrEngine:
-    """Pure-function engine; safe to construct in every actor.
+    """Pure-function engine; safe to construct in every worker process.
 
     ``work_ms`` emulates per-page model latency with deterministic-output
     busy work (the real model runs ~1 s/page on GPU,
@@ -199,13 +203,23 @@ class DeepSeekOcr2Config:
 
 class DeepSeekOcr2Engine:
     """Real GPU adapter, import-guarded (no CUDA/torch in this container —
-    the body is complete so a GPU deployment needs zero new code; pass
-    ``num_gpus=1`` in the actor-pool kwargs, pipelines/extract.py).
+    the body is complete so a GPU deployment needs zero new code).
+
+    GPU deployment: the flagship's OCR operator is a task ``map_batches``
+    with ``num_cpus=settings.ocr_num_cpus``; give it ``num_gpus=1``
+    instead (pipelines/extract.py). Ray 2.49 gives tasks with
+    ``num_gpus>0`` a default of ``max_calls=1``
+    (ray/remote_function.py:105-119), so the worker process exits after
+    each task: the model then loads once per task — once per fan-out
+    bundle (``fanout_batch_size`` docs, 512 by default) — and GPU memory
+    is freed when each task ends, where an actor pool loaded it once per
+    run. Not verified on a GPU.
 
     Behavioral parity with the reference runner
-    (deepseek_ocr2_runner.py:78-177), restated batch-first for Ray actors:
+    (deepseek_ocr2_runner.py:78-177), restated batch-first:
 
-    - tokenizer + model load lazily, exactly once per actor process,
+    - tokenizer + model load lazily, exactly once per engine instance
+      (one per worker process, :func:`process_stage`),
     - bf16 when the GPU supports it, else fp16,
     - flash-attention-2 requested first; a ``TypeError`` from builds that
       don't accept the argument falls back to the plain load,
@@ -317,13 +331,15 @@ class DeepSeekOcr2Engine:
 
 
 class OcrFinalizeStage:
-    """OCR + finalize fused in one actor callable — the flagship's OCR
-    operator.
+    """OCR + finalize fused in one callable — the flagship's per-run OCR
+    state.
 
     Post-processing is cheap CPU relative to inference, so running it
-    inside the OCR actor saves an operator (its task overhead and block
-    hop) on the hot path. Both halves write to ONE metrics spool, so an
-    actor keeps one spool file.
+    in the same call saves an operator (its task overhead and block hop)
+    on the hot path. Both halves write to ONE metrics spool. The flagship
+    builds one instance per (worker process, run) with :func:`process_stage`,
+    so its error-cap counters, ``fail_fast`` and spool file belong to one
+    run while the engine inside is shared across runs.
     """
 
     def __init__(self, engine_factory=None, fail_fast: bool = False,
@@ -339,17 +355,67 @@ class OcrFinalizeStage:
         return self.finalize(self.ocr(batch))
 
 
+# --- per-worker-process engine cache ---------------------------------------
+# Task-based map operators deserialize their callable for every task, and
+# when the package is pickled by value (serialization.register_for_ray_workers)
+# every task also gets fresh copies of this module's globals. The cache
+# therefore lives in a sys.modules entry, which belongs to the worker
+# process rather than to any copy of this module.
+_CACHE_MODULE = "_ocr_agent_ray_engine_cache"
+
+
+def engine_key(engine_factory) -> str:
+    """Digest of the factory's pickled bytes; runs with equal keys share
+    a worker process's engine. Computed once, where the pipeline is built."""
+    from ray import cloudpickle
+
+    return hashlib.blake2b(cloudpickle.dumps(engine_factory),
+                           digest_size=16).hexdigest()
+
+
+def process_stage(run_id: str, engine_factory, key: str, *,
+                  fail_fast: bool = False, metrics_dir: str | None = None,
+                  math_style: str = "dollar") -> OcrFinalizeStage:
+    """This worker process's :class:`OcrFinalizeStage` for run ``run_id``.
+
+    The process holds ONE engine, built by the first run that needs it
+    and replaced only when a run's factory ``key`` differs; each run gets
+    a fresh stage around it (a process keeps the latest run's). If the
+    factory raises, the exception propagates and nothing is cached."""
+    cache = sys.modules.get(_CACHE_MODULE)
+    if cache is None:
+        cache = types.ModuleType(_CACHE_MODULE)
+        cache.key = cache.engine = cache.run_id = cache.stage = None
+        sys.modules[_CACHE_MODULE] = cache
+    if cache.run_id == run_id:
+        return cache.stage
+    if cache.key != key:
+        # drop the old engine (and the stage holding it) before loading
+        # the new one, so two models never share the process
+        cache.key = cache.engine = cache.run_id = cache.stage = None
+        cache.engine = engine_factory()
+        cache.key = key
+    engine = cache.engine
+    cache.stage = OcrFinalizeStage(engine_factory=lambda: engine, fail_fast=fail_fast,
+                                   metrics_dir=metrics_dir, math_style=math_style)
+    cache.run_id = run_id
+    return cache.stage
+
+
 def _stable_u64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 class OcrStage:
-    """Actor-pool ``map_batches`` callable: OCR media rows, pass text rows.
+    """``map_batches`` callable: OCR media rows, pass text rows.
 
-    Use as::
+    The engine is built once, in ``__init__`` (``engine_factory()``). Use
+    as an actor pool::
 
         ds.map_batches(OcrStage, fn_constructor_kwargs={"engine_factory": MockOcrEngine},
                        batch_format="pyarrow", batch_size=B, concurrency=N)
+
+    or, as the flagship does, behind :func:`process_stage` inside a task.
 
     Rows with kind in ('image', 'pdf_page') and empty text get engine
     output (normalized, deepseek_ocr2_runner.py:37-52); 'text' rows pass
@@ -362,11 +428,11 @@ class OcrStage:
                  metrics_dir: str | None = None,
                  max_error_fraction: float = 0.5,
                  min_rows_for_error_cap: int = 64) -> None:
-        self.engine = engine_factory()  # once per actor
+        self.engine = engine_factory()
         self.fail_fast = fail_fast
         # systemic-failure guard (the max_errored_blocks-style cap of
         # SURVEY §4): per-row poison pills are tolerated, but once more
-        # than max_error_fraction of this actor's attempted media rows have
+        # than max_error_fraction of this stage's attempted media rows have
         # failed (after a minimum sample), the engine is considered broken
         # and the run aborts instead of silently emitting an empty corpus
         self.max_error_fraction = max_error_fraction

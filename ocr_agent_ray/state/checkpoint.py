@@ -132,8 +132,10 @@ class CheckpointStore:
         """Un-commit one partition so the next run reprocesses it — the
         analog of the reference's queue `reset` for stale failed rows
         (README.md:75-79). Removes the manifest marker FIRST (the commit
-        point), then best-effort cleans data/metrics; returns whether the
-        partition had been committed."""
+        point), then best-effort cleans data/metrics, including the
+        partition's rows in every metrics spool, so the rerun's rows are
+        not counted twice; returns whether the partition had been
+        committed."""
         marker = os.path.join(self.manifest_dir, f"part-{partition_id:05d}.json")
         existed = os.path.exists(marker)
         if existed:
@@ -146,7 +148,27 @@ class CheckpointStore:
                 os.remove(p)
             except OSError:
                 pass
+        self._drop_spool_rows(partition_id)
         return existed
+
+    def _drop_spool_rows(self, partition_id: int) -> None:
+        """Rewrite (tmp + rename) every spool holding rows of the partition."""
+        if not os.path.isdir(self.metrics_dir):
+            return
+        for name in os.listdir(self.metrics_dir):
+            if not (name.startswith("spool-") and name.endswith(".jsonl")):
+                continue
+            path = os.path.join(self.metrics_dir, name)
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().split("\n")[:-1]  # a torn tail is dropped
+            kept = [line for line in lines
+                    if json.loads(line)["partition_id"] != partition_id]
+            if len(kept) == len(lines):
+                continue
+            tmp = path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in kept))
+            os.replace(tmp, path)
 
     # --- read / resume path ----------------------------------------------
 
@@ -219,8 +241,9 @@ class MetricsSpool:
     JSON lines, one write per call, flushed when the file closes. So:
 
     - totals are exact after every batch (nothing is held back waiting
-      for a flush — actor teardown runs no finalizer in Ray, measured),
-    - an append costs O(rows appended), and an OCR actor keeps one file,
+      for a flush — worker teardown runs no finalizer in Ray, measured),
+    - an append costs O(rows appended), and one run keeps one file per
+      worker process that ran its OCR tasks,
     - a crash can tear only the final line, which ``load_metrics`` skips.
 
     The file name is drawn lazily in the worker (task-pool stages

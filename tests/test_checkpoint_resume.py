@@ -103,6 +103,25 @@ def test_reset_partition_reprocesses(ray_session, tmp_path):
         assert os.path.getmtime(store.data_path(p)) == before[p]
 
 
+def test_reset_drops_spool_rows(ray_session, tmp_path):
+    """Reset + resume counts every unit's OCR metrics once: the reset
+    partitions' spool rows go with their marker, and the rerun adds them
+    back."""
+    from ocr_agent_ray.stages.fanout import fan_out_documents
+
+    corpus = generate_documents(80, seed=21)
+    out_dir = str(tmp_path / "ckpt_spool")
+    run_extract_checkpointed(rd.from_arrow(corpus), out_dir, settings=SETTINGS)
+    store = CheckpointStore(out_dir)
+    for pid in sorted(store.committed_ids())[::3]:
+        store.reset_partition(pid)
+    run_extract_checkpointed(rd.from_arrow(corpus), out_dir, settings=SETTINGS)
+
+    units = len(fan_out_documents(corpus, num_partitions=SETTINGS.num_partitions))
+    metrics = store.load_metrics().to_pylist()
+    assert sum(m["rows_in"] for m in metrics if m["stage"] == "ocr") == units
+
+
 def test_manifest_contents(ray_session, tmp_path):
     corpus = generate_documents(40, seed=7)
     out_dir = str(tmp_path / "ckpt2")

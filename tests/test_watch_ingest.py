@@ -86,3 +86,11 @@ def test_failed_shard_is_parked(ray_session, corpus_dir, tmp_path):
     assert [os.path.basename(p) for p in ready] == [
         "shard-000.parquet", "shard-001.parquet",
     ]
+
+    # the failed constructor cached nothing: rerunning the un-parked shard,
+    # on the same worker processes, fails and parks it again
+    with pytest.raises(Exception, match="engine down"):
+        poll_and_ingest(corpus_dir, out, engine_factory=BrokenEngine, max_shards=1)
+    assert os.path.exists(os.path.join(out, "shards", "shard-000.failed"))
+    assert [os.path.basename(p) for p in list_ready_shards(corpus_dir, out)] == [
+        "shard-001.parquet"]

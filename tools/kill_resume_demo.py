@@ -34,8 +34,8 @@ from ocr_agent_ray.config import PipelineSettings
 from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
 from ocr_agent_ray.sources.corpus import read_documents
 from ocr_agent_ray.stages.ocr import MockOcrEngine
-settings = PipelineSettings(ocr_concurrency=12, ocr_min_actors=4,
-                            num_partitions=64, balance_blocks=64)
+settings = PipelineSettings(ocr_concurrency=12, num_partitions=64,
+                            balance_blocks=64)
 s = run_extract_checkpointed(
     read_documents(sys.argv[1], num_blocks=32), sys.argv[2],
     engine_factory=functools.partial(MockOcrEngine, work_ms=float(sys.argv[3])),

@@ -70,7 +70,6 @@ def run(corpus: str, balance: int | None) -> float:
 
     settings = PipelineSettings(
         ocr_concurrency=max(2, NUM_CPUS - 2),
-        ocr_min_actors=max(2, NUM_CPUS - 2),
         ocr_batch_size=128,
         num_partitions=4 * NUM_CPUS,
         balance_blocks=balance,

@@ -16,7 +16,7 @@ print("corpus gen sec", round(time.time()-t0,1))
 
 # barrier-free round-2 config: fused fan-out granularity + fractional-CPU
 # reads + pre-shuffle coalesce (see pipelines/extract.py)
-settings = PipelineSettings(ocr_concurrency=30, ocr_min_actors=8, ocr_batch_size=256,
+settings = PipelineSettings(ocr_concurrency=30, ocr_batch_size=256,
                             fanout_batch_size=256, num_partitions=256)
 t0=time.time()
 s = run_extract_checkpointed(read_documents("/tmp/graft_smoke100k/corpus",
