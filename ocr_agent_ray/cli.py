@@ -149,7 +149,7 @@ def cmd_reset(args) -> int:
     store = CheckpointStore(args.out)
     pids = (sorted(store.committed_ids()) if args.all
             else [int(p) for p in args.partitions])
-    done = [p for p in pids if store.reset_partition(p)]
+    done = store.reset_partitions(pids)
     print(json.dumps({"reset_partitions": done}))
     return 0
 

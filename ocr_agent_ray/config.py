@@ -76,7 +76,13 @@ class PipelineSettings:
                                        # take only an integer concurrency.
                                        # Kept so existing callers that set
                                        # it still construct.
-    ocr_num_cpus: float = 1.0          # reserved per OCR task (GPU adapter: num_gpus=1)
+    ocr_num_cpus: float = 1.0          # reserved per OCR task. A GPU run
+                                       # reserves num_gpus=1 instead; Ray
+                                       # then ends the worker after each
+                                       # task (max_calls=1, which
+                                       # map_batches cannot override), so
+                                       # the model reloads per task (see
+                                       # DeepSeekOcr2Engine)
     fanout_batch_size: int = 512       # documents per fan-out batch
     num_partitions: int = 32           # checkpoint / output partitions
     balance_blocks: int | None = None  # EXPLICIT skew leveling: repartition

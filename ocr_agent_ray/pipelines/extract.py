@@ -17,10 +17,12 @@ commit:
 
 The OCR operator is a task ``map_batches``, not an actor pool: Ray Data
 runs its tasks on warm pooled workers that already import ``ray.data``,
-so no run waits for a fresh actor process, and each task takes its
-engine from a cache that lives as long as its worker process
-(stages/ocr.py ``process_stage``) — a costly model loads once per worker
-process and stays loaded across runs, shards and resumes. Resume filters
+so no run waits for a fresh actor process. Each task takes its engine
+from a per-(worker process, run) cache (stages/ocr.py ``process_stage``):
+a run builds one engine in each worker process its OCR tasks land on.
+That count is bounded by Ray's idle-worker pool, not by
+``ocr_concurrency`` (which caps only the tasks running at once); the run
+summary reports it as ``ocr_processes``. Resume filters
 committed partitions out right after fan-out with a broadcast set
 (anti-join, SURVEY.md §2.4) — no shuffle, no re-OCR of done work.
 """
@@ -35,7 +37,7 @@ import pyarrow.compute as pc
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
 from ocr_agent_ray.stages.assemble import PartitionAssembler
 from ocr_agent_ray.stages.fanout import fan_out_documents
-from ocr_agent_ray.stages.ocr import MockOcrEngine, engine_key, process_stage
+from ocr_agent_ray.stages.ocr import MockOcrEngine, process_stage
 
 
 class ExtractTask:
@@ -43,17 +45,15 @@ class ExtractTask:
     OCR → finalize for one batch of documents.
 
     Deserialized afresh for every task, so it holds only constants made
-    where the pipeline is built; the engine and the per-run
-    :class:`OcrFinalizeStage` come from the worker process
-    (``process_stage``), keyed by this run's id and a digest of the
-    engine factory."""
+    where the pipeline is built; the per-run :class:`OcrFinalizeStage`
+    and its engine come from the worker process (``process_stage``),
+    keyed by this run's id."""
 
     def __init__(self, *, engine_factory, settings: PipelineSettings,
                  math_style: str, out_dir: str | None,
                  skip_partitions: set[int] | None) -> None:
         self.run_id = uuid.uuid4().hex
         self.engine_factory = engine_factory
-        self.engine_key = engine_key(engine_factory)
         self.num_partitions = settings.num_partitions
         self.ocr_batch_size = settings.ocr_batch_size
         self.fail_fast = settings.fail_fast
@@ -70,7 +70,7 @@ class ExtractTask:
                                                value_set=self.done)))
 
     def ocr(self, units: pa.Table) -> pa.Table:
-        stage = process_stage(self.run_id, self.engine_factory, self.engine_key,
+        stage = process_stage(self.run_id, self.engine_factory,
                               fail_fast=self.fail_fast, metrics_dir=self.out_dir,
                               math_style=self.math_style)
         # engine calls see at most ocr_batch_size units; an empty input
@@ -104,8 +104,10 @@ def build_extract_pipeline(
                        math_style=post.math_delimiter_style, out_dir=out_dir,
                        skip_partitions=skip_partitions)
     # At most ocr_concurrency OCR tasks run at once, each reserving
-    # ocr_num_cpus (GPU deployment: num_gpus=1 instead; see the
-    # DeepSeekOcr2Engine docstring for what max_calls=1 changes).
+    # ocr_num_cpus. A GPU deployment reserves num_gpus=1 instead, which
+    # makes Ray end the worker after each task (max_calls=1, and
+    # map_batches cannot override it): the model then reloads per task.
+    # See the DeepSeekOcr2Engine docstring.
     ocr_args = dict(batch_format="pyarrow", concurrency=settings.ocr_concurrency,
                     num_cpus=settings.ocr_num_cpus)
 
@@ -177,6 +179,7 @@ def run_extract_checkpointed(
     }
     store = CheckpointStore(out_dir).initialize(run_meta)
     already = store.committed_ids()
+    spools_before = store.spool_names()
     pipe = build_extract_pipeline(
         docs_ds,
         engine_factory=engine_factory,
@@ -196,4 +199,8 @@ def run_extract_checkpointed(
         "partitions_committed_total": len(after),
         "partitions_processed": len(after) - len(already),
         "docs_assembled_this_run": n_docs,
+        # one spool per (worker process, run) stage, so: the worker
+        # processes that built an engine for this run and OCR'd rows with
+        # it (compare settings.ocr_concurrency)
+        "ocr_processes": len(store.spool_names() - spools_before),
     }

@@ -2,11 +2,11 @@
 
 The reference's hot loop is one GPU inference per task inside a lazily
 loaded singleton runner (/root/reference/src/ocr_agent/deepseek_ocr2_runner.py:72-177).
-Here the same shape is a per-worker-process engine cache: the flagship's
+Here the same shape is a per-worker-process stage cache: the flagship's
 OCR operator is a task-based ``map_batches`` (pipelines/extract.py), and
 each task takes its engine from :func:`process_stage`, which builds the
-engine once per Ray worker process and keeps it loaded across tasks and
-runs — N worker processes, each with the reference's load-once semantics.
+engine once per (Ray worker process, run) and reuses it for every task of
+that run in that process — the reference's load-once semantics, per run.
 
 Engines implement ``infer_batch(media_refs, page_indices) -> list[Any]``
 (batch-of-images -> batch-of-raw-model-results); raw results are normalized
@@ -206,20 +206,24 @@ class DeepSeekOcr2Engine:
     the body is complete so a GPU deployment needs zero new code).
 
     GPU deployment: the flagship's OCR operator is a task ``map_batches``
-    with ``num_cpus=settings.ocr_num_cpus``; give it ``num_gpus=1``
-    instead (pipelines/extract.py). Ray 2.49 gives tasks with
-    ``num_gpus>0`` a default of ``max_calls=1``
+    with ``num_cpus=settings.ocr_num_cpus``; a GPU run gives it
+    ``num_gpus=1`` instead (pipelines/extract.py). Ray 2.49 gives tasks
+    with ``num_gpus>0`` a default of ``max_calls=1``
     (ray/remote_function.py:105-119), so the worker process exits after
-    each task: the model then loads once per task — once per fan-out
-    bundle (``fanout_batch_size`` docs, 512 by default) — and GPU memory
-    is freed when each task ends, where an actor pool loaded it once per
-    run. Not verified on a GPU.
+    each task and the per-process stage cache never holds anything: the
+    model loads once per task — once per fan-out bundle
+    (``fanout_batch_size`` docs, 512 by default) — where an actor pool
+    loaded it once per run. ``max_calls=0`` would keep the process (and
+    the model) alive, but ``map_batches`` cannot pass it: Ray Data also
+    hands its remote args to ``.options()``, which rejects ``max_calls``
+    (ValueError "Setting 'max_calls' is not supported in '.options()'",
+    checked on CPU). Open in ROADMAP.md; not verified on a GPU.
 
     Behavioral parity with the reference runner
     (deepseek_ocr2_runner.py:78-177), restated batch-first:
 
     - tokenizer + model load lazily, exactly once per engine instance
-      (one per worker process, :func:`process_stage`),
+      (one per worker process and run, :func:`process_stage`),
     - bf16 when the GPU supports it, else fp16,
     - flash-attention-2 requested first; a ``TypeError`` from builds that
       don't accept the argument falls back to the plain load,
@@ -338,8 +342,8 @@ class OcrFinalizeStage:
     in the same call saves an operator (its task overhead and block hop)
     on the hot path. Both halves write to ONE metrics spool. The flagship
     builds one instance per (worker process, run) with :func:`process_stage`,
-    so its error-cap counters, ``fail_fast`` and spool file belong to one
-    run while the engine inside is shared across runs.
+    so its engine, error-cap counters, ``fail_fast`` and spool file belong
+    to one run.
     """
 
     def __init__(self, engine_factory=None, fail_fast: bool = False,
@@ -355,49 +359,41 @@ class OcrFinalizeStage:
         return self.finalize(self.ocr(batch))
 
 
-# --- per-worker-process engine cache ---------------------------------------
+# --- per-worker-process stage cache ----------------------------------------
 # Task-based map operators deserialize their callable for every task, and
 # when the package is pickled by value (serialization.register_for_ray_workers)
 # every task also gets fresh copies of this module's globals. The cache
 # therefore lives in a sys.modules entry, which belongs to the worker
 # process rather than to any copy of this module.
-_CACHE_MODULE = "_ocr_agent_ray_engine_cache"
+_CACHE_MODULE = "_ocr_agent_ray_stage_cache"
 
 
-def engine_key(engine_factory) -> str:
-    """Digest of the factory's pickled bytes; runs with equal keys share
-    a worker process's engine. Computed once, where the pipeline is built."""
-    from ray import cloudpickle
-
-    return hashlib.blake2b(cloudpickle.dumps(engine_factory),
-                           digest_size=16).hexdigest()
-
-
-def process_stage(run_id: str, engine_factory, key: str, *,
-                  fail_fast: bool = False, metrics_dir: str | None = None,
+def process_stage(run_id: str, engine_factory, *, fail_fast: bool = False,
+                  metrics_dir: str | None = None,
                   math_style: str = "dollar") -> OcrFinalizeStage:
     """This worker process's :class:`OcrFinalizeStage` for run ``run_id``.
 
-    The process holds ONE engine, built by the first run that needs it
-    and replaced only when a run's factory ``key`` differs; each run gets
-    a fresh stage around it (a process keeps the latest run's). If the
-    factory raises, the exception propagates and nothing is cached."""
+    The first task of a run in a process builds the stage, and with it
+    the engine; the run's later tasks in that process reuse it. The number
+    of engines a run builds is the number of worker processes its OCR
+    tasks land on: Ray schedules tasks onto any pooled worker, so that is
+    bounded by Ray's worker pool (about one idle worker per CPU), not by
+    ``ocr_concurrency``, which caps only how many run at once. A process
+    keeps its last run's stage, engine included, until an OCR task of
+    another run replaces it or the process exits. If the factory raises,
+    the exception propagates and nothing is cached."""
     cache = sys.modules.get(_CACHE_MODULE)
     if cache is None:
         cache = types.ModuleType(_CACHE_MODULE)
-        cache.key = cache.engine = cache.run_id = cache.stage = None
         sys.modules[_CACHE_MODULE] = cache
-    if cache.run_id == run_id:
+    elif cache.run_id == run_id:
         return cache.stage
-    if cache.key != key:
-        # drop the old engine (and the stage holding it) before loading
-        # the new one, so two models never share the process
-        cache.key = cache.engine = cache.run_id = cache.stage = None
-        cache.engine = engine_factory()
-        cache.key = key
-    engine = cache.engine
-    cache.stage = OcrFinalizeStage(engine_factory=lambda: engine, fail_fast=fail_fast,
-                                   metrics_dir=metrics_dir, math_style=math_style)
+    # drop the previous run's stage (and its engine) before building this
+    # run's, so two models never share the process
+    cache.run_id = cache.stage = None
+    cache.stage = OcrFinalizeStage(engine_factory=engine_factory,
+                                   fail_fast=fail_fast, metrics_dir=metrics_dir,
+                                   math_style=math_style)
     cache.run_id = run_id
     return cache.stage
 

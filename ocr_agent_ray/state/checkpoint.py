@@ -129,40 +129,54 @@ class CheckpointStore:
         return final
 
     def reset_partition(self, partition_id: int) -> bool:
-        """Un-commit one partition so the next run reprocesses it — the
+        """:meth:`reset_partitions` for one partition; returns whether it
+        had been committed."""
+        return bool(self.reset_partitions([partition_id]))
+
+    def reset_partitions(self, partition_ids) -> list[int]:
+        """Un-commit partitions so the next run reprocesses them — the
         analog of the reference's queue `reset` for stale failed rows
-        (README.md:75-79). Removes the manifest marker FIRST (the commit
-        point), then best-effort cleans data/metrics, including the
-        partition's rows in every metrics spool, so the rerun's rows are
-        not counted twice; returns whether the partition had been
-        committed."""
-        marker = os.path.join(self.manifest_dir, f"part-{partition_id:05d}.json")
-        existed = os.path.exists(marker)
-        if existed:
-            os.remove(marker)
-        for p in (
-            self.data_path(partition_id),
-            os.path.join(self.metrics_dir, f"part-{partition_id:05d}.json"),
-        ):
-            try:
-                os.remove(p)
-            except OSError:
-                pass
-        self._drop_spool_rows(partition_id)
+        (README.md:75-79). Per partition, removes the manifest marker
+        FIRST (the commit point), then best-effort cleans data/metrics;
+        then one pass over the metrics spools drops every reset
+        partition's rows, so the rerun's rows are not counted twice.
+        Returns the ids that had been committed, in the order given.
+
+        Must not overlap a running job: a spool rewrite would drop rows
+        that a worker appends to it meanwhile."""
+        pids = list(partition_ids)
+        existed = []
+        for pid in pids:
+            marker = os.path.join(self.manifest_dir, f"part-{pid:05d}.json")
+            if os.path.exists(marker):
+                os.remove(marker)
+                existed.append(pid)
+            for p in (
+                self.data_path(pid),
+                os.path.join(self.metrics_dir, f"part-{pid:05d}.json"),
+            ):
+                try:
+                    os.remove(p)
+                except OSError:
+                    pass
+        self._drop_spool_rows(set(pids))
         return existed
 
-    def _drop_spool_rows(self, partition_id: int) -> None:
-        """Rewrite (tmp + rename) every spool holding rows of the partition."""
+    def spool_names(self) -> set[str]:
+        """File names of the metrics spools (``spool-*.jsonl``)."""
         if not os.path.isdir(self.metrics_dir):
-            return
-        for name in os.listdir(self.metrics_dir):
-            if not (name.startswith("spool-") and name.endswith(".jsonl")):
-                continue
+            return set()
+        return {name for name in os.listdir(self.metrics_dir)
+                if name.startswith("spool-") and name.endswith(".jsonl")}
+
+    def _drop_spool_rows(self, partition_ids: set[int]) -> None:
+        """Rewrite (tmp + rename) every spool holding rows of the partitions."""
+        for name in self.spool_names():
             path = os.path.join(self.metrics_dir, name)
             with open(path, encoding="utf-8") as f:
                 lines = f.read().split("\n")[:-1]  # a torn tail is dropped
             kept = [line for line in lines
-                    if json.loads(line)["partition_id"] != partition_id]
+                    if json.loads(line)["partition_id"] not in partition_ids]
             if len(kept) == len(lines):
                 continue
             tmp = path + ".tmp"

@@ -113,8 +113,8 @@ def test_reset_drops_spool_rows(ray_session, tmp_path):
     out_dir = str(tmp_path / "ckpt_spool")
     run_extract_checkpointed(rd.from_arrow(corpus), out_dir, settings=SETTINGS)
     store = CheckpointStore(out_dir)
-    for pid in sorted(store.committed_ids())[::3]:
-        store.reset_partition(pid)
+    victims = sorted(store.committed_ids())[::3]
+    assert store.reset_partitions(victims + [999]) == victims
     run_extract_checkpointed(rd.from_arrow(corpus), out_dir, settings=SETTINGS)
 
     units = len(fan_out_documents(corpus, num_partitions=SETTINGS.num_partitions))

@@ -1,6 +1,6 @@
 """The flagship's OCR operator across runs in one Ray session: one engine
-per worker process, per-run stage state, and no exchange wave left
-pinned after a run returns."""
+per (worker process, run), per-run stage state, and no exchange wave
+left pinned after a run returns."""
 
 from __future__ import annotations
 
@@ -57,8 +57,11 @@ def package_by_value():
                 pass
 
 
-def test_engine_built_once_per_worker_process(ray_session, package_by_value,
-                                              tmp_path):
+def test_engine_built_once_per_process_and_run(ray_session, package_by_value,
+                                               tmp_path):
+    """Every task gets fresh module globals, yet a run builds at most one
+    engine per worker process, and the run summary counts them; a rerun
+    after a reset builds its own and counts only those."""
     from ocr_agent_ray.stages.ocr import MockOcrEngine
 
     class CountingEngine(MockOcrEngine):
@@ -75,15 +78,17 @@ def test_engine_built_once_per_worker_process(ray_session, package_by_value,
         with open(log) as f:
             return f.read().split()
 
-    run_extract_checkpointed(_blocks(corpus), str(tmp_path / "a"),
-                             engine_factory=factory, settings=SETTINGS)
-    first = built()
-    assert first
-    run_extract_checkpointed(_blocks(corpus), str(tmp_path / "b"),
-                             engine_factory=factory, settings=SETTINGS)
-    both = built()
-    assert max(collections.Counter(both).values()) == 1, both
-    assert not set(both[len(first):]) & set(first)
+    out, seen = str(tmp_path / "out"), 0
+    for _ in range(2):
+        summary = run_extract_checkpointed(_blocks(corpus), out,
+                                           engine_factory=factory,
+                                           settings=SETTINGS)
+        pids = built()[seen:]
+        seen += len(pids)
+        assert pids and max(collections.Counter(pids).values()) == 1, pids
+        assert summary["ocr_processes"] == len(pids)
+        store = CheckpointStore(out)
+        store.reset_partitions(store.committed_ids())
 
 
 def test_failed_run_leaves_no_state_for_next_run(ray_session, tmp_path):
