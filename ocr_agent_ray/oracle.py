@@ -11,7 +11,10 @@ document, span by span in offset order, with:
 - empty/whitespace-only output dropping the whole section INCLUDING its
   header (markdown_merge.py:30-38),
 - headers rendered per markdown_merge.py:139-152,
-- math-delimiter post-processing (markdown_merge.py:55-136).
+- math-delimiter post-processing (markdown_merge.py:55-136),
+- HTML spans boilerplate-stripped on the ``html.parser`` path
+  (``boilerplate.reference_main_text``), where the pipeline takes the
+  one-pass tokenizer.
 
 No Ray, no parallelism: this is the single-threaded truth the distributed
 pipeline must equal per doc_id on (kind, text, media_ref, order).
@@ -71,9 +74,11 @@ def oracle_extract_doc(
             raw = engine.infer_batch([s["media_ref"]], [s["page_index"]])[0]
             markdown = normalize_infer_result_to_markdown(raw)
         elif kind == "html" and s["text"]:
-            from ocr_agent_ray.stages.boilerplate import extract_main_text
+            # the html.parser path, not the pipeline's tokenizer: the
+            # golden then checks the tokenizer against it
+            from ocr_agent_ray.stages.boilerplate import reference_main_text
 
-            markdown = extract_main_text(s["text"])
+            markdown = reference_main_text(s["text"])
         else:
             markdown = s["text"]
         if markdown.strip() == "":

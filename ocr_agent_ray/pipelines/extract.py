@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
+from ocr_agent_ray.schema import FINALIZED_UNITS_SCHEMA
 from ocr_agent_ray.stages.assemble import PartitionAssembler
 from ocr_agent_ray.stages.fanout import fan_out_documents
 from ocr_agent_ray.stages.ocr import MockOcrEngine, process_stage
@@ -70,14 +71,16 @@ class ExtractTask:
                                                value_set=self.done)))
 
     def ocr(self, units: pa.Table) -> pa.Table:
+        if not len(units):
+            # nothing left after the resume filter: build no engine
+            return FINALIZED_UNITS_SCHEMA.empty_table()
         stage = process_stage(self.run_id, self.engine_factory,
                               fail_fast=self.fail_fast, metrics_dir=self.out_dir,
                               math_style=self.math_style)
-        # engine calls see at most ocr_batch_size units; an empty input
-        # still makes one call, for the output schema
+        # engine calls see at most ocr_batch_size units
         step = self.ocr_batch_size
         return pa.concat_tables([stage(units.slice(lo, step))
-                                 for lo in range(0, max(len(units), 1), step)])
+                                 for lo in range(0, len(units), step)])
 
     def __call__(self, docs: pa.Table) -> pa.Table:
         return self.ocr(self.fan_out(docs))

@@ -56,6 +56,13 @@ WORK_UNITS_SCHEMA = pa.schema(
     ]
 )
 
+# Finalized work units: what the OCR operator emits into the assembly
+# exchange — the work units plus the OCR stage's per-row error (null when
+# the row did not fail) and the rendered section header.
+FINALIZED_UNITS_SCHEMA = (WORK_UNITS_SCHEMA
+                          .append(pa.field("error_message", pa.string()))
+                          .append(pa.field("header_text", pa.string())))
+
 # Assembled output: same shape as input (doc_id, spans), where each output
 # span is (kind, text, media_ref, offset) with offset = dense output order.
 ASSEMBLED_SCHEMA = DOCUMENTS_SCHEMA

@@ -2,7 +2,7 @@
 
 Named explicitly by the north rule ("HTML boilerplate strip, PDF/layout
 parse, DOM heuristics"). A dependency-free Boilerpipe/Readability-style
-extractor over stdlib ``html.parser``:
+extractor:
 
 - chrome elements dropped wholesale (script/style/nav/header/footer/aside,
   plus class/id hints like "sidebar", "ad", "comment"),
@@ -11,16 +11,33 @@ extractor over stdlib ``html.parser``:
   total) and stopword-ish word shape; low scores are boilerplate,
 - kept blocks joined in document order.
 
+Two tokenizers feed that heuristic. :func:`fast_main_text` is one regex
+pass over the page that applies the heuristic as it reads: start, end
+and self-closing tags (case-folded), quoted attributes (read only for the
+class/id/role hints), text runs unescaped with ``html.unescape``,
+comments and doctype (text-run boundaries) and script/style bodies. It
+accepts only markup it reads exactly as stdlib ``html.parser`` does and
+returns None on anything else: a ``<`` that starts none of those tokens,
+an unterminated tag, comment or script, CDATA, processing instructions,
+unquoted attribute values. :func:`reference_main_text` is the
+``html.parser`` path; :func:`extract_main_text` takes the fast path and
+falls back to the reference. The sequential oracle calls the reference
+by name, so the extraction benchmark's digest gate compares the two on
+every run.
+
 The heuristic follows the published text-density family (Kohlschütter
 et al., WSDM'10 "Boilerplate Detection Using Shallow Text Features"):
 long, low-link-density blocks are content; short, link-heavy blocks are
-chrome. Pure function + vectorized stage; golden-tested on handcrafted
-pages in tests/test_boilerplate.py (not SQL-expressible → rows-only).
+chrome. Pure functions + vectorized stage; golden-tested on handcrafted
+pages, and the fast path against the reference on generated and mutated
+pages, in tests/test_boilerplate.py (not SQL-expressible → rows-only).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 
 import pandas as pd
@@ -128,9 +145,9 @@ class _Extractor(HTMLParser):
             blk.link_chars += len(" ".join(data.split()))
 
 
-def extract_main_text(html: str, *, min_block_chars: int = MIN_BLOCK_CHARS,
-                      max_link_density: float = MAX_LINK_DENSITY) -> str:
-    """Strip boilerplate, return the main text (blocks joined by \\n\\n)."""
+def reference_main_text(html: str, *, min_block_chars: int = MIN_BLOCK_CHARS,
+                        max_link_density: float = MAX_LINK_DENSITY) -> str:
+    """The ``html.parser`` path: the reference result for any page."""
     parser = _Extractor()
     try:
         parser.feed(html or "")
@@ -147,6 +164,152 @@ def extract_main_text(html: str, *, min_block_chars: int = MIN_BLOCK_CHARS,
             continue
         kept.append(t)
     return "\n\n".join(kept)
+
+
+# --- one-pass tokenizer ----------------------------------------------------
+# Every "<" of the page must start one of the tokens below; any other "<"
+# matches the empty last alternative and the page goes to html.parser.
+# On the tokens it accepts, the tokenizer makes the calls that the
+# html.parser of Python 3.11.7 (convert_charrefs=True) makes. Later CPython
+# security releases changed how it reads some comments ("<!-->", "--!>")
+# and script end tags; tests/test_boilerplate.py splices such markup into
+# pages and checks the tokenizer against the installed parser.
+# - tag names are ASCII, so str.lower() is its case fold; a start tag's
+#   name ends at whitespace, "/>" or ">", as its tagfind_tolerant does;
+# - attribute values are quoted, so a ">" inside one does not end the tag;
+# - "<x/>" is a start tag then an end tag (handle_startendtag);
+# - a comment ends at the first --\s*> after "<!--" (_commentclose), a
+#   doctype at the first ">";
+# - a script/style body ends at the first </\s*script\s*> spelled in
+#   ASCII: its cdata-mode regex also stops at non-ASCII case variants
+#   ("</ſcript>"), but its endtagfind rejects those names and scans on;
+# - the text between two tokens is one handle_data run, unescaped whole.
+_WS = r"[ \t\n\r\f]"
+_NAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*"
+_ATTR_NAME = r"[a-zA-Z_:][-.a-zA-Z0-9_:]*"
+_ATTRS = rf"""(?:{_WS}+{_ATTR_NAME}(?:{_WS}*={_WS}*(?:"[^"]*"|'[^']*'))?)*"""
+_SCRIPT, _STYLE = "[sS][cC][rR][iI][pP][tT]", "[sS][tT][yY][lL][eE]"
+_TOKEN = re.compile(
+    r"<(?:!--(?s:.*?)--\s*>"
+    r"|![dD][oO][cC][tT][yY][pP][eE][^>]*>"
+    rf"|{_SCRIPT}{_ATTRS}{_WS}*>(?s:.*?)</\s*{_SCRIPT}\s*>"
+    rf"|{_STYLE}{_ATTRS}{_WS}*>(?s:.*?)</\s*{_STYLE}\s*>"
+    rf"|/({_NAME})\s*>"                       # 1: end tag
+    rf"|({_NAME})({_ATTRS}){_WS}*(/?)>"       # 2-4: start tag, attrs, "/"
+    r"|())"                                   # 5: any other "<"
+)
+_ATTR = re.compile(rf"""({_ATTR_NAME})(?:{_WS}*={_WS}*(?:"([^"]*)"|'([^']*)'))?""")
+
+
+def _attrs_hint_boilerplate(attrs: str) -> bool:
+    """``_Extractor._attrs_hint_boilerplate`` on a start tag's attribute
+    text (as matched by ``_ATTRS``)."""
+    for name, dquoted, squoted in _ATTR.findall(attrs):
+        value = dquoted or squoted
+        if value and name.lower() in ("class", "id", "role"):
+            low = unescape(value).lower()
+            if any(h in low for h in _HINT_WORDS):
+                return True
+    return False
+
+
+def fast_main_text(html: str, *, min_block_chars: int = MIN_BLOCK_CHARS,
+                   max_link_density: float = MAX_LINK_DENSITY) -> str | None:
+    """:func:`reference_main_text` in one regex pass, or None where the
+    page holds markup outside what the tokenizer reads exactly.
+
+    The state is ``_Extractor``'s, kept in locals; a block boundary
+    closes the current block only if it holds text, since empty blocks
+    are never kept unless ``min_block_chars <= 0`` and
+    ``max_link_density >= 1`` (left to the reference)."""
+    if min_block_chars <= 0 and max_link_density >= 1.0:
+        return None
+    blocks: list[tuple[list[str], int]] = []
+    texts: list[str] = []
+    link_chars = 0
+    drop = 0
+    hints: list[list] = []  # _Extractor._hint_stack
+    link = 0
+    # split() yields text, then the five groups of each token, then the
+    # last text; five Nones close that text like a comment would
+    parts = _TOKEN.split(html)
+    parts += (None,) * 5
+    it = iter(parts)
+    for data, etag, stag, attrs, slash, other in zip(it, it, it, it, it, it):
+        if data and not (drop or hints):
+            if "&" in data:
+                data = unescape(data)
+            if data and not data.isspace():
+                texts.append(data)
+                if link:
+                    link_chars += len(" ".join(data.split()))
+        if stag is not None:
+            tag = stag.lower()
+            if tag in _DROP_TAGS:
+                if not slash and tag in ("script", "style"):
+                    return None  # script/style without its end tag
+                drop += 1
+            elif drop:
+                pass
+            elif hints:
+                if tag == hints[-1][0] and tag not in _VOID_TAGS:
+                    hints[-1][1] += 1
+            elif attrs and _attrs_hint_boilerplate(attrs):
+                if tag not in _VOID_TAGS:
+                    hints.append([tag, 1])
+            else:
+                if tag == "a":
+                    link += 1
+                if tag in _BLOCK_TAGS and texts:
+                    blocks.append((texts, link_chars))
+                    texts, link_chars = [], 0
+            if not slash:
+                continue
+        elif etag is not None:
+            tag = etag.lower()
+        elif other is not None:
+            return None
+        else:
+            continue  # comment, doctype, script/style element, last text
+        # an end tag, or the end half of a self-closing one
+        if tag in _DROP_TAGS:
+            if drop:
+                drop -= 1
+        elif drop:
+            pass
+        elif hints:
+            if tag == hints[-1][0]:
+                hints[-1][1] -= 1
+                if not hints[-1][1]:
+                    hints.pop()
+        else:
+            if tag == "a" and link:
+                link -= 1
+            if tag in _BLOCK_TAGS and texts:
+                blocks.append((texts, link_chars))
+                texts, link_chars = [], 0
+    if texts:
+        blocks.append((texts, link_chars))
+    kept: list[str] = []
+    for texts, link_chars in blocks:
+        t = " ".join(" ".join(texts).split())
+        if len(t) >= min_block_chars and link_chars / len(t) <= max_link_density:
+            kept.append(t)
+    return "\n\n".join(kept)
+
+
+def extract_main_text(html: str, *, min_block_chars: int = MIN_BLOCK_CHARS,
+                      max_link_density: float = MAX_LINK_DENSITY) -> str:
+    """Strip boilerplate, return the main text (blocks joined by \\n\\n).
+
+    The one-pass tokenizer's result, or the ``html.parser`` path's where
+    the page falls outside the tokenizer."""
+    text = fast_main_text(html or "", min_block_chars=min_block_chars,
+                          max_link_density=max_link_density)
+    if text is None:
+        text = reference_main_text(html, min_block_chars=min_block_chars,
+                                   max_link_density=max_link_density)
+    return text
 
 
 class BoilerplateStripStage:

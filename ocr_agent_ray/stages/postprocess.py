@@ -83,7 +83,10 @@ class FinalizeStage:
             if t is None or t.strip() == "":
                 continue  # section dropped incl. header (markdown_merge.py:30-38)
             keep.append(i)
-            processed.append(post_process_markdown(t, self.math_style))
+            # both math patterns need a backslash, and the fence split
+            # rejoins losslessly: text without one is returned as is
+            processed.append(post_process_markdown(t, self.math_style)
+                             if "\\" in t else t)
             headers.append(render_header_text(kinds[i], refs[i], pages[i], totals[i]))
 
         kept = batch.take(pa.array(keep, pa.int64()))

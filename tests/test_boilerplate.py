@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import ray.data as rd
 
 from ocr_agent_ray.functions.kernels import layout_reading_order
+from ocr_agent_ray.sources.corpus import generate_documents
 from ocr_agent_ray.stages.boilerplate import (
     BoilerplateStripStage,
     extract_main_text,
+    fast_main_text,
     html_main_text,
+    reference_main_text,
     wrap_text_as_html,
 )
 
@@ -83,6 +88,148 @@ def test_link_density_filter():
     # same length, no links -> kept
     plain = "<p>one link text two link text x and some more words</p>"
     assert extract_main_text(plain) != ""
+
+
+# --- the one-pass tokenizer against the html.parser path --------------------
+
+def _fast_or_fallback(page: str, **kw) -> bool:
+    """Assert the fast path returns None (fall back) or exactly the
+    reference's result; return whether it took the fast path."""
+    fast = fast_main_text(page, **kw)
+    assert fast is None or fast == reference_main_text(page, **kw), page
+    return fast is not None
+
+
+HANDCRAFTED = [
+    PAGE,
+    PAGE.upper(),
+    wrap_text_as_html(7, "alpha beta gamma delta epsilon zeta eta theta iota"),
+    '<p><span class="advert">BUY NOW</span>after the ad the article keeps '
+    'going with plenty of text</p>',
+    '<div class="advert"><div>inner ad copy</div>more ad</div>'
+    '<p>real content after the advert block with enough length here</p>',
+    '<p><img class="advert" src="x.png">the article text continues here '
+    'with enough length to pass the block filter</p>',
+    "<p><a href='/a'>one link text</a> <a href='/b'>two link text</a> x</p>",
+    "<p>one link text two link text x and some more words</p>",
+    "<p>unclosed paragraph with sufficient length here",
+    "<<<>>> &&& <p>",
+    "",
+]
+
+# Markup the tokenizer must read itself: each is spliced into PAGE.
+FAST_FRAGMENTS = [
+    "&amp; &nbsp; &#65; &#x41; &lt;p&gt; &copy &AMP; &#1; &#xD800; &am",
+    "a plain & in text with words enough to count", "tail &",
+    "<!-- note -->", "<!-- <p>hidden</p> -->", "<!---->", "<!-- a -- >",
+    "<!DOCTYPE html>", "<!doctype html>",
+    "<DIV CLASS='Sidebar'><P>upper-case tags and attribute names</P></DIV>",
+    "<br/>", "<BR />", "<br class='share'/>", "<p/>", "<a href='/x'/>",
+    "<div class='advert'/>text after a self-closed hinted div, long enough",
+    '<div class="promo"><div><div>nested</div></div>ad</div>',
+    '<span id="cookie-bar"><span>inner</span>x</span> long text after it',
+    "<section role='menu'><li>menu entry one</li></section>",
+    "<p class=\"&#97;dvert\">hint hidden behind an entity</p>",
+    '<p title="a>b" data-x = "y" disabled>attribute values with a ></p>',
+    "<script>if (a < b) { x = '</div>'; }</script>",
+    "<SCRIPT type='x'>a<b</SCRIPT >", "<style>p > a {}</style>",
+    "<script>x</\u017fcript>still script</script>", "<script/>", "<style/>",
+    "<title>a &lt; b &amp; c</title>", "a > b",
+]
+
+# Markup it must leave to html.parser.
+FALLBACK_FRAGMENTS = [
+    "<![CDATA[x<y]]>", "<?xml version='1.0'?>", "<!bogus>", "<!-- unterminated",
+    "< p>", "</ p>", "</>", "</p foo>", "<3", "a < b", "<p/ >", "<br / >",
+    "<a href=/unquoted>link</a>", "<p class=advert>x</p>", "<script>never closed",
+    '<p class="x"', "<a\vb>",
+]
+
+
+def _spliced(fragment: str) -> list[str]:
+    head, body = PAGE.index("<article>"), PAGE.index("This is the first")
+    return [PAGE[:head] + fragment + PAGE[head:],
+            PAGE[:body] + fragment + PAGE[body:],
+            PAGE + fragment]
+
+
+def test_fast_path_equals_reference_on_handcrafted_pages():
+    for page in HANDCRAFTED:
+        _fast_or_fallback(page)
+        _fast_or_fallback(page, min_block_chars=0, max_link_density=0.9)
+    assert _fast_or_fallback(PAGE)
+    assert _fast_or_fallback(PAGE.upper())
+
+
+def test_fast_path_reads_common_markup_and_declines_the_rest():
+    for fragment in FAST_FRAGMENTS:
+        for page in _spliced(fragment):
+            assert _fast_or_fallback(page), page
+    for fragment in FALLBACK_FRAGMENTS:
+        for page in _spliced(fragment):
+            assert not _fast_or_fallback(page), page
+
+
+def test_fast_path_leaves_empty_blocks_to_reference():
+    # with both filters off, empty blocks are kept (as "" entries)
+    page = "<p></p><p>x</p>"
+    assert fast_main_text(page, min_block_chars=0, max_link_density=1.0) is None
+    assert extract_main_text(page, min_block_chars=0, max_link_density=1.0) == \
+        reference_main_text(page, min_block_chars=0, max_link_density=1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_generator_page_takes_fast_path(seed):
+    pages = [s["text"] for spans in generate_documents(400, seed=seed)["spans"]
+             .to_pylist() for s in spans if s["kind"] == "html"]
+    assert len(pages) > 50
+    for page in pages:
+        assert _fast_or_fallback(page), page
+
+
+_TAG_NAMES = ["p", "div", "a", "span", "nav", "footer", "li", "br", "img",
+              "h1", "article", "x-widget", "script", "style", "title"]
+_ATTRS = [' class="sidebar"', " class='main'", ' id="comment-3"',
+          ' role="menu"', ' href="/x?a=1&amp;b=2"', ' title="a>b"',
+          ' class="&#97;dvert"', " disabled", ' data-x = "y"',
+          " href=/unquoted", ' CLASS="Promo"', ' class=""']
+_TEXT = ["alpha", "the article text continues with enough words here",
+         " ", "\n", "a > b", "x" * 30, "\xa0", "&amp;", "&nbsp;", "&#65;",
+         "&#x41;", "&#1;", "&", "&am", "&copy"]
+_MARKUP = ["<!-- note -->", "<!-- <p>x</p> -->", "<!-->", "<!-- unterminated",
+           "<!DOCTYPE html>", "<![CDATA[x<y]]>", "<?pi?>", "< p>", "</p foo>",
+           "<p", "<",
+           "<script>if (a < b) { s = '</div>'; }</script>",
+           "<style>a > b {}</style>", "<script>never closed"]
+
+
+@st.composite
+def _tags(draw):
+    name = "".join(c.upper() if draw(st.booleans()) else c
+                   for c in draw(st.sampled_from(_TAG_NAMES)))
+    if draw(st.integers(0, 2)) == 0:
+        return f"</{name}>"
+    attrs = "".join(draw(st.lists(st.sampled_from(_ATTRS), max_size=2)))
+    return f"<{name}{attrs}{draw(st.sampled_from(['>', '>', '/>', ' />']))}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_tags(), st.sampled_from(_TEXT), st.sampled_from(_MARKUP)),
+                min_size=1, max_size=40))
+def test_fast_path_equals_reference_on_mutated_pages(fragments):
+    page = "".join(fragments)
+    event("fast path" if _fast_or_fallback(page) else "fallback")
+
+
+def test_oracle_strips_html_on_the_reference_path(monkeypatch):
+    """The oracle's golden must not go through the tokenizer it checks."""
+    from ocr_agent_ray import oracle
+    from ocr_agent_ray.stages import boilerplate
+
+    monkeypatch.setattr(boilerplate, "fast_main_text", lambda *a, **k: "wrong")
+    spans = [{"kind": "html", "text": PAGE, "media_ref": "", "offset": 0}]
+    out = oracle.oracle_extract_doc(spans, engine=None)
+    assert out[1]["text"] == reference_main_text(PAGE)
 
 
 def test_stage_and_roundtrip_property(ray_session):

@@ -71,7 +71,8 @@ def test_cli_query_subcommand(tmp_path):
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))
     out = subprocess.run(
         [sys.executable, "-m", "ocr_agent_ray.cli", "query",
          "q_status_counts", "--sf-dir", "/root/testdata/sf0.001",

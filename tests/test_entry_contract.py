@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import __ray_entry__ as entrymod
 
 

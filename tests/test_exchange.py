@@ -3,6 +3,8 @@ equivalence with groupby().map_groups over every mode, empty-input and
 empty-bucket behavior, mixed pandas/Arrow-block unions, and Arrow-table
 kernel outputs."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -15,6 +17,8 @@ from ocr_agent_ray.pipelines.exchange import (
     grouped_map_groups,
     key_map_groups,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _events(n=1000, users=37, seed=7):
@@ -388,7 +392,7 @@ def test_shutdown_immediately_after_wave_is_clean():
         ray.shutdown()   # immediately after the wave: the crash window
         print("CLEAN-EXIT")
     """)
-    proc = subprocess.run([sys.executable, "-c", code], cwd="/root/repo",
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "CLEAN-EXIT" in proc.stdout
@@ -428,7 +432,7 @@ def test_pin_expiry_after_shutdown_is_clean():
         time.sleep(4)        # idle with Ray gone and the wave pinned
         print("CLEAN-EXIT")
     """)
-    proc = subprocess.run([sys.executable, "-c", code], cwd="/root/repo",
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "CLEAN-EXIT" in proc.stdout

@@ -91,6 +91,33 @@ def test_engine_built_once_per_process_and_run(ray_session, package_by_value,
         store.reset_partitions(store.committed_ids())
 
 
+def test_resume_of_committed_work_builds_no_engine(ray_session, tmp_path):
+    """A rerun into a fully committed out_dir OCRs nothing, so no worker
+    process builds an engine for it and the summary counts none."""
+    from ocr_agent_ray.stages.ocr import MockOcrEngine
+
+    class CountingEngine(MockOcrEngine):
+        def __init__(self, log_path):
+            super().__init__()
+            with open(log_path, "a") as f:
+                f.write(f"{os.getpid()}\n")
+
+    log = tmp_path / "engines.log"
+    factory = functools.partial(CountingEngine, str(log))
+    corpus = generate_documents(120, seed=4)
+    out = str(tmp_path / "out")
+    first = run_extract_checkpointed(_blocks(corpus), out,
+                                     engine_factory=factory, settings=SETTINGS)
+    built = len(log.read_text().split())
+    assert built and first["ocr_processes"] == built
+
+    again = run_extract_checkpointed(_blocks(corpus), out,
+                                     engine_factory=factory, settings=SETTINGS)
+    assert again["partitions_processed"] == 0
+    assert len(log.read_text().split()) == built
+    assert again["ocr_processes"] == 0
+
+
 def test_failed_run_leaves_no_state_for_next_run(ray_session, tmp_path):
     """A run whose engine fails every row aborts on the systemic-error cap;
     the next run with the same factory, on the same worker processes,

@@ -11,6 +11,7 @@ reference's opt-in gate).
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 import zlib
@@ -20,7 +21,8 @@ import pytest
 
 import ray.data as rd
 
-sys.path.insert(0, "/root/repo/tools")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
 from generate_text_image import (  # noqa: E402
     DEFAULT_TEXT,
     read_text_chunk,

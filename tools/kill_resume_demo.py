@@ -22,6 +22,7 @@ import time
 NUM_DOCS = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
 KILL_AFTER = float(sys.argv[2]) if len(sys.argv) > 2 else 12.0
 ROOT = "/tmp/graft_kill_demo"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RUN_SNIPPET = r"""
 import warnings, sys; warnings.filterwarnings("ignore")
@@ -29,7 +30,6 @@ import ray, functools
 ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0, "/root/repo")
 from ocr_agent_ray.config import PipelineSettings
 from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
 from ocr_agent_ray.sources.corpus import read_documents
@@ -52,7 +52,7 @@ def run_pipeline(corpus: str, out: str, work_ms: float,
     proc = subprocess.Popen(
         [sys.executable, "-c", RUN_SNIPPET, corpus, out, str(work_ms)],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        cwd="/root/repo", start_new_session=True,
+        cwd=REPO, start_new_session=True,
     )
     if kill_at_commits is None:
         out_text, _ = proc.communicate()
@@ -81,7 +81,7 @@ def span_map(out_dir: str) -> dict:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     from ocr_agent_ray.state.checkpoint import CheckpointStore
 
     rows = CheckpointStore(out_dir).read_output().take_all()
@@ -93,7 +93,7 @@ def span_map(out_dir: str) -> dict:
 
 
 def main() -> None:
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     shutil.rmtree(ROOT, ignore_errors=True)
     corpus = os.path.join(ROOT, "corpus")
 

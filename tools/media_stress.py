@@ -1,11 +1,11 @@
 """Wide-row memory discipline: MB-scale payloads through the media stages."""
-import warnings, time, sys; warnings.filterwarnings("ignore")
+import warnings, time, os, sys; warnings.filterwarnings("ignore")
 import ray
 ray.init(address="local", num_cpus=16, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 ctx = DataContext.get_current(); ctx.enable_progress_bars = False
 ctx.target_max_block_size = 32 * 1024 * 1024   # keep wide-row blocks small
-sys.path.insert(0,"/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import ray.data as rd, pyarrow as pa, hashlib, struct, os
 from ocr_agent_ray.stages.fanout import FanOutStage
 from ocr_agent_ray.stages.media import DeterministicFakeCodec, build_media_pipeline

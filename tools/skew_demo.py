@@ -26,13 +26,14 @@ NUM_SMALL = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
 NUM_CPUS = int(sys.argv[2]) if len(sys.argv) > 2 else 32
 WORK_MS = 3.0
 ROOT = "/tmp/graft_skew"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def build_corpus() -> str:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     from ocr_agent_ray.schema import DOCUMENTS_SCHEMA
     from ocr_agent_ray.sources.corpus import generate_documents
 

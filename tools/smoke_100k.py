@@ -3,7 +3,7 @@ import ray
 ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-sys.path.insert(0,"/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from ocr_agent_ray.sources.corpus import write_corpus_parquet_ray, read_documents
 from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
 from ocr_agent_ray.config import PipelineSettings
