@@ -37,7 +37,8 @@ def _register_package_by_value() -> None:
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: flat docs → interleaved spans →
-    fan-out → (mock) OCR actor pool → post-process → per-doc assembly."""
+    fan-out → (mock) OCR in Ray Data tasks → post-process → per-doc
+    assembly, all in one task per read bundle."""
     _register_package_by_value()
     from ocr_agent_ray.pipelines.interleave import flagship_extract
 

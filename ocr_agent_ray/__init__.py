@@ -3,9 +3,10 @@
 A from-scratch reimplementation of the capabilities of the reference
 ``takuto-NA/ocr-agent`` (see /root/reference, SURVEY.md) on top of
 ``ray.data.Dataset``: interleaved text+media document tables flow through
-``map_batches`` stages (zero-copy Arrow), stateful OCR inference runs in
-actor pools, document assembly is the single keyed shuffle, and every
-partition commits lineage + metrics to a checkpoint store for exact resume.
+``map_batches`` stages (zero-copy Arrow), OCR inference runs in Ray Data
+tasks with the engine loaded once per worker process and run, each task
+assembles its own documents, and every hash partition commits lineage +
+metrics to a checkpoint store for exact resume.
 
 Nothing here ports the reference's code; the reference defines WHAT is
 computed (span semantics, post-processing, ordering, skip rules) and this

@@ -77,6 +77,8 @@ def release_finished_waves() -> None:
     """Drop the pins of every wave whose tasks have all finished."""
     import ray
 
+    if not _PINNED_WAVES:
+        return
     if not ray.is_initialized():  # dropping refs now could abort
         return
     me = ray.get_runtime_context().get_worker_id()

@@ -5,15 +5,27 @@ Ray-Data-first restatement of the reference's enqueue→run→merge lifecycle
 commit:
 
     read docs (parquet/Lance, column-pruned)
-      → map_batches(ExtractTask)             # ONE task op, N-wide: fan-out
-                                             # (enqueue), resume filter, OCR
-                                             # (the GPU hot loop), post-process
-                                             # + drop-empty + headers per
-                                             # read bundle
-      → bucket_map_groups(partition_id, PartitionAssembler)
-                                             # THE one shuffle (raw-Ray hash
-                                             # exchange); per-doc ordered
-                                             # assembly + atomic checkpoint commit
+      → map_batches(ExtractTask)             # ONE task op, N-wide, per read
+                                             # bundle: fan-out (enqueue),
+                                             # resume filter, OCR (the GPU
+                                             # hot loop), post-process +
+                                             # drop-empty + headers, per-doc
+                                             # ordered assembly
+      → PartitionWriter (driver)             # one Parquet file per hash
+                                             # partition, fed from the output
+                                             # stream; atomic commits at run end
+
+A document is one input row, so all of its units fan out inside one
+``ExtractTask`` call, and the task assembles its documents itself: no
+shuffle sits between OCR and the store. The task tags each assembled
+document with its hash ``partition_id``; the driver's
+:class:`~ocr_agent_ray.state.checkpoint.PartitionWriter` appends it to
+that partition's temp file and, when the stream ends, commits every
+partition (data, then metrics, then the marker). The hash partition
+stays the commit, resume and reset unit. Only the opt-in
+``balance_blocks`` path, where one document's units span OCR tasks,
+assembles through a hash exchange (pipelines/exchange.py) before the
+same writer.
 
 The OCR operator is a task ``map_batches``, not an actor pool: Ray Data
 runs its tasks on warm pooled workers that already import ``ray.data``,
@@ -36,14 +48,15 @@ import pyarrow.compute as pc
 
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
 from ocr_agent_ray.schema import FINALIZED_UNITS_SCHEMA
-from ocr_agent_ray.stages.assemble import PartitionAssembler
+from ocr_agent_ray.stages.assemble import assemble_group
 from ocr_agent_ray.stages.fanout import fan_out_documents
 from ocr_agent_ray.stages.ocr import MockOcrEngine, process_stage
 
 
 class ExtractTask:
     """Task-based ``map_batches`` callable: fan-out → drop committed →
-    OCR → finalize for one batch of documents.
+    OCR → finalize → assemble for one batch of documents, returning
+    partition-tagged ``(doc_id, spans)`` rows.
 
     Deserialized afresh for every task, so it holds only constants made
     where the pipeline is built; the per-run :class:`OcrFinalizeStage`
@@ -83,7 +96,31 @@ class ExtractTask:
                                  for lo in range(0, len(units), step)])
 
     def __call__(self, docs: pa.Table) -> pa.Table:
-        return self.ocr(self.fan_out(docs))
+        # every unit of these docs is in this batch, so they assemble here
+        return assemble_group(self.ocr(self.fan_out(docs)), tag_partition=True)
+
+
+def _assemble_partition(group: pa.Table) -> pa.Table:
+    return assemble_group(group, tag_partition=True)
+
+
+def _bundle_sized_blocks(docs_ds, batch_size: int):
+    """Split a materialized input into fan-out-bundle-sized blocks when it
+    has fewer blocks than bundles. A map task takes whole blocks, so one
+    large block (``rd.from_arrow(table)``) would otherwise be one OCR
+    task. Lazy reads are left as they are."""
+    import ray
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(docs_ds, MaterializedDataset):
+        return docs_ds
+    rows = docs_ds.count()
+    if docs_ds.num_blocks() >= -(-rows // batch_size):
+        return docs_ds
+    table = pa.concat_tables(ray.get(docs_ds.to_arrow_refs()))
+    return rd.from_arrow([table.slice(lo, batch_size)
+                          for lo in range(0, rows, batch_size)])
 
 
 def build_extract_pipeline(
@@ -95,12 +132,14 @@ def build_extract_pipeline(
     out_dir: str | None = None,
     skip_partitions: set[int] | None = None,
 ):
-    """Compose and launch the extraction run; returns the assembled Dataset.
+    """Compose the extraction run; returns a Dataset of assembled
+    ``(doc_id, spans, partition_id)`` rows, one per document with at
+    least one span (:data:`~ocr_agent_ray.schema.TAGGED_ASSEMBLED_SCHEMA`).
 
-    The read → fan-out → OCR stages stream lazily into the exchange's
-    split side; building therefore RUNS the pipeline up to the assembly
-    reduces (launched, not awaited). Consuming the returned Dataset
-    (count/take/write) waits for per-partition assembly + commit."""
+    ``out_dir`` receives the OCR and finalize metrics spools; the rows
+    are committed by :func:`run_extract_checkpointed`, not here. The
+    default path is lazy and streams; with ``balance_blocks``, building
+    already runs read → fan-out → OCR into the assembly exchange."""
     settings = settings or PipelineSettings()
     post = post or PostProcessSettings()
     task = ExtractTask(engine_factory=engine_factory, settings=settings,
@@ -114,41 +153,34 @@ def build_extract_pipeline(
     ocr_args = dict(batch_format="pyarrow", concurrency=settings.ocr_concurrency,
                     num_cpus=settings.ocr_num_cpus)
 
-    if settings.balance_blocks:
-        # Skew leveling (north_rule): after per-page fan-out every unit has
-        # ~equal cost (the reference's own leveling insight,
-        # queue_store.py:91-123), so row-balanced blocks are cost-balanced —
-        # a 200-page doc spreads across many OCR tasks instead of straggling
-        # one. The repartition is an all-to-all barrier between fan-out and
-        # OCR, so it is opt-in.
-        units = docs_ds.map_batches(
-            task.fan_out, batch_format="pyarrow",
-            batch_size=settings.fanout_batch_size,
-        ).repartition(settings.balance_blocks)
-        final = units.map_batches(task.ocr, batch_size=settings.ocr_batch_size,
-                                  **ocr_args)
-    else:
-        # Barrier-free (default): each task fans out, OCRs and finalizes
-        # one ~fanout_batch_size-doc bundle in place, so OCR granularity
-        # is the fan-out bundle (keep fanout_batch_size small and read
-        # blocks smaller than it) and the pipeline streams end-to-end.
-        final = docs_ds.map_batches(task, batch_size=settings.fanout_batch_size,
-                                    **ocr_args)
+    if not settings.balance_blocks:
+        # Barrier-free (default): each task fans out, OCRs, finalizes and
+        # assembles one ~fanout_batch_size-doc bundle in place, so OCR
+        # granularity is the fan-out bundle (keep fanout_batch_size small
+        # and read blocks smaller than it) and the pipeline streams
+        # end-to-end.
+        docs_ds = _bundle_sized_blocks(docs_ds, settings.fanout_batch_size)
+        return docs_ds.map_batches(task, batch_size=settings.fanout_batch_size,
+                                   **ocr_args)
 
-    assembler = PartitionAssembler(out_dir=out_dir)
-
-    def assemble_partition(group: pa.Table) -> pa.Table:
-        return assembler(group)
-
-    # THE one shuffle, as a raw-Ray hash exchange (pipelines/exchange.py):
-    # partition_id is already a dense bucket id in [0, num_partitions), so
-    # the sort-based groupby's O(n log n) global sort is pure overhead.
-    # The exchange's split side streams with the OCR tasks; per-partition
-    # assembly + atomic commit run one reduce task per non-empty partition.
+    # Skew leveling (north_rule): after per-page fan-out every unit has
+    # ~equal cost (the reference's own leveling insight,
+    # queue_store.py:91-123), so row-balanced blocks are cost-balanced —
+    # a 200-page doc spreads across many OCR tasks instead of straggling
+    # one. The repartition is an all-to-all barrier between fan-out and
+    # OCR, so it is opt-in. A document's units then span OCR tasks, so
+    # assembly takes the hash exchange on partition_id (a dense bucket id
+    # already, so no sort): one reduce task per non-empty partition.
     from ocr_agent_ray.pipelines.exchange import bucket_map_groups
 
+    units = docs_ds.map_batches(
+        task.fan_out, batch_format="pyarrow",
+        batch_size=settings.fanout_batch_size,
+    ).repartition(settings.balance_blocks)
+    final = units.map_batches(task.ocr, batch_size=settings.ocr_batch_size,
+                              **ocr_args)
     return bucket_map_groups(
-        final, assemble_partition, bucket_col="partition_id",
+        final, _assemble_partition, bucket_col="partition_id",
         num_buckets=settings.num_partitions, batch_format="pyarrow")
 
 
@@ -160,8 +192,10 @@ def run_extract_checkpointed(
     settings: PipelineSettings | None = None,
     post: PostProcessSettings | None = None,
 ) -> dict:
-    """Resumable run: skip committed partitions, process the rest, commit
-    each atomically. Returns a summary dict (partitions done/skipped).
+    """Resumable run: skip committed partitions, process the rest, and
+    stream the assembled rows into one file per partition, committing
+    each atomically once the stream ends. Returns a summary dict
+    (partitions done/skipped). Rows of a failed run are not committed.
 
     Assumes immutable input between runs (the reference's assumption too —
     its SQLite queue snapshots enqueue-time state): a committed partition
@@ -170,8 +204,10 @@ def run_extract_checkpointed(
     ``reset``). New DOCUMENTS arriving as new shards belong to the
     incremental path (sources/watch.py), which keys exactly-once on the
     shard, not the hash partition."""
+    import ray
+
     from ocr_agent_ray.pipelines.exchange import release_finished_waves
-    from ocr_agent_ray.state.checkpoint import CheckpointStore
+    from ocr_agent_ray.state.checkpoint import CheckpointStore, PartitionWriter
 
     settings = settings or PipelineSettings()
     post = post or PostProcessSettings()
@@ -191,17 +227,27 @@ def run_extract_checkpointed(
         out_dir=out_dir,
         skip_partitions=already,
     )
-    # Consume fully but stream — count() only pulls row counts per block.
-    n_docs = pipe.count()
-    # every reduce has finished: drop the wave's pins now, so the run's
-    # assembled output is not held in the object store after we return
+    with PartitionWriter(store) as writer:
+        # the blocks are fetched on this thread: iter_batches would leave a
+        # prefetch thread behind per run
+        bundles = pipe.iter_internal_ref_bundles()
+        try:
+            for bundle in bundles:
+                for block in ray.get(bundle.block_refs):
+                    writer.write(block)
+        finally:
+            del bundles  # an unfinished stream's executor shuts down with it
+        writer.commit()
+    # every exchange reduce has finished (the balance_blocks path's, or an
+    # earlier caller's in this process): drop their pins now, so no
+    # assembled output is held in the object store after we return
     release_finished_waves()
     after = store.committed_ids()
     return {
         "partitions_committed_before": len(already),
         "partitions_committed_total": len(after),
         "partitions_processed": len(after) - len(already),
-        "docs_assembled_this_run": n_docs,
+        "docs_assembled_this_run": writer.docs,
         # one spool per (worker process, run) stage, so: the worker
         # processes that built an engine for this run and OCR'd rows with
         # it (compare settings.ocr_concurrency)

@@ -65,7 +65,8 @@ def flagship_extract(sf_dir: str):
     assembled (doc_id, spans) Dataset."""
     from ocr_agent_ray.pipelines.extract import build_extract_pipeline
 
-    return build_extract_pipeline(documents_to_interleaved(sf_dir))
+    return build_extract_pipeline(
+        documents_to_interleaved(sf_dir)).drop_columns(["partition_id"])
 
 
 def grounding_detection_counts(sf_dir: str):

@@ -56,9 +56,9 @@ WORK_UNITS_SCHEMA = pa.schema(
     ]
 )
 
-# Finalized work units: what the OCR operator emits into the assembly
-# exchange — the work units plus the OCR stage's per-row error (null when
-# the row did not fail) and the rendered section header.
+# Finalized work units: what finalize hands to assembly — the work units
+# plus the OCR stage's per-row error (null when the row did not fail) and
+# the rendered section header.
 FINALIZED_UNITS_SCHEMA = (WORK_UNITS_SCHEMA
                           .append(pa.field("error_message", pa.string()))
                           .append(pa.field("header_text", pa.string())))
@@ -66,6 +66,11 @@ FINALIZED_UNITS_SCHEMA = (WORK_UNITS_SCHEMA
 # Assembled output: same shape as input (doc_id, spans), where each output
 # span is (kind, text, media_ref, offset) with offset = dense output order.
 ASSEMBLED_SCHEMA = DOCUMENTS_SCHEMA
+
+# What the flagship's OCR task emits: assembled rows, each tagged with its
+# document's checkpoint partition so the driver can route it to that
+# partition's file (the tag is not written).
+TAGGED_ASSEMBLED_SCHEMA = ASSEMBLED_SCHEMA.append(pa.field("partition_id", pa.int32()))
 
 # Checkpoint store shapes (FIXTURES.md F3).
 PARTITION_MANIFEST_SCHEMA = pa.schema(

@@ -7,7 +7,8 @@ queue_store.py:50-62, 125-138) — but a crash mid-task strands rows in
 write-then-commit per partition:
 
     out_dir/
-      data/part-{pid}.parquet        # written to *.tmp then os.replace
+      data/part-{pid}.parquet        # written under a per-writer temp
+                                     # name, then os.replace
       manifest/part-{pid}.json       # existence == committed (atomic rename)
       metrics/part-{pid}.json        # per-stage lineage + metrics rows
       metrics/spool-{uid}.jsonl      # stage metrics appended by map stages
@@ -17,10 +18,16 @@ or it doesn't (any partial tmp data is ignored and rewritten). Resume =
 anti-join of work against ``committed_ids()`` — broadcast as a small set
 into a ``map_batches`` filter, never a shuffle (SURVEY.md §2.4).
 
-Concurrent-writer safety: partition outputs are pure functions of input
-content, so two racing runs write byte-identical files and the atomic
-``os.replace`` makes the race harmless (last writer rewrites the same
-bytes) — no distributed lock needed, matching the reference's
+The flagship fills a partition's data file through :class:`PartitionWriter`
+in the order its rows arrive from the OCR tasks, not in ``doc_id`` order;
+``cli merge`` sorts by ``doc_id`` when it renders the output.
+
+Concurrent-writer safety: every temp file (data, metrics, marker) has a
+name no other writer uses (:func:`temp_path`), so racing runs never write
+into or rename each other's files. Each rename publishes one writer's
+complete file; partition contents are a pure function of the input, so
+racing runs commit the same rows (perhaps in a different order) and the
+last rename wins — no distributed lock needed, matching the reference's
 exactly-once-by-marker design rather than its O_EXCL claim lock.
 
 Commit markers are one file per partition, so concurrent writers never
@@ -34,11 +41,19 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ocr_agent_ray.schema import PARTITION_MANIFEST_SCHEMA, STAGE_METRICS_SCHEMA
+from ocr_agent_ray.schema import (
+    ASSEMBLED_SCHEMA,
+    PARTITION_MANIFEST_SCHEMA,
+    STAGE_METRICS_SCHEMA,
+    TAGGED_ASSEMBLED_SCHEMA,
+    validate_schema,
+)
 
 
 class CheckpointStore:
@@ -87,7 +102,7 @@ class CheckpointStore:
         except FileNotFoundError:
             return {}
 
-    # --- commit path (called from inside write tasks) ---------------------
+    # --- commit path -----------------------------------------------------
 
     def data_path(self, partition_id: int) -> str:
         return os.path.join(self.data_dir, f"part-{partition_id:05d}.parquet")
@@ -99,19 +114,30 @@ class CheckpointStore:
         metrics_rows: list[dict],
         num_spans: int | None = None,
     ) -> str:
-        """Atomically write one partition's output and commit it.
-
-        Order matters: data first (tmp+rename), then metrics, then the
-        manifest marker LAST — a marker implies everything else is durable.
-        ``num_spans`` is the caller's ``count_spans(table)`` when it already
-        has one; otherwise it is counted here.
-        """
+        """Atomically write one partition's output and commit it
+        (:meth:`commit_partition`). ``num_spans`` is the caller's
+        ``count_spans(table)`` when it already has one; otherwise it is
+        counted here."""
         import pyarrow.parquet as pq
 
+        tmp = temp_path(self.data_path(partition_id))
+        try:
+            pq.write_table(table, tmp)
+            return self.commit_partition(
+                partition_id, tmp, metrics_rows, num_docs=len(table),
+                num_spans=count_spans(table) if num_spans is None else num_spans)
+        finally:
+            _remove_quietly(tmp)
+
+    def commit_partition(self, partition_id: int, data_tmp: str,
+                         metrics_rows: list[dict], *, num_docs: int,
+                         num_spans: int) -> str:
+        """Commit a partition whose complete data file is at ``data_tmp``.
+
+        Order matters: data first (rename), then metrics, then the
+        manifest marker LAST — a marker implies everything else is durable."""
         final = self.data_path(partition_id)
-        tmp = final + ".tmp"
-        pq.write_table(table, tmp)
-        os.replace(tmp, final)
+        os.replace(data_tmp, final)
 
         mpath = os.path.join(self.metrics_dir, f"part-{partition_id:05d}.json")
         _atomic_write_json(mpath, metrics_rows)
@@ -119,8 +145,8 @@ class CheckpointStore:
         entry = {
             "partition_id": partition_id,
             "committed_at_unix_ms": int(time.time() * 1000),
-            "num_docs": len(table),
-            "num_spans": count_spans(table) if num_spans is None else num_spans,
+            "num_docs": num_docs,
+            "num_spans": num_spans,
             "output_fragment": final,
         }
         _atomic_write_json(
@@ -232,6 +258,126 @@ class CheckpointStore:
         return rd.read_parquet(files)
 
 
+# Bytes of assembled rows one partition holds in memory before they go to
+# its file as one row group.
+WRITE_BUFFER_BYTES = 8 << 20
+
+
+class _PartitionFile:
+    """One partition's temp file, pending rows and counts."""
+
+    def __init__(self, tmp: str) -> None:
+        self.tmp = tmp
+        self.writer = None       # pq.ParquetWriter, opened on first flush
+        self.pending: list[pa.Table] = []
+        self.pending_bytes = 0
+        self.docs = 0
+        self.spans = 0
+        self.seconds = 0.0       # spent writing and closing the file
+
+    def flush(self) -> None:
+        import pyarrow.parquet as pq
+
+        t0 = time.perf_counter()
+        if self.writer is None:
+            self.writer = pq.ParquetWriter(self.tmp, ASSEMBLED_SCHEMA)
+        self.writer.write_table(pa.concat_tables(self.pending))
+        self.pending, self.pending_bytes = [], 0
+        self.seconds += time.perf_counter() - t0
+
+    def finish(self) -> None:
+        """Write what is pending and close the file."""
+        if self.pending:
+            self.flush()
+        t0 = time.perf_counter()
+        self.close()
+        self.seconds += time.perf_counter() - t0
+
+    def close(self) -> None:
+        writer, self.writer = self.writer, None
+        if writer is not None:
+            writer.close()
+
+
+class PartitionWriter:
+    """Streams assembled rows into one Parquet file per hash partition,
+    then commits every partition it wrote.
+
+    ``write`` takes batches of :data:`TAGGED_ASSEMBLED_SCHEMA` rows on the
+    calling thread (it starts no thread or process) and routes each row to
+    its ``partition_id``'s file, untagged. A partition's rows are held
+    until they reach WRITE_BUFFER_BYTES and then appended as one row group
+    to its temp file (:func:`temp_path`, so racing runs never share one),
+    so a file holds its rows in arrival order. ``commit`` finishes every
+    file, then commits each partition through
+    :meth:`CheckpointStore.commit_partition`, in partition order. Used as
+    a context manager, leaving the block closes every open file and
+    removes this writer's uncommitted temp files, however it is left.
+
+    A partition's ``assemble`` metrics row counts the finalized units
+    (``rows_in``: assembly emits one header and one body span per unit)
+    and the spans (``rows_out``); its ``wall_ms`` is the time spent
+    writing and closing that partition's file."""
+
+    def __init__(self, store: CheckpointStore) -> None:
+        self.store = store
+        self.parts: dict[int, _PartitionFile] = {}
+        self.docs = 0
+
+    def __enter__(self) -> "PartitionWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for part in self.parts.values():
+            try:
+                part.close()
+            except OSError:
+                pass  # an uncommitted file is removed either way
+            _remove_quietly(part.tmp)
+
+    def write(self, batch: pa.Table) -> None:
+        validate_schema(batch, TAGGED_ASSEMBLED_SCHEMA, "PartitionWriter")
+        if not len(batch):
+            return
+        pids = batch["partition_id"].to_numpy()
+        order = np.argsort(pids, kind="stable")
+        pids = pids[order]
+        rows = batch.drop_columns(["partition_id"]).take(order)
+        bounds = np.flatnonzero(np.diff(pids)) + 1
+        for lo, hi in zip(np.append(0, bounds), np.append(bounds, len(pids))):
+            pid = int(pids[lo])
+            part = self.parts.get(pid)
+            if part is None:
+                part = self.parts[pid] = _PartitionFile(
+                    temp_path(self.store.data_path(pid)))
+            chunk = rows.slice(lo, hi - lo)
+            part.pending.append(chunk)
+            part.pending_bytes += chunk.nbytes
+            part.docs += len(chunk)
+            part.spans += count_spans(chunk)
+            if part.pending_bytes >= WRITE_BUFFER_BYTES:
+                part.flush()
+        self.docs += len(batch)
+
+    def commit(self) -> list[int]:
+        """Finish every partition's file, then commit the partitions in id
+        order; returns their ids."""
+        for part in self.parts.values():
+            part.finish()
+        for pid in sorted(self.parts):
+            part = self.parts[pid]
+            self.store.commit_partition(pid, part.tmp, [{
+                "partition_id": pid,
+                "stage": "assemble",
+                "status": "completed",
+                "rows_in": part.spans // 2,
+                "rows_out": part.spans,
+                "wall_ms": int(part.seconds * 1000),
+                "error_message": None,
+            }], num_docs=part.docs, num_spans=part.spans)
+        return sorted(self.parts)
+
+
 def count_spans(table: pa.Table) -> int:
     """Total spans over an assembled table's ``spans`` lists (one row per
     doc when there is no ``spans`` column), counted in Arrow."""
@@ -240,11 +386,27 @@ def count_spans(table: pa.Table) -> int:
     return int(pc.sum(pc.list_value_length(table["spans"])).as_py() or 0)
 
 
+def temp_path(final: str) -> str:
+    """A temp name next to ``final`` that no other writer uses, so racing
+    writers never write into, or rename, each other's file."""
+    return f"{final}.{os.getpid()}-{uuid.uuid4().hex[:12]}.tmp"
+
+
+def _remove_quietly(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
 def _atomic_write_json(path: str, obj) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(obj, f)
-    os.replace(tmp, path)
+    tmp = temp_path(path)
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f)
+        os.replace(tmp, path)
+    finally:
+        _remove_quietly(tmp)
 
 
 class MetricsSpool:
@@ -274,8 +436,6 @@ class MetricsSpool:
         if not rows:
             return
         if self._path is None:
-            import uuid
-
             os.makedirs(self.dir, exist_ok=True)
             name = f"spool-{os.getpid()}-{uuid.uuid4().hex[:12]}.jsonl"
             self._path = os.path.join(self.dir, name)

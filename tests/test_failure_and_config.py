@@ -18,7 +18,7 @@ from ocr_agent_ray.oracle import oracle_extract
 from ocr_agent_ray.pipelines.extract import build_extract_pipeline
 from ocr_agent_ray.schema import WORK_UNITS_SCHEMA
 from ocr_agent_ray.sources.corpus import generate_documents
-from ocr_agent_ray.stages.assemble import PartitionAssembler
+from ocr_agent_ray.stages.assemble import assemble_group
 from ocr_agent_ray.stages.fanout import fan_out_documents
 from ocr_agent_ray.stages.ocr import MockOcrEngine, OcrStage
 from ocr_agent_ray.stages.postprocess import FinalizeStage
@@ -111,21 +111,27 @@ def test_balance_blocks_path_matches_oracle(ray_session):
 
 
 def test_partition_commit_idempotent(tmp_path):
-    """A retried write task rewrites identical bytes (atomic overwrite)."""
-    from ocr_agent_ray.state.checkpoint import CheckpointStore
+    """A retried run rewrites identical bytes (atomic overwrite)."""
+    from ocr_agent_ray.state.checkpoint import CheckpointStore, PartitionWriter
 
     out = str(tmp_path / "ck")
-    CheckpointStore(out).initialize()
+    store = CheckpointStore(out).initialize()
     units = _units_batch()
     finalized = FinalizeStage()(OcrStage()(units))
     group = finalized.filter(
         pa.compute.equal(finalized["partition_id"], pa.scalar(1, pa.int32()))
     )
-    asm = PartitionAssembler(out_dir=out)
-    asm(group)
-    first = open(CheckpointStore(out).data_path(1), "rb").read()
-    asm(group)  # simulated task retry
-    second = open(CheckpointStore(out).data_path(1), "rb").read()
+    rows = assemble_group(group, tag_partition=True)
+
+    def commit():
+        with PartitionWriter(store) as writer:
+            writer.write(rows)
+            assert writer.commit() == [1]
+
+    commit()
+    first = open(store.data_path(1), "rb").read()
+    commit()  # simulated retry
+    second = open(store.data_path(1), "rb").read()
     assert first == second
     assert not [f for f in os.listdir(os.path.join(out, "data")) if f.endswith(".tmp")]
 
