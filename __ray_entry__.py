@@ -209,7 +209,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_mean_value_by_type": relational.mean_value_by_type,
         "q_supported_path_filter": relational.supported_path_filter,
         "q_page_fanout": relational.page_fanout,
-        "q_pricing_summary": relational.pricing_summary,
         "q_suppliers_per_region": relational.suppliers_per_region,
         "q_customer_balance_by_nation": relational.customer_balance_by_nation,
         "q_top_orders_by_revenue": relational.top_orders_by_revenue,
@@ -347,26 +346,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_incremental_daily_counts": streaming.incremental_daily_counts,
         "q_cumulative_new_users": streaming.cumulative_new_users,
         "q_bloom_pruned_join": _bloom_pruned_join,
-        "q_q6_revenue": relational.q6_revenue,
         "q_null_aware_stats": relational.null_aware_value_stats,
         "q_value_time_regression": relational.value_time_regression,
         "q_corr_value_time_by_type": relational.corr_value_time_by_type,
         "q_join_size_profile": relational.join_size_profile,
         "q_corpus_report": _corpus_report,
-        "q_customer_order_distribution": relational.customer_order_distribution,
-        "q_large_orders": relational.large_orders,
-        "q_shipping_priority": relational.q3_shipping_priority,
-        "q_regional_supplier_volume": relational.q5_regional_supplier_volume,
-        "q_returned_items": relational.q10_returned_items,
-        "q_order_priority_check": relational.q4_order_priority_check,
-        "q_promo_revenue": relational.q14_promo_revenue,
-        "q_nation_volume": relational.q7_nation_volume,
-        "q_market_share": relational.q8_market_share,
-        "q_product_profit": relational.q9_product_profit,
-        "q_top_supplier": relational.q15_top_supplier,
-        "q_small_qty_revenue": relational.q17_small_qty_revenue,
-        "q_disjunctive_revenue": relational.q19_disjunctive_revenue,
-        "q_idle_rich_customers": relational.q22_idle_rich_customers,
         "q_merge_upsert": relational.merge_upsert_documents,
         "q_merge_cdc": relational.merge_cdc_documents,
         "q_snapshot_diff": relational.snapshot_diff_documents,
@@ -516,16 +500,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_user_rfm": streaming.user_rfm,
         "q_pca_project": similarity.pca_project,  # rows-only (eigendecomposition; dense-numpy pytest)
         "q_edit_distance_pairs": relational.edit_distance_pairs,
-        "q_late_supplier_blame": relational.q21_late_supplier_blame,
         "q_knn_graph": similarity.knn_graph_ivf,  # rows-only (approximate ANN graph; recall pytest)
         "q_quality_classifier": text.quality_classifier_scores,  # rows-only (iterative GD; dense-numpy pytest)
-        # --- round-4 fourth-session additions: the last five TPC-H
-        # shapes (completing all 22) + the stream-stream interval join
-        "q_min_cost_supplier": relational.q2_min_cost_supplier,
-        "q_important_parts": relational.q11_important_parts,
-        "q_returnflag_priority": relational.q12_returnflag_priority,
-        "q_supplier_cnt_by_part": relational.q16_supplier_cnt_by_part,
-        "q_dominant_suppliers": relational.q20_dominant_suppliers,
+        # --- round-4 fourth-session additions ------------------------------
         "q_views_before_purchase": streaming.views_before_purchase,
         "q_dup_graph_kcore": lambda sf: dedup.dup_graph_kcore(
             _docs(sf), k=2, pairs=dedup.shared_ngram_pairs(sf)
@@ -595,18 +572,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
     # The driver oracles only the FIRST 50 dict entries (round-2 finding:
-    # CORRECTNESS keys were exactly the first 50). Round-4 rotation
-    # (VERDICT r3 item 2): 94 queries have driver CORRECTNESS rows from
-    # rounds 1-3; this window keeps an 8-entry marquee core (flagship +
-    # dedup essentials) and fills the other 42 slots with oracled queries
-    # NO prior round sampled (84% previously-unsampled), moving union
-    # driver coverage from 94 toward all 180. The rotation history lives
-    # in NOTES.md; round 5 should rotate onto the ~32 still-unsampled.
-    # ROUND-5 window: same 8-entry marquee core; the other 42 slots are
-    # oracled queries NO prior round (r1-r4 union = 136 keys) sampled —
-    # 84% previously-unsampled, moving union driver coverage toward all
-    # 212 oracles. Includes the ten NOTES.md queued names plus the
-    # session-5/6/7 additions. History in NOTES.md.
+    # CORRECTNESS keys were exactly the first 50). The window keeps an
+    # 8-entry marquee core (flagship + dedup essentials); every one of the
+    # other 42 slots has an oracle_sql() twin. Rounds 4-5 filled them with
+    # oracled queries no earlier round had sampled (history in NOTES.md);
+    # tests/test_entry_contract.py checks that they stay oracled.
     priority = [
         # marquee core (kept every round)
         "q_flagship_span_counts", "q_media_manifest", "q_page_fanout",
@@ -620,10 +590,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # near-dup graph family (shared pairs cache this round)
         "q_neighbor_jaccard", "q_dup_graph_triangles",
         "q_dup_source_matrix", "q_dedup_best_survivor",
-        # relational / TPC-H closers — never driver-sampled before
-        "q_min_cost_supplier", "q_important_parts",
-        "q_returnflag_priority", "q_supplier_cnt_by_part",
-        "q_dominant_suppliers", "q_late_supplier_blame",
+        # document curation (dedup, quotas, splits, sampling, report)
+        "q_line_dedup", "q_paragraph_dedup", "q_source_quota_cap",
+        "q_train_val_test_split", "q_mixture_sample", "q_corpus_report",
+        # relational — never driver-sampled before
         "q_edit_distance_pairs", "q_entity_resolution",
         "q_smb_orders_customer",
         # streaming / temporal — never driver-sampled before
@@ -737,16 +707,6 @@ def oracle_sql() -> dict[str, str]:
         "q_page_fanout": (
             "SELECT doc_id, UNNEST(range((n_chars % 5) + 1)) AS page_index, "
             "(n_chars % 5) + 1 AS total_pages FROM documents"
-        ),
-        "q_pricing_summary": (
-            "SELECT l_returnflag, l_linestatus, "
-            "ROUND(SUM(l_quantity), 2) AS sum_qty, "
-            "ROUND(SUM(l_extendedprice), 2) AS sum_base_price, "
-            "ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price, "
-            "ROUND(SUM(l_quantity)/COUNT(*), 2) AS avg_qty, "
-            "COUNT(*) AS count_order "
-            "FROM lineitem WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
-            "GROUP BY l_returnflag, l_linestatus"
         ),
         "q_suppliers_per_region": (
             "SELECT r_name, COUNT(*) AS n_suppliers FROM supplier "
@@ -3055,66 +3015,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(COUNT(*) FILTER (WHERE v IS NULL) AS BIGINT) AS n_null "
             "FROM t GROUP BY 1"
         ),
-        "q_q6_revenue": (
-            "SELECT ROUND(CAST(SUM(l_extendedprice * l_discount) "
-            "AS DOUBLE), 4) AS revenue FROM lineitem "
-            "WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1997-01-01' "
-            "AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
-        ),
-        "q_customer_order_distribution": (
-            "SELECT c_count, CAST(COUNT(*) AS BIGINT) AS custdist FROM ("
-            "SELECT c.c_custkey, CAST(COUNT(o.o_orderkey) AS BIGINT) "
-            "AS c_count FROM customer c "
-            "LEFT JOIN orders o ON c.c_custkey = o.o_custkey "
-            "GROUP BY 1) GROUP BY c_count"
-        ),
-        "q_large_orders": (
-            "SELECT o.o_orderkey, o.o_custkey, o.o_totalprice, "
-            "s.total_qty FROM (SELECT l_orderkey, SUM(l_quantity) "
-            "AS total_qty FROM lineitem GROUP BY 1 "
-            "HAVING SUM(l_quantity) > 180.0) s "
-            "JOIN orders o ON o.o_orderkey = s.l_orderkey"
-        ),
-        "q_shipping_priority": (
-            "SELECT o.o_orderkey, "
-            "ROUND(SUM(l.l_extendedprice*(1-l.l_discount)), 2) AS revenue, "
-            "o.o_orderdate "
-            "FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "
-            "JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-            "WHERE c.c_mktsegment = 'BUILDING' "
-            "AND o.o_orderdate < DATE '1998-01-01' "
-            "AND l.l_shipdate > DATE '1998-01-01' "
-            "GROUP BY o.o_orderkey, o.o_orderdate "
-            "ORDER BY revenue DESC, o.o_orderkey LIMIT 10"
-        ),
-        "q_regional_supplier_volume": (
-            "SELECT n.n_name, "
-            "ROUND(SUM(l.l_extendedprice*(1-l.l_discount)), 2) AS revenue "
-            "FROM region r JOIN nation n ON n.n_regionkey = r.r_regionkey "
-            "JOIN customer c ON c.c_nationkey = n.n_nationkey "
-            "JOIN orders o ON o.o_custkey = c.c_custkey "
-            "JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-            "JOIN supplier s ON s.s_suppkey = l.l_suppkey "
-            "AND s.s_nationkey = c.c_nationkey "
-            "WHERE r.r_name = 'ASIA' "
-            "AND o.o_orderdate >= DATE '1996-01-01' "
-            "AND o.o_orderdate < DATE '1998-01-01' "
-            "GROUP BY n.n_name ORDER BY revenue DESC, n.n_name"
-        ),
-        "q_returned_items": (
-            "SELECT c.c_custkey, c.c_name, "
-            "ROUND(SUM(l.l_extendedprice*(1-l.l_discount)), 2) AS revenue, "
-            "c.c_acctbal, n.n_name "
-            "FROM customer c JOIN orders o ON o.o_custkey = c.c_custkey "
-            "JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-            "JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "WHERE l.l_returnflag = 'R' "
-            "AND o.o_orderdate >= DATE '1997-01-01' "
-            "AND o.o_orderdate < DATE '1997-07-01' "
-            "GROUP BY c.c_custkey, c.c_name, c.c_acctbal, n.n_name "
-            "ORDER BY revenue DESC, c.c_custkey LIMIT 20"
-        ),
         "q_time_to_convert": (
             "WITH f AS (SELECT user_id, "
             "MIN(ts) FILTER (WHERE event_type = 'view') AS fv, "
@@ -3600,26 +3500,6 @@ def oracle_sql() -> dict[str, str]:
             "AS harmonic_2hop FROM deg "
             "LEFT JOIN n2 ON n2.id = deg.id"
         ),
-        "q_order_priority_check": (
-            "SELECT o_orderpriority, "
-            "CAST(COUNT(*) AS BIGINT) AS n_orders FROM orders o "
-            "WHERE o.o_orderdate >= DATE '1996-01-01' "
-            "AND o.o_orderdate < DATE '1996-07-01' "
-            "AND EXISTS (SELECT 1 FROM lineitem l "
-            "WHERE l.l_orderkey = o.o_orderkey "
-            "AND l.l_shipdate >= DATE '1996-01-01') "
-            "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-        ),
-        "q_promo_revenue": (
-            "SELECT ROUND(100.0 * "
-            "SUM(CASE WHEN p.p_type = 'PROMO' "
-            "THEN l.l_extendedprice*(1-l.l_discount) ELSE 0 END) / "
-            "SUM(l.l_extendedprice*(1-l.l_discount)), 6) "
-            "AS promo_share_pct FROM lineitem l "
-            "JOIN part p ON p.p_partkey = l.l_partkey "
-            "WHERE l.l_shipdate >= DATE '1997-01-01' "
-            "AND l.l_shipdate < DATE '1997-03-01'"
-        ),
         "q_dsir_scores": (
             "WITH tok AS (SELECT doc_id, lang, "
             "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
@@ -3636,91 +3516,6 @@ def oracle_sql() -> dict[str, str]:
             "((s_cnt+1)/(s_tot+256.0)))), 6) AS dsir_score "
             "FROM tok JOIN tb ON substr(md5(tok.w), 1, 2) = tb.b "
             "CROSS JOIN tot GROUP BY doc_id"
-        ),
-        "q_nation_volume": (
-            "WITH sn AS (SELECT s_suppkey, n_name AS supp_nation "
-            "FROM supplier JOIN nation ON s_nationkey = n_nationkey), "
-            "cn AS (SELECT c_custkey, n_name AS cust_nation "
-            "FROM customer JOIN nation ON c_nationkey = n_nationkey) "
-            "SELECT supp_nation, cust_nation, "
-            "CAST(EXTRACT(year FROM l_shipdate) AS BIGINT) AS l_year, "
-            "ROUND(SUM(l_extendedprice*(1-l_discount)), 2) AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN sn ON l_suppkey = s_suppkey "
-            "JOIN cn ON o_custkey = c_custkey "
-            "WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1998-01-01' "
-            "AND ((supp_nation = 'NATION_1' AND cust_nation = 'NATION_2') "
-            "OR (supp_nation = 'NATION_2' AND cust_nation = 'NATION_1')) "
-            "GROUP BY 1, 2, 3 ORDER BY 1, 2, 3"
-        ),
-        "q_market_share": (
-            "SELECT CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) "
-            "AS o_year, "
-            "ROUND(SUM(CASE WHEN sn.n_name = 'NATION_3' "
-            "THEN l_extendedprice*(1-l_discount) ELSE 0 END) / "
-            "SUM(l_extendedprice*(1-l_discount)), 6) AS mkt_share "
-            "FROM lineitem "
-            "JOIN part ON p_partkey = l_partkey "
-            "JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation cnat ON c_nationkey = cnat.n_nationkey "
-            "JOIN region ON cnat.n_regionkey = r_regionkey "
-            "JOIN supplier ON l_suppkey = s_suppkey "
-            "JOIN nation sn ON s_nationkey = sn.n_nationkey "
-            "WHERE p_type = 'ECONOMY' AND r_name = 'AMERICA' "
-            "AND o_orderdate >= TIMESTAMP '1996-01-01' "
-            "AND o_orderdate < TIMESTAMP '1998-01-01' "
-            "GROUP BY 1 ORDER BY 1"
-        ),
-        "q_product_profit": (
-            "SELECT n_name AS nation, "
-            "CAST(EXTRACT(year FROM o_orderdate) AS BIGINT) AS o_year, "
-            "ROUND(SUM(l_extendedprice*(1-l_discount)), 2) AS sum_profit "
-            "FROM lineitem "
-            "JOIN part ON p_partkey = l_partkey "
-            "JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN supplier ON l_suppkey = s_suppkey "
-            "JOIN nation ON s_nationkey = n_nationkey "
-            "WHERE p_name LIKE '%gear%' "
-            "GROUP BY 1, 2 ORDER BY nation ASC, o_year DESC"
-        ),
-        "q_top_supplier": (
-            "WITH rev AS (SELECT l_suppkey AS s_suppkey, "
-            "SUM(l_extendedprice*(1-l_discount)) AS r FROM lineitem "
-            "WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1996-04-01' GROUP BY 1) "
-            "SELECT rev.s_suppkey, s_name, "
-            "ROUND(r, 2) AS total_revenue "
-            "FROM rev JOIN supplier ON rev.s_suppkey = supplier.s_suppkey "
-            "WHERE r = (SELECT MAX(r) FROM rev) ORDER BY rev.s_suppkey"
-        ),
-        "q_small_qty_revenue": (
-            "SELECT ROUND(SUM(l_extendedprice) / 7.0, 2) AS avg_yearly "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "WHERE p_brand = 'Brand#3' AND l_quantity < "
-            "(SELECT 0.2 * AVG(l2.l_quantity) FROM lineitem l2 "
-            "WHERE l2.l_partkey = p_partkey)"
-        ),
-        "q_disjunctive_revenue": (
-            "SELECT ROUND(SUM(l_extendedprice*(1-l_discount)), 2) "
-            "AS revenue FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "WHERE (p_brand = 'Brand#1' AND p_size BETWEEN 1 AND 10 "
-            "AND l_quantity BETWEEN 1 AND 20) "
-            "OR (p_brand = 'Brand#2' AND p_size BETWEEN 10 AND 25 "
-            "AND l_quantity BETWEEN 5 AND 30) "
-            "OR (p_brand = 'Brand#3' AND p_size BETWEEN 20 AND 40 "
-            "AND l_quantity BETWEEN 10 AND 40)"
-        ),
-        "q_idle_rich_customers": (
-            "SELECT n_name, CAST(COUNT(*) AS BIGINT) AS numcust, "
-            "ROUND(SUM(c_acctbal), 2) AS totacctbal "
-            "FROM customer JOIN nation ON c_nationkey = n_nationkey "
-            "WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM customer "
-            "WHERE c_acctbal > 0) "
-            "AND c_custkey NOT IN (SELECT o_custkey FROM orders "
-            "WHERE o_orderdate >= TIMESTAMP '1998-01-01') "
-            "GROUP BY 1 ORDER BY 1"
         ),
         "q_decayed_user_scores": (
             "WITH b AS (SELECT MAX(ts) AS t FROM events) "
@@ -3940,87 +3735,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM customer a JOIN customer b ON a.c_custkey < b.c_custkey "
             "AND abs(length(a.c_name) - length(b.c_name)) <= 1 "
             "WHERE levenshtein(a.c_name, b.c_name) <= 1"
-        ),
-        "q_late_supplier_blame": (
-            "WITH per AS (SELECT l_orderkey, l_suppkey, "
-            "MAX(CASE WHEN l_shipdate > o_orderdate + INTERVAL 60 DAY "
-            "THEN 1 ELSE 0 END) AS late "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "GROUP BY l_orderkey, l_suppkey), "
-            "o AS (SELECT l_orderkey, COUNT(*) AS n_supp, "
-            "SUM(late) AS n_late FROM per GROUP BY l_orderkey) "
-            "SELECT p.l_suppkey, CAST(COUNT(*) AS BIGINT) AS waiting_orders "
-            "FROM per p JOIN o USING(l_orderkey) "
-            "WHERE p.late = 1 AND o.n_supp >= 2 AND o.n_late = 1 "
-            "GROUP BY p.l_suppkey"
-        ),
-        "q_min_cost_supplier": (
-            # Q2 shape: correlated MIN — both sides' mins select members
-            # of the same per-(part,supp) value set, so c = m is exact
-            "WITH eu AS (SELECT s_suppkey, s_name, s_acctbal, n_name "
-            "FROM supplier JOIN nation ON s_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey "
-            "WHERE r_name = 'EUROPE'), "
-            "cost AS (SELECT l_partkey, l_suppkey, "
-            "MIN(l_extendedprice / l_quantity) AS c FROM lineitem "
-            "JOIN eu ON l_suppkey = s_suppkey "
-            "JOIN part ON p_partkey = l_partkey "
-            "WHERE p_type = 'STANDARD' GROUP BY 1, 2), "
-            "mc AS (SELECT l_partkey, MIN(c) AS m FROM cost GROUP BY 1) "
-            "SELECT s_acctbal, s_name, n_name, "
-            "cost.l_partkey AS p_partkey, ROUND(c, 6) AS unit_cost "
-            "FROM cost JOIN mc USING (l_partkey) "
-            "JOIN eu ON cost.l_suppkey = eu.s_suppkey WHERE c = m"
-        ),
-        "q_important_parts": (
-            # Q11 shape: HAVING > multiple × fair share of a global
-            # scalar; both sides sum the SAME per-part values and the
-            # nearest part sits >100 absolute from the threshold
-            "WITH pp AS (SELECT l_partkey, "
-            "SUM(l_extendedprice * (1 - l_discount)) AS v FROM lineitem "
-            "JOIN supplier ON l_suppkey = s_suppkey "
-            "JOIN nation ON s_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey "
-            "WHERE r_name = 'ASIA' GROUP BY 1) "
-            "SELECT l_partkey, ROUND(v, 4) AS value FROM pp "
-            "WHERE v > 2.0 * (SELECT SUM(v) FROM pp) "
-            "/ (SELECT COUNT(*) FROM pp)"
-        ),
-        "q_returnflag_priority": (
-            "SELECT l_returnflag, "
-            "CAST(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') "
-            "THEN 1 ELSE 0 END) AS BIGINT) AS high_line_count, "
-            "CAST(SUM(CASE WHEN o_orderpriority NOT IN "
-            "('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS low_line_count "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "WHERE l_shipdate >= TIMESTAMP '1998-01-01' "
-            "AND l_shipdate < TIMESTAMP '1999-01-01' "
-            "GROUP BY l_returnflag"
-        ),
-        "q_supplier_cnt_by_part": (
-            "SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size, "
-            "CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "WHERE p_brand <> 'Brand#1' AND p_type <> 'PROMO' "
-            "AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier "
-            "WHERE s_acctbal < 2000.0) "
-            "GROUP BY p_brand, p_type, p_size"
-        ),
-        "q_dominant_suppliers": (
-            # Q20 shape: quantities are integral doubles, so the
-            # share-of-total comparison is the same FP op on both sides
-            "WITH ps AS (SELECT l_partkey, l_suppkey, "
-            "SUM(l_quantity) AS q FROM lineitem "
-            "JOIN part ON p_partkey = l_partkey "
-            "WHERE p_name LIKE '%widget%' GROUP BY 1, 2), "
-            "tot AS (SELECT l_partkey, SUM(q) AS t FROM ps GROUP BY 1) "
-            "SELECT DISTINCT s.s_suppkey, s.s_name FROM ps "
-            "JOIN tot USING (l_partkey) "
-            "JOIN supplier s ON ps.l_suppkey = s.s_suppkey "
-            "JOIN nation ON s_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey "
-            "WHERE r_name = 'AMERICA' AND q > 0.1 * t"
         ),
         "q_smb_orders_customer": (
             "SELECT o_custkey AS c_custkey, o_orderkey, o_totalprice, "

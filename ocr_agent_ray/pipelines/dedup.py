@@ -929,12 +929,11 @@ def shared_ngram_pairs(sf_dir: str, *, threshold: float = 0.5, n: int = 4,
     one pair-build per corpus version and one per downstream query."""
     import json
     import os
-    import shutil
-    import uuid
 
     import pyarrow as pa
 
-    from ocr_agent_ray.pipelines.invindex import source_fingerprint
+    from ocr_agent_ray.pipelines.invindex import (build_and_swap,
+                                                  source_fingerprint)
     from ocr_agent_ray.sources.readers import read_table
 
     tag = os.path.abspath(sf_dir).strip("/").replace("/", "_")
@@ -960,25 +959,17 @@ def shared_ngram_pairs(sf_dir: str, *, threshold: float = 0.5, n: int = 4,
         mat = ngram_jaccard_all_pairs(
             docs, threshold=threshold, n=n).materialize()
         n_rows = int(mat.count())
-        os.makedirs(os.path.dirname(cache_dir), exist_ok=True)
-        tmp = f"{cache_dir}.build-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        os.makedirs(os.path.join(tmp, "data"), exist_ok=True)
-        if n_rows:
-            mat.write_parquet(os.path.join(tmp, "data"))
-        with open(os.path.join(tmp, "_pairs_meta.json"), "w") as f:
-            json.dump({"version": PAIRS_CACHE_VERSION,
-                       "fingerprint": want_fp, "rows": n_rows,
-                       "threshold": threshold, "n": n}, f)
-        trash = f"{cache_dir}.old-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        try:
-            if os.path.exists(cache_dir):
-                os.rename(cache_dir, trash)
-            os.rename(tmp, cache_dir)
-        except OSError:
-            # lost the swap race to a concurrent builder whose index is
-            # equally fresh (same fingerprint gate) — read theirs
-            shutil.rmtree(tmp, ignore_errors=True)
-        shutil.rmtree(trash, ignore_errors=True)
+
+        def _build(tmp: str) -> None:
+            os.makedirs(os.path.join(tmp, "data"))
+            if n_rows:
+                mat.write_parquet(os.path.join(tmp, "data"))
+            with open(os.path.join(tmp, "_pairs_meta.json"), "w") as f:
+                json.dump({"version": PAIRS_CACHE_VERSION,
+                           "fingerprint": want_fp, "rows": n_rows,
+                           "threshold": threshold, "n": n}, f)
+
+        build_and_swap(cache_dir, _build)
         meta = _load_ok()
         if meta is None:  # should not happen; rebuild-in-memory fallback
             return mat

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -68,6 +69,43 @@ def source_fingerprint(sf_dir: str) -> str:
                     h.update(
                         f"{rel}:{st.st_size}:{st.st_mtime_ns}\n".encode())
     return h.hexdigest()
+
+
+def build_and_swap(final_dir: str, build: Callable[[str], object]) -> None:
+    """Build a directory privately, then swap it in at ``final_dir``.
+
+    ``build(tmp)`` writes the complete directory at ``tmp``
+    (``<final_dir>.build-<pid>-<uuid>``). Renames then install it, so a
+    reader never sees a half-built directory: the old one is renamed
+    aside first (open handles keep working on POSIX) and removed only
+    after the swap. Concurrent builders of the same ``final_dir`` passed
+    the same freshness check, so when another builder's directory is
+    already installed, ours is discarded and theirs kept. A builder whose
+    move-aside finds nothing (another builder moved the old directory
+    aside and has not installed its own yet) still installs its own. On
+    return ``final_dir`` holds a complete build."""
+    import errno
+    import shutil
+    import uuid
+
+    os.makedirs(os.path.dirname(final_dir) or ".", exist_ok=True)
+    suffix = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    tmp = f"{final_dir}.build-{suffix}"
+    trash = f"{final_dir}.old-{suffix}"
+    try:
+        build(tmp)
+        try:
+            os.rename(final_dir, trash)
+        except FileNotFoundError:
+            pass
+        try:
+            os.rename(tmp, final_dir)
+        except OSError as e:
+            if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(trash, ignore_errors=True)
 
 
 def build_inverted_index(sf_dir: str, index_dir: str, *,
@@ -232,25 +270,6 @@ def indexed_keyword_search(sf_dir: str, *, k: int = 20,
         except (json.JSONDecodeError, OSError):
             ok = False
     if not ok:
-        import shutil
-        import uuid
-
-        # Build into a private temp dir, then swap it in with renames so
-        # a concurrent reader never sees a half-built (or vanishing)
-        # index: the old dir is renamed aside first — open handles keep
-        # working on POSIX — and only then removed.
-        parent = os.path.dirname(index_dir) or "."
-        os.makedirs(parent, exist_ok=True)
-        tmp = f"{index_dir}.build-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        trash = f"{index_dir}.old-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        build_inverted_index(sf_dir, tmp)
-        try:
-            if os.path.exists(index_dir):
-                os.rename(index_dir, trash)
-            os.rename(tmp, index_dir)
-        except OSError:
-            # Lost a swap race to a concurrent builder: its index is as
-            # fresh as ours (same fingerprint gate) — use it.
-            shutil.rmtree(tmp, ignore_errors=True)
-        shutil.rmtree(trash, ignore_errors=True)
+        build_and_swap(index_dir,
+                       lambda tmp: build_inverted_index(sf_dir, tmp))
     return search_index(index_dir, _SEARCH_QUERIES, k=k)

@@ -17,7 +17,6 @@ import ray.data as rd
 
 from ocr_agent_ray.sources.readers import read_table
 
-from ocr_agent_ray.functions.kernels import is_supported_path
 from ocr_agent_ray.functions.textstats import round_half_away
 from ocr_agent_ray.pipelines.exchange import bucket_map_groups, key_map_groups
 from ocr_agent_ray.pipelines.joins import broadcast_join, bucket_hash_join
@@ -106,42 +105,6 @@ def page_fanout(sf_dir: str):
         read_table(sf_dir, "documents", ["doc_id", "n_chars"])
         .map_batches(_fan, batch_format="pyarrow")
     )
-
-
-def pricing_summary(sf_dir: str):
-    """TPC-H Q1-shaped pricing summary: filter + derived column + per-batch
-    partial combiner (one row per key per batch), driver-side final combine
-    over the tiny partial table (6 keys × batches rows)."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    def _derive(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch[batch["l_shipdate"] <= pd.Timestamp("1998-09-02")]
-        return batch.assign(
-            disc_price=batch["l_extendedprice"] * (1 - batch["l_discount"])
-        )
-
-    ds = read_table(
-        sf_dir, "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity",
-         "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(_derive, batch_format="pandas")
-
-    agg = combine_partials_driver(
-        ds,
-        ["l_returnflag", "l_linestatus"],
-        {
-            "sum_qty": ("l_quantity", "sum"),
-            "sum_base_price": ("l_extendedprice", "sum"),
-            "sum_disc_price": ("disc_price", "sum"),
-            "count_order": ("l_quantity", "count"),
-        },
-    )
-    agg["avg_qty"] = round_half_away(agg["sum_qty"] / agg["count_order"], 2)
-    for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
-        agg[c] = round_half_away(agg[c], 2)
-    agg["count_order"] = agg["count_order"].astype("int64")
-    return agg[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-                "sum_disc_price", "avg_qty", "count_order"]]
 
 
 def suppliers_per_region(sf_dir: str):
@@ -457,112 +420,6 @@ def null_aware_value_stats(sf_dir: str):
         "n_null": (out["n"] - out["n_nonnull"]).astype("int64"),
     })
     return res.sort_values("event_type").reset_index(drop=True)
-
-
-def q6_revenue(sf_dir: str):
-    """TPC-H Q6 shape: fully-pushed-down selective aggregate — date
-    range + discount band + quantity cap pushed into the parquet read
-    (row-group pruning), one vectorized product-sum partial per batch,
-    scalar driver fold. The canonical 'predicate pushdown matters' query:
-    only 3 columns × matching row groups leave storage."""
-    import datetime
-
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-
-    from ocr_agent_ray.functions.textstats import round_half_away
-
-    lo = datetime.datetime(1996, 1, 1)
-    hi = datetime.datetime(1997, 1, 1)
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_quantity",
-                 "l_shipdate"],
-        filter=((pc.field("l_shipdate") >= lo)
-                & (pc.field("l_shipdate") < hi)
-                & (pc.field("l_discount") >= 0.05)
-                & (pc.field("l_discount") <= 0.07)
-                & (pc.field("l_quantity") < 24)),
-    )
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        rev = pc.sum(pc.multiply(batch["l_extendedprice"],
-                                 batch["l_discount"])).as_py() or 0.0
-        return pa.Table.from_pydict({"rev": pa.array([rev], pa.float64())})
-
-    total = 0.0
-    for b in ds.map_batches(_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        total += sum(b["rev"].to_pylist())
-    return pd.DataFrame({"revenue": [float(round_half_away(total, 4))]})
-
-
-def customer_order_distribution(sf_dir: str):
-    """TPC-H Q13 shape: distribution of orders-per-customer including
-    zero-order customers — a double aggregation with an outer join in the
-    middle. Per-custkey order counts fold bucketed
-    (hash_partition_aggregate); customers LEFT-join the counts through a
-    bucketed hash join (both sides large at scale); the final
-    count-of-counts is a tiny driver combine (|distinct counts| keys)."""
-    from ocr_agent_ray.pipelines.agg import (
-        combine_partials_driver,
-        hash_partition_aggregate,
-    )
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
-
-    per_cust = hash_partition_aggregate(
-        read_table(sf_dir, "orders", ["o_custkey", "o_orderkey"]),
-        ["o_custkey"], {"c_count": ("o_orderkey", "count")})
-    customers = read_table(sf_dir, "customer", ["c_custkey"]).map_batches(
-        lambda b: b.rename(columns={"c_custkey": "o_custkey"}),
-        batch_format="pandas")
-    joined = bucket_hash_join(
-        customers, per_cust, on="o_custkey", how="left",
-        left_schema=pa.schema([("o_custkey", pa.int64())]),
-        right_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("c_count", pa.int64())]))
-
-    def _fill(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "c_count": batch["c_count"].fillna(0).astype("int64")})
-
-    out = combine_partials_driver(
-        joined.map_batches(_fill, batch_format="pandas"),
-        ["c_count"], {"custdist": ("c_count", "count")})
-    out["custdist"] = out["custdist"].astype("int64")
-    return out.sort_values("c_count").reset_index(drop=True)
-
-
-def large_orders(sf_dir: str, *, min_qty: float = 180.0):
-    """TPC-H Q18 shape: HAVING on a big aggregate, rejoined to the fact
-    table — per-orderkey quantity sums fold bucketed, the HAVING filter
-    runs inside the combine buckets (the survivor set never gathers),
-    and survivors bucket-hash-join back to orders."""
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
-
-    sums = hash_partition_aggregate(
-        read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
-        ["l_orderkey"], {"total_qty": ("l_quantity", "sum")})
-    big = sums.map_batches(
-        lambda b: b[b["total_qty"] > min_qty].rename(
-            columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas")
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_custkey", "o_totalprice"])
-    joined = bucket_hash_join(
-        big, orders, on="o_orderkey",
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("total_qty", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64()),
-                                ("o_totalprice", pa.float64())]))
-    return joined.map_batches(
-        lambda b: b[["o_orderkey", "o_custkey", "o_totalprice",
-                     "total_qty"]],
-        batch_format="pandas")
 
 
 def top_orders_per_priority(sf_dir: str, *, k: int = 2):
@@ -1700,244 +1557,6 @@ def weekly_retention(sf_dir: str):
     })
 
 
-def q3_shipping_priority(sf_dir: str, *, k: int = 10,
-                         cutoff: str = "1998-01-01"):
-    """TPC-H Q3 shape: BUILDING-segment customers' orders placed before
-    the cutoff, revenue from lineitems shipped after it, global top-k.
-    Shuffle discipline: the segment's custkey set reduces driver-side
-    (customer is a dimension here; at 10^8 customers flip to a bucketed
-    semi join), orders prune by date + segment membership BEFORE the
-    fact join, lineitem revenue pre-aggregates per orderkey so the one
-    bucket-hash shuffle carries |orders|-sized sides, and the top-k is a
-    sort+limit over the aggregated (small) join output."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-    cut = pd.Timestamp(cutoff)
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_mktsegment"])
-    building = set(
-        cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING"))
-            ["c_custkey"].to_pylist())
-
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def _ofilter(b: pa.Table) -> pa.Table:
-        return b.filter(pc.less(b["o_orderdate"], pa.scalar(cut.to_pydatetime())))
-
-    orders = broadcast_semi_filter(
-        orders.map_batches(_ofilter, batch_format="pyarrow"),
-        building, "o_custkey").map_batches(
-            lambda b: b.select(["o_orderkey", "o_orderdate"]),
-            batch_format="pyarrow")
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"])
-
-    def _derive(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_shipdate"] > cut]
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_derive, batch_format="pandas"),
-        ["l_orderkey"], {"revenue": ("revenue", "sum")}, num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    joined = bucket_hash_join(
-        rev, orders, on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("revenue", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_orderdate", pa.timestamp("us"))]),
-    )
-
-    def _round(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["revenue"] = round_half_away(b["revenue"], 2)
-        return b[["o_orderkey", "revenue", "o_orderdate"]]
-
-    return (joined.map_batches(_round, batch_format="pandas")
-                  .sort(["revenue", "o_orderkey"], descending=[True, False])
-                  .limit(k))
-
-
-def q5_regional_supplier_volume(sf_dir: str, *, region: str = "ASIA",
-                                date_lo: str = "1996-01-01",
-                                date_hi: str = "1998-01-01"):
-    """TPC-H Q5 shape: revenue per nation from lineitems whose SUPPLIER
-    and ordering CUSTOMER share a nation inside one region. Six tables,
-    ONE bucket-hash shuffle: region→nation prunes to a key set on the
-    driver, supplier and customer reduce to key→nationkey dimension maps
-    (broadcast; at 10^8 customers the customer map flips to a second
-    bucketed join), lineitem revenue pre-aggregates per (orderkey,
-    supplier-nation) so the fact join carries aggregated rows, and the
-    final per-nation combine is driver-sized."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    regionkey = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    regionkey = regionkey.loc[regionkey["r_name"] == region, "r_regionkey"]
-    nat = nation[nation["n_regionkey"].isin(set(regionkey))]
-    nat_names = dict(zip(nat["n_nationkey"].astype("int64"),
-                         nat["n_name"]))
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    supp_nat = dict(zip(supp["s_suppkey"],
-                        supp["s_nationkey"].astype("int64")))
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"]).to_pandas()
-    cust_nat = dict(zip(cust["c_custkey"],
-                        cust["c_nationkey"].astype("int64")))
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_suppkey", "l_extendedprice",
-                     "l_discount"])
-
-    def _li(b: pd.DataFrame) -> pd.DataFrame:
-        snat = b["l_suppkey"].map(supp_nat)
-        keep = snat.isin(nat_names.keys())
-        b = b[keep]
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "s_nationkey": snat[keep].astype("int64"),
-            "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_li, batch_format="pandas"),
-        ["l_orderkey", "s_nationkey"], {"revenue": ("revenue", "sum")},
-        num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def _orders(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["o_orderdate"] >= lo) & (b["o_orderdate"] < hi)]
-        cnat = b["o_custkey"].map(cust_nat)
-        keep = cnat.isin(nat_names.keys())
-        b = b[keep]
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"],
-            "c_nationkey": cnat[keep].astype("int64"),
-        })
-
-    ofilt = orders.map_batches(_orders, batch_format="pandas")
-
-    joined = bucket_hash_join(
-        rev, ofilt, on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("s_nationkey", pa.int64()),
-                               ("revenue", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("c_nationkey", pa.int64())]),
-    )
-
-    def _local(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["s_nationkey"] == b["c_nationkey"]]
-        return pd.DataFrame({"n_name": b["s_nationkey"].map(nat_names),
-                             "revenue": b["revenue"]})
-
-    out = combine_partials_driver(
-        joined.map_batches(_local, batch_format="pandas"),
-        ["n_name"], {"revenue": ("revenue", "sum")})
-    out["revenue"] = round_half_away(out["revenue"], 2)
-    return out.sort_values(["revenue", "n_name"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-def q10_returned_items(sf_dir: str, *, k: int = 20,
-                       date_lo: str = "1997-01-01",
-                       date_hi: str = "1997-07-01"):
-    """TPC-H Q10 shape: top customers by lost revenue from RETURNED
-    lineitems of orders in a date window. Lineitem prunes to returnflag
-    'R' and pre-aggregates per orderkey; the one bucket-hash shuffle
-    attaches o_custkey; a second bucketed aggregate folds per customer;
-    only the top-k rows reach the driver, where the customer/nation
-    dimension columns attach via a tiny merge."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_returnflag", "l_extendedprice",
-                     "l_discount"])
-
-    def _returned(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_returnflag"] == "R"]
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_returned, batch_format="pandas"),
-        ["l_orderkey"], {"revenue": ("revenue", "sum")}, num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def _ofilter(b: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(b["o_orderdate"],
-                                     pa.scalar(lo.to_pydatetime())),
-                    pc.less(b["o_orderdate"], pa.scalar(hi.to_pydatetime())))
-        return b.filter(m).select(["o_orderkey", "o_custkey"])
-
-    joined = bucket_hash_join(
-        rev, orders.map_batches(_ofilter, batch_format="pyarrow"),
-        on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("revenue", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64())]),
-    )
-
-    per_cust = hash_partition_aggregate(
-        joined, ["o_custkey"], {"revenue": ("revenue", "sum")},
-        num_buckets=32)
-
-    def _round(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["revenue"] = round_half_away(b["revenue"], 2)
-        return b[["o_custkey", "revenue"]]
-
-    top = (per_cust.map_batches(_round, batch_format="pandas")
-                   .sort(["revenue", "o_custkey"], descending=[True, False])
-                   .limit(k)).to_pandas()
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
-    ).to_pandas()
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"]).to_pandas()
-    dim = cust.merge(nation, left_on="c_nationkey",
-                     right_on="n_nationkey")
-    out = top.merge(dim, left_on="o_custkey", right_on="c_custkey")
-    out = out.sort_values(["revenue", "o_custkey"],
-                          ascending=[False, True]).reset_index(drop=True)
-    return out[["c_custkey", "c_name", "revenue", "c_acctbal", "n_name"]]
-
-
 def source_quota_cap(sf_dir: str, *, cap: int = 40):
     """Per-source document quota — 'keep at most N docs per source'
     (domain caps à la RefinedWeb), deterministic by doc_id order. Scale
@@ -1994,155 +1613,6 @@ def train_val_test_split(sf_dir: str, *, val_pct: int = 10,
 
     return read_table(sf_dir, "documents", ["doc_id"]).map_batches(
         _assign, batch_format="pandas")
-
-
-def q4_order_priority_check(sf_dir: str, *, date_lo: str = "1996-01-01",
-                            date_hi: str = "1996-07-01"):
-    """TPC-H Q4 shape: orders in a window that have AT LEAST ONE
-    lineitem shipped after the order date, counted per priority — the
-    EXISTS semi-join. The lineitem side reduces distributed-side to the
-    distinct qualifying orderkey set (bucketed distinct over late-ship
-    keys only), broadcasts as a semi filter over the date-pruned orders,
-    and the per-priority count is a driver-sized combine. The broadcast
-    flips to a bucketed semi merge when the qualifying-key set outgrows
-    the object store."""
-    import pyarrow.compute as pc
-
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             distinct_rows)
-    from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    def _ofilter(b: pa.Table) -> pa.Table:
-        m = pc.and_(pc.greater_equal(b["o_orderdate"],
-                                     pa.scalar(lo.to_pydatetime())),
-                    pc.less(b["o_orderdate"], pa.scalar(hi.to_pydatetime())))
-        return b.filter(m).select(["o_orderkey", "o_orderpriority"])
-
-    ofilt = orders.map_batches(_ofilter, batch_format="pyarrow")
-
-    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-    # TPC-H Q4's commit<receipt columns don't exist in this schema, so
-    # the qualifying predicate is 'shipped on or after the window
-    # start' — the same EXISTS semi-join shape
-    late = li.map_batches(
-        lambda b: b.filter(pc.greater_equal(
-            b["l_shipdate"], pa.scalar(lo.to_pydatetime())))
-               .select(["l_orderkey"]),
-        batch_format="pyarrow")
-    keys = distinct_rows(late, ["l_orderkey"]).to_pandas()["l_orderkey"]
-
-    kept = broadcast_semi_filter(ofilt, set(int(k) for k in keys),
-                                 "o_orderkey")
-    out = combine_partials_driver(
-        kept, ["o_orderpriority"], {"n_orders": ("o_orderkey", "count")})
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
-
-
-def q21_late_supplier_blame(sf_dir: str, *, late_days: int = 60):
-    """TPC-H Q21 shape (suppliers who kept orders waiting) adapted to
-    this schema: a supplier is BLAMED for an order when it shipped a
-    line more than ``late_days`` after the order date, the order has
-    lines from ≥2 distinct suppliers, and NO other supplier in that
-    order was late — the EXISTS + NOT-EXISTS double self-join, the
-    hardest TPC-H join shape. Distributed as: per-(order, supplier)
-    max-shipdate partials (one mergeable fold, never the raw lineitems
-    twice) → one bucket join against the order dates → per-order
-    late/supplier counts from a second keyed fold → qualifying
-    orderkeys flow through a LARGE-LARGE bucketed semi join (no
-    broadcast: at scale the blamed-order set is a constant fraction of
-    orders) → per-supplier count. Columns: l_suppkey, waiting_orders."""
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join, bucket_semi_join
-
-    per_os = hash_partition_aggregate(
-        read_table(sf_dir, "lineitem",
-                   ["l_orderkey", "l_suppkey", "l_shipdate"]),
-        ["l_orderkey", "l_suppkey"], {"max_ship": ("l_shipdate", "max")})
-
-    odates = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_orderdate"]).map_batches(
-        lambda b: b.rename(columns={"o_orderkey": "l_orderkey"}),
-        batch_format="pandas")
-
-    joined = bucket_hash_join(per_os, odates, on="l_orderkey")
-
-    def _flag(b: pd.DataFrame) -> pd.DataFrame:
-        late = (b["max_ship"] > b["o_orderdate"]
-                + pd.Timedelta(days=late_days))
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"].astype("int64"),
-            "l_suppkey": b["l_suppkey"].astype("int64"),
-            "late": late.to_numpy().astype("int64"),
-        })
-
-    flags = joined.map_batches(
-        _flag, batch_format="pandas", batch_size=65536).materialize()
-
-    per_order = hash_partition_aggregate(
-        flags, ["l_orderkey"],
-        {"n_supp": ("late", "count"), "n_late": ("late", "sum")})
-    qual = per_order.map_batches(
-        lambda b: b.loc[(b["n_supp"] >= 2) & (b["n_late"] == 1),
-                        ["l_orderkey"]],
-        batch_format="pandas")
-
-    late_rows = flags.map_batches(
-        lambda b: b.loc[b["late"] == 1, ["l_orderkey", "l_suppkey"]],
-        batch_format="pandas")
-    blamed = bucket_semi_join(late_rows, qual, on="l_orderkey")
-
-    out = hash_partition_aggregate(
-        blamed, ["l_suppkey"],
-        {"waiting_orders": ("l_orderkey", "count")}, num_buckets=8)
-
-    def _typed(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_suppkey": b["l_suppkey"].astype("int64"),
-            "waiting_orders": b["waiting_orders"].astype("int64")})
-
-    return out.map_batches(_typed, batch_format="pandas")
-
-
-def q14_promo_revenue(sf_dir: str, *, date_lo: str = "1997-01-01",
-                      date_hi: str = "1997-03-01"):
-    """TPC-H Q14 shape: promotion revenue share — 100 × promo revenue /
-    total revenue over a shipment window. The part dimension reduces to
-    a partkey→is-promo bitmap (broadcast); the window-pruned lineitem
-    stream folds (promo_sum, total_sum) scalar partials; the ratio is
-    one driver division. No shuffle at any size."""
-    import pyarrow.parquet as pq
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_type"]).to_pandas()
-    promo = set(part.loc[part["p_type"] == "PROMO", "p_partkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"])
-
-    def _partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["l_shipdate"] >= lo) & (b["l_shipdate"] < hi)]
-        rev = (b["l_extendedprice"] * (1 - b["l_discount"])).to_numpy()
-        is_promo = b["l_partkey"].isin(promo).to_numpy()
-        return pd.DataFrame({"promo_rev": [rev[is_promo].sum()],
-                             "total_rev": [rev.sum()]})
-
-    parts = pd.concat(
-        [b for b in li.map_batches(_partial, batch_format="pandas")
-            .iter_batches(batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    share = (100.0 * parts["promo_rev"] / parts["total_rev"]
-             if parts["total_rev"] else 0.0)
-    return pd.DataFrame({
-        "promo_share_pct": [float(round_half_away(share, 6))]})
 
 
 def merge_upsert_documents(sf_dir: str):
@@ -2747,765 +2217,6 @@ def first_touch_attribution(sf_dir: str):
     out = out.rename(columns={"event_type": "first_touch_type"})
     out["n_purchases"] = out["n_purchases"].astype("int64")
     return out.sort_values("first_touch_type").reset_index(drop=True)
-
-
-def q7_nation_volume(sf_dir: str, *, nation_a: str = "NATION_1",
-                     nation_b: str = "NATION_2",
-                     date_lo: str = "1996-01-01",
-                     date_hi: str = "1998-01-01"):
-    """TPC-H Q7 shape: shipping volume between two nations by year —
-    revenue of lineitems a supplier in one nation shipped to a customer
-    in the other, both directions, grouped by (supp_nation, cust_nation,
-    ship year). Supplier and customer reduce to key→nation broadcast
-    maps pruned to the two nations; lineitem pre-aggregates per
-    (orderkey, supp-nation, year) BEFORE the one bucket-hash fact join
-    to the nation-pruned orders; the surviving (2 × 2 × years)-row
-    combine is driver-sized."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-    pair = {nation_a, nation_b}
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    nat_name = dict(zip(nation["n_nationkey"].astype("int64"),
-                        nation["n_name"]))
-    keep_keys = {k for k, v in nat_name.items() if v in pair}
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    supp_nat = dict(zip(supp["s_suppkey"],
-                        supp["s_nationkey"].astype("int64")))
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"]).to_pandas()
-    cust_nat = dict(zip(cust["c_custkey"],
-                        cust["c_nationkey"].astype("int64")))
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_suppkey", "l_extendedprice",
-                     "l_discount", "l_shipdate"])
-
-    def _li(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["l_shipdate"] >= lo) & (b["l_shipdate"] < hi)]
-        snat = b["l_suppkey"].map(supp_nat)
-        keep = snat.isin(keep_keys)
-        b = b[keep]
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "s_nat": snat[keep].astype("int64"),
-            "l_year": b["l_shipdate"].dt.year.astype("int64"),
-            "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_li, batch_format="pandas"),
-        ["l_orderkey", "s_nat", "l_year"], {"revenue": ("revenue", "sum")},
-        num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    def _orders(b: pd.DataFrame) -> pd.DataFrame:
-        cnat = b["o_custkey"].map(cust_nat)
-        keep = cnat.isin(keep_keys)
-        b = b[keep]
-        return pd.DataFrame({"o_orderkey": b["o_orderkey"],
-                             "c_nat": cnat[keep].astype("int64")})
-
-    ofilt = read_table(sf_dir, "orders",
-                       ["o_orderkey", "o_custkey"]).map_batches(
-        _orders, batch_format="pandas")
-
-    joined = bucket_hash_join(
-        rev, ofilt, on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("s_nat", pa.int64()),
-                               ("l_year", pa.int64()),
-                               ("revenue", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("c_nat", pa.int64())]))
-
-    def _cross(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["s_nat"] != b["c_nat"]]  # both keys are in the pair set
-        return pd.DataFrame({
-            "supp_nation": b["s_nat"].map(nat_name),
-            "cust_nation": b["c_nat"].map(nat_name),
-            "l_year": b["l_year"],
-            "revenue": b["revenue"],
-        })
-
-    out = combine_partials_driver(
-        joined.map_batches(_cross, batch_format="pandas"),
-        ["supp_nation", "cust_nation", "l_year"],
-        {"revenue": ("revenue", "sum")})
-    out["revenue"] = round_half_away(out["revenue"], 2)
-    return out.sort_values(["supp_nation", "cust_nation", "l_year"]) \
-        .reset_index(drop=True)
-
-
-def q8_market_share(sf_dir: str, *, nation: str = "NATION_3",
-                    region: str = "AMERICA", p_type: str = "ECONOMY",
-                    date_lo: str = "1996-01-01",
-                    date_hi: str = "1998-01-01"):
-    """TPC-H Q8 shape: a nation's market share — its fraction of revenue
-    from parts of one type sold to customers of one region, per order
-    year. Part prunes to a broadcast keyset; lineitem folds per-order
-    (nation_rev, total_rev) partials tagged by supplier nation; ONE
-    bucket join attaches the region-pruned order year; the per-year
-    share is a driver division over a years-row table."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    nation_df = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    region_df = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    rkey = region_df.loc[region_df["r_name"] == region, "r_regionkey"]
-    region_nats = set(nation_df.loc[
-        nation_df["n_regionkey"].isin(set(rkey)),
-        "n_nationkey"].astype("int64"))
-    target_nat = int(nation_df.loc[nation_df["n_name"] == nation,
-                                   "n_nationkey"].iloc[0])
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_type"]).to_pandas()
-    part_keys = set(part.loc[part["p_type"] == p_type, "p_partkey"])
-
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    supp_nat = dict(zip(supp["s_suppkey"],
-                        supp["s_nationkey"].astype("int64")))
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"]).to_pandas()
-    cust_in_region = set(
-        cust.loc[cust["c_nationkey"].astype("int64").isin(region_nats),
-                 "c_custkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_extendedprice", "l_discount"])
-
-    def _li(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_partkey"].isin(part_keys)]
-        rev = b["l_extendedprice"] * (1 - b["l_discount"])
-        is_target = b["l_suppkey"].map(supp_nat) == target_nat
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "nation_rev": rev.where(is_target, 0.0),
-            "total_rev": rev,
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_li, batch_format="pandas"),
-        ["l_orderkey"],
-        {"nation_rev": ("nation_rev", "sum"),
-         "total_rev": ("total_rev", "sum")},
-        num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    def _orders(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["o_orderdate"] >= lo) & (b["o_orderdate"] < hi)
-              & b["o_custkey"].isin(cust_in_region)]
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"],
-            "o_year": b["o_orderdate"].dt.year.astype("int64"),
-        })
-
-    ofilt = read_table(sf_dir, "orders",
-                       ["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(_orders, batch_format="pandas")
-
-    joined = bucket_hash_join(
-        rev, ofilt, on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("nation_rev", pa.float64()),
-                               ("total_rev", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_year", pa.int64())]))
-
-    out = combine_partials_driver(
-        joined.map_batches(
-            lambda b: b[["o_year", "nation_rev", "total_rev"]],
-            batch_format="pandas"),
-        ["o_year"],
-        {"nation_rev": ("nation_rev", "sum"),
-         "total_rev": ("total_rev", "sum")})
-    out["mkt_share"] = round_half_away(
-        (out["nation_rev"] / out["total_rev"]).to_numpy(), 6)
-    return out[["o_year", "mkt_share"]].sort_values("o_year") \
-        .reset_index(drop=True)
-
-
-def q9_product_profit(sf_dir: str, *, name_token: str = "gear"):
-    """TPC-H Q9 shape (adapted: no partsupp table in this schema, so
-    profit is the discounted revenue rather than revenue minus supply
-    cost): revenue from parts whose NAME contains a token, grouped by
-    supplier nation and order year. Part prunes to a broadcast keyset
-    by substring match; lineitem pre-aggregates per (orderkey, nation);
-    one bucket join attaches the order year; driver-sized combine."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    nation_df = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    nat_name = dict(zip(nation_df["n_nationkey"].astype("int64"),
-                        nation_df["n_name"]))
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_name"]).to_pandas()
-    part_keys = set(part.loc[part["p_name"].str.contains(name_token,
-                                                         regex=False),
-                             "p_partkey"])
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    supp_nat = dict(zip(supp["s_suppkey"],
-                        supp["s_nationkey"].astype("int64")))
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_extendedprice", "l_discount"])
-
-    def _li(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_partkey"].isin(part_keys)]
-        return pd.DataFrame({
-            "l_orderkey": b["l_orderkey"],
-            "s_nat": b["l_suppkey"].map(supp_nat).astype("int64"),
-            "profit": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    rev = hash_partition_aggregate(
-        li.map_batches(_li, batch_format="pandas"),
-        ["l_orderkey", "s_nat"], {"profit": ("profit", "sum")},
-        num_buckets=32,
-    ).map_batches(lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-                  batch_format="pandas")
-
-    years = read_table(sf_dir, "orders",
-                       ["o_orderkey", "o_orderdate"]).map_batches(
-        lambda b: pd.DataFrame({
-            "o_orderkey": b["o_orderkey"],
-            "o_year": b["o_orderdate"].dt.year.astype("int64")}),
-        batch_format="pandas")
-
-    joined = bucket_hash_join(
-        rev, years, on="o_orderkey", num_buckets=16,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("s_nat", pa.int64()),
-                               ("profit", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_year", pa.int64())]))
-
-    out = combine_partials_driver(
-        joined.map_batches(
-            lambda b: pd.DataFrame({"nation": b["s_nat"].map(nat_name),
-                                    "o_year": b["o_year"],
-                                    "sum_profit": b["profit"]}),
-            batch_format="pandas"),
-        ["nation", "o_year"], {"sum_profit": ("sum_profit", "sum")})
-    out["sum_profit"] = round_half_away(out["sum_profit"], 2)
-    return out.sort_values(["nation", "o_year"],
-                           ascending=[True, False]).reset_index(drop=True)
-
-
-def q15_top_supplier(sf_dir: str, *, date_lo: str = "1996-01-01",
-                     date_hi: str = "1996-04-01"):
-    """TPC-H Q15 shape: the supplier(s) with maximum revenue over one
-    quarter (the revenue view + WHERE total = MAX semantics: ties all
-    surface). Per-supplier revenue folds bucketed; only per-bucket max
-    partials reach the driver to form the global max; the winner filter
-    runs distributed over the folded table and the name attaches from
-    the supplier dimension driver-side (winners are a handful of rows)."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_suppkey", "l_extendedprice", "l_discount",
-                     "l_shipdate"])
-
-    def _li(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["l_shipdate"] >= lo) & (b["l_shipdate"] < hi)]
-        return pd.DataFrame({
-            "s_suppkey": b["l_suppkey"],
-            "total_revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    folded = hash_partition_aggregate(
-        li.map_batches(_li, batch_format="pandas"),
-        ["s_suppkey"], {"total_revenue": ("total_revenue", "sum")},
-        num_buckets=16).materialize()
-
-    # global max from per-batch max partials (one float per block)
-    max_parts = [
-        float(b["total_revenue"].max())
-        for b in folded.iter_batches(batch_format="pandas",
-                                     batch_size=None)
-        if len(b)
-    ]
-    if not max_parts:
-        return pd.DataFrame({"s_suppkey": pd.Series(dtype="int64"),
-                             "s_name": pd.Series(dtype="object"),
-                             "total_revenue": pd.Series(dtype="float64")})
-    top = max(max_parts)
-
-    winners = pd.concat(
-        [b[b["total_revenue"] == top]
-         for b in folded.iter_batches(batch_format="pandas",
-                                      batch_size=None)],
-        ignore_index=True)
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name"]).to_pandas()
-    out = winners.merge(supp, on="s_suppkey")
-    out["total_revenue"] = round_half_away(out["total_revenue"], 2)
-    return out[["s_suppkey", "s_name", "total_revenue"]] \
-        .sort_values("s_suppkey").reset_index(drop=True)
-
-
-def q17_small_qty_revenue(sf_dir: str, *, brand: str = "Brand#3",
-                          qty_factor: float = 0.2):
-    """TPC-H Q17 shape: average yearly revenue lost if small-quantity
-    orders for one brand's parts were not filled — lineitems with
-    quantity below ``qty_factor`` × that part's average quantity. The
-    brand prunes the part dimension to a broadcast keyset; the pruned
-    lineitem projection materializes ONCE (object store) and serves both
-    passes: a per-part (Σqty, n) fold bounded by the brand's part count
-    (driver combine → broadcast threshold map) and the final threshold
-    filter + scalar revenue fold. The correlated-subquery shape with two
-    streaming passes instead of a self-join."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_brand"]).to_pandas()
-    keys = set(part.loc[part["p_brand"] == brand, "p_partkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_quantity", "l_extendedprice"])
-    pruned = li.map_batches(
-        lambda b: b[b["l_partkey"].isin(keys)],
-        batch_format="pandas", batch_size=65536).materialize()
-
-    stats = combine_partials_driver(
-        pruned.map_batches(
-            lambda b: pd.DataFrame({"l_partkey": b["l_partkey"],
-                                    "qty": b["l_quantity"],
-                                    "one": np.ones(len(b), dtype=np.int64)}),
-            batch_format="pandas"),
-        ["l_partkey"], {"qty": ("qty", "sum"), "n": ("one", "sum")})
-    thr = dict(zip(stats["l_partkey"],
-                   qty_factor * stats["qty"] / stats["n"]))
-
-    def _small(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["l_partkey"].map(thr)
-        return pd.DataFrame({
-            "rev": [float(b.loc[b["l_quantity"] < t,
-                                "l_extendedprice"].sum())]})
-
-    total = sum(
-        float(b["rev"].sum())
-        for b in pruned.map_batches(_small, batch_format="pandas")
-        .iter_batches(batch_format="pandas", batch_size=None))
-    return pd.DataFrame({
-        "avg_yearly": [float(round_half_away(total / 7.0, 2))]})
-
-
-def q19_disjunctive_revenue(sf_dir: str):
-    """TPC-H Q19 shape: revenue under a 3-arm DISJUNCTION of
-    (brand, part size range, lineitem quantity range) predicates — the
-    classic OR-of-ANDs the optimizer must not turn into three scans.
-    The part dimension broadcasts as a partkey→(brand, size) frame; each
-    lineitem batch merges once and evaluates all three arms vectorized;
-    a scalar revenue partial per batch folds on the driver."""
-    import pyarrow.parquet as pq
-
-    arms = [("Brand#1", 1, 10, 1.0, 20.0),
-            ("Brand#2", 10, 25, 5.0, 30.0),
-            ("Brand#3", 20, 40, 10.0, 40.0)]
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_brand",
-                                  "p_size"]).to_pandas()
-    part = part.rename(columns={"p_partkey": "l_partkey"})
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_quantity", "l_extendedprice",
-                     "l_discount"])
-
-    def _partial(b: pd.DataFrame) -> pd.DataFrame:
-        m = b.merge(part, on="l_partkey", how="left")
-        keep = np.zeros(len(m), dtype=bool)
-        for brand, size_lo, size_hi, qty_lo, qty_hi in arms:
-            keep |= ((m["p_brand"] == brand)
-                     & (m["p_size"] >= size_lo) & (m["p_size"] <= size_hi)
-                     & (m["l_quantity"] >= qty_lo)
-                     & (m["l_quantity"] <= qty_hi)).to_numpy()
-        rev = (m.loc[keep, "l_extendedprice"]
-               * (1 - m.loc[keep, "l_discount"])).sum()
-        return pd.DataFrame({"rev": [float(rev)]})
-
-    total = sum(
-        float(b["rev"].sum())
-        for b in li.map_batches(_partial, batch_format="pandas",
-                                batch_size=65536)
-        .iter_batches(batch_format="pandas", batch_size=None))
-    return pd.DataFrame({"revenue": [float(round_half_away(total, 2))]})
-
-
-def q22_idle_rich_customers(sf_dir: str, *,
-                            recent_date: str = "1998-01-01"):
-    """TPC-H Q22 shape (adapted: nation stands in for the phone country
-    code this schema doesn't carry, and 'no orders' becomes 'no orders
-    since ``recent_date``' because this synthetic corpus gives every
-    customer at least one order): customers with above-average positive
-    balance and no RECENT orders, counted per nation. The global average
-    folds from scalar partials; the recent-order exclusion is the
-    large-large bucketed ANTI join (the scale path — at TPC-H scale the
-    order-customer keyset outgrows a broadcast set); the per-nation
-    combine is driver-sized and names attach from the tiny dimension."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.joins import bucket_anti_join
-
-    cust = read_table(sf_dir, "customer",
-                      ["c_custkey", "c_acctbal", "c_nationkey"])
-
-    parts = pd.concat(
-        [b for b in cust.map_batches(
-            lambda b: pd.DataFrame({
-                "s": [float(b.loc[b["c_acctbal"] > 0, "c_acctbal"].sum())],
-                "n": [int((b["c_acctbal"] > 0).sum())]}),
-            batch_format="pandas")
-            .iter_batches(batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    avg_bal = parts["s"] / parts["n"] if parts["n"] else 0.0
-
-    rich = cust.map_batches(
-        lambda b: b[b["c_acctbal"] > avg_bal],
-        batch_format="pandas", batch_size=65536)
-
-    recent = pd.Timestamp(recent_date)
-    idle = bucket_anti_join(
-        rich,
-        read_table(sf_dir, "orders",
-                   ["o_custkey", "o_orderdate"]).map_batches(
-            lambda b: pd.DataFrame({
-                "c_custkey": b.loc[b["o_orderdate"] >= recent,
-                                   "o_custkey"]}),
-            batch_format="pandas"),
-        on="c_custkey", num_buckets=16,
-        left_schema=pa.schema([("c_custkey", pa.int64()),
-                               ("c_acctbal", pa.float64()),
-                               ("c_nationkey", pa.int32())]))
-
-    out = combine_partials_driver(
-        idle.map_batches(
-            lambda b: pd.DataFrame({
-                "c_nationkey": b["c_nationkey"].astype("int64"),
-                "one": np.ones(len(b), dtype=np.int64),
-                "totacctbal": b["c_acctbal"]}),
-            batch_format="pandas"),
-        ["c_nationkey"],
-        {"numcust": ("one", "sum"), "totacctbal": ("totacctbal", "sum")})
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    nation["c_nationkey"] = nation["n_nationkey"].astype("int64")
-    out = out.merge(nation[["c_nationkey", "n_name"]], on="c_nationkey")
-    out["numcust"] = out["numcust"].astype("int64")
-    out["totacctbal"] = round_half_away(out["totacctbal"], 2)
-    return out[["n_name", "numcust", "totacctbal"]] \
-        .sort_values("n_name").reset_index(drop=True)
-
-
-# --- the last five TPC-H shapes (Q2 / Q11 / Q12 / Q16 / Q20), restated
-# over the available columns (this schema ships no partsupp table and no
-# l_shipmode, so lineitem doubles as the part-supplier catalog) ---------
-
-
-def _region_supplier_dim(sf_dir: str, region: str) -> pd.DataFrame:
-    """supplier ⋈ nation ⋈ region broadcast dimension: one row per
-    supplier in ``region`` with (s_suppkey, s_name, s_acctbal, n_name).
-    Suppliers are a dimension table (TPC-H: 0.01% of lineitem rows), so
-    the broadcast stays driver-safe at any scale the fact side hits."""
-    import pyarrow.parquet as pq
-
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet").to_pandas()
-    nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    reg = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    nat = nat.merge(reg[reg["r_name"] == region],
-                    left_on="n_regionkey", right_on="r_regionkey")
-    return sup.merge(nat[["n_nationkey", "n_name"]],
-                     left_on="s_nationkey", right_on="n_nationkey")
-
-
-def q2_min_cost_supplier(sf_dir: str, *, region: str = "EUROPE",
-                         p_type: str = "STANDARD"):
-    """TPC-H Q2 shape (min-cost supplier, the correlated-MIN subquery):
-    for every part of ``p_type``, the supplier(s) in ``region`` whose
-    unit cost — MIN(l_extendedprice / l_quantity) over their shipments,
-    the ps_supplycost analog — equals the part's regional minimum.
-    Distributed as: broadcast region-supplier + part-type prefilters on
-    the pruned lineitem scan → per-(part, supplier) min fold → per-part
-    min fold → one bucket join back on partkey → float-exact equality
-    (both mins select members of the same value set, so == is safe).
-    Columns: s_acctbal, s_name, n_name, p_partkey, unit_cost."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-
-    dim = _region_supplier_dim(sf_dir, region)
-    supp_keys = set(dim["s_suppkey"])
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_type"]).to_pandas()
-    part_keys = set(part.loc[part["p_type"] == p_type, "p_partkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_suppkey", "l_extendedprice",
-                     "l_quantity"])
-
-    def _unit_cost(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_suppkey"].isin(supp_keys)
-              & b["l_partkey"].isin(part_keys)]
-        return pd.DataFrame({
-            "l_partkey": b["l_partkey"],
-            "l_suppkey": b["l_suppkey"],
-            "unit_cost": b["l_extendedprice"] / b["l_quantity"],
-        })
-
-    per_ps = hash_partition_aggregate(
-        li.map_batches(_unit_cost, batch_format="pandas",
-                       batch_size=65536),
-        ["l_partkey", "l_suppkey"],
-        {"unit_cost": ("unit_cost", "min")}).materialize()
-
-    per_part = hash_partition_aggregate(
-        per_ps, ["l_partkey"], {"min_cost": ("unit_cost", "min")},
-        num_buckets=8)
-
-    joined = bucket_hash_join(per_ps, per_part, on="l_partkey")
-
-    names = dict(zip(dim["s_suppkey"], dim["s_name"]))
-    bals = dict(zip(dim["s_suppkey"], dim["s_acctbal"]))
-    nations = dict(zip(dim["s_suppkey"], dim["n_name"]))
-
-    def _winners(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["unit_cost"] == b["min_cost"]]
-        sk = b["l_suppkey"]
-        return pd.DataFrame({
-            "s_acctbal": sk.map(bals).astype("float64"),
-            "s_name": sk.map(names),
-            "n_name": sk.map(nations),
-            "p_partkey": b["l_partkey"].astype("int64"),
-            "unit_cost": round_half_away(b["unit_cost"], 6),
-        })
-
-    return joined.map_batches(_winners, batch_format="pandas")
-
-
-def q11_important_parts(sf_dir: str, *, region: str = "ASIA",
-                        multiple: float = 2.0):
-    """TPC-H Q11 shape (important stock value, HAVING > fraction of a
-    global scalar): revenue per part over shipments by ``region``
-    suppliers, keeping parts whose value exceeds ``multiple`` × the
-    fair share (global total / part count) — a threshold that scales
-    with SF, unlike Q11's literal 0.0001/SF constant. Two-phase:
-    bucketed per-part fold → total and part count are driver scalars
-    folded from the (|parts|-row) aggregate itself → broadcast
-    threshold filter. Columns: l_partkey, value."""
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-
-    supp_keys = set(_region_supplier_dim(sf_dir, region)["s_suppkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_suppkey", "l_extendedprice",
-                     "l_discount"])
-
-    def _rev(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_suppkey"].isin(supp_keys)]
-        return pd.DataFrame({
-            "l_partkey": b["l_partkey"],
-            "v": b["l_extendedprice"] * (1 - b["l_discount"]),
-        })
-
-    per_part = hash_partition_aggregate(
-        li.map_batches(_rev, batch_format="pandas", batch_size=65536),
-        ["l_partkey"], {"value": ("v", "sum")}).materialize()
-
-    total, n_parts = 0.0, 0
-    for b in per_part.iter_batches(batch_format="pandas",
-                                   batch_size=None):
-        total += float(b["value"].sum())
-        n_parts += len(b)
-    threshold = multiple * total / n_parts
-
-    def _keep(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["value"] > threshold]
-        return pd.DataFrame({
-            "l_partkey": b["l_partkey"].astype("int64"),
-            "value": round_half_away(b["value"], 4),
-        })
-
-    return per_part.map_batches(_keep, batch_format="pandas")
-
-
-def q12_returnflag_priority(sf_dir: str, *, date_lo: str = "1998-01-01",
-                            date_hi: str = "1999-01-01"):
-    """TPC-H Q12 shape (shipmode × order-priority CASE counts; this
-    schema has no l_shipmode, so l_returnflag plays the mode column):
-    lines shipped inside the window, per returnflag, counted into
-    high-priority (1-URGENT / 2-HIGH) vs low-priority orders. The
-    orders side is a fact table → one bucket-hash join on orderkey,
-    then tiny CASE-sum partials. Columns: l_returnflag,
-    high_line_count, low_line_count."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_returnflag", "l_shipdate"]) \
-        .map_batches(
-            lambda b: b.loc[(b["l_shipdate"] >= lo)
-                            & (b["l_shipdate"] < hi),
-                            ["l_orderkey", "l_returnflag"]],
-            batch_format="pandas")
-    orders = read_table(sf_dir, "orders",
-                        ["o_orderkey", "o_orderpriority"]).map_batches(
-        lambda b: b.rename(columns={"o_orderkey": "l_orderkey"}),
-        batch_format="pandas")
-
-    joined = bucket_hash_join(li, orders, on="l_orderkey")
-
-    def _case(b: pd.DataFrame) -> pd.DataFrame:
-        high = b["o_orderpriority"].isin(["1-URGENT", "2-HIGH"])
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"],
-            "high": high.to_numpy().astype("int64"),
-            "low": (~high).to_numpy().astype("int64"),
-        })
-
-    out = combine_partials_driver(
-        joined.map_batches(_case, batch_format="pandas"),
-        ["l_returnflag"],
-        {"high_line_count": ("high", "sum"),
-         "low_line_count": ("low", "sum")})
-    out["high_line_count"] = out["high_line_count"].astype("int64")
-    out["low_line_count"] = out["low_line_count"].astype("int64")
-    return out
-
-
-def q16_supplier_cnt_by_part(sf_dir: str, *, excl_brand: str = "Brand#1",
-                             excl_type: str = "PROMO",
-                             blacklist_bal: float = 2000.0):
-    """TPC-H Q16 shape (supplier count per part class with a NOT-IN
-    blacklist): distinct suppliers per (brand, type, size) over the
-    lineitem part-supplier pairs, excluding one brand, one type, and
-    every supplier on the complaint blacklist (acctbal < threshold —
-    the schema has no s_comment). Distributed as: broadcast blacklist
-    anti-filter + part-attr map on the pruned scan → bucketed distinct
-    of (brand, type, size, suppkey) → per-class count fold. Columns:
-    p_brand, p_type, p_size, supplier_cnt."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import (distinct_rows,
-                                             hash_partition_aggregate)
-
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_acctbal"]).to_pandas()
-    blacklist = set(sup.loc[sup["s_acctbal"] < blacklist_bal,
-                            "s_suppkey"])
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_type", "p_size"]).to_pandas()
-    part = part[(part["p_brand"] != excl_brand)
-                & (part["p_type"] != excl_type)]
-    brands = dict(zip(part["p_partkey"], part["p_brand"]))
-    types = dict(zip(part["p_partkey"], part["p_type"]))
-    sizes = dict(zip(part["p_partkey"], part["p_size"].astype("int64")))
-
-    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-
-    def _classes(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[~b["l_suppkey"].isin(blacklist)
-              & b["l_partkey"].isin(brands)]
-        pk = b["l_partkey"]
-        return pd.DataFrame({
-            "p_brand": pk.map(brands),
-            "p_type": pk.map(types),
-            "p_size": pk.map(sizes).astype("int64"),
-            "l_suppkey": b["l_suppkey"].astype("int64"),
-        })
-
-    uniq = distinct_rows(
-        li.map_batches(_classes, batch_format="pandas",
-                       batch_size=65536),
-        ["p_brand", "p_type", "p_size", "l_suppkey"], num_buckets=8)
-
-    out = hash_partition_aggregate(
-        uniq, ["p_brand", "p_type", "p_size"],
-        {"supplier_cnt": ("l_suppkey", "count")}, num_buckets=8)
-    return out.map_batches(
-        lambda b: b.assign(
-            p_size=b["p_size"].astype("int64"),
-            supplier_cnt=b["supplier_cnt"].astype("int64")),
-        batch_format="pandas")
-
-
-def q20_dominant_suppliers(sf_dir: str, *, region: str = "AMERICA",
-                           name_like: str = "widget",
-                           share: float = 0.1):
-    """TPC-H Q20 shape (nested-IN: suppliers holding excess stock of
-    promoted parts; availqty has no analog, so 'dominant' = shipped
-    more than ``share`` of the part's total quantity — many times a
-    fair share once suppliers number in the hundreds): suppliers in
-    ``region`` that shipped > share of some ``name_like`` part's volume.
-    Quantities are integral doubles, so share × total is the same FP
-    operation on both sides. Distributed as: broadcast part/supplier
-    prefilters →
-    per-(part, supplier) qty fold → per-part total fold → one bucket
-    join → share filter → bucketed distinct of survivors. Columns:
-    s_suppkey, s_name."""
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.agg import (distinct_rows,
-                                             hash_partition_aggregate)
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_name"]).to_pandas()
-    part_keys = set(part.loc[part["p_name"].str.contains(name_like),
-                             "p_partkey"])
-    dim = _region_supplier_dim(sf_dir, region)
-    names = dict(zip(dim["s_suppkey"], dim["s_name"]))
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_partkey", "l_suppkey", "l_quantity"]).map_batches(
-        lambda b: b[b["l_partkey"].isin(part_keys)],
-        batch_format="pandas", batch_size=65536)
-
-    per_ps = hash_partition_aggregate(
-        li, ["l_partkey", "l_suppkey"],
-        {"qty": ("l_quantity", "sum")}).materialize()
-    per_part = hash_partition_aggregate(
-        per_ps, ["l_partkey"], {"total": ("qty", "sum")}, num_buckets=8)
-
-    joined = bucket_hash_join(per_ps, per_part, on="l_partkey")
-
-    def _dominant(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[(b["qty"] > share * b["total"])
-              & b["l_suppkey"].isin(names)]
-        return pd.DataFrame({
-            "s_suppkey": b["l_suppkey"].astype("int64"),
-            "s_name": b["l_suppkey"].map(names),
-        })
-
-    return distinct_rows(
-        joined.map_batches(_dominant, batch_format="pandas"),
-        ["s_suppkey", "s_name"], num_buckets=4)
 
 
 def merge_cdc_documents(sf_dir: str):

@@ -4,8 +4,10 @@
 does per task (/root/reference/src/ocr_agent/markdown_merge.py:26-47):
 drop units whose markdown is empty/whitespace-only (header included),
 apply the fence-aware math-delimiter conversion, and synthesize the
-section-header text. Running it BEFORE the assembly shuffle means empty
-units never hit the wire and the shuffle carries final strings only.
+section-header text. It runs inside the OCR task, right after OCR: on
+the default path before that task assembles its own documents, and with
+``balance_blocks`` before the assembly exchange. Either way empty units
+are dropped before assembly, which carries final strings only.
 """
 
 from __future__ import annotations

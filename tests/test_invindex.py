@@ -159,3 +159,75 @@ def test_index_build_is_atomic_swap(ray_session, tmp_path):
                  if d.startswith(os.path.basename(idx) + ".")]
     assert leftovers == [], leftovers
     assert os.path.exists(os.path.join(idx, "_invindex_meta.json"))
+
+
+def test_build_and_swap_contention(tmp_path, monkeypatch):
+    """Two threads rebuild the same directory. Both reach the move-aside
+    of the old directory; the first moves it and pauses before installing
+    its own, so the second's move-aside finds nothing. Each builder must
+    still return with a complete directory installed, and no temp or
+    aside directory may be left behind."""
+    import os
+    import threading
+
+    from ocr_agent_ray.pipelines.invindex import build_and_swap
+
+    final = str(tmp_path / "cache")
+    parts = ["part-0", "part-1", "part-2"]
+
+    def _fill(d, who):
+        os.makedirs(d)
+        for p in parts:
+            with open(os.path.join(d, p), "w") as f:
+                f.write(who)
+        with open(os.path.join(d, "_meta"), "w") as f:
+            f.write(who)
+
+    def _complete():
+        if not os.path.exists(os.path.join(final, "_meta")):
+            return None
+        who = open(os.path.join(final, "_meta")).read()
+        return all(open(os.path.join(final, p)).read() == who
+                   for p in parts) and who
+
+    _fill(final, "old")
+    second_at_rename = threading.Event()
+    moved_aside = threading.Event()
+    second_checked = threading.Event()
+    real_rename = os.rename
+
+    def _rename(src, dst):
+        me = threading.current_thread().name
+        if src == final and me == "second":
+            second_at_rename.set()
+            moved_aside.wait(timeout=10)
+        real_rename(src, dst)
+        if src == final and me == "first":
+            moved_aside.set()                 # pause between the first
+            second_checked.wait(timeout=10)   # builder's two renames
+
+    monkeypatch.setattr(os, "rename", _rename)
+    seen = {}
+
+    def _first():
+        def _build(tmp):
+            _fill(tmp, "first")
+            assert second_at_rename.wait(timeout=10)
+        build_and_swap(final, _build)
+        seen["first"] = _complete()
+
+    def _second():
+        try:
+            build_and_swap(final, lambda tmp: _fill(tmp, "second"))
+            seen["second"] = _complete()
+        finally:
+            second_checked.set()
+
+    threads = [threading.Thread(target=_first, name="first"),
+               threading.Thread(target=_second, name="second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert seen == {"first": "second", "second": "second"}, seen
+    assert os.listdir(tmp_path) == ["cache"]

@@ -674,19 +674,6 @@ def test_trailing_hour_sum_range_semantics(ray_session, tmp_path):
     assert got == [1.0, 3.0, 4.0, 28.0, 28.0]
 
 
-def test_customer_order_distribution_includes_zero(ray_session):
-    from ocr_agent_ray.pipelines.relational import customer_order_distribution
-
-    sf = "/root/testdata/sf0.001"
-    got = customer_order_distribution(sf)
-    customers = pq.read_metadata(f"{sf}/customer.parquet").num_rows
-    assert int(got["custdist"].sum()) == customers
-    orders = pd.read_parquet(f"{sf}/orders.parquet", columns=["o_custkey"])
-    n_zero = customers - orders["o_custkey"].nunique()
-    if n_zero:
-        assert int(got.set_index("c_count").loc[0, "custdist"]) == n_zero
-
-
 def test_cumulative_new_users_planted(ray_session, tmp_path):
     from ocr_agent_ray.pipelines.streaming import cumulative_new_users
 
