@@ -53,7 +53,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         invindex,
         relational,
         similarity,
-        streaming,
         text,
     )
 
@@ -242,25 +241,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_events_customer_skew_join": relational.events_customer_skew_join,
         "q_yearly_order_growth": relational.yearly_order_growth,
         "q_weekly_retention": relational.weekly_retention,
-        # --- stream-shaped (SURVEY §2.9) ----------------------------------
-        "q_tumbling_windows": streaming.tumbling_window_counts,
-        "q_sessionize": streaming.sessionize,
-        "q_concurrent_sessions": streaming.concurrent_sessions_daily,
-        "q_last_event_per_user": streaming.last_event_per_user,
-        "q_error_top1": streaming.error_top1,
-        "q_latest_order_asof": streaming.latest_order_asof,
-        "q_hopping_windows": streaming.hopping_window_counts,
-        "q_lineitems_shipped_30d": streaming.lineitems_shipped_within_30d,
-        "q_customers_no_urgent": streaming.customers_without_urgent_orders,
-        "q_customers_no_urgent_anti": streaming.customers_without_urgent_orders_anti,
-        "q_urgent_customers_semi": streaming.urgent_customers_semi,
-        "q_event_deltas": streaming.event_deltas,
-        "q_view_purchase_funnel": streaming.view_purchase_funnel,
-        "q_daily_active_users": streaming.daily_active_users,
-        "q_decayed_user_scores": streaming.decayed_user_scores,
-        "q_time_to_convert": streaming.time_to_convert,
-        "q_late_events": streaming.late_events,
-        "q_rolling_avg_value": streaming.rolling_avg_value,
         "q_customer_name_ids": relational.customer_name_ids,
         # --- text analysis ------------------------------------------------
         "q_quality_scores": text.quality_scores,
@@ -318,11 +298,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_bpe_compression": text.bpe_compression_stats,  # rows-only (applies the trained merges; invariant pytest)
         "q_bigram_perplexity": text.bigram_perplexity,
         "q_dsir_scores": text.dsir_scores,
-        "q_event_type_cooccurrence": streaming.event_type_cooccurrence,
-        "q_cohort_retention_matrix": streaming.cohort_retention_matrix,
-        "q_association_rules": streaming.association_rules,
-        "q_event_streaks": streaming.event_streaks,
-        "q_three_step_funnel": streaming.three_step_funnel,
         "q_top_collocations": text.top_collocations,
         "q_mixture_sample": relational.mixture_sample_documents,
         "q_source_quota_cap": relational.source_quota_cap,
@@ -337,14 +312,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_length_ntile": relational.length_ntile,
         "q_price_bands": relational.price_band_lookup,
         "q_partition_checksums": relational.partition_checksums,
-        "q_value_percent_rank": streaming.value_percent_rank,
-        "q_event_window_ranks": streaming.event_window_ranks,
-        "q_daily_counts_gapfilled": streaming.daily_counts_gapfilled,
-        "q_event_transitions": streaming.event_transitions,
-        "q_markov_next_event": streaming.markov_next_event,
-        "q_trailing_hour_sum": streaming.trailing_hour_value_sum,
-        "q_incremental_daily_counts": streaming.incremental_daily_counts,
-        "q_cumulative_new_users": streaming.cumulative_new_users,
         "q_bloom_pruned_join": _bloom_pruned_join,
         "q_null_aware_stats": relational.null_aware_value_stats,
         "q_value_time_regression": relational.value_time_regression,
@@ -366,45 +333,30 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_first_touch_attribution": relational.first_touch_attribution,
         "q_linear_attribution": relational.linear_attribution,
         "q_time_decay_attribution": relational.time_decay_attribution,
-        "q_scd2_intervals": streaming.scd2_intervals,
-        "q_survival_curve": streaming.user_survival_curve,
-        "q_top_event_paths": streaming.top_event_paths,
-        "q_rolling_median": streaming.rolling_median_value,
-        "q_ewma_value": streaming.ewma_user_value,
-        "q_event_throttle": streaming.event_throttle,
-        "q_psi_value_drift": streaming.psi_value_drift,
-        "q_nearest_event_join": streaming.nearest_event_join,
-        "q_daily_autocorr": streaming.daily_autocorr,
-        "q_theil_sen_trend": streaming.theil_sen_trend,
-        "q_dow_seasonality": streaming.dow_seasonality,
-        "q_cusum_changepoint": streaming.cusum_changepoint,
-        "q_ab_test_zscore": streaming.ab_test_zscore,
+        "q_scd2_intervals": relational.scd2_intervals,
+        "q_ab_test_zscore": relational.ab_test_zscore,
+        "q_mcnemar": relational.mcnemar_conversion,
+        "q_fisher_exact": relational.fisher_exact_conversion,
+        "q_bayes_ab": relational.bayes_ab_conversion,
+        "q_power_analysis": relational.power_analysis_conversion,
+        "q_holt_linear": relational.holt_linear_daily,
+        "q_holt_winters": relational.holt_winters_daily,
+        "q_forecast_backtest": relational.forecast_backtest_daily,
         "q_anova_f": relational.anova_f_value_by_type,
         "q_welch_ttest": relational.welch_ttest_values,
-        "q_kendall_tau": streaming.kendall_tau_daily,
         "q_skew_kurtosis": relational.skew_kurtosis_by_type,
         "q_ols_chars_model": relational.ols_chars_model,
-        "q_user_event_entropy": streaming.user_event_entropy,
         "q_cramers_v": relational.cramers_v_type_band,
         "q_kruskal_wallis": relational.kruskal_wallis_value_by_type,
         "q_mutual_information": relational.mutual_information_type_band,
         "q_exact_median_by_type": relational.exact_median_by_type,
         "q_heaps_law": text.heaps_law_fit,
         "q_term_burstiness": relational.term_burstiness,
-        "q_weekly_spectral": streaming.weekly_spectral_power,
-        "q_xcorr_daily": streaming.cross_correlation_daily,
-        "q_durbin_watson": streaming.durbin_watson_daily,
-        "q_pacf_daily": streaming.pacf_daily,
         "q_ks_source_lengths": text.ks_source_lengths,
         "q_length_auc_lang": text.length_auc_lang,
         "q_spearman_len_tokens": text.spearman_chars_tokens,
         "q_quality_pct_rank": text.quality_pct_rank_by_source,
         "q_source_js_divergence": text.source_js_divergence,
-        "q_user_burstiness": streaming.user_burstiness,
-        "q_seasonal_decompose": streaming.seasonal_decompose_daily,
-        "q_holt_linear": streaming.holt_linear_daily,
-        "q_holt_winters": streaming.holt_winters_daily,
-        "q_trailing_week_active": streaming.trailing_week_active_users,
         "q_profile_columns": _profile_columns,
         "q_check_constraints": _check_constraints,
         "q_cube_counts": relational.cube_counts,
@@ -497,28 +449,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
             sf, pairs=dedup.shared_ngram_pairs(sf)),
         "q_contamination_fraction": text.contamination_fraction,
         "q_type_token_stats": text.type_token_stats,
-        "q_user_rfm": streaming.user_rfm,
         "q_pca_project": similarity.pca_project,  # rows-only (eigendecomposition; dense-numpy pytest)
         "q_edit_distance_pairs": relational.edit_distance_pairs,
         "q_knn_graph": similarity.knn_graph_ivf,  # rows-only (approximate ANN graph; recall pytest)
         "q_quality_classifier": text.quality_classifier_scores,  # rows-only (iterative GD; dense-numpy pytest)
         # --- round-4 fourth-session additions ------------------------------
-        "q_views_before_purchase": streaming.views_before_purchase,
         "q_dup_graph_kcore": lambda sf: dedup.dup_graph_kcore(
             _docs(sf), k=2, pairs=dedup.shared_ngram_pairs(sf)
         ),  # rows-only (iterative peel; brute-force-peel pytest)
         "q_smb_orders_customer": _smb_orders_customer,
         # --- round-5 fourth-session additions ------------------------------
         "q_levene_test": relational.levene_test_value_by_type,
-        "q_grubbs_daily": streaming.grubbs_daily_outlier,
-        "q_page_hinkley": streaming.page_hinkley_daily,
         "q_calinski_harabasz": similarity.calinski_harabasz,
         "q_davies_bouldin": similarity.davies_bouldin,
         "q_yule_k": text.yule_k_by_source,
         "q_ndcg_search": text.ndcg_search,
         "q_tukey_hsd": relational.tukey_hsd_value_by_type,
-        "q_mcnemar": streaming.mcnemar_conversion,
-        "q_hurst_exponent": streaming.hurst_exponent_daily,
         "q_avg_precision_search": text.avg_precision_search,
         # AA over the CO-PURCHASE graph (the near-dup graph is
         # transitively closed on this corpus — template families are
@@ -528,13 +474,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 _copurchase_as_edges, batch_format="pandas")),
         "q_chao1_richness": text.chao1_richness,
         "q_log_odds_terms": text.log_odds_terms,
-        "q_granger_daily": streaming.granger_daily,
         "q_gmm_em": similarity.gmm_em_embeddings,  # rows-only (iterative EM; dense-numpy pytest)
         "q_isotonic_curve": relational.isotonic_conversion_curve,  # rows-only (PAVA stack walk; planted pytest)
-        "q_markov_entropy_rate": streaming.markov_entropy_rate,
         "q_burrows_delta": text.burrows_delta,
         "q_rbo_arms": text.rbo_arms,
-        "q_absorbing_time": streaming.absorbing_time_to_event,  # rows-only (matrix inverse; planted-chain pytest)
         "q_bottomk_sample": relational.bottomk_sample_documents,
         "q_degree_powerlaw": lambda sf: dedup.dup_graph_degree_powerlaw(
             _docs(sf), pairs=dedup.shared_ngram_pairs(sf)),
@@ -547,27 +490,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
             sf, pairs=dedup.shared_ngram_pairs(sf)),
         "q_gram_novelty": text.gram_novelty,
         "q_langid_confusion": text.langid_confusion,
-        "q_fisher_exact": streaming.fisher_exact_conversion,
-        "q_bayes_ab": streaming.bayes_ab_conversion,
         "q_twonn_dimension": similarity.twonn_intrinsic_dimension,  # rows-only (approx kNN graph; planted pytest)
         "q_cvar_by_type": relational.cvar_by_type,
-        "q_segmented_trend": streaming.segmented_trend_daily,
         "q_trimmed_mean": relational.trimmed_mean_by_type,
-        "q_power_analysis": streaming.power_analysis_conversion,
         "q_threshold_sweep": lambda sf: dedup.dedup_threshold_sweep(
             sf, pairs=dedup.shared_ngram_pairs(sf)),
         "q_hill_tail_index": relational.hill_tail_index,
-        "q_runs_test": streaming.runs_test_daily,
-        "q_forecast_backtest": streaming.forecast_backtest_daily,
         "q_ipf_raking": relational.ipf_raking_weights,  # rows-only (iterative scaling; convergence pytest)
-        "q_kleinberg_bursts": streaming.kleinberg_bursts,  # rows-only (per-user Viterbi DP; planted pytest)
         "q_bh_significant_terms": text.bh_significant_terms,
-        "q_gumbel_maxima": streaming.gumbel_weekly_maxima,
         "q_simpson_check": relational.simpson_paradox_check,
         "q_dedup_savings": dedup.dedup_savings_report,
         "q_source_hhi": text.source_hhi,
         "q_cluster_source_ari": dedup.cluster_source_ari,  # rows-only (iterative clustering; planted pytest)
-        "q_user_jaccard_daily": streaming.user_jaccard_daily,
         "q_mrr_search": text.mrr_search,
     }
 
@@ -576,30 +510,32 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # 8-entry marquee core (flagship + dedup essentials); every one of the
     # other 42 slots has an oracle_sql() twin. Rounds 4-5 filled them with
     # oracled queries no earlier round had sampled (history in NOTES.md);
-    # tests/test_entry_contract.py checks that they stay oracled.
+    # slots freed by deleted query families went to oracled document
+    # curation queries. tests/test_entry_contract.py checks that they stay
+    # oracled.
     priority = [
         # marquee core (kept every round)
         "q_flagship_span_counts", "q_media_manifest", "q_page_fanout",
         "q_exact_dedup", "q_minhash_pairs", "q_ngram_jaccard",
-        "q_curation_funnel", "q_sessionize",
+        "q_curation_funnel", "q_dedup_keep_first",
         # NOTES.md round-5 queue — never driver-sampled before
-        "q_readability", "q_markov_next_event", "q_ewma_value",
-        "q_price_band_join", "q_dup_graph_hops", "q_copurchase_pairs",
-        "q_event_throttle", "q_psi_value_drift", "q_copurchase_triples",
-        "q_unicode_clean",
+        "q_readability", "q_price_band_join", "q_dup_graph_hops",
+        "q_copurchase_pairs", "q_copurchase_triples", "q_unicode_clean",
         # near-dup graph family (shared pairs cache this round)
         "q_neighbor_jaccard", "q_dup_graph_triangles",
         "q_dup_source_matrix", "q_dedup_best_survivor",
         # document curation (dedup, quotas, splits, sampling, report)
         "q_line_dedup", "q_paragraph_dedup", "q_source_quota_cap",
         "q_train_val_test_split", "q_mixture_sample", "q_corpus_report",
+        "q_stratified_sample", "q_docs_for_80pct",
+        "q_curation_funnel_extended",
+        # document quality filters, scrubbing and chunking
+        "q_quality_scores", "q_c4_clean", "q_repetition_scores",
+        "q_pii_scrub", "q_decontaminate", "q_chunk_documents",
+        "q_token_count_by_source", "q_fingerprints",
         # relational — never driver-sampled before
         "q_edit_distance_pairs", "q_entity_resolution",
-        "q_smb_orders_customer",
-        # streaming / temporal — never driver-sampled before
-        "q_nearest_event_join", "q_daily_autocorr", "q_theil_sen_trend",
-        "q_dow_seasonality", "q_scd2_intervals", "q_merge_cdc",
-        "q_linear_attribution", "q_views_before_purchase", "q_user_rfm",
+        "q_smb_orders_customer", "q_merge_cdc", "q_linear_attribution",
         # text curation / statistics — never driver-sampled before
         "q_naive_bayes_langid", "q_indexed_search", "q_pareto_skyline",
         "q_gini_doc_lengths", "q_blocklist_hits", "q_boilerplate_strip",
@@ -766,76 +702,6 @@ def oracle_sql() -> dict[str, str]:
             "ROWS UNBOUNDED PRECEDING), 6) AS running_value "
             "FROM events WHERE user_id < 5"
         ),
-        "q_tumbling_windows": (
-            "SELECT user_id, date_trunc('hour', ts) AS window_start, "
-            "COUNT(*) AS n_events, ROUND(SUM(value), 6) AS sum_value "
-            "FROM events GROUP BY user_id, date_trunc('hour', ts)"
-        ),
-        "q_sessionize": (
-            "WITH flagged AS ("
-            "  SELECT user_id, event_id, ts, "
-            "  CASE WHEN lag(ts) OVER w IS NULL "
-            "       OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_session "
-            "  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)"
-            "), numbered AS ("
-            "  SELECT *, SUM(new_session) OVER "
-            "  (PARTITION BY user_id ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS sid "
-            "  FROM flagged) "
-            "SELECT user_id, MIN(ts) AS session_start, MAX(ts) AS session_end, "
-            "COUNT(*) AS n_events FROM numbered GROUP BY user_id, sid"
-        ),
-        "q_concurrent_sessions": (
-            # sessionize CTEs verbatim, then the per-day sweep: clipped
-            # day segments, +1/-1 events ordered (t, starts-first), a
-            # windowed running sum, MAX per day. Ties inside a (t, pri)
-            # group share a delta sign so the MAX is order-independent.
-            "WITH flagged AS ("
-            "  SELECT user_id, event_id, ts, "
-            "  CASE WHEN lag(ts) OVER w IS NULL "
-            "       OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_session "
-            "  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)"
-            "), numbered AS ("
-            "  SELECT *, SUM(new_session) OVER "
-            "  (PARTITION BY user_id ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS sid "
-            "  FROM flagged), "
-            "sess AS (SELECT user_id, MIN(ts) AS session_start, "
-            "MAX(ts) AS session_end FROM numbered GROUP BY user_id, sid), "
-            "seg AS (SELECT unnest(generate_series("
-            "date_trunc('day', session_start), "
-            "date_trunc('day', session_end), INTERVAL 1 DAY)) AS day, "
-            "session_start, session_end FROM sess), "
-            "clipped AS (SELECT day, "
-            "GREATEST(session_start, day) AS s, "
-            "LEAST(session_end, day + INTERVAL 1 DAY "
-            "- INTERVAL 1 MICROSECOND) AS e FROM seg), "
-            "ev AS (SELECT day, s AS t, 0 AS pri, 1 AS delta FROM clipped "
-            "UNION ALL SELECT day, e, 1, -1 FROM clipped), "
-            "run AS (SELECT day, SUM(delta) OVER "
-            "(PARTITION BY day ORDER BY t, pri ROWS UNBOUNDED PRECEDING) "
-            "AS c FROM ev), "
-            "mx AS (SELECT day, CAST(MAX(c) AS BIGINT) AS max_concurrent "
-            "FROM run GROUP BY 1), "
-            "ns AS (SELECT day, CAST(COUNT(*) AS BIGINT) AS n_sessions "
-            "FROM clipped GROUP BY 1) "
-            "SELECT mx.day, ns.n_sessions, mx.max_concurrent "
-            "FROM mx JOIN ns USING (day) ORDER BY mx.day"
-        ),
-        "q_last_event_per_user": (
-            "SELECT user_id, event_id, ts, event_type FROM events "
-            "QUALIFY row_number() OVER "
-            "(PARTITION BY user_id ORDER BY ts DESC, event_id DESC) = 1"
-        ),
-        "q_error_top1": (
-            "SELECT event_id, ts, user_id, event_type, value FROM events "
-            "WHERE event_type = 'error' ORDER BY ts DESC, event_id DESC LIMIT 1"
-        ),
-        "q_latest_order_asof": (
-            "WITH o AS (SELECT o_custkey, o_orderdate, MAX(o_orderkey) AS o_orderkey "
-            "FROM orders GROUP BY o_custkey, o_orderdate) "
-            "SELECT e.event_id, e.user_id, e.ts, o.o_orderkey, o.o_orderdate "
-            "FROM events e ASOF LEFT JOIN o "
-            "ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate"
-        ),
         "q_quality_scores": (
             "WITH base AS ("
             "  SELECT doc_id, LENGTH(text) AS n_chars, "
@@ -922,28 +788,6 @@ def oracle_sql() -> dict[str, str]:
             "ELSE 1 + FLOOR((c_acctbal + 1000.0) / 1000.0) END AS BIGINT) "
             "AS bucket, CAST(COUNT(*) AS BIGINT) AS n "
             "FROM customer GROUP BY bucket"
-        ),
-        "q_hopping_windows": (
-            "WITH w AS (SELECT user_id, event_id, "
-            "date_trunc('hour', ts) - (k.i * INTERVAL 1 HOUR) AS window_start "
-            "FROM events, (SELECT unnest(range(0, 2)) AS i) k) "
-            "SELECT user_id, window_start, CAST(COUNT(*) AS BIGINT) AS n_events "
-            "FROM w GROUP BY user_id, window_start"
-        ),
-        "q_lineitems_shipped_30d": (
-            "SELECT l.l_orderkey, l.l_linenumber, l.l_shipdate, o.o_orderdate "
-            "FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey "
-            "AND l.l_shipdate <= o.o_orderdate + INTERVAL 30 DAY"
-        ),
-        "q_customers_no_urgent": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer "
-            "WHERE c_custkey NOT IN (SELECT o_custkey FROM orders "
-            "WHERE o_orderpriority = '1-URGENT')"
-        ),
-        "q_customers_no_urgent_anti": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer "
-            "WHERE c_custkey NOT IN (SELECT o_custkey FROM orders "
-            "WHERE o_orderpriority = '1-URGENT')"
         ),
         "q_stratified_sample": (
             "SELECT doc_id, source FROM ("
@@ -1064,17 +908,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT c_custkey, c_name, c_acctbal FROM customer "
             "WHERE c_custkey IN (SELECT o_custkey FROM orders "
             "WHERE o_orderpriority = '1-URGENT')"
-        ),
-        "q_urgent_customers_semi": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer "
-            "WHERE c_custkey IN (SELECT o_custkey FROM orders "
-            "WHERE o_orderpriority = '1-URGENT')"
-        ),
-        "q_event_deltas": (
-            "SELECT user_id, event_id, ts, "
-            "CAST(date_diff('microsecond', "
-            "lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id), ts) "
-            "AS BIGINT) AS delta_us FROM events"
         ),
         "q_ngram_jaccard": _NGRAM_PAIRS_SQL + (
             "SELECT doc_id_a, doc_id_b, jaccard FROM pairs"
@@ -1236,200 +1069,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT month, ROUND(rev, 2) AS revenue, "
             "ROUND(SUM(rev) OVER (ORDER BY month), 2) AS cum_revenue FROM m"
         ),
-        "q_view_purchase_funnel": (
-            "WITH vp AS (SELECT user_id, event_id, ts, event_type FROM events "
-            "WHERE event_type IN ('view', 'purchase')), "
-            "conv AS (SELECT v.user_id, v.event_id, "
-            "CAST(max(CASE WHEN p.event_id IS NOT NULL THEN 1 ELSE 0 END) AS BIGINT) AS converted "
-            "FROM vp v LEFT JOIN vp p ON p.user_id = v.user_id "
-            "AND p.event_type = 'purchase' AND v.event_type = 'view' "
-            "AND p.ts > v.ts AND p.ts <= v.ts + INTERVAL 1 HOUR "
-            "WHERE v.event_type = 'view' GROUP BY v.user_id, v.event_id) "
-            "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_views, "
-            "CAST(SUM(converted) AS BIGINT) AS n_conversions "
-            "FROM conv GROUP BY user_id"
-        ),
-        "q_daily_active_users": (
-            "SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
-            "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS dau "
-            "FROM events GROUP BY 1"
-        ),
-        "q_rolling_median": (
-            "SELECT user_id, event_id, ts, "
-            "ROUND(quantile_cont(value, 0.5) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id "
-            "ROWS BETWEEN 6 PRECEDING AND CURRENT ROW), 6) "
-            "AS med7_value FROM events"
-        ),
-        "q_psi_value_drift": (
-            # PSI between stream halves (midpoint-ts split), 10
-            # fixed-width value bins, Laplace (c+0.5)/(n+5.0) smoothing
-            # — the identical float expression the pipeline evaluates
-            "WITH b AS (SELECT CAST(MIN(epoch_us(ts)) AS BIGINT) tmin, "
-            "CAST(MAX(epoch_us(ts)) AS BIGINT) tmax, "
-            "MIN(value) vmin, MAX(value) vmax FROM events), "
-            "e AS (SELECT CAST(LEAST(FLOOR((value - b.vmin) / "
-            "GREATEST((b.vmax - b.vmin) / 10.0, 1e-12)), 9) AS BIGINT) "
-            "AS bucket, CASE WHEN epoch_us(ts) >= "
-            "b.tmin + (b.tmax - b.tmin) // 2 THEN 1 ELSE 0 END AS half "
-            "FROM events, b), "
-            "c AS (SELECT bucket, half, COUNT(*) AS n FROM e "
-            "GROUP BY 1, 2), "
-            "t AS (SELECT half, CAST(SUM(n) AS DOUBLE) AS tot FROM c "
-            "GROUP BY 1), "
-            "g AS (SELECT unnest(range(10)) AS bucket), "
-            "f AS (SELECT g.bucket, "
-            "CAST(COALESCE(c0.n, 0) AS BIGINT) AS n_first, "
-            "CAST(COALESCE(c1.n, 0) AS BIGINT) AS n_second "
-            "FROM g LEFT JOIN c c0 ON c0.bucket = g.bucket "
-            "AND c0.half = 0 LEFT JOIN c c1 ON c1.bucket = g.bucket "
-            "AND c1.half = 1) "
-            "SELECT f.bucket, f.n_first, f.n_second, "
-            "ROUND(((f.n_first + 0.5) / (t0.tot + 5.0) - "
-            "(f.n_second + 0.5) / (t1.tot + 5.0)) * "
-            "ln(((f.n_first + 0.5) / (t0.tot + 5.0)) / "
-            "((f.n_second + 0.5) / (t1.tot + 5.0))), 6) AS psi_term "
-            "FROM f, (SELECT tot FROM t WHERE half = 0) t0, "
-            "(SELECT tot FROM t WHERE half = 1) t1"
-        ),
-        "q_event_throttle": (
-            # sequential keep-iff-gap-since-last-KEPT semantics: only a
-            # recursive walk expresses it (each kept row derives the
-            # next via the first event >= gap after it)
-            "WITH RECURSIVE s AS (SELECT user_id, event_id, ts, "
-            "ROW_NUMBER() OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS r FROM events), "
-            "keep(user_id, event_id, ts, r) AS ("
-            "  SELECT user_id, event_id, ts, r FROM s WHERE r = 1"
-            "  UNION ALL"
-            "  SELECT n.user_id, n.event_id, n.ts, n.r FROM keep k "
-            "  JOIN s n ON n.user_id = k.user_id "
-            "  AND n.ts >= k.ts + INTERVAL 10 MINUTE "
-            "  WHERE NOT EXISTS (SELECT 1 FROM s m "
-            "  WHERE m.user_id = k.user_id "
-            "  AND m.ts >= k.ts + INTERVAL 10 MINUTE AND m.r < n.r)) "
-            "SELECT user_id, event_id, ts FROM keep"
-        ),
-        "q_nearest_event_join": (
-            # bidirectional temporal nearest neighbor; tie rule is
-            # ORDER BY gap, ts, event_id — exactly the kernel's
-            # before-wins-on-tie + run-start pick
-            "WITH p AS (SELECT user_id, event_id AS pid, ts AS pts "
-            "FROM events WHERE event_type = 'purchase'), "
-            "o AS (SELECT user_id, event_id, ts FROM events "
-            "WHERE event_type <> 'purchase'), "
-            "j AS (SELECT p.user_id, p.pid, o.event_id AS oid, "
-            "ABS(epoch_us(o.ts) - epoch_us(p.pts)) AS gap_us, "
-            "ROW_NUMBER() OVER (PARTITION BY p.pid ORDER BY "
-            "ABS(epoch_us(o.ts) - epoch_us(p.pts)), o.ts, o.event_id) "
-            "AS r FROM p JOIN o ON o.user_id = p.user_id) "
-            "SELECT user_id, pid AS purchase_event_id, "
-            "oid AS nearest_event_id, gap_us FROM j WHERE r = 1"
-        ),
-        "q_daily_autocorr": (
-            # ACF over observed-day pairs exactly k days apart; integer
-            # sums, one final float division — same expression as the
-            # kernel
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1), "
-            "l AS (SELECT CAST(range AS BIGINT) AS k FROM range(1, 8)), "
-            "p AS (SELECT l.k, d1.c AS x, d2.c AS y FROM l, d d1 "
-            "JOIN d d2 ON date_diff('day', d1.day, d2.day) = l.k) "
-            "SELECT k AS lag, CAST(COUNT(*) AS BIGINT) AS n_pairs, "
-            "ROUND(CAST(COUNT(*) * SUM(x*y) - SUM(x) * SUM(y) AS DOUBLE)"
-            " / SQRT(CAST(COUNT(*) * SUM(x*x) - SUM(x) * SUM(x) AS "
-            "DOUBLE) * CAST(COUNT(*) * SUM(y*y) - SUM(y) * SUM(y) AS "
-            "DOUBLE)), 6) AS autocorr FROM p GROUP BY k "
-            "HAVING COUNT(*) >= 1 AND "
-            "(COUNT(*) * SUM(x*x) - SUM(x) * SUM(x)) * "
-            "(COUNT(*) * SUM(y*y) - SUM(y) * SUM(y)) <> 0"
-        ),
-        "q_theil_sen_trend": (
-            # median of pairwise slopes over the bounded daily series;
-            # intercept uses the UNROUNDED slope (same nesting as the
-            # kernel); MEDIAN == numpy median (quantile_cont 0.5)
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1), "
-            "d0 AS (SELECT MIN(day) AS day0 FROM d), "
-            "ix AS (SELECT CAST(date_diff('day', d0.day0, d.day) AS "
-            "DOUBLE) AS i, CAST(d.c AS DOUBLE) AS c FROM d, d0), "
-            "s AS (SELECT (b.c - a.c) / (b.i - a.i) AS slope "
-            "FROM ix a JOIN ix b ON a.i < b.i), "
-            "m AS (SELECT MEDIAN(slope) AS sl FROM s) "
-            "SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM ix) AS n_days, "
-            "(SELECT CAST(COUNT(*) AS BIGINT) FROM s) AS n_pairs, "
-            "ROUND(m.sl, 6) AS slope, "
-            "(SELECT ROUND(MEDIAN(c - m.sl * i), 6) FROM ix) "
-            "AS intercept FROM m"
-        ),
-        "q_dow_seasonality": (
-            # pandas dayofweek is Monday=0 == isodow-1
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1), "
-            "t AS (SELECT CAST(SUM(c) AS DOUBLE) AS tot_c, "
-            "CAST(COUNT(*) AS DOUBLE) AS tot_d FROM d) "
-            "SELECT CAST(isodow(day) - 1 AS BIGINT) AS dow, "
-            "CAST(COUNT(*) AS BIGINT) AS n_days, "
-            "CAST(SUM(c) AS BIGINT) AS n_events, "
-            "ROUND((CAST(SUM(c) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE)) "
-            "/ (t.tot_c / t.tot_d), 6) AS seasonal_index "
-            "FROM d, t GROUP BY dow, t.tot_c, t.tot_d"
-        ),
-        "q_cusum_changepoint": (
-            # CUSUM mean-shift estimator: argmax_t<n |cumsum(c) - t*mean|
-            # per event type; float expression order pinned to the
-            # pipeline (cum and totals as exact ints, one double cast
-            # per term, ties -> earliest day)
-            "WITH d AS (SELECT event_type, "
-            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "tm AS (SELECT event_type, "
-            "CAST(SUM(c) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS mean, "
-            "SUM(c) AS tot, COUNT(*) AS n FROM d GROUP BY 1), "
-            "s AS (SELECT event_type, day, "
-            "SUM(c) OVER w AS cum, row_number() OVER w AS rn "
-            "FROM d WINDOW w AS (PARTITION BY event_type ORDER BY day)), "
-            "dev AS (SELECT s.event_type, s.day, s.rn, s.cum, tm.n, tm.tot, "
-            "abs(CAST(s.cum AS DOUBLE) - CAST(s.rn AS DOUBLE) * tm.mean) "
-            "AS adev FROM s JOIN tm ON s.event_type = tm.event_type "
-            "WHERE s.rn < tm.n), "
-            "best AS (SELECT *, row_number() OVER (PARTITION BY event_type "
-            "ORDER BY adev DESC, day) AS rk FROM dev) "
-            "SELECT event_type, day AS change_day, "
-            "ROUND(adev, 6) AS cusum_stat, "
-            "ROUND(CAST(cum AS DOUBLE) / CAST(rn AS DOUBLE), 6) "
-            "AS mean_before, "
-            "ROUND(CAST(tot - cum AS DOUBLE) / CAST(n - rn AS DOUBLE), 6) "
-            "AS mean_after, CAST(n AS BIGINT) AS n_days "
-            "FROM best WHERE rk = 1 ORDER BY event_type"
-        ),
-        "q_ab_test_zscore": (
-            # pooled two-proportion z-test; arm = user_id % 2,
-            # converted iff >= 1 purchase event; counts exact ints
-            # until the final divisions (same order as the pipeline)
-            "WITH u AS (SELECT user_id, CAST(user_id % 2 AS BIGINT) "
-            "AS arm, MAX(CASE WHEN event_type = 'purchase' THEN 1 "
-            "ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "a AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS c_a, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS c_b FROM a) "
-            "SELECT n_a, n_b, c_a AS conv_a, c_b AS conv_b, "
-            "ROUND(CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS p_a, "
-            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE), 6) AS p_b, "
-            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
-            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS lift, "
-            "ROUND(CASE WHEN c_a + c_b = 0 OR c_a + c_b = n_a + n_b "
-            "THEN 0.0 ELSE (CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
-            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE)) "
-            "/ sqrt((CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
-            "* (1.0 - CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
-            "* (1.0 / CAST(n_a AS DOUBLE) + 1.0 / CAST(n_b AS DOUBLE))) "
-            "END, 6) AS z_score FROM w"
-        ),
         "q_anova_f": (
             # one-way ANOVA from per-group moment partials (n, Σx,
             # Σx²); F and eta² are ratios, so the 1e-12 float-fold
@@ -1480,164 +1119,6 @@ def oracle_sql() -> dict[str, str]:
             "+ seb * seb / CAST(nb - 1 AS DOUBLE)), 6) AS df_welch "
             "FROM m WHERE sea + seb > 0"
         ),
-        "q_kendall_tau": (
-            # Mann–Kendall tau-b over the bounded daily series: pair
-            # counts and tie corrections are exact int64; one final
-            # division before the 6-decimal round
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1), "
-            "p AS (SELECT a.c AS ya, b.c AS yb FROM d a JOIN d b "
-            "ON a.day < b.day), "
-            "cd AS (SELECT "
-            "CAST(SUM(CASE WHEN yb > ya THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS conc, "
-            "CAST(SUM(CASE WHEN yb < ya THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS disc, CAST(COUNT(*) AS BIGINT) AS n0 FROM p), "
-            "t AS (SELECT CAST(COALESCE(SUM(cnt * (cnt - 1) / 2), 0) "
-            "AS BIGINT) AS t2 FROM "
-            "(SELECT CAST(COUNT(*) AS BIGINT) AS cnt FROM d GROUP BY c)), "
-            "nd AS (SELECT CAST(COUNT(*) AS BIGINT) AS n_days FROM d) "
-            "SELECT nd.n_days, cd.conc AS n_concordant, "
-            "cd.disc AS n_discordant, "
-            "ROUND(CAST(cd.conc - cd.disc AS DOUBLE) "
-            "/ SQRT(CAST(cd.n0 AS DOUBLE) "
-            "* CAST(cd.n0 - t.t2 AS DOUBLE)), 6) AS tau_b "
-            "FROM cd, t, nd "
-            "WHERE nd.n_days >= 2 "
-            "AND CAST(cd.n0 AS DOUBLE) * CAST(cd.n0 - t.t2 AS DOUBLE) > 0"
-        ),
-        "q_xcorr_daily": (
-            # Pearson at each lag from exact int64 moment sums over
-            # observed day pairs exactly `lag` calendar days apart —
-            # the close is bitwise on both sides
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "event_type, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "WHERE event_type IN ('view', 'purchase') GROUP BY 1, 2), "
-            "v AS (SELECT day, c FROM d WHERE event_type = 'view'), "
-            "p AS (SELECT day, c FROM d WHERE event_type = 'purchase'), "
-            "l AS (SELECT unnest([-3, -2, -1, 0, 1, 2, 3]) AS lag), "
-            "j AS (SELECT l.lag, v.c AS x, p.c AS y "
-            "FROM l JOIN v ON TRUE "
-            "JOIN p ON date_diff('day', v.day, p.day) = l.lag), "
-            "s AS (SELECT lag, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(x) AS DOUBLE) AS sx, "
-            "CAST(SUM(y) AS DOUBLE) AS sy, "
-            "CAST(SUM(x * x) AS DOUBLE) AS sxx, "
-            "CAST(SUM(y * y) AS DOUBLE) AS syy, "
-            "CAST(SUM(x * y) AS DOUBLE) AS sxy "
-            "FROM j GROUP BY 1) "
-            "SELECT CAST(lag AS BIGINT) AS lag, n AS n_pairs, "
-            "ROUND((CAST(n AS DOUBLE) * sxy - sx * sy) "
-            "/ (SQRT(CAST(n AS DOUBLE) * sxx - sx * sx) "
-            "* SQRT(CAST(n AS DOUBLE) * syy - sy * sy)), 6) AS xcorr "
-            "FROM s WHERE n >= 2 "
-            "AND CAST(n AS DOUBLE) * sxx - sx * sx > 0.0 "
-            "AND CAST(n AS DOUBLE) * syy - sy * sy > 0.0 ORDER BY lag"
-        ),
-        "q_durbin_watson": (
-            # DW over per-type daily-count OLS residuals, closed from
-            # exact int64 moments of (x=epoch day, y=count) and their
-            # consecutive-row diffs — residuals never materialize, so
-            # the float expression (identical nesting on both sides)
-            # sees the SAME integers and matches bitwise
-            "WITH d AS (SELECT event_type, date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "xy AS (SELECT event_type, day, "
-            "CAST(date_diff('day', DATE '1970-01-01', day) AS BIGINT) AS x, "
-            "c AS y FROM d), "
-            "df AS (SELECT event_type, x, y, "
-            "x - lag(x) OVER (PARTITION BY event_type ORDER BY day) AS dx, "
-            "y - lag(y) OVER (PARTITION BY event_type ORDER BY day) AS dy "
-            "FROM xy), "
-            "m AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_days, "
-            "CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(x) AS DOUBLE) AS sx, CAST(SUM(y) AS DOUBLE) AS sy, "
-            "CAST(SUM(x * x) AS DOUBLE) AS sxx, "
-            "CAST(SUM(x * y) AS DOUBLE) AS sxy, "
-            "CAST(SUM(y * y) AS DOUBLE) AS syy, "
-            "CAST(SUM(dx * dx) AS DOUBLE) AS sdxx, "
-            "CAST(SUM(dy * dx) AS DOUBLE) AS sdyx, "
-            "CAST(SUM(dy * dy) AS DOUBLE) AS sdyy "
-            "FROM df GROUP BY 1), "
-            "co AS (SELECT *, "
-            "(n * sxy - sx * sy) / (n * sxx - sx * sx) AS b FROM m "
-            "WHERE n_days >= 3 AND n * sxx - sx * sx > 0.0), "
-            "co2 AS (SELECT *, (sy - b * sx) / n AS a FROM co) "
-            "SELECT event_type, n_days, "
-            "ROUND((sdyy - 2.0 * b * sdyx + b * b * sdxx) "
-            "/ (syy - 2.0 * a * sy - 2.0 * b * sxy + n * a * a "
-            "+ 2.0 * a * b * sx + b * b * sxx), 6) AS dw "
-            "FROM co2 WHERE syy - 2.0 * a * sy - 2.0 * b * sxy "
-            "+ n * a * a + 2.0 * a * b * sx + b * b * sxx > 0.0 "
-            "ORDER BY event_type"
-        ),
-        "q_pacf_daily": (
-            # Durbin-Levinson from biased autocovariances; c_k expands
-            # to integer lag-moment sums so only ȳ is float — identical
-            # expression nesting on both sides
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS y FROM events GROUP BY 1), "
-            "l AS (SELECT y, lag(y, 1) OVER (ORDER BY day) AS y1, "
-            "lag(y, 2) OVER (ORDER BY day) AS y2, "
-            "lag(y, 3) OVER (ORDER BY day) AS y3 FROM d), "
-            "m AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(y) AS DOUBLE) AS sy, "
-            "CAST(SUM(y * y) AS DOUBLE) AS syy, "
-            "CAST(SUM(y * y1) AS DOUBLE) AS p1, "
-            "CAST(SUM(CASE WHEN y1 IS NOT NULL THEN y END) AS DOUBLE) AS a1, "
-            "CAST(SUM(y1) AS DOUBLE) AS b1, "
-            "CAST(COUNT(y1) AS DOUBLE) AS n1, "
-            "CAST(SUM(y * y2) AS DOUBLE) AS p2, "
-            "CAST(SUM(CASE WHEN y2 IS NOT NULL THEN y END) AS DOUBLE) AS a2, "
-            "CAST(SUM(y2) AS DOUBLE) AS b2, "
-            "CAST(COUNT(y2) AS DOUBLE) AS n2, "
-            "CAST(SUM(y * y3) AS DOUBLE) AS p3, "
-            "CAST(SUM(CASE WHEN y3 IS NOT NULL THEN y END) AS DOUBLE) AS a3, "
-            "CAST(SUM(y3) AS DOUBLE) AS b3, "
-            "CAST(COUNT(y3) AS DOUBLE) AS n3 "
-            "FROM l), "
-            "mu AS (SELECT *, sy / n AS mu FROM m WHERE n >= 4), "
-            "c AS (SELECT n, "
-            "syy - 2.0 * mu * sy + n * mu * mu AS c0, "
-            "p1 - mu * (a1 + b1) + n1 * mu * mu AS c1, "
-            "p2 - mu * (a2 + b2) + n2 * mu * mu AS c2, "
-            "p3 - mu * (a3 + b3) + n3 * mu * mu AS c3 FROM mu), "
-            "r AS (SELECT c1 / c0 AS r1, c2 / c0 AS r2, c3 / c0 AS r3 "
-            "FROM c WHERE c0 > 0.0), "
-            "p22 AS (SELECT *, (r2 - r1 * r1) / (1.0 - r1 * r1) AS phi22 "
-            "FROM r WHERE 1.0 - r1 * r1 > 0.0), "
-            "p21 AS (SELECT *, r1 - phi22 * r1 AS phi21 FROM p22) "
-            "SELECT CAST(1 AS BIGINT) AS lag, ROUND(r1, 6) AS pacf FROM r "
-            "UNION ALL "
-            "SELECT CAST(2 AS BIGINT), ROUND(phi22, 6) FROM p22 "
-            "UNION ALL "
-            "SELECT CAST(3 AS BIGINT), "
-            "ROUND((r3 - phi21 * r2 - phi22 * r1) "
-            "/ (1.0 - phi21 * r1 - phi22 * r2), 6) FROM p21 "
-            "WHERE 1.0 - phi21 * r1 - phi22 * r2 > 0.0 "
-            "ORDER BY lag"
-        ),
-        "q_weekly_spectral": (
-            # single-frequency DFT projection at 1/7 cycles/day over
-            # the mean-centered bounded daily series; t is the calendar
-            # offset so gaps keep their true phase
-            "WITH d AS (SELECT date_trunc('day', ts) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1), "
-            "mn AS (SELECT MIN(day) AS d0, CAST(COUNT(*) AS BIGINT) "
-            "AS n, CAST(SUM(c) AS BIGINT) AS sc FROM d), "
-            "p AS (SELECT CAST(date_diff('day', mn.d0, d.day) "
-            "AS DOUBLE) AS t, CAST(c AS DOUBLE) "
-            "- CAST(mn.sc AS DOUBLE) / CAST(mn.n AS DOUBLE) AS x "
-            "FROM d, mn), "
-            "s AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(x * COS(2.0 * PI() * t / 7.0)) AS a, "
-            "SUM(x * SIN(2.0 * PI() * t / 7.0)) AS b, "
-            "SUM(x * x) AS ss FROM p) "
-            "SELECT n AS n_days, "
-            "ROUND(2.0 * (a * a + b * b) "
-            "/ (CAST(n AS DOUBLE) * ss), 6) AS weekly_power "
-            "FROM s WHERE n >= 2 AND ss > 0.0"
-        ),
         "q_heaps_law": (
             # log-log OLS over per-doc (tokens, distinct tokens);
             # tokenizer regex shared verbatim; raw-moment close with
@@ -1659,20 +1140,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM m WHERE n >= 2 AND nf * sxx - sx * sx <> 0.0) "
             "SELECT n AS n_docs, ROUND(beta, 6) AS heaps_beta, "
             "ROUND(EXP((sy - beta * sx) / nf), 6) AS heaps_k FROM b"
-        ),
-        "q_user_event_entropy": (
-            # H = ln(n) - (Σ c·ln c)/n from the same per-(user,type)
-            # integer counts; a single-type user cancels to exactly 0.0
-            # in both engines
-            "WITH c AS (SELECT user_id, event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS cnt FROM events GROUP BY 1, 2), "
-            "u AS (SELECT user_id, CAST(SUM(cnt) AS BIGINT) AS n, "
-            "CAST(COUNT(*) AS BIGINT) AS k, "
-            "SUM(CAST(cnt AS DOUBLE) * LN(CAST(cnt AS DOUBLE))) AS s "
-            "FROM c GROUP BY 1) "
-            "SELECT user_id, n AS n_events, k AS n_types, "
-            "ROUND(LN(CAST(n AS DOUBLE)) - s / CAST(n AS DOUBLE), 6) "
-            "AS entropy FROM u"
         ),
         "q_skew_kurtosis": (
             # third/fourth-moment statistics from the same raw-moment
@@ -1845,166 +1312,10 @@ def oracle_sql() -> dict[str, str]:
             "JOIN cc ON cc.source = s.source AND cc.v = s.quality_score "
             "JOIN t ON t.source = s.source"
         ),
-        "q_user_burstiness": (
-            # inter-arrival CV per user from moment partials — the
-            # same (non-Welford) formula order as the pipeline;
-            # GREATEST clamps the constant-gap cancellation
-            "WITH d AS (SELECT user_id, "
-            "date_diff('microsecond', lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id), ts) "
-            "AS g_us FROM events), "
-            "a AS (SELECT user_id, CAST(COUNT(g_us) AS BIGINT) AS n, "
-            "CAST(SUM(g_us) AS BIGINT) AS s_us, "
-            "SUM((CAST(g_us AS DOUBLE) / 1000000.0) "
-            "* (CAST(g_us AS DOUBLE) / 1000000.0)) AS ss "
-            "FROM d GROUP BY 1) "
-            "SELECT user_id, n + 1 AS n_events, "
-            "ROUND(CAST(s_us AS DOUBLE) / 1000000.0 "
-            "/ CAST(n AS DOUBLE), 6) AS mean_gap_s, "
-            "ROUND(CASE WHEN s_us = 0 THEN 0.0 ELSE "
-            "SQRT(GREATEST((ss - (CAST(s_us AS DOUBLE) / 1000000.0) "
-            "* (CAST(s_us AS DOUBLE) / 1000000.0) / CAST(n AS DOUBLE)) "
-            "/ (CAST(n AS DOUBLE) - 1.0), 0.0)) "
-            "/ (CAST(s_us AS DOUBLE) / 1000000.0 / CAST(n AS DOUBLE)) "
-            "END, 6) AS cv_gap FROM a WHERE n >= 2"
-        ),
-        "q_seasonal_decompose": (
-            # classical additive decomposition on the gapfilled daily
-            # grid: centered 7-day MA trend (full windows only),
-            # day-of-week seasonal means of the detrended series,
-            # residual = x - trend - seasonal; isodow-1 == pandas
-            # dayofweek (Monday=0)
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT grid.day, COALESCE(d.c, 0) AS c FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "w AS (SELECT day, c, "
-            "CAST(SUM(c) OVER win AS DOUBLE) / 7.0 AS trend, "
-            "COUNT(*) OVER win AS wn FROM g WINDOW win AS "
-            "(ORDER BY day ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING)), "
-            "f AS (SELECT day, c, trend, "
-            "CAST(c AS DOUBLE) - trend AS det, "
-            "isodow(day) - 1 AS dow FROM w WHERE wn = 7), "
-            "s AS (SELECT dow, SUM(det) / COUNT(*) AS seas "
-            "FROM f GROUP BY 1) "
-            "SELECT f.day, f.c AS cnt, ROUND(f.trend, 6) AS trend, "
-            "ROUND(s.seas, 6) AS seasonal, "
-            "ROUND(CAST(f.c AS DOUBLE) - f.trend - s.seas, 6) "
-            "AS residual FROM f JOIN s USING (dow) ORDER BY f.day"
-        ),
-        "q_holt_linear": (
-            # Holt double exponential smoothing replayed as a recursive
-            # CTE over the gapfilled daily grid; float literal order
-            # identical to the pipeline loop (alpha=0.5, beta=0.3)
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "h(rn, day, c, s, b) AS ("
-            "  SELECT g1.rn, g1.day, g1.c, CAST(g1.c AS DOUBLE), "
-            "  CAST(g2.c - g1.c AS DOUBLE) "
-            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
-            "  UNION ALL"
-            "  SELECT g.rn, g.day, g.c, "
-            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
-            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
-            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
-            "  FROM g JOIN h ON g.rn = h.rn + 1) "
-            "SELECT day, c AS cnt, ROUND(s, 6) AS level, "
-            "ROUND(b, 6) AS trend_rate FROM h ORDER BY day"
-        ),
-        "q_holt_winters": (
-            # Holt-Winters additive smoothing replayed as a recursive
-            # CTE carrying the 7-slot seasonal buffer as a DOUBLE[]
-            # list; init sums exact ints; float literal order matches
-            # the pipeline loop (alpha=0.5, beta=0.3, gamma=0.2);
-            # anchor requires a full second season (rn=14 exists)
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "init AS (SELECT "
-            "(SELECT SUM(c) FROM g WHERE rn <= 7) AS sum1, "
-            "(SELECT SUM(c) FROM g WHERE rn > 7 AND rn <= 14) AS sum2, "
-            "(SELECT list(CAST(c AS DOUBLE) ORDER BY rn) FROM g "
-            "WHERE rn <= 7) AS xs), "
-            "h(rn, day, c, l, b, se, buf) AS ("
-            "  SELECT g.rn, g.day, g.c, "
-            "  CAST(i.sum1 AS DOUBLE) / 7.0, "
-            "  (CAST(i.sum2 AS DOUBLE) / 7.0 "
-            "- CAST(i.sum1 AS DOUBLE) / 7.0) / 7.0, "
-            "  CAST(NULL AS DOUBLE), "
-            "  list_transform(i.xs, "
-            "v -> v - CAST(i.sum1 AS DOUBLE) / 7.0) "
-            "  FROM g, init i WHERE g.rn = 7 "
-            "  AND EXISTS (SELECT 1 FROM g WHERE rn = 14)"
-            "  UNION ALL"
-            "  SELECT g.rn, g.day, g.c, "
-            "  0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b), "
-            "  0.3 * ((0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b)) - h.l) + (1.0 - 0.3) * h.b, "
-            "  0.2 * (CAST(g.c AS DOUBLE) "
-            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1], "
-            "  list_append(h.buf[2:7], "
-            "  0.2 * (CAST(g.c AS DOUBLE) "
-            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1]) "
-            "  FROM g JOIN h ON g.rn = h.rn + 1) "
-            "SELECT day, c AS cnt, ROUND(l, 6) AS level, "
-            "ROUND(b, 6) AS trend_rate, ROUND(se, 6) AS seasonal "
-            "FROM h WHERE rn > 7 ORDER BY day"
-        ),
-        "q_ewma_value": (
-            # prefix-sum closed form of s_t = 0.1·x_t + 0.9·s_{t-1},
-            # s_1 = x_1 — the IDENTICAL float expression the Ray kernel
-            # evaluates (same literals, same op order)
-            "WITH s AS (SELECT user_id, event_id, ts, value, "
-            "CAST(ROW_NUMBER() OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS DOUBLE) AS r FROM events), "
-            "u AS (SELECT *, value * POWER(0.9, -r) AS ut FROM s), "
-            "c AS (SELECT user_id, event_id, ts, value, r, "
-            "SUM(ut) OVER (PARTITION BY user_id ORDER BY r) AS cum, "
-            "FIRST_VALUE(ut) OVER (PARTITION BY user_id ORDER BY r) AS u1, "
-            "FIRST_VALUE(value) OVER (PARTITION BY user_id ORDER BY r) "
-            "AS x1 FROM u) "
-            "SELECT user_id, event_id, ts, value, "
-            "ROUND(POWER(0.9, r) * (0.1 * (cum - u1) + x1 / 0.9), 6) "
-            "AS ewma FROM c"
-        ),
-        "q_rolling_avg_value": (
-            "SELECT user_id, event_id, ts, "
-            "ROUND(AVG(value) OVER (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN 6 PRECEDING AND CURRENT ROW), 6) AS avg7_value "
-            "FROM events"
-        ),
         "q_customer_name_ids": (
             "SELECT c_custkey, "
             "CAST(regexp_extract(c_name, '#(\\d+)', 1) AS BIGINT) AS name_id "
             "FROM customer"
-        ),
-        "q_late_events": (
-            "SELECT event_id, ts, "
-            "MAX(ts) OVER w AS watermark, "
-            "(ts < MAX(ts) OVER w - INTERVAL 5 MINUTE) AS late "
-            "FROM events WINDOW w AS (ORDER BY event_id ROWS UNBOUNDED PRECEDING)"
         ),
         "q_doc_length_zscore": (
             "SELECT doc_id, source, "
@@ -2287,68 +1598,6 @@ def oracle_sql() -> dict[str, str]:
             "(d.n_chars < a.med - 3.0 * a.mad "
             "OR d.n_chars > a.med + 3.0 * a.mad) AS is_outlier "
             "FROM documents d JOIN mad a ON d.source = a.source"
-        ),
-        "q_association_rules": (
-            "WITH p AS (SELECT DISTINCT user_id, event_type FROM events), "
-            "t AS (SELECT event_type, CAST(COUNT(*) AS DOUBLE) AS nt "
-            "FROM p GROUP BY 1), "
-            "u AS (SELECT CAST(COUNT(DISTINCT user_id) AS DOUBLE) AS nu "
-            "FROM p), "
-            "co AS (SELECT a.event_type AS x, b.event_type AS y, "
-            "CAST(COUNT(*) AS BIGINT) AS s FROM p a "
-            "JOIN p b ON a.user_id = b.user_id "
-            "AND a.event_type <> b.event_type GROUP BY 1, 2) "
-            "SELECT co.x AS antecedent, co.y AS consequent, "
-            "co.s AS support_users, ROUND(co.s / ta.nt, 6) AS confidence, "
-            "ROUND((co.s / u.nu) / ((ta.nt / u.nu) * (tb.nt / u.nu)), 6) "
-            "AS lift FROM co JOIN t ta ON co.x = ta.event_type "
-            "JOIN t tb ON co.y = tb.event_type CROSS JOIN u"
-        ),
-        "q_event_streaks": (
-            "WITH s AS (SELECT user_id, event_type, ts, event_id, "
-            "CASE WHEN LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) IS DISTINCT FROM event_type "
-            "THEN 1 ELSE 0 END AS brk FROM events), "
-            "g AS (SELECT user_id, event_type, "
-            "SUM(brk) OVER (PARTITION BY user_id ORDER BY ts, event_id) "
-            "AS grp FROM s), "
-            "r AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) "
-            "AS streak_len FROM g GROUP BY user_id, event_type, grp) "
-            "SELECT event_type, streak_len, "
-            "CAST(COUNT(*) AS BIGINT) AS n_streaks FROM r GROUP BY 1, 2"
-        ),
-        "q_cohort_retention_matrix": (
-            "WITH w AS (SELECT DISTINCT user_id, "
-            "CAST(date_trunc('week', ts) AS TIMESTAMP) AS week "
-            "FROM events), "
-            "f AS (SELECT user_id, MIN(week) AS cohort_week "
-            "FROM w GROUP BY 1) "
-            "SELECT f.cohort_week, "
-            "CAST((epoch(w.week) - epoch(f.cohort_week)) / (7 * 86400) "
-            "AS BIGINT) AS week_offset, "
-            "CAST(COUNT(*) AS BIGINT) AS n_users "
-            "FROM w JOIN f USING (user_id) GROUP BY 1, 2"
-        ),
-        "q_three_step_funnel": (
-            "WITH v AS (SELECT user_id, MIN(ts) AS t1 FROM events "
-            "WHERE event_type = 'view' GROUP BY 1), "
-            "c AS (SELECT e.user_id, MIN(e.ts) AS t2 FROM events e "
-            "JOIN v ON e.user_id = v.user_id AND e.ts > v.t1 "
-            "WHERE e.event_type = 'click' GROUP BY 1), "
-            "p AS (SELECT e.user_id FROM events e "
-            "JOIN c ON e.user_id = c.user_id AND e.ts > c.t2 "
-            "WHERE e.event_type = 'purchase' GROUP BY e.user_id) "
-            "SELECT CAST((SELECT COUNT(*) FROM v) AS BIGINT) AS n_step1, "
-            "CAST((SELECT COUNT(*) FROM c) AS BIGINT) AS n_step2, "
-            "CAST((SELECT COUNT(*) FROM p) AS BIGINT) AS n_step3"
-        ),
-        "q_event_type_cooccurrence": (
-            "WITH p AS (SELECT DISTINCT user_id, event_type FROM events) "
-            "SELECT a.event_type AS event_type_a, "
-            "b.event_type AS event_type_b, "
-            "CAST(COUNT(*) AS BIGINT) AS n_users "
-            "FROM p a JOIN p b ON a.user_id = b.user_id "
-            "AND a.event_type < b.event_type GROUP BY 1, 2"
         ),
         "q_mad_lengths": (
             "WITH med AS (SELECT source, percentile_cont(0.5) "
@@ -2905,35 +2154,11 @@ def oracle_sql() -> dict[str, str]:
             "ORDER BY doc_id)) AS checksum "
             "FROM f GROUP BY part"
         ),
-        "q_value_percent_rank": (
-            "SELECT event_id, value, ROUND(percent_rank() OVER ("
-            "ORDER BY value, event_id), 6) AS pct_rank FROM events"
-        ),
-        "q_cumulative_new_users": (
-            "WITH f AS (SELECT user_id, "
-            "MIN(CAST(date_trunc('day', ts) AS TIMESTAMP)) AS day "
-            "FROM events GROUP BY 1), "
-            "d AS (SELECT day, CAST(COUNT(*) AS BIGINT) AS new_users "
-            "FROM f GROUP BY 1) "
-            "SELECT day, new_users, "
-            "CAST(SUM(new_users) OVER (ORDER BY day) AS BIGINT) "
-            "AS cum_users FROM d"
-        ),
-        "q_incremental_daily_counts": (
-            "SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS n_events FROM events GROUP BY 1"
-        ),
         "q_bloom_pruned_join": (
             "SELECT l.l_orderkey AS o_orderkey, l.l_extendedprice, "
             "o.o_totalprice FROM lineitem l "
             "JOIN orders o ON l.l_orderkey = o.o_orderkey "
             "WHERE o.o_totalprice > 450000.0"
-        ),
-        "q_trailing_hour_sum": (
-            "SELECT event_id, user_id, ts, "
-            "ROUND(SUM(value) OVER (PARTITION BY user_id ORDER BY ts "
-            "RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW), 6) "
-            "AS trailing_sum FROM events"
         ),
         "q_corpus_report": (
             "WITH q AS (SELECT doc_id, source, lang, "
@@ -3015,15 +2240,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(COUNT(*) FILTER (WHERE v IS NULL) AS BIGINT) AS n_null "
             "FROM t GROUP BY 1"
         ),
-        "q_time_to_convert": (
-            "WITH f AS (SELECT user_id, "
-            "MIN(ts) FILTER (WHERE event_type = 'view') AS fv, "
-            "MIN(ts) FILTER (WHERE event_type = 'purchase') AS fp "
-            "FROM events GROUP BY 1) "
-            "SELECT user_id, ROUND(CAST(date_diff('microsecond', fv, fp) "
-            "AS DOUBLE) / 1e6, 6) AS secs_to_convert FROM f "
-            "WHERE fv IS NOT NULL AND fp IS NOT NULL AND fp >= fv"
-        ),
         "q_order_gap_days": (
             "WITH g AS (SELECT o_custkey, CAST(date_diff('microsecond', "
             "LAG(o_orderdate) OVER (PARTITION BY o_custkey "
@@ -3096,6 +2312,271 @@ def oracle_sql() -> dict[str, str]:
             "SELECT per.event_type AS touch_type, "
             "ROUND(SUM(per.wt / sz.n), 6) AS credit "
             "FROM per JOIN sz USING (pid) GROUP BY 1"
+        ),
+        "q_scd2_intervals": (
+            "WITH o AS (SELECT user_id, ts, event_id, event_type, "
+            "LAG(event_type) OVER (PARTITION BY user_id "
+            "ORDER BY ts, event_id) AS prev FROM events), "
+            "s AS (SELECT user_id, ts AS valid_from, event_id, event_type "
+            "FROM o WHERE prev IS NULL OR prev <> event_type) "
+            "SELECT user_id, event_type, valid_from, "
+            "LEAD(valid_from) OVER (PARTITION BY user_id "
+            "ORDER BY valid_from, event_id) AS valid_to FROM s"
+        ),
+        "q_ab_test_zscore": (
+            # pooled two-proportion z-test; arm = user_id % 2,
+            # converted iff >= 1 purchase event; counts exact ints
+            # until the final divisions (same order as the pipeline)
+            "WITH u AS (SELECT user_id, CAST(user_id % 2 AS BIGINT) "
+            "AS arm, MAX(CASE WHEN event_type = 'purchase' THEN 1 "
+            "ELSE 0 END) AS conv FROM events GROUP BY 1), "
+            "a AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
+            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
+            "w AS (SELECT "
+            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
+            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
+            "MAX(CASE WHEN arm = 0 THEN c END) AS c_a, "
+            "MAX(CASE WHEN arm = 1 THEN c END) AS c_b FROM a) "
+            "SELECT n_a, n_b, c_a AS conv_a, c_b AS conv_b, "
+            "ROUND(CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS p_a, "
+            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE), 6) AS p_b, "
+            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
+            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS lift, "
+            "ROUND(CASE WHEN c_a + c_b = 0 OR c_a + c_b = n_a + n_b "
+            "THEN 0.0 ELSE (CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
+            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE)) "
+            "/ sqrt((CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
+            "* (1.0 - CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
+            "* (1.0 / CAST(n_a AS DOUBLE) + 1.0 / CAST(n_b AS DOUBLE))) "
+            "END, 6) AS z_score FROM w"
+        ),
+        "q_mcnemar": (
+            # paired conversion between stream halves (midpoint-ts
+            # split); only discordant users count; all-int until the
+            # final division
+            "WITH bd AS (SELECT CAST(MIN(epoch_us(ts)) AS BIGINT) "
+            "AS tmin, CAST(MAX(epoch_us(ts)) AS BIGINT) AS tmax "
+            "FROM events), "
+            "u AS (SELECT user_id, "
+            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
+            "< bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
+            "AS c0, "
+            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
+            ">= bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
+            "AS c1 FROM events, bd GROUP BY 1), "
+            "a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
+            "CAST(SUM(CASE WHEN c0 = 1 AND c1 = 0 THEN 1 ELSE 0 END) "
+            "AS BIGINT) AS b, "
+            "CAST(SUM(CASE WHEN c0 = 0 AND c1 = 1 THEN 1 ELSE 0 END) "
+            "AS BIGINT) AS c FROM u) "
+            "SELECT n AS n_users, b AS b_first_only, "
+            "c AS c_second_only, "
+            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
+            "ROUND(CAST((b - c) * (b - c) AS DOUBLE) "
+            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_stat, "
+            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
+            "ROUND(CAST((abs(b - c) - 1) * (abs(b - c) - 1) AS DOUBLE) "
+            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_cc FROM a"
+        ),
+        "q_fisher_exact": (
+            # one-sided hypergeometric tail P(X >= a) via lgamma over
+            # generate_series; same per-user MAX fold as the z-test
+            "WITH u AS (SELECT user_id, "
+            "CAST(user_id % 2 AS BIGINT) AS arm, "
+            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
+            "AS conv FROM events GROUP BY 1), "
+            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
+            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
+            "w AS (SELECT "
+            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
+            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
+            "MAX(CASE WHEN arm = 0 THEN c END) AS a, "
+            "MAX(CASE WHEN arm = 1 THEN c END) AS c FROM ar), "
+            "m AS (SELECT n_a, n_b, a, c, n_a + n_b AS n, "
+            "n_a AS r1, a + c AS c1, n_a - a AS b, n_b - c AS d "
+            "FROM w), "
+            "ks AS (SELECT m.*, unnest(generate_series(m.a, "
+            "LEAST(m.r1, m.c1))) AS k FROM m), "
+            "tp AS (SELECT n_a, n_b, a, c, b, d, "
+            "exp(lgamma(r1 + 1) - lgamma(k + 1) "
+            "- lgamma(r1 - k + 1) + lgamma(n - r1 + 1) "
+            "- lgamma(c1 - k + 1) - lgamma(n - r1 - c1 + k + 1) "
+            "- (lgamma(n + 1) - lgamma(c1 + 1) "
+            "- lgamma(n - c1 + 1))) AS pk "
+            "FROM ks WHERE c1 - k <= n - r1) "
+            "SELECT n_a, n_b, a AS conv_a, c AS conv_b, "
+            "CASE WHEN b * c = 0 THEN NULL ELSE "
+            "ROUND(CAST(a * d AS DOUBLE) / CAST(b * c AS DOUBLE), 6) "
+            "END AS odds_ratio, "
+            "ROUND(SUM(pk), 6) AS p_one_sided "
+            "FROM tp GROUP BY 1, 2, 3, 4, 5"
+        ),
+        "q_bayes_ab": (
+            # P(p_B > p_A) under Beta(1,1) priors — Evan Miller's exact
+            # sum via lgamma over generate_series; same per-user fold
+            "WITH u AS (SELECT user_id, "
+            "CAST(user_id % 2 AS BIGINT) AS arm, "
+            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
+            "AS conv FROM events GROUP BY 1), "
+            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
+            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
+            "w AS (SELECT "
+            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
+            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
+            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
+            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
+            "m AS (SELECT n_a, n_b, ca, cb, "
+            "ca + 1 AS aa, n_a - ca + 1 AS ba, "
+            "cb + 1 AS ab, n_b - cb + 1 AS bb FROM w), "
+            "ks AS (SELECT m.*, unnest(generate_series(0, m.ab - 1)) "
+            "AS i FROM m), "
+            "tp AS (SELECT n_a, n_b, ca, cb, "
+            "exp((lgamma(aa + i) + lgamma(ba + bb) "
+            "- lgamma(aa + i + ba + bb)) - ln(bb + i) "
+            "- (lgamma(1 + i) + lgamma(bb) - lgamma(1 + i + bb)) "
+            "- (lgamma(aa) + lgamma(ba) - lgamma(aa + ba))) AS pk "
+            "FROM ks) "
+            "SELECT n_a, n_b, ca AS conv_a, cb AS conv_b, "
+            "ROUND(SUM(pk), 6) AS p_b_beats_a "
+            "FROM tp GROUP BY 1, 2, 3, 4"
+        ),
+        "q_power_analysis": (
+            # required n/arm for the observed lift at alpha=.05, 80%
+            # power; z quantiles pinned as the same literals
+            "WITH u AS (SELECT user_id, "
+            "CAST(user_id % 2 AS BIGINT) AS arm, "
+            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
+            "AS conv FROM events GROUP BY 1), "
+            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
+            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
+            "w AS (SELECT "
+            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
+            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
+            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
+            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
+            "p AS (SELECT n_a, n_b, "
+            "CAST(ca AS DOUBLE) / CAST(n_a AS DOUBLE) AS pa, "
+            "CAST(cb AS DOUBLE) / CAST(n_b AS DOUBLE) AS pb FROM w) "
+            "SELECT n_a, n_b, ROUND(pa, 6) AS p_a, "
+            "ROUND(pb, 6) AS p_b, "
+            "CASE WHEN pb - pa = 0.0 THEN NULL ELSE "
+            "ROUND((1.959964 + 0.841621) * (1.959964 + 0.841621) "
+            "* (pa * (1.0 - pa) + pb * (1.0 - pb)) "
+            "/ ((pb - pa) * (pb - pa)), 6) END "
+            "AS n_required_per_arm FROM p"
+        ),
+        "q_holt_linear": (
+            # Holt double exponential smoothing replayed as a recursive
+            # CTE over the gapfilled daily grid; float literal order
+            # identical to the pipeline loop (alpha=0.5, beta=0.3)
+            "WITH RECURSIVE "
+            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
+            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
+            "GROUP BY 1), "
+            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
+            "grid AS (SELECT unnest(generate_series(lo, hi, "
+            "INTERVAL 1 DAY)) AS day FROM bounds), "
+            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
+            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
+            "LEFT JOIN d USING (day)), "
+            "h(rn, day, c, s, b) AS ("
+            "  SELECT g1.rn, g1.day, g1.c, CAST(g1.c AS DOUBLE), "
+            "  CAST(g2.c - g1.c AS DOUBLE) "
+            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
+            "  UNION ALL"
+            "  SELECT g.rn, g.day, g.c, "
+            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
+            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
+            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
+            "  FROM g JOIN h ON g.rn = h.rn + 1) "
+            "SELECT day, c AS cnt, ROUND(s, 6) AS level, "
+            "ROUND(b, 6) AS trend_rate FROM h ORDER BY day"
+        ),
+        "q_holt_winters": (
+            # Holt-Winters additive smoothing replayed as a recursive
+            # CTE carrying the 7-slot seasonal buffer as a DOUBLE[]
+            # list; init sums exact ints; float literal order matches
+            # the pipeline loop (alpha=0.5, beta=0.3, gamma=0.2);
+            # anchor requires a full second season (rn=14 exists)
+            "WITH RECURSIVE "
+            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
+            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
+            "GROUP BY 1), "
+            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
+            "grid AS (SELECT unnest(generate_series(lo, hi, "
+            "INTERVAL 1 DAY)) AS day FROM bounds), "
+            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
+            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
+            "LEFT JOIN d USING (day)), "
+            "init AS (SELECT "
+            "(SELECT SUM(c) FROM g WHERE rn <= 7) AS sum1, "
+            "(SELECT SUM(c) FROM g WHERE rn > 7 AND rn <= 14) AS sum2, "
+            "(SELECT list(CAST(c AS DOUBLE) ORDER BY rn) FROM g "
+            "WHERE rn <= 7) AS xs), "
+            "h(rn, day, c, l, b, se, buf) AS ("
+            "  SELECT g.rn, g.day, g.c, "
+            "  CAST(i.sum1 AS DOUBLE) / 7.0, "
+            "  (CAST(i.sum2 AS DOUBLE) / 7.0 "
+            "- CAST(i.sum1 AS DOUBLE) / 7.0) / 7.0, "
+            "  CAST(NULL AS DOUBLE), "
+            "  list_transform(i.xs, "
+            "v -> v - CAST(i.sum1 AS DOUBLE) / 7.0) "
+            "  FROM g, init i WHERE g.rn = 7 "
+            "  AND EXISTS (SELECT 1 FROM g WHERE rn = 14)"
+            "  UNION ALL"
+            "  SELECT g.rn, g.day, g.c, "
+            "  0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
+            "+ (1.0 - 0.5) * (h.l + h.b), "
+            "  0.3 * ((0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
+            "+ (1.0 - 0.5) * (h.l + h.b)) - h.l) + (1.0 - 0.3) * h.b, "
+            "  0.2 * (CAST(g.c AS DOUBLE) "
+            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
+            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1], "
+            "  list_append(h.buf[2:7], "
+            "  0.2 * (CAST(g.c AS DOUBLE) "
+            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
+            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1]) "
+            "  FROM g JOIN h ON g.rn = h.rn + 1) "
+            "SELECT day, c AS cnt, ROUND(l, 6) AS level, "
+            "ROUND(b, 6) AS trend_rate, ROUND(se, 6) AS seasonal "
+            "FROM h WHERE rn > 7 ORDER BY day"
+        ),
+        "q_forecast_backtest": (
+            # Holt one-step forecasts vs naive lag-1 on the gapfilled
+            # grid; the Holt recursion replayed UNROUNDED (the
+            # q_holt_linear CTE), errors join state at rn-1
+            "WITH RECURSIVE "
+            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
+            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
+            "GROUP BY 1), "
+            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
+            "grid AS (SELECT unnest(generate_series(lo, hi, "
+            "INTERVAL 1 DAY)) AS day FROM bounds), "
+            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
+            "COALESCE(d.c, 0) AS c FROM grid LEFT JOIN d USING (day)), "
+            "h(rn, c, s, b) AS ("
+            "  SELECT g1.rn, g1.c, CAST(g1.c AS DOUBLE), "
+            "  CAST(g2.c - g1.c AS DOUBLE) "
+            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
+            "  UNION ALL"
+            "  SELECT g.rn, g.c, "
+            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
+            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
+            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
+            "  FROM g JOIN h ON g.rn = h.rn + 1), "
+            "err AS (SELECT g.rn, "
+            "abs(CAST(g.c AS DOUBLE) - (h.s + h.b)) AS eh, "
+            "abs(CAST(g.c - gp.c AS DOUBLE)) AS en "
+            "FROM g JOIN h ON h.rn = g.rn - 1 "
+            "JOIN g gp ON gp.rn = g.rn - 1 WHERE g.rn >= 3), "
+            "agg AS (SELECT CAST(COUNT(*) AS BIGINT) AS m, "
+            "SUM(eh) / CAST(COUNT(*) AS DOUBLE) AS mh, "
+            "SUM(en) / CAST(COUNT(*) AS DOUBLE) AS mn FROM err) "
+            "SELECT m AS n_forecasts, ROUND(mh, 6) AS mae_holt, "
+            "ROUND(mn, 6) AS mae_naive, "
+            "CASE WHEN mh = 0.0 THEN NULL "
+            "ELSE ROUND(mn / mh, 6) END AS skill_ratio "
+            "FROM agg WHERE m > 0"
         ),
         "q_readability": (
             # Flesch with the pinned word/syllable/sentence regex rules;
@@ -3244,51 +2725,6 @@ def oracle_sql() -> dict[str, str]:
             "AS observed_p, "
             "ROUND(LOG10(1.0 + 1.0 / CAST(digit AS DOUBLE)), 6) "
             "AS expected_p FROM c"
-        ),
-        "q_survival_curve": (
-            # Kaplan-Meier: same ln/exp cumulative float expression as
-            # the pipeline; censored users leave the risk set but are
-            # not deaths
-            "WITH pu AS (SELECT user_id, MIN(ts) AS f, MAX(ts) AS l "
-            "FROM events GROUP BY 1), "
-            "mx AS (SELECT MAX(ts) AS m FROM events), "
-            "lt AS (SELECT CAST(date_diff('microsecond', f, l) "
-            "// 86400000000 AS BIGINT) AS t_day, "
-            "(date_diff('microsecond', l, (SELECT m FROM mx)) "
-            " < 3 * 86400000000) AS censored FROM pu), "
-            "g AS (SELECT t_day, "
-            "SUM(CASE WHEN censored THEN 0 ELSE 1 END) AS d, "
-            "COUNT(*) AS a FROM lt GROUP BY 1), "
-            "w AS (SELECT t_day, d, (SELECT COUNT(*) FROM lt) "
-            "- COALESCE(SUM(a) OVER (ORDER BY t_day "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
-            "AS n_risk FROM g) "
-            "SELECT t_day, CAST(n_risk AS BIGINT) AS n_risk, "
-            "CAST(d AS BIGINT) AS deaths, "
-            "ROUND(EXP(SUM(LN(1.0 - CAST(d AS DOUBLE) "
-            "/ CAST(n_risk AS DOUBLE))) OVER (ORDER BY t_day)), 6) "
-            "AS survival FROM w"
-        ),
-        "q_top_event_paths": (
-            "WITH s AS (SELECT user_id, event_type, "
-            "LAG(event_type, 1) OVER w AS p1, "
-            "LAG(event_type, 2) OVER w AS p2 FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)), "
-            "t AS (SELECT p2 AS e1, p1 AS e2, event_type AS e3, "
-            "CAST(COUNT(*) AS BIGINT) AS n FROM s "
-            "WHERE p2 IS NOT NULL GROUP BY 1, 2, 3) "
-            "SELECT e1, e2, e3, n FROM t "
-            "ORDER BY n DESC, e1, e2, e3 LIMIT 20"
-        ),
-        "q_scd2_intervals": (
-            "WITH o AS (SELECT user_id, ts, event_id, event_type, "
-            "LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS prev FROM events), "
-            "s AS (SELECT user_id, ts AS valid_from, event_id, event_type "
-            "FROM o WHERE prev IS NULL OR prev <> event_type) "
-            "SELECT user_id, event_type, valid_from, "
-            "LEAD(valid_from) OVER (PARTITION BY user_id "
-            "ORDER BY valid_from, event_id) AS valid_to FROM s"
         ),
         "q_snapshot_diff": (
             "WITH base AS (SELECT doc_id, text FROM documents), "
@@ -3517,73 +2953,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM tok JOIN tb ON substr(md5(tok.w), 1, 2) = tb.b "
             "CROSS JOIN tot GROUP BY doc_id"
         ),
-        "q_decayed_user_scores": (
-            "WITH b AS (SELECT MAX(ts) AS t FROM events) "
-            "SELECT user_id, ROUND(SUM(value * EXP(-0.1 * "
-            "(CAST(date_diff('microsecond', ts, b.t) AS DOUBLE) "
-            "/ 86400000000.0))), 6) AS decayed_score "
-            "FROM events, b GROUP BY user_id"
-        ),
-        "q_event_transitions": (
-            "WITH s AS (SELECT user_id, event_type, "
-            "LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS prev FROM events) "
-            "SELECT prev AS prev_type, event_type AS next_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n FROM s "
-            "WHERE prev IS NOT NULL GROUP BY 1, 2"
-        ),
-        "q_markov_next_event": (
-            # composed twin: transition matrix argmax (tie ->
-            # next_type asc) applied to each user's last event
-            "WITH s AS (SELECT user_id, event_type, "
-            "LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS prev FROM events), "
-            "t AS (SELECT prev AS prev_type, event_type AS next_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n FROM s "
-            "WHERE prev IS NOT NULL GROUP BY 1, 2), "
-            "tot AS (SELECT prev_type, SUM(n) AS tot FROM t GROUP BY 1), "
-            "pred AS (SELECT t.prev_type, t.next_type AS pred_next_type, "
-            "ROUND(t.n * 1.0 / tot.tot, 6) AS confidence, "
-            "ROW_NUMBER() OVER (PARTITION BY t.prev_type "
-            "ORDER BY t.n DESC, t.next_type ASC) AS r "
-            "FROM t JOIN tot USING (prev_type)), "
-            "lst AS (SELECT user_id, event_type AS last_type FROM events "
-            "QUALIFY row_number() OVER (PARTITION BY user_id "
-            "ORDER BY ts DESC, event_id DESC) = 1) "
-            "SELECT lst.user_id, lst.last_type, p.pred_next_type, "
-            "p.confidence FROM lst "
-            "JOIN pred p ON p.prev_type = lst.last_type AND p.r = 1"
-        ),
-        "q_daily_counts_gapfilled": (
-            "WITH c AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS n_events "
-            "FROM events GROUP BY 1), "
-            "spine AS (SELECT unnest(generate_series("
-            "(SELECT MIN(day) FROM c), (SELECT MAX(day) FROM c), "
-            "INTERVAL 1 DAY)) AS day) "
-            "SELECT s.day, COALESCE(c.n_events, 0) AS n_events "
-            "FROM spine s LEFT JOIN c USING (day)"
-        ),
-        "q_trailing_week_active": (
-            "WITH p AS (SELECT DISTINCT "
-            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, user_id "
-            "FROM events), "
-            "b AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM p), "
-            "ex AS (SELECT p.day + i * INTERVAL 1 DAY AS report_day, "
-            "p.user_id FROM p, "
-            "(SELECT unnest(generate_series(0, 6)) AS i) t) "
-            "SELECT report_day, CAST(COUNT(DISTINCT user_id) AS BIGINT) "
-            "AS wau FROM ex, b WHERE report_day BETWEEN b.lo AND b.hi "
-            "GROUP BY report_day"
-        ),
-        "q_event_window_ranks": (
-            "SELECT event_id, event_type, value, "
-            "ROW_NUMBER() OVER (PARTITION BY event_type "
-            "ORDER BY value, event_id) AS row_num, "
-            "RANK() OVER (PARTITION BY event_type ORDER BY value) AS rnk, "
-            "DENSE_RANK() OVER (PARTITION BY event_type ORDER BY value) "
-            "AS dense_rnk FROM events"
-        ),
         "q_media_manifest": (
             # the interleave adapter derives spans as a pure function of
             # doc_id (interleave.py:23-42): 3 text chunks always, a figure
@@ -3714,18 +3083,6 @@ def oracle_sql() -> dict[str, str]:
             "/COUNT(*), 6) AS hapax_ratio "
             "FROM c GROUP BY source"
         ),
-        "q_user_rfm": (
-            # recency = whole elapsed days (floor of the microsecond age)
-            # from the user's last event to the corpus max timestamp
-            "WITH m AS (SELECT MAX(ts) AS tmax FROM events) "
-            "SELECT user_id, "
-            "CAST(date_diff('microsecond', MAX(ts), (SELECT tmax FROM m)) "
-            "// 86400000000 AS BIGINT) AS recency_days, "
-            "CAST(COUNT(*) AS BIGINT) AS frequency, "
-            "ROUND(SUM(CASE WHEN event_type = 'purchase' THEN value "
-            "ELSE 0 END), 4) AS monetary "
-            "FROM events GROUP BY user_id"
-        ),
         "q_edit_distance_pairs": (
             # the quadratic self-join the FastSS blocking avoids; the
             # length prefilter only speeds DuckDB up, it cannot change
@@ -3740,17 +3097,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT o_custkey AS c_custkey, o_orderkey, o_totalprice, "
             "c_name, c_mktsegment FROM orders "
             "JOIN customer ON o_custkey = c_custkey"
-        ),
-        "q_views_before_purchase": (
-            "SELECT p.event_id AS event_id, p.user_id AS user_id, "
-            "CAST(COUNT(*) AS BIGINT) AS n_views, "
-            "CAST(date_diff('microsecond', MAX(v.ts), p.ts) AS BIGINT) "
-            "AS last_gap_us "
-            "FROM events p JOIN events v ON v.user_id = p.user_id "
-            "AND v.event_type = 'view' AND v.ts < p.ts "
-            "AND v.ts >= p.ts - INTERVAL 360 MINUTE "
-            "WHERE p.event_type = 'purchase' "
-            "GROUP BY p.event_id, p.user_id, p.ts"
         ),
         "q_levene_test": (
             # Brown-Forsythe: one-way ANOVA on |x - group median|;
@@ -3775,55 +3121,6 @@ def oracle_sql() -> dict[str, str]:
             "/ (ssw / CAST(nt - k AS DOUBLE)), 6) AS w_stat, "
             "ROUND(ssb, 6) AS ssb_z, ROUND(ssw, 6) AS ssw_z "
             "FROM parts WHERE k >= 2 AND nt > k AND ssw > 0.0"
-        ),
-        "q_grubbs_daily": (
-            # max studentized deviate over daily counts; Σc/Σc² exact
-            # (HUGEINT ~ the kernel's python ints), ties -> earliest day
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "m AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, SUM(c) AS s1, "
-            "SUM(c * c) AS s2 FROM d), "
-            "st AS (SELECT n, "
-            "CAST(s1 AS DOUBLE) / CAST(n AS DOUBLE) AS mean, "
-            "sqrt((CAST(s2 AS DOUBLE) - CAST(s1 AS DOUBLE) "
-            "* CAST(s1 AS DOUBLE) / CAST(n AS DOUBLE)) "
-            "/ (CAST(n AS DOUBLE) - 1.0)) AS sd FROM m), "
-            "g AS (SELECT d.day, d.c, st.n, st.mean, st.sd, "
-            "abs(CAST(d.c AS DOUBLE) - st.mean) / st.sd AS gs "
-            "FROM d, st WHERE st.n >= 3 AND st.sd > 0.0), "
-            "b AS (SELECT *, row_number() OVER "
-            "(ORDER BY gs DESC, day) AS rk FROM g) "
-            "SELECT n AS n_days, day AS outlier_day, c AS cnt, "
-            "ROUND(gs, 6) AS g_stat, ROUND(mean, 6) AS mean_daily, "
-            "ROUND(sd, 6) AS sd_daily FROM b WHERE rk = 1"
-        ),
-        "q_page_hinkley": (
-            # Page-Hinkley replayed as a recursive CTE (the Holt
-            # precedent): cum sums exact ints, ONE double division per
-            # step, running min carried through the recursion
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "s AS (SELECT day, c, SUM(c) OVER (ORDER BY day) AS cum, "
-            "row_number() OVER (ORDER BY day) AS rn FROM d), "
-            "r(rn, day, c, ph, mn) AS ("
-            "  SELECT rn, day, c, "
-            "  CAST(c AS DOUBLE) - CAST(cum AS DOUBLE) "
-            "/ CAST(rn AS DOUBLE), "
-            "  CAST(c AS DOUBLE) - CAST(cum AS DOUBLE) "
-            "/ CAST(rn AS DOUBLE) "
-            "  FROM s WHERE rn = 1"
-            "  UNION ALL"
-            "  SELECT s.rn, s.day, s.c, "
-            "  r.ph + (CAST(s.c AS DOUBLE) - CAST(s.cum AS DOUBLE) "
-            "/ CAST(s.rn AS DOUBLE)), "
-            "  LEAST(r.mn, r.ph + (CAST(s.c AS DOUBLE) "
-            "- CAST(s.cum AS DOUBLE) / CAST(s.rn AS DOUBLE))) "
-            "  FROM r JOIN s ON s.rn = r.rn + 1) "
-            "SELECT day, c AS cnt, ROUND(ph, 6) AS ph, "
-            "ROUND(ph - mn, 6) AS excursion FROM r ORDER BY day"
         ),
         "q_calinski_harabasz": (
             # variance-ratio index from per-label (n, Σv, Σ|v|²) sums;
@@ -3966,84 +3263,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM g a JOIN g b ON a.event_type < b.event_type, w "
             "ORDER BY 1, 2"
         ),
-        "q_mcnemar": (
-            # paired conversion between stream halves (midpoint-ts
-            # split); only discordant users count; all-int until the
-            # final division
-            "WITH bd AS (SELECT CAST(MIN(epoch_us(ts)) AS BIGINT) "
-            "AS tmin, CAST(MAX(epoch_us(ts)) AS BIGINT) AS tmax "
-            "FROM events), "
-            "u AS (SELECT user_id, "
-            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
-            "< bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
-            "AS c0, "
-            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
-            ">= bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
-            "AS c1 FROM events, bd GROUP BY 1), "
-            "a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(CASE WHEN c0 = 1 AND c1 = 0 THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS b, "
-            "CAST(SUM(CASE WHEN c0 = 0 AND c1 = 1 THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS c FROM u) "
-            "SELECT n AS n_users, b AS b_first_only, "
-            "c AS c_second_only, "
-            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
-            "ROUND(CAST((b - c) * (b - c) AS DOUBLE) "
-            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_stat, "
-            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
-            "ROUND(CAST((abs(b - c) - 1) * (abs(b - c) - 1) AS DOUBLE) "
-            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_cc FROM a"
-        ),
-        "q_hurst_exponent": (
-            # R/S over the gapfilled grid at sizes 5/10/15; cumdev from
-            # exact int cums (one double product per term), population
-            # sd from exact (Σx, Σx²); raw-moment slope of ln(RS)/ln(m)
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "COALESCE(d.c, 0) AS c FROM grid LEFT JOIN d USING (day)), "
-            "nn AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM g), "
-            "sizes AS (SELECT unnest([5, 10, 15]) AS m), "
-            "seg AS (SELECT sizes.m, (g.rn - 1) // sizes.m AS s, "
-            "((g.rn - 1) % sizes.m) + 1 AS i, g.c FROM g, sizes, nn "
-            "WHERE (g.rn - 1) // sizes.m < nn.n // sizes.m), "
-            "st AS (SELECT m, s, CAST(SUM(c) AS BIGINT) AS s1, "
-            "CAST(SUM(c * c) AS BIGINT) AS s2 FROM seg GROUP BY 1, 2), "
-            "cum AS (SELECT m, s, i, c, SUM(c) OVER "
-            "(PARTITION BY m, s ORDER BY i) AS ci FROM seg), "
-            "dev AS (SELECT cum.m, cum.s, "
-            "CAST(cum.ci AS DOUBLE) - CAST(cum.i AS DOUBLE) "
-            "* (CAST(st.s1 AS DOUBLE) / CAST(cum.m AS DOUBLE)) AS z "
-            "FROM cum JOIN st ON cum.m = st.m AND cum.s = st.s), "
-            "rng AS (SELECT m, s, MAX(z) - MIN(z) AS r FROM dev "
-            "GROUP BY 1, 2), "
-            "rsseg AS (SELECT rng.m, rng.r "
-            "/ sqrt(CAST(st.s2 AS DOUBLE) / CAST(rng.m AS DOUBLE) "
-            "- (CAST(st.s1 AS DOUBLE) / CAST(rng.m AS DOUBLE)) "
-            "* (CAST(st.s1 AS DOUBLE) / CAST(rng.m AS DOUBLE))) AS rs "
-            "FROM rng JOIN st ON rng.m = st.m AND rng.s = st.s "
-            "WHERE CAST(st.s2 AS DOUBLE) / CAST(rng.m AS DOUBLE) "
-            "- (CAST(st.s1 AS DOUBLE) / CAST(rng.m AS DOUBLE)) "
-            "* (CAST(st.s1 AS DOUBLE) / CAST(rng.m AS DOUBLE)) > 0.0), "
-            "rs AS (SELECT m, SUM(rs) / CAST(COUNT(*) AS DOUBLE) "
-            "AS rsm FROM rsseg GROUP BY 1), "
-            "mom AS (SELECT CAST(COUNT(*) AS DOUBLE) AS nf, "
-            "SUM(ln(CAST(m AS DOUBLE))) AS sx, SUM(ln(rsm)) AS sy, "
-            "SUM(ln(CAST(m AS DOUBLE)) * ln(rsm)) AS sxy, "
-            "SUM(ln(CAST(m AS DOUBLE)) * ln(CAST(m AS DOUBLE))) AS sxx "
-            "FROM rs WHERE rsm > 0.0) "
-            "SELECT nn.n AS n_days, "
-            "ROUND((SELECT rsm FROM rs WHERE m = 5), 6) AS rs_5, "
-            "ROUND((SELECT rsm FROM rs WHERE m = 10), 6) AS rs_10, "
-            "ROUND((SELECT rsm FROM rs WHERE m = 15), 6) AS rs_15, "
-            "ROUND((mom.nf * mom.sxy - mom.sx * mom.sy) "
-            "/ (mom.nf * mom.sxx - mom.sx * mom.sx), 6) AS hurst "
-            "FROM nn, mom WHERE mom.nf = 3"
-        ),
         "q_avg_precision_search": (
             # AP@20 of the BM25 order under binary relevance
             # (>= 3 total query-term hits); P@i are exact int ratios;
@@ -4166,85 +3385,6 @@ def oracle_sql() -> dict[str, str]:
             "ROUND(zz, 6) AS z_score FROM z "
             "QUALIFY row_number() OVER (ORDER BY ROUND(abs(zz), 6) "
             "DESC, wd) <= 15"
-        ),
-        "q_granger_daily": (
-            # lag-1 Granger F on the gapfilled grid; Gram sums exact
-            # (HUGEINT ~ the kernel's python ints), Cramer coefficients
-            # and SSE = Σy² − b·X'y with identical float nesting
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(SUM(CASE WHEN event_type = 'purchase' "
-            "THEN 1 ELSE 0 END) AS BIGINT) AS y, "
-            "CAST(SUM(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS x FROM events GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "COALESCE(d.y, 0) AS y, COALESCE(d.x, 0) AS x FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "p AS (SELECT c.y AS y, l.y AS yl, l.x AS xl "
-            "FROM g c JOIN g l ON c.rn = l.rn + 1), "
-            "s AS (SELECT CAST(COUNT(*) AS DOUBLE) AS m, "
-            "CAST(SUM(yl) AS DOUBLE) AS syl, "
-            "CAST(SUM(xl) AS DOUBLE) AS sxl, "
-            "CAST(SUM(y) AS DOUBLE) AS sy, "
-            "CAST(SUM(yl * yl) AS DOUBLE) AS sylyl, "
-            "CAST(SUM(yl * xl) AS DOUBLE) AS sylxl, "
-            "CAST(SUM(xl * xl) AS DOUBLE) AS sxlxl, "
-            "CAST(SUM(yl * y) AS DOUBLE) AS syly, "
-            "CAST(SUM(xl * y) AS DOUBLE) AS sxly, "
-            "CAST(SUM(y * y) AS DOUBLE) AS syy FROM p), "
-            "dets AS (SELECT *, "
-            "m * (sylyl * sxlxl - sylxl * sylxl) "
-            "- syl * (syl * sxlxl - sylxl * sxl) "
-            "+ sxl * (syl * sylxl - sylyl * sxl) AS det, "
-            "m * sylyl - syl * syl AS detr FROM s "
-            "WHERE m >= 4.0), "
-            "co AS (SELECT *, "
-            "(sy * (sylyl * sxlxl - sylxl * sylxl) "
-            "- syl * (syly * sxlxl - sylxl * sxly) "
-            "+ sxl * (syly * sylxl - sylyl * sxly)) / det AS b0, "
-            "(m * (syly * sxlxl - sylxl * sxly) "
-            "- sy * (syl * sxlxl - sylxl * sxl) "
-            "+ sxl * (syl * sxly - syly * sxl)) / det AS b1, "
-            "(m * (sylyl * sxly - syly * sylxl) "
-            "- syl * (syl * sxly - syly * sxl) "
-            "+ sy * (syl * sylxl - sylyl * sxl)) / det AS b2, "
-            "(m * syly - syl * sy) / detr AS c1 "
-            "FROM dets WHERE det <> 0.0 AND detr <> 0.0), "
-            "fin AS (SELECT *, syy - b0 * sy - b1 * syly - b2 * sxly "
-            "AS sse_u, "
-            "syy - ((sy - c1 * syl) / m) * sy - c1 * syly AS sse_r "
-            "FROM co) "
-            "SELECT CAST(m AS BIGINT) AS n_obs, "
-            "ROUND(b1, 6) AS b_ylag, ROUND(b2, 6) AS b_xlag, "
-            "ROUND(sse_r, 6) AS sse_r, ROUND(sse_u, 6) AS sse_u, "
-            "ROUND((sse_r - sse_u) / (sse_u / (m - 3.0)), 6) AS f_stat "
-            "FROM fin WHERE sse_u > 0.0"
-        ),
-        "q_markov_entropy_rate": (
-            # H(next|cur) from the transition-count grid via the exact
-            # n·ln n nesting (the user_event_entropy precedent)
-            "WITH s AS (SELECT user_id, event_type, "
-            "LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS prev FROM events), "
-            "tc AS (SELECT prev, event_type AS nxt, "
-            "CAST(COUNT(*) AS BIGINT) AS n FROM s "
-            "WHERE prev IS NOT NULL GROUP BY 1, 2), "
-            "t AS (SELECT CAST(SUM(n) AS BIGINT) AS nt, "
-            "SUM(CAST(n AS DOUBLE) * ln(CAST(n AS DOUBLE))) AS sj "
-            "FROM tc), "
-            "r AS (SELECT prev, CAST(SUM(n) AS BIGINT) AS rn FROM tc "
-            "GROUP BY 1), "
-            "rc AS (SELECT SUM(CAST(rn AS DOUBLE) "
-            "* ln(CAST(rn AS DOUBLE))) AS sc FROM r) "
-            "SELECT nt AS n_transitions, "
-            "ROUND(ln(CAST(nt AS DOUBLE)) - sj / CAST(nt AS DOUBLE), 6) "
-            "AS h_joint, "
-            "ROUND(ln(CAST(nt AS DOUBLE)) - sc / CAST(nt AS DOUBLE), 6) "
-            "AS h_current, "
-            "ROUND((sc - sj) / CAST(nt AS DOUBLE), 6) AS entropy_rate "
-            "FROM t, rc"
         ),
         "q_burrows_delta": (
             # Burrows' Delta over the corpus top-20 words; implicit
@@ -4483,68 +3623,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM rk JOIN documents d ON d.doc_id = rk.doc_id "
             "WHERE rk.r = 1 GROUP BY 1, 2 ORDER BY 1, 2"
         ),
-        "q_fisher_exact": (
-            # one-sided hypergeometric tail P(X >= a) via lgamma over
-            # generate_series; same per-user MAX fold as the z-test
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS a, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS c FROM ar), "
-            "m AS (SELECT n_a, n_b, a, c, n_a + n_b AS n, "
-            "n_a AS r1, a + c AS c1, n_a - a AS b, n_b - c AS d "
-            "FROM w), "
-            "ks AS (SELECT m.*, unnest(generate_series(m.a, "
-            "LEAST(m.r1, m.c1))) AS k FROM m), "
-            "tp AS (SELECT n_a, n_b, a, c, b, d, "
-            "exp(lgamma(r1 + 1) - lgamma(k + 1) "
-            "- lgamma(r1 - k + 1) + lgamma(n - r1 + 1) "
-            "- lgamma(c1 - k + 1) - lgamma(n - r1 - c1 + k + 1) "
-            "- (lgamma(n + 1) - lgamma(c1 + 1) "
-            "- lgamma(n - c1 + 1))) AS pk "
-            "FROM ks WHERE c1 - k <= n - r1) "
-            "SELECT n_a, n_b, a AS conv_a, c AS conv_b, "
-            "CASE WHEN b * c = 0 THEN NULL ELSE "
-            "ROUND(CAST(a * d AS DOUBLE) / CAST(b * c AS DOUBLE), 6) "
-            "END AS odds_ratio, "
-            "ROUND(SUM(pk), 6) AS p_one_sided "
-            "FROM tp GROUP BY 1, 2, 3, 4, 5"
-        ),
-        "q_bayes_ab": (
-            # P(p_B > p_A) under Beta(1,1) priors — Evan Miller's exact
-            # sum via lgamma over generate_series; same per-user fold
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
-            "m AS (SELECT n_a, n_b, ca, cb, "
-            "ca + 1 AS aa, n_a - ca + 1 AS ba, "
-            "cb + 1 AS ab, n_b - cb + 1 AS bb FROM w), "
-            "ks AS (SELECT m.*, unnest(generate_series(0, m.ab - 1)) "
-            "AS i FROM m), "
-            "tp AS (SELECT n_a, n_b, ca, cb, "
-            "exp((lgamma(aa + i) + lgamma(ba + bb) "
-            "- lgamma(aa + i + ba + bb)) - ln(bb + i) "
-            "- (lgamma(1 + i) + lgamma(bb) - lgamma(1 + i + bb)) "
-            "- (lgamma(aa) + lgamma(ba) - lgamma(aa + ba))) AS pk "
-            "FROM ks) "
-            "SELECT n_a, n_b, ca AS conv_a, cb AS conv_b, "
-            "ROUND(SUM(pk), 6) AS p_b_beats_a "
-            "FROM tp GROUP BY 1, 2, 3, 4"
-        ),
         "q_cvar_by_type": (
             # VaR via quantile_cont (the type-7 interpolation the
             # kernel replays), CVaR = tail sum / tail count
@@ -4558,51 +3636,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT event_type, n, ROUND(v, 6) AS var_q, "
             "ROUND(s / CAST(nt AS DOUBLE), 6) AS cvar_q, "
             "nt AS n_tail FROM tail WHERE n >= 2 ORDER BY event_type"
-        ),
-        "q_segmented_trend": (
-            # one-breakpoint piecewise OLS over the observed-day
-            # series; exact-int prefix windows, pinned slope/SSE
-            # nesting, argmin ties -> earliest day
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "s0 AS (SELECT day, c, row_number() OVER (ORDER BY day) "
-            "AS rn FROM d), "
-            "s AS (SELECT day, c, rn, SUM(rn) OVER w AS pt, "
-            "SUM(rn * rn) OVER w AS ptt, SUM(c) OVER w AS py, "
-            "SUM(rn * c) OVER w AS pty, SUM(c * c) OVER w AS pyy "
-            "FROM s0 WINDOW w AS (ORDER BY rn)), "
-            "tot AS (SELECT MAX(rn) AS n, MAX(pt) AS tpt, "
-            "MAX(ptt) AS tptt, MAX(py) AS tpy, MAX(pty) AS tpty, "
-            "MAX(pyy) AS tpyy FROM s), "
-            "cand AS (SELECT s.rn AS b, s.day, "
-            "CAST(s.rn AS DOUBLE) AS ml, CAST(s.pt AS DOUBLE) AS sxl, "
-            "CAST(s.ptt AS DOUBLE) AS sxxl, "
-            "CAST(s.py AS DOUBLE) AS syl, "
-            "CAST(s.pty AS DOUBLE) AS sxyl, "
-            "CAST(s.pyy AS DOUBLE) AS syyl, "
-            "CAST(tot.n - s.rn AS DOUBLE) AS mr, "
-            "CAST(tot.tpt - s.pt AS DOUBLE) AS sxr, "
-            "CAST(tot.tptt - s.ptt AS DOUBLE) AS sxxr, "
-            "CAST(tot.tpy - s.py AS DOUBLE) AS syr, "
-            "CAST(tot.tpty - s.pty AS DOUBLE) AS sxyr, "
-            "CAST(tot.tpyy - s.pyy AS DOUBLE) AS syyr, tot.n AS nn "
-            "FROM s, tot WHERE s.rn >= 2 AND s.rn <= tot.n - 2), "
-            "fit AS (SELECT b, day, nn, "
-            "(ml * sxyl - sxl * syl) / (ml * sxxl - sxl * sxl) AS sll "
-            ", (mr * sxyr - sxr * syr) / (mr * sxxr - sxr * sxr) "
-            "AS slr, ml, mr, sxl, sxr, syl, syr, sxyl, sxyr, syyl, "
-            "syyr FROM cand WHERE ml * sxxl - sxl * sxl <> 0.0 "
-            "AND mr * sxxr - sxr * sxr <> 0.0), "
-            "sse AS (SELECT b, day, nn, sll, slr, "
-            "(syyl - ((syl - sll * sxl) / ml) * syl - sll * sxyl) "
-            "+ (syyr - ((syr - slr * sxr) / mr) * syr - slr * sxyr) "
-            "AS total FROM fit), "
-            "best AS (SELECT *, row_number() OVER "
-            "(ORDER BY total, day) AS rk FROM sse) "
-            "SELECT CAST(nn AS BIGINT) AS n_days, day AS break_day, "
-            "ROUND(total, 6) AS sse_total, ROUND(sll, 6) AS slope_left, "
-            "ROUND(slr, 6) AS slope_right FROM best WHERE rk = 1"
         ),
         "q_trimmed_mean": (
             # two-sided 10% trim via surviving multiplicities per grid
@@ -4625,31 +3658,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT event_type, n, tr AS n_trimmed_each, "
             "ROUND(sv / CAST(n - 2 * tr AS DOUBLE), 6) "
             "AS trimmed_mean FROM d ORDER BY event_type"
-        ),
-        "q_power_analysis": (
-            # required n/arm for the observed lift at alpha=.05, 80%
-            # power; z quantiles pinned as the same literals
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
-            "p AS (SELECT n_a, n_b, "
-            "CAST(ca AS DOUBLE) / CAST(n_a AS DOUBLE) AS pa, "
-            "CAST(cb AS DOUBLE) / CAST(n_b AS DOUBLE) AS pb FROM w) "
-            "SELECT n_a, n_b, ROUND(pa, 6) AS p_a, "
-            "ROUND(pb, 6) AS p_b, "
-            "CASE WHEN pb - pa = 0.0 THEN NULL ELSE "
-            "ROUND((1.959964 + 0.841621) * (1.959964 + 0.841621) "
-            "* (pa * (1.0 - pa) + pb * (1.0 - pb)) "
-            "/ ((pb - pa) * (pb - pa)), 6) END "
-            "AS n_required_per_arm FROM p"
         ),
         "q_threshold_sweep": (
             # dedup tuning curve from the pair table's stored jaccard
@@ -4689,71 +3697,6 @@ def oracle_sql() -> dict[str, str]:
             "ROUND(200.0 / topk.s, 6) AS hill_alpha "
             "FROM ref, topk, n WHERE n.n > 200 AND topk.s > 0.0"
         ),
-        "q_runs_test": (
-            # Wald-Wolfowitz runs z over the above/below-median daily
-            # sign sequence; at-median days drop; LAG run counter
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "med AS (SELECT MEDIAN(CAST(c AS DOUBLE)) AS m FROM d), "
-            "s2 AS (SELECT day, CASE WHEN CAST(c AS DOUBLE) - med.m "
-            "> 0.0 THEN 1 ELSE -1 END AS sg FROM d, med "
-            "WHERE CAST(c AS DOUBLE) - med.m <> 0.0), "
-            "r AS (SELECT sg, LAG(sg) OVER (ORDER BY day) AS pg "
-            "FROM s2), "
-            "agg AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(CASE WHEN sg > 0 THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS np, CAST(SUM(CASE WHEN pg IS NULL OR sg <> pg "
-            "THEN 1 ELSE 0 END) AS BIGINT) AS runs FROM r), "
-            "m AS (SELECT n, np, runs, "
-            "2.0 * CAST(np AS DOUBLE) * CAST(n - np AS DOUBLE) "
-            "/ CAST(n AS DOUBLE) + 1.0 AS mu FROM agg "
-            "WHERE n >= 3 AND np > 0 AND np < n) "
-            "SELECT n AS n_days_used, runs AS n_runs, "
-            "ROUND(mu, 6) AS mu_runs, "
-            "ROUND((CAST(runs AS DOUBLE) - mu) "
-            "/ sqrt((mu - 1.0) * (mu - 2.0) "
-            "/ (CAST(n AS DOUBLE) - 1.0)), 6) AS z_runs FROM m "
-            "WHERE (mu - 1.0) * (mu - 2.0) "
-            "/ (CAST(n AS DOUBLE) - 1.0) > 0.0"
-        ),
-        "q_forecast_backtest": (
-            # Holt one-step forecasts vs naive lag-1 on the gapfilled
-            # grid; the Holt recursion replayed UNROUNDED (the
-            # q_holt_linear CTE), errors join state at rn-1
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "COALESCE(d.c, 0) AS c FROM grid LEFT JOIN d USING (day)), "
-            "h(rn, c, s, b) AS ("
-            "  SELECT g1.rn, g1.c, CAST(g1.c AS DOUBLE), "
-            "  CAST(g2.c - g1.c AS DOUBLE) "
-            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
-            "  UNION ALL"
-            "  SELECT g.rn, g.c, "
-            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
-            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
-            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
-            "  FROM g JOIN h ON g.rn = h.rn + 1), "
-            "err AS (SELECT g.rn, "
-            "abs(CAST(g.c AS DOUBLE) - (h.s + h.b)) AS eh, "
-            "abs(CAST(g.c - gp.c AS DOUBLE)) AS en "
-            "FROM g JOIN h ON h.rn = g.rn - 1 "
-            "JOIN g gp ON gp.rn = g.rn - 1 WHERE g.rn >= 3), "
-            "agg AS (SELECT CAST(COUNT(*) AS BIGINT) AS m, "
-            "SUM(eh) / CAST(COUNT(*) AS DOUBLE) AS mh, "
-            "SUM(en) / CAST(COUNT(*) AS DOUBLE) AS mn FROM err) "
-            "SELECT m AS n_forecasts, ROUND(mh, 6) AS mae_holt, "
-            "ROUND(mn, 6) AS mae_naive, "
-            "CASE WHEN mh = 0.0 THEN NULL "
-            "ELSE ROUND(mn / mh, 6) END AS skill_ratio "
-            "FROM agg WHERE m > 0"
-        ),
         "q_bh_significant_terms": (
             # BH FDR over the full log-odds family; z exact (scalar
             # function of counts), p via the pinned A&S erf polynomial
@@ -4791,31 +3734,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT m.m AS n_tested, CAST(q.rstar AS BIGINT) "
             "AS n_significant, ROUND(0.05 * CAST(q.rstar AS DOUBLE) "
             "/ CAST(m.m AS DOUBLE), 6) AS bh_threshold FROM m, q"
-        ),
-        "q_gumbel_maxima": (
-            # EV-I method-of-moments over ISO-week block maxima;
-            # gamma/pi/return-quantile as shared literal expressions
-            "WITH d AS (SELECT strftime(ts, '%G-%V') AS week, "
-            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "m AS (SELECT week, CAST(MAX(c) AS BIGINT) AS mx FROM d "
-            "GROUP BY 1), "
-            "a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(mx) AS s1, SUM(mx * mx) AS s2 FROM m), "
-            "f AS (SELECT n, "
-            "CAST(s1 AS DOUBLE) / CAST(n AS DOUBLE) AS mean, "
-            "(CAST(s2 AS DOUBLE) - CAST(s1 AS DOUBLE) "
-            "* CAST(s1 AS DOUBLE) / CAST(n AS DOUBLE)) "
-            "/ (CAST(n AS DOUBLE) - 1.0) AS var FROM a WHERE n >= 3), "
-            "g AS (SELECT n, mean, "
-            "sqrt(var) * sqrt(6.0) / pi() AS beta FROM f "
-            "WHERE var > 0.0), "
-            "h AS (SELECT n, mean, beta, "
-            "mean - 0.577216 * beta AS mu FROM g) "
-            "SELECT n AS n_weeks, ROUND(mean, 6) AS mean_max, "
-            "ROUND(mu, 6) AS gumbel_mu, ROUND(beta, 6) AS gumbel_beta, "
-            "ROUND(mu + beta * (-ln(-ln(1.0 - 1.0 / 4.0))), 6) "
-            "AS return_level_4w FROM h"
         ),
         "q_simpson_check": (
             # pooled vs stratified value-time correlation; pooled
@@ -4875,25 +3793,6 @@ def oracle_sql() -> dict[str, str]:
             "GROUP BY 1) "
             "SELECT k AS n_sources, ROUND(hhi, 6) AS hhi, "
             "ROUND(1.0 / hhi, 6) AS effective_n FROM h"
-        ),
-        "q_user_jaccard_daily": (
-            # audience continuity: J(users_d, users_{d+1}) over
-            # consecutive OBSERVED days
-            "WITH du AS (SELECT DISTINCT "
-            "CAST(date_trunc('day', ts) AS TIMESTAMP) AS day, user_id "
-            "FROM events), "
-            "c AS (SELECT day, CAST(COUNT(*) AS BIGINT) AS n FROM du "
-            "GROUP BY 1), "
-            "i AS (SELECT a.day, CAST(COUNT(*) AS BIGINT) AS m "
-            "FROM du a JOIN du b ON a.user_id = b.user_id "
-            "AND b.day = a.day + INTERVAL 1 DAY GROUP BY 1) "
-            "SELECT c1.day, c1.n AS n_users, c2.n AS n_users_next, "
-            "CAST(COALESCE(i.m, 0) AS BIGINT) AS n_common, "
-            "ROUND(CAST(COALESCE(i.m, 0) AS DOUBLE) "
-            "/ CAST(c1.n + c2.n - COALESCE(i.m, 0) AS DOUBLE), 6) "
-            "AS jaccard FROM c c1 "
-            "JOIN c c2 ON c2.day = c1.day + INTERVAL 1 DAY "
-            "LEFT JOIN i ON i.day = c1.day ORDER BY c1.day"
         ),
         "q_mrr_search": (
             # rank of the first relevant (rel >= 3) doc in the BM25

@@ -114,8 +114,6 @@ QUERY_NAMES = [
     # quiet cluster, and the pool-spinning media queries run LAST.
     "q_als_rmse",
     "q_top_orders_by_revenue",
-    "q_sessionize",
-    "q_tumbling_windows",
     "q_quality_scores",
     "q_exact_dedup",
     "q_dedup_keep_first",
@@ -128,7 +126,6 @@ QUERY_NAMES = [
     "q_mmr_rerank",
     "q_knn_lsh",
     "q_embedding_near_dup",
-    "q_latest_order_asof",
     "q_html_main_text",
     "q_language_id",
     "q_pii_scrub",
@@ -139,13 +136,10 @@ QUERY_NAMES = [
     "q_knn_ivf",
     "q_corr_qty_price",
     "q_value_stats_by_type",
-    "q_event_deltas",
     "q_ngram_jaccard",
     "q_ngram_dup_clusters",
     "q_tfidf_top_terms",
     "q_revenue_by_nation",
-    "q_view_purchase_funnel",
-    "q_daily_active_users",
     "q_doc_length_zscore",
     "q_quantile_sketch",
     "q_decontaminate_bloom",
@@ -156,12 +150,10 @@ QUERY_NAMES = [
     "q_partition_checksums",
     "q_semantic_dedup",
     "q_chunk_documents",
-    "q_event_window_ranks",
     "q_curation_funnel",
     "q_token_entropy",
     "q_top_collocations",
     "q_winsorize_lengths",
-    "q_trailing_week_active",
     "q_budget_sample",
     "q_ngram_dedup_apply",
     "q_embedding_covariance",
@@ -171,7 +163,6 @@ QUERY_NAMES = [
     "q_ngram_dup_degrees",
     "q_multimodal_pack",
     "q_bloom_pruned_join",
-    "q_trailing_hour_sum",
     "q_bigram_perplexity",
     "q_source_vocab_overlap",
     "q_sentence_stats",
@@ -183,13 +174,9 @@ QUERY_NAMES = [
     "q_source_quota_cap",
     "q_train_val_test_split",
     "q_embedding_outliers",
-    "q_decayed_user_scores",
     "q_keyword_search",
     "q_indexed_search",
-    "q_time_to_convert",
     "q_merge_upsert",
-    "q_customers_no_urgent_anti",
-    "q_urgent_customers_semi",
     "q_weighted_sample",
     "q_fuzzy_name_pairs",
     "q_dup_graph_triangles",
@@ -199,12 +186,10 @@ QUERY_NAMES = [
     "q_dedup_best_survivor",
     "q_contamination_fraction",
     "q_type_token_stats",
-    "q_user_rfm",
     "q_pca_project",
     "q_edit_distance_pairs",
     "q_knn_graph",
     "q_quality_classifier",
-    "q_views_before_purchase",
     "q_ngram_containment",
     "q_dup_graph_kcore",
     "q_smb_orders_customer",
@@ -224,32 +209,19 @@ QUERY_NAMES = [
     "q_entity_resolution",
     "q_snapshot_diff",
     "q_chi_square",
-    "q_survival_curve",
-    "q_top_event_paths",
     "q_cohort_matrix",
     "q_benford_digits",
     "q_weighted_median",
     "q_spike_days",
-    "q_rolling_median",
     "q_readability",
-    "q_markov_next_event",
-    "q_ewma_value",
     "q_price_band_join",
     "q_textrank_keywords",
     "q_dup_graph_hops",
     "q_copurchase_pairs",
     "q_compression_ratio",
-    "q_event_throttle",
-    "q_psi_value_drift",
     "q_copurchase_triples",
     "q_unicode_clean",
-    "q_nearest_event_join",
-    "q_daily_autocorr",
-    "q_theil_sen_trend",
-    "q_dow_seasonality",
-    "q_cusum_changepoint",
     "q_ab_test_zscore",
-    "q_seasonal_decompose",
     "q_holt_linear",
     "q_holt_winters",
     "q_neighbor_jaccard",
@@ -260,30 +232,23 @@ QUERY_NAMES = [
     "q_length_auc_lang",
     "q_spearman_len_tokens",
     "q_quality_pct_rank",
-    "q_user_burstiness",
     "q_source_js_divergence",
     # round-5 fourth-session additions
     "q_levene_test",
-    "q_grubbs_daily",
-    "q_page_hinkley",
     "q_calinski_harabasz",
     "q_davies_bouldin",
     "q_yule_k",
     "q_ndcg_search",
     "q_tukey_hsd",
     "q_mcnemar",
-    "q_hurst_exponent",
     "q_avg_precision_search",
     "q_adamic_adar",
     "q_chao1_richness",
     "q_log_odds_terms",
-    "q_granger_daily",
     "q_gmm_em",
     "q_isotonic_curve",
-    "q_markov_entropy_rate",
     "q_burrows_delta",
     "q_rbo_arms",
-    "q_absorbing_time",
     "q_bottomk_sample",
     "q_degree_powerlaw",
     "q_wasserstein_lengths",
@@ -298,22 +263,17 @@ QUERY_NAMES = [
     "q_bayes_ab",
     "q_twonn_dimension",
     "q_cvar_by_type",
-    "q_segmented_trend",
     "q_trimmed_mean",
     "q_power_analysis",
     "q_threshold_sweep",
     "q_hill_tail_index",
-    "q_runs_test",
     "q_forecast_backtest",
     "q_ipf_raking",
-    "q_kleinberg_bursts",
     "q_bh_significant_terms",
-    "q_gumbel_maxima",
     "q_simpson_check",
     "q_dedup_savings",
     "q_source_hhi",
     "q_cluster_source_ari",
-    "q_user_jaccard_daily",
     "q_mrr_search",
     # media actor-pool queries last (their pools linger at teardown)
     "q_image_phash_pairs",

@@ -6,8 +6,8 @@ Commands (analog of /root/reference/src/ocr_agent/cli.py:37-134):
   enqueue  discover input paths -> manifest parquet + diagnostics
            (exit code 2 when nothing enqueued, parity with cli.py:32,188-192)
   run      execute the checkpointed extraction pipeline (resumable)
-  status   status counts + ETA from the checkpoint store
-           (queue_store.py:191-196, main.rs:800-828 analogs)
+  status   status counts, ETA and last error from the checkpoint store
+           (queue_store.py:191-196, main.rs:780-828 analogs)
   merge    fold committed output into one markdown file in doc order
            (markdown_merge.py:18-47 parity surface, small outputs only)
 
@@ -128,14 +128,21 @@ def cmd_status(args) -> int:
     store = CheckpointStore(args.out)
     metrics = store.load_metrics()
     counts: dict[str, int] = {}
+    # the reference's last error: the failed row with the highest task id
+    # (main.rs:780-798); here the highest partition_id, the last loaded of
+    # its rows winning a tie
+    last_error, last_pid = None, -1
     for row in metrics.to_pylist():
         counts[row["status"]] = counts.get(row["status"], 0) + 1
+        if row["status"] == "failed" and row["partition_id"] >= last_pid:
+            last_error, last_pid = row["error_message"], row["partition_id"]
     manifest = store.load_manifest()
     total_partitions = store.load_meta().get("num_partitions", 0)
     out = {
         "status_counts": counts,
         "partitions_committed": manifest.num_rows,
         "eta_seconds": compute_eta_seconds(metrics, total_partitions),
+        "last_error": last_error,
     }
     print(json.dumps(out))
     return 0

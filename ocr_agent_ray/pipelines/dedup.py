@@ -969,7 +969,7 @@ def shared_ngram_pairs(sf_dir: str, *, threshold: float = 0.5, n: int = 4,
                            "fingerprint": want_fp, "rows": n_rows,
                            "threshold": threshold, "n": n}, f)
 
-        build_and_swap(cache_dir, _build)
+        build_and_swap(cache_dir, _build, lambda: _load_ok() is not None)
         meta = _load_ok()
         if meta is None:  # should not happen; rebuild-in-memory fallback
             return mat

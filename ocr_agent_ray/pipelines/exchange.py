@@ -21,9 +21,9 @@ drop-to-raw-Ray case):
   never see frames they wouldn't have seen under groupby, and no
   empty-frame dtype drift can poison the output schema.
 
-Measured (tools/exchange_compare.py, 2M events / 200k users / 32 CPUs,
-same Ray session): sort-groupby 29.6 s warm, this exchange 8.2 s warm
-(3.6×); scoped HASH_SHUFFLE 52.8 s.
+Measured on a 2M-event sessionize workload (BASELINE.md, round 2, 32
+CPUs, same Ray session): sort-groupby 29.6 s warm, this exchange 8.2 s
+warm (3.6×); scoped HASH_SHUFFLE 52.8 s.
 
 All movement stays in the object store (spills under pressure) and works
 identically multi-node: split outputs are plain objects that Ray

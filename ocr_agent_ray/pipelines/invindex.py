@@ -27,6 +27,7 @@ discipline as the bucketed SEMI/ANTI plan variants.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections.abc import Callable
@@ -71,20 +72,20 @@ def source_fingerprint(sf_dir: str) -> str:
     return h.hexdigest()
 
 
-def build_and_swap(final_dir: str, build: Callable[[str], object]) -> None:
+def build_and_swap(final_dir: str, build: Callable[[str], object],
+                   is_fresh: Callable[[], bool]) -> None:
     """Build a directory privately, then swap it in at ``final_dir``.
 
     ``build(tmp)`` writes the complete directory at ``tmp``
-    (``<final_dir>.build-<pid>-<uuid>``). Renames then install it, so a
-    reader never sees a half-built directory: the old one is renamed
-    aside first (open handles keep working on POSIX) and removed only
-    after the swap. Concurrent builders of the same ``final_dir`` passed
-    the same freshness check, so when another builder's directory is
-    already installed, ours is discarded and theirs kept. A builder whose
-    move-aside finds nothing (another builder moved the old directory
-    aside and has not installed its own yet) still installs its own. On
-    return ``final_dir`` holds a complete build."""
-    import errno
+    (``<final_dir>.build-<pid>-<uuid>``). The swap then runs under an
+    exclusive ``flock`` on ``<final_dir>.lock``: if ``is_fresh()`` (the
+    caller's own freshness check of ``final_dir``) now holds, another
+    builder installed first and ours is discarded, so a directory that
+    passes the check is never moved away under its readers. Otherwise
+    the old directory is renamed aside (open handles keep working on
+    POSIX), ours is renamed in, and the old one is removed after the
+    lock is released. So a reader never sees a half-built directory, and
+    on return ``final_dir`` holds a complete build."""
     import shutil
     import uuid
 
@@ -94,18 +95,41 @@ def build_and_swap(final_dir: str, build: Callable[[str], object]) -> None:
     trash = f"{final_dir}.old-{suffix}"
     try:
         build(tmp)
-        try:
-            os.rename(final_dir, trash)
-        except FileNotFoundError:
-            pass
-        try:
-            os.rename(tmp, final_dir)
-        except OSError as e:
-            if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
-                raise
+        with _exclusive_lock(f"{final_dir}.lock"):
+            if not is_fresh():
+                try:
+                    os.rename(final_dir, trash)
+                except FileNotFoundError:
+                    pass
+                os.rename(tmp, final_dir)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         shutil.rmtree(trash, ignore_errors=True)
+
+
+@contextlib.contextmanager
+def _exclusive_lock(path: str):
+    """Hold an exclusive ``flock`` on ``path``, and unlink it on release.
+
+    A waiter may wake holding the lock on a file its previous holder has
+    already unlinked, so it retries until the file it locked is the one
+    at ``path``."""
+    import fcntl
+
+    while True:
+        f = open(path, "a")
+        fcntl.flock(f, fcntl.LOCK_EX)
+        try:
+            if os.stat(path).st_ino == os.fstat(f.fileno()).st_ino:
+                break
+        except FileNotFoundError:
+            pass
+        f.close()
+    try:
+        yield
+    finally:
+        os.unlink(path)
+        f.close()
 
 
 def build_inverted_index(sf_dir: str, index_dir: str, *,
@@ -257,19 +281,19 @@ def indexed_keyword_search(sf_dir: str, *, k: int = 20,
     if index_dir is None:
         tag = os.path.abspath(sf_dir).strip("/").replace("/", "_")
         index_dir = f"/tmp/graft_invindex/{tag}"
-    marker = os.path.join(index_dir, _META)
     want_src = os.path.abspath(sf_dir)
     want_fp = source_fingerprint(sf_dir)
-    ok = False
-    if os.path.exists(marker):
+
+    def _fresh() -> bool:
         try:
             m = _load_meta(index_dir)
-            ok = (m.get("version") == INDEX_VERSION
-                  and m.get("source") == want_src
-                  and m.get("fingerprint") == want_fp)
         except (json.JSONDecodeError, OSError):
-            ok = False
-    if not ok:
+            return False
+        return (m.get("version") == INDEX_VERSION
+                and m.get("source") == want_src
+                and m.get("fingerprint") == want_fp)
+
+    if not _fresh():
         build_and_swap(index_dir,
-                       lambda tmp: build_inverted_index(sf_dir, tmp))
+                       lambda tmp: build_inverted_index(sf_dir, tmp), _fresh)
     return search_index(index_dir, _SEARCH_QUERIES, k=k)

@@ -735,8 +735,7 @@ def price_band_lookup(sf_dir: str):
     pricing shape). The band table broadcasts as a sorted breakpoint
     array; each batch classifies with one np.searchsorted — no shuffle
     for the join itself, then a tiny keyed combine. This is the range
-    join where the small side is intervals, complementing the equi+range
-    join (streaming.lineitems_shipped_within_30d) and asof_join."""
+    join where the small side is intervals, complementing asof_join."""
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
@@ -1159,8 +1158,7 @@ def weekday_order_counts(sf_dir: str):
 
 
 def urgent_customers(sf_dir: str):
-    """SEMI join twin of customers_without_urgent_orders: customers with
-    at least one '1-URGENT' order. Distinct keys reduced distributed-side
+    """SEMI join: customers with at least one '1-URGENT' order. Distinct keys reduced distributed-side
     first, then a broadcast membership filter (keep=True)."""
     import pyarrow.compute as pc
 
@@ -1502,10 +1500,9 @@ def weekly_retention(sf_dir: str):
     killer). Distinct (week, user) pairs fold bucketed by full-row hash
     and STAY distributed; the retention match is a per-user-bucket
     self-merge on the +7d-shifted week (all of one user's weeks co-locate
-    when bucketing by user, so the merge is local to the bucket — the
-    trailing_week_active_users pattern); only the |weeks|-row active and
-    retained count tables ever reach the driver. Weeks start Monday,
-    matching SQL date_trunc('week')."""
+    when bucketing by user, so the merge is local to the bucket); only
+    the |weeks|-row active and retained count tables ever reach the
+    driver. Weeks start Monday, matching SQL date_trunc('week')."""
     from ocr_agent_ray.pipelines.agg import combine_partials_driver, distinct_rows
 
     def _wu(batch: pd.DataFrame) -> pd.DataFrame:
@@ -3505,7 +3502,7 @@ def isotonic_conversion_curve(sf_dir: str):
     dimension (the ``exact_median_by_type`` precedent), so PAVA (a
     genuinely sequential stack walk) closes on the driver's grid rows;
     at unbounded score cardinality the pre-step is fixed-width binning
-    (``psi_value_drift``'s bins). Rows-only (PAVA's pooling recursion
+    (fixed-width value bins). Rows-only (PAVA's pooling recursion
     is not SQL-expressible; planted pooling pytest). Columns: value,
     n, rate_raw, rate_iso (non-decreasing in value)."""
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
@@ -3877,3 +3874,480 @@ def simpson_paradox_check(sf_dir: str):
         "corr_within": w6,
         "pooled_corr": p6,
         "sign_flip": flip})
+
+
+# --- warehouse ops over the events log: SCD-2 history, A/B tests and
+# Holt forecasting. They are the next registry-diet family (ROADMAP
+# Direction 5(a)), with attribution above.
+
+
+def scd2_intervals(sf_dir: str):
+    """SCD Type-2 history build from the event log: per user, collapse
+    consecutive runs of the same event_type into validity intervals
+    (valid_from = run start, valid_to = next run's start, NULL while
+    current) — the warehouse dimension-history shape, derived here from
+    a raw stream in one user-bucket exchange. The per-bucket kernel is
+    one sort + two vectorized shift-compares; no per-row loop, no
+    driver state. Ties on ts break by event_id on both sides.
+    Columns: user_id, event_type, valid_from, valid_to."""
+
+    def _runs(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["user_id", "ts", "event_id"],
+                          kind="mergesort").reset_index(drop=True)
+        new_user = g["user_id"].ne(g["user_id"].shift())
+        change = new_user | g["event_type"].ne(g["event_type"].shift())
+        s = g[change].reset_index(drop=True)
+        nxt_from = s["ts"].shift(-1)
+        nxt_user = s["user_id"].shift(-1)
+        valid_to = nxt_from.where(nxt_user == s["user_id"])
+        return pd.DataFrame({
+            "user_id": s["user_id"],
+            "event_type": s["event_type"],
+            "valid_from": s["ts"],
+            "valid_to": valid_to,
+        })
+
+    keyed = read_table(
+        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
+    ).map_batches(
+        lambda b: b.assign(__b=(b["user_id"] % 64).astype("int32")),
+        batch_format="pandas", batch_size=65536)
+    return bucket_map_groups(keyed, _runs, num_buckets=64)
+
+
+def _conversion_arms(sf_dir: str, convert_type: str) -> pd.DataFrame:
+    """Per-arm user and converter counts, sorted by arm: arm = user_id
+    % 2 (a hash-stable split), and a user CONVERTS iff they have ≥1
+    ``convert_type`` event. Users are unbounded, so the per-user MAX
+    fold is hash-partitioned and only the arm rows reach the driver.
+    Columns: arm, n, c."""
+    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
+                                             hash_partition_aggregate)
+
+    ev = read_table(sf_dir, "events", ["user_id", "event_type"])
+    per_user = hash_partition_aggregate(
+        ev.map_batches(lambda b: pd.DataFrame({
+            "user_id": b["user_id"].astype("int64"),
+            "conv": (b["event_type"] == convert_type).astype("int64")}),
+            batch_format="pandas", batch_size=65536),
+        ["user_id"], {"converted": ("conv", "max")})
+    arms = combine_partials_driver(
+        per_user.map_batches(lambda b: pd.DataFrame({
+            "arm": b["user_id"].to_numpy(np.int64) % 2,
+            "n": np.int64(1),
+            "c": b["converted"].astype("int64")}),
+            batch_format="pandas"),
+        ["arm"], {"n": ("n", "sum"), "c": ("c", "sum")})
+    return arms.sort_values("arm")
+
+
+def ab_test_zscore(sf_dir: str, *, convert_type: str = "purchase"):
+    """Two-proportion z-test between the ``_conversion_arms`` arms —
+    the pooled statistic tests p_b − p_a:
+
+        z = (p_b − p_a) / sqrt(pp·(1−pp)·(1/n_a + 1/n_b)),
+        pp = (c_a + c_b) / (n_a + n_b)
+
+    Float expression order identical in the twin (counts stay exact
+    ints until the final divisions). Columns: n_a, n_b, conv_a,
+    conv_b, p_a, p_b, lift, z_score."""
+    arms = _conversion_arms(sf_dir, convert_type)
+    n_a, n_b = (np.int64(x) for x in arms["n"].to_numpy())
+    c_a, c_b = (np.int64(x) for x in arms["c"].to_numpy())
+    p_a = np.float64(c_a) / np.float64(n_a)
+    p_b = np.float64(c_b) / np.float64(n_b)
+    pp = np.float64(c_a + c_b) / np.float64(n_a + n_b)
+    se = np.sqrt(pp * (1.0 - pp)
+                 * (1.0 / np.float64(n_a) + 1.0 / np.float64(n_b)))
+    z = (p_b - p_a) / se if se > 0 else np.float64(0.0)
+    return pd.DataFrame({
+        "n_a": [n_a], "n_b": [n_b], "conv_a": [c_a], "conv_b": [c_b],
+        "p_a": [float(round_half_away(p_a, 6))],
+        "p_b": [float(round_half_away(p_b, 6))],
+        "lift": [float(round_half_away(p_b - p_a, 6))],
+        "z_score": [float(round_half_away(z, 6))]})
+
+
+def mcnemar_conversion(sf_dir: str, *, convert_type: str = "purchase"):
+    """McNemar's test on PAIRED user conversion between the first and
+    second half of the stream (midpoint-ts split) — the within-subjects
+    sibling of ``ab_test_zscore``: each user is their own control, so
+    only the DISCORDANT users drive the statistic:
+
+        b = #(converted first half only),  c = #(second half only)
+        χ² = (b − c)² / (b + c),   corrected = (|b − c| − 1)² / (b + c)
+
+    Distributed shape: one tiny ts-bounds fold, then a bucketed
+    per-user MAX fold of the two half flags (users unbounded →
+    hash-partitioned), then a mergeable count combine — four ints
+    reach the driver, every value exact until the final division.
+    b + c = 0 pins both statistics to 0. Columns: n_users,
+    b_first_only, c_second_only, mcnemar_stat, mcnemar_cc."""
+    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
+                                             hash_partition_aggregate)
+
+    ev = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
+    bounds = combine_partials_driver(
+        ev.map_batches(lambda b: pd.DataFrame({
+            "__k": np.int64(0),
+            "tmin": [b["ts"].min()], "tmax": [b["ts"].max()]}),
+            batch_format="pandas", batch_size=65536),
+        ["__k"], {"tmin": ("tmin", "min"), "tmax": ("tmax", "max")})
+    empty = pd.DataFrame({
+        "n_users": pd.Series(dtype="int64"),
+        "b_first_only": pd.Series(dtype="int64"),
+        "c_second_only": pd.Series(dtype="int64"),
+        "mcnemar_stat": pd.Series(dtype="float64"),
+        "mcnemar_cc": pd.Series(dtype="float64")})
+    if bounds.empty:
+        return empty
+    tmin = np.int64(pd.Timestamp(bounds["tmin"].iloc[0]).value // 1000)
+    tmax = np.int64(pd.Timestamp(bounds["tmax"].iloc[0]).value // 1000)
+    mid = tmin + (tmax - tmin) // 2
+
+    def _flags(b: pd.DataFrame) -> pd.DataFrame:
+        us = b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
+        conv = (b["event_type"] == convert_type).to_numpy()
+        return pd.DataFrame({
+            "user_id": b["user_id"].astype("int64"),
+            "c0": (conv & (us < mid)).astype("int64"),
+            "c1": (conv & (us >= mid)).astype("int64")})
+
+    per_user = hash_partition_aggregate(
+        ev.map_batches(_flags, batch_format="pandas", batch_size=65536),
+        ["user_id"], {"c0": ("c0", "max"), "c1": ("c1", "max")})
+    counts = combine_partials_driver(
+        per_user.map_batches(lambda b: pd.DataFrame({
+            "__k": np.int64(0),
+            "n": np.int64(1),
+            "b": ((b["c0"] == 1) & (b["c1"] == 0)).astype("int64"),
+            "c": ((b["c0"] == 0) & (b["c1"] == 1)).astype("int64")}),
+            batch_format="pandas"),
+        ["__k"], {"n": ("n", "sum"), "b": ("b", "sum"),
+                  "c": ("c", "sum")})
+    if counts.empty:
+        return empty
+    n = np.int64(counts["n"].iloc[0])
+    b = np.int64(counts["b"].iloc[0])
+    c = np.int64(counts["c"].iloc[0])
+    if b + c == 0:
+        stat, cc = 0.0, 0.0
+    else:
+        den = np.float64(b + c)
+        stat = float(round_half_away(
+            np.float64((b - c) * (b - c)) / den, 6))
+        d = abs(int(b) - int(c)) - 1
+        cc = float(round_half_away(np.float64(d * d) / den, 6))
+    return pd.DataFrame({
+        "n_users": [n], "b_first_only": [b], "c_second_only": [c],
+        "mcnemar_stat": [stat], "mcnemar_cc": [cc]})
+
+
+def fisher_exact_conversion(sf_dir: str, *,
+                            convert_type: str = "purchase"):
+    """One-sided Fisher's exact test on the arm × conversion 2×2 table
+    of ``_conversion_arms`` — the EXACT small-sample inference the
+    normal-approximation z-test can't give when counts are tiny:
+    P(X ≥ a) under the hypergeometric null,
+
+        ln P(k) = lnC(r1, k) + lnC(n − r1, c1 − k) − lnC(n, c1)
+
+    summed over the upper tail k = a..min(r1, c1) via lgamma (the
+    one-SIDED tail needs no p-value threshold comparisons, so there is
+    no borderline-inclusion float hazard). The bounded tail sum
+    (≤ min(arm size, converters) terms) closes on the driver — the
+    twin replays it with generate_series + lgamma, identical float
+    nesting. Columns: n_a, n_b, conv_a, conv_b, odds_ratio,
+    p_one_sided."""
+    import math
+
+    arms = _conversion_arms(sf_dir, convert_type)
+    empty = pd.DataFrame({
+        "n_a": pd.Series(dtype="int64"),
+        "n_b": pd.Series(dtype="int64"),
+        "conv_a": pd.Series(dtype="int64"),
+        "conv_b": pd.Series(dtype="int64"),
+        "odds_ratio": pd.Series(dtype="float64"),
+        "p_one_sided": pd.Series(dtype="float64")})
+    if len(arms) < 2:
+        return empty
+    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
+    a, cb = (int(x) for x in arms["c"].to_numpy())
+    b = n_a - a
+    c = cb
+    d = n_b - cb
+    n = n_a + n_b
+    r1, c1 = n_a, a + c
+    lden = (math.lgamma(n + 1) - math.lgamma(c1 + 1)
+            - math.lgamma(n - c1 + 1))
+    p = np.float64(0.0)
+    for k in range(a, min(r1, c1) + 1):
+        if c1 - k > n - r1:
+            continue
+        lp = (math.lgamma(r1 + 1) - math.lgamma(k + 1)
+              - math.lgamma(r1 - k + 1)
+              + math.lgamma(n - r1 + 1) - math.lgamma(c1 - k + 1)
+              - math.lgamma(n - r1 - c1 + k + 1) - lden)
+        p = p + np.float64(math.exp(lp))
+    # b*c == 0 -> undefined (NULL in the twin, NaN here — both
+    # materialize as NaN through the driver's pandas read)
+    orr = (np.nan if b * c == 0
+           else np.float64(a * d) / np.float64(b * c))
+    return pd.DataFrame({
+        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
+        "conv_a": [np.int64(a)], "conv_b": [np.int64(c)],
+        "odds_ratio": round_half_away(np.array([orr]), 6),
+        "p_one_sided": round_half_away(np.array([p]), 6)})
+
+
+def bayes_ab_conversion(sf_dir: str, *,
+                        convert_type: str = "purchase"):
+    """Bayesian A/B analysis of the ``_conversion_arms`` rates — the
+    posterior probability P(p_B > p_A) under independent uniform
+    (Beta(1,1)) priors, in closed form (Evan Miller's identity, exact
+    for integer counts):
+
+        P(p_B > p_A) = Σ_{i=0}^{a_B−1} B(a_A+i, b_A+b_B)
+                       / ((b_B+i) · B(1+i, b_B) · B(a_A, b_A))
+
+    with a = conversions + 1, b = non-conversions + 1 and
+    ln B(x, y) = lgamma(x) + lgamma(y) − lgamma(x+y). The bounded Σ
+    (≤ conversions_B + 1 terms) closes on the driver; the twin replays
+    it with generate_series + lgamma. Columns: n_a, n_b, conv_a,
+    conv_b, p_b_beats_a."""
+    import math
+
+    arms = _conversion_arms(sf_dir, convert_type)
+    empty = pd.DataFrame({
+        "n_a": pd.Series(dtype="int64"),
+        "n_b": pd.Series(dtype="int64"),
+        "conv_a": pd.Series(dtype="int64"),
+        "conv_b": pd.Series(dtype="int64"),
+        "p_b_beats_a": pd.Series(dtype="float64")})
+    if len(arms) < 2:
+        return empty
+    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
+    ca, cb = (int(x) for x in arms["c"].to_numpy())
+    aa, ba = ca + 1, n_a - ca + 1
+    ab, bb = cb + 1, n_b - cb + 1
+
+    def lbeta(x: float, y: float) -> float:
+        return (math.lgamma(x) + math.lgamma(y)
+                - math.lgamma(x + y))
+
+    p = np.float64(0.0)
+    for i in range(ab):
+        p = p + np.float64(math.exp(
+            lbeta(aa + i, ba + bb)
+            - math.log(bb + i) - lbeta(1 + i, bb) - lbeta(aa, ba)))
+    return pd.DataFrame({
+        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
+        "conv_a": [np.int64(ca)], "conv_b": [np.int64(cb)],
+        "p_b_beats_a": round_half_away(np.array([p]), 6)})
+
+
+def power_analysis_conversion(sf_dir: str, *,
+                              convert_type: str = "purchase"):
+    """Two-proportion power analysis seeded by the OBSERVED
+    ``_conversion_arms`` rates: how many users per arm would a FUTURE
+    test need to detect the currently-observed lift at α = 0.05
+    (two-sided) with 80% power?
+
+        n = (z_{α/2} + z_β)² · (p_a(1−p_a) + p_b(1−p_b)) / (p_b − p_a)²
+
+    with the z constants pinned as literals (1.959964, 0.841621 — the
+    standard normal quantiles; DuckDB has no inverse CDF, so both
+    engines carry the same literals). Degenerate zero lift reports
+    NULL. Columns: n_a, n_b, p_a, p_b, n_required_per_arm."""
+    arms = _conversion_arms(sf_dir, convert_type)
+    empty = pd.DataFrame({
+        "n_a": pd.Series(dtype="int64"),
+        "n_b": pd.Series(dtype="int64"),
+        "p_a": pd.Series(dtype="float64"),
+        "p_b": pd.Series(dtype="float64"),
+        "n_required_per_arm": pd.Series(dtype="float64")})
+    if len(arms) < 2:
+        return empty
+    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
+    ca, cb = (int(x) for x in arms["c"].to_numpy())
+    p_a = np.float64(ca) / np.float64(n_a)
+    p_b = np.float64(cb) / np.float64(n_b)
+    diff = p_b - p_a
+    if diff == 0.0:
+        req = np.nan
+    else:
+        z = np.float64(1.959964) + np.float64(0.841621)
+        req = (z * z * (p_a * (1.0 - p_a) + p_b * (1.0 - p_b))
+               / (diff * diff))
+    return pd.DataFrame({
+        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
+        "p_a": round_half_away(np.array([p_a]), 6),
+        "p_b": round_half_away(np.array([p_b]), 6),
+        "n_required_per_arm": round_half_away(np.array([req]), 6)})
+
+
+def _daily_series(sf_dir: str, min_days: int = 2):
+    """The gapfilled per-day event-count series behind the Holt ops:
+    (day grid, int64 counts), or None with fewer than ``min_days``
+    days that have events. The
+    counts fold as mergeable partials per batch and one small combine
+    — the series is the bounded calendar dimension, so the sequential
+    recurrences close on the driver."""
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
+
+    days = combine_partials_driver(
+        read_table(sf_dir, "events", ["ts"]).map_batches(
+            lambda b: pd.DataFrame({
+                "day": b["ts"].dt.floor("D"), "c": np.int64(1)}),
+            batch_format="pandas", batch_size=65536),
+        ["day"], {"c": ("c", "sum")})
+    if len(days) < min_days:
+        return None
+    days = days.sort_values("day")
+    grid = pd.date_range(days["day"].min(), days["day"].max(), freq="D")
+    x = days.set_index("day")["c"].astype("int64") \
+        .reindex(grid, fill_value=0).to_numpy(np.int64)
+    return grid, x
+
+
+def holt_linear_daily(sf_dir: str, *, alpha: float = 0.5,
+                      beta: float = 0.3):
+    """Holt linear (double) exponential smoothing of the daily
+    event-count series (level + trend state): on the gapfilled day
+    grid,
+
+        s_1 = x_1,  b_1 = x_2 − x_1
+        s_t = α·x_t + (1−α)·(s_{t−1} + b_{t−1})
+        b_t = β·(s_t − s_{t−1}) + (1−β)·b_{t−1}
+
+    The twin replays the identical recurrence as a recursive CTE with
+    the same float literal order. Requires ≥2 days. Columns: day,
+    cnt, level, trend_rate."""
+    series = _daily_series(sf_dir)
+    if series is None:
+        return pd.DataFrame({
+            "day": pd.Series(dtype="datetime64[us]"),
+            "cnt": pd.Series(dtype="int64"),
+            "level": pd.Series(dtype="float64"),
+            "trend_rate": pd.Series(dtype="float64")})
+    grid, x = series
+    n = len(x)
+    s = np.empty(n, np.float64)
+    b = np.empty(n, np.float64)
+    s[0] = np.float64(x[0])
+    b[0] = np.float64(x[1] - x[0])
+    a, bt = np.float64(alpha), np.float64(beta)
+    for t in range(1, n):
+        s[t] = a * np.float64(x[t]) + (1.0 - a) * (s[t - 1] + b[t - 1])
+        b[t] = bt * (s[t] - s[t - 1]) + (1.0 - bt) * b[t - 1]
+    return pd.DataFrame({
+        "day": pd.Series(grid).astype("datetime64[us]"),
+        "cnt": x,
+        "level": round_half_away(s, 6),
+        "trend_rate": round_half_away(b, 6)})
+
+
+def holt_winters_daily(sf_dir: str, *, alpha: float = 0.5,
+                       beta: float = 0.3, gamma: float = 0.2,
+                       period: int = 7):
+    """Holt-Winters ADDITIVE (triple) exponential smoothing of the
+    daily event-count series (level + trend + rotating per-weekday
+    seasonal state):
+
+        l_t = α·(x_t − s_{t−m}) + (1−α)·(l_{t−1} + b_{t−1})
+        b_t = β·(l_t − l_{t−1}) + (1−β)·b_{t−1}
+        s_t = γ·(x_t − l_t) + (1−γ)·s_{t−m}
+
+    init over the first two seasons: l_m = mean(x_1..m), b_m =
+    (mean(x_{m+1..2m}) − mean(x_1..m))/m, s_i = x_i − l_m. The season
+    sums stay exact ints so the init is deterministic; the recurrence
+    replays in the twin as a recursive CTE carrying the seasonal
+    buffer as a DOUBLE[7] list (same float literal order). Requires
+    ≥ 2·period gapfilled days. Columns: day, cnt, level, trend_rate,
+    seasonal."""
+    empty = pd.DataFrame({
+        "day": pd.Series(dtype="datetime64[us]"),
+        "cnt": pd.Series(dtype="int64"),
+        "level": pd.Series(dtype="float64"),
+        "trend_rate": pd.Series(dtype="float64"),
+        "seasonal": pd.Series(dtype="float64")})
+    series = _daily_series(sf_dir)
+    if series is None:
+        return empty
+    grid, x = series
+    n, m = len(x), period
+    if n < 2 * m:
+        return empty
+    sum1 = int(x[:m].sum())
+    sum2 = int(x[m:2 * m].sum())
+    fm = np.float64(m)
+    lev = np.float64(sum1) / fm
+    b = (np.float64(sum2) / fm - np.float64(sum1) / fm) / fm
+    buf = [np.float64(x[i]) - lev for i in range(m)]
+    a, bt, g = np.float64(alpha), np.float64(beta), np.float64(gamma)
+    out_l = np.empty(n - m, np.float64)
+    out_b = np.empty(n - m, np.float64)
+    out_s = np.empty(n - m, np.float64)
+    for t in range(m, n):
+        xt = np.float64(x[t])
+        s_old = buf[0]
+        l_new = a * (xt - s_old) + (1.0 - a) * (lev + b)
+        b_new = bt * (l_new - lev) + (1.0 - bt) * b
+        s_new = g * (xt - l_new) + (1.0 - g) * s_old
+        buf = buf[1:] + [s_new]
+        out_l[t - m], out_b[t - m], out_s[t - m] = l_new, b_new, s_new
+        lev, b = l_new, b_new
+    return pd.DataFrame({
+        "day": pd.Series(grid[m:]).astype("datetime64[us]"),
+        "cnt": x[m:],
+        "level": round_half_away(out_l, 6),
+        "trend_rate": round_half_away(out_b, 6),
+        "seasonal": round_half_away(out_s, 6)})
+
+
+def forecast_backtest_daily(sf_dir: str, *, alpha: float = 0.5,
+                            beta: float = 0.3):
+    """One-step-ahead forecasting backtest on the daily series: Holt's
+    forecast ŷ_t = s_{t−1} + b_{t−1} scored against the actual x_t,
+    next to the naive lag-1 baseline ŷ_t = x_{t−1} ('does the trend
+    state actually help, or is yesterday's count just as good?').
+    MAE for both, plus the skill ratio naive/holt (>1: Holt wins).
+    The twin extends the recursive-CTE replay of ``holt_linear_daily``
+    with the forecast-error aggregate. Forecasts score from t = 2 (the
+    first step with state). Columns: n_forecasts, mae_holt,
+    mae_naive, skill_ratio."""
+    empty = pd.DataFrame({
+        "n_forecasts": pd.Series(dtype="int64"),
+        "mae_holt": pd.Series(dtype="float64"),
+        "mae_naive": pd.Series(dtype="float64"),
+        "skill_ratio": pd.Series(dtype="float64")})
+    series = _daily_series(sf_dir, min_days=3)
+    if series is None:
+        return empty
+    _, x = series
+    n = len(x)
+    a, bt = np.float64(alpha), np.float64(beta)
+    s_prev = np.float64(x[0])
+    b_prev = np.float64(x[1] - x[0])
+    err_h = np.float64(0.0)
+    err_n = np.float64(0.0)
+    m = 0
+    for t in range(1, n):
+        xt = np.float64(x[t])
+        if t >= 2:
+            err_h = err_h + np.abs(xt - (s_prev + b_prev))
+            err_n = err_n + np.abs(np.float64(x[t] - x[t - 1]))
+            m += 1
+        s_t = a * xt + (1.0 - a) * (s_prev + b_prev)
+        b_t = bt * (s_t - s_prev) + (1.0 - bt) * b_prev
+        s_prev, b_prev = s_t, b_t
+    if m == 0:
+        return empty
+    mae_h = err_h / np.float64(m)
+    mae_n = err_n / np.float64(m)
+    skill = np.nan if mae_h == 0.0 else mae_n / mae_h
+    return pd.DataFrame({
+        "n_forecasts": [np.int64(m)],
+        "mae_holt": round_half_away(np.array([mae_h]), 6),
+        "mae_naive": round_half_away(np.array([mae_n]), 6),
+        "skill_ratio": round_half_away(np.array([skill]), 6)})

@@ -12,6 +12,7 @@ from ocr_agent_ray.pipelines.agg import (
     combine_partials_driver,
     distinct_rows,
     hash_partition_aggregate,
+    ranged_partitioned_ranks,
 )
 
 SPEC = {
@@ -132,3 +133,21 @@ def test_partial_topk_equals_global_topk_under_skew(ray_session):
     got = got.sort_values(["o_orderpriority", "o_orderkey"]).reset_index(drop=True)
     want = want.sort_values(["o_orderpriority", "o_orderkey"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[want.columns], want)
+
+
+def test_ranged_partitioned_ranks_planted_ties(ray_session):
+    """RANK keeps gaps and DENSE_RANK doesn't, partitions rank
+    independently, and ranks are correct when one partition's rows span
+    several value ranges ("a" spans ranges 0 and 3, "b" ranges 0 and 1)."""
+    df = pd.DataFrame({
+        "event_id": range(1, 8),
+        "event_type": ["a", "a", "a", "a", "b", "b", "b"],
+        "value": [5.0, 5.0, 7.0, 30.0, 5.0, 9.0, 9.0],
+    })
+    df["__rb"] = (df["value"] // 8.0).astype("int64")
+    got = ranged_partitioned_ranks(rd.from_pandas(df), "event_type",
+                                   "value", "event_id").to_pandas()
+    got = got.sort_values("event_id").reset_index(drop=True)
+    assert list(got["row_num"]) == [1, 2, 3, 4, 1, 2, 3]
+    assert list(got["rnk"]) == [1, 1, 3, 4, 1, 2, 2]
+    assert list(got["dense_rnk"]) == [1, 1, 2, 3, 1, 2, 2]

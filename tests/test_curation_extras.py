@@ -276,39 +276,6 @@ def test_dup_source_matrix_planted(ray_session, tmp_path):
     assert ("B", "B") not in got.index
 
 
-def test_scd2_intervals_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.streaming import scd2_intervals
-
-    ts = pd.to_datetime([
-        "2024-01-01", "2024-01-02", "2024-01-03",   # u1: A A B
-        "2024-01-05",                                # u1: A again
-        "2024-01-01", "2024-01-01",                  # u2: same-ts tie
-    ])
-    df = pd.DataFrame({
-        "event_id": np.arange(6, dtype=np.int64),
-        "ts": ts,
-        "user_id": np.array([1, 1, 1, 1, 2, 2], dtype=np.int64),
-        "event_type": ["A", "A", "B", "A", "X", "Y"],
-        "value": 0.0,
-        "props": "{}",
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (scd2_intervals(str(tmp_path)).to_pandas()
-           .sort_values(["user_id", "valid_from"])
-           .reset_index(drop=True))
-    u1 = got[got["user_id"] == 1].reset_index(drop=True)
-    assert list(u1["event_type"]) == ["A", "B", "A"]
-    assert u1.loc[0, "valid_to"] == ts[2]      # A run ends when B starts
-    assert u1.loc[1, "valid_to"] == ts[3]
-    assert pd.isna(u1.loc[2, "valid_to"])      # current
-    u2 = got[got["user_id"] == 2].reset_index(drop=True)
-    # same-ts tie breaks by event_id: X then Y
-    assert list(u2["event_type"]) == ["X", "Y"]
-    assert u2.loc[0, "valid_to"] == ts[5]
-    assert pd.isna(u2.loc[1, "valid_to"])
-
-
 def test_time_decay_attribution_brute(ray_session, tmp_path):
     from ocr_agent_ray.pipelines.relational import time_decay_attribution
 
@@ -514,69 +481,6 @@ def test_chi_square_independent_is_zero(ray_session, tmp_path):
     assert got["n"].iloc[0] == len(df)
 
 
-def test_survival_curve_textbook(ray_session, tmp_path):
-    """Hand-computed Kaplan-Meier: 5 users, lifetimes 1,1,2(censored),
-    3,4 days -> S(1)=3/5, S(3)=3/5*1/2, S(4)=0."""
-    from ocr_agent_ray.pipelines.streaming import user_survival_curve
-
-    base = pd.Timestamp("2024-01-01")
-    rows = []
-    # user lifetimes via (first, last) event pairs; corpus max is day 10
-    # so nobody is within the 3-day censor window except user 2, whose
-    # last event is day 8 (within 3 days of day 10 -> censored)
-    spans = {1: (0, 1), 2: (0, 1), 3: (6, 8), 4: (0, 3), 5: (0, 4),
-             9: (10, 10)}   # user 9 anchors corpus max at day 10
-    eid = 0
-    for u, (a, b) in spans.items():
-        for day in (a, b):
-            rows.append((eid, base + pd.Timedelta(days=day), u,
-                         "view", 0.0, "{}"))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type", "value", "props"])
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (user_survival_curve(str(tmp_path)).set_index("t_day"))
-    # lifetimes: u1=1, u2=1, u3=2(censored), u4=3, u5=4, u9=0(censored)
-    assert got.loc[0, "deaths"] == 0 and got.loc[0, "n_risk"] == 6
-    assert got.loc[1, "deaths"] == 2 and got.loc[1, "n_risk"] == 5
-    assert abs(got.loc[1, "survival"] - 3 / 5) < 1e-9
-    assert got.loc[2, "deaths"] == 0          # censored, not a death
-    assert got.loc[3, "deaths"] == 1 and got.loc[3, "n_risk"] == 2
-    assert abs(got.loc[3, "survival"] - (3 / 5) * (1 / 2)) < 1e-9
-    assert got.loc[4, "survival"] == 0.0
-
-
-def test_top_event_paths_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.streaming import top_event_paths
-
-    base = pd.Timestamp("2024-01-01")
-    seqs = {1: ["a", "b", "c", "d"], 2: ["a", "b", "c"],
-            3: ["x", "a", "b", "c"]}
-    rows = []
-    eid = 0
-    for u, seq in seqs.items():
-        for j, e in enumerate(seq):
-            rows.append((eid, base + pd.Timedelta(minutes=j), u, e,
-                         0.0, "{}"))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type", "value", "props"])
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = top_event_paths(str(tmp_path))
-    assert (got.iloc[0][["e1", "e2", "e3"]].tolist(), got.iloc[0]["n"]) \
-        == (["a", "b", "c"], 3)
-    # no cross-user triples: total = 2 + 1 + 2 + 1(bcd)... count check
-    assert got["n"].sum() == 5
-
-
 def test_cohort_matrix_planted(ray_session, tmp_path):
     from ocr_agent_ray.pipelines.relational import cohort_retention_matrix
 
@@ -694,3 +598,36 @@ def test_ql_search_matches_brute_force(ray_session, tmp_path):
     got2 = ql_search(str(tmp_path), k=10, mu=mu).to_pandas()
     sub = got2[got2["query_id"] == 0].set_index("doc_id")
     assert sub.loc[0, "score"] > sub.loc[1, "score"]
+
+
+def test_scd2_intervals_planted(ray_session, tmp_path):
+    from ocr_agent_ray.pipelines.relational import scd2_intervals
+
+    ts = pd.to_datetime([
+        "2024-01-01", "2024-01-02", "2024-01-03",   # u1: A A B
+        "2024-01-05",                                # u1: A again
+        "2024-01-01", "2024-01-01",                  # u2: same-ts tie
+    ])
+    df = pd.DataFrame({
+        "event_id": np.arange(6, dtype=np.int64),
+        "ts": ts,
+        "user_id": np.array([1, 1, 1, 1, 2, 2], dtype=np.int64),
+        "event_type": ["A", "A", "B", "A", "X", "Y"],
+        "value": 0.0,
+        "props": "{}",
+    })
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                   str(tmp_path / "events.parquet"))
+    got = (scd2_intervals(str(tmp_path)).to_pandas()
+           .sort_values(["user_id", "valid_from"])
+           .reset_index(drop=True))
+    u1 = got[got["user_id"] == 1].reset_index(drop=True)
+    assert list(u1["event_type"]) == ["A", "B", "A"]
+    assert u1.loc[0, "valid_to"] == ts[2]      # A run ends when B starts
+    assert u1.loc[1, "valid_to"] == ts[3]
+    assert pd.isna(u1.loc[2, "valid_to"])      # current
+    u2 = got[got["user_id"] == 2].reset_index(drop=True)
+    # same-ts tie breaks by event_id: X then Y
+    assert list(u2["event_type"]) == ["X", "Y"]
+    assert u2.loc[0, "valid_to"] == ts[5]
+    assert pd.isna(u2.loc[1, "valid_to"])

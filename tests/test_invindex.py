@@ -161,73 +161,100 @@ def test_index_build_is_atomic_swap(ray_session, tmp_path):
     assert os.path.exists(os.path.join(idx, "_invindex_meta.json"))
 
 
-def test_build_and_swap_contention(tmp_path, monkeypatch):
-    """Two threads rebuild the same directory. Both reach the move-aside
-    of the old directory; the first moves it and pauses before installing
-    its own, so the second's move-aside finds nothing. Each builder must
-    still return with a complete directory installed, and no temp or
-    aside directory may be left behind."""
+def _fill(d, who, parts=("part-0", "part-1", "part-2")):
+    import os
+
+    os.makedirs(d)
+    for p in parts:
+        with open(os.path.join(d, p), "w") as f:
+            f.write(who)
+    with open(os.path.join(d, "_meta"), "w") as f:
+        f.write(who)
+
+
+def _installed(final):
+    """Who built the complete directory at ``final`` (None if none)."""
+    import os
+
+    try:
+        who = open(os.path.join(final, "_meta")).read()
+        return all(open(os.path.join(final, p)).read() == who
+                   for p in os.listdir(final)) and who
+    except FileNotFoundError:
+        return None
+
+
+def test_build_and_swap_contention(tmp_path):
+    """Eight threads rebuild the same stale directory at once. All builds
+    finish before any swaps; the swaps serialize on the lock, and every
+    builder after the first finds that install fresh and discards its
+    own. Each builder returns with that one complete build installed, and
+    no temp, aside or lock file is left behind."""
+    import os
+    import sys
+    import threading
+
+    from ocr_agent_ray.pipelines.invindex import build_and_swap
+
+    final = str(tmp_path / "cache")
+    _fill(final, "old")
+    names = [f"builder-{i}" for i in range(8)]
+    all_built = threading.Barrier(len(names), timeout=10)
+    seen = {}
+
+    def _builder():
+        me = threading.current_thread().name
+
+        def _build(tmp):
+            _fill(tmp, me)
+            all_built.wait()
+
+        build_and_swap(final, _build, lambda: _installed(final) in names)
+        seen[me] = _installed(final)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=_builder, name=n) for n in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(seen.values())) == 1 and set(seen) == set(names), seen
+    assert seen[names[0]] in names
+    assert os.listdir(tmp_path) == ["cache"]
+
+
+def test_build_and_swap_keeps_a_fresh_install_under_its_readers(tmp_path):
+    """Builder B passed its freshness check before A installed. A
+    installs and lists its files (a lazy reader's file list); then B
+    finishes its build and swaps. A's install is fresh, so B discards
+    its own build and A's listed files are still there."""
     import os
     import threading
 
     from ocr_agent_ray.pipelines.invindex import build_and_swap
 
     final = str(tmp_path / "cache")
-    parts = ["part-0", "part-1", "part-2"]
-
-    def _fill(d, who):
-        os.makedirs(d)
-        for p in parts:
-            with open(os.path.join(d, p), "w") as f:
-                f.write(who)
-        with open(os.path.join(d, "_meta"), "w") as f:
-            f.write(who)
-
-    def _complete():
-        if not os.path.exists(os.path.join(final, "_meta")):
-            return None
-        who = open(os.path.join(final, "_meta")).read()
-        return all(open(os.path.join(final, p)).read() == who
-                   for p in parts) and who
-
     _fill(final, "old")
-    second_at_rename = threading.Event()
-    moved_aside = threading.Event()
-    second_checked = threading.Event()
-    real_rename = os.rename
+    a_listed = threading.Event()
 
-    def _rename(src, dst):
-        me = threading.current_thread().name
-        if src == final and me == "second":
-            second_at_rename.set()
-            moved_aside.wait(timeout=10)
-        real_rename(src, dst)
-        if src == final and me == "first":
-            moved_aside.set()                 # pause between the first
-            second_checked.wait(timeout=10)   # builder's two renames
+    def _fresh():
+        return _installed(final) in ("A", "B")
 
-    monkeypatch.setattr(os, "rename", _rename)
-    seen = {}
+    def _build_b(tmp):
+        assert a_listed.wait(timeout=10)
+        _fill(tmp, "B")
 
-    def _first():
-        def _build(tmp):
-            _fill(tmp, "first")
-            assert second_at_rename.wait(timeout=10)
-        build_and_swap(final, _build)
-        seen["first"] = _complete()
-
-    def _second():
-        try:
-            build_and_swap(final, lambda tmp: _fill(tmp, "second"))
-            seen["second"] = _complete()
-        finally:
-            second_checked.set()
-
-    threads = [threading.Thread(target=_first, name="first"),
-               threading.Thread(target=_second, name="second")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert seen == {"first": "second", "second": "second"}, seen
+    b = threading.Thread(target=build_and_swap, args=(final, _build_b, _fresh))
+    b.start()
+    build_and_swap(final, lambda tmp: _fill(tmp, "A"), _fresh)
+    files = [os.path.join(final, f) for f in os.listdir(final)]
+    a_listed.set()
+    b.join(timeout=30)
+    assert not b.is_alive()
+    assert [open(f).read() for f in files] == ["A"] * len(files)
     assert os.listdir(tmp_path) == ["cache"]

@@ -4,10 +4,13 @@ queue_store.py:160-170) as metrics rows."""
 
 from __future__ import annotations
 
+import json
+
 import pandas as pd
 
 import ray.data as rd
 
+from ocr_agent_ray.cli import main
 from ocr_agent_ray.pipelines.dedup import ngram_jaccard_pairs
 from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
 from ocr_agent_ray.sources.corpus import generate_documents
@@ -15,7 +18,7 @@ from ocr_agent_ray.stages.postprocess import GroundingExtractStage
 from ocr_agent_ray.state.checkpoint import CheckpointStore
 
 
-def test_failed_units_recorded_and_excluded(ray_session, tmp_path):
+def test_failed_units_recorded_and_excluded(ray_session, tmp_path, capsys):
     # defined inside the test: cloudpickle must serialize the class by
     # VALUE (module-level test classes pickle by reference, and Ray worker
     # processes cannot import the tests package -> actor restart loop)
@@ -41,6 +44,12 @@ def test_failed_units_recorded_and_excluded(ray_session, tmp_path):
     # groupby(status).count() works over the lineage table (ref G1)
     statuses = {m["status"] for m in metrics}
     assert statuses == {"completed", "failed"}
+    # `cli status` names the error of the failed row with the highest
+    # partition_id, the last loaded one on a tie (ref G6)
+    top = max(m["partition_id"] for m in failed)
+    want = [m["error_message"] for m in failed if m["partition_id"] == top][-1]
+    assert main(["status", "--out", out_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["last_error"] == want
     # no failed text leaked into committed spans
     for row in store.read_output().take_all():
         for s in row["spans"]:

@@ -4,6 +4,7 @@ commits every partition at run end (data, then metrics, then marker)."""
 
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import threading
@@ -149,6 +150,37 @@ def test_failure_in_commit_tail_keeps_committed_prefix(ray_session, tmp_path, mo
     assert summary["partitions_processed"] == summary["partitions_committed_total"] - k
     for pid, stamp in stamps.items():
         assert os.path.getmtime(store.data_path(pid)) == stamp
+    _assert_equals_oracle(out, corpus)
+
+
+def test_disk_full_inside_the_parquet_writer(ray_session, tmp_path, monkeypatch):
+    """The Parquet writer raises ENOSPC partway through the stream: the
+    run raises, commits no partition and leaves no temp file, and a rerun
+    commits every partition with the oracle's spans, which an
+    uninterrupted run also commits (every other test here checks that)."""
+    monkeypatch.setattr(checkpoint, "WRITE_BUFFER_BYTES", 0)
+    corpus = generate_documents(160, seed=38)
+    out = str(tmp_path / "out")
+    real = pq.ParquetWriter.write_table
+    writes = []
+
+    def write_table(self, table, *args, **kwargs):
+        writes.append(len(table))
+        if len(writes) > 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(pq.ParquetWriter, "write_table", write_table)
+    with pytest.raises(OSError) as failure:
+        run_extract_checkpointed(_blocks(corpus), out, settings=SETTINGS)
+    assert failure.value.errno == errno.ENOSPC
+    monkeypatch.setattr(pq.ParquetWriter, "write_table", real)
+    assert CheckpointStore(out).committed_ids() == set()
+    assert not _tmp_files(out)
+
+    summary = run_extract_checkpointed(_blocks(corpus), out, settings=SETTINGS)
+    assert summary["partitions_committed_before"] == 0
+    assert CheckpointStore(out).committed_ids() == set(range(SETTINGS.num_partitions))
     _assert_equals_oracle(out, corpus)
 
 

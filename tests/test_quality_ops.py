@@ -144,43 +144,6 @@ def test_top_words_and_rollup(ray_session):
     assert total == per_source == fine == 500
 
 
-def test_range_join_and_anti_join(ray_session):
-    from ocr_agent_ray.pipelines.streaming import (
-        customers_without_urgent_orders,
-        lineitems_shipped_within_30d,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    rj = lineitems_shipped_within_30d(sf).to_pandas()
-    assert len(rj) > 0
-    assert (rj["l_shipdate"] <= rj["o_orderdate"] + pd.Timedelta(days=30)).all()
-
-    aj = customers_without_urgent_orders(sf).to_pandas()
-    import duckdb
-
-    con = duckdb.connect()
-    expect = con.execute(
-        f"SELECT c_custkey FROM read_parquet('{sf}/customer.parquet') "
-        f"WHERE c_custkey NOT IN (SELECT o_custkey FROM "
-        f"read_parquet('{sf}/orders.parquet') WHERE o_orderpriority = '1-URGENT')"
-    ).fetchdf()["c_custkey"]
-    assert sorted(aj["c_custkey"]) == sorted(expect)
-
-
-def test_hopping_windows_cover_tumbling(ray_session):
-    from ocr_agent_ray.pipelines.streaming import (
-        hopping_window_counts,
-        tumbling_window_counts,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    hop = hopping_window_counts(sf, size_hours=2, hop_hours=1).to_pandas()
-    tum = tumbling_window_counts(sf, hours=1).to_pandas()
-    # every tumbling bucket's count is <= its hopping window's count, and
-    # total hopping mass = k * total events
-    assert hop["n_events"].sum() == 2 * tum["n_events"].sum()
-
-
 def test_knn_ivf_pq_recall(ray_session):
     from ocr_agent_ray.pipelines.similarity import knn_bruteforce, knn_ivf_pq
 

@@ -67,24 +67,6 @@ def test_pivot_rows_sum_to_total(ray_session):
     assert got["n_total"].sum() == len(orders)
 
 
-def test_event_deltas_lag_semantics(ray_session):
-    from ocr_agent_ray.pipelines.streaming import event_deltas
-
-    got = event_deltas(SF).to_pandas()
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_id", "ts", "user_id"]).to_pandas()
-    # one NULL per user (the first event), everything else a positive gap
-    assert got["delta_us"].isna().sum() == ev["user_id"].nunique()
-    assert (got["delta_us"].dropna() >= 0).all()
-    # spot-check one user against a plain pandas shift
-    u = int(ev["user_id"].iloc[0])
-    sub = ev[ev["user_id"] == u].sort_values(["ts", "event_id"])
-    want = sub["ts"].astype("int64").diff().dropna().astype("int64").to_numpy()
-    g = got[got["user_id"] == u].sort_values(["ts", "event_id"])
-    np.testing.assert_array_equal(
-        g["delta_us"].dropna().astype("int64").to_numpy(), want)
-
-
 def _brute_jaccard_pairs(docs: pd.DataFrame, n: int, threshold: float):
     import re
 
@@ -246,44 +228,6 @@ def test_revenue_by_nation_matches_pandas(ray_session):
     np.testing.assert_array_equal(got["n_orders"], want["size"])
 
 
-def test_funnel_counts_conversions_within_window(ray_session):
-    from ocr_agent_ray.pipelines.streaming import view_purchase_funnel
-
-    got = view_purchase_funnel(SF).to_pandas()
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["user_id", "ts", "event_type"]).to_pandas()
-    # brute-force oracle
-    for _, row in got.head(20).iterrows():
-        sub = ev[ev["user_id"] == row["user_id"]]
-        views = sub.loc[sub["event_type"] == "view", "ts"]
-        buys = sub.loc[sub["event_type"] == "purchase", "ts"]
-        conv = sum(
-            ((buys > v) & (buys <= v + pd.Timedelta(hours=1))).any()
-            for v in views)
-        assert row["n_views"] == len(views)
-        assert row["n_conversions"] == conv
-    assert (got["n_conversions"] <= got["n_views"]).all()
-    assert (got["n_views"] > 0).all()  # purchase-only users are excluded
-
-
-def test_dau_and_shares(ray_session):
-    from ocr_agent_ray.pipelines.relational import priority_share
-    from ocr_agent_ray.pipelines.streaming import daily_active_users
-
-    dau = daily_active_users(SF)
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["user_id", "ts"]).to_pandas()
-    want = (ev.assign(day=ev["ts"].dt.floor("D"))
-              .groupby("day")["user_id"].nunique())
-    assert dau.set_index("day")["dau"].sort_index().equals(
-        want.sort_index().astype("int64"))
-
-    share = priority_share(SF)
-    assert abs(share["share"].sum() - 1.0) < 1e-4
-    assert share["n"].sum() == len(
-        pq.read_table(f"{SF}/orders.parquet", columns=["o_orderpriority"]))
-
-
 def test_monthly_cum_revenue_monotone(ray_session):
     from ocr_agent_ray.pipelines.relational import monthly_cum_revenue
 
@@ -291,23 +235,6 @@ def test_monthly_cum_revenue_monotone(ray_session):
     assert out["month"].is_monotonic_increasing
     assert out["cum_revenue"].is_monotonic_increasing
     assert abs(out["cum_revenue"].iloc[-1] - out["revenue"].sum()) < 0.05
-
-
-def test_late_events_prefix_scan(ray_session):
-    from ocr_agent_ray.pipelines.streaming import late_events
-
-    # small range_size forces many ranges, exercising the carry chain
-    got = late_events(SF, range_size=64).to_pandas().sort_values(
-        "event_id").reset_index(drop=True)
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_id", "ts"]).to_pandas().sort_values(
-        "event_id").reset_index(drop=True)
-    want_wm = ev["ts"].cummax()
-    np.testing.assert_array_equal(got["watermark"].to_numpy(),
-                                  want_wm.to_numpy())
-    want_late = ev["ts"] < want_wm - pd.Timedelta(minutes=5)
-    np.testing.assert_array_equal(got["late"].to_numpy(),
-                                  want_late.to_numpy())
 
 
 def test_growth_and_retention_invariants(ray_session):
@@ -446,37 +373,6 @@ def test_quality_pct_rank_ties_and_singleton(ray_session, tmp_path):
                                         0.0]
 
 
-def test_user_burstiness_metronome_vs_bursty(ray_session, tmp_path):
-    """Metronomic user (equal gaps) -> cv 0; bursty user gaps
-    [1,1,28]s -> cv = sqrt(243)/10; a 2-event user is excluded."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import user_burstiness
-
-    base = pd.Timestamp("2024-01-01")
-    rows = []
-    for i, off in enumerate([0, 10, 20, 30]):          # user 1
-        rows.append((100 + i, base + pd.Timedelta(seconds=off), 1))
-    for i, off in enumerate([0, 1, 2, 30]):            # user 2
-        rows.append((200 + i, base + pd.Timedelta(seconds=off), 2))
-    for i, off in enumerate([0, 5]):                   # user 3: excluded
-        rows.append((300 + i, base + pd.Timedelta(seconds=off), 3))
-    ev = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    ev["ts"] = ev["ts"].astype("datetime64[us]")
-    ev["event_type"] = "view"
-    ev["value"] = 1.0
-    ev["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = user_burstiness(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    got = got.sort_values("user_id").reset_index(drop=True)
-    assert got["user_id"].tolist() == [1, 2]
-    assert got["n_events"].tolist() == [4, 4]
-    assert got["mean_gap_s"].tolist() == [10.0, 10.0]
-    assert got["cv_gap"].tolist() == [0.0, 1.558846]
-
-
 def test_js_divergence_zero_and_symmetric(ray_session, tmp_path):
     """A single-source corpus has p = q exactly -> jsd 0; two mirrored
     sources get equal jsd matching the direct formula (full support
@@ -544,34 +440,6 @@ def test_welch_ttest_planted(ray_session, tmp_path):
     assert len(got) == 0
     assert list(got.columns) == ["type_a", "type_b", "n_a", "n_b",
                                  "mean_a", "mean_b", "t_stat", "df_welch"]
-
-
-def test_kendall_tau_planted(ray_session, tmp_path):
-    """Daily counts [1,2,2,3]: C=5, D=0, n0=6, tie term 1 ->
-    tau_b = 5/sqrt(30); strictly decreasing counts -> tau_b = -1."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import kendall_tau_daily
-
-    def _write(counts, d):
-        ts = []
-        for i, c in enumerate(counts):
-            base = pd.Timestamp("2024-03-01") + pd.Timedelta(days=i)
-            ts += [base + pd.Timedelta(minutes=j) for j in range(c)]
-        ev = pd.DataFrame({"ts": pd.Series(ts, dtype="datetime64[us]")})
-        pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                       str(d / "events.parquet"))
-
-    _write([1, 2, 2, 3], tmp_path)
-    got = kendall_tau_daily(str(tmp_path))
-    assert got["n_days"].tolist() == [4]
-    assert got["n_concordant"].tolist() == [5]
-    assert got["n_discordant"].tolist() == [0]
-    assert got["tau_b"].tolist() == [round(5.0 / np.sqrt(30.0), 6)]
-
-    _write([3, 2, 1], tmp_path)
-    got = kendall_tau_daily(str(tmp_path))
-    assert got["tau_b"].tolist() == [-1.0]
 
 
 def test_skew_kurtosis_matches_pandas(ray_session, tmp_path):
@@ -647,38 +515,6 @@ def test_ols_chars_model_matches_lstsq(ray_session, tmp_path):
     assert got["r2"].tolist() == [1.0]
 
 
-def test_user_event_entropy_planted(ray_session, tmp_path):
-    """Uniform 4-type mix -> ln(4); single-type user -> exactly 0.0;
-    a 3:1 split -> the hand-computed two-term entropy."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import user_event_entropy
-
-    rows = (
-        [(1, t) for t in ["view", "click", "purchase", "error"]]
-        + [(2, "view")] * 5
-        + [(3, "view")] * 3 + [(3, "purchase")]
-    )
-    ev = pd.DataFrame({
-        "user_id": np.array([u for u, _ in rows], dtype=np.int64),
-        "event_type": [t for _, t in rows],
-        "ts": pd.Series([pd.Timestamp("2024-01-01")] * len(rows),
-                        dtype="datetime64[us]"),
-        "event_id": np.arange(len(rows), dtype=np.int64),
-        "value": np.zeros(len(rows))})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = user_event_entropy(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    got = got.sort_values("user_id").set_index("user_id")
-    assert got.loc[1, "n_types"] == 4
-    assert abs(got.loc[1, "entropy"] - np.log(4.0)) < 1e-6
-    assert got.loc[2, "entropy"] == 0.0          # exact cancellation
-    want3 = np.log(4.0) - (3.0 * np.log(3.0)) / 4.0
-    assert abs(got.loc[3, "entropy"] - want3) < 1e-6
-    assert got["n_events"].tolist() == [4, 5, 4]
-
-
 def test_cramers_v_planted(ray_session, tmp_path):
     """A perfectly dependent 2x2 table gives V = 1; an independent one
     gives V = 0 (both exact)."""
@@ -713,223 +549,6 @@ def test_cramers_v_planted(ray_session, tmp_path):
     got = cramers_v_type_band(str(tmp_path))
     assert len(got) == 0
     assert list(got.columns) == ["n", "dof", "cramers_v"]
-
-
-def test_weekly_spectral_planted(ray_session, tmp_path):
-    """A pure period-7 cosine over 28 days scores weekly_power ~= 1;
-    a pure period-4 tone projects to ~0 at the weekly frequency."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import weekly_spectral_power
-
-    def _write(counts, d):
-        ts = []
-        for i, c in enumerate(counts):
-            base = pd.Timestamp("2024-03-04") + pd.Timedelta(days=i)
-            ts += [base + pd.Timedelta(minutes=j) for j in range(c)]
-        ev = pd.DataFrame({"ts": pd.Series(ts, dtype="datetime64[us]")})
-        pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                       str(d / "events.parquet"))
-
-    t = np.arange(28)
-    weekly = np.round(50 + 20 * np.cos(2 * np.pi * t / 7)).astype(int)
-    _write(weekly.tolist(), tmp_path)
-    got = weekly_spectral_power(str(tmp_path))
-    assert got["n_days"].tolist() == [28]
-    assert got["weekly_power"][0] > 0.99
-
-    four_day = np.round(50 + 20 * np.cos(2 * np.pi * t / 4)).astype(int)
-    _write(four_day.tolist(), tmp_path)
-    got = weekly_spectral_power(str(tmp_path))
-    assert got["weekly_power"][0] < 0.05
-
-    # constant series -> ss = 0 -> empty with stable schema
-    _write([10] * 14, tmp_path)
-    got = weekly_spectral_power(str(tmp_path))
-    assert len(got) == 0
-    assert list(got.columns) == ["n_days", "weekly_power"]
-
-
-def test_xcorr_daily_planted_lead(ray_session, tmp_path):
-    """Purchases = views shifted by 2 days -> xcorr peaks at exactly
-    lag +2 with r = 1."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import cross_correlation_daily
-
-    rng = np.random.RandomState(3)
-    views = rng.randint(20, 80, 20)
-    ts = []
-    types = []
-    base = pd.Timestamp("2024-05-01")
-    for i, v in enumerate(views):
-        day_v = base + pd.Timedelta(days=i)
-        ts += [day_v + pd.Timedelta(minutes=j) for j in range(int(v))]
-        types += ["view"] * int(v)
-        day_p = base + pd.Timedelta(days=i + 2)
-        ts += [day_p + pd.Timedelta(minutes=j) for j in range(int(v))]
-        types += ["purchase"] * int(v)
-    ev = pd.DataFrame({
-        "ts": pd.Series(ts, dtype="datetime64[us]"),
-        "event_type": types})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cross_correlation_daily(str(tmp_path)).set_index("lag")
-    assert got.loc[2, "xcorr"] == 1.0
-    assert got.loc[2, "n_pairs"] == 20
-    # every other lag correlates the series against a shifted copy of
-    # itself -> strictly less than the aligned peak
-    assert all(got.loc[k, "xcorr"] < 1.0 for k in got.index if k != 2)
-
-
-def test_durbin_watson_planted_series(ray_session, tmp_path):
-    """Alternating counts around a flat trend -> near-perfect negative
-    serial correlation (DW close to 4); a pure linear ramp has zero
-    residual autocorrelation structure... but residuals of an exact
-    ramp are all ~0, so plant alternation (dw -> 4) and a smooth
-    random walk (dw << 2) and pin both against statsmodels' formula
-    computed directly on the residuals."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import durbin_watson_daily
-
-    base = pd.Timestamp("2024-03-01")
-    ts, types = [], []
-    # type A: 10/30 alternation, zero slope -> residuals alternate
-    alt = [10, 30] * 15
-    for i, c in enumerate(alt):
-        day = base + pd.Timedelta(days=i)
-        ts += [day + pd.Timedelta(minutes=j) for j in range(c)]
-        types += ["alt"] * c
-    # type B: smooth ramp + slow sine wobble -> positive residual
-    # autocorrelation (DW < 2)
-    smooth = (50 + 2 * np.arange(30)
-              + (8 * np.sin(np.arange(30) / 6.0)).astype(int))
-    for i, c in enumerate(smooth):
-        day = base + pd.Timedelta(days=i)
-        ts += [day + pd.Timedelta(minutes=j) for j in range(int(c))]
-        types += ["smooth"] * int(c)
-    ev = pd.DataFrame({
-        "ts": pd.Series(ts, dtype="datetime64[us]"),
-        "event_type": types})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = durbin_watson_daily(str(tmp_path)).set_index("event_type")
-    assert got.loc["alt", "n_days"] == 30
-    assert got.loc["smooth", "n_days"] == 30
-
-    # reference: residuals of np.polyfit, statsmodels DW formula
-    def ref_dw(counts):
-        x = np.arange(len(counts), dtype=np.float64)
-        y = np.asarray(counts, dtype=np.float64)
-        b, a = np.polyfit(x, y, 1)
-        e = y - (a + b * x)
-        return np.sum(np.diff(e) ** 2) / np.sum(e ** 2)
-
-    assert abs(got.loc["alt", "dw"] - ref_dw(alt)) < 1e-6
-    assert abs(got.loc["smooth", "dw"] - ref_dw(smooth)) < 1e-6
-    assert got.loc["alt", "dw"] > 3.5          # alternation -> near 4
-    assert got.loc["smooth", "dw"] < 1.0       # smooth wobble -> < 2
-
-
-def test_concurrent_sessions_planted_peak(ray_session, tmp_path):
-    """Hand-built interval pattern: three users whose sessions overlap
-    in a known stack (peak 3), one session crossing midnight (counts
-    toward BOTH days, clipped), and a touching-at-an-instant pair
-    (counts as concurrent — starts sort before ends)."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import concurrent_sessions_daily
-
-    base = pd.Timestamp("2024-06-01 10:00:00")
-
-    def burst(user, start, minutes):
-        # events 1 min apart -> one session [start, start+minutes-1]
-        return [(user, start + pd.Timedelta(minutes=i))
-                for i in range(minutes)]
-
-    rows = []
-    # day 1: u1 10:00-10:09, u2 10:05-10:14, u3 10:09-10:18 -> peak 3
-    rows += burst(1, base, 10)
-    rows += burst(2, base + pd.Timedelta(minutes=5), 10)
-    rows += burst(3, base + pd.Timedelta(minutes=9), 10)
-    # u4 session ends exactly when u5's starts (same instant, later that
-    # day, disjoint from the morning stack) -> concurrent pair of 2
-    t4 = pd.Timestamp("2024-06-01 20:00:00")
-    rows += burst(4, t4, 5)                       # 20:00-20:04
-    rows += burst(5, t4 + pd.Timedelta(minutes=4), 5)  # 20:04-20:08
-    # u6 crosses midnight: 23:50 day1 -> 00:10 day2 (21 events 1 min
-    # apart, gap < 30 min keeps one session)
-    rows += burst(6, pd.Timestamp("2024-06-01 23:50:00"), 21)
-    # day 3 has ONLY a touching pair: u7 ends exactly when u8 starts ->
-    # max_concurrent == 2 iff touching-at-an-instant counts (inclusive
-    # intervals, starts sort before ends); 1 under exclusive semantics
-    t7 = pd.Timestamp("2024-06-03 09:00:00")
-    rows += burst(7, t7, 5)                            # 09:00-09:04
-    rows += burst(8, t7 + pd.Timedelta(minutes=4), 5)  # 09:04-09:08
-    ev = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype=np.int64),
-        "user_id": np.array([r[0] for r in rows], dtype=np.int64),
-        "ts": pd.Series([r[1] for r in rows], dtype="datetime64[us]"),
-    })
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = concurrent_sessions_daily(str(tmp_path)).to_pandas()
-    got = got.sort_values("day").reset_index(drop=True)
-    assert len(got) == 3
-    d1, d2, d3 = got.iloc[0], got.iloc[1], got.iloc[2]
-    assert d1["day"] == pd.Timestamp("2024-06-01")
-    assert d1["n_sessions"] == 6           # 5 whole + midnight segment
-    assert d1["max_concurrent"] == 3       # the morning stack
-    assert d2["day"] == pd.Timestamp("2024-06-02")
-    assert d2["n_sessions"] == 1           # the midnight spillover
-    assert d2["max_concurrent"] == 1
-    assert d3["day"] == pd.Timestamp("2024-06-03")
-    assert d3["n_sessions"] == 2
-    assert d3["max_concurrent"] == 2       # touching instant IS concurrent
-
-
-def test_pacf_durbin_levinson_vs_yule_walker_solve(ray_session, tmp_path):
-    """The closed-form Durbin-Levinson recursion == an independent
-    Yule-Walker matrix solve (np.linalg.solve on the Toeplitz system)
-    at every lag, on an AR(1)-flavored planted series; lag-1 PACF is
-    large while lags 2-3 collapse toward zero (the AR-order
-    signature)."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.streaming import pacf_daily
-
-    rng = np.random.RandomState(17)
-    # AR(1) with phi=0.7 around level 60, integerized positive counts
-    y = [60.0]
-    for _ in range(79):
-        y.append(60.0 + 0.7 * (y[-1] - 60.0) + rng.normal(0, 6))
-    counts = np.maximum(np.round(y).astype(int), 1)
-    base = pd.Timestamp("2024-01-01")
-    ts = []
-    for i, c in enumerate(counts):
-        day = base + pd.Timedelta(days=i)
-        ts += [day + pd.Timedelta(seconds=j) for j in range(int(c))]
-    ev = pd.DataFrame({"ts": pd.Series(ts, dtype="datetime64[us]")})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = pacf_daily(str(tmp_path)).set_index("lag")
-    assert list(got.index) == [1, 2, 3]
-
-    # independent reference: biased ACF -> solve the Toeplitz YW system
-    yy = counts.astype(np.float64)
-    mu = yy.mean()
-    c = [np.sum((yy[k:] - mu) * (yy[:-k] - mu)) if k else
-         np.sum((yy - mu) ** 2) for k in range(4)]
-    rho = np.array(c) / c[0]
-    for k in (1, 2, 3):
-        R = np.array([[rho[abs(i - j)] for j in range(k)]
-                      for i in range(k)])
-        phi = np.linalg.solve(R, rho[1:k + 1])
-        assert abs(got.loc[k, "pacf"] - phi[-1]) < 1e-6
-    assert got.loc[1, "pacf"] > 0.5
-    assert abs(got.loc[2, "pacf"]) < 0.3
-    assert abs(got.loc[3, "pacf"]) < 0.3
 
 
 def test_kruskal_wallis_planted_with_ties(ray_session, tmp_path):

@@ -200,16 +200,6 @@ def test_partition_checksums_localize_divergence(ray_session, tmp_path):
     assert ca.equals(again)
 
 
-def test_value_percent_rank_bounds(ray_session):
-    from ocr_agent_ray.pipelines.streaming import value_percent_rank
-
-    got = value_percent_rank(SF).to_pandas()
-    assert got["pct_rank"].min() == 0.0
-    assert got["pct_rank"].max() == 1.0
-    g = got.sort_values(["value", "event_id"], kind="mergesort")
-    assert (np.diff(g["pct_rank"].to_numpy()) >= 0).all()
-
-
 def test_profile_columns_matches_table(ray_session):
     from ocr_agent_ray.pipelines.profiling import profile_columns
 
@@ -478,60 +468,6 @@ def test_chunk_documents_covers_text(ray_session, tmp_path):
     assert rebuilt == text[:len(rebuilt)] and len(rebuilt) >= len(text)
 
 
-def test_event_window_ranks_planted_ties(ray_session, tmp_path):
-    """RANK keeps gaps and DENSE_RANK doesn't, partitions rank
-    independently, and ranks are correct when one partition's rows span
-    multiple value ranges."""
-    from ocr_agent_ray.pipelines.streaming import event_window_ranks
-
-    df = pd.DataFrame({
-        "event_id": range(1, 8),
-        "event_type": ["a", "a", "a", "a", "b", "b", "b"],
-        "value": [5.0, 5.0, 7.0, 30.0, 5.0, 9.0, 9.0],
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = event_window_ranks(str(tmp_path), range_width=8.0).to_pandas()
-    got = got.sort_values("event_id").reset_index(drop=True)
-    assert list(got["row_num"]) == [1, 2, 3, 4, 1, 2, 3]
-    assert list(got["rnk"]) == [1, 1, 3, 4, 1, 2, 2]
-    assert list(got["dense_rnk"]) == [1, 1, 2, 3, 1, 2, 2]
-
-
-def test_daily_counts_gapfilled_planted_gap(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.streaming import daily_counts_gapfilled
-
-    ts = pd.to_datetime(["2024-01-01 03:00", "2024-01-01 17:00",
-                         "2024-01-04 09:00"]).astype("datetime64[us]")
-    df = pd.DataFrame({"event_id": [1, 2, 3], "ts": ts,
-                       "user_id": [1, 2, 3], "event_type": ["a"] * 3,
-                       "value": [1.0] * 3, "props": ["{}"] * 3})
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = daily_counts_gapfilled(str(tmp_path))
-    assert list(got["n_events"]) == [2, 0, 0, 1]   # Jan 2+3 filled as zero
-    assert got["day"].dt.day.tolist() == [1, 2, 3, 4]
-
-
-def test_trailing_week_active_matches_pandas_oracle(ray_session):
-    from ocr_agent_ray.pipelines.streaming import trailing_week_active_users
-
-    sf = "/root/testdata/sf0.001"
-    got = trailing_week_active_users(sf)
-    ev = pd.read_parquet(f"{sf}/events.parquet", columns=["ts", "user_id"])
-    pairs = (ev.assign(day=ev["ts"].dt.floor("D"))[["day", "user_id"]]
-             .drop_duplicates())
-    days = pd.date_range(pairs["day"].min(), pairs["day"].max(), freq="D")
-    want = {
-        d: pairs.loc[(pairs["day"] > d - pd.Timedelta(days=7))
-                     & (pairs["day"] <= d), "user_id"].nunique()
-        for d in days
-    }
-    assert len(got) == len(days)
-    for _, r in got.iterrows():
-        assert want[r["report_day"]] == r["wau"], r
-
-
 def test_budget_sample_maximal_per_source(ray_session):
     from ocr_agent_ray.pipelines.relational import budget_sample_by_source
 
@@ -573,15 +509,10 @@ def test_ngram_dedup_apply_keeps_representatives(ray_session):
 
 
 def test_new_ops_empty_inputs(ray_session, tmp_path):
-    """Empty documents/events/embeddings tables flow through the
+    """Empty documents/embeddings tables flow through the
     fourth-session operators without error."""
     from ocr_agent_ray.pipelines.relational import budget_sample_by_source
     from ocr_agent_ray.pipelines.similarity import embedding_norms
-    from ocr_agent_ray.pipelines.streaming import (
-        daily_counts_gapfilled,
-        event_window_ranks,
-        sessionize,
-    )
     from ocr_agent_ray.pipelines.text import (
         chunk_documents,
         email_domain_counts,
@@ -596,14 +527,6 @@ def test_new_ops_empty_inputs(ray_session, tmp_path):
                          "n_chars": pd.Series(dtype="int64")})
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
                    str(tmp_path / "documents.parquet"))
-    ev = pd.DataFrame({"event_id": pd.Series(dtype="int64"),
-                       "ts": pd.Series(dtype="datetime64[us]"),
-                       "user_id": pd.Series(dtype="int64"),
-                       "event_type": pd.Series(dtype="object"),
-                       "value": pd.Series(dtype="float64"),
-                       "props": pd.Series(dtype="object")})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
     emb = pd.DataFrame({"vec_id": pd.Series(dtype="int64"),
                         "embedding": pd.Series(dtype="object"),
                         "label": pd.Series(dtype="int32")})
@@ -616,78 +539,12 @@ def test_new_ops_empty_inputs(ray_session, tmp_path):
 
     sf = str(tmp_path)
     for fn in [chunk_documents, token_entropy, email_domain_counts,
-               winsorize_doc_lengths, budget_sample_by_source,
-               sessionize, event_window_ranks, daily_counts_gapfilled]:
+               winsorize_doc_lengths, budget_sample_by_source]:
         out = fn(sf)
         n = len(out) if isinstance(out, pd.DataFrame) else out.count()
         assert n == 0, (fn.__name__, n)
     out = embedding_norms(sf)
     assert out.count() == 0
-
-
-def test_event_transitions_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.streaming import event_transitions
-
-    ts = pd.to_datetime(["2024-01-01 00:00", "2024-01-01 00:01",
-                         "2024-01-01 00:02", "2024-01-01 00:00",
-                         "2024-01-01 00:05"]).astype("datetime64[us]")
-    df = pd.DataFrame({
-        "event_id": [1, 2, 3, 4, 5],
-        "ts": ts,
-        "user_id": [7, 7, 7, 9, 9],
-        "event_type": ["view", "view", "purchase", "view", "error"],
-        "value": [0.0] * 5, "props": ["{}"] * 5,
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = event_transitions(str(tmp_path))
-    want = {("view", "view"): 1, ("view", "purchase"): 1,
-            ("view", "error"): 1}
-    assert {(r["prev_type"], r["next_type"]): r["n"]
-            for _, r in got.iterrows()} == want
-
-
-def test_trailing_hour_sum_range_semantics(ray_session, tmp_path):
-    """RANGE frame: trailing window is time-based (not row-based) and
-    includes ALL peers at the current timestamp."""
-    from ocr_agent_ray.pipelines.streaming import trailing_hour_value_sum
-
-    ts = pd.to_datetime([
-        "2024-01-01 00:00", "2024-01-01 00:30", "2024-01-01 02:00",
-        "2024-01-01 03:00", "2024-01-01 03:00",
-    ]).astype("datetime64[us]")
-    df = pd.DataFrame({
-        "event_id": [1, 2, 3, 4, 5],
-        "ts": ts,
-        "user_id": [7] * 5,
-        "event_type": ["a"] * 5,
-        "value": [1.0, 2.0, 4.0, 8.0, 16.0],
-        "props": ["{}"] * 5,
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = trailing_hour_value_sum(str(tmp_path)).to_pandas()
-    got = got.sort_values("event_id")["trailing_sum"].tolist()
-    # e1: 1; e2: 1+2 (within 1h); e3: 4 (others aged out); e4 and e5:
-    # 4+8+16 — peers at the same ts include each other, and e3 at
-    # exactly ts-1h is INSIDE the frame (RANGE start is inclusive)
-    assert got == [1.0, 3.0, 4.0, 28.0, 28.0]
-
-
-def test_cumulative_new_users_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.streaming import cumulative_new_users
-
-    ts = pd.to_datetime(["2024-01-01", "2024-01-01", "2024-01-02",
-                         "2024-01-02", "2024-01-04"]).astype("datetime64[us]")
-    df = pd.DataFrame({"event_id": range(5), "ts": ts,
-                       "user_id": [1, 2, 1, 3, 4],
-                       "event_type": ["a"] * 5, "value": [0.0] * 5,
-                       "props": ["{}"] * 5})
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cumulative_new_users(str(tmp_path))
-    assert got["new_users"].tolist() == [2, 1, 1]   # day1: u1,u2; day2: u3; day4: u4
-    assert got["cum_users"].tolist() == [2, 3, 4]
 
 
 def test_multimodal_pack_invariants(ray_session):
@@ -722,422 +579,12 @@ def test_multimodal_pack_invariants(ray_session):
     assert a.equals(b)
 
 
-def test_three_step_funnel_planted_chain(ray_session, tmp_path):
-    """Greedy earliest-chain: a user whose only purchase precedes the
-    first post-view click does NOT convert; a proper v<c<p chain does."""
-    from ocr_agent_ray.pipelines.streaming import three_step_funnel
-
-    t = lambda m: pd.Timestamp(f"2024-01-01 00:{m:02d}")
-    rows = [
-        # user 1: view@1 click@2 purchase@3 -> full chain
-        (1, t(1), 1, "view"), (2, t(2), 1, "click"), (3, t(3), 1, "purchase"),
-        # user 2: purchase@1 view@2 click@3 -> steps 1,2 only
-        (4, t(1), 2, "purchase"), (5, t(2), 2, "view"), (6, t(3), 2, "click"),
-        # user 3: click only -> no steps
-        (7, t(1), 3, "click"),
-    ]
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["value"] = 0.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = three_step_funnel(str(tmp_path))
-    assert got.iloc[0].tolist() == [2, 2, 1]
-
-
-def test_markov_next_event_planted(ray_session, tmp_path):
-    """Transition argmax applied to each user's last event: confidence
-    = n(prev->pred)/sum_next, ties break next_type-ascending, users
-    whose last type was never a transition source are dropped."""
-    from ocr_agent_ray.pipelines.streaming import markov_next_event
-
-    rows = [
-        # u1: A B A B  -> A->B x2, B->A x1... (see expectations below)
-        (1, "2024-01-01 00:00", 1, "A"), (2, "2024-01-01 00:01", 1, "B"),
-        (3, "2024-01-01 00:02", 1, "A"), (4, "2024-01-01 00:03", 1, "B"),
-        # u2: A C -> A->C; last C never a source -> dropped
-        (5, "2024-01-01 00:00", 2, "A"), (6, "2024-01-01 00:01", 2, "C"),
-        # u3: B A -> B->A; last A -> predicted
-        (7, "2024-01-01 00:00", 3, "B"), (8, "2024-01-01 00:01", 3, "A"),
-        # u4/u5 plant the D tie: D->X and D->Y once each
-        (9, "2024-01-01 00:00", 4, "D"), (10, "2024-01-01 00:01", 4, "X"),
-        (11, "2024-01-01 00:00", 5, "D"), (12, "2024-01-01 00:01", 5, "Y"),
-        # u6 ends on D -> tie broken to X at confidence 0.5
-        (13, "2024-01-01 00:00", 6, "A"), (14, "2024-01-01 00:01", 6, "D"),
-    ]
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = pd.to_datetime(df["ts"]).astype("datetime64[us]")
-    df["value"] = 0.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (markov_next_event(str(tmp_path)).to_pandas()
-           .set_index("user_id").sort_index())
-    # transitions: A->B:2 A->C:1 A->D:1 (tot 4), B->A:2 (tot 2),
-    #              D->X:1 D->Y:1 (tot 2, tie -> X)
-    assert got.index.tolist() == [1, 3, 6]
-    assert got.loc[1, ["last_type", "pred_next_type"]].tolist() == ["B", "A"]
-    assert got.loc[1, "confidence"] == 1.0
-    assert got.loc[3, ["last_type", "pred_next_type"]].tolist() == ["A", "B"]
-    assert got.loc[3, "confidence"] == 0.5
-    assert got.loc[6, ["last_type", "pred_next_type"]].tolist() == ["D", "X"]
-    assert got.loc[6, "confidence"] == 0.5
-
-
-def test_ewma_matches_sequential_recurrence(ray_session, tmp_path):
-    """The closed-form kernel equals the textbook loop
-    s_1 = x_1, s_t = a*x_t + (1-a)*s_{t-1} to float precision."""
-    from ocr_agent_ray.pipelines.streaming import ewma_user_value
-
-    rng = np.random.default_rng(11)
-    n_users, per = 20, 60
-    ts = pd.to_datetime("2024-01-01") + pd.to_timedelta(
-        np.tile(np.arange(per), n_users), unit="m")
-    df = pd.DataFrame({
-        "event_id": np.arange(n_users * per, dtype=np.int64),
-        "ts": ts.astype("datetime64[us]"),
-        "user_id": np.repeat(np.arange(n_users, dtype=np.int64), per),
-        "event_type": "view",
-        "value": np.round(rng.uniform(0, 200, n_users * per), 3),
-        "props": "{}",
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (ewma_user_value(str(tmp_path), alpha=0.1).to_pandas()
-           .sort_values(["user_id", "ts", "event_id"])
-           .reset_index(drop=True))
-    want = []
-    for _, g in df.groupby("user_id"):
-        s = None
-        for x in g["value"]:
-            s = x if s is None else 0.1 * x + 0.9 * s
-            want.append(s)
-    # pipeline output is ROUND(·, 6): closed form vs loop within half-ulp
-    # of the 6-decimal rounding grid
-    assert np.allclose(got["ewma"].to_numpy(), np.array(want),
-                       rtol=0, atol=5.1e-7)
-
-
-def test_event_throttle_matches_greedy_loop(ray_session, tmp_path):
-    """Retry-storm fixture: bursts inside the gap are suppressed
-    relative to the last KEPT event (not the last row)."""
-    from ocr_agent_ray.pipelines.streaming import event_throttle
-
-    rng = np.random.default_rng(5)
-    rows = []
-    eid = 0
-    for uid in range(6):
-        t = pd.Timestamp("2024-01-01")
-        for _ in range(40):
-            t = t + pd.Timedelta(seconds=int(rng.integers(30, 900)))
-            rows.append((eid, t, uid))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["event_type"] = "view"
-    df["value"] = 0.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = event_throttle(str(tmp_path), gap_minutes=10).to_pandas()
-    kept = set()
-    for uid, g in df.sort_values(["ts", "event_id"]).groupby("user_id"):
-        last = None
-        for _, row in g.iterrows():
-            if last is None or row["ts"] - last >= pd.Timedelta(minutes=10):
-                kept.add((uid, row["event_id"]))
-                last = row["ts"]
-    assert set(zip(got["user_id"], got["event_id"])) == kept
-    assert len(kept) < len(df)  # the storm actually suppressed events
-
-
-def test_psi_value_drift_detects_planted_shift(ray_session, tmp_path):
-    """Second half shifted by +5: PSI total is large; identical halves
-    give PSI ~0. Terms cross-checked against a direct computation."""
-    from ocr_agent_ray.pipelines.streaming import psi_value_drift
-
-    rng = np.random.default_rng(9)
-    n = 4000
-    ts = (pd.Timestamp("2024-01-01")
-          + pd.to_timedelta(np.arange(n), unit="m")).astype("datetime64[us]")
-    vals = np.concatenate([rng.uniform(0, 10, n // 2),
-                           rng.uniform(5, 15, n // 2)])
-    df = pd.DataFrame({"event_id": np.arange(n, dtype=np.int64),
-                       "ts": ts, "user_id": np.int64(1),
-                       "event_type": "view", "value": vals,
-                       "props": "{}"})
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = psi_value_drift(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert got["bucket"].tolist() == list(range(10))
-    assert (got["n_first"] + got["n_second"]).sum() == n
-    # direct recomputation of the smoothed terms
-    vmin, vmax = vals.min(), vals.max()
-    width = max((vmax - vmin) / 10.0, 1e-12)
-    b = np.minimum(np.floor((vals - vmin) / width), 9).astype(int)
-    half = np.arange(n) >= n // 2
-    c0 = np.bincount(b[~half], minlength=10).astype(float)
-    c1 = np.bincount(b[half], minlength=10).astype(float)
-    p = (c0 + 0.5) / (c0.sum() + 5.0)
-    q = (c1 + 0.5) / (c1.sum() + 5.0)
-    want = (p - q) * np.log(p / q)
-    assert np.allclose(got["psi_term"].to_numpy(), want, atol=5.1e-7)
-    assert got["psi_term"].sum() > 0.25  # the shift is visible
-
-
-def test_nearest_event_join_planted_ties(ray_session, tmp_path):
-    """Planted fixture exercising every branch of the nearest-neighbor
-    pick: exact ts match (gap 0), equal-gap tie -> earlier event wins,
-    equal-ts run -> lowest event_id wins, before-only / after-only
-    edges, and a user with no non-purchase events (dropped)."""
-    from ocr_agent_ray.pipelines.streaming import nearest_event_join
-
-    t0 = pd.Timestamp("2024-01-01")
-    m = pd.to_timedelta(1, unit="m")
-    rows = [
-        # user 1: purchase at t+10; views at t+7 and t+13 -> equal 3m
-        # gap, tie goes to the EARLIER view (event_id 100)
-        (100, t0 + 7 * m, 1, "view"),
-        (101, t0 + 13 * m, 1, "view"),
-        (1, t0 + 10 * m, 1, "purchase"),
-        # user 2: purchase at t+5; clicks BOTH at t+5 (gap 0 run) ->
-        # lowest event_id (200) wins
-        (201, t0 + 5 * m, 2, "click"),
-        (200, t0 + 5 * m, 2, "click"),
-        (2, t0 + 5 * m, 2, "purchase"),
-        # user 3: purchase before every other event (after-only)
-        (300, t0 + 9 * m, 3, "view"),
-        (3, t0 + 1 * m, 3, "purchase"),
-        # user 4: purchase after every other event (before-only)
-        (400, t0 + 2 * m, 4, "view"),
-        (4, t0 + 30 * m, 4, "purchase"),
-        # user 5: only purchases -> dropped
-        (5, t0 + 3 * m, 5, "purchase"),
-        # user 6: nearer-after beats farther-before
-        (600, t0 + 0 * m, 6, "view"),
-        (601, t0 + 12 * m, 6, "view"),
-        (6, t0 + 10 * m, 6, "purchase"),
-    ]
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (nearest_event_join(str(tmp_path)).to_pandas()
-           .set_index("purchase_event_id").sort_index())
-    assert got.index.tolist() == [1, 2, 3, 4, 6]
-    assert got.loc[1, "nearest_event_id"] == 100   # tie -> earlier
-    assert got.loc[1, "gap_us"] == 3 * 60_000_000
-    assert got.loc[2, "nearest_event_id"] == 200   # gap-0 run start
-    assert got.loc[2, "gap_us"] == 0
-    assert got.loc[3, "nearest_event_id"] == 300
-    assert got.loc[4, "nearest_event_id"] == 400
-    assert got.loc[6, "nearest_event_id"] == 601   # 2m after < 10m before
-    assert got.loc[6, "gap_us"] == 2 * 60_000_000
-
-
-def test_nearest_event_join_brute_force(ray_session, tmp_path):
-    """Randomized fixture vs an O(n^2) per-purchase argmin with the
-    exact (gap, ts, event_id) tie order."""
-    from ocr_agent_ray.pipelines.streaming import nearest_event_join
-
-    rng = np.random.default_rng(7)
-    n = 400
-    ts = (pd.to_datetime("2024-03-01")
-          + pd.to_timedelta(rng.integers(0, 5000, n), unit="s"))
-    df = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "ts": ts.astype("datetime64[us]"),
-        "user_id": rng.integers(0, 12, n).astype(np.int64),
-        "event_type": rng.choice(["purchase", "view", "click"], n,
-                                 p=[0.3, 0.4, 0.3]),
-        "value": 1.0, "props": "{}"})
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (nearest_event_join(str(tmp_path)).to_pandas()
-           .sort_values("purchase_event_id").reset_index(drop=True))
-    want = []
-    us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    for i in np.flatnonzero((df["event_type"] == "purchase").to_numpy()):
-        o = df[(df["user_id"] == df["user_id"].iloc[i])
-               & (df["event_type"] != "purchase")]
-        if not len(o):
-            continue
-        gaps = np.abs(us[o.index.to_numpy()] - us[i])
-        cand = sorted(zip(gaps, us[o.index.to_numpy()],
-                          o["event_id"].to_numpy()))
-        want.append((int(df["user_id"].iloc[i]),
-                     int(df["event_id"].iloc[i]),
-                     int(cand[0][2]), int(cand[0][0])))
-    want = pd.DataFrame(want, columns=["user_id", "purchase_event_id",
-                                       "nearest_event_id", "gap_us"]) \
-        .sort_values("purchase_event_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got.astype("int64"), want.astype("int64"))
-
-
-def test_daily_autocorr_planted_weekly_cycle(ray_session, tmp_path):
-    """A pure 7-day cycle shows r(7) = +1 (exact) and negative r at the
-    antiphase lags; values match a direct numpy Pearson computation."""
-    from ocr_agent_ray.pipelines.streaming import daily_autocorr
-
-    days = pd.date_range("2024-01-01", periods=42, freq="D")
-    counts = np.tile([5, 9, 13, 17, 13, 9, 5], 6)  # period-7 wave
-    rows = []
-    eid = 0
-    for d, c in zip(days, counts):
-        for j in range(int(c)):
-            rows.append((eid, d + pd.to_timedelta(j, unit="m"), 1))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["event_type"] = "view"
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = daily_autocorr(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    got = got.set_index("lag")
-    assert got.loc[7, "autocorr"] == 1.0
-    assert got.loc[7, "n_pairs"] == 35
-    c = counts.astype(np.float64)
-    for k in range(1, 8):
-        want = np.corrcoef(c[:-k], c[k:])[0, 1]
-        assert abs(got.loc[k, "autocorr"] - want) < 5.1e-7
-
-
-def test_theil_sen_ignores_outlier_day(ray_session, tmp_path):
-    """A clean slope-2 series with one wild outlier day: Theil-Sen
-    recovers slope 2 while OLS would not; matches direct numpy."""
-    from ocr_agent_ray.pipelines.streaming import theil_sen_trend
-
-    days = pd.date_range("2024-02-01", periods=15, freq="D")
-    counts = 3 + 2 * np.arange(15)
-    counts[7] = 500  # outlier day
-    rows = []
-    eid = 0
-    for d, c in zip(days, counts):
-        for j in range(int(c)):
-            rows.append((eid, d + pd.to_timedelta(j, unit="s"), 1))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["event_type"] = "view"
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = theil_sen_trend(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert got["n_days"].iloc[0] == 15
-    assert got["n_pairs"].iloc[0] == 15 * 14 // 2
-    assert got["slope"].iloc[0] == 2.0  # robust to the planted spike
-    # direct recomputation
-    idx = np.arange(15, dtype=np.float64)
-    c = counts.astype(np.float64)
-    iu = np.triu_indices(15, k=1)
-    slopes = (c[None, :] - c[:, None])[iu] / (idx[None, :]
-                                              - idx[:, None])[iu]
-    sl = np.median(slopes)
-    assert abs(got["intercept"].iloc[0]
-               - np.median(c - sl * idx)) < 5.1e-7
-
-
-def test_dow_seasonality_planted_weekend_dip(ray_session, tmp_path):
-    """Weekdays at 10/day, weekend at 4/day: indices land exactly on
-    (10 or 4) / overall-mean; dow keying is Monday=0."""
-    from ocr_agent_ray.pipelines.streaming import dow_seasonality
-
-    days = pd.date_range("2024-01-01", periods=28, freq="D")  # Mon start
-    rows = []
-    eid = 0
-    for d in days:
-        c = 4 if d.dayofweek >= 5 else 10
-        for j in range(c):
-            rows.append((eid, d + pd.to_timedelta(j, unit="m"), 1))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["event_type"] = "view"
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = dow_seasonality(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    got = got.set_index("dow").sort_index()
-    mean_daily = (5 * 10 + 2 * 4) / 7.0
-    assert got.index.tolist() == list(range(7))
-    assert (got["n_days"] == 4).all()
-    for dow in range(5):
-        assert abs(got.loc[dow, "seasonal_index"]
-                   - 10.0 / mean_daily) < 5.1e-7
-    for dow in (5, 6):
-        assert abs(got.loc[dow, "seasonal_index"]
-                   - 4.0 / mean_daily) < 5.1e-7
-
-
-def test_cusum_changepoint_planted_shift(ray_session, tmp_path):
-    """Daily counts 10x10 then 30x10 for type 'shift': the changepoint
-    must land on the LAST low-regime day with |S_t| = t*(mean - 10) =
-    10*(20-10) = 100 and exact regime means. A constant-rate type gets
-    stat 0 at the earliest day (deterministic tie); a single-day type
-    is dropped (no split exists)."""
-    from ocr_agent_ray.pipelines.streaming import cusum_changepoint
-
-    rows = []
-    eid = 0
-    day0 = pd.Timestamp("2024-03-01")
-    for d in range(20):
-        per_day = 10 if d < 10 else 30
-        for i in range(per_day):
-            rows.append((eid, day0 + pd.Timedelta(days=d, minutes=i),
-                         1, "shift"))
-            eid += 1
-    for d in range(8):   # constant rate: 5/day
-        for i in range(5):
-            rows.append((eid, day0 + pd.Timedelta(days=d, minutes=i),
-                         2, "flat"))
-            eid += 1
-    rows.append((eid, day0, 3, "oneday"))
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-
-    got = cusum_changepoint(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert set(got["event_type"]) == {"shift", "flat"}  # oneday dropped
-
-    s = got[got["event_type"] == "shift"].iloc[0]
-    assert pd.Timestamp(s["change_day"]) == day0 + pd.Timedelta(days=9)
-    assert s["cusum_stat"] == 100.0
-    assert s["mean_before"] == 10.0
-    assert s["mean_after"] == 30.0
-    assert s["n_days"] == 20
-
-    f = got[got["event_type"] == "flat"].iloc[0]
-    assert f["cusum_stat"] == 0.0
-    assert pd.Timestamp(f["change_day"]) == day0  # earliest-day tie
-    assert f["mean_before"] == 5.0 and f["mean_after"] == 5.0
-
-
 def test_ab_test_zscore_planted_split(ray_session, tmp_path):
     """Arms split by user_id parity: 100 even users with 30 converting,
     100 odd users with 60 converting — z must equal the pooled
     two-proportion formula computed by hand; multi-event users count
     once."""
-    from ocr_agent_ray.pipelines.streaming import ab_test_zscore
+    from ocr_agent_ray.pipelines.relational import ab_test_zscore
 
     rows = []
     eid = 0
@@ -1187,33 +634,11 @@ def _write_daily_events(tmp_path, counts, day0="2024-06-03"):
     return t0
 
 
-def test_seasonal_decompose_pure_weekly_pattern(ray_session, tmp_path):
-    """A perfectly periodic weekly series (no trend) decomposes into a
-    constant trend, the exact centered dow effects, and zero residual;
-    only full-window days are emitted."""
-    from ocr_agent_ray.pipelines.streaming import seasonal_decompose_daily
-
-    effect = [5, 0, 2, 8, 3, 1, 6]  # Monday-first weekly pattern
-    counts = [10 + effect[d % 7] for d in range(28)]
-    t0 = _write_daily_events(tmp_path, counts)  # 2024-06-03 is a Monday
-
-    got = seasonal_decompose_daily(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert len(got) == 28 - 6  # centered window trims 3 each side
-    assert pd.Timestamp(got["day"].iloc[0]) == t0 + pd.Timedelta(days=3)
-    base = 10 + np.mean(effect)
-    assert np.allclose(got["trend"], base)
-    want_seasonal = np.array(effect) - np.mean(effect)
-    dow = pd.DatetimeIndex(got["day"]).dayofweek.to_numpy()
-    assert np.allclose(got["seasonal"], want_seasonal[dow], atol=5.1e-7)
-    assert np.allclose(got["residual"], 0.0, atol=5.1e-7)
-
-
 def test_holt_linear_matches_recurrence_with_gap(ray_session, tmp_path):
     """Holt output equals a direct recurrence replay, including a
     missing calendar day gapfilled as 0, and the level tracks a linear
     ramp to within the smoothing lag."""
-    from ocr_agent_ray.pipelines.streaming import holt_linear_daily
+    from ocr_agent_ray.pipelines.relational import holt_linear_daily
 
     counts = [4, 6, 8, 10, 0, 14, 16, 18, 20, 22]  # day 4 written as gap
     rows_counts = list(counts)
@@ -1239,7 +664,7 @@ def test_holt_winters_constant_and_seasonal(ray_session, tmp_path):
     """A constant series is a fixed point (level=c, trend=0,
     seasonal=0); a pure additive weekly pattern replays the direct
     recurrence including the rotating seasonal buffer."""
-    from ocr_agent_ray.pipelines.streaming import holt_winters_daily
+    from ocr_agent_ray.pipelines.relational import holt_winters_daily
 
     _write_daily_events(tmp_path, [5] * 21)
     got = holt_winters_daily(str(tmp_path))

@@ -53,46 +53,6 @@ def test_levene_equal_spread_is_zero(ray_session, tmp_path):
     assert got["w_stat"].tolist() == [0.0]
 
 
-def test_grubbs_planted_spike_day(ray_session, tmp_path):
-    """Daily counts [10, 10, 40]: mean 20, sd sqrt(300); the spike day
-    wins with G = 20/sqrt(300) = 1.154701."""
-    from ocr_agent_ray.pipelines.streaming import grubbs_daily_outlier
-
-    days = (["2024-01-01"] * 10 + ["2024-01-02"] * 10
-            + ["2024-01-03"] * 40)
-    _write_events(tmp_path, pd.DataFrame({
-        "event_id": range(60),
-        "ts": pd.to_datetime(days),
-        "user_id": np.zeros(60, np.int64),
-        "event_type": ["view"] * 60,
-        "value": np.zeros(60)}))
-    got = grubbs_daily_outlier(str(tmp_path))
-    assert got["n_days"].tolist() == [3]
-    assert got["outlier_day"].astype(str).tolist() == ["2024-01-03"]
-    assert got["cnt"].tolist() == [40]
-    assert got["g_stat"].tolist() == [round(20.0 / np.sqrt(300.0), 6)]
-    assert got["mean_daily"].tolist() == [20.0]
-
-
-def test_page_hinkley_planted_shift(ray_session, tmp_path):
-    """Series [10,10,10,30]: PH stays 0 through the flat prefix (each
-    term x_t - mean_t = 0), then jumps by 30-15=15; excursion = 15."""
-    from ocr_agent_ray.pipelines.streaming import page_hinkley_daily
-
-    days = (["2024-01-01"] * 10 + ["2024-01-02"] * 10
-            + ["2024-01-03"] * 10 + ["2024-01-04"] * 30)
-    _write_events(tmp_path, pd.DataFrame({
-        "event_id": range(60),
-        "ts": pd.to_datetime(days),
-        "user_id": np.zeros(60, np.int64),
-        "event_type": ["view"] * 60,
-        "value": np.zeros(60)}))
-    got = page_hinkley_daily(str(tmp_path))
-    assert got["cnt"].tolist() == [10, 10, 10, 30]
-    assert got["ph"].tolist() == [0.0, 0.0, 0.0, 15.0]
-    assert got["excursion"].tolist() == [0.0, 0.0, 0.0, 15.0]
-
-
 def test_calinski_harabasz_planted(ray_session, tmp_path):
     """Two tight 1-D pairs at 0/2 and 10/12: WSS = 4, BSS = 100,
     CH = (100/1)/(4/2) = 50."""
@@ -254,84 +214,6 @@ def test_tukey_hsd_planted(ray_session, tmp_path):
     assert got["q_stat"].tolist() == [q1, q2, q1]
 
 
-def test_mcnemar_planted_discordant(ray_session, tmp_path):
-    """Users: two first-half-only converters, one second-half-only,
-    one concordant, one never: b=2, c=1 -> stat 1/3, corrected 0."""
-    from ocr_agent_ray.pipelines.streaming import mcnemar_conversion
-
-    rows = []
-    # stream spans day 0 .. day 10; midpoint = day 5
-    def ev(uid, day, etype):
-        rows.append((len(rows), pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(days=day), uid, etype, 0.0))
-    ev(1, 0, "view"); ev(1, 1, "purchase")            # b (first only)
-    ev(2, 1, "purchase")                              # b (first only)
-    ev(3, 8, "purchase")                              # c (second only)
-    ev(4, 1, "purchase"); ev(4, 8, "purchase")        # concordant 1/1
-    ev(5, 2, "view"); ev(5, 10, "view")               # never converts
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = mcnemar_conversion(str(tmp_path))
-    assert got["n_users"].tolist() == [5]
-    assert got["b_first_only"].tolist() == [2]
-    assert got["c_second_only"].tolist() == [1]
-    assert got["mcnemar_stat"].tolist() == [round(1.0 / 3.0, 6)]
-    assert got["mcnemar_cc"].tolist() == [0.0]
-
-
-def test_hurst_matches_dense_reference(ray_session, tmp_path):
-    """Replay the R/S definition densely in numpy on a fixed 45-day
-    series and pin all columns; a pure trend scores higher than a
-    noisy series (persistence ordering)."""
-    from ocr_agent_ray.pipelines.streaming import hurst_exponent_daily
-
-    rng = np.random.RandomState(11)
-    counts = rng.randint(1, 30, size=45)
-    rows = []
-    for d, c in enumerate(counts):
-        for i in range(int(c)):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = hurst_exponent_daily(str(tmp_path))
-    assert got["n_days"].tolist() == [45]
-
-    rs_means = []
-    for m in (5, 10, 15):
-        vals = []
-        for s in range(45 // m):
-            seg = counts[s * m:(s + 1) * m].astype(np.float64)
-            mean = seg.sum() / m
-            var = (seg * seg).sum() / m - mean * mean
-            if var <= 0:
-                continue
-            dev = np.cumsum(seg) - np.arange(1, m + 1) * mean
-            vals.append((dev.max() - dev.min()) / np.sqrt(var))
-        rs_means.append(np.mean(vals))
-    lx, ly = np.log([5.0, 10.0, 15.0]), np.log(rs_means)
-    slope = ((3 * (lx * ly).sum() - lx.sum() * ly.sum())
-             / (3 * (lx * lx).sum() - lx.sum() ** 2))
-    np.testing.assert_allclose(
-        got[["rs_5", "rs_10", "rs_15"]].iloc[0], rs_means, atol=5e-6)
-    assert abs(got["hurst"].iloc[0] - slope) < 5e-6
-
-    # pure trend: counts 1..45 -> strongly persistent, H near 1
-    rows = []
-    for d in range(45):
-        for i in range(d + 1):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    trend = hurst_exponent_daily(str(tmp_path))
-    assert trend["hurst"].iloc[0] > got["hurst"].iloc[0]
-    assert trend["hurst"].iloc[0] > 0.9
-
-
 def test_avg_precision_all_relevant_is_one(ray_session, tmp_path):
     """Every candidate passes the relevance bar -> every P@i is 1 ->
     AP = 1 exactly."""
@@ -465,40 +347,6 @@ def test_log_odds_matches_dense_reference(ray_session, tmp_path):
     assert got.loc["x", "z_score"] > 0 > got.loc["y", "z_score"]
 
 
-def test_granger_planted_lead(ray_session, tmp_path):
-    """y_t tracks x_{t-1} (with a small parity wiggle so the fit is
-    not exact): the lag coefficient lands near 1 and matches a dense
-    lstsq fit; F is large and positive."""
-    from ocr_agent_ray.pipelines.streaming import granger_daily
-
-    rng = np.random.RandomState(2)
-    x = rng.randint(5, 40, size=24)
-    y = np.empty(24, np.int64)
-    y[0] = 10
-    y[1:] = x[:-1] + (np.arange(23) % 2)
-    rows = []
-    for d in range(24):
-        for _ in range(int(x[d])):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-        for _ in range(int(y[d])):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "purchase", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = granger_daily(str(tmp_path))
-    assert got["n_obs"].tolist() == [23]
-
-    X = np.column_stack([np.ones(23), y[:-1], x[:-1]]).astype(float)
-    coef, _, _, _ = np.linalg.lstsq(X, y[1:].astype(float), rcond=None)
-    assert abs(got["b_ylag"].iloc[0] - coef[1]) < 5e-6
-    assert abs(got["b_xlag"].iloc[0] - coef[2]) < 5e-6
-    sse_u = float(((X @ coef - y[1:]) ** 2).sum())
-    assert abs(got["sse_u"].iloc[0] - sse_u) < 1e-3
-    assert got["f_stat"].iloc[0] > 10.0
-
-
 def test_gmm_em_matches_dense_reference(ray_session, tmp_path):
     """Dense numpy EM with the same deterministic init reproduces the
     distributed weights/variances/log-likelihood on a planted
@@ -573,61 +421,6 @@ def test_isotonic_monotone_on_sf(ray_session):
     # pooled means preserve the overall conversion mass
     assert abs((got["rate_iso"] * got["n"]).sum()
                - (got["rate_raw"] * got["n"]).sum()) < 1e-3
-
-
-def test_markov_entropy_rate_deterministic_chain(ray_session, tmp_path):
-    """A strict A-B-A-B routine has H(next|cur) = 0; mixing in a
-    second successor makes it positive."""
-    from ocr_agent_ray.pipelines.streaming import markov_entropy_rate
-
-    rows = []
-    for i, et in enumerate(["a", "b", "a", "b", "a"]):
-        rows.append((i, pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(minutes=i), 1, et, 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = markov_entropy_rate(str(tmp_path))
-    assert got["n_transitions"].tolist() == [4]
-    assert got["entropy_rate"].tolist() == [0.0]
-
-    rows = []
-    for i, et in enumerate(["a", "b", "a", "c", "a", "b", "a", "c"]):
-        rows.append((i, pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(minutes=i), 1, et, 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = markov_entropy_rate(str(tmp_path))
-    assert got["entropy_rate"].iloc[0] > 0.0
-    assert got["h_joint"].iloc[0] >= got["h_current"].iloc[0]
-
-
-def test_absorbing_time_planted_chain(ray_session, tmp_path):
-    """A flips a fair coin between staying and purchasing -> expected
-    2 steps; U is a trap (reachable 0); T can purchase but can also
-    fall into U -> infinite expected time (NULL)."""
-    from ocr_agent_ray.pipelines.streaming import absorbing_time_to_event
-
-    rows = []
-    def seq(uid, *types):
-        for i, t in enumerate(types):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(minutes=i), uid, t, 0.0))
-    seq(1, "a", "a", "purchase")
-    seq(2, "u", "u", "u")
-    seq(3, "t", "u")
-    seq(4, "t", "purchase")
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = absorbing_time_to_event(str(tmp_path)).set_index("event_type")
-    assert got.loc["a", "reachable"] == 1
-    assert got.loc["a", "expected_steps"] == 2.0
-    assert got.loc["u", "reachable"] == 0
-    assert np.isnan(got.loc["u", "expected_steps"])
-    assert got.loc["t", "reachable"] == 1
-    assert np.isnan(got.loc["t", "expected_steps"])
 
 
 def test_burrows_delta_identical_sources_zero(ray_session, tmp_path):
@@ -887,76 +680,6 @@ def test_langid_confusion_diagonal_mass(ray_session):
     assert (m["n"] == m["n_w"]).all() and len(m) == len(got)
 
 
-def test_fisher_exact_matches_scipy_style_reference(ray_session,
-                                                    tmp_path):
-    """Hand hypergeometric: arms of 4 users each, 3 vs 1 converters ->
-    upper tail P(X >= 3) = (C(4,3)C(4,1) + C(4,4)C(4,0)) / C(8,4)
-    = 17/70; odds ratio (3*3)/(1*1) = 9."""
-    from ocr_agent_ray.pipelines.streaming import fisher_exact_conversion
-
-    rows = []
-    # arm = user_id % 2: even users arm A, odd users arm B
-    for uid in range(8):
-        arm_a = uid % 2 == 0
-        converts = (uid in (0, 2, 4)) if arm_a else (uid == 1)
-        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                     "purchase" if converts else "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = fisher_exact_conversion(str(tmp_path))
-    assert got["conv_a"].tolist() == [3]
-    assert got["conv_b"].tolist() == [1]
-    assert got["odds_ratio"].tolist() == [9.0]
-    assert got["p_one_sided"].tolist() == [round(17.0 / 70.0, 6)]
-
-
-def test_bayes_ab_symmetry_and_known_value(ray_session, tmp_path):
-    """Symmetric arms -> P(B > A) = 0.5 by symmetry minus the tie
-    mass... actually for continuous Beta posteriors P = 0.5 exactly
-    when the arms are identical; a dominant B pushes P toward 1.
-    Known small case verified against numeric integration."""
-    from ocr_agent_ray.pipelines.streaming import bayes_ab_conversion
-
-    rows = []
-    def users(n, conv_even, conv_odd):
-        for uid in range(n):
-            conv = conv_even if uid % 2 == 0 else conv_odd
-            c = conv(uid) if callable(conv) else (uid // 2 < conv)
-            rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                         "purchase" if c else "view", 0.0))
-    # identical arms: 2 of 4 convert on each side
-    users(8, 2, 2)
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = bayes_ab_conversion(str(tmp_path))
-    assert got["p_b_beats_a"].tolist() == [0.5]
-
-    # dominant B: 1/4 vs 4/4
-    rows.clear()
-    users(8, 1, 4)
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = bayes_ab_conversion(str(tmp_path))
-    assert got["conv_a"].tolist() == [1]
-    assert got["conv_b"].tolist() == [4]
-    # numeric double-check via a dense posterior grid (no scipy):
-    # p ~ Beta(2,4) vs Beta(5,1); P(B>A) by 2-D Riemann sum
-    import math
-    g = np.linspace(1e-6, 1 - 1e-6, 2000)
-    def beta_pdf(x, a, b):
-        lb = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return np.exp((a - 1) * np.log(x) + (b - 1) * np.log(1 - x) - lb)
-    fa = beta_pdf(g, 2, 4)
-    fb = beta_pdf(g, 5, 1)
-    fa /= fa.sum()
-    cb = np.cumsum(fb / fb.sum())
-    want = float((fa * (1.0 - cb)).sum())
-    assert abs(got["p_b_beats_a"].iloc[0] - want) < 2e-3
-
-
 def test_twonn_dimension_planted_manifold(ray_session, tmp_path):
     """Vectors on a smooth low-dimensional manifold embedded in a
     higher ambient space: the TwoNN estimate lands far below the
@@ -974,45 +697,6 @@ def test_twonn_dimension_planted_manifold(ray_session, tmp_path):
     assert got["ambient_dim"].tolist() == [16]
     assert got["n_used"].iloc[0] > 100
     assert 0.5 < got["intrinsic_dim"].iloc[0] < 8.0
-
-
-def test_fisher_exact_matches_rational_arithmetic(ray_session,
-                                                  tmp_path):
-    """The lgamma tail sum agrees with the EXACT rational
-    hypergeometric sum (math.comb + Fraction) to 1e-12 on several
-    planted tables."""
-    from fractions import Fraction
-    from math import comb
-
-    from ocr_agent_ray.pipelines.streaming import fisher_exact_conversion
-
-    cases = [(5, 2, 6, 1), (4, 3, 4, 1), (7, 5, 6, 2), (3, 0, 3, 2)]
-    for n_a, ca, n_b, cb in cases:
-        rows = []
-        eid = 0
-        for uid_half in range(max(n_a, n_b)):
-            for arm, (nn, cc) in enumerate(((n_a, ca), (n_b, cb))):
-                if uid_half >= nn:
-                    continue
-                uid = uid_half * 2 + arm
-                conv = uid_half < cc
-                rows.append((eid, pd.Timestamp("2024-01-01"), uid,
-                             "purchase" if conv else "view", 0.0))
-                eid += 1
-        _write_events(tmp_path, pd.DataFrame(
-            rows, columns=["event_id", "ts", "user_id", "event_type",
-                           "value"]))
-        got = fisher_exact_conversion(str(tmp_path))
-        n = n_a + n_b
-        r1, c1 = n_a, ca + cb
-        want = Fraction(0)
-        for k in range(ca, min(r1, c1) + 1):
-            if c1 - k > n - r1:
-                continue
-            want += Fraction(comb(r1, k) * comb(n - r1, c1 - k),
-                             comb(n, c1))
-        assert abs(got["p_one_sided"].iloc[0] - float(want)) < 1e-6, \
-            (n_a, ca, n_b, cb, got["p_one_sided"].iloc[0], float(want))
 
 
 def test_isotonic_is_optimal_against_perturbation(ray_session,
@@ -1061,32 +745,6 @@ def test_cvar_planted_tail(ray_session, tmp_path):
     assert got.loc["a", "cvar_q"] == 20.0
 
 
-def test_segmented_trend_planted_kink(ray_session, tmp_path):
-    """Counts rise by 1/day for 10 days then by 5/day: the breakpoint
-    lands at the kink and the slopes recover 1 and 5."""
-    from ocr_agent_ray.pipelines.streaming import segmented_trend_daily
-
-    rows = []
-    level = 5
-    for d in range(20):
-        level += 1 if d < 10 else 5
-        for _ in range(level):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = segmented_trend_daily(str(tmp_path))
-    assert got["n_days"].tolist() == [20]
-    # the kink point lies on BOTH lines (15 -> 20 is already +5), so
-    # b=9 and b=10 both reach SSE 0 and the tie breaks to the EARLIER
-    # day — the pinned argmin order
-    assert str(got["break_day"].iloc[0])[:10] == "2024-01-09"
-    assert got["slope_left"].iloc[0] == 1.0
-    assert got["slope_right"].iloc[0] == 5.0
-    assert got["sse_total"].iloc[0] == 0.0
-
-
 def test_trimmed_mean_planted(ray_session, tmp_path):
     """Values 1..10 with trim 0.1 -> drop 1 from each end ->
     mean(2..9) = 5.5; outliers at the ends don't move it."""
@@ -1105,29 +763,6 @@ def test_trimmed_mean_planted(ray_session, tmp_path):
         + [1000.0]}))
     got = trimmed_mean_by_type(str(tmp_path)).set_index("event_type")
     assert got.loc["a", "trimmed_mean"] == 5.5
-
-
-def test_power_analysis_known_rates(ray_session, tmp_path):
-    """30% vs 60% conversion with 10 users/arm: closed form
-    n = 2.801585^2 * (0.21 + 0.24) / 0.09."""
-    from ocr_agent_ray.pipelines.streaming import (
-        power_analysis_conversion)
-
-    rows = []
-    for uid in range(20):
-        half = uid // 2
-        conv = half < 3 if uid % 2 == 0 else half < 6
-        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                     "purchase" if conv else "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = power_analysis_conversion(str(tmp_path))
-    assert got["p_a"].tolist() == [0.3]
-    assert got["p_b"].tolist() == [0.6]
-    z = 1.959964 + 0.841621
-    want = z * z * (0.3 * 0.7 + 0.6 * 0.4) / (0.3 * 0.3)
-    assert got["n_required_per_arm"].tolist() == [round(want, 6)]
 
 
 def test_threshold_sweep_monotone_and_planted(ray_session):
@@ -1163,69 +798,6 @@ def test_hill_tail_index_planted_pareto(ray_session, tmp_path):
     assert abs(got["hill_alpha"].iloc[0] - 2.0) < 0.3
 
 
-def test_runs_test_alternating_vs_blocked(ray_session, tmp_path):
-    """A perfectly alternating high/low series maximizes runs
-    (z > 0); two solid blocks minimize them (z < 0)."""
-    from ocr_agent_ray.pipelines.streaming import runs_test_daily
-
-    def write(counts):
-        rows = []
-        for d, c in enumerate(counts):
-            for _ in range(int(c)):
-                rows.append((len(rows), pd.Timestamp("2024-01-01")
-                             + pd.Timedelta(days=d), 0, "view", 0.0))
-        _write_events(tmp_path, pd.DataFrame(
-            rows, columns=["event_id", "ts", "user_id", "event_type",
-                           "value"]))
-
-    write([10, 30] * 10)
-    alt = runs_test_daily(str(tmp_path))
-    assert alt["n_runs"].tolist() == [20]
-    assert alt["z_runs"].iloc[0] > 2.0
-
-    write([10] * 10 + [30] * 10)
-    blk = runs_test_daily(str(tmp_path))
-    assert blk["n_runs"].tolist() == [2]
-    assert blk["z_runs"].iloc[0] < -2.0
-
-
-def test_forecast_backtest_linear_series_holt_wins(ray_session,
-                                                   tmp_path):
-    """On a pure linear trend Holt converges to near-zero error while
-    naive pays the slope every step -> skill_ratio >> 1."""
-    from ocr_agent_ray.pipelines.streaming import forecast_backtest_daily
-
-    rows = []
-    for d in range(30):
-        for _ in range(10 + 5 * d):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = forecast_backtest_daily(str(tmp_path))
-    assert got["n_forecasts"].tolist() == [28]
-    assert got["mae_naive"].tolist() == [5.0]
-    # Holt's state tracks a pure line EXACTLY (s stays on the line,
-    # b equals the slope) -> zero error, skill pinned to NULL
-    assert got["mae_holt"].tolist() == [0.0]
-    assert np.isnan(got["skill_ratio"].iloc[0])
-
-    # a trending series with alternating wiggle: Holt still beats
-    # naive (which pays slope + wiggle every step)
-    rows = []
-    for d in range(30):
-        for _ in range(10 + 5 * d + (3 if d % 2 else 0)):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = forecast_backtest_daily(str(tmp_path))
-    assert got["mae_holt"].iloc[0] > 0.0
-    assert got["skill_ratio"].iloc[0] > 1.0
-
-
 def test_ipf_raking_converges_to_uniform_marginals(ray_session,
                                                    tmp_path):
     """A skewed lang x source grid rakes to uniform weighted marginals
@@ -1253,38 +825,6 @@ def test_ipf_raking_converges_to_uniform_marginals(ray_session,
     # the rare (de, a) cell is upweighted hardest
     w = got.set_index(["lang", "source"])["weight"]
     assert w.loc[("de", "a")] == got["weight"].max()
-
-
-def test_kleinberg_bursts_metronome_vs_cluster(ray_session, tmp_path):
-    """A metronome user has zero bursts; a user with a tight cluster
-    amid sparse gaps gets exactly one burst covering the cluster."""
-    from ocr_agent_ray.pipelines.streaming import kleinberg_bursts
-
-    rows = []
-    t0 = pd.Timestamp("2024-01-01")
-    # user 1: 20 events exactly one hour apart
-    for i in range(20):
-        rows.append((len(rows), t0 + pd.Timedelta(hours=i), 1))
-    # user 2: hourly, but 8 events packed one minute apart mid-stream
-    t = t0
-    for i in range(8):
-        t += pd.Timedelta(hours=1)
-        rows.append((len(rows), t, 2))
-    for i in range(8):
-        t += pd.Timedelta(minutes=1)
-        rows.append((len(rows), t, 2))
-    for i in range(8):
-        t += pd.Timedelta(hours=1)
-        rows.append((len(rows), t, 2))
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id"])
-    df["event_type"] = "view"
-    df["value"] = 0.0
-    _write_events(tmp_path, df)
-    got = kleinberg_bursts(str(tmp_path)).to_pandas() \
-        .set_index("user_id")
-    assert got.loc[1, "n_bursts"] == 0
-    assert got.loc[2, "n_bursts"] == 1
-    assert got.loc[2, "max_burst_len"] >= 7
 
 
 def test_bh_terms_planted_extreme_term(ray_session, tmp_path):
@@ -1318,33 +858,6 @@ def test_bh_terms_planted_extreme_term(ray_session, tmp_path):
     assert got["n_tested"].iloc[0] == 31
     assert got["n_significant"].iloc[0] >= 1
     assert 0.0 < got["bh_threshold"].iloc[0] <= 0.05
-
-
-def test_gumbel_maxima_planted_moments(ray_session, tmp_path):
-    """Three ISO weeks with max daily counts {10, 20, 30}: mean 20,
-    sd 10 -> beta = 10*sqrt(6)/pi, mu = 20 - gamma*beta."""
-    from ocr_agent_ray.pipelines.streaming import gumbel_weekly_maxima
-
-    rows = []
-    # weekday Mondays anchor distinct ISO weeks; spike one day/week
-    for w, peak in enumerate((10, 20, 30)):
-        monday = pd.Timestamp("2024-01-01") + pd.Timedelta(weeks=w)
-        for _ in range(peak):
-            rows.append((len(rows), monday, 0, "view", 0.0))
-        for d in range(1, 5):
-            for _ in range(5):
-                rows.append((len(rows), monday + pd.Timedelta(days=d),
-                             0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = gumbel_weekly_maxima(str(tmp_path))
-    assert got["n_weeks"].tolist() == [3]
-    assert got["mean_max"].tolist() == [20.0]
-    beta = 10.0 * np.sqrt(6.0) / np.pi
-    assert got["gumbel_beta"].tolist() == [round(beta, 6)]
-    assert got["gumbel_mu"].tolist() == [round(20.0 - 0.577216 * beta,
-                                               6)]
 
 
 def test_simpson_planted_flip(ray_session, tmp_path):
@@ -1422,32 +935,6 @@ def test_cluster_source_ari_planted_agreement(ray_session, tmp_path):
     assert got["ari"].iloc[0] == 1.0
 
 
-def test_user_jaccard_daily_planted(ray_session, tmp_path):
-    """Day 1 users {1,2,3}, day 2 users {2,3,4}: J = 2/4 = 0.5;
-    a calendar gap produces NO row (only consecutive observed days)."""
-    from ocr_agent_ray.pipelines.streaming import user_jaccard_daily
-
-    rows = []
-    def ev(day, uid):
-        rows.append((len(rows), pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(days=day), uid, "view", 0.0))
-    for u in (1, 2, 3):
-        ev(0, u)
-    for u in (2, 3, 4):
-        ev(1, u)
-    for u in (7, 8):                      # day 3 skipped -> gap
-        ev(3, u)
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = user_jaccard_daily(str(tmp_path))
-    assert len(got) == 1
-    assert got["n_users"].tolist() == [3]
-    assert got["n_users_next"].tolist() == [3]
-    assert got["n_common"].tolist() == [2]
-    assert got["jaccard"].tolist() == [0.5]
-
-
 def test_mrr_planted_first_hit(ray_session, tmp_path):
     """Candidate pool where length normalization puts a low-relevance
     doc first: the first rel>=3 doc's 1-based rank drives 1/r; a
@@ -1471,3 +958,198 @@ def test_mrr_planted_first_hit(ray_session, tmp_path):
     # query 1 ("vector","stream"): doc 2 has rel 2 < 3 -> no hit
     assert pd.isna(got.loc[1, "first_rel_rank"])
     assert got.loc[1, "reciprocal_rank"] == 0.0
+
+
+def test_mcnemar_planted_discordant(ray_session, tmp_path):
+    """Users: two first-half-only converters, one second-half-only,
+    one concordant, one never: b=2, c=1 -> stat 1/3, corrected 0."""
+    from ocr_agent_ray.pipelines.relational import mcnemar_conversion
+
+    rows = []
+    # stream spans day 0 .. day 10; midpoint = day 5
+    def ev(uid, day, etype):
+        rows.append((len(rows), pd.Timestamp("2024-01-01")
+                     + pd.Timedelta(days=day), uid, etype, 0.0))
+    ev(1, 0, "view"); ev(1, 1, "purchase")            # b (first only)
+    ev(2, 1, "purchase")                              # b (first only)
+    ev(3, 8, "purchase")                              # c (second only)
+    ev(4, 1, "purchase"); ev(4, 8, "purchase")        # concordant 1/1
+    ev(5, 2, "view"); ev(5, 10, "view")               # never converts
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = mcnemar_conversion(str(tmp_path))
+    assert got["n_users"].tolist() == [5]
+    assert got["b_first_only"].tolist() == [2]
+    assert got["c_second_only"].tolist() == [1]
+    assert got["mcnemar_stat"].tolist() == [round(1.0 / 3.0, 6)]
+    assert got["mcnemar_cc"].tolist() == [0.0]
+
+
+def test_fisher_exact_matches_scipy_style_reference(ray_session,
+                                                    tmp_path):
+    """Hand hypergeometric: arms of 4 users each, 3 vs 1 converters ->
+    upper tail P(X >= 3) = (C(4,3)C(4,1) + C(4,4)C(4,0)) / C(8,4)
+    = 17/70; odds ratio (3*3)/(1*1) = 9."""
+    from ocr_agent_ray.pipelines.relational import fisher_exact_conversion
+
+    rows = []
+    # arm = user_id % 2: even users arm A, odd users arm B
+    for uid in range(8):
+        arm_a = uid % 2 == 0
+        converts = (uid in (0, 2, 4)) if arm_a else (uid == 1)
+        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
+                     "purchase" if converts else "view", 0.0))
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = fisher_exact_conversion(str(tmp_path))
+    assert got["conv_a"].tolist() == [3]
+    assert got["conv_b"].tolist() == [1]
+    assert got["odds_ratio"].tolist() == [9.0]
+    assert got["p_one_sided"].tolist() == [round(17.0 / 70.0, 6)]
+
+
+def test_bayes_ab_symmetry_and_known_value(ray_session, tmp_path):
+    """Symmetric arms -> P(B > A) = 0.5 by symmetry minus the tie
+    mass... actually for continuous Beta posteriors P = 0.5 exactly
+    when the arms are identical; a dominant B pushes P toward 1.
+    Known small case verified against numeric integration."""
+    from ocr_agent_ray.pipelines.relational import bayes_ab_conversion
+
+    rows = []
+    def users(n, conv_even, conv_odd):
+        for uid in range(n):
+            conv = conv_even if uid % 2 == 0 else conv_odd
+            c = conv(uid) if callable(conv) else (uid // 2 < conv)
+            rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
+                         "purchase" if c else "view", 0.0))
+    # identical arms: 2 of 4 convert on each side
+    users(8, 2, 2)
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = bayes_ab_conversion(str(tmp_path))
+    assert got["p_b_beats_a"].tolist() == [0.5]
+
+    # dominant B: 1/4 vs 4/4
+    rows.clear()
+    users(8, 1, 4)
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = bayes_ab_conversion(str(tmp_path))
+    assert got["conv_a"].tolist() == [1]
+    assert got["conv_b"].tolist() == [4]
+    # numeric double-check via a dense posterior grid (no scipy):
+    # p ~ Beta(2,4) vs Beta(5,1); P(B>A) by 2-D Riemann sum
+    import math
+    g = np.linspace(1e-6, 1 - 1e-6, 2000)
+    def beta_pdf(x, a, b):
+        lb = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return np.exp((a - 1) * np.log(x) + (b - 1) * np.log(1 - x) - lb)
+    fa = beta_pdf(g, 2, 4)
+    fb = beta_pdf(g, 5, 1)
+    fa /= fa.sum()
+    cb = np.cumsum(fb / fb.sum())
+    want = float((fa * (1.0 - cb)).sum())
+    assert abs(got["p_b_beats_a"].iloc[0] - want) < 2e-3
+
+
+def test_fisher_exact_matches_rational_arithmetic(ray_session,
+                                                  tmp_path):
+    """The lgamma tail sum agrees with the EXACT rational
+    hypergeometric sum (math.comb + Fraction) to 1e-12 on several
+    planted tables."""
+    from fractions import Fraction
+    from math import comb
+
+    from ocr_agent_ray.pipelines.relational import fisher_exact_conversion
+
+    cases = [(5, 2, 6, 1), (4, 3, 4, 1), (7, 5, 6, 2), (3, 0, 3, 2)]
+    for n_a, ca, n_b, cb in cases:
+        rows = []
+        eid = 0
+        for uid_half in range(max(n_a, n_b)):
+            for arm, (nn, cc) in enumerate(((n_a, ca), (n_b, cb))):
+                if uid_half >= nn:
+                    continue
+                uid = uid_half * 2 + arm
+                conv = uid_half < cc
+                rows.append((eid, pd.Timestamp("2024-01-01"), uid,
+                             "purchase" if conv else "view", 0.0))
+                eid += 1
+        _write_events(tmp_path, pd.DataFrame(
+            rows, columns=["event_id", "ts", "user_id", "event_type",
+                           "value"]))
+        got = fisher_exact_conversion(str(tmp_path))
+        n = n_a + n_b
+        r1, c1 = n_a, ca + cb
+        want = Fraction(0)
+        for k in range(ca, min(r1, c1) + 1):
+            if c1 - k > n - r1:
+                continue
+            want += Fraction(comb(r1, k) * comb(n - r1, c1 - k),
+                             comb(n, c1))
+        assert abs(got["p_one_sided"].iloc[0] - float(want)) < 1e-6, \
+            (n_a, ca, n_b, cb, got["p_one_sided"].iloc[0], float(want))
+
+
+def test_power_analysis_known_rates(ray_session, tmp_path):
+    """30% vs 60% conversion with 10 users/arm: closed form
+    n = 2.801585^2 * (0.21 + 0.24) / 0.09."""
+    from ocr_agent_ray.pipelines.relational import (
+        power_analysis_conversion)
+
+    rows = []
+    for uid in range(20):
+        half = uid // 2
+        conv = half < 3 if uid % 2 == 0 else half < 6
+        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
+                     "purchase" if conv else "view", 0.0))
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = power_analysis_conversion(str(tmp_path))
+    assert got["p_a"].tolist() == [0.3]
+    assert got["p_b"].tolist() == [0.6]
+    z = 1.959964 + 0.841621
+    want = z * z * (0.3 * 0.7 + 0.6 * 0.4) / (0.3 * 0.3)
+    assert got["n_required_per_arm"].tolist() == [round(want, 6)]
+
+
+def test_forecast_backtest_linear_series_holt_wins(ray_session,
+                                                   tmp_path):
+    """On a pure linear trend Holt converges to near-zero error while
+    naive pays the slope every step -> skill_ratio >> 1."""
+    from ocr_agent_ray.pipelines.relational import forecast_backtest_daily
+
+    rows = []
+    for d in range(30):
+        for _ in range(10 + 5 * d):
+            rows.append((len(rows), pd.Timestamp("2024-01-01")
+                         + pd.Timedelta(days=d), 0, "view", 0.0))
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = forecast_backtest_daily(str(tmp_path))
+    assert got["n_forecasts"].tolist() == [28]
+    assert got["mae_naive"].tolist() == [5.0]
+    # Holt's state tracks a pure line EXACTLY (s stays on the line,
+    # b equals the slope) -> zero error, skill pinned to NULL
+    assert got["mae_holt"].tolist() == [0.0]
+    assert np.isnan(got["skill_ratio"].iloc[0])
+
+    # a trending series with alternating wiggle: Holt still beats
+    # naive (which pays slope + wiggle every step)
+    rows = []
+    for d in range(30):
+        for _ in range(10 + 5 * d + (3 if d % 2 else 0)):
+            rows.append((len(rows), pd.Timestamp("2024-01-01")
+                         + pd.Timedelta(days=d), 0, "view", 0.0))
+    _write_events(tmp_path, pd.DataFrame(
+        rows, columns=["event_id", "ts", "user_id", "event_type",
+                       "value"]))
+    got = forecast_backtest_daily(str(tmp_path))
+    assert got["mae_holt"].iloc[0] > 0.0
+    assert got["skill_ratio"].iloc[0] > 1.0
