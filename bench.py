@@ -70,8 +70,8 @@ def _run_flagship(work_ms: float | None = None) -> dict:
     settings = PipelineSettings(
         ocr_concurrency=max(2, NUM_CPUS - 2),
         ocr_batch_size=128,
-        # barrier-free granularity: each OCR task fans out, OCRs and
-        # finalizes one ~fanout_batch_size-doc bundle
+        # each OCR slot task fans out, OCRs, finalizes and assembles its
+        # share in ~fanout_batch_size-doc bundles
         fanout_batch_size=32,
         num_partitions=max(32, NUM_CPUS * 4),
         balance_blocks=None,
@@ -80,11 +80,7 @@ def _run_flagship(work_ms: float | None = None) -> dict:
     try:
         t0 = time.monotonic()
         run_extract_checkpointed(
-            # read blocks smaller than the fan-out bundle so bundling (which
-            # never splits a block) actually yields ~32-doc tasks;
-            # fractional read CPUs keep the read flowing beside the OCR tasks
-            read_documents(CORPUS_DIR, num_blocks=max(64, BENCH_DOCS // 32),
-                           read_cpus=0.25),
+            read_documents(CORPUS_DIR, num_blocks=max(64, BENCH_DOCS // 32)),
             out_dir,
             engine_factory=functools.partial(
                 MockOcrEngine,
@@ -360,7 +356,6 @@ def main() -> None:
             "ocr_batch_size": 128,
             "fanout_batch_size": 32,
             "balance_blocks": None,   # barrier-free: no repartition
-            "read_cpus": 0.25,
             "num_partitions": max(32, NUM_CPUS * 4),
         },
     }

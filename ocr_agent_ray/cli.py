@@ -109,7 +109,7 @@ def cmd_run(args) -> int:
     else:
         engine_factory = functools.partial(MockOcrEngine, work_ms=args.ocr_work_ms)
     summary = run_extract_checkpointed(
-        read_documents(args.input, read_cpus=args.read_cpus),
+        read_documents(args.input),
         args.out,
         engine_factory=engine_factory,
         settings=settings,
@@ -328,10 +328,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="explicit cost-leveling repartition for pathological "
                         "per-doc skew (barrier; default: barrier-free)")
     r.add_argument("--fanout-batch-size", type=int, default=64,
-                   help="docs per fused fan-out+OCR task (task granularity)")
-    r.add_argument("--read-cpus", type=float, default=0.25,
-                   help="fractional CPUs per read task (keeps reads flowing "
-                        "beside the OCR tasks)")
+                   help="docs per bundle an OCR slot task fans out, OCRs "
+                        "and assembles at a time")
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("status")

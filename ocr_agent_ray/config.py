@@ -70,7 +70,11 @@ class PipelineSettings:
     reference is strictly sequential, cli.py:224-244)."""
 
     ocr_batch_size: int = 256          # work units per OCR engine call
-    ocr_concurrency: int = 4           # max concurrent OCR tasks
+    ocr_concurrency: int = 4           # OCR slots: at most this many OCR
+                                       # tasks run at once; with slot
+                                       # tasks a run starts one per slot
+                                       # (fewer for inputs with fewer
+                                       # fragments), all at once
     ocr_min_actors: int = 1            # unused: the OCR operator is a task
                                        # map_batches, and Ray Data task ops
                                        # take only an integer concurrency.
@@ -80,10 +84,14 @@ class PipelineSettings:
                                        # reserves num_gpus=1 instead; Ray
                                        # then ends the worker after each
                                        # task (max_calls=1, which
-                                       # map_batches cannot override), so
-                                       # the model reloads per task (see
-                                       # DeepSeekOcr2Engine)
-    fanout_batch_size: int = 512       # documents per fan-out batch
+                                       # map_batches cannot override). A
+                                       # slot task is one slot's whole
+                                       # share, so the model loads once per
+                                       # slot and run; an input streamed
+                                       # per bundle loads it once per
+                                       # bundle (see DeepSeekOcr2Engine)
+    fanout_batch_size: int = 512       # documents per bundle an OCR task
+                                       # fans out, OCRs and assembles
     num_partitions: int = 32           # checkpoint / output partitions
     balance_blocks: int | None = None  # EXPLICIT skew leveling: repartition
                                        # work units into this many
@@ -92,8 +100,11 @@ class PipelineSettings:
                                        # ~equal cost after per-page fan-out
                                        # so row-balance == cost-balance).
                                        # Off by default: the barrier-free
-                                       # path gets OCR granularity from
-                                       # small fused fan-out tasks. Turn on
-                                       # for pathological per-doc skew
-                                       # (single multi-thousand-page docs).
+                                       # path gives each OCR slot a fixed,
+                                       # row-balanced share of the input
+                                       # (or, for a coarse or lazy input,
+                                       # one task per fan-out bundle).
+                                       # Turn on for skew across slots or
+                                       # pathological per-doc skew (single
+                                       # multi-thousand-page docs).
     fail_fast: bool = False            # reference --fail-fast (cli.py:74-85)

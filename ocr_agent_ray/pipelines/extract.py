@@ -4,9 +4,16 @@ Ray-Data-first restatement of the reference's enqueue→run→merge lifecycle
 (/root/reference/src/ocr_agent/cli.py:161-256), one path from read to
 commit:
 
-    read docs (parquet/Lance, column-pruned)
-      → map_batches(ExtractTask)             # ONE task op, N-wide, per read
-                                             # bundle: fan-out (enqueue),
+    input fragments (sources/corpus.py: Parquet (file, row range) slices,
+    or (block ref, row range) slices of a materialized input)
+      → map_batches(ExtractSlots)            # ONE task op, one streaming
+                                             # task per OCR slot,
+                                             # min(ocr_concurrency,
+                                             # fragments) per run; each
+                                             # reads its share of fragments
+                                             # (column-pruned) and walks it
+                                             # in fanout_batch_size-doc
+                                             # bundles: fan-out (enqueue),
                                              # resume filter, OCR (the GPU
                                              # hot loop), post-process +
                                              # drop-empty + headers, per-doc
@@ -16,9 +23,9 @@ commit:
                                              # stream; atomic commits at run end
 
 A document is one input row, so all of its units fan out inside one
-``ExtractTask`` call, and the task assembles its documents itself: no
-shuffle sits between OCR and the store. The task tags each assembled
-document with its hash ``partition_id``; the driver's
+bundle, and the task assembles its documents itself: no shuffle sits
+between OCR and the store. The task tags each assembled document with its
+hash ``partition_id``; the driver's
 :class:`~ocr_agent_ray.state.checkpoint.PartitionWriter` appends it to
 that partition's temp file and, when the stream ends, commits every
 partition (data, then metrics, then the marker). The hash partition
@@ -27,16 +34,22 @@ stays the commit, resume and reset unit. Only the opt-in
 assembles through a hash exchange (pipelines/exchange.py) before the
 same writer.
 
-The OCR operator is a task ``map_batches``, not an actor pool: Ray Data
-runs its tasks on warm pooled workers that already import ``ray.data``,
-so no run waits for a fresh actor process. Each task takes its engine
-from a per-(worker process, run) cache (stages/ocr.py ``process_stage``):
-a run builds one engine in each worker process its OCR tasks land on.
-That count is bounded by Ray's idle-worker pool, not by
-``ocr_concurrency`` (which caps only the tasks running at once); the run
-summary reports it as ``ocr_processes``. Resume filters
-committed partitions out right after fan-out with a broadcast set
-(anti-join, SURVEY.md §2.4) — no shuffle, no re-OCR of done work.
+A slot task is the reference runner's loop (load the model once, then
+take work until the queue is empty) with the read fused in: a run
+dispatches ``min(ocr_concurrency, fragments)`` tasks rather than one per
+read block, and no read operator runs ahead of them. A slot's share is
+fixed when the run starts, so with more than one slot the slot tasks run
+only when the input has at least ``FRAGMENTS_PER_SLOT`` fragments per
+slot. An input with fewer (a corpus of a few single-row-group files), or
+a lazy input that is not a ``read_documents`` Dataset (a Lance read, a
+transformed read), streams through one ``ExtractTask`` per fan-out
+bundle instead, as before slot tasks. Skew within a share is
+``balance_blocks``' job. Each task takes its engine from a per-(worker
+process, run) cache (stages/ocr.py ``process_stage``), so a run of slot
+tasks builds at most one engine per slot; the run summary reports the
+count as ``ocr_processes``. Resume filters committed partitions out right
+after fan-out with a broadcast set (anti-join, SURVEY.md §2.4) — no
+shuffle, no re-OCR of done work.
 """
 
 from __future__ import annotations
@@ -47,21 +60,36 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
-from ocr_agent_ray.schema import FINALIZED_UNITS_SCHEMA
+from ocr_agent_ray.schema import FINALIZED_UNITS_SCHEMA, TAGGED_ASSEMBLED_SCHEMA
+from ocr_agent_ray.sources.corpus import document_fragments, read_fragments, split_shares
 from ocr_agent_ray.stages.assemble import assemble_group
 from ocr_agent_ray.stages.fanout import fan_out_documents
 from ocr_agent_ray.stages.ocr import MockOcrEngine, process_stage
 
+# Ray retries a task whose worker process died. Ray Data's default is to
+# retry forever (max_retries=-1), so a worker that dies on every attempt
+# (a model that segfaults on one page) would redo its slot's share
+# forever; the run fails after this many retries instead.
+OCR_MAX_RETRIES = 2
+
+# A slot's share is fixed when the run starts, so slot tasks run only when
+# the input has at least this many fragments per slot: a share of several
+# fragments averages out their costs. On bench.py's skewed corpus (24
+# single-row-group files) the busiest of k row-balanced shares holds 5.5 %
+# more media units than the mean at 4 fragments per slot, 7.6 % at 2 and
+# 16 % at 1.
+FRAGMENTS_PER_SLOT = 4
+
 
 class ExtractTask:
-    """Task-based ``map_batches`` callable: fan-out → drop committed →
-    OCR → finalize → assemble for one batch of documents, returning
-    partition-tagged ``(doc_id, spans)`` rows.
+    """Fan-out → drop committed → OCR → finalize → assemble for one
+    bundle of documents, returning partition-tagged ``(doc_id, spans)``
+    rows.
 
-    Deserialized afresh for every task, so it holds only constants made
-    where the pipeline is built; the per-run :class:`OcrFinalizeStage`
-    and its engine come from the worker process (``process_stage``),
-    keyed by this run's id."""
+    Shipped to the OCR tasks, so it holds only constants made where the
+    pipeline is built; the per-run :class:`OcrFinalizeStage` and its
+    engine come from the worker process (``process_stage``), keyed by
+    this run's id."""
 
     def __init__(self, *, engine_factory, settings: PipelineSettings,
                  math_style: str, out_dir: str | None,
@@ -96,31 +124,32 @@ class ExtractTask:
                                  for lo in range(0, len(units), step)])
 
     def __call__(self, docs: pa.Table) -> pa.Table:
-        # every unit of these docs is in this batch, so they assemble here
+        # every unit of these docs is in this bundle, so they assemble here
         return assemble_group(self.ocr(self.fan_out(docs)), tag_partition=True)
+
+
+class ExtractSlots:
+    """Task-based ``map_batches`` generator: each input row is a slot
+    index, and the call streams that slot's share of fragments through
+    :class:`ExtractTask` in ``bundle_docs``-document bundles, yielding
+    each assembled bundle. The shares (block refs included) live in this
+    object, so they reach the task with its callable."""
+
+    def __init__(self, task: ExtractTask, shares: list, bundle_docs: int) -> None:
+        self.task = task
+        self.shares = shares
+        self.bundle_docs = bundle_docs
+
+    def __call__(self, slots: pa.Table):
+        for slot in slots["slot"].to_pylist():
+            for docs in read_fragments(self.shares[slot], self.bundle_docs):
+                # empty bundles too: a slot that yields nothing would
+                # leave a block without the output schema
+                yield self.task(docs)
 
 
 def _assemble_partition(group: pa.Table) -> pa.Table:
     return assemble_group(group, tag_partition=True)
-
-
-def _bundle_sized_blocks(docs_ds, batch_size: int):
-    """Split a materialized input into fan-out-bundle-sized blocks when it
-    has fewer blocks than bundles. A map task takes whole blocks, so one
-    large block (``rd.from_arrow(table)``) would otherwise be one OCR
-    task. Lazy reads are left as they are."""
-    import ray
-    import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
-
-    if not isinstance(docs_ds, MaterializedDataset):
-        return docs_ds
-    rows = docs_ds.count()
-    if docs_ds.num_blocks() >= -(-rows // batch_size):
-        return docs_ds
-    table = pa.concat_tables(ray.get(docs_ds.to_arrow_refs()))
-    return rd.from_arrow([table.slice(lo, batch_size)
-                          for lo in range(0, rows, batch_size)])
 
 
 def build_extract_pipeline(
@@ -138,8 +167,13 @@ def build_extract_pipeline(
 
     ``out_dir`` receives the OCR and finalize metrics spools; the rows
     are committed by :func:`run_extract_checkpointed`, not here. The
-    default path is lazy and streams; with ``balance_blocks``, building
-    already runs read → fan-out → OCR into the assembly exchange."""
+    default path is lazy and streams: slot tasks read a
+    ``read_documents`` Parquet input themselves or slice a materialized
+    input's blocks (see
+    :func:`~ocr_agent_ray.sources.corpus.document_fragments`), and any
+    other input streams through one task per fan-out bundle. With
+    ``balance_blocks``, building already runs read → fan-out → OCR into
+    the assembly exchange."""
     settings = settings or PipelineSettings()
     post = post or PostProcessSettings()
     task = ExtractTask(engine_factory=engine_factory, settings=settings,
@@ -148,20 +182,39 @@ def build_extract_pipeline(
     # At most ocr_concurrency OCR tasks run at once, each reserving
     # ocr_num_cpus. A GPU deployment reserves num_gpus=1 instead, which
     # makes Ray end the worker after each task (max_calls=1, and
-    # map_batches cannot override it): the model then reloads per task.
-    # See the DeepSeekOcr2Engine docstring.
+    # map_batches cannot override it); a slot task is a whole slot, so
+    # the model loads once per slot and run. See the DeepSeekOcr2Engine
+    # docstring.
     ocr_args = dict(batch_format="pyarrow", concurrency=settings.ocr_concurrency,
-                    num_cpus=settings.ocr_num_cpus)
+                    num_cpus=settings.ocr_num_cpus, max_retries=OCR_MAX_RETRIES)
 
     if not settings.balance_blocks:
-        # Barrier-free (default): each task fans out, OCRs, finalizes and
-        # assembles one ~fanout_batch_size-doc bundle in place, so OCR
-        # granularity is the fan-out bundle (keep fanout_batch_size small
-        # and read blocks smaller than it) and the pipeline streams
-        # end-to-end.
-        docs_ds = _bundle_sized_blocks(docs_ds, settings.fanout_batch_size)
-        return docs_ds.map_batches(task, batch_size=settings.fanout_batch_size,
-                                   **ocr_args)
+        # Barrier-free (default): one task per slot reads its share of the
+        # fragments and fans out, OCRs, finalizes and assembles it bundle
+        # by bundle, so no task is dispatched per bundle or read block.
+        import ray.data as rd
+
+        slots = settings.ocr_concurrency
+        fragments = document_fragments(
+            docs_ds, FRAGMENTS_PER_SLOT * slots if slots > 1 else 1)
+        if fragments is None:
+            # A lazy input, or one too coarse to share out (fewer row
+            # groups than FRAGMENTS_PER_SLOT per slot), streams through one
+            # task per fan-out bundle, which Ray Data hands to whichever
+            # slot is free: per-bundle dispatch costs less there than a
+            # fixed share's imbalance.
+            return docs_ds.map_batches(task, batch_size=settings.fanout_batch_size,
+                                       **ocr_args)
+        shares = [fragments[r.start:r.stop] for r in split_shares(
+            [f.stop - f.start for f in fragments], slots)]
+        if not shares:
+            return rd.from_arrow(TAGGED_ASSEMBLED_SCHEMA.empty_table())
+        slot_ids = rd.from_arrow([pa.table({"slot": [i]}) for i in range(len(shares))])
+        # batch_size=1: one slot row per task (a larger batch would bundle
+        # the one-row slot blocks into fewer tasks)
+        return slot_ids.map_batches(
+            ExtractSlots(task, shares, settings.fanout_batch_size),
+            batch_size=1, **ocr_args)
 
     # Skew leveling (north_rule): after per-page fan-out every unit has
     # ~equal cost (the reference's own leveling insight,

@@ -22,7 +22,10 @@ Structure mirrors the reference's input universe:
 
 from __future__ import annotations
 
+import bisect
 import random
+import weakref
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -156,21 +159,18 @@ def write_corpus_parquet_ray(path: str, num_docs: int, seed: int = 42,
     return ray.get(refs)
 
 
-def read_documents(path: str, num_blocks: int | None = None,
-                   read_cpus: float | None = None):
+def read_documents(path: str, num_blocks: int | None = None):
     """Read an interleaved-docs table as a Ray Dataset (Lance dataset dirs
     via ray.data.read_lance when the package is available, else parquet —
     sources/readers.py).
 
-    Block count defaults to 4x the cluster CPUs: downstream OCR task
-    concurrency is bounded by input block count, so a handful of fat files
-    must split into enough blocks to keep every OCR task slot fed.
-
-    ``read_cpus``: fractional CPU request per read task (e.g. 0.25) so
-    reads keep flowing beside OCR tasks that reserve most of the node —
-    with default 1-CPU read tasks and N-2 concurrent OCR tasks, reads
-    trickle 2-wide and starve the pipeline start.
-    """
+    ``num_blocks`` is the block and fragment count, 4x the cluster CPUs
+    by default. A Parquet read also records at most about ``num_blocks``
+    ``(file, row range)`` fragments, cut at row-group boundaries
+    (:func:`parquet_fragments`, from the files' footers), for exactly the
+    returned Dataset: the flagship (pipelines/extract.py) reads them
+    inside its own OCR tasks, at least one fragment per slot, while every
+    other consumer sees an ordinary ``read_parquet`` Dataset."""
     import ray
     import ray.data as rd
 
@@ -182,8 +182,153 @@ def read_documents(path: str, num_blocks: int | None = None,
         except Exception:
             cpus = 8
         num_blocks = 4 * max(2, cpus)
-    remote_args = {"num_cpus": read_cpus} if read_cpus else None
     if is_lance_dataset(path):
         return read_lance_table(path, num_blocks=num_blocks)
-    kwargs = {"ray_remote_args": remote_args} if remote_args else {}
-    return rd.read_parquet(path, override_num_blocks=num_blocks, **kwargs)
+    ds = rd.read_parquet(path, override_num_blocks=num_blocks)
+    _READ_FRAGMENTS[ds] = parquet_fragments(sorted(ds.input_files()), num_blocks)
+    return ds
+
+
+# --- fragments: what one OCR slot task reads ----------------------------
+# A fragment is ``(source, start, stop)``: rows [start, stop) of a Parquet
+# file (source is its path) or of a block in the object store (source is
+# its ObjectRef). The slot tasks read them with the functions below, which
+# run in Ray workers: they import nothing from this package at run time,
+# since a worker gets the package pickled by value and may not be able to
+# import it.
+
+DOC_COLUMNS = ["doc_id", "spans"]
+
+# Fragments of each Dataset read_documents returned, keyed by that object.
+_READ_FRAGMENTS = weakref.WeakKeyDictionary()
+
+
+class Fragment(NamedTuple):
+    source: Any
+    start: int
+    stop: int
+
+
+def _even_cuts(rows: int, pieces: int) -> list[tuple[int, int]]:
+    """``pieces`` contiguous row ranges covering ``rows``, sizes within one."""
+    bounds = [rows * k // pieces for k in range(pieces + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def parquet_fragments(files: Sequence[str], num_fragments: int) -> list[Fragment]:
+    """About ``num_fragments`` row ranges over ``files``, cut only at
+    row-group boundaries (row counts from the footers): a fragment is a
+    run of one file's row groups holding at least an even share of the
+    rows, or the rest of the file. No row group is in two fragments, so
+    whichever slot reads a fragment decodes its row groups once and no
+    other slot decodes them; a file written as one row group is one
+    fragment."""
+    metas = [pq.read_metadata(f) for f in files]
+    most = max(1, -(-sum(m.num_rows for m in metas) // max(1, num_fragments)))
+    frags: list[Fragment] = []
+    for f, meta in zip(files, metas):
+        lo = hi = 0
+        for g in range(meta.num_row_groups):
+            hi += meta.row_group(g).num_rows
+            if hi - lo >= most:
+                frags.append(Fragment(f, lo, hi))
+                lo = hi
+        if hi > lo:
+            frags.append(Fragment(f, lo, hi))
+    return frags
+
+
+def document_fragments(docs_ds, min_fragments: int) -> list[Fragment] | None:
+    """At least ``min_fragments`` fragments of a documents Dataset (fewer
+    only when it has fewer rows), or None when it cannot be cut that fine
+    without running it.
+
+    A Dataset returned by :func:`read_documents` has its recorded Parquet
+    fragments, or None when they are fewer (too few row groups). The
+    blocks of a materialized Dataset are cut into ``(block ref, row
+    range)`` fragments of about equal rows. Any other Dataset (a Lance
+    read, or one derived from a read by a transform) gives None: reading
+    it here would run it to the end before any OCR task starts."""
+    from ray.data.dataset import MaterializedDataset
+
+    recorded = _READ_FRAGMENTS.get(docs_ds)
+    if recorded is not None:
+        return recorded if len(recorded) >= min_fragments else None
+    if not isinstance(docs_ds, MaterializedDataset):
+        return None
+    blocks = [(ref, meta.num_rows)
+              for bundle in docs_ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks]
+    most = max(1, -(-sum(n for _, n in blocks) // max(1, min_fragments)))
+    return [Fragment(ref, lo, hi) for ref, n in blocks if n
+            for lo, hi in _even_cuts(n, -(-n // most))]
+
+
+def split_shares(rows: Sequence[int], slots: int) -> list[range]:
+    """Cut fragments with these row counts into ``min(slots, len(rows))``
+    contiguous, non-empty runs (ranges of fragment indexes) balanced by
+    rows: each cut is the fragment boundary nearest its even share of the
+    total that still leaves a fragment for every run after it."""
+    n = len(rows)
+    k = min(slots, n)
+    if k <= 0:
+        return []
+    cum = [0]
+    for r in rows:
+        cum.append(cum[-1] + r)
+    cuts = [0]
+    for j in range(1, k):
+        target = cum[n] * j / k
+        i = bisect.bisect_left(cum, target)  # cum[i - 1] < target <= cum[i]
+        if target - cum[i - 1] <= cum[i] - target:
+            i -= 1
+        cuts.append(min(max(i, cuts[-1] + 1), n - (k - j)))
+    cuts.append(n)
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fragment_tables(fragments: Sequence[Fragment]) -> Iterator[pa.Table]:
+    """The fragments' ``doc_id, spans`` rows in order. Adjacent ranges of
+    one file or block are read as one."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    merged: list[list] = []  # [source, start, stop, key]
+    for f in fragments:
+        key = f.source if isinstance(f.source, str) else f.source.hex()
+        if merged and merged[-1][3] == key and merged[-1][2] == f.start:
+            merged[-1][2] = f.stop
+        else:
+            merged.append([*f, key])
+    for source, start, stop, _ in merged:
+        if not isinstance(source, str):
+            block = BlockAccessor.for_block(ray.get(source)).to_arrow()
+            yield block.select(DOC_COLUMNS).slice(start, stop - start)
+            continue
+        pf = pq.ParquetFile(source)
+        lo = 0
+        for g in range(pf.metadata.num_row_groups):
+            hi = lo + pf.metadata.row_group(g).num_rows
+            if hi > start and lo < stop:
+                group = pf.read_row_group(g, columns=DOC_COLUMNS)
+                first = max(start, lo)
+                yield group.slice(first - lo, min(stop, hi) - first)
+            if hi >= stop:
+                break
+            lo = hi
+
+
+def read_fragments(fragments: Sequence[Fragment], batch_rows: int) -> Iterator[pa.Table]:
+    """Stream the fragments' documents, in order, as tables of
+    ``batch_rows`` rows (the last one may be shorter)."""
+    pending: list[pa.Table] = []
+    have = 0
+    for table in _fragment_tables(fragments):
+        pending.append(table)
+        have += len(table)
+        while have >= batch_rows:
+            joined = pa.concat_tables(pending)
+            yield joined.slice(0, batch_rows)
+            pending, have = [joined.slice(batch_rows)], have - batch_rows
+    if have:
+        yield pa.concat_tables(pending)

@@ -8,8 +8,9 @@ span list into work-unit rows carrying ``(doc_id, offset)`` as the order
 key, annotate contiguous pdf_page runs with page_index/total_pages, and
 assign a stable hash partition_id for checkpointing.
 
-Fully vectorized (pyarrow list_flatten + numpy run-length logic); the only
-per-item Python is one blake2b per row for partition hashing.
+Fully vectorized (pyarrow list_flatten and compute kernels, numpy
+run-length logic, Arrow ``take`` for the parent doc id); the only per-item
+Python is one blake2b per document for partition hashing.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def stable_doc_partition(doc_id: str, num_partitions: int) -> int:
     return int.from_bytes(h, "big") % num_partitions
 
 
+def _same_as_previous(values: pa.Array) -> np.ndarray:
+    """``values[i] == values[i - 1]`` for i >= 1, with two nulls equal."""
+    cur, prev = values.slice(1), values.slice(0, len(values) - 1)
+    equal = pc.fill_null(pc.equal(cur, prev), False)
+    both_null = pc.and_(pc.is_null(cur), pc.is_null(prev))
+    return pc.or_(equal, both_null).to_numpy(zero_copy_only=False)
+
+
 def fan_out_documents(batch: pa.Table, *, num_partitions: int = 32) -> pa.Table:
     """Explode (doc_id, spans) rows into work-unit rows.
 
@@ -44,46 +53,33 @@ def fan_out_documents(batch: pa.Table, *, num_partitions: int = 32) -> pa.Table:
     parent = pc.list_parent_indices(spans_col).to_numpy(zero_copy_only=False)
     n = len(flat)
 
-    kind = np.asarray(flat.field("kind").to_pylist(), dtype=object)
-    ref = np.asarray(flat.field("media_ref").to_pylist(), dtype=object)
+    is_pdf = pc.fill_null(pc.equal(flat.field("kind"), "pdf_page"),
+                          False).to_numpy(zero_copy_only=False)
+    new_run = np.ones(n, dtype=bool)
+    if n > 1:
+        new_run[1:] = ~((parent[1:] == parent[:-1]) & is_pdf[1:] & is_pdf[:-1]
+                        & _same_as_previous(flat.field("media_ref")))
+    run_id = np.cumsum(new_run) - 1
+    idx = np.arange(n)
+    page_index = idx - idx[new_run][run_id]
+    total_pages = np.bincount(run_id, minlength=1)[run_id]
 
-    page_index = np.full(n, -1, dtype=np.int64)
-    total_pages = np.full(n, -1, dtype=np.int64)
-    if n:
-        is_pdf = kind == "pdf_page"
-        new_run = np.ones(n, dtype=bool)
-        if n > 1:
-            same = (
-                (parent[1:] == parent[:-1])
-                & is_pdf[1:]
-                & is_pdf[:-1]
-                & (ref[1:] == ref[:-1])
-            )
-            new_run[1:] = ~same
-        run_id = np.cumsum(new_run) - 1
-        idx = np.arange(n)
-        run_start = idx[new_run][run_id]
-        run_len = np.bincount(run_id)[run_id]
-        page_index = np.where(is_pdf, idx - run_start, -1)
-        total_pages = np.where(is_pdf, run_len, -1)
+    doc_ids = batch["doc_id"].combine_chunks()
+    part_by_doc = np.fromiter(
+        (stable_doc_partition(d, num_partitions) for d in doc_ids.to_pylist()),
+        dtype=np.int32, count=len(doc_ids))
 
-    doc_ids = batch["doc_id"].to_pylist()
-    part_by_doc = np.asarray(
-        [stable_doc_partition(d, num_partitions) for d in doc_ids], dtype=np.int32
-    )
-    parent_doc = pa.array([doc_ids[i] for i in parent], pa.string())
-
-    is_pdf_mask = pa.array(page_index >= 0)
+    not_pdf = ~is_pdf
     return pa.Table.from_arrays(
         [
-            parent_doc,
+            doc_ids.take(parent).cast(pa.string()),
             flat.field("kind").cast(pa.string()),
             flat.field("text").cast(pa.string()),
             flat.field("media_ref").cast(pa.string()),
             flat.field("offset").cast(pa.int32()),
-            pc.if_else(is_pdf_mask, pa.array(page_index, pa.int32()), pa.scalar(None, pa.int32())),
-            pc.if_else(is_pdf_mask, pa.array(total_pages, pa.int32()), pa.scalar(None, pa.int32())),
-            pa.array(part_by_doc[parent] if n else [], pa.int32()),
+            pa.array(page_index, pa.int32(), mask=not_pdf),
+            pa.array(total_pages, pa.int32(), mask=not_pdf),
+            pa.array(part_by_doc[parent], pa.int32()),
         ],
         schema=WORK_UNITS_SCHEMA,
     )

@@ -2,11 +2,12 @@
 
 The reference's hot loop is one GPU inference per task inside a lazily
 loaded singleton runner (/root/reference/src/ocr_agent/deepseek_ocr2_runner.py:72-177).
-Here the same shape is a per-worker-process stage cache: the flagship's
-OCR operator is a task-based ``map_batches`` (pipelines/extract.py), and
-each task takes its engine from :func:`process_stage`, which builds the
-engine once per (Ray worker process, run) and reuses it for every task of
-that run in that process — the reference's load-once semantics, per run.
+Here the same shape is a streaming task per OCR slot behind a
+per-worker-process stage cache: the flagship's OCR operator is a
+task-based ``map_batches`` (pipelines/extract.py), and each task takes its
+engine from :func:`process_stage`, which builds the engine once per (Ray
+worker process, run) and reuses it for every task of that run in that
+process — the reference's load-once semantics, per run.
 
 Engines implement ``infer_batch(media_refs, page_indices) -> list[Any]``
 (batch-of-images -> batch-of-raw-model-results); raw results are normalized
@@ -210,14 +211,17 @@ class DeepSeekOcr2Engine:
     ``num_gpus=1`` instead (pipelines/extract.py). Ray 2.49 gives tasks
     with ``num_gpus>0`` a default of ``max_calls=1``
     (ray/remote_function.py:105-119), so the worker process exits after
-    each task and the per-process stage cache never holds anything: the
-    model loads once per task — once per fan-out bundle
-    (``fanout_batch_size`` docs, 512 by default) — where an actor pool
-    loaded it once per run. ``max_calls=0`` would keep the process (and
-    the model) alive, but ``map_batches`` cannot pass it: Ray Data also
-    hands its remote args to ``.options()``, which rejects ``max_calls``
-    (ValueError "Setting 'max_calls' is not supported in '.options()'",
-    checked on CPU). Open in ROADMAP.md; not verified on a GPU.
+    each task. A slot task is one OCR slot's whole share of the run (at
+    most ``ocr_concurrency`` tasks per run), so the model loads once per
+    slot and run, even under ``max_calls=1``. An input that the default
+    path streams per fan-out bundle instead (a lazy or coarse input, see
+    pipelines/extract.py) loads it once per bundle, and ``balance_blocks``
+    once per OCR block. ``map_batches``
+    cannot pass ``max_calls=0``: Ray Data also hands its remote args to
+    ``.options()``, which rejects ``max_calls`` (ValueError "Setting
+    'max_calls' is not supported in '.options()'", checked on CPU). That a
+    run builds at most ``ocr_concurrency`` engines is tested on CPU
+    (tests/test_slot_tasks.py); the GPU path is not verified.
 
     Behavioral parity with the reference runner
     (deepseek_ocr2_runner.py:78-177), restated batch-first:
@@ -376,12 +380,13 @@ def process_stage(run_id: str, engine_factory, *, fail_fast: bool = False,
     The first task of a run in a process builds the stage, and with it
     the engine; the run's later tasks in that process reuse it. The number
     of engines a run builds is the number of worker processes its OCR
-    tasks land on: Ray schedules tasks onto any pooled worker, so that is
-    bounded by Ray's worker pool (about one idle worker per CPU), not by
-    ``ocr_concurrency``, which caps only how many run at once. A process
-    keeps its last run's stage, engine included, until an OCR task of
-    another run replaces it or the process exits. If the factory raises,
-    the exception propagates and nothing is cached."""
+    tasks land on: at most one per OCR slot when a run uses slot tasks,
+    where a slot is one task; when the OCR tasks are one per bundle or
+    block (an input streamed per bundle, or ``balance_blocks``), they go
+    to any pooled worker, so up to Ray's worker pool (about one idle
+    worker per CPU). A process keeps its last run's stage, engine included, until an
+    OCR task of another run replaces it or the process exits. If the
+    factory raises, the exception propagates and nothing is cached."""
     cache = sys.modules.get(_CACHE_MODULE)
     if cache is None:
         cache = types.ModuleType(_CACHE_MODULE)

@@ -11,6 +11,7 @@ import threading
 
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data as rd
 
 from ocr_agent_ray.config import PipelineSettings
@@ -46,11 +47,19 @@ def _assert_equals_oracle(out_dir, corpus):
                    for d, spans in golden.items() if spans}
 
 
-def test_one_block_input_gets_one_ocr_task_per_bundle(ray_session):
+def test_one_block_input_feeds_every_slot(ray_session):
+    """A one-block input at ocr_concurrency=2 is cut so that both slot
+    tasks get work: each task's output is one block, and the two blocks
+    hold the first and the second half of the input's documents."""
     corpus = generate_documents(120, seed=31)
-    ds = build_extract_pipeline(rd.from_arrow(corpus),
-                                settings=PipelineSettings(fanout_batch_size=32))
-    assert ds.materialize().num_blocks() >= 4
+    ds = build_extract_pipeline(rd.from_arrow(corpus), settings=PipelineSettings(
+        ocr_concurrency=2, fanout_batch_size=16))
+    blocks = [ray.get(ref) for bundle in ds.materialize().iter_internal_ref_bundles()
+              for ref in bundle.block_refs]
+    assert len(blocks) == 2 and all(len(b) for b in blocks)
+    halves = sorted((set(b["doc_id"].to_pylist()) for b in blocks), key=min)
+    docs = corpus["doc_id"].to_pylist()
+    assert halves[0] <= set(docs[:60]) and halves[1] <= set(docs[60:])
 
 
 def test_concurrent_runs_into_one_out_dir(ray_session, tmp_path, monkeypatch):

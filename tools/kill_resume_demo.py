@@ -110,7 +110,9 @@ def main() -> None:
     from ocr_agent_ray.sources.corpus import write_corpus_parquet
     from ocr_agent_ray.state.checkpoint import CheckpointStore
 
-    write_corpus_parquet(corpus, NUM_DOCS, rows_per_file=2500)
+    # one row group per file: 2000 docs give 8 fragments, the 4 per slot
+    # that the flagship's two OCR slot tasks need to read them themselves
+    write_corpus_parquet(corpus, NUM_DOCS, rows_per_file=250)
 
     killed_out = os.path.join(ROOT, "killed")
     clean_out = os.path.join(ROOT, "clean")

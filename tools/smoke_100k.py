@@ -14,13 +14,13 @@ if not os.path.exists("/tmp/graft_smoke100k/corpus/docs-000000000.parquet"):
     write_corpus_parquet_ray("/tmp/graft_smoke100k/corpus", 100_000, rows_per_file=5000)
 print("corpus gen sec", round(time.time()-t0,1))
 
-# barrier-free round-2 config: fused fan-out granularity + fractional-CPU
-# reads + pre-shuffle coalesce (see pipelines/extract.py)
+# barrier-free config: one streaming OCR task per slot reads its share of
+# the fragments (see pipelines/extract.py)
 settings = PipelineSettings(ocr_concurrency=30, ocr_batch_size=256,
                             fanout_batch_size=256, num_partitions=256)
 t0=time.time()
 s = run_extract_checkpointed(read_documents("/tmp/graft_smoke100k/corpus",
-                                            num_blocks=512, read_cpus=0.25),
+                                            num_blocks=512),
                              "/tmp/graft_smoke100k/out", settings=settings)
 sec = time.time()-t0
 print("run sec", round(sec,1), s)
