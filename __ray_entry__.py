@@ -83,15 +83,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return topk_words_sketch(_docs(sf_dir))
 
-    def _hll_per_type(sf_dir: str):
-        import ray.data as rd
-
-        from ocr_agent_ray.functions.sketch import hll_distinct_by_key
-
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "user_id"])
-        return hll_distinct_by_key(ev, "event_type", "user_id")
-
     def _smb_orders_customer(sf_dir: str):
         """Sort-merge-bucket join demo: write both tables hash-bucketed
         by custkey (shuffle-free bucketed write), then join co-bucketed
@@ -153,14 +144,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             lambda b: b[["o_orderkey", "l_extendedprice", "o_totalprice"]],
             batch_format="pandas")
 
-    def _quantile_sketch(sf_dir: str):
-        import ray.data as rd
-
-        from ocr_agent_ray.functions.sketch import quantile_sketch
-
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-        return quantile_sketch(ev, "value")
-
     def _cms_probe_counts(sf_dir: str):
         import ray.data as rd
 
@@ -170,15 +153,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                columns=["text"])
         return cms_word_counts(
             docs, ["table", "query", "value", "zzz_absent"])
-
-    def _quantile_sketch_by_type(sf_dir: str):
-        import ray.data as rd
-
-        from ocr_agent_ray.functions.sketch import quantile_sketch_by_key
-
-        ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_type", "value"])
-        return quantile_sketch_by_key(ev, "event_type", "value")
 
     def _curation_funnel(sf_dir: str):
         from ocr_agent_ray.pipelines.curate import curation_funnel
@@ -204,8 +178,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     qs = {
         # --- relational (SURVEY §2.5-2.7 analogs) -------------------------
-        "q_status_counts": relational.status_counts,
-        "q_mean_value_by_type": relational.mean_value_by_type,
         "q_supported_path_filter": relational.supported_path_filter,
         "q_page_fanout": relational.page_fanout,
         "q_suppliers_per_region": relational.suppliers_per_region,
@@ -216,31 +188,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_part_price_stats": relational.part_price_stats,
         "q_orders_in_range_by_priority": relational.orders_in_range_by_priority,
         "q_top_orders_per_priority": relational.top_orders_per_priority,
-        "q_union_error_purchase": relational.union_error_purchase_counts,
-        "q_distinct_users_per_type": relational.distinct_users_per_type,
-        "q_hll_distinct_users": relational.hll_distinct_users,   # rows-only (sketch)
-        "q_hll_users_per_type": _hll_per_type,                   # rows-only (sketch)
-        "q_running_value_per_user": relational.running_value_per_user,
         "q_nations_concat": relational.nations_per_region_concat,
         "q_acctbal_histogram": relational.acctbal_histogram,
-        "q_value_stats_by_type": relational.value_stats_by_type,
         "q_corr_qty_price": relational.corr_qty_price,
         "q_mode_segment_by_nation": relational.mode_segment_by_nation,
         "q_orders_status_pivot": relational.orders_status_pivot,
         "q_orders_status_unpivot": relational.orders_status_unpivot,
         "q_weekday_orders": relational.weekday_order_counts,
         "q_urgent_customers": relational.urgent_customers,
-        "q_props_key_stats": relational.props_key_stats,
         "q_orders_page": relational.orders_page,
-        "q_purchasers_no_error": relational.purchasers_without_errors,
-        "q_purchasers_with_error": relational.purchasers_with_errors,
         "q_revenue_by_nation": relational.revenue_by_nation,
         "q_priciest_part_per_brand": relational.priciest_part_per_brand,
         "q_priority_share": relational.priority_share,
         "q_monthly_cum_revenue": relational.monthly_cum_revenue,
-        "q_events_customer_skew_join": relational.events_customer_skew_join,
         "q_yearly_order_growth": relational.yearly_order_growth,
-        "q_weekly_retention": relational.weekly_retention,
         "q_customer_name_ids": relational.customer_name_ids,
         # --- text analysis ------------------------------------------------
         "q_quality_scores": text.quality_scores,
@@ -261,9 +222,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_decontaminate": text.decontaminate,
         "q_tfidf_top_terms": text.tfidf_top_terms,
         "q_topk_sketch": _topk_sketch,       # rows-only (Misra-Gries sketch)
-        "q_quantile_sketch": _quantile_sketch,  # rows-only (centroid digest)
         "q_cms_probe_counts": _cms_probe_counts,  # rows-only (count-min)
-        "q_quantile_sketch_by_type": _quantile_sketch_by_type,  # rows-only
         "q_decontaminate_bloom": text.decontaminate_bloom,  # rows-only (bloom scale path)
         "q_doc_length_zscore": text.doc_length_zscore,
         "q_rare_word_docs": text.rare_word_docs,
@@ -313,43 +272,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_price_bands": relational.price_band_lookup,
         "q_partition_checksums": relational.partition_checksums,
         "q_bloom_pruned_join": _bloom_pruned_join,
-        "q_null_aware_stats": relational.null_aware_value_stats,
-        "q_value_time_regression": relational.value_time_regression,
-        "q_corr_value_time_by_type": relational.corr_value_time_by_type,
-        "q_join_size_profile": relational.join_size_profile,
         "q_corpus_report": _corpus_report,
         "q_merge_upsert": relational.merge_upsert_documents,
         "q_merge_cdc": relational.merge_cdc_documents,
         "q_snapshot_diff": relational.snapshot_diff_documents,
-        "q_chi_square": relational.chi_square_type_band,
-        "q_cohort_matrix": relational.cohort_retention_matrix,
         "q_benford_digits": relational.benford_first_digit,
         "q_weighted_median": relational.weighted_median_price,
-        "q_spike_days": relational.spike_days,
         "q_price_band_join": relational.price_band_join,
         "q_copurchase_pairs": relational.copurchase_pairs,
         "q_copurchase_triples": relational.copurchase_triples,
         "q_order_gap_days": relational.customer_order_gap_days,
-        "q_first_touch_attribution": relational.first_touch_attribution,
-        "q_linear_attribution": relational.linear_attribution,
-        "q_time_decay_attribution": relational.time_decay_attribution,
-        "q_scd2_intervals": relational.scd2_intervals,
-        "q_ab_test_zscore": relational.ab_test_zscore,
-        "q_mcnemar": relational.mcnemar_conversion,
-        "q_fisher_exact": relational.fisher_exact_conversion,
-        "q_bayes_ab": relational.bayes_ab_conversion,
-        "q_power_analysis": relational.power_analysis_conversion,
-        "q_holt_linear": relational.holt_linear_daily,
-        "q_holt_winters": relational.holt_winters_daily,
-        "q_forecast_backtest": relational.forecast_backtest_daily,
-        "q_anova_f": relational.anova_f_value_by_type,
-        "q_welch_ttest": relational.welch_ttest_values,
-        "q_skew_kurtosis": relational.skew_kurtosis_by_type,
         "q_ols_chars_model": relational.ols_chars_model,
-        "q_cramers_v": relational.cramers_v_type_band,
-        "q_kruskal_wallis": relational.kruskal_wallis_value_by_type,
-        "q_mutual_information": relational.mutual_information_type_band,
-        "q_exact_median_by_type": relational.exact_median_by_type,
         "q_heaps_law": text.heaps_law_fit,
         "q_term_burstiness": relational.term_burstiness,
         "q_ks_source_lengths": text.ks_source_lengths,
@@ -360,7 +293,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_profile_columns": _profile_columns,
         "q_check_constraints": _check_constraints,
         "q_cube_counts": relational.cube_counts,
-        "q_customer_event_outer": relational.customer_event_outer,
         "q_dup_gram_spans": lambda sf: dedup.duplicate_gram_spans(_docs(sf)),
         # --- dedup ---------------------------------------------------------
         "q_exact_dedup": lambda sf: dedup.exact_dedup(_docs(sf)),
@@ -459,12 +391,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),  # rows-only (iterative peel; brute-force-peel pytest)
         "q_smb_orders_customer": _smb_orders_customer,
         # --- round-5 fourth-session additions ------------------------------
-        "q_levene_test": relational.levene_test_value_by_type,
         "q_calinski_harabasz": similarity.calinski_harabasz,
         "q_davies_bouldin": similarity.davies_bouldin,
         "q_yule_k": text.yule_k_by_source,
         "q_ndcg_search": text.ndcg_search,
-        "q_tukey_hsd": relational.tukey_hsd_value_by_type,
         "q_avg_precision_search": text.avg_precision_search,
         # AA over the CO-PURCHASE graph (the near-dup graph is
         # transitively closed on this corpus — template families are
@@ -475,7 +405,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_chao1_richness": text.chao1_richness,
         "q_log_odds_terms": text.log_odds_terms,
         "q_gmm_em": similarity.gmm_em_embeddings,  # rows-only (iterative EM; dense-numpy pytest)
-        "q_isotonic_curve": relational.isotonic_conversion_curve,  # rows-only (PAVA stack walk; planted pytest)
         "q_burrows_delta": text.burrows_delta,
         "q_rbo_arms": text.rbo_arms,
         "q_bottomk_sample": relational.bottomk_sample_documents,
@@ -491,14 +420,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_gram_novelty": text.gram_novelty,
         "q_langid_confusion": text.langid_confusion,
         "q_twonn_dimension": similarity.twonn_intrinsic_dimension,  # rows-only (approx kNN graph; planted pytest)
-        "q_cvar_by_type": relational.cvar_by_type,
-        "q_trimmed_mean": relational.trimmed_mean_by_type,
         "q_threshold_sweep": lambda sf: dedup.dedup_threshold_sweep(
             sf, pairs=dedup.shared_ngram_pairs(sf)),
-        "q_hill_tail_index": relational.hill_tail_index,
         "q_ipf_raking": relational.ipf_raking_weights,  # rows-only (iterative scaling; convergence pytest)
         "q_bh_significant_terms": text.bh_significant_terms,
-        "q_simpson_check": relational.simpson_paradox_check,
         "q_dedup_savings": dedup.dedup_savings_report,
         "q_source_hhi": text.source_hhi,
         "q_cluster_source_ari": dedup.cluster_source_ari,  # rows-only (iterative clustering; planted pytest)
@@ -535,12 +460,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_token_count_by_source", "q_fingerprints",
         # relational — never driver-sampled before
         "q_edit_distance_pairs", "q_entity_resolution",
-        "q_smb_orders_customer", "q_merge_cdc", "q_linear_attribution",
+        "q_smb_orders_customer", "q_merge_cdc", "q_snapshot_diff",
         # text curation / statistics — never driver-sampled before
         "q_naive_bayes_langid", "q_indexed_search", "q_pareto_skyline",
         "q_gini_doc_lengths", "q_blocklist_hits", "q_boilerplate_strip",
         "q_contamination_fraction", "q_type_token_stats",
-        "q_benford_digits", "q_chi_square",
+        "q_benford_digits", "q_doc_length_zscore",
     ]
     assert len(priority) == 50, len(priority)
     assert all(k in qs for k in priority), [k for k in priority
@@ -627,13 +552,6 @@ _NGRAM_CONTAIN_SQL = (
 
 def oracle_sql() -> dict[str, str]:
     return {
-        "q_status_counts": (
-            "SELECT event_type, COUNT(*) AS n FROM events GROUP BY event_type"
-        ),
-        "q_mean_value_by_type": (
-            "SELECT event_type, ROUND(SUM(value)/COUNT(*), 6) AS mean_value "
-            "FROM events GROUP BY event_type"
-        ),
         "q_supported_path_filter": (
             "SELECT doc_id, source || '/' || CAST(doc_id AS VARCHAR) || "
             "CASE doc_id % 4 WHEN 0 THEN '.png' WHEN 1 THEN '.pdf' "
@@ -685,22 +603,6 @@ def oracle_sql() -> dict[str, str]:
             "row_number() OVER (PARTITION BY o_orderpriority "
             "ORDER BY o_totalprice DESC, o_orderkey) AS rnk "
             "FROM orders QUALIFY rnk <= 2"
-        ),
-        "q_union_error_purchase": (
-            "SELECT event_type, COUNT(*) AS n FROM ("
-            "SELECT event_type FROM events WHERE event_type = 'error' "
-            "UNION ALL SELECT event_type FROM events WHERE event_type = 'purchase'"
-            ") GROUP BY event_type"
-        ),
-        "q_distinct_users_per_type": (
-            "SELECT event_type, COUNT(DISTINCT user_id) AS n_users "
-            "FROM events GROUP BY event_type"
-        ),
-        "q_running_value_per_user": (
-            "SELECT user_id, event_id, ts, "
-            "ROUND(SUM(value) OVER (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS UNBOUNDED PRECEDING), 6) AS running_value "
-            "FROM events WHERE user_id < 5"
         ),
         "q_quality_scores": (
             "WITH base AS ("
@@ -864,12 +766,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT d.doc_id, (c.doc_id IS NOT NULL) AS contaminated "
             "FROM documents d LEFT JOIN cont c USING(doc_id)"
         ),
-        "q_value_stats_by_type": (
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events, "
-            "ROUND(SUM(value)/COUNT(*), 6) AS mean_value, "
-            "ROUND(stddev_samp(value), 6) AS stddev_value "
-            "FROM events GROUP BY event_type"
-        ),
         "q_corr_qty_price": (
             "SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n_items, "
             "ROUND(covar_samp(l_quantity, l_extendedprice), 4) AS covar, "
@@ -998,24 +894,9 @@ def oracle_sql() -> dict[str, str]:
             "LEFT JOIN cl ON d.doc_id = cl.doc_id "
             "WHERE cl.doc_id IS NULL OR cl.doc_id = cl.cluster_id"
         ),
-        "q_props_key_stats": (
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k, "
-            "ROUND(CAST(SUM(CAST(json_extract(props, '$.k') AS BIGINT)) AS DOUBLE)"
-            "/COUNT(*), 6) AS mean_k "
-            "FROM events GROUP BY event_type"
-        ),
         "q_orders_page": (
             "SELECT o_orderkey, o_totalprice FROM orders "
             "ORDER BY o_totalprice DESC, o_orderkey LIMIT 10 OFFSET 20"
-        ),
-        "q_purchasers_no_error": (
-            "SELECT DISTINCT user_id FROM events WHERE event_type = 'purchase' "
-            "EXCEPT SELECT DISTINCT user_id FROM events WHERE event_type = 'error'"
-        ),
-        "q_purchasers_with_error": (
-            "SELECT DISTINCT user_id FROM events WHERE event_type = 'purchase' "
-            "INTERSECT SELECT DISTINCT user_id FROM events WHERE event_type = 'error'"
         ),
         "q_revenue_by_nation": (
             "SELECT n_name, "
@@ -1034,29 +915,12 @@ def oracle_sql() -> dict[str, str]:
             "ORDER BY p_retailprice DESC, p_partkey) AS rn FROM part) "
             "WHERE rn = 1"
         ),
-        "q_events_customer_skew_join": (
-            "SELECT event_id, user_id, c_name FROM events "
-            "JOIN customer ON user_id = c_custkey"
-        ),
         "q_yearly_order_growth": (
             "WITH y AS (SELECT CAST(year(o_orderdate) AS BIGINT) AS year, "
             "CAST(COUNT(*) AS BIGINT) AS n_orders FROM orders GROUP BY 1) "
             "SELECT year, n_orders, "
             "lag(n_orders) OVER (ORDER BY year) AS prev_n, "
             "n_orders - lag(n_orders) OVER (ORDER BY year) AS delta FROM y"
-        ),
-        "q_weekly_retention": (
-            "WITH wu AS (SELECT DISTINCT "
-            "CAST(date_trunc('week', ts) AS TIMESTAMP) AS week, user_id "
-            "FROM events), "
-            "ret AS (SELECT a.week, COUNT(*) AS retained_users FROM wu a "
-            "JOIN wu b ON b.user_id = a.user_id "
-            "AND b.week = a.week + INTERVAL 7 DAY GROUP BY a.week), "
-            "act AS (SELECT week, COUNT(*) AS active_users FROM wu GROUP BY 1) "
-            "SELECT act.week, CAST(act.active_users AS BIGINT) AS active_users, "
-            "CAST(COALESCE(ret.retained_users, 0) AS BIGINT) AS retained_users "
-            "FROM act LEFT JOIN ret USING(week) "
-            "WHERE act.week < (SELECT MAX(week) FROM wu)"
         ),
         "q_priority_share": (
             "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n, "
@@ -1069,60 +933,10 @@ def oracle_sql() -> dict[str, str]:
             "SELECT month, ROUND(rev, 2) AS revenue, "
             "ROUND(SUM(rev) OVER (ORDER BY month), 2) AS cum_revenue FROM m"
         ),
-        "q_anova_f": (
-            # one-way ANOVA from per-group moment partials (n, Σx,
-            # Σx²); F and eta² are ratios, so the 1e-12 float-fold
-            # noise cancels before the 6-decimal round
-            "WITH g AS (SELECT event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n, SUM(value) AS s, "
-            "SUM(value * value) AS ss FROM events GROUP BY 1), "
-            "t AS (SELECT CAST(COUNT(*) AS BIGINT) AS k, "
-            "CAST(SUM(n) AS BIGINT) AS nt, SUM(s) AS st FROM g), "
-            "parts AS (SELECT "
-            "SUM(CAST(g.n AS DOUBLE) * (g.s / CAST(g.n AS DOUBLE) "
-            "- t.st / CAST(t.nt AS DOUBLE)) "
-            "* (g.s / CAST(g.n AS DOUBLE) "
-            "- t.st / CAST(t.nt AS DOUBLE))) AS ssb, "
-            "SUM(g.ss - g.s * g.s / CAST(g.n AS DOUBLE)) AS ssw "
-            "FROM g, t GROUP BY t.k, t.nt) "
-            "SELECT t.k AS n_groups, t.nt AS n_total, "
-            "ROUND((p.ssb / CAST(t.k - 1 AS DOUBLE)) "
-            "/ (p.ssw / CAST(t.nt - t.k AS DOUBLE)), 6) AS f_stat, "
-            "ROUND(p.ssb / (p.ssb + p.ssw), 6) AS eta_squared "
-            "FROM t, parts p"
-        ),
-        "q_welch_ttest": (
-            # Welch's t from the same (n, Σx, Σx²) moment partials as
-            # the ANOVA; the CTE chain replays the kernel's float
-            # nesting (variance → per-group se → pooled se²) exactly
-            "WITH g AS (SELECT event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n, SUM(value) AS s, "
-            "SUM(value * value) AS ss FROM events "
-            "WHERE event_type IN ('purchase', 'view') GROUP BY 1), "
-            "m AS (SELECT "
-            "a.n AS na, b.n AS nb, "
-            "a.s / CAST(a.n AS DOUBLE) AS ma, "
-            "b.s / CAST(b.n AS DOUBLE) AS mb, "
-            "((a.ss - a.s * a.s / CAST(a.n AS DOUBLE)) "
-            "/ CAST(a.n - 1 AS DOUBLE)) / CAST(a.n AS DOUBLE) AS sea, "
-            "((b.ss - b.s * b.s / CAST(b.n AS DOUBLE)) "
-            "/ CAST(b.n - 1 AS DOUBLE)) / CAST(b.n AS DOUBLE) AS seb "
-            "FROM g a, g b "
-            "WHERE a.event_type = 'purchase' AND b.event_type = 'view' "
-            "AND a.n >= 2 AND b.n >= 2) "
-            "SELECT 'purchase' AS type_a, 'view' AS type_b, "
-            "na AS n_a, nb AS n_b, "
-            "ROUND(ma, 6) AS mean_a, ROUND(mb, 6) AS mean_b, "
-            "ROUND((ma - mb) / SQRT(sea + seb), 6) AS t_stat, "
-            "ROUND((sea + seb) * (sea + seb) "
-            "/ (sea * sea / CAST(na - 1 AS DOUBLE) "
-            "+ seb * seb / CAST(nb - 1 AS DOUBLE)), 6) AS df_welch "
-            "FROM m WHERE sea + seb > 0"
-        ),
         "q_heaps_law": (
             # log-log OLS over per-doc (tokens, distinct tokens);
             # tokenizer regex shared verbatim; raw-moment close with
-            # identical float nesting (value_time_regression precedent)
+            # identical float nesting
             "WITH f AS (SELECT "
             "CAST(LEN(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
             "AS BIGINT) AS nt, "
@@ -1140,36 +954,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM m WHERE n >= 2 AND nf * sxx - sx * sx <> 0.0) "
             "SELECT n AS n_docs, ROUND(beta, 6) AS heaps_beta, "
             "ROUND(EXP((sy - beta * sx) / nf), 6) AS heaps_k FROM b"
-        ),
-        "q_skew_kurtosis": (
-            # third/fourth-moment statistics from the same raw-moment
-            # SUM partials; the CTE chain replays the kernel's float
-            # nesting (scaled moments -> central moments -> statistics)
-            "WITH g AS (SELECT event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n, SUM(value) AS s1, "
-            "SUM(value * value) AS s2, "
-            "SUM(value * value * value) AS s3, "
-            "SUM((value * value) * (value * value)) AS s4 "
-            "FROM events GROUP BY 1), "
-            "c AS (SELECT event_type, n, CAST(n AS DOUBLE) AS nf, "
-            "s1 / CAST(n AS DOUBLE) AS m, "
-            "s2 / CAST(n AS DOUBLE) AS t2, "
-            "s3 / CAST(n AS DOUBLE) AS t3, "
-            "s4 / CAST(n AS DOUBLE) AS t4 "
-            "FROM g WHERE n >= 4), "
-            "cm AS (SELECT event_type, n, nf, "
-            "t2 - m * m AS m2, "
-            "t3 - 3.0 * m * t2 + 2.0 * m * m * m AS m3, "
-            "t4 - 4.0 * m * t3 + 6.0 * m * m * t2 "
-            "- 3.0 * m * m * m * m AS m4 "
-            "FROM c) "
-            "SELECT event_type, n, "
-            "ROUND((m3 / POWER(m2, 1.5)) "
-            "* (SQRT(nf * (nf - 1.0)) / (nf - 2.0)), 6) AS skewness, "
-            "ROUND(((nf + 1.0) * (m4 / (m2 * m2) - 3.0) + 6.0) "
-            "* ((nf - 1.0) / ((nf - 2.0) * (nf - 3.0))), 6) "
-            "AS kurtosis_excess "
-            "FROM cm WHERE m2 > 0.0 ORDER BY event_type"
         ),
         "q_ols_chars_model": (
             # every Gram-matrix sum is exact integer arithmetic, so both
@@ -2195,51 +1979,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, source FROM documents "
             "ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id LIMIT 50"
         ),
-        "q_join_size_profile": (
-            "WITH l AS (SELECT user_id % 1500 AS k, "
-            "CAST(COUNT(*) AS BIGINT) AS nl FROM events GROUP BY 1), "
-            "r AS (SELECT c_custkey % 1500 AS k, "
-            "CAST(COUNT(*) AS BIGINT) AS nr FROM customer GROUP BY 1), "
-            "j AS (SELECT l.nl * r.nr AS p FROM l JOIN r USING (k)) "
-            "SELECT CAST(SUM(p) AS BIGINT) AS join_rows, "
-            "CAST(COUNT(*) AS BIGINT) AS n_keys_matched, "
-            "CAST(MAX(p) AS BIGINT) AS max_key_fanout FROM j"
-        ),
-        "q_corr_value_time_by_type": (
-            "WITH p AS (SELECT event_type, "
-            "(epoch(ts) - epoch(TIMESTAMP '2024-01-01')) / 86400.0 AS x, "
-            "value AS y FROM events), "
-            "m AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(x) AS sx, SUM(y) AS sy, SUM(x * y) AS sxy, "
-            "SUM(x * x) AS sxx, SUM(y * y) AS syy FROM p GROUP BY 1) "
-            "SELECT event_type, n, "
-            "ROUND((n * sxy - sx * sy) / "
-            "SQRT((n * sxx - sx * sx) * (n * syy - sy * sy)), 6) "
-            "AS corr_vt FROM m"
-        ),
-        "q_value_time_regression": (
-            "WITH p AS (SELECT event_type, "
-            "(epoch(ts) - epoch(TIMESTAMP '2024-01-01')) / 86400.0 AS x, "
-            "value AS y FROM events), "
-            "m AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(x) AS sx, SUM(y) AS sy, SUM(x * y) AS sxy, "
-            "SUM(x * x) AS sxx FROM p GROUP BY 1) "
-            "SELECT event_type, n, "
-            "ROUND((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope, "
-            "ROUND(sy / n - ((n * sxy - sx * sy) / (n * sxx - sx * sx)) "
-            "* sx / n, 4) AS intercept FROM m"
-        ),
-        "q_null_aware_stats": (
-            "WITH t AS (SELECT event_type, "
-            "CASE WHEN value > 250.0 THEN value END AS v FROM events) "
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(COUNT(v) AS BIGINT) AS n_nonnull, "
-            "ROUND(CAST(SUM(COALESCE(v, 0)) AS DOUBLE), 4) "
-            "AS sum_coalesced, "
-            "ROUND(AVG(v), 4) AS avg_nonnull, "
-            "CAST(COUNT(*) FILTER (WHERE v IS NULL) AS BIGINT) AS n_null "
-            "FROM t GROUP BY 1"
-        ),
         "q_order_gap_days": (
             "WITH g AS (SELECT o_custkey, CAST(date_diff('microsecond', "
             "LAG(o_orderdate) OVER (PARTITION BY o_custkey "
@@ -2247,19 +1986,6 @@ def oracle_sql() -> dict[str, str]:
             "AS gap FROM orders) "
             "SELECT o_custkey, ROUND(AVG(gap), 6) AS avg_gap_days "
             "FROM g WHERE gap IS NOT NULL GROUP BY o_custkey"
-        ),
-        "q_first_touch_attribution": (
-            "WITH f AS (SELECT user_id, event_type, row_number() OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id) AS rn "
-            "FROM events), "
-            "ft AS (SELECT user_id, event_type AS first_touch FROM f "
-            "WHERE rn = 1), "
-            "p AS (SELECT user_id, COUNT(*) AS n FROM events "
-            "WHERE event_type = 'purchase' GROUP BY 1) "
-            "SELECT ft.first_touch AS first_touch_type, "
-            "CAST(SUM(p.n) AS BIGINT) AS n_purchases "
-            "FROM ft JOIN p USING (user_id) GROUP BY 1 "
-            "ORDER BY first_touch_type"
         ),
         "q_merge_upsert": (
             "WITH base AS (SELECT doc_id, text, CAST(0 AS BIGINT) AS version, "
@@ -2274,309 +2000,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, text, version FROM allr "
             "QUALIFY row_number() OVER (PARTITION BY doc_id "
             "ORDER BY version DESC, side DESC) = 1"
-        ),
-        "q_linear_attribution": (
-            # per-purchase per-type fractions summed (c/n terms mirror
-            # the Ray kernel's grouped cumsum partials). Purchases key
-            # on event_id, NOT (user_id, ts): two same-instant purchases
-            # are two credit units on both sides
-            "WITH p AS (SELECT event_id, user_id, ts FROM events "
-            "WHERE event_type = 'purchase'), "
-            "t AS (SELECT user_id, ts, event_type FROM events "
-            "WHERE event_type IN ('view', 'click')), "
-            "pairs AS (SELECT p.event_id AS pid, t.event_type "
-            "FROM p JOIN t ON t.user_id = p.user_id AND t.ts < p.ts), "
-            "per AS (SELECT pid, event_type, "
-            "CAST(COUNT(*) AS DOUBLE) AS c FROM pairs GROUP BY 1, 2), "
-            "sz AS (SELECT pid, SUM(c) AS n FROM per GROUP BY 1) "
-            "SELECT per.event_type AS touch_type, "
-            "ROUND(SUM(per.c / sz.n), 6) AS credit "
-            "FROM per JOIN sz USING (pid) GROUP BY 1"
-        ),
-        "q_time_decay_attribution": (
-            # exp(-λ·age_days) weights; same pairs shape as the linear
-            # oracle — the pipeline computes the algebraically-equal
-            # prefix-sum form exp(λ(tt−t_ref)) (the exp(−λ·tp) factor
-            # cancels in each fraction)
-            "WITH p AS (SELECT event_id, user_id, ts FROM events "
-            "WHERE event_type = 'purchase'), "
-            "t AS (SELECT user_id, ts, event_type FROM events "
-            "WHERE event_type IN ('view', 'click')), "
-            "pairs AS (SELECT p.event_id AS pid, t.event_type, "
-            "EXP(-0.1 * (CAST(date_diff('microsecond', t.ts, p.ts) "
-            "AS DOUBLE) / 86400000000.0)) AS w "
-            "FROM p JOIN t ON t.user_id = p.user_id AND t.ts < p.ts), "
-            "per AS (SELECT pid, event_type, SUM(w) AS wt "
-            "FROM pairs GROUP BY 1, 2), "
-            "sz AS (SELECT pid, SUM(wt) AS n FROM per GROUP BY 1) "
-            "SELECT per.event_type AS touch_type, "
-            "ROUND(SUM(per.wt / sz.n), 6) AS credit "
-            "FROM per JOIN sz USING (pid) GROUP BY 1"
-        ),
-        "q_scd2_intervals": (
-            "WITH o AS (SELECT user_id, ts, event_id, event_type, "
-            "LAG(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS prev FROM events), "
-            "s AS (SELECT user_id, ts AS valid_from, event_id, event_type "
-            "FROM o WHERE prev IS NULL OR prev <> event_type) "
-            "SELECT user_id, event_type, valid_from, "
-            "LEAD(valid_from) OVER (PARTITION BY user_id "
-            "ORDER BY valid_from, event_id) AS valid_to FROM s"
-        ),
-        "q_ab_test_zscore": (
-            # pooled two-proportion z-test; arm = user_id % 2,
-            # converted iff >= 1 purchase event; counts exact ints
-            # until the final divisions (same order as the pipeline)
-            "WITH u AS (SELECT user_id, CAST(user_id % 2 AS BIGINT) "
-            "AS arm, MAX(CASE WHEN event_type = 'purchase' THEN 1 "
-            "ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "a AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS c_a, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS c_b FROM a) "
-            "SELECT n_a, n_b, c_a AS conv_a, c_b AS conv_b, "
-            "ROUND(CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS p_a, "
-            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE), 6) AS p_b, "
-            "ROUND(CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
-            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE), 6) AS lift, "
-            "ROUND(CASE WHEN c_a + c_b = 0 OR c_a + c_b = n_a + n_b "
-            "THEN 0.0 ELSE (CAST(c_b AS DOUBLE) / CAST(n_b AS DOUBLE) "
-            "- CAST(c_a AS DOUBLE) / CAST(n_a AS DOUBLE)) "
-            "/ sqrt((CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
-            "* (1.0 - CAST(c_a + c_b AS DOUBLE) / CAST(n_a + n_b AS DOUBLE)) "
-            "* (1.0 / CAST(n_a AS DOUBLE) + 1.0 / CAST(n_b AS DOUBLE))) "
-            "END, 6) AS z_score FROM w"
-        ),
-        "q_mcnemar": (
-            # paired conversion between stream halves (midpoint-ts
-            # split); only discordant users count; all-int until the
-            # final division
-            "WITH bd AS (SELECT CAST(MIN(epoch_us(ts)) AS BIGINT) "
-            "AS tmin, CAST(MAX(epoch_us(ts)) AS BIGINT) AS tmax "
-            "FROM events), "
-            "u AS (SELECT user_id, "
-            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
-            "< bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
-            "AS c0, "
-            "MAX(CASE WHEN event_type = 'purchase' AND epoch_us(ts) "
-            ">= bd.tmin + (bd.tmax - bd.tmin) // 2 THEN 1 ELSE 0 END) "
-            "AS c1 FROM events, bd GROUP BY 1), "
-            "a AS (SELECT CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(CASE WHEN c0 = 1 AND c1 = 0 THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS b, "
-            "CAST(SUM(CASE WHEN c0 = 0 AND c1 = 1 THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS c FROM u) "
-            "SELECT n AS n_users, b AS b_first_only, "
-            "c AS c_second_only, "
-            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
-            "ROUND(CAST((b - c) * (b - c) AS DOUBLE) "
-            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_stat, "
-            "CASE WHEN b + c = 0 THEN 0.0 ELSE "
-            "ROUND(CAST((abs(b - c) - 1) * (abs(b - c) - 1) AS DOUBLE) "
-            "/ CAST(b + c AS DOUBLE), 6) END AS mcnemar_cc FROM a"
-        ),
-        "q_fisher_exact": (
-            # one-sided hypergeometric tail P(X >= a) via lgamma over
-            # generate_series; same per-user MAX fold as the z-test
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS a, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS c FROM ar), "
-            "m AS (SELECT n_a, n_b, a, c, n_a + n_b AS n, "
-            "n_a AS r1, a + c AS c1, n_a - a AS b, n_b - c AS d "
-            "FROM w), "
-            "ks AS (SELECT m.*, unnest(generate_series(m.a, "
-            "LEAST(m.r1, m.c1))) AS k FROM m), "
-            "tp AS (SELECT n_a, n_b, a, c, b, d, "
-            "exp(lgamma(r1 + 1) - lgamma(k + 1) "
-            "- lgamma(r1 - k + 1) + lgamma(n - r1 + 1) "
-            "- lgamma(c1 - k + 1) - lgamma(n - r1 - c1 + k + 1) "
-            "- (lgamma(n + 1) - lgamma(c1 + 1) "
-            "- lgamma(n - c1 + 1))) AS pk "
-            "FROM ks WHERE c1 - k <= n - r1) "
-            "SELECT n_a, n_b, a AS conv_a, c AS conv_b, "
-            "CASE WHEN b * c = 0 THEN NULL ELSE "
-            "ROUND(CAST(a * d AS DOUBLE) / CAST(b * c AS DOUBLE), 6) "
-            "END AS odds_ratio, "
-            "ROUND(SUM(pk), 6) AS p_one_sided "
-            "FROM tp GROUP BY 1, 2, 3, 4, 5"
-        ),
-        "q_bayes_ab": (
-            # P(p_B > p_A) under Beta(1,1) priors — Evan Miller's exact
-            # sum via lgamma over generate_series; same per-user fold
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
-            "m AS (SELECT n_a, n_b, ca, cb, "
-            "ca + 1 AS aa, n_a - ca + 1 AS ba, "
-            "cb + 1 AS ab, n_b - cb + 1 AS bb FROM w), "
-            "ks AS (SELECT m.*, unnest(generate_series(0, m.ab - 1)) "
-            "AS i FROM m), "
-            "tp AS (SELECT n_a, n_b, ca, cb, "
-            "exp((lgamma(aa + i) + lgamma(ba + bb) "
-            "- lgamma(aa + i + ba + bb)) - ln(bb + i) "
-            "- (lgamma(1 + i) + lgamma(bb) - lgamma(1 + i + bb)) "
-            "- (lgamma(aa) + lgamma(ba) - lgamma(aa + ba))) AS pk "
-            "FROM ks) "
-            "SELECT n_a, n_b, ca AS conv_a, cb AS conv_b, "
-            "ROUND(SUM(pk), 6) AS p_b_beats_a "
-            "FROM tp GROUP BY 1, 2, 3, 4"
-        ),
-        "q_power_analysis": (
-            # required n/arm for the observed lift at alpha=.05, 80%
-            # power; z quantiles pinned as the same literals
-            "WITH u AS (SELECT user_id, "
-            "CAST(user_id % 2 AS BIGINT) AS arm, "
-            "MAX(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) "
-            "AS conv FROM events GROUP BY 1), "
-            "ar AS (SELECT arm, CAST(COUNT(*) AS BIGINT) AS n, "
-            "CAST(SUM(conv) AS BIGINT) AS c FROM u GROUP BY 1), "
-            "w AS (SELECT "
-            "MAX(CASE WHEN arm = 0 THEN n END) AS n_a, "
-            "MAX(CASE WHEN arm = 1 THEN n END) AS n_b, "
-            "MAX(CASE WHEN arm = 0 THEN c END) AS ca, "
-            "MAX(CASE WHEN arm = 1 THEN c END) AS cb FROM ar), "
-            "p AS (SELECT n_a, n_b, "
-            "CAST(ca AS DOUBLE) / CAST(n_a AS DOUBLE) AS pa, "
-            "CAST(cb AS DOUBLE) / CAST(n_b AS DOUBLE) AS pb FROM w) "
-            "SELECT n_a, n_b, ROUND(pa, 6) AS p_a, "
-            "ROUND(pb, 6) AS p_b, "
-            "CASE WHEN pb - pa = 0.0 THEN NULL ELSE "
-            "ROUND((1.959964 + 0.841621) * (1.959964 + 0.841621) "
-            "* (pa * (1.0 - pa) + pb * (1.0 - pb)) "
-            "/ ((pb - pa) * (pb - pa)), 6) END "
-            "AS n_required_per_arm FROM p"
-        ),
-        "q_holt_linear": (
-            # Holt double exponential smoothing replayed as a recursive
-            # CTE over the gapfilled daily grid; float literal order
-            # identical to the pipeline loop (alpha=0.5, beta=0.3)
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "h(rn, day, c, s, b) AS ("
-            "  SELECT g1.rn, g1.day, g1.c, CAST(g1.c AS DOUBLE), "
-            "  CAST(g2.c - g1.c AS DOUBLE) "
-            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
-            "  UNION ALL"
-            "  SELECT g.rn, g.day, g.c, "
-            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
-            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
-            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
-            "  FROM g JOIN h ON g.rn = h.rn + 1) "
-            "SELECT day, c AS cnt, ROUND(s, 6) AS level, "
-            "ROUND(b, 6) AS trend_rate FROM h ORDER BY day"
-        ),
-        "q_holt_winters": (
-            # Holt-Winters additive smoothing replayed as a recursive
-            # CTE carrying the 7-slot seasonal buffer as a DOUBLE[]
-            # list; init sums exact ints; float literal order matches
-            # the pipeline loop (alpha=0.5, beta=0.3, gamma=0.2);
-            # anchor requires a full second season (rn=14 exists)
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "grid.day, COALESCE(d.c, 0) AS c FROM grid "
-            "LEFT JOIN d USING (day)), "
-            "init AS (SELECT "
-            "(SELECT SUM(c) FROM g WHERE rn <= 7) AS sum1, "
-            "(SELECT SUM(c) FROM g WHERE rn > 7 AND rn <= 14) AS sum2, "
-            "(SELECT list(CAST(c AS DOUBLE) ORDER BY rn) FROM g "
-            "WHERE rn <= 7) AS xs), "
-            "h(rn, day, c, l, b, se, buf) AS ("
-            "  SELECT g.rn, g.day, g.c, "
-            "  CAST(i.sum1 AS DOUBLE) / 7.0, "
-            "  (CAST(i.sum2 AS DOUBLE) / 7.0 "
-            "- CAST(i.sum1 AS DOUBLE) / 7.0) / 7.0, "
-            "  CAST(NULL AS DOUBLE), "
-            "  list_transform(i.xs, "
-            "v -> v - CAST(i.sum1 AS DOUBLE) / 7.0) "
-            "  FROM g, init i WHERE g.rn = 7 "
-            "  AND EXISTS (SELECT 1 FROM g WHERE rn = 14)"
-            "  UNION ALL"
-            "  SELECT g.rn, g.day, g.c, "
-            "  0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b), "
-            "  0.3 * ((0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b)) - h.l) + (1.0 - 0.3) * h.b, "
-            "  0.2 * (CAST(g.c AS DOUBLE) "
-            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1], "
-            "  list_append(h.buf[2:7], "
-            "  0.2 * (CAST(g.c AS DOUBLE) "
-            "- (0.5 * (CAST(g.c AS DOUBLE) - h.buf[1]) "
-            "+ (1.0 - 0.5) * (h.l + h.b))) + (1.0 - 0.2) * h.buf[1]) "
-            "  FROM g JOIN h ON g.rn = h.rn + 1) "
-            "SELECT day, c AS cnt, ROUND(l, 6) AS level, "
-            "ROUND(b, 6) AS trend_rate, ROUND(se, 6) AS seasonal "
-            "FROM h WHERE rn > 7 ORDER BY day"
-        ),
-        "q_forecast_backtest": (
-            # Holt one-step forecasts vs naive lag-1 on the gapfilled
-            # grid; the Holt recursion replayed UNROUNDED (the
-            # q_holt_linear CTE), errors join state at rn-1
-            "WITH RECURSIVE "
-            "d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS c FROM events "
-            "GROUP BY 1), "
-            "bounds AS (SELECT MIN(day) AS lo, MAX(day) AS hi FROM d), "
-            "grid AS (SELECT unnest(generate_series(lo, hi, "
-            "INTERVAL 1 DAY)) AS day FROM bounds), "
-            "g AS (SELECT row_number() OVER (ORDER BY grid.day) AS rn, "
-            "COALESCE(d.c, 0) AS c FROM grid LEFT JOIN d USING (day)), "
-            "h(rn, c, s, b) AS ("
-            "  SELECT g1.rn, g1.c, CAST(g1.c AS DOUBLE), "
-            "  CAST(g2.c - g1.c AS DOUBLE) "
-            "  FROM g g1 JOIN g g2 ON g2.rn = 2 WHERE g1.rn = 1"
-            "  UNION ALL"
-            "  SELECT g.rn, g.c, "
-            "  0.5 * CAST(g.c AS DOUBLE) + (1.0 - 0.5) * (h.s + h.b), "
-            "  0.3 * ((0.5 * CAST(g.c AS DOUBLE) "
-            "+ (1.0 - 0.5) * (h.s + h.b)) - h.s) + (1.0 - 0.3) * h.b "
-            "  FROM g JOIN h ON g.rn = h.rn + 1), "
-            "err AS (SELECT g.rn, "
-            "abs(CAST(g.c AS DOUBLE) - (h.s + h.b)) AS eh, "
-            "abs(CAST(g.c - gp.c AS DOUBLE)) AS en "
-            "FROM g JOIN h ON h.rn = g.rn - 1 "
-            "JOIN g gp ON gp.rn = g.rn - 1 WHERE g.rn >= 3), "
-            "agg AS (SELECT CAST(COUNT(*) AS BIGINT) AS m, "
-            "SUM(eh) / CAST(COUNT(*) AS DOUBLE) AS mh, "
-            "SUM(en) / CAST(COUNT(*) AS DOUBLE) AS mn FROM err) "
-            "SELECT m AS n_forecasts, ROUND(mh, 6) AS mae_holt, "
-            "ROUND(mn, 6) AS mae_naive, "
-            "CASE WHEN mh = 0.0 THEN NULL "
-            "ELSE ROUND(mn / mh, 6) END AS skill_ratio "
-            "FROM agg WHERE m > 0"
         ),
         "q_readability": (
             # Flesch with the pinned word/syllable/sentence regex rules;
@@ -2694,25 +2117,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT k AS l_returnflag, MIN(x) AS weighted_median "
             "FROM c WHERE cum >= 0.5 * tot GROUP BY 1"
         ),
-        "q_spike_days": (
-            "WITH d AS (SELECT CAST(date_trunc('day', ts) AS TIMESTAMP) "
-            "AS day, CAST(COUNT(*) AS BIGINT) AS n_events FROM events "
-            "GROUP BY 1), "
-            "m AS (SELECT quantile_cont(CAST(n_events AS DOUBLE), 0.5) "
-            "AS med FROM d) "
-            "SELECT day, n_events, ROUND((SELECT med FROM m), 6) "
-            "AS median_daily FROM d "
-            "WHERE CAST(n_events AS DOUBLE) > 1.05 * (SELECT med FROM m)"
-        ),
-        "q_cohort_matrix": (
-            "WITH uw AS (SELECT DISTINCT user_id, "
-            "CAST(date_trunc('week', ts) AS TIMESTAMP) AS w FROM events), "
-            "fw AS (SELECT user_id, MIN(w) AS cw FROM uw GROUP BY 1) "
-            "SELECT fw.cw AS cohort_week, "
-            "CAST(date_diff('day', fw.cw, uw.w) // 7 AS BIGINT) "
-            "AS week_offset, CAST(COUNT(*) AS BIGINT) AS n_users "
-            "FROM uw JOIN fw USING (user_id) GROUP BY 1, 2"
-        ),
         "q_benford_digits": (
             "WITH d AS (SELECT CAST(FLOOR(o_totalprice "
             "/ POWER(10.0, FLOOR(LOG10(o_totalprice)))) AS BIGINT) "
@@ -2740,107 +2144,6 @@ def oracle_sql() -> dict[str, str]:
             "WHEN base.text <> v2.text THEN 'changed' "
             "ELSE 'unchanged' END AS change_type "
             "FROM base FULL OUTER JOIN v2 ON base.doc_id = v2.doc_id"
-        ),
-        "q_chi_square": (
-            "WITH c AS (SELECT event_type, CASE WHEN value < 25.0 "
-            "THEN 'low' WHEN value < 75.0 THEN 'mid' ELSE 'high' END "
-            "AS band, CAST(COUNT(*) AS DOUBLE) AS o FROM events "
-            "GROUP BY 1, 2), "
-            "rt AS (SELECT event_type, SUM(o) AS r FROM c GROUP BY 1), "
-            "ct AS (SELECT band, SUM(o) AS cl FROM c GROUP BY 1), "
-            "n AS (SELECT SUM(o) AS n FROM c), "
-            "cells AS (SELECT c.o AS o, "
-            "rt.r * ct.cl / (SELECT n FROM n) AS e FROM c "
-            "JOIN rt USING (event_type) JOIN ct USING (band)) "
-            "SELECT ROUND(SUM((o - e) * (o - e) / e), 6) AS chi2, "
-            "CAST((SELECT COUNT(*) - 1 FROM rt) "
-            "   * (SELECT COUNT(*) - 1 FROM ct) AS BIGINT) AS dof, "
-            "CAST((SELECT n FROM n) AS BIGINT) AS n FROM cells"
-        ),
-        "q_cramers_v": (
-            # same contingency CTEs as q_chi_square; V is the
-            # min-dimension-normalized effect size (ratio cancels the
-            # float-fold noise like the ANOVA family)
-            "WITH c AS (SELECT event_type, CASE WHEN value < 25.0 "
-            "THEN 'low' WHEN value < 75.0 THEN 'mid' ELSE 'high' END "
-            "AS band, CAST(COUNT(*) AS DOUBLE) AS o FROM events "
-            "GROUP BY 1, 2), "
-            "rt AS (SELECT event_type, SUM(o) AS r FROM c GROUP BY 1), "
-            "ct AS (SELECT band, SUM(o) AS cl FROM c GROUP BY 1), "
-            "n AS (SELECT SUM(o) AS n FROM c), "
-            "cells AS (SELECT c.o AS o, "
-            "rt.r * ct.cl / (SELECT n FROM n) AS e FROM c "
-            "JOIN rt USING (event_type) JOIN ct USING (band)), "
-            "dims AS (SELECT (SELECT COUNT(*) FROM rt) AS nr, "
-            "(SELECT COUNT(*) FROM ct) AS nc) "
-            "SELECT CAST((SELECT n FROM n) AS BIGINT) AS n, "
-            "CAST((nr - 1) * (nc - 1) AS BIGINT) AS dof, "
-            "ROUND(SQRT((SELECT SUM((o - e) * (o - e) / e) FROM cells) "
-            "/ (SELECT n FROM n) "
-            "/ CAST(LEAST(nr - 1, nc - 1) AS DOUBLE)), 6) AS cramers_v "
-            "FROM dims WHERE nr >= 2 AND nc >= 2"
-        ),
-        "q_kruskal_wallis": (
-            # exact average ranks from grouped (value) counts —
-            # rank(v) = cnt_below + (cnt+1)/2, halves exact in
-            # float64; H and the tie correction replay the kernel's
-            # float nesting before the 6-decimal round
-            "WITH vc AS (SELECT event_type, value AS v, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "tv AS (SELECT v, CAST(SUM(c) AS BIGINT) AS t FROM vc "
-            "GROUP BY 1), "
-            "rv AS (SELECT v, t, "
-            "CAST(SUM(t) OVER (ORDER BY v) - t AS DOUBLE) "
-            "+ (CAST(t AS DOUBLE) + 1.0) / 2.0 AS r FROM tv), "
-            "rg AS (SELECT event_type, CAST(SUM(c) AS BIGINT) AS n, "
-            "SUM(CAST(c AS DOUBLE) * rv.r) AS rsum "
-            "FROM vc JOIN rv USING (v) GROUP BY 1), "
-            "tot AS (SELECT CAST(SUM(n) AS BIGINT) AS nt, "
-            "CAST(COUNT(*) AS BIGINT) AS k FROM rg), "
-            "hh AS (SELECT 12.0 / (CAST(nt AS DOUBLE) "
-            "* (CAST(nt AS DOUBLE) + 1.0)) "
-            "* SUM(rsum * rsum / CAST(n AS DOUBLE)) "
-            "- 3.0 * (CAST(nt AS DOUBLE) + 1.0) AS h "
-            "FROM rg, tot GROUP BY nt), "
-            "tc AS (SELECT 1.0 - SUM(CAST(t AS DOUBLE) "
-            "* CAST(t AS DOUBLE) * CAST(t AS DOUBLE) "
-            "- CAST(t AS DOUBLE)) / (CAST(nt AS DOUBLE) "
-            "* CAST(nt AS DOUBLE) * CAST(nt AS DOUBLE) "
-            "- CAST(nt AS DOUBLE)) AS cc FROM tv, tot GROUP BY nt) "
-            "SELECT tot.k AS n_groups, tot.nt AS n_total, "
-            "ROUND(hh.h, 6) AS h_stat, "
-            "ROUND(hh.h / tc.cc, 6) AS h_tie_corrected "
-            "FROM tot, hh, tc WHERE tot.nt >= 2 AND tot.k >= 2"
-        ),
-        "q_mutual_information": (
-            # same contingency CTEs as q_cramers_v; MI in nats plus
-            # sqrt-normalized NMI — sums over <=18 cells, so the
-            # 6-decimal round absorbs the float-order noise
-            "WITH c AS (SELECT event_type, CASE WHEN value < 25.0 "
-            "THEN 'low' WHEN value < 75.0 THEN 'mid' ELSE 'high' END "
-            "AS band, CAST(COUNT(*) AS DOUBLE) AS o FROM events "
-            "GROUP BY 1, 2), "
-            "n AS (SELECT SUM(o) AS n FROM c), "
-            "rt AS (SELECT event_type, SUM(o) / (SELECT n FROM n) AS pr "
-            "FROM c GROUP BY 1), "
-            "ct AS (SELECT band, SUM(o) / (SELECT n FROM n) AS pc "
-            "FROM c GROUP BY 1), "
-            "mi AS (SELECT SUM((c.o / (SELECT n FROM n)) "
-            "* LN((c.o / (SELECT n FROM n)) / (rt.pr * ct.pc))) AS mi "
-            "FROM c JOIN rt USING (event_type) JOIN ct USING (band) "
-            "WHERE c.o > 0), "
-            "hr AS (SELECT -SUM(pr * LN(pr)) AS hr FROM rt WHERE pr > 0), "
-            "hc AS (SELECT -SUM(pc * LN(pc)) AS hc FROM ct WHERE pc > 0) "
-            "SELECT CAST((SELECT n FROM n) AS BIGINT) AS n, "
-            "ROUND(mi.mi, 6) AS mi_nats, "
-            "ROUND(CASE WHEN hr.hr > 0 AND hc.hc > 0 "
-            "THEN mi.mi / SQRT(hr.hr * hc.hc) ELSE 0.0 END, 6) AS nmi "
-            "FROM mi, hr, hc"
-        ),
-        "q_exact_median_by_type": (
-            "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "ROUND(MEDIAN(value), 6) AS median_value "
-            "FROM events GROUP BY 1 ORDER BY 1"
         ),
         "q_merge_cdc": (
             "WITH base AS (SELECT doc_id, text, CAST(0 AS BIGINT) AS version, "
@@ -2970,13 +2273,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT source, lang, CAST(COUNT(*) AS BIGINT) AS n "
             "FROM documents GROUP BY CUBE(source, lang)"
         ),
-        "q_customer_event_outer": (
-            "WITH ec AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_events "
-            "FROM events GROUP BY user_id) "
-            "SELECT COALESCE(ec.user_id, c.c_custkey) AS user_id, "
-            "ec.n_events, c.c_name "
-            "FROM ec FULL OUTER JOIN customer c ON ec.user_id = c.c_custkey"
-        ),
         "q_profile_columns": (
             "SELECT 'o_custkey' AS \"column\", "
             "CAST(COUNT(*) AS BIGINT) AS n_rows, "
@@ -3098,30 +2394,6 @@ def oracle_sql() -> dict[str, str]:
             "c_name, c_mktsegment FROM orders "
             "JOIN customer ON o_custkey = c_custkey"
         ),
-        "q_levene_test": (
-            # Brown-Forsythe: one-way ANOVA on |x - group median|;
-            # MEDIAN() interpolates like the kernel's cum walk, the
-            # SSB/SSW float nesting replays anova_f
-            "WITH med AS (SELECT event_type, MEDIAN(value) AS med "
-            "FROM events GROUP BY 1), "
-            "z AS (SELECT e.event_type, "
-            "ABS(e.value - med.med) AS z FROM events e "
-            "JOIN med USING (event_type)), "
-            "g AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-            "SUM(z) AS s, SUM(z * z) AS ss FROM z GROUP BY 1), "
-            "t AS (SELECT CAST(COUNT(*) AS BIGINT) AS k, "
-            "CAST(SUM(n) AS BIGINT) AS nt, SUM(s) AS stot FROM g), "
-            "parts AS (SELECT t.k, t.nt, "
-            "SUM(CAST(g.n AS DOUBLE) * POWER(g.s / CAST(g.n AS DOUBLE) "
-            "- t.stot / CAST(t.nt AS DOUBLE), 2)) AS ssb, "
-            "SUM(g.ss - g.s * g.s / CAST(g.n AS DOUBLE)) AS ssw "
-            "FROM g, t GROUP BY 1, 2) "
-            "SELECT k AS n_groups, nt AS n_total, "
-            "ROUND((ssb / CAST(k - 1 AS DOUBLE)) "
-            "/ (ssw / CAST(nt - k AS DOUBLE)), 6) AS w_stat, "
-            "ROUND(ssb, 6) AS ssb_z, ROUND(ssw, 6) AS ssw_z "
-            "FROM parts WHERE k >= 2 AND nt > k AND ssw > 0.0"
-        ),
         "q_calinski_harabasz": (
             # variance-ratio index from per-label (n, Σv, Σ|v|²) sums;
             # all linear folds, same float nesting as the kernel
@@ -3240,28 +2512,6 @@ def oracle_sql() -> dict[str, str]:
             "ROUND(dc.dcg / ic.idcg, 6) AS ndcg "
             "FROM dc JOIN ic USING (qid) WHERE ic.idcg > 0.0 "
             "ORDER BY 1"
-        ),
-        "q_tukey_hsd": (
-            # Tukey-Kramer q per type pair from the ANOVA moment sums;
-            # MSW once, se2 = (MSW/2)*(1/na+1/nb), same float nesting
-            "WITH g AS (SELECT event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n, SUM(value) AS s, "
-            "SUM(value * value) AS ss FROM events GROUP BY 1), "
-            "t AS (SELECT CAST(COUNT(*) AS BIGINT) AS k, "
-            "CAST(SUM(n) AS BIGINT) AS nt, "
-            "SUM(ss - s * s / CAST(n AS DOUBLE)) AS ssw FROM g), "
-            "w AS (SELECT ssw / CAST(nt - k AS DOUBLE) AS msw FROM t "
-            "WHERE k >= 2 AND nt > k AND ssw > 0.0) "
-            "SELECT a.event_type AS type_a, b.event_type AS type_b, "
-            "a.n AS n_a, b.n AS n_b, "
-            "ROUND(a.s / CAST(a.n AS DOUBLE) "
-            "- b.s / CAST(b.n AS DOUBLE), 6) AS mean_diff, "
-            "ROUND(abs(a.s / CAST(a.n AS DOUBLE) "
-            "- b.s / CAST(b.n AS DOUBLE)) "
-            "/ sqrt((w.msw / 2.0) * (1.0 / CAST(a.n AS DOUBLE) "
-            "+ 1.0 / CAST(b.n AS DOUBLE))), 6) AS q_stat "
-            "FROM g a JOIN g b ON a.event_type < b.event_type, w "
-            "ORDER BY 1, 2"
         ),
         "q_avg_precision_search": (
             # AP@20 of the BM25 order under binary relevance
@@ -3623,42 +2873,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM rk JOIN documents d ON d.doc_id = rk.doc_id "
             "WHERE rk.r = 1 GROUP BY 1, 2 ORDER BY 1, 2"
         ),
-        "q_cvar_by_type": (
-            # VaR via quantile_cont (the type-7 interpolation the
-            # kernel replays), CVaR = tail sum / tail count
-            "WITH vq AS (SELECT event_type, "
-            "CAST(COUNT(*) AS BIGINT) AS n, "
-            "quantile_cont(value, 0.95) AS v FROM events GROUP BY 1), "
-            "tail AS (SELECT e.event_type, vq.n, vq.v, "
-            "CAST(COUNT(*) AS BIGINT) AS nt, SUM(e.value) AS s "
-            "FROM events e JOIN vq ON e.event_type = vq.event_type "
-            "WHERE e.value >= vq.v GROUP BY 1, 2, 3) "
-            "SELECT event_type, n, ROUND(v, 6) AS var_q, "
-            "ROUND(s / CAST(nt AS DOUBLE), 6) AS cvar_q, "
-            "nt AS n_tail FROM tail WHERE n >= 2 ORDER BY event_type"
-        ),
-        "q_trimmed_mean": (
-            # two-sided 10% trim via surviving multiplicities per grid
-            # cell — all-int until the final division
-            "WITH g AS (SELECT event_type, value, "
-            "CAST(COUNT(*) AS BIGINT) AS c FROM events GROUP BY 1, 2), "
-            "t AS (SELECT event_type, CAST(SUM(c) AS BIGINT) AS n, "
-            "CAST(FLOOR(CAST(SUM(c) AS DOUBLE) * 0.1) AS BIGINT) "
-            "AS tr FROM g GROUP BY 1), "
-            "s AS (SELECT event_type, value, c, SUM(c) OVER "
-            "(PARTITION BY event_type ORDER BY value) AS cum FROM g), "
-            "k AS (SELECT s.event_type, s.value, t.n, t.tr, "
-            "GREATEST(LEAST(s.cum, t.n - t.tr) "
-            "- GREATEST(s.cum - s.c, t.tr), 0) AS keep "
-            "FROM s JOIN t USING (event_type) "
-            "WHERE t.n - 2 * t.tr > 0), "
-            "d AS (SELECT event_type, MAX(n) AS n, MAX(tr) AS tr, "
-            "SUM(CAST(keep AS DOUBLE) * value) AS sv FROM k "
-            "GROUP BY 1) "
-            "SELECT event_type, n, tr AS n_trimmed_each, "
-            "ROUND(sv / CAST(n - 2 * tr AS DOUBLE), 6) "
-            "AS trimmed_mean FROM d ORDER BY event_type"
-        ),
         "q_threshold_sweep": (
             # dedup tuning curve from the pair table's stored jaccard
             "WITH " + _NGRAM_PAIRS_CTES + ", "
@@ -3681,21 +2895,6 @@ def oracle_sql() -> dict[str, str]:
             "LEFT JOIN ec ON ec.threshold = th.threshold "
             "LEFT JOIN nd ON nd.threshold = th.threshold "
             "ORDER BY th.threshold"
-        ),
-        "q_hill_tail_index": (
-            # Hill alpha over the top-200 order statistics; tie
-            # multiset at the boundary is rank-determined
-            "WITH p AS (SELECT value FROM events WHERE value > 0.0), "
-            "n AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM p), "
-            "r AS (SELECT value, row_number() OVER "
-            "(ORDER BY value DESC) AS rk FROM p), "
-            "ref AS (SELECT value AS xr FROM r WHERE rk = 201), "
-            "topk AS (SELECT SUM(ln(r.value / ref.xr)) AS s "
-            "FROM r, ref WHERE r.rk <= 200) "
-            "SELECT CAST(200 AS BIGINT) AS k, "
-            "ROUND(ref.xr, 6) AS x_kplus1, "
-            "ROUND(200.0 / topk.s, 6) AS hill_alpha "
-            "FROM ref, topk, n WHERE n.n > 200 AND topk.s > 0.0"
         ),
         "q_bh_significant_terms": (
             # BH FDR over the full log-odds family; z exact (scalar
@@ -3734,33 +2933,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT m.m AS n_tested, CAST(q.rstar AS BIGINT) "
             "AS n_significant, ROUND(0.05 * CAST(q.rstar AS DOUBLE) "
             "/ CAST(m.m AS DOUBLE), 6) AS bh_threshold FROM m, q"
-        ),
-        "q_simpson_check": (
-            # pooled vs stratified value-time correlation; pooled
-            # moments are the SUM of the per-type moment sums
-            "WITH p AS (SELECT event_type, "
-            "(epoch(ts) - epoch(TIMESTAMP '2024-01-01')) / 86400.0 "
-            "AS x, value AS y FROM events), "
-            "m AS (SELECT event_type, CAST(COUNT(*) AS DOUBLE) AS n, "
-            "SUM(x) AS sx, SUM(y) AS sy, SUM(x * y) AS sxy, "
-            "SUM(x * x) AS sxx, SUM(y * y) AS syy FROM p GROUP BY 1), "
-            "t AS (SELECT SUM(n) AS n, SUM(sx) AS sx, SUM(sy) AS sy, "
-            "SUM(sxy) AS sxy, SUM(sxx) AS sxx, SUM(syy) AS syy "
-            "FROM m), "
-            "pc AS (SELECT (n * sxy - sx * sy) "
-            "/ sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)) AS r "
-            "FROM t), "
-            "wc AS (SELECT event_type, CASE WHEN "
-            "(n * sxx - sx * sx) * (n * syy - sy * sy) = 0.0 "
-            "THEN NULL ELSE (n * sxy - sx * sy) "
-            "/ sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)) END "
-            "AS r FROM m) "
-            "SELECT wc.event_type, ROUND(wc.r, 6) AS corr_within, "
-            "ROUND(pc.r, 6) AS pooled_corr, "
-            "CAST(CASE WHEN wc.r IS NOT NULL AND "
-            "ROUND(wc.r, 6) * ROUND(pc.r, 6) < 0.0 "
-            "THEN 1 ELSE 0 END AS BIGINT) AS sign_flip "
-            "FROM wc, pc ORDER BY wc.event_type"
         ),
         "q_dedup_savings": (
             # first-wins exact-dedup savings; groups by text equality

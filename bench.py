@@ -131,13 +131,11 @@ QUERY_NAMES = [
     "q_decontaminate",
     "q_knn_ivf",
     "q_corr_qty_price",
-    "q_value_stats_by_type",
     "q_ngram_jaccard",
     "q_ngram_dup_clusters",
     "q_tfidf_top_terms",
     "q_revenue_by_nation",
     "q_doc_length_zscore",
-    "q_quantile_sketch",
     "q_decontaminate_bloom",
     "q_line_dedup",
     "q_dup_gram_spans",
@@ -154,7 +152,6 @@ QUERY_NAMES = [
     "q_ngram_dedup_apply",
     "q_embedding_covariance",
     "q_corpus_report",
-    "q_value_time_regression",
     "q_mad_lengths",
     "q_ngram_dup_degrees",
     "q_multimodal_pack",
@@ -190,7 +187,6 @@ QUERY_NAMES = [
     "q_dup_graph_kcore",
     "q_smb_orders_customer",
     "q_merge_cdc",
-    "q_linear_attribution",
     "q_pareto_skyline",
     "q_gini_doc_lengths",
     "q_blocklist_hits",
@@ -200,15 +196,10 @@ QUERY_NAMES = [
     "q_bm25_search",
     "q_mixture_weights",
     "q_dup_source_matrix",
-    "q_time_decay_attribution",
-    "q_scd2_intervals",
     "q_entity_resolution",
     "q_snapshot_diff",
-    "q_chi_square",
-    "q_cohort_matrix",
     "q_benford_digits",
     "q_weighted_median",
-    "q_spike_days",
     "q_readability",
     "q_price_band_join",
     "q_textrank_keywords",
@@ -217,32 +208,24 @@ QUERY_NAMES = [
     "q_compression_ratio",
     "q_copurchase_triples",
     "q_unicode_clean",
-    "q_ab_test_zscore",
-    "q_holt_linear",
-    "q_holt_winters",
     "q_neighbor_jaccard",
     "q_clustering_coefficient",
     "q_harmonic_2hop",
-    "q_anova_f",
     "q_ks_source_lengths",
     "q_length_auc_lang",
     "q_spearman_len_tokens",
     "q_quality_pct_rank",
     "q_source_js_divergence",
     # round-5 fourth-session additions
-    "q_levene_test",
     "q_calinski_harabasz",
     "q_davies_bouldin",
     "q_yule_k",
     "q_ndcg_search",
-    "q_tukey_hsd",
-    "q_mcnemar",
     "q_avg_precision_search",
     "q_adamic_adar",
     "q_chao1_richness",
     "q_log_odds_terms",
     "q_gmm_em",
-    "q_isotonic_curve",
     "q_burrows_delta",
     "q_rbo_arms",
     "q_bottomk_sample",
@@ -255,18 +238,10 @@ QUERY_NAMES = [
     "q_source_modularity",
     "q_gram_novelty",
     "q_langid_confusion",
-    "q_fisher_exact",
-    "q_bayes_ab",
     "q_twonn_dimension",
-    "q_cvar_by_type",
-    "q_trimmed_mean",
-    "q_power_analysis",
     "q_threshold_sweep",
-    "q_hill_tail_index",
-    "q_forecast_backtest",
     "q_ipf_raking",
     "q_bh_significant_terms",
-    "q_simpson_check",
     "q_dedup_savings",
     "q_source_hhi",
     "q_cluster_source_ari",

@@ -1,10 +1,9 @@
-"""Mergeable sketches: HyperLogLog for approximate distinct counting.
+"""Mergeable sketches over document text: Misra-Gries heavy hitters and
+a count-min frequency sketch.
 
-The scale pattern (guide: "emit one serialized sketch per batch and merge
-them in a second, tiny stage"): each batch produces one HLL register
-array; registers merge with elementwise max; the estimate runs on the
-merged registers. Flajolet et al. 2007 with the standard bias correction
-for small/large ranges. Deterministic (splitmix64 hashing, no RNG).
+The scale pattern: each batch emits one bounded, serialized summary, and
+the summaries merge on the driver, so the wire carries one sketch per
+batch instead of the vocabulary. Deterministic (no RNG).
 """
 
 from __future__ import annotations
@@ -12,106 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ocr_agent_ray.functions.hashing import splitmix64
-
-
-class HyperLogLog:
-    def __init__(self, p: int = 12) -> None:
-        assert 4 <= p <= 18
-        self.p = p
-        self.m = 1 << p
-        self.registers = np.zeros(self.m, dtype=np.uint8)
-        if p == 12:
-            self.alpha = 0.7213 / (1 + 1.079 / self.m)
-        elif p >= 7:
-            self.alpha = 0.7213 / (1 + 1.079 / self.m)
-        elif p == 6:
-            self.alpha = 0.709
-        elif p == 5:
-            self.alpha = 0.697
-        else:
-            self.alpha = 0.673
-
-    def add_hashes(self, hashes: np.ndarray) -> None:
-        """Vectorized insert of pre-hashed uint64 values."""
-        if hashes.size == 0:
-            return
-        h = hashes.astype(np.uint64)
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = h << np.uint64(self.p)
-        # rank = leading zeros of remaining bits + 1 (cap at 64-p+1)
-        rank = np.full(h.shape, 64 - self.p + 1, dtype=np.uint8)
-        found = np.zeros(h.shape, dtype=bool)
-        for bit in range(64 - self.p):
-            mask = (~found) & ((rest >> np.uint64(63 - bit)) & np.uint64(1) == 1)
-            rank[mask] = bit + 1
-            found |= mask
-        np.maximum.at(self.registers, idx, rank)
-
-    def add_ints(self, values: np.ndarray) -> None:
-        self.add_hashes(splitmix64(np.asarray(values, dtype=np.uint64)))
-
-    def add_strings(self, values) -> None:
-        import hashlib
-
-        hs = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(str(v).encode(), digest_size=8).digest(), "big"
-                )
-                for v in values
-            ),
-            dtype=np.uint64,
-            count=len(values),
-        )
-        self.add_hashes(hs)
-
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        assert self.p == other.p
-        out = HyperLogLog(self.p)
-        out.registers = np.maximum(self.registers, other.registers)
-        return out
-
-    def serialize(self) -> bytes:
-        return self.registers.tobytes()
-
-    @classmethod
-    def deserialize(cls, data: bytes, p: int = 12) -> "HyperLogLog":
-        out = cls(p)
-        out.registers = np.frombuffer(data, dtype=np.uint8).copy()
-        return out
-
-    def estimate(self) -> float:
-        regs = self.registers.astype(np.float64)
-        raw = self.alpha * self.m * self.m / np.sum(2.0 ** -regs)
-        zeros = int(np.sum(self.registers == 0))
-        if raw <= 2.5 * self.m and zeros:
-            return self.m * np.log(self.m / zeros)  # linear counting
-        if raw > (1 / 30) * (1 << 32):
-            return -(1 << 32) * np.log(1 - raw / (1 << 32))
-        return raw
-
-
-def hll_distinct(ds, column: str, p: int = 12) -> float:
-    """Approximate COUNT(DISTINCT column): one sketch per batch, merged on
-    the driver (sketches are tiny and mergeable — the shuffle-free path)."""
-    import pandas as pd
-
-    def _sketch(batch: pd.DataFrame) -> pd.DataFrame:
-        hll = HyperLogLog(p)
-        col = batch[column]
-        if col.dtype.kind in "iu":
-            hll.add_ints(col.to_numpy())
-        else:
-            hll.add_strings(col.tolist())
-        return pd.DataFrame({"sketch": [hll.serialize()]})
-
-    merged = HyperLogLog(p)
-    for b in ds.map_batches(_sketch, batch_format="pandas").iter_batches(
-        batch_format="pandas", batch_size=1024
-    ):
-        for blob in b["sketch"]:
-            merged = merged.merge(HyperLogLog.deserialize(blob, p))
-    return float(merged.estimate())
 
 
 def topk_words_sketch(ds, text_col: str = "text", *, k: int = 20,
@@ -153,157 +52,6 @@ def topk_words_sketch(ds, text_col: str = "text", *, k: int = 20,
                           kind="mergesort").head(k)
     out["approx_n"] = out["approx_n"].astype("int64")
     return out.reset_index(drop=True)
-
-
-class CentroidDigest:
-    """Mergeable equal-weight centroid digest for approximate quantiles
-    (a simplified t-digest, Dunning & Ertl '19 without the tail bias):
-    at most ``capacity`` (mean, count) centroids; building and merging
-    re-chunk the weight-sorted centroids into equal-weight groups, so the
-    rank error of any quantile is bounded by ~n/capacity. Centroids are
-    two small numpy arrays — constant-size regardless of input, the
-    100-TB path where exact quantile_cont would need a global sort."""
-
-    def __init__(self, means=None, counts=None, capacity: int = 256):
-        self.capacity = capacity
-        self.means = np.asarray([] if means is None else means, dtype=np.float64)
-        self.counts = np.asarray([] if counts is None else counts, dtype=np.float64)
-
-    @classmethod
-    def from_values(cls, values, capacity: int = 256) -> "CentroidDigest":
-        v = np.sort(np.asarray(values, dtype=np.float64))
-        v = v[~np.isnan(v)]
-        return cls(v, np.ones(len(v)), capacity)._compress()
-
-    def _compress(self) -> "CentroidDigest":
-        if len(self.means) <= self.capacity:
-            return self
-        order = np.argsort(self.means, kind="mergesort")
-        m, c = self.means[order], self.counts[order]
-        total = c.sum()
-        # equal-weight chunking: centroid i goes to the bucket its
-        # midpoint weight falls in
-        cum_before = np.cumsum(c) - c / 2
-        bucket = np.minimum((cum_before / total * self.capacity).astype(np.int64),
-                            self.capacity - 1)
-        w = np.bincount(bucket, weights=c, minlength=self.capacity)
-        wm = np.bincount(bucket, weights=c * m, minlength=self.capacity)
-        keep = w > 0
-        return CentroidDigest(wm[keep] / w[keep], w[keep], self.capacity)
-
-    def merge(self, other: "CentroidDigest") -> "CentroidDigest":
-        return CentroidDigest(
-            np.concatenate([self.means, other.means]),
-            np.concatenate([self.counts, other.counts]),
-            self.capacity,
-        )._compress()
-
-    def quantile(self, q: float) -> float:
-        if not len(self.means):
-            return float("nan")
-        order = np.argsort(self.means, kind="mergesort")
-        m, c = self.means[order], self.counts[order]
-        cum_mid = np.cumsum(c) - c / 2
-        target = q * c.sum()
-        return float(np.interp(target, cum_mid, m))
-
-
-def quantile_sketch(ds, column: str, *, quantiles=(0.5, 0.9),
-                    capacity: int = 256):
-    """Approximate quantiles of ``column`` via one CentroidDigest per
-    batch merged on the driver (constant bytes per batch on the wire)."""
-    import pandas as pd
-
-    def _sketch(batch: pd.DataFrame) -> pd.DataFrame:
-        d = CentroidDigest.from_values(batch[column].to_numpy(), capacity)
-        return pd.DataFrame({"means": [d.means.tobytes()],
-                             "counts": [d.counts.tobytes()]})
-
-    merged = CentroidDigest(capacity=capacity)
-    for b in ds.map_batches(_sketch, batch_format="pandas").iter_batches(
-        batch_format="pandas", batch_size=1024
-    ):
-        for mb, cb in zip(b["means"], b["counts"]):
-            merged = merged.merge(CentroidDigest(
-                np.frombuffer(mb, np.float64), np.frombuffer(cb, np.float64),
-                capacity))
-
-    return pd.DataFrame({
-        "quantile": list(quantiles),
-        "value": [round(merged.quantile(q), 6) for q in quantiles],
-    })
-
-
-def quantile_sketch_by_key(ds, key: str, column: str, *,
-                           quantiles=(0.5, 0.9, 0.99), capacity: int = 256):
-    """Per-key approximate quantiles: one CentroidDigest per (key, batch),
-    merged per key on the driver — the sketch composes with GROUP BY the
-    same way the per-key HLL does. Wire cost: 2 × capacity float64 per key
-    per batch; driver state: |keys| digests. The 100-TB alternative to a
-    per-key global sort."""
-    import pandas as pd
-
-    def _sketch(batch: pd.DataFrame) -> pd.DataFrame:
-        rows_k, rows_m, rows_c = [], [], []
-        for k, idx in batch.groupby(key).indices.items():
-            d = CentroidDigest.from_values(
-                batch[column].iloc[idx].to_numpy(), capacity)
-            rows_k.append(k)
-            rows_m.append(d.means.tobytes())
-            rows_c.append(d.counts.tobytes())
-        return pd.DataFrame({key: rows_k, "means": rows_m, "counts": rows_c})
-
-    merged: dict = {}
-    for b in ds.map_batches(_sketch, batch_format="pandas").iter_batches(
-        batch_format="pandas", batch_size=1024
-    ):
-        for k, mb, cb in zip(b[key], b["means"], b["counts"]):
-            d = CentroidDigest(np.frombuffer(mb, np.float64),
-                               np.frombuffer(cb, np.float64), capacity)
-            merged[k] = merged[k].merge(d) if k in merged else d
-
-    rows = []
-    for k in sorted(merged):
-        for q in quantiles:
-            rows.append((k, q, round(merged[k].quantile(q), 6)))
-    return pd.DataFrame(rows, columns=[key, "quantile", "value"])
-
-
-def hll_distinct_by_key(ds, key: str, column: str, p: int = 12):
-    """Per-key approximate COUNT(DISTINCT): one HLL per (key, batch)
-    merged per key on the driver — sketches compose with GROUP BY, which
-    is the 100-TB path for per-key distincts (the exact variant must
-    shuffle every (key, value) pair; this ships 2^p bytes per key per
-    batch and never moves values). Driver state: |keys| sketches."""
-    import pandas as pd
-
-    def _sketch(batch: pd.DataFrame) -> pd.DataFrame:
-        rows_k, rows_s = [], []
-        for k, idx in batch.groupby(key).indices.items():
-            hll = HyperLogLog(p)
-            col = batch[column].iloc[idx]
-            if col.dtype.kind in "iu":
-                hll.add_ints(col.to_numpy())
-            else:
-                hll.add_strings(col.tolist())
-            rows_k.append(k)
-            rows_s.append(hll.serialize())
-        return pd.DataFrame({key: rows_k, "sketch": rows_s})
-
-    merged: dict = {}
-    for b in ds.map_batches(_sketch, batch_format="pandas").iter_batches(
-        batch_format="pandas", batch_size=1024
-    ):
-        for k, blob in zip(b[key], b["sketch"]):
-            s = HyperLogLog.deserialize(blob, p)
-            merged[k] = merged[k].merge(s) if k in merged else s
-
-    out = pd.DataFrame({
-        key: list(merged),
-        "approx_distinct": [int(round(s.estimate())) for s in merged.values()],
-    }).sort_values(key).reset_index(drop=True)
-    out["approx_distinct"] = out["approx_distinct"].astype("int64")
-    return out
 
 
 class CountMinSketch:

@@ -3175,34 +3175,15 @@ def cluster_source_ari(sf_dir: str):
         lambda b: pd.DataFrame({"doc_id": b["doc_id"].astype("int64"),
                                 "source": b["source"]}),
         batch_format="pandas", batch_size=65536)
-    if cl is None:
-        joined = src.map_batches(
-            lambda b: b.assign(cluster_id=-b["doc_id"].astype("int64")),
-            batch_format="pandas", batch_size=65536)
-    else:
-        joined = bucket_hash_join(
-            src, cl, on="doc_id", how="left", num_buckets=16,
-            left_schema=pa.schema([("doc_id", pa.int64()),
-                                   ("source", pa.string())]),
-            right_schema=pa.schema([("doc_id", pa.int64()),
-                                    ("cluster_id", pa.int64())]))
-        joined = joined.map_batches(
-            lambda b: pd.DataFrame({
-                "doc_id": b["doc_id"].astype("int64"),
-                "source": b["source"],
-                # singletons: unique negative ids (their own cluster)
-                "cluster_id": b["cluster_id"]
-                .fillna(-b["doc_id"].astype("float64") - 1)
-                .astype("int64")}),
-            batch_format="pandas", batch_size=65536)
 
-    def comb2_fold(keys):
+    def comb2_fold(ds, keys) -> tuple[int, int]:
+        """(Σ C(n_key, 2), Σ n_key) over the ``keys`` groups of ``ds``."""
         counts = hash_partition_aggregate(
-            joined.map_batches(lambda b: b.assign(one=np.int64(1))[
+            ds.map_batches(lambda b: b.assign(one=np.int64(1))[
                 keys + ["one"]],
                 batch_format="pandas", batch_size=65536),
             keys, {"n": ("one", "sum")})
-        return combine_partials_driver(
+        tot = combine_partials_driver(
             counts.map_batches(lambda b: pd.DataFrame({
                 "__k": np.int64(0),
                 "s": (b["n"].to_numpy(np.int64)
@@ -3210,22 +3191,31 @@ def cluster_source_ari(sf_dir: str):
                 "n": b["n"].astype("int64")}),
                 batch_format="pandas"),
             ["__k"], {"s": ("s", "sum"), "n": ("n", "sum")})
+        if tot.empty:
+            return 0, 0
+        return int(tot["s"].iloc[0]), int(tot["n"].iloc[0])
 
-    cells = comb2_fold(["cluster_id", "source"])
-    rows_a = comb2_fold(["cluster_id"])
-    rows_b = comb2_fold(["source"])
     empty = pd.DataFrame({
         "n_docs": pd.Series(dtype="int64"),
         "sum_comb_cells": pd.Series(dtype="int64"),
         "ari": pd.Series(dtype="float64")})
-    if cells.empty:
-        return empty
-    n = int(cells["n"].iloc[0])
+    s_b, n = comb2_fold(src, ["source"])
     if n < 2:
         return empty
-    s_cells = np.float64(int(cells["s"].iloc[0]))
-    s_a = np.float64(int(rows_a["s"].iloc[0]))
-    s_b = np.float64(int(rows_b["s"].iloc[0]))
+    # a singleton (a doc in no cluster) is its own cluster and adds no
+    # pair to a cluster or a cell, so only clustered docs are joined:
+    # an inner join keeps cluster_id int64, with no null fill
+    s_cells = s_a = 0
+    if cl is not None:
+        clustered = bucket_hash_join(
+            src, cl, on="doc_id", how="inner", num_buckets=16,
+            left_schema=pa.schema([("doc_id", pa.int64()),
+                                   ("source", pa.string())]),
+            right_schema=pa.schema([("doc_id", pa.int64()),
+                                    ("cluster_id", pa.int64())]))
+        s_cells, _ = comb2_fold(clustered, ["cluster_id", "source"])
+        s_a, _ = comb2_fold(clustered, ["cluster_id"])
+    s_cells, s_a, s_b = (np.float64(x) for x in (s_cells, s_a, s_b))
     c2n = np.float64(n * (n - 1) // 2)
     e = s_a * s_b / c2n
     mx = (s_a + s_b) / 2.0

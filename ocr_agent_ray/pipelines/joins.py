@@ -174,9 +174,13 @@ def bucket_hash_join(left, right, *, on: str, num_buckets: int = 16,
 
     out_schema = pa.schema([pa.field(c, types[c]) for c in all_cols])
 
-    def _join_bucket(g: pd.DataFrame) -> pa.Table:
-        lhs = g.loc[g["__side"] == "l", left_cols]
-        rhs = g.loc[g["__side"] == "r", right_cols]
+    def _join_bucket(g: pa.Table) -> pa.Table:
+        # split the sides in Arrow: in the union, one side's columns are
+        # null on the other side's rows, and pandas reads an int column
+        # holding nulls as float64, which rounds values above 2^53
+        is_left = pc.equal(g["__side"], "l")
+        lhs = g.filter(is_left).select(left_cols).to_pandas()
+        rhs = g.filter(pc.invert(is_left)).select(right_cols).to_pandas()
         merged = lhs.merge(rhs, on=on, how=how, suffixes=("_l", "_r"))
         # emit Arrow with the declared join types: pandas upcasts
         # null-filled int columns to float64 (outer/left joins), and Ray
@@ -187,7 +191,7 @@ def bucket_hash_join(left, right, *, on: str, num_buckets: int = 16,
     from ocr_agent_ray.pipelines.exchange import bucket_map_groups
 
     return bucket_map_groups(both, _join_bucket, bucket_col="__bucket",
-                             num_buckets=num_buckets)
+                             num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,

@@ -22,37 +22,6 @@ from ocr_agent_ray.pipelines.exchange import bucket_map_groups, key_map_groups
 from ocr_agent_ray.pipelines.joins import broadcast_join, bucket_hash_join
 
 
-def status_counts(sf_dir: str):
-    """Grouped status counts — the reference's fetch_status_counts
-    (queue_store.py:191-196) over the events log: rows per event_type.
-    Map-side partials + driver combine: the wire carries keys×batches rows."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    return combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type"]),
-        ["event_type"],
-        {"n": ("event_type", "count")},
-    )
-
-
-def mean_value_by_type(sf_dir: str):
-    """Running-mean ETA analog (main.rs:800-828): mean event value per type
-    from mergeable (sum, count) partials — the scale-safe mean."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    out = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type"],
-        {"s": ("value", "sum"), "c": ("value", "count")},
-    )
-    return pd.DataFrame(
-        {
-            "event_type": out["event_type"],
-            "mean_value": round_half_away(out["s"] / out["c"], 6),
-        }
-    )
-
-
 _EXTS = [".png", ".pdf", ".txt", ".JPG"]
 
 
@@ -266,162 +235,6 @@ def sample_n_documents(sf_dir: str, *, n: int = 50):
     return out[["doc_id", "source"]].reset_index(drop=True)
 
 
-def join_size_profile(sf_dir: str):
-    """Join-size profiling — the planner utility that answers 'how many
-    rows would events ⋈ customer produce?' WITHOUT materializing the
-    join: per-key counts fold on each side (bucketed), the count tables
-    join (tiny vs the data), and Σ n_left·n_right is the exact join
-    cardinality. Also reports per-side key counts and the max fan-out
-    key — the skew signal that decides broadcast vs bucketed vs salted."""
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
-
-    ev = hash_partition_aggregate(
-        read_table(sf_dir, "events", ["user_id"]).map_batches(
-            lambda b: b.assign(k=b["user_id"] % 1500),
-            batch_format="pandas", batch_size=65536),
-        ["k"], {"n_left": ("k", "count")})
-    cust = hash_partition_aggregate(
-        read_table(sf_dir, "customer", ["c_custkey"]).map_batches(
-            lambda b: pd.DataFrame({"k": b["c_custkey"] % 1500}),
-            batch_format="pandas", batch_size=65536),
-        ["k"], {"n_right": ("k", "count")})
-    joined = bucket_hash_join(
-        ev, cust, on="k",
-        left_schema=pa.schema([("k", pa.int64()), ("n_left", pa.int64())]),
-        right_schema=pa.schema([("k", pa.int64()),
-                                ("n_right", pa.int64())])).to_pandas()
-    prod = joined["n_left"] * joined["n_right"]
-    return pd.DataFrame({
-        "join_rows": [int(prod.sum())],
-        "n_keys_matched": [int(len(joined))],
-        "max_key_fanout": [int(prod.max()) if len(joined) else 0],
-    })
-
-
-def value_time_regression(sf_dir: str):
-    """Per-type least-squares trend of event value over time
-    (REGR_SLOPE / REGR_INTERCEPT): five mergeable moment partials
-    (n, Σx, Σy, Σxy, Σx²) per batch, slope/intercept computed on the
-    tiny per-type combine — drift detection as a streaming fold.
-    x = DAYS since 2024-01-01 (not raw epoch: raw-epoch moments lose
-    ~5 decimal digits to cancellation in n·Σx² − (Σx)², which would
-    make the 6-decimal oracle round unstable); the SQL twin uses the
-    identical raw-moment formula, not REGR_SLOPE's stable one-pass."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    base_us = pd.Timestamp("2024-01-01").value // 1000
-
-    def _moments(batch: pd.DataFrame) -> pd.DataFrame:
-        x = ((batch["ts"].astype("int64").to_numpy(dtype=np.float64)
-              - base_us) / 1e6) / 86400.0
-        y = batch["value"].to_numpy(dtype=np.float64)
-        return pd.DataFrame({
-            "event_type": batch["event_type"],
-            "one": np.ones(len(batch), dtype=np.int64),
-            "sx": x, "sy": y, "sxy": x * y, "sxx": x * x,
-        })
-
-    m = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "ts", "value"])
-        .map_batches(_moments, batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("one", "sum"), "sx": ("sx", "sum"), "sy": ("sy", "sum"),
-         "sxy": ("sxy", "sum"), "sxx": ("sxx", "sum")})
-    n = m["n"].to_numpy(dtype=np.float64)
-    sx, sy = m["sx"].to_numpy(), m["sy"].to_numpy()
-    sxy, sxx = m["sxy"].to_numpy(), m["sxx"].to_numpy()
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = sy / n - slope * sx / n
-    out = pd.DataFrame({
-        "event_type": m["event_type"],
-        "n": m["n"].astype("int64"),
-        "slope": round_half_away(slope, 6),
-        "intercept": round_half_away(intercept, 4),
-    })
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def corr_value_time_by_type(sf_dir: str):
-    """Per-type Pearson correlation between event value and (anchored)
-    time — the normalized companion to value_time_regression, from the
-    same six mergeable moment partials (n, Σx, Σy, Σxy, Σx², Σy²); the
-    oracle uses the identical raw-moment formula rather than CORR()'s
-    numerically-stable one-pass, so both sides round the same way."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    base_us = pd.Timestamp("2024-01-01").value // 1000
-
-    def _moments(batch: pd.DataFrame) -> pd.DataFrame:
-        x = ((batch["ts"].astype("int64").to_numpy(dtype=np.float64)
-              - base_us) / 1e6) / 86400.0
-        y = batch["value"].to_numpy(dtype=np.float64)
-        return pd.DataFrame({
-            "event_type": batch["event_type"],
-            "one": np.ones(len(batch), dtype=np.int64),
-            "sx": x, "sy": y, "sxy": x * y, "sxx": x * x, "syy": y * y,
-        })
-
-    m = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "ts", "value"])
-        .map_batches(_moments, batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("one", "sum"), "sx": ("sx", "sum"), "sy": ("sy", "sum"),
-         "sxy": ("sxy", "sum"), "sxx": ("sxx", "sum"),
-         "syy": ("syy", "sum")})
-    n = m["n"].to_numpy(dtype=np.float64)
-    sx, sy = m["sx"].to_numpy(), m["sy"].to_numpy()
-    sxy = m["sxy"].to_numpy()
-    sxx, syy = m["sxx"].to_numpy(), m["syy"].to_numpy()
-    r = ((n * sxy - sx * sy)
-         / np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)))
-    out = pd.DataFrame({
-        "event_type": m["event_type"],
-        "n": m["n"].astype("int64"),
-        "corr_vt": round_half_away(r, 6),
-    })
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def null_aware_value_stats(sf_dir: str):
-    """SQL NULL-semantics battery: COUNT(*) vs COUNT(col) (null-skipping),
-    SUM(COALESCE(...)), null-ignoring AVG, and FILTER(WHERE IS NULL) —
-    over a CASE-derived nullable column, with every aggregate folded as
-    mergeable (n, n_nonnull, Σ) partials. Exists so the engine's
-    null-handling is oracle-pinned, not assumed."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    def _derive(batch: pd.DataFrame) -> pd.DataFrame:
-        v = batch["value"].where(batch["value"] > 250.0)
-        return pd.DataFrame({
-            "event_type": batch["event_type"],
-            "one": np.ones(len(batch), dtype=np.int64),
-            "nonnull": v.notna().astype("int64"),
-            "vsum": v.fillna(0.0),
-        })
-
-    out = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            _derive, batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("one", "sum"), "n_nonnull": ("nonnull", "sum"),
-         "s": ("vsum", "sum")})
-    res = pd.DataFrame({
-        "event_type": out["event_type"],
-        "n": out["n"].astype("int64"),
-        "n_nonnull": out["n_nonnull"].astype("int64"),
-        "sum_coalesced": round_half_away(out["s"].to_numpy(), 4),
-        "avg_nonnull": round_half_away(
-            (out["s"] / out["n_nonnull"].where(out["n_nonnull"] > 0)
-             ).to_numpy(), 4),
-        "n_null": (out["n"] - out["n_nonnull"]).astype("int64"),
-    })
-    return res.sort_values("event_type").reset_index(drop=True)
-
-
 def top_orders_per_priority(sf_dir: str, *, k: int = 2):
     """Per-group top-k: the k highest-value orders within each priority —
     the distributed form of QUALIFY row_number() <= k.
@@ -453,69 +266,6 @@ def top_orders_per_priority(sf_dir: str, *, k: int = 2):
         read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"])
         .map_batches(_partial, batch_format="pandas"),
         _final, key_col="o_orderpriority", num_buckets=8)
-
-
-def union_error_purchase_counts(sf_dir: str):
-    """Union of two filtered streams, then grouped counts (set op §2.7)."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    ev = read_table(sf_dir, "events", ["event_type"])
-    errors = ev.map_batches(
-        lambda b: b[b["event_type"] == "error"], batch_format="pandas"
-    )
-    purchases = ev.map_batches(
-        lambda b: b[b["event_type"] == "purchase"], batch_format="pandas"
-    )
-    return combine_partials_driver(
-        errors.union(purchases), ["event_type"], {"n": ("event_type", "count")}
-    )
-
-
-def distinct_users_per_type(sf_dir: str):
-    """Exact COUNT(DISTINCT user_id) per event_type: per-batch dedup
-    partials, bucketed global dedup, then grouped counts — two small
-    shuffle-free-ish phases instead of shipping every row."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver, distinct_rows
-
-    pairs = distinct_rows(
-        read_table(sf_dir, "events", ["event_type", "user_id"]),
-        ["event_type", "user_id"],
-        num_buckets=16,
-    )
-    return combine_partials_driver(
-        pairs, ["event_type"], {"n_users": ("user_id", "count")}
-    )
-
-
-def hll_distinct_users(sf_dir: str):
-    """Approximate distinct users via mergeable HyperLogLog sketches
-    (rows-only; accuracy asserted in pytest against the exact count)."""
-    import pandas as pd
-
-    from ocr_agent_ray.functions.sketch import hll_distinct
-
-    est = hll_distinct(
-        read_table(sf_dir, "events", ["user_id"]), "user_id"
-    )
-    return pd.DataFrame({"approx_distinct_users": [round(est)]})
-
-
-def running_value_per_user(sf_dir: str, *, limit_users: int = 5):
-    """Running (cumulative) sum of event value per user in time order —
-    groupby(user).map_groups with a vectorized cumsum (window function
-    analog; SQL oracle: SUM() OVER (PARTITION BY ... ORDER BY ...))."""
-
-    def _running(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        g = g.assign(running_value=round_half_away(g["value"].cumsum().to_numpy(), 6))
-        return g[["user_id", "event_id", "ts", "running_value"]]
-
-    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    filtered = ds.map_batches(
-        lambda b: b[b["user_id"] < limit_users], batch_format="pandas"
-    )
-    return key_map_groups(filtered, _running, key_col="user_id",
-                          num_buckets=8)
 
 
 def customer_nation_native_join(sf_dir: str):
@@ -949,33 +699,6 @@ def cube_counts(sf_dir: str):
     return out[["source", "lang", "n"]]
 
 
-def customer_event_outer(sf_dir: str):
-    """FULL OUTER JOIN of per-user event counts with the customer table —
-    'all customers and all active users, matched where possible'. The
-    event side pre-aggregates to |users| rows before the join (never join
-    raw facts when a count is what travels); one bucketed shuffle with
-    pandas outer merge per bucket, typed Arrow out (n_events stays int64
-    with nulls, not float)."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-
-    counts = hash_partition_aggregate(
-        read_table(sf_dir, "events", ["user_id"]),
-        ["user_id"], {"n_events": ("user_id", "count")},
-    )
-    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name"]).map_batches(
-        lambda b: b.rename(columns={"c_custkey": "user_id"}),
-        batch_format="pandas")
-    return bucket_hash_join(
-        counts, cust, on="user_id", how="outer",
-        left_schema=pa.schema([("user_id", pa.int64()),
-                               ("n_events", pa.int64())]),
-        right_schema=pa.schema([("user_id", pa.int64()),
-                                ("c_name", pa.string())]),
-    )
-
-
 def nations_per_region_concat(sf_dir: str):
     """Group-concat: comma-joined, name-sorted nation list per region —
     order pinned inside the group so the string is deterministic (and
@@ -1008,32 +731,6 @@ def nations_per_region_concat(sf_dir: str):
         return b
 
     return out.map_batches(_typed, batch_format="pandas")
-
-
-def value_stats_by_type(sf_dir: str):
-    """Sample mean/stddev per event_type from mergeable MOMENT partials
-    (n, Σx, Σx²) — the distributed form of stddev_samp: each batch ships
-    three numbers per key, the driver finishes the algebra. Matches
-    DuckDB's stddev_samp to <1e-12 relative (verified), rounded to 6."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    def _derive(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.assign(v2=batch["value"] * batch["value"])
-
-    out = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            _derive, batch_format="pandas"),
-        ["event_type"],
-        {"n": ("value", "count"), "s": ("value", "sum"), "ss": ("v2", "sum")},
-    )
-    n = out["n"].astype("int64")
-    var = (out["ss"] - out["s"] * out["s"] / n) / (n - 1)
-    return pd.DataFrame({
-        "event_type": out["event_type"],
-        "n_events": n,
-        "mean_value": round_half_away(out["s"] / n, 6),
-        "stddev_value": round_half_away(np.sqrt(var), 6),
-    })
 
 
 def corr_qty_price(sf_dir: str):
@@ -1206,35 +903,6 @@ def acctbal_histogram(sf_dir: str, *, lo: float = -1000.0, hi: float = 10000.0,
     return out
 
 
-def props_key_stats(sf_dir: str):
-    """Semi-structured extraction: pull the integer ``k`` out of the JSON
-    ``props`` column and aggregate per event_type (n, sum, mean). The
-    parse is a vectorized regex fast-path pinned to the stable
-    '{"k": <int>}' shape — the standard trick for schema-stable JSON
-    columns where a per-row json.loads would dominate the stage."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    def _extract(batch: pd.DataFrame) -> pd.DataFrame:
-        k = batch["props"].str.extract(r'"k"\s*:\s*(-?\d+)', expand=False)
-        return pd.DataFrame({
-            "event_type": batch["event_type"],
-            "k": pd.to_numeric(k).astype("int64"),
-        })
-
-    out = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "props"]).map_batches(
-            _extract, batch_format="pandas"),
-        ["event_type"],
-        {"n": ("k", "count"), "sum_k": ("k", "sum")},
-    )
-    return pd.DataFrame({
-        "event_type": out["event_type"],
-        "n": out["n"].astype("int64"),
-        "sum_k": out["sum_k"].astype("int64"),
-        "mean_k": round_half_away(out["sum_k"] / out["n"], 6),
-    })
-
-
 def orders_page(sf_dir: str, *, page_size: int = 10, page: int = 3):
     """Pagination (ORDER BY ... LIMIT k OFFSET (page-1)·k) WITHOUT a
     global sort: each batch keeps its own top-(page·k) candidates (a
@@ -1258,50 +926,6 @@ def orders_page(sf_dir: str, *, page_size: int = 10, page: int = 3):
                            ascending=[False, True],
                            kind="mergesort").head(need)
     return top.iloc[page_size * (page - 1):].reset_index(drop=True)
-
-
-def _distinct_users_of(sf_dir: str, event_type: str):
-    """Distinct user_ids having an event of ``event_type`` (bucketed)."""
-    import pyarrow.compute as pc
-
-    from ocr_agent_ray.pipelines.agg import distinct_rows
-
-    ev = read_table(sf_dir, "events", ["user_id", "event_type"]).map_batches(
-        lambda b: b.filter(pc.equal(b["event_type"], event_type))
-                   .select(["user_id"]),
-        batch_format="pyarrow")
-    return distinct_rows(ev, ["user_id"], num_buckets=8)
-
-
-def purchasers_without_errors(sf_dir: str):
-    """Set EXCEPT: users with a purchase event and no error event.
-    Both sides reduce to distinct keys distributed-side; the (small)
-    error-key set then broadcasts as an anti membership filter over the
-    purchase-key set — EXCEPT as dedup + anti-semi, no row-level shuffle."""
-    from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-    purchasers = _distinct_users_of(sf_dir, "purchase")
-    error_keys = _distinct_users_of(sf_dir, "error").to_pandas()["user_id"]
-    out = broadcast_semi_filter(purchasers, error_keys, "user_id", keep=False)
-    # the result is a distinct-key set (driver-bounded by construction);
-    # emit typed pandas so an EMPTY result still carries its schema (on
-    # this events log every purchaser also errored, so EXCEPT is empty —
-    # a Dataset.to_pandas() of zero blocks drops the columns)
-    df = out.to_pandas()
-    if "user_id" not in df.columns:
-        return pd.DataFrame({"user_id": pd.Series(dtype="int64")})
-    return df[["user_id"]].astype({"user_id": "int64"})
-
-
-def purchasers_with_errors(sf_dir: str):
-    """Set INTERSECT: users with BOTH a purchase and an error event —
-    same shape as EXCEPT with keep=True."""
-    from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-    purchasers = _distinct_users_of(sf_dir, "purchase")
-    error_keys = _distinct_users_of(sf_dir, "error").to_pandas()["user_id"]
-    out = broadcast_semi_filter(purchasers, error_keys, "user_id", keep=True)
-    return out.to_pandas()[["user_id"]].astype({"user_id": "int64"})
 
 
 def revenue_by_nation(sf_dir: str):
@@ -1428,27 +1052,6 @@ def monthly_cum_revenue(sf_dir: str):
     })
 
 
-def events_customer_skew_join(sf_dir: str):
-    """skew_join under oracle: events ⋈ customer on user key with the
-    busiest users pinned as hot keys — those route through the broadcast
-    path, the rest through the bucketed hash join; the result must equal
-    a plain SQL join regardless of routing."""
-    from ocr_agent_ray.pipelines.joins import skew_join
-
-    ev = read_table(sf_dir, "events", ["event_id", "user_id"])
-    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name"]).map_batches(
-        lambda b: b.rename(columns={"c_custkey": "user_id"}),
-        batch_format="pandas")
-    return skew_join(
-        ev, cust, on="user_id",
-        left_schema=pa.schema([("event_id", pa.int64()),
-                               ("user_id", pa.int64())]),
-        right_schema=pa.schema([("user_id", pa.int64()),
-                                ("c_name", pa.string())]),
-        hot_keys=[0, 1, 2],
-    )
-
-
 def customer_name_ids(sf_dir: str):
     """String-parse extraction: pull the numeric suffix out of
     'Customer#000000001'-style names (vectorized regex capture) and emit
@@ -1490,67 +1093,6 @@ def yearly_order_growth(sf_dir: str):
         "n_orders": out["n_orders"],
         "prev_n": prev,
         "delta": (out["n_orders"] - prev).astype("float64"),
-    })
-
-
-def weekly_retention(sf_dir: str):
-    """Week-over-week retention: users active in week w who are also
-    active in w+1 — the cohort metric, fully distributed (round-2 judge
-    flagged the old driver-side pair materialization as the one scale
-    killer). Distinct (week, user) pairs fold bucketed by full-row hash
-    and STAY distributed; the retention match is a per-user-bucket
-    self-merge on the +7d-shifted week (all of one user's weeks co-locate
-    when bucketing by user, so the merge is local to the bucket); only
-    the |weeks|-row active and retained count tables ever reach the
-    driver. Weeks start Monday, matching SQL date_trunc('week')."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver, distinct_rows
-
-    def _wu(batch: pd.DataFrame) -> pd.DataFrame:
-        monday = (batch["ts"].dt.normalize()
-                  - pd.to_timedelta(batch["ts"].dt.dayofweek, unit="D"))
-        return pd.DataFrame({
-            "week": monday.astype("datetime64[us]"),
-            "user_id": batch["user_id"],
-        })
-
-    pairs = distinct_rows(
-        read_table(sf_dir, "events", ["ts", "user_id"]).map_batches(
-            _wu, batch_format="pandas"),
-        ["week", "user_id"], num_buckets=8,
-    ).materialize()  # reused: active counts + both sides of the self-merge
-
-    active = combine_partials_driver(
-        pairs, ["week"], {"active_users": ("user_id", "count")})
-
-    def _retained(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "week" not in g.columns:
-            return pd.DataFrame({
-                "week": pd.Series([], dtype="datetime64[us]"),
-                "user_id": pd.Series([], dtype="int64")})
-        nxt = g.copy()
-        nxt["week"] = (nxt["week"] - pd.Timedelta(days=7)) \
-            .astype("datetime64[us]")
-        return g.merge(nxt, on=["week", "user_id"])[["week", "user_id"]]
-
-    retained_pairs = bucket_map_groups(
-        pairs.map_batches(
-            lambda b: b.assign(__b=(b["user_id"] % 64).astype("int32")),
-            batch_format="pandas", batch_size=65536),
-        lambda g: _retained(g.drop(columns="__b", errors="ignore")),
-        num_buckets=64)
-    kept = combine_partials_driver(
-        retained_pairs, ["week"], {"retained_users": ("user_id", "count")})
-
-    active = active.sort_values("week").reset_index(drop=True)
-    weeks = active["week"].iloc[:-1] if len(active) else active["week"]
-    kept_by_week = (kept.set_index("week")["retained_users"]
-                    if len(kept) and "week" in kept.columns else pd.Series(dtype="int64"))
-    return pd.DataFrame({
-        "week": weeks.to_numpy(),
-        "active_users": active["active_users"].iloc[:len(weeks)]
-                              .astype("int64").to_numpy(),
-        "retained_users": kept_by_week.reindex(weeks, fill_value=0)
-                              .astype("int64").to_numpy(),
     })
 
 
@@ -2170,52 +1712,6 @@ def customer_order_gap_days(sf_dir: str):
     return folded.map_batches(_gap, batch_format="pandas")
 
 
-def first_touch_attribution(sf_dir: str):
-    """First-touch attribution: each user's purchases credit the
-    event type of that user's FIRST event. Per-batch argmin partials
-    (one candidate first-event row per user per batch — mergeable by
-    re-taking the min) ride with per-batch purchase counts; one
-    bucketed combine resolves both, and the per-type rollup is
-    driver-sized."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-
-    def _partial(b: pd.DataFrame) -> pd.DataFrame:
-        first = (b.sort_values(["ts", "event_id"], kind="mergesort")
-                  .groupby("user_id", sort=False).head(1))
-        purch = (b[b["event_type"] == "purchase"]
-                 .groupby("user_id", sort=False).size()
-                 .reset_index(name="n_purch"))
-        out = first[["user_id", "ts", "event_id", "event_type"]].merge(
-            purch, on="user_id", how="outer")
-        out["n_purch"] = out["n_purch"].fillna(0).astype("int64")
-        return out
-
-    def _resolve(g: pd.DataFrame) -> pd.DataFrame:
-        firsts = g.dropna(subset=["ts"]).sort_values(
-            ["ts", "event_id"], kind="mergesort").groupby(
-            "user_id", sort=False).head(1)
-        purch = g.groupby("user_id", sort=False)["n_purch"].sum()
-        out = firsts[["user_id", "event_type"]].copy()
-        out["n_purch"] = out["user_id"].map(purch).astype("int64")
-        return out[out["n_purch"] > 0]
-
-    per_user = key_map_groups(
-        ev.map_batches(_partial, batch_format="pandas",
-                       batch_size=65536),
-        _resolve, key_col="user_id", num_buckets=16)
-
-    out = combine_partials_driver(
-        per_user, ["event_type"], {"n_purchases": ("n_purch", "sum")})
-    out = out.rename(columns={"event_type": "first_touch_type"})
-    out["n_purchases"] = out["n_purchases"].astype("int64")
-    return out.sort_values("first_touch_type").reset_index(drop=True)
-
-
 def merge_cdc_documents(sf_dir: str):
     """CDC MERGE with tombstones over the documents table: every 7th doc
     revised (upsert v1), every 11th doc DELETED (tombstone v2 — versioned
@@ -2250,57 +1746,6 @@ def merge_cdc_documents(sf_dir: str):
 
     updates = docs.map_batches(_updates, batch_format="pandas")
     return merge_cdc(base, updates, key="doc_id", version="version")
-
-
-def linear_attribution(sf_dir: str):
-    """Linear (equal-weight) multi-touch attribution — the fractional
-    complement of first_touch_attribution: every purchase splits 1.0 of
-    credit equally across ALL of that user's preceding view/click
-    touches, and credit rolls up per touch type. One user-bucket
-    exchange; the per-bucket kernel is one sort + two grouped cumsums
-    (purchases ordered before touches on ts ties, so a same-instant
-    touch never credits itself); per-type partials combine on the
-    driver. Columns: touch_type, credit."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.exchange import bucket_map_groups
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id", "event_type"])
-
-    def _key(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"].isin(["view", "click", "purchase"])]
-        return b.assign(__b=(b["user_id"] % 64).astype("int32"))
-
-    def _credit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            __is_v=(g["event_type"] == "view").astype("int64"),
-            __is_c=(g["event_type"] == "click").astype("int64"))
-        g = g.assign(__touch=g["__is_v"] + g["__is_c"])
-        g = g.sort_values(["user_id", "ts", "__touch"], kind="mergesort")
-        nv = g.groupby("user_id", sort=False)["__is_v"].cumsum()
-        nc = g.groupby("user_id", sort=False)["__is_c"].cumsum()
-        p = g["event_type"].to_numpy() == "purchase"
-        nvp = nv.to_numpy()[p].astype("float64")
-        ncp = nc.to_numpy()[p].astype("float64")
-        n = nvp + ncp
-        keep = n > 0
-        return pd.DataFrame({
-            "touch_type": ["view", "click"],
-            "credit": [float((nvp[keep] / n[keep]).sum()),
-                       float((ncp[keep] / n[keep]).sum())],
-        })
-
-    parts = bucket_map_groups(
-        ev.map_batches(_key, batch_format="pandas", batch_size=65536),
-        _credit, num_buckets=64)
-    out = combine_partials_driver(parts, ["touch_type"],
-                                  {"credit": ("credit", "sum")})
-    # a type with zero pairs never appears in the oracle (every pair
-    # contributes ≥ 1/n > 0, so 0.0 here means "no pairs at all")
-    out = out[out["credit"] > 0.0]
-    out["credit"] = round_half_away(out["credit"], 6)
-    return out.sort_values("touch_type").reset_index(drop=True)
 
 
 def _local_skyline(g: pd.DataFrame, min_col: str, max_col: str
@@ -2356,67 +1801,6 @@ def pareto_skyline(sf_dir: str, *, min_col: str = "p_retailprice",
         _final, num_buckets=1)
 
 
-def time_decay_attribution(sf_dir: str, *, decay_per_day: float = 0.1):
-    """Time-decay multi-touch attribution — the recency-weighted member
-    of the attribution family (first_touch / linear / time-decay): each
-    purchase splits 1.0 of credit across that user's preceding
-    view/click touches proportionally to exp(−λ·age_days), so touches
-    just before the purchase dominate. Same single user-bucket exchange
-    as linear_attribution; the per-bucket kernel exploits
-    exp(−λ(tp−tt)) = exp(−λ·tp)·exp(λ·tt): two grouped cumsums of
-    exp(λ(tt−t_ref)) at purchase positions give every purchase's
-    per-type weight sums in one vectorized pass (the per-purchase
-    exp(−λ·tp) factor cancels in the credit fraction). t_ref is each
-    user's last event, keeping exponents in [−λ·span, 0].
-    Columns: touch_type, credit."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.exchange import bucket_map_groups
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id", "event_type"])
-
-    def _key(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"].isin(["view", "click", "purchase"])]
-        return b.assign(__b=(b["user_id"] % 64).astype("int32"))
-
-    def _credit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.assign(
-            __is_v=(g["event_type"] == "view").astype("int64"),
-            __is_c=(g["event_type"] == "click").astype("int64"))
-        g = g.assign(__touch=g["__is_v"] + g["__is_c"])
-        # purchases before same-ts touches: a same-instant touch never
-        # credits itself (strict t.ts < p.ts, like the oracle)
-        g = g.sort_values(["user_id", "ts", "__touch"], kind="mergesort")
-        t_us = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        ref = g.groupby("user_id", sort=False)["ts"].transform("max")
-        ref_us = ref.astype("datetime64[us]").astype("int64").to_numpy()
-        w = np.exp(decay_per_day
-                   * ((t_us - ref_us).astype(np.float64) / 86400e6))
-        wv = pd.Series(w * g["__is_v"].to_numpy(), index=g.index)
-        wc = pd.Series(w * g["__is_c"].to_numpy(), index=g.index)
-        sv = wv.groupby(g["user_id"], sort=False).cumsum().to_numpy()
-        sc_ = wc.groupby(g["user_id"], sort=False).cumsum().to_numpy()
-        p = g["event_type"].to_numpy() == "purchase"
-        nv, nc = sv[p], sc_[p]
-        n = nv + nc
-        keep = n > 0
-        return pd.DataFrame({
-            "touch_type": ["view", "click"],
-            "credit": [float((nv[keep] / n[keep]).sum()),
-                       float((nc[keep] / n[keep]).sum())],
-        })
-
-    parts = bucket_map_groups(
-        ev.map_batches(_key, batch_format="pandas", batch_size=65536),
-        _credit, num_buckets=64)
-    out = combine_partials_driver(parts, ["touch_type"],
-                                  {"credit": ("credit", "sum")})
-    out = out[out["credit"] > 0.0]
-    out["credit"] = round_half_away(out["credit"], 6)
-    return out.sort_values("touch_type").reset_index(drop=True)
-
-
 def entity_resolution(sf_dir: str, *, max_dist: int = 2):
     """End-to-end entity resolution: the blocked fuzzy Hamming join
     (fuzzy_name_pairs) feeds connected components
@@ -2466,241 +1850,6 @@ def entity_resolution(sf_dir: str, *, max_dist: int = 2):
             "entity_id": b["entity_id"].astype("int64"),
             "entity_size": b["entity_size"].astype("int64"),
         }), batch_format="pandas")
-
-
-def chi_square_type_band(sf_dir: str, *, edges=(25.0, 75.0)):
-    """Pearson chi-square independence test of event_type × value band
-    (low/<25, mid/<75, high) — the statistical-QA op that answers
-    'does spend distribution actually differ by event type?'. The
-    contingency table folds as mergeable per-(type, band) count
-    partials (|types|×3 keys on the driver); the statistic
-    Σ (o−e)²/e with e = row·col/n and dof = (r−1)(c−1) is one tiny
-    driver computation. Columns: chi2 (round 6), dof, n."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    lo, hi = edges
-
-    def _cells(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["value"].to_numpy(dtype=np.float64)
-        band = np.select([v < lo, v < hi], ["low", "mid"], default="high")
-        return pd.DataFrame({"event_type": b["event_type"],
-                             "band": band, "o": np.int64(1)})
-
-    cells = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            _cells, batch_format="pandas", batch_size=65536),
-        ["event_type", "band"], {"o": ("o", "sum")})
-    o = cells.pivot_table(index="event_type", columns="band", values="o",
-                          fill_value=0, aggfunc="sum")
-    obs = o.to_numpy(dtype=np.float64)
-    n = obs.sum()
-    e = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0, keepdims=True) / n
-    chi2 = float(((obs - e) ** 2 / e).sum())
-    return pd.DataFrame({
-        "chi2": round_half_away(np.array([chi2]), 6),
-        "dof": np.int64((obs.shape[0] - 1) * (obs.shape[1] - 1)),
-        "n": np.int64(n),
-    })
-
-
-def cramers_v_type_band(sf_dir: str, *, edges=(25.0, 75.0)):
-    """Cramér's V effect size for the event_type × value-band
-    contingency — the 0..1 normalization of ``chi_square_type_band``
-    ('the dependence is significant, but is it LARGE?'):
-
-        V = sqrt((χ²/n) / min(r−1, c−1))
-
-    Same mergeable per-(type, band) count partials (|types|×3 keys on
-    the driver); the statistic closes on the tiny contingency matrix.
-    Columns: n, dof, cramers_v."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    lo, hi = edges
-
-    def _cells(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["value"].to_numpy(dtype=np.float64)
-        band = np.select([v < lo, v < hi], ["low", "mid"], default="high")
-        return pd.DataFrame({"event_type": b["event_type"],
-                             "band": band, "o": np.int64(1)})
-
-    cells = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            _cells, batch_format="pandas", batch_size=65536),
-        ["event_type", "band"], {"o": ("o", "sum")})
-    o = cells.pivot_table(index="event_type", columns="band", values="o",
-                          fill_value=0, aggfunc="sum")
-    obs = o.to_numpy(dtype=np.float64)
-    empty = pd.DataFrame({
-        "n": pd.Series(dtype="int64"), "dof": pd.Series(dtype="int64"),
-        "cramers_v": pd.Series(dtype="float64")})
-    if obs.shape[0] < 2 or obs.shape[1] < 2:
-        return empty
-    n = obs.sum()
-    e = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0, keepdims=True) / n
-    chi2 = float(((obs - e) ** 2 / e).sum())
-    md = np.float64(min(obs.shape[0] - 1, obs.shape[1] - 1))
-    v = np.sqrt((chi2 / n) / md)
-    return pd.DataFrame({
-        "n": [np.int64(n)],
-        "dof": [np.int64((obs.shape[0] - 1) * (obs.shape[1] - 1))],
-        "cramers_v": round_half_away(np.array([v]), 6)})
-
-
-def anova_f_value_by_type(sf_dir: str):
-    """One-way ANOVA of event value by event_type — the k-group
-    generalization of the A/B z-test ('do the spend distributions
-    differ across event types at all?'):
-
-        F = (SSB / (k−1)) / (SSW / (N−k)),
-        SSB = Σ_g n_g·(mean_g − grand)²,  SSW = Σ_g (Σx² − (Σx)²/n)_g
-
-    Distributed shape: the same mergeable moment partials as
-    ``value_stats_by_type`` (n, Σx, Σx² per type — three numbers per
-    key over the wire); the driver finishes the algebra on k rows.
-    eta² = SSB/(SSB+SSW) is the effect size. Columns: n_groups,
-    n_total, f_stat, eta_squared."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    g = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            lambda b: b.assign(v2=b["value"] * b["value"]),
-            batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("value", "count"), "s": ("value", "sum"),
-         "ss": ("v2", "sum")})
-    n = g["n"].to_numpy(np.int64)
-    s = g["s"].to_numpy(np.float64)
-    ss = g["ss"].to_numpy(np.float64)
-    k = np.int64(len(g))
-    nt = np.int64(n.sum())
-    grand = s.sum() / np.float64(nt)
-    ssb = float((n.astype(np.float64)
-                 * (s / n.astype(np.float64) - grand) ** 2).sum())
-    ssw = float((ss - s * s / n.astype(np.float64)).sum())
-    f = (ssb / np.float64(k - 1)) / (ssw / np.float64(nt - k))
-    return pd.DataFrame({
-        "n_groups": [k], "n_total": [nt],
-        "f_stat": round_half_away(np.array([f]), 6),
-        "eta_squared": round_half_away(np.array([ssb / (ssb + ssw)]), 6)})
-
-
-def welch_ttest_values(sf_dir: str, *, type_a: str = "purchase",
-                       type_b: str = "view"):
-    """Welch's unequal-variance t-test of event ``value`` between two
-    event types — the pairwise drill-down after ``anova_f_value_by_type``
-    says the groups differ ('is purchase spend different from view
-    spend, without assuming equal variances?'):
-
-        t  = (m_a − m_b) / sqrt(v_a/n_a + v_b/n_b)
-        df = (v_a/n_a + v_b/n_b)² /
-             ((v_a/n_a)²/(n_a−1) + (v_b/n_b)²/(n_b−1))   (Welch–Satterthwaite)
-
-    with v the Bessel-corrected sample variance from the same mergeable
-    (n, Σx, Σx²) moment partials the ANOVA uses — three numbers per type
-    over the wire, the algebra closes on two driver rows. The twin
-    replays the identical float nesting (sea = va/na first, then the
-    ratio) so the 6-decimal round sees the same values. Columns:
-    type_a, type_b, n_a, n_b, mean_a, mean_b, t_stat, df_welch."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    g = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            lambda b: b[b["event_type"].isin([type_a, type_b])].assign(
-                v2=lambda x: x["value"] * x["value"]),
-            batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("value", "count"), "s": ("value", "sum"),
-         "ss": ("v2", "sum")})
-    g = g.set_index("event_type")
-    empty = pd.DataFrame({
-        "type_a": pd.Series(dtype="object"),
-        "type_b": pd.Series(dtype="object"),
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "mean_a": pd.Series(dtype="float64"),
-        "mean_b": pd.Series(dtype="float64"),
-        "t_stat": pd.Series(dtype="float64"),
-        "df_welch": pd.Series(dtype="float64")})
-    if type_a not in g.index or type_b not in g.index:
-        return empty
-    na, nb = np.int64(g.loc[type_a, "n"]), np.int64(g.loc[type_b, "n"])
-    if na < 2 or nb < 2:
-        return empty
-    sa, sb = np.float64(g.loc[type_a, "s"]), np.float64(g.loc[type_b, "s"])
-    ssa = np.float64(g.loc[type_a, "ss"])
-    ssb = np.float64(g.loc[type_b, "ss"])
-    ma, mb = sa / np.float64(na), sb / np.float64(nb)
-    va = (ssa - sa * sa / np.float64(na)) / np.float64(na - 1)
-    vb = (ssb - sb * sb / np.float64(nb)) / np.float64(nb - 1)
-    sea, seb = va / np.float64(na), vb / np.float64(nb)
-    se2 = sea + seb
-    if se2 <= 0.0:
-        return empty
-    t = (ma - mb) / np.sqrt(se2)
-    dfw = (se2 * se2) / (sea * sea / np.float64(na - 1)
-                         + seb * seb / np.float64(nb - 1))
-    return pd.DataFrame({
-        "type_a": [type_a], "type_b": [type_b],
-        "n_a": [na], "n_b": [nb],
-        "mean_a": round_half_away(np.array([ma]), 6),
-        "mean_b": round_half_away(np.array([mb]), 6),
-        "t_stat": round_half_away(np.array([t]), 6),
-        "df_welch": round_half_away(np.array([dfw]), 6)})
-
-
-def skew_kurtosis_by_type(sf_dir: str):
-    """Sample skewness and excess kurtosis of event ``value`` per
-    event_type — the third/fourth-moment tail screens that mean/stddev
-    (``value_stats_by_type``) can't see ('is purchase spend heavy-tailed
-    or lopsided?'). Fisher–Pearson adjusted sample skewness and the
-    bias-corrected excess kurtosis (the pandas ``.skew()``/``.kurt()``
-    conventions):
-
-        G1 = (m3 / m2^1.5) · sqrt(n(n−1)) / (n−2)
-        G2 = ((n+1)·(m4/m2² − 3) + 6) · (n−1) / ((n−2)(n−3))
-
-    from the mergeable raw-moment partials (n, Σx, Σx², Σx³, Σx⁴) — five
-    numbers per type over the wire, central moments and the statistics
-    close on k driver rows. The SQL twin replays the identical float
-    nesting from the same SUM moments, so the 6-decimal round sees the
-    same values (the ANOVA-family precedent). Columns: event_type, n,
-    skewness, kurtosis_excess."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    g = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            lambda b: b.assign(v2=b["value"] * b["value"],
-                               v3=b["value"] * b["value"] * b["value"],
-                               v4=(b["value"] * b["value"])
-                                  * (b["value"] * b["value"])),
-            batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("value", "count"), "s1": ("value", "sum"),
-         "s2": ("v2", "sum"), "s3": ("v3", "sum"), "s4": ("v4", "sum")})
-    g = g[g["n"] >= 4].sort_values("event_type").reset_index(drop=True)
-    n = g["n"].to_numpy(np.int64)
-    nf = n.astype(np.float64)
-    s1 = g["s1"].to_numpy(np.float64)
-    s2 = g["s2"].to_numpy(np.float64)
-    s3 = g["s3"].to_numpy(np.float64)
-    s4 = g["s4"].to_numpy(np.float64)
-    m = s1 / nf
-    m2 = s2 / nf - m * m
-    m3 = s3 / nf - 3.0 * m * (s2 / nf) + 2.0 * m * m * m
-    m4 = (s4 / nf - 4.0 * m * (s3 / nf) + 6.0 * m * m * (s2 / nf)
-          - 3.0 * m * m * m * m)
-    keep = m2 > 0.0
-    n, nf, m2, m3, m4 = n[keep], nf[keep], m2[keep], m3[keep], m4[keep]
-    types = g.loc[keep, "event_type"].to_numpy()
-    skew = (m3 / m2 ** 1.5) * (np.sqrt(nf * (nf - 1.0)) / (nf - 2.0))
-    g2 = m4 / (m2 * m2) - 3.0
-    kurt = (((nf + 1.0) * g2 + 6.0)
-            * ((nf - 1.0) / ((nf - 2.0) * (nf - 3.0))))
-    return pd.DataFrame({
-        "event_type": types, "n": n,
-        "skewness": round_half_away(skew, 6),
-        "kurtosis_excess": round_half_away(kurt, 6)})
 
 
 def ols_chars_model(sf_dir: str):
@@ -2809,56 +1958,6 @@ def snapshot_diff_documents(sf_dir: str):
         batch_format="pandas")
 
 
-def cohort_retention_matrix(sf_dir: str):
-    """Full cohort retention matrix — the heatmap behind weekly_retention
-    (which reports only consecutive-week survival): users grouped by
-    FIRST-ACTIVE week (the cohort), counted at every later week offset.
-    One user-bucketed pass over the distinct (week, user) pairs: a
-    user's cohort (min week) and all offsets are local to their bucket,
-    so the wire carries only |weeks|²-bounded (cohort, offset) partials.
-    Weeks start Monday, matching date_trunc('week'). Columns:
-    cohort_week, week_offset, n_users."""
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             distinct_rows)
-    from ocr_agent_ray.pipelines.exchange import bucket_map_groups
-
-    def _wu(batch: pd.DataFrame) -> pd.DataFrame:
-        monday = (batch["ts"].dt.normalize()
-                  - pd.to_timedelta(batch["ts"].dt.dayofweek, unit="D"))
-        return pd.DataFrame({
-            "week": monday.astype("datetime64[us]"),
-            "user_id": batch["user_id"],
-        })
-
-    pairs = distinct_rows(
-        read_table(sf_dir, "events", ["ts", "user_id"]).map_batches(
-            _wu, batch_format="pandas"),
-        ["week", "user_id"], num_buckets=8)
-
-    def _offsets(g: pd.DataFrame) -> pd.DataFrame:
-        cw = g.groupby("user_id", sort=False)["week"].transform("min")
-        off = ((g["week"].astype("datetime64[us]").astype("int64")
-                - cw.astype("datetime64[us]").astype("int64"))
-               // (7 * 86400000000)).astype("int64")
-        out = pd.DataFrame({"cohort_week": cw.astype("datetime64[us]"),
-                            "week_offset": off})
-        return (out.groupby(["cohort_week", "week_offset"], sort=False)
-                .size().reset_index(name="n_users"))
-
-    folded = combine_partials_driver(
-        bucket_map_groups(
-            pairs.map_batches(
-                lambda b: b.assign(__b=(b["user_id"] % 64)
-                                   .astype("int32")),
-                batch_format="pandas", batch_size=65536),
-            lambda g: _offsets(g.drop(columns="__b", errors="ignore")),
-            num_buckets=64),
-        ["cohort_week", "week_offset"], {"n_users": ("n_users", "sum")})
-    folded["n_users"] = folded["n_users"].astype("int64")
-    return (folded.sort_values(["cohort_week", "week_offset"])
-            .reset_index(drop=True))
-
-
 def benford_first_digit(sf_dir: str):
     """Benford's-law first-digit screen over order totals — the fraud/
     data-quality test: observed first-significant-digit frequencies of
@@ -2962,38 +2061,6 @@ def weighted_median_price(sf_dir: str, *, range_width: float = 2048.0):
         ["l_returnflag"], {"weighted_median": ("weighted_median", "min")})
     shards.release()
     return folded.sort_values("l_returnflag").reset_index(drop=True)
-
-
-def spike_days(sf_dir: str, *, factor: float = 1.05):
-    """Volume spike detector: days whose event count exceeds
-    ``factor`` × the median daily count (default 1.05 — the synthetic
-    stream is near-uniform; real streams use 1.5-3×) — the ops-dashboard anomaly
-    primitive. Daily counts fold as mergeable partials (|days| keys on
-    the driver — a bounded dimension); the median is computed with the
-    same linear-interpolation rule as SQL quantile_cont. Columns: day,
-    n_events, median_daily."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    ev = read_table(sf_dir, "events", ["ts"])
-    daily = combine_partials_driver(
-        ev.map_batches(lambda b: pd.DataFrame({
-            "day": b["ts"].dt.normalize().astype("datetime64[us]"),
-            "n": np.int64(1)}),
-            batch_format="pandas", batch_size=65536),
-        ["day"], {"n": ("n", "sum")})
-    counts = np.sort(daily["n"].to_numpy(dtype=np.float64))
-    # quantile_cont(0.5): linear interpolation at rank (n-1)/2
-    pos = (len(counts) - 1) / 2
-    lo, hi = int(np.floor(pos)), int(np.ceil(pos))
-    med = counts[lo] + (counts[hi] - counts[lo]) * (pos - lo)
-    out = daily[daily["n"].to_numpy(dtype=np.float64)
-                > factor * med].copy()
-    out["n_events"] = out.pop("n").astype("int64")
-    out["median_daily"] = round_half_away(
-        np.full(len(out), med), 6)
-    return (out[["day", "n_events", "median_daily"]]
-            .sort_values("day").reset_index(drop=True))
 
 
 def price_band_join(sf_dir: str, *, delta: float = 2.0,
@@ -3205,350 +2272,6 @@ def copurchase_triples(sf_dir: str, *, min_support: int = 2,
         batch_format="pandas", batch_size=65536)
 
 
-def kruskal_wallis_value_by_type(sf_dir: str):
-    """Kruskal–Wallis H test of event ``value`` across event types —
-    the rank-based (distribution-free) sibling of
-    ``anova_f_value_by_type`` ('do the spend distributions differ when
-    we refuse to assume normality?'). With EXACT average ranks from
-    grouped counts (rank(v) = cnt_below(v) + (cnt(v)+1)/2 — halves are
-    exact in float64):
-
-        H  = 12/(N(N+1)) · Σ_g R_g²/n_g − 3(N+1)
-        Hc = H / (1 − Σ_v (t_v³−t_v)/(N³−N))          (tie correction)
-
-    Distributed shape: ONE scan folding (event_type, value) count
-    partials — the key space is the distinct-value grid × k types (the
-    2-decimal event values keep it bounded; an unbounded-cardinality
-    column would swap this for the range-exchange ranking used by
-    ``sorted_neighborhood``, where per-range local ranks get global
-    offsets from the range counts). The rank map and the statistic
-    close on the driver's grouped rows. Columns: n_groups, n_total,
-    h_stat, h_tie_corrected."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type", "value"], {"c": ("value", "count")})
-    empty = pd.DataFrame({
-        "n_groups": pd.Series(dtype="int64"),
-        "n_total": pd.Series(dtype="int64"),
-        "h_stat": pd.Series(dtype="float64"),
-        "h_tie_corrected": pd.Series(dtype="float64")})
-    if not len(vc):
-        return empty
-    tv = (vc.groupby("value", sort=True)["c"].sum()
-          .astype("int64").reset_index())
-    t = tv["c"].to_numpy(np.int64)
-    below = np.cumsum(t) - t
-    rank = below.astype(np.float64) + (t.astype(np.float64) + 1.0) / 2.0
-    rmap = pd.Series(rank, index=tv["value"].to_numpy())
-    vc = vc.assign(r=rmap.loc[vc["value"]].to_numpy())
-    rg = vc.assign(rs=vc["c"].astype("float64") * vc["r"]) \
-        .groupby("event_type", sort=True).agg(
-            n=("c", "sum"), rsum=("rs", "sum")).reset_index()
-    nt = np.int64(rg["n"].sum())
-    k = np.int64(len(rg))
-    if nt < 2 or k < 2:
-        return empty
-    ntd = np.float64(nt)
-    h = (12.0 / (ntd * (ntd + 1.0))
-         * float((rg["rsum"].to_numpy() ** 2
-                  / rg["n"].to_numpy(np.float64)).sum())
-         - 3.0 * (ntd + 1.0))
-    td = t.astype(np.float64)
-    cc = 1.0 - float((td * td * td - td).sum()) / (ntd * ntd * ntd - ntd)
-    return pd.DataFrame({
-        "n_groups": [k], "n_total": [nt],
-        "h_stat": round_half_away(np.array([h]), 6),
-        "h_tie_corrected": round_half_away(np.array([h / cc]), 6)})
-
-
-def mutual_information_type_band(sf_dir: str, *, edges=(25.0, 75.0)):
-    """Mutual information (nats) between event_type and the value band
-    — the information-theoretic counterpart of ``cramers_v_type_band``
-    ('how many nats does knowing the event type tell you about the
-    spend band?'), plus the sqrt-normalized NMI in [0, 1]:
-
-        MI  = Σ_ij p_ij · ln(p_ij / (p_i·p_j))
-        NMI = MI / sqrt(H_row · H_col)
-
-    Same mergeable per-(type, band) count partials as the χ²/V family
-    (|types|×3 keys over the wire); the statistic closes on the tiny
-    contingency matrix. Columns: n, mi_nats, nmi."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    lo, hi = edges
-
-    def _cells(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["value"].to_numpy(dtype=np.float64)
-        band = np.select([v < lo, v < hi], ["low", "mid"], default="high")
-        return pd.DataFrame({"event_type": b["event_type"],
-                             "band": band, "o": np.int64(1)})
-
-    cells = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            _cells, batch_format="pandas", batch_size=65536),
-        ["event_type", "band"], {"o": ("o", "sum")})
-    empty = pd.DataFrame({
-        "n": pd.Series(dtype="int64"),
-        "mi_nats": pd.Series(dtype="float64"),
-        "nmi": pd.Series(dtype="float64")})
-    if not len(cells):
-        return empty
-    o = cells.pivot_table(index="event_type", columns="band", values="o",
-                          fill_value=0, aggfunc="sum")
-    obs = o.to_numpy(dtype=np.float64)
-    n = obs.sum()
-    p = obs / n
-    pr = p.sum(axis=1, keepdims=True)
-    pc = p.sum(axis=0, keepdims=True)
-    nz = p > 0.0
-    mi = float((p[nz] * np.log(p[nz] / (pr @ pc)[nz])).sum())
-    hr = float(-(pr[pr > 0.0] * np.log(pr[pr > 0.0])).sum())
-    hc = float(-(pc[pc > 0.0] * np.log(pc[pc > 0.0])).sum())
-    nmi = mi / np.sqrt(hr * hc) if hr > 0.0 and hc > 0.0 else 0.0
-    return pd.DataFrame({
-        "n": [np.int64(n)],
-        "mi_nats": round_half_away(np.array([mi]), 6),
-        "nmi": round_half_away(np.array([nmi]), 6)})
-
-
-def exact_median_by_type(sf_dir: str):
-    """EXACT per-type median of event ``value`` — the order statistic
-    that approximate sketches (``quantile_sketch_by_type``) only bound.
-    Distributed selection from grouped counts: ONE scan folds
-    (event_type, value) count partials (the 2-decimal value grid keeps
-    the key space bounded — the general-cardinality path is iterative
-    range refinement: histogram → pick the bucket holding the k-th —
-    never a global sort), then the driver walks each type's cumulative
-    counts to the middle. Even n interpolates lo + (hi−lo)·0.5, the
-    quantile_cont convention, so the twin's MEDIAN() sees the same
-    float. Columns: event_type, n, median_value."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type", "value"], {"c": ("value", "count")})
-    rows = []
-    for etype, sub in vc.groupby("event_type", sort=True):
-        sub = sub.sort_values("value")
-        c = sub["c"].to_numpy(np.int64)
-        v = sub["value"].to_numpy(np.float64)
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        if n % 2 == 1:
-            med = float(v[np.searchsorted(cum, n // 2 + 1)])
-        else:
-            lo = float(v[np.searchsorted(cum, n // 2)])
-            hi = float(v[np.searchsorted(cum, n // 2 + 1)])
-            med = lo + (hi - lo) * 0.5
-        rows.append((etype, np.int64(n), med))
-    out = pd.DataFrame(rows, columns=["event_type", "n", "median_value"])
-    if not len(out):
-        return pd.DataFrame({
-            "event_type": pd.Series(dtype="object"),
-            "n": pd.Series(dtype="int64"),
-            "median_value": pd.Series(dtype="float64")})
-    return out.assign(
-        n=out["n"].astype("int64"),
-        median_value=round_half_away(
-            out["median_value"].to_numpy(np.float64), 6))
-
-
-def levene_test_value_by_type(sf_dir: str):
-    """Brown–Forsythe (median-centered Levene) test of variance
-    homogeneity of event ``value`` across event types — the
-    heteroscedasticity gate that decides whether the plain ANOVA's
-    equal-variance assumption holds ('do the spend SPREADS differ, not
-    just the means?'). One-way ANOVA applied to the absolute
-    deviations from each group's median:
-
-        z_ig = |x_ig − median_g|
-        W = (SSB_z / (k−1)) / (SSW_z / (N−k))
-
-    Distributed shape: ONE scan folds the (event_type, value) count
-    grid (bounded by the 2-decimal value space × k types, the
-    ``exact_median_by_type`` precedent); per-type medians, the z
-    moments, and W all close on the driver's grouped rows — nothing
-    row-level leaves the scan. Medians interpolate lo + (hi−lo)·0.5
-    (the quantile_cont convention the twin's MEDIAN() uses), so z is
-    bit-identical both sides; the SSB/SSW float nesting replays
-    ``anova_f_value_by_type``. Columns: n_groups, n_total, w_stat,
-    ssb_z, ssw_z."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type", "value"], {"c": ("value", "count")})
-    empty = pd.DataFrame({
-        "n_groups": pd.Series(dtype="int64"),
-        "n_total": pd.Series(dtype="int64"),
-        "w_stat": pd.Series(dtype="float64"),
-        "ssb_z": pd.Series(dtype="float64"),
-        "ssw_z": pd.Series(dtype="float64")})
-    if not len(vc):
-        return empty
-    ns, ss, sss = [], [], []
-    for _, sub in vc.groupby("event_type", sort=True):
-        sub = sub.sort_values("value")
-        c = sub["c"].to_numpy(np.int64)
-        v = sub["value"].to_numpy(np.float64)
-        n = int(c.sum())
-        cum = np.cumsum(c)
-        if n % 2 == 1:
-            med = np.float64(v[np.searchsorted(cum, n // 2 + 1)])
-        else:
-            lo = np.float64(v[np.searchsorted(cum, n // 2)])
-            hi = np.float64(v[np.searchsorted(cum, n // 2 + 1)])
-            med = lo + (hi - lo) * np.float64(0.5)
-        z = np.abs(v - med)
-        cf = c.astype(np.float64)
-        ns.append(n)
-        ss.append(float((cf * z).sum()))
-        sss.append(float((cf * z * z).sum()))
-    k = np.int64(len(ns))
-    n = np.array(ns, np.int64)
-    s = np.array(ss, np.float64)
-    sq = np.array(sss, np.float64)
-    nt = np.int64(n.sum())
-    if k < 2 or nt <= k:
-        return empty
-    grand = s.sum() / np.float64(nt)
-    ssb = float((n.astype(np.float64)
-                 * (s / n.astype(np.float64) - grand) ** 2).sum())
-    ssw = float((sq - s * s / n.astype(np.float64)).sum())
-    if ssw <= 0.0:
-        return empty
-    w = (ssb / np.float64(k - 1)) / (ssw / np.float64(nt - k))
-    return pd.DataFrame({
-        "n_groups": [k], "n_total": [nt],
-        "w_stat": round_half_away(np.array([w]), 6),
-        "ssb_z": round_half_away(np.array([ssb]), 6),
-        "ssw_z": round_half_away(np.array([ssw]), 6)})
-
-
-def tukey_hsd_value_by_type(sf_dir: str):
-    """Tukey–Kramer HSD pairwise comparisons of event ``value`` across
-    event types — the post-hoc drill-down after ``anova_f_value_by_type``
-    rejects ('WHICH pairs of event types differ, controlling the
-    family-wise error?'):
-
-        q_ij = |m_i − m_j| / sqrt((MSW/2)·(1/n_i + 1/n_j)),
-        MSW  = SSW / (N − k)     (the ANOVA within-group mean square)
-
-    Same mergeable (n, Σx, Σx²) moment partials as the ANOVA — three
-    numbers per type over the wire; the k(k−1)/2 pair table closes on
-    the driver (k is a bounded dimension). Pair order is
-    (type_a < type_b lexicographic); mean_diff is SIGNED m_a − m_b so
-    direction survives. Float nesting pinned to the twin: MSW once,
-    then se² = (MSW/2)·(1/n_a + 1/n_b), q = |diff|/sqrt(se²). Columns:
-    type_a, type_b, n_a, n_b, mean_diff, q_stat."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    g = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            lambda b: b.assign(v2=b["value"] * b["value"]),
-            batch_format="pandas", batch_size=65536),
-        ["event_type"],
-        {"n": ("value", "count"), "s": ("value", "sum"),
-         "ss": ("v2", "sum")})
-    empty = pd.DataFrame({
-        "type_a": pd.Series(dtype="object"),
-        "type_b": pd.Series(dtype="object"),
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "mean_diff": pd.Series(dtype="float64"),
-        "q_stat": pd.Series(dtype="float64")})
-    g = g.sort_values("event_type").reset_index(drop=True)
-    k = len(g)
-    nt = np.int64(g["n"].sum()) if k else np.int64(0)
-    if k < 2 or nt <= k:
-        return empty
-    n = g["n"].to_numpy(np.int64)
-    s = g["s"].to_numpy(np.float64)
-    ss = g["ss"].to_numpy(np.float64)
-    nf = n.astype(np.float64)
-    ssw = float((ss - s * s / nf).sum())
-    if ssw <= 0.0:
-        return empty
-    msw = ssw / np.float64(nt - k)
-    m = s / nf
-    rows = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = m[i] - m[j]
-            se2 = (msw / 2.0) * (1.0 / nf[i] + 1.0 / nf[j])
-            rows.append((g["event_type"].iloc[i],
-                         g["event_type"].iloc[j],
-                         n[i], n[j],
-                         float(round_half_away(diff, 6)),
-                         float(round_half_away(
-                             abs(diff) / np.sqrt(se2), 6))))
-    out = pd.DataFrame(rows, columns=["type_a", "type_b", "n_a", "n_b",
-                                      "mean_diff", "q_stat"])
-    return out.astype({"n_a": "int64", "n_b": "int64"})
-
-
-def isotonic_conversion_curve(sf_dir: str):
-    """Isotonic (monotone non-decreasing) calibration of the purchase
-    rate as a function of event ``value`` — the PAV-regression step a
-    probability-calibration pipeline runs on model scores: raw
-    per-value conversion rates are pooled by the Pool-Adjacent-
-    Violators algorithm until the curve is monotone, minimizing
-    weighted squared error.
-
-    Distributed shape: ONE scan folds the (value) grid partials
-    (n, Σ purchase-flag) — the 2-decimal value space is a bounded
-    dimension (the ``exact_median_by_type`` precedent), so PAVA (a
-    genuinely sequential stack walk) closes on the driver's grid rows;
-    at unbounded score cardinality the pre-step is fixed-width binning
-    (fixed-width value bins). Rows-only (PAVA's pooling recursion
-    is not SQL-expressible; planted pooling pytest). Columns: value,
-    n, rate_raw, rate_iso (non-decreasing in value)."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    g = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]).map_batches(
-            lambda b: pd.DataFrame({
-                "value": b["value"],
-                "n": np.int64(1),
-                "y": (b["event_type"] == "purchase").astype("int64")}),
-            batch_format="pandas", batch_size=65536),
-        ["value"], {"n": ("n", "sum"), "y": ("y", "sum")})
-    if not len(g):
-        return pd.DataFrame({
-            "value": pd.Series(dtype="float64"),
-            "n": pd.Series(dtype="int64"),
-            "rate_raw": pd.Series(dtype="float64"),
-            "rate_iso": pd.Series(dtype="float64")})
-    g = g.sort_values("value").reset_index(drop=True)
-    n = g["n"].to_numpy(np.int64)
-    y = g["y"].to_numpy(np.int64)
-    # PAVA: stack of (weight, mean) blocks; merge while decreasing
-    blocks = []  # [start_idx, weight, sum_y]
-    for i in range(len(g)):
-        blocks.append([i, int(n[i]), int(y[i])])
-        while (len(blocks) > 1
-               and blocks[-2][2] * blocks[-1][1]
-               >= blocks[-1][2] * blocks[-2][1]):
-            # prev_mean >= cur_mean (cross-multiplied, exact ints)
-            s, w, sy = blocks.pop()
-            blocks[-1][1] += w
-            blocks[-1][2] += sy
-    iso = np.empty(len(g), np.float64)
-    for bi, (start, w, sy) in enumerate(blocks):
-        end = blocks[bi + 1][0] if bi + 1 < len(blocks) else len(g)
-        iso[start:end] = np.float64(sy) / np.float64(w)
-    from ocr_agent_ray.functions.textstats import round_half_away
-
-    return pd.DataFrame({
-        "value": g["value"].astype("float64"),
-        "n": g["n"].astype("int64"),
-        "rate_raw": round_half_away(
-            y.astype(np.float64) / n.astype(np.float64), 6),
-        "rate_iso": round_half_away(iso, 6)})
-
-
 def bottomk_sample_documents(sf_dir: str, *, k: int = 64):
     """Fixed-size uniform sample via the bottom-``k`` (KMV) sketch —
     the mergeable sibling of ``hash_sample_documents``'s rate-based
@@ -3561,9 +2284,10 @@ def bottomk_sample_documents(sf_dir: str, *, k: int = 64):
     rows merge associatively (the wire carries batches×k rows, never
     the corpus), two nodes' sketches union by re-taking the k
     smallest, and the k-th priority doubles as a distinct-count
-    estimator. Int64-safe for doc_id < 2³² (beyond that the twin's
-    HUGEINT product needs the int128 escalation). Columns: doc_id,
-    priority."""
+    estimator. Exact for every int64 doc_id: the int64 product wraps
+    modulo 2⁶⁴, which 2³² divides, so its residue mod 2³² is the true
+    one (the SQL twin's product overflows BIGINT above ~3.5e9 and
+    needs HUGEINT there). Columns: doc_id, priority."""
     from ocr_agent_ray.pipelines.exchange import key_map_groups
 
     def _local(b: pd.DataFrame) -> pd.DataFrame:
@@ -3587,161 +2311,6 @@ def bottomk_sample_documents(sf_dir: str, *, k: int = 64):
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "priority": pd.Series(dtype="int64")})
     return out
-
-
-def cvar_by_type(sf_dir: str, *, q: float = 0.95):
-    """Value-at-Risk and Conditional VaR (expected shortfall) of event
-    ``value`` per type — the tail-risk pair ('the 95th-percentile
-    spend, and the AVERAGE spend once you're past it'; CVaR is the
-    coherent risk measure VaR alone isn't). VaR interpolates at
-    position (n−1)·q (the quantile_cont convention the exact-median
-    family pins); CVaR = mean of values ≥ VaR. One scan folds the
-    bounded (event_type, value) count grid; both statistics close on
-    the driver from exact integer counts (Σ c·v tail sums, one double
-    division). Columns: event_type, n, var_q, cvar_q, n_tail."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type", "value"], {"c": ("value", "count")})
-    empty = pd.DataFrame({
-        "event_type": pd.Series(dtype="object"),
-        "n": pd.Series(dtype="int64"),
-        "var_q": pd.Series(dtype="float64"),
-        "cvar_q": pd.Series(dtype="float64"),
-        "n_tail": pd.Series(dtype="int64")})
-    if not len(vc):
-        return empty
-    rows = []
-    for etype, sub in vc.groupby("event_type", sort=True):
-        sub = sub.sort_values("value")
-        c = sub["c"].to_numpy(np.int64)
-        v = sub["value"].to_numpy(np.float64)
-        n = int(c.sum())
-        if n < 2:
-            continue
-        pos = (np.float64(n) - 1.0) * np.float64(q)
-        lo = int(np.floor(pos))
-        frac = pos - np.float64(lo)
-        cum = np.cumsum(c)
-        v_lo = np.float64(v[np.searchsorted(cum, lo + 1)])
-        v_hi = np.float64(v[np.searchsorted(cum, min(lo + 2, n))])
-        var_q = v_lo + (v_hi - v_lo) * frac
-        tail = v >= var_q
-        n_tail = int(c[tail].sum())
-        cvar = (float((c[tail].astype(np.float64) * v[tail]).sum())
-                / np.float64(n_tail))
-        rows.append((etype, np.int64(n),
-                     float(round_half_away(var_q, 6)),
-                     float(round_half_away(np.float64(cvar), 6)),
-                     np.int64(n_tail)))
-    if not rows:
-        return empty
-    return pd.DataFrame(rows, columns=["event_type", "n", "var_q",
-                                       "cvar_q", "n_tail"]) \
-        .astype({"n": "int64", "n_tail": "int64"})
-
-
-def trimmed_mean_by_type(sf_dir: str, *, trim: float = 0.1):
-    """Two-sided trimmed mean of event ``value`` per type — the robust
-    location estimator between the mean (trim 0) and the median
-    (trim 0.5): drop exactly floor(trim·n) observations from EACH end,
-    average the rest. All-integer semantics (drop counts, no
-    interpolation), so both engines agree exactly before the final
-    division. One scan folds the bounded (event_type, value) count
-    grid; the trim walk closes on the driver (Σ c·v over the kept
-    middle as exact value-weighted sums — partial cells at the trim
-    boundary keep only their surviving multiplicity). Columns:
-    event_type, n, n_trimmed_each, trimmed_mean."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "value"]),
-        ["event_type", "value"], {"c": ("value", "count")})
-    empty = pd.DataFrame({
-        "event_type": pd.Series(dtype="object"),
-        "n": pd.Series(dtype="int64"),
-        "n_trimmed_each": pd.Series(dtype="int64"),
-        "trimmed_mean": pd.Series(dtype="float64")})
-    if not len(vc):
-        return empty
-    rows = []
-    for etype, sub in vc.groupby("event_type", sort=True):
-        sub = sub.sort_values("value")
-        c = sub["c"].to_numpy(np.int64)
-        v = sub["value"].to_numpy(np.float64)
-        n = int(c.sum())
-        t = int(np.floor(np.float64(n) * np.float64(trim)))
-        if n - 2 * t <= 0:
-            continue
-        # surviving multiplicity per cell: clip the cumulative window
-        cum = np.cumsum(c)
-        start = cum - c                      # exclusive prefix
-        lo, hi = t, n - t
-        keep = (np.minimum(cum, hi) - np.maximum(start, lo)) \
-            .clip(min=0)
-        s = float((keep.astype(np.float64) * v).sum())
-        rows.append((etype, np.int64(n), np.int64(t),
-                     float(round_half_away(
-                         np.float64(s) / np.float64(n - 2 * t), 6))))
-    if not rows:
-        return empty
-    return pd.DataFrame(rows, columns=["event_type", "n",
-                                       "n_trimmed_each",
-                                       "trimmed_mean"]) \
-        .astype({"n": "int64", "n_trimmed_each": "int64"})
-
-
-def hill_tail_index(sf_dir: str, *, k: int = 200):
-    """Hill estimator of the Pareto tail index of event ``value`` —
-    the extreme-value sibling of the degree power-law fit ('how heavy
-    is the spend tail?'; α ≤ 2 means infinite variance and every
-    mean-based statistic above is fragile):
-
-        α̂ = k / Σ_{i=1..k} ln(x_(i) / x_(k+1))
-
-    over the top-``k`` order statistics. Exact from the bounded
-    (value) count grid (one mergeable fold): the driver walks the top
-    of the grid with integer multiplicities — ties at the x_(k+1)
-    boundary enter with their surviving copies only, pinned identically
-    in the twin's rank filter. Values ≤ 0 are excluded (log). Columns:
-    k, x_kplus1, hill_alpha."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    vc = combine_partials_driver(
-        read_table(sf_dir, "events", ["value"]).map_batches(
-            lambda b: pd.DataFrame({"value": b["value"]})[
-                b["value"].to_numpy() > 0.0],
-            batch_format="pandas", batch_size=65536),
-        ["value"], {"c": ("value", "count")})
-    empty = pd.DataFrame({
-        "k": pd.Series(dtype="int64"),
-        "x_kplus1": pd.Series(dtype="float64"),
-        "hill_alpha": pd.Series(dtype="float64")})
-    if not len(vc):
-        return empty
-    vc = vc.sort_values("value", ascending=False).reset_index(drop=True)
-    c = vc["c"].to_numpy(np.int64)
-    v = vc["value"].to_numpy(np.float64)
-    n = int(c.sum())
-    if n <= k:
-        return empty
-    cum = np.cumsum(c)
-    # x_(k+1): the (k+1)-th largest value
-    i_ref = int(np.searchsorted(cum, k + 1))
-    x_ref = np.float64(v[i_ref])
-    # top-k values with surviving multiplicities
-    keep = np.minimum(c, np.maximum(
-        np.int64(k) - (cum - c), 0))[:i_ref + 1]
-    s = float((keep.astype(np.float64)
-               * np.log(v[:i_ref + 1] / x_ref)).sum())
-    if s <= 0.0:
-        return empty
-    return pd.DataFrame({
-        "k": [np.int64(k)],
-        "x_kplus1": round_half_away(np.array([x_ref]), 6),
-        "hill_alpha": round_half_away(
-            np.array([np.float64(k) / np.float64(s)]), 6)})
 
 
 def ipf_raking_weights(sf_dir: str, *, iters: int = 10):
@@ -3805,549 +2374,3 @@ def ipf_raking_weights(sf_dir: str, *, iters: int = 10):
     return pd.DataFrame(out, columns=["lang", "source", "n_docs",
                                       "weight"]) \
         .astype({"n_docs": "int64"})
-
-
-def simpson_paradox_check(sf_dir: str):
-    """Simpson's-paradox screen on the value–time relationship — does
-    the POOLED correlation's sign survive stratification by event
-    type? (The classic confounding diagnostic: a pooled trend driven
-    by group composition, not within-group behavior, flips sign when
-    conditioned.) One scan folds the same six moment partials as the
-    correlation family, keyed by type; the pooled moments are the SUM
-    of the per-type partials (exact same floats — no second pass), and
-    both correlations close on the driver with the raw-moment formula.
-    Columns: event_type, corr_within, pooled_corr, sign_flip."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    base_us = pd.Timestamp("2024-01-01").value // 1000
-
-    def _moments(batch: pd.DataFrame) -> pd.DataFrame:
-        x = ((batch["ts"].astype("int64").to_numpy(dtype=np.float64)
-              - base_us) / 1e6) / 86400.0
-        y = batch["value"].to_numpy(dtype=np.float64)
-        return pd.DataFrame({
-            "event_type": batch["event_type"],
-            "one": np.ones(len(batch), dtype=np.int64),
-            "sx": x, "sy": y, "sxy": x * y, "sxx": x * x,
-            "syy": y * y})
-
-    m = combine_partials_driver(
-        read_table(sf_dir, "events", ["event_type", "ts", "value"])
-        .map_batches(_moments, batch_format="pandas",
-                     batch_size=65536),
-        ["event_type"],
-        {"n": ("one", "sum"), "sx": ("sx", "sum"),
-         "sy": ("sy", "sum"), "sxy": ("sxy", "sum"),
-         "sxx": ("sxx", "sum"), "syy": ("syy", "sum")})
-    empty = pd.DataFrame({
-        "event_type": pd.Series(dtype="object"),
-        "corr_within": pd.Series(dtype="float64"),
-        "pooled_corr": pd.Series(dtype="float64"),
-        "sign_flip": pd.Series(dtype="int64")})
-    if not len(m):
-        return empty
-    m = m.sort_values("event_type").reset_index(drop=True)
-
-    def corr(n, sx, sy, sxy, sxx, syy):
-        den = np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
-        return np.where(den == 0.0, np.nan,
-                        (n * sxy - sx * sy)
-                        / np.where(den == 0.0, 1.0, den))
-
-    n = m["n"].to_numpy(np.float64)
-    sx, sy = m["sx"].to_numpy(), m["sy"].to_numpy()
-    sxy = m["sxy"].to_numpy()
-    sxx, syy = m["sxx"].to_numpy(), m["syy"].to_numpy()
-    within = corr(n, sx, sy, sxy, sxx, syy)
-    pooled = float(corr(
-        np.array([n.sum()]), np.array([sx.sum()]),
-        np.array([sy.sum()]), np.array([sxy.sum()]),
-        np.array([sxx.sum()]), np.array([syy.sum()]))[0])
-    # flip decided on the ROUNDED values (a within-corr of ±1e-18
-    # would otherwise sign differently per engine): strictly opposite
-    # signs only — a rounded zero never flips
-    w6 = round_half_away(within, 6)
-    p6 = round_half_away(np.full(len(m), pooled, np.float64), 6)
-    flip = (np.isfinite(w6) & (w6 * p6 < 0.0)).astype(np.int64)
-    return pd.DataFrame({
-        "event_type": m["event_type"],
-        "corr_within": w6,
-        "pooled_corr": p6,
-        "sign_flip": flip})
-
-
-# --- warehouse ops over the events log: SCD-2 history, A/B tests and
-# Holt forecasting. They are the next registry-diet family (ROADMAP
-# Direction 5(a)), with attribution above.
-
-
-def scd2_intervals(sf_dir: str):
-    """SCD Type-2 history build from the event log: per user, collapse
-    consecutive runs of the same event_type into validity intervals
-    (valid_from = run start, valid_to = next run's start, NULL while
-    current) — the warehouse dimension-history shape, derived here from
-    a raw stream in one user-bucket exchange. The per-bucket kernel is
-    one sort + two vectorized shift-compares; no per-row loop, no
-    driver state. Ties on ts break by event_id on both sides.
-    Columns: user_id, event_type, valid_from, valid_to."""
-
-    def _runs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        new_user = g["user_id"].ne(g["user_id"].shift())
-        change = new_user | g["event_type"].ne(g["event_type"].shift())
-        s = g[change].reset_index(drop=True)
-        nxt_from = s["ts"].shift(-1)
-        nxt_user = s["user_id"].shift(-1)
-        valid_to = nxt_from.where(nxt_user == s["user_id"])
-        return pd.DataFrame({
-            "user_id": s["user_id"],
-            "event_type": s["event_type"],
-            "valid_from": s["ts"],
-            "valid_to": valid_to,
-        })
-
-    keyed = read_table(
-        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
-    ).map_batches(
-        lambda b: b.assign(__b=(b["user_id"] % 64).astype("int32")),
-        batch_format="pandas", batch_size=65536)
-    return bucket_map_groups(keyed, _runs, num_buckets=64)
-
-
-def _conversion_arms(sf_dir: str, convert_type: str) -> pd.DataFrame:
-    """Per-arm user and converter counts, sorted by arm: arm = user_id
-    % 2 (a hash-stable split), and a user CONVERTS iff they have ≥1
-    ``convert_type`` event. Users are unbounded, so the per-user MAX
-    fold is hash-partitioned and only the arm rows reach the driver.
-    Columns: arm, n, c."""
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    ev = read_table(sf_dir, "events", ["user_id", "event_type"])
-    per_user = hash_partition_aggregate(
-        ev.map_batches(lambda b: pd.DataFrame({
-            "user_id": b["user_id"].astype("int64"),
-            "conv": (b["event_type"] == convert_type).astype("int64")}),
-            batch_format="pandas", batch_size=65536),
-        ["user_id"], {"converted": ("conv", "max")})
-    arms = combine_partials_driver(
-        per_user.map_batches(lambda b: pd.DataFrame({
-            "arm": b["user_id"].to_numpy(np.int64) % 2,
-            "n": np.int64(1),
-            "c": b["converted"].astype("int64")}),
-            batch_format="pandas"),
-        ["arm"], {"n": ("n", "sum"), "c": ("c", "sum")})
-    return arms.sort_values("arm")
-
-
-def ab_test_zscore(sf_dir: str, *, convert_type: str = "purchase"):
-    """Two-proportion z-test between the ``_conversion_arms`` arms —
-    the pooled statistic tests p_b − p_a:
-
-        z = (p_b − p_a) / sqrt(pp·(1−pp)·(1/n_a + 1/n_b)),
-        pp = (c_a + c_b) / (n_a + n_b)
-
-    Float expression order identical in the twin (counts stay exact
-    ints until the final divisions). Columns: n_a, n_b, conv_a,
-    conv_b, p_a, p_b, lift, z_score."""
-    arms = _conversion_arms(sf_dir, convert_type)
-    n_a, n_b = (np.int64(x) for x in arms["n"].to_numpy())
-    c_a, c_b = (np.int64(x) for x in arms["c"].to_numpy())
-    p_a = np.float64(c_a) / np.float64(n_a)
-    p_b = np.float64(c_b) / np.float64(n_b)
-    pp = np.float64(c_a + c_b) / np.float64(n_a + n_b)
-    se = np.sqrt(pp * (1.0 - pp)
-                 * (1.0 / np.float64(n_a) + 1.0 / np.float64(n_b)))
-    z = (p_b - p_a) / se if se > 0 else np.float64(0.0)
-    return pd.DataFrame({
-        "n_a": [n_a], "n_b": [n_b], "conv_a": [c_a], "conv_b": [c_b],
-        "p_a": [float(round_half_away(p_a, 6))],
-        "p_b": [float(round_half_away(p_b, 6))],
-        "lift": [float(round_half_away(p_b - p_a, 6))],
-        "z_score": [float(round_half_away(z, 6))]})
-
-
-def mcnemar_conversion(sf_dir: str, *, convert_type: str = "purchase"):
-    """McNemar's test on PAIRED user conversion between the first and
-    second half of the stream (midpoint-ts split) — the within-subjects
-    sibling of ``ab_test_zscore``: each user is their own control, so
-    only the DISCORDANT users drive the statistic:
-
-        b = #(converted first half only),  c = #(second half only)
-        χ² = (b − c)² / (b + c),   corrected = (|b − c| − 1)² / (b + c)
-
-    Distributed shape: one tiny ts-bounds fold, then a bucketed
-    per-user MAX fold of the two half flags (users unbounded →
-    hash-partitioned), then a mergeable count combine — four ints
-    reach the driver, every value exact until the final division.
-    b + c = 0 pins both statistics to 0. Columns: n_users,
-    b_first_only, c_second_only, mcnemar_stat, mcnemar_cc."""
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-
-    ev = read_table(sf_dir, "events", ["ts", "user_id", "event_type"])
-    bounds = combine_partials_driver(
-        ev.map_batches(lambda b: pd.DataFrame({
-            "__k": np.int64(0),
-            "tmin": [b["ts"].min()], "tmax": [b["ts"].max()]}),
-            batch_format="pandas", batch_size=65536),
-        ["__k"], {"tmin": ("tmin", "min"), "tmax": ("tmax", "max")})
-    empty = pd.DataFrame({
-        "n_users": pd.Series(dtype="int64"),
-        "b_first_only": pd.Series(dtype="int64"),
-        "c_second_only": pd.Series(dtype="int64"),
-        "mcnemar_stat": pd.Series(dtype="float64"),
-        "mcnemar_cc": pd.Series(dtype="float64")})
-    if bounds.empty:
-        return empty
-    tmin = np.int64(pd.Timestamp(bounds["tmin"].iloc[0]).value // 1000)
-    tmax = np.int64(pd.Timestamp(bounds["tmax"].iloc[0]).value // 1000)
-    mid = tmin + (tmax - tmin) // 2
-
-    def _flags(b: pd.DataFrame) -> pd.DataFrame:
-        us = b["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        conv = (b["event_type"] == convert_type).to_numpy()
-        return pd.DataFrame({
-            "user_id": b["user_id"].astype("int64"),
-            "c0": (conv & (us < mid)).astype("int64"),
-            "c1": (conv & (us >= mid)).astype("int64")})
-
-    per_user = hash_partition_aggregate(
-        ev.map_batches(_flags, batch_format="pandas", batch_size=65536),
-        ["user_id"], {"c0": ("c0", "max"), "c1": ("c1", "max")})
-    counts = combine_partials_driver(
-        per_user.map_batches(lambda b: pd.DataFrame({
-            "__k": np.int64(0),
-            "n": np.int64(1),
-            "b": ((b["c0"] == 1) & (b["c1"] == 0)).astype("int64"),
-            "c": ((b["c0"] == 0) & (b["c1"] == 1)).astype("int64")}),
-            batch_format="pandas"),
-        ["__k"], {"n": ("n", "sum"), "b": ("b", "sum"),
-                  "c": ("c", "sum")})
-    if counts.empty:
-        return empty
-    n = np.int64(counts["n"].iloc[0])
-    b = np.int64(counts["b"].iloc[0])
-    c = np.int64(counts["c"].iloc[0])
-    if b + c == 0:
-        stat, cc = 0.0, 0.0
-    else:
-        den = np.float64(b + c)
-        stat = float(round_half_away(
-            np.float64((b - c) * (b - c)) / den, 6))
-        d = abs(int(b) - int(c)) - 1
-        cc = float(round_half_away(np.float64(d * d) / den, 6))
-    return pd.DataFrame({
-        "n_users": [n], "b_first_only": [b], "c_second_only": [c],
-        "mcnemar_stat": [stat], "mcnemar_cc": [cc]})
-
-
-def fisher_exact_conversion(sf_dir: str, *,
-                            convert_type: str = "purchase"):
-    """One-sided Fisher's exact test on the arm × conversion 2×2 table
-    of ``_conversion_arms`` — the EXACT small-sample inference the
-    normal-approximation z-test can't give when counts are tiny:
-    P(X ≥ a) under the hypergeometric null,
-
-        ln P(k) = lnC(r1, k) + lnC(n − r1, c1 − k) − lnC(n, c1)
-
-    summed over the upper tail k = a..min(r1, c1) via lgamma (the
-    one-SIDED tail needs no p-value threshold comparisons, so there is
-    no borderline-inclusion float hazard). The bounded tail sum
-    (≤ min(arm size, converters) terms) closes on the driver — the
-    twin replays it with generate_series + lgamma, identical float
-    nesting. Columns: n_a, n_b, conv_a, conv_b, odds_ratio,
-    p_one_sided."""
-    import math
-
-    arms = _conversion_arms(sf_dir, convert_type)
-    empty = pd.DataFrame({
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "conv_a": pd.Series(dtype="int64"),
-        "conv_b": pd.Series(dtype="int64"),
-        "odds_ratio": pd.Series(dtype="float64"),
-        "p_one_sided": pd.Series(dtype="float64")})
-    if len(arms) < 2:
-        return empty
-    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
-    a, cb = (int(x) for x in arms["c"].to_numpy())
-    b = n_a - a
-    c = cb
-    d = n_b - cb
-    n = n_a + n_b
-    r1, c1 = n_a, a + c
-    lden = (math.lgamma(n + 1) - math.lgamma(c1 + 1)
-            - math.lgamma(n - c1 + 1))
-    p = np.float64(0.0)
-    for k in range(a, min(r1, c1) + 1):
-        if c1 - k > n - r1:
-            continue
-        lp = (math.lgamma(r1 + 1) - math.lgamma(k + 1)
-              - math.lgamma(r1 - k + 1)
-              + math.lgamma(n - r1 + 1) - math.lgamma(c1 - k + 1)
-              - math.lgamma(n - r1 - c1 + k + 1) - lden)
-        p = p + np.float64(math.exp(lp))
-    # b*c == 0 -> undefined (NULL in the twin, NaN here — both
-    # materialize as NaN through the driver's pandas read)
-    orr = (np.nan if b * c == 0
-           else np.float64(a * d) / np.float64(b * c))
-    return pd.DataFrame({
-        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
-        "conv_a": [np.int64(a)], "conv_b": [np.int64(c)],
-        "odds_ratio": round_half_away(np.array([orr]), 6),
-        "p_one_sided": round_half_away(np.array([p]), 6)})
-
-
-def bayes_ab_conversion(sf_dir: str, *,
-                        convert_type: str = "purchase"):
-    """Bayesian A/B analysis of the ``_conversion_arms`` rates — the
-    posterior probability P(p_B > p_A) under independent uniform
-    (Beta(1,1)) priors, in closed form (Evan Miller's identity, exact
-    for integer counts):
-
-        P(p_B > p_A) = Σ_{i=0}^{a_B−1} B(a_A+i, b_A+b_B)
-                       / ((b_B+i) · B(1+i, b_B) · B(a_A, b_A))
-
-    with a = conversions + 1, b = non-conversions + 1 and
-    ln B(x, y) = lgamma(x) + lgamma(y) − lgamma(x+y). The bounded Σ
-    (≤ conversions_B + 1 terms) closes on the driver; the twin replays
-    it with generate_series + lgamma. Columns: n_a, n_b, conv_a,
-    conv_b, p_b_beats_a."""
-    import math
-
-    arms = _conversion_arms(sf_dir, convert_type)
-    empty = pd.DataFrame({
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "conv_a": pd.Series(dtype="int64"),
-        "conv_b": pd.Series(dtype="int64"),
-        "p_b_beats_a": pd.Series(dtype="float64")})
-    if len(arms) < 2:
-        return empty
-    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
-    ca, cb = (int(x) for x in arms["c"].to_numpy())
-    aa, ba = ca + 1, n_a - ca + 1
-    ab, bb = cb + 1, n_b - cb + 1
-
-    def lbeta(x: float, y: float) -> float:
-        return (math.lgamma(x) + math.lgamma(y)
-                - math.lgamma(x + y))
-
-    p = np.float64(0.0)
-    for i in range(ab):
-        p = p + np.float64(math.exp(
-            lbeta(aa + i, ba + bb)
-            - math.log(bb + i) - lbeta(1 + i, bb) - lbeta(aa, ba)))
-    return pd.DataFrame({
-        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
-        "conv_a": [np.int64(ca)], "conv_b": [np.int64(cb)],
-        "p_b_beats_a": round_half_away(np.array([p]), 6)})
-
-
-def power_analysis_conversion(sf_dir: str, *,
-                              convert_type: str = "purchase"):
-    """Two-proportion power analysis seeded by the OBSERVED
-    ``_conversion_arms`` rates: how many users per arm would a FUTURE
-    test need to detect the currently-observed lift at α = 0.05
-    (two-sided) with 80% power?
-
-        n = (z_{α/2} + z_β)² · (p_a(1−p_a) + p_b(1−p_b)) / (p_b − p_a)²
-
-    with the z constants pinned as literals (1.959964, 0.841621 — the
-    standard normal quantiles; DuckDB has no inverse CDF, so both
-    engines carry the same literals). Degenerate zero lift reports
-    NULL. Columns: n_a, n_b, p_a, p_b, n_required_per_arm."""
-    arms = _conversion_arms(sf_dir, convert_type)
-    empty = pd.DataFrame({
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "p_a": pd.Series(dtype="float64"),
-        "p_b": pd.Series(dtype="float64"),
-        "n_required_per_arm": pd.Series(dtype="float64")})
-    if len(arms) < 2:
-        return empty
-    n_a, n_b = (int(x) for x in arms["n"].to_numpy())
-    ca, cb = (int(x) for x in arms["c"].to_numpy())
-    p_a = np.float64(ca) / np.float64(n_a)
-    p_b = np.float64(cb) / np.float64(n_b)
-    diff = p_b - p_a
-    if diff == 0.0:
-        req = np.nan
-    else:
-        z = np.float64(1.959964) + np.float64(0.841621)
-        req = (z * z * (p_a * (1.0 - p_a) + p_b * (1.0 - p_b))
-               / (diff * diff))
-    return pd.DataFrame({
-        "n_a": [np.int64(n_a)], "n_b": [np.int64(n_b)],
-        "p_a": round_half_away(np.array([p_a]), 6),
-        "p_b": round_half_away(np.array([p_b]), 6),
-        "n_required_per_arm": round_half_away(np.array([req]), 6)})
-
-
-def _daily_series(sf_dir: str, min_days: int = 2):
-    """The gapfilled per-day event-count series behind the Holt ops:
-    (day grid, int64 counts), or None with fewer than ``min_days``
-    days that have events. The
-    counts fold as mergeable partials per batch and one small combine
-    — the series is the bounded calendar dimension, so the sequential
-    recurrences close on the driver."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-
-    days = combine_partials_driver(
-        read_table(sf_dir, "events", ["ts"]).map_batches(
-            lambda b: pd.DataFrame({
-                "day": b["ts"].dt.floor("D"), "c": np.int64(1)}),
-            batch_format="pandas", batch_size=65536),
-        ["day"], {"c": ("c", "sum")})
-    if len(days) < min_days:
-        return None
-    days = days.sort_values("day")
-    grid = pd.date_range(days["day"].min(), days["day"].max(), freq="D")
-    x = days.set_index("day")["c"].astype("int64") \
-        .reindex(grid, fill_value=0).to_numpy(np.int64)
-    return grid, x
-
-
-def holt_linear_daily(sf_dir: str, *, alpha: float = 0.5,
-                      beta: float = 0.3):
-    """Holt linear (double) exponential smoothing of the daily
-    event-count series (level + trend state): on the gapfilled day
-    grid,
-
-        s_1 = x_1,  b_1 = x_2 − x_1
-        s_t = α·x_t + (1−α)·(s_{t−1} + b_{t−1})
-        b_t = β·(s_t − s_{t−1}) + (1−β)·b_{t−1}
-
-    The twin replays the identical recurrence as a recursive CTE with
-    the same float literal order. Requires ≥2 days. Columns: day,
-    cnt, level, trend_rate."""
-    series = _daily_series(sf_dir)
-    if series is None:
-        return pd.DataFrame({
-            "day": pd.Series(dtype="datetime64[us]"),
-            "cnt": pd.Series(dtype="int64"),
-            "level": pd.Series(dtype="float64"),
-            "trend_rate": pd.Series(dtype="float64")})
-    grid, x = series
-    n = len(x)
-    s = np.empty(n, np.float64)
-    b = np.empty(n, np.float64)
-    s[0] = np.float64(x[0])
-    b[0] = np.float64(x[1] - x[0])
-    a, bt = np.float64(alpha), np.float64(beta)
-    for t in range(1, n):
-        s[t] = a * np.float64(x[t]) + (1.0 - a) * (s[t - 1] + b[t - 1])
-        b[t] = bt * (s[t] - s[t - 1]) + (1.0 - bt) * b[t - 1]
-    return pd.DataFrame({
-        "day": pd.Series(grid).astype("datetime64[us]"),
-        "cnt": x,
-        "level": round_half_away(s, 6),
-        "trend_rate": round_half_away(b, 6)})
-
-
-def holt_winters_daily(sf_dir: str, *, alpha: float = 0.5,
-                       beta: float = 0.3, gamma: float = 0.2,
-                       period: int = 7):
-    """Holt-Winters ADDITIVE (triple) exponential smoothing of the
-    daily event-count series (level + trend + rotating per-weekday
-    seasonal state):
-
-        l_t = α·(x_t − s_{t−m}) + (1−α)·(l_{t−1} + b_{t−1})
-        b_t = β·(l_t − l_{t−1}) + (1−β)·b_{t−1}
-        s_t = γ·(x_t − l_t) + (1−γ)·s_{t−m}
-
-    init over the first two seasons: l_m = mean(x_1..m), b_m =
-    (mean(x_{m+1..2m}) − mean(x_1..m))/m, s_i = x_i − l_m. The season
-    sums stay exact ints so the init is deterministic; the recurrence
-    replays in the twin as a recursive CTE carrying the seasonal
-    buffer as a DOUBLE[7] list (same float literal order). Requires
-    ≥ 2·period gapfilled days. Columns: day, cnt, level, trend_rate,
-    seasonal."""
-    empty = pd.DataFrame({
-        "day": pd.Series(dtype="datetime64[us]"),
-        "cnt": pd.Series(dtype="int64"),
-        "level": pd.Series(dtype="float64"),
-        "trend_rate": pd.Series(dtype="float64"),
-        "seasonal": pd.Series(dtype="float64")})
-    series = _daily_series(sf_dir)
-    if series is None:
-        return empty
-    grid, x = series
-    n, m = len(x), period
-    if n < 2 * m:
-        return empty
-    sum1 = int(x[:m].sum())
-    sum2 = int(x[m:2 * m].sum())
-    fm = np.float64(m)
-    lev = np.float64(sum1) / fm
-    b = (np.float64(sum2) / fm - np.float64(sum1) / fm) / fm
-    buf = [np.float64(x[i]) - lev for i in range(m)]
-    a, bt, g = np.float64(alpha), np.float64(beta), np.float64(gamma)
-    out_l = np.empty(n - m, np.float64)
-    out_b = np.empty(n - m, np.float64)
-    out_s = np.empty(n - m, np.float64)
-    for t in range(m, n):
-        xt = np.float64(x[t])
-        s_old = buf[0]
-        l_new = a * (xt - s_old) + (1.0 - a) * (lev + b)
-        b_new = bt * (l_new - lev) + (1.0 - bt) * b
-        s_new = g * (xt - l_new) + (1.0 - g) * s_old
-        buf = buf[1:] + [s_new]
-        out_l[t - m], out_b[t - m], out_s[t - m] = l_new, b_new, s_new
-        lev, b = l_new, b_new
-    return pd.DataFrame({
-        "day": pd.Series(grid[m:]).astype("datetime64[us]"),
-        "cnt": x[m:],
-        "level": round_half_away(out_l, 6),
-        "trend_rate": round_half_away(out_b, 6),
-        "seasonal": round_half_away(out_s, 6)})
-
-
-def forecast_backtest_daily(sf_dir: str, *, alpha: float = 0.5,
-                            beta: float = 0.3):
-    """One-step-ahead forecasting backtest on the daily series: Holt's
-    forecast ŷ_t = s_{t−1} + b_{t−1} scored against the actual x_t,
-    next to the naive lag-1 baseline ŷ_t = x_{t−1} ('does the trend
-    state actually help, or is yesterday's count just as good?').
-    MAE for both, plus the skill ratio naive/holt (>1: Holt wins).
-    The twin extends the recursive-CTE replay of ``holt_linear_daily``
-    with the forecast-error aggregate. Forecasts score from t = 2 (the
-    first step with state). Columns: n_forecasts, mae_holt,
-    mae_naive, skill_ratio."""
-    empty = pd.DataFrame({
-        "n_forecasts": pd.Series(dtype="int64"),
-        "mae_holt": pd.Series(dtype="float64"),
-        "mae_naive": pd.Series(dtype="float64"),
-        "skill_ratio": pd.Series(dtype="float64")})
-    series = _daily_series(sf_dir, min_days=3)
-    if series is None:
-        return empty
-    _, x = series
-    n = len(x)
-    a, bt = np.float64(alpha), np.float64(beta)
-    s_prev = np.float64(x[0])
-    b_prev = np.float64(x[1] - x[0])
-    err_h = np.float64(0.0)
-    err_n = np.float64(0.0)
-    m = 0
-    for t in range(1, n):
-        xt = np.float64(x[t])
-        if t >= 2:
-            err_h = err_h + np.abs(xt - (s_prev + b_prev))
-            err_n = err_n + np.abs(np.float64(x[t] - x[t - 1]))
-            m += 1
-        s_t = a * xt + (1.0 - a) * (s_prev + b_prev)
-        b_t = bt * (s_t - s_prev) + (1.0 - bt) * b_prev
-        s_prev, b_prev = s_t, b_t
-    if m == 0:
-        return empty
-    mae_h = err_h / np.float64(m)
-    mae_n = err_n / np.float64(m)
-    skill = np.nan if mae_h == 0.0 else mae_n / mae_h
-    return pd.DataFrame({
-        "n_forecasts": [np.int64(m)],
-        "mae_holt": round_half_away(np.array([mae_h]), 6),
-        "mae_naive": round_half_away(np.array([mae_n]), 6),
-        "skill_ratio": round_half_away(np.array([skill]), 6)})

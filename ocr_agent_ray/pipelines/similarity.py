@@ -1822,10 +1822,16 @@ def gmm_em_embeddings(sf_dir: str, *, k: int = 5, iters: int = 5,
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
+    path = f"{sf_dir}/embeddings.parquet"
+    ids = np.sort(pq.read_table(path, columns=["vec_id"])["vec_id"]
+                  .to_numpy())[:k]
+    if len(ids) < k:
+        raise ValueError(f"gmm_em_embeddings: k={k} clusters need at "
+                         f"least k vectors, the table holds {len(ids)}")
     seed_tbl = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", k)],
-    ).to_pandas().sort_values("vec_id")
+        path, columns=["vec_id", "embedding"],
+        filters=[("vec_id", "<=", int(ids[-1]))],
+    ).to_pandas().sort_values("vec_id", kind="stable").head(k)
     means = np.stack([np.asarray(v, dtype=np.float64)
                       for v in seed_tbl["embedding"]])
     dim = means.shape[1]

@@ -2946,10 +2946,9 @@ def heaps_law_fit(sf_dir: str):
     map_batches pass tokenizes each doc (lowercased word regex shared
     verbatim with the twin), emits the five moment partials of
     x = ln n_tokens, y = ln n_distinct — five numbers per batch over
-    the wire; slope/intercept close on the driver (the
-    value_time_regression precedent: raw-moment formula, identical
-    float nesting on both sides). Columns: n_docs, heaps_beta,
-    heaps_k."""
+    the wire; slope/intercept close on the driver (raw-moment formula,
+    identical float nesting on both sides). Columns: n_docs,
+    heaps_beta, heaps_k."""
     import re
 
     from ocr_agent_ray.functions.textstats import round_half_away

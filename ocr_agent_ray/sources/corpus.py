@@ -23,6 +23,7 @@ Structure mirrors the reference's input universe:
 from __future__ import annotations
 
 import bisect
+import os
 import random
 import weakref
 from typing import Any, Iterator, NamedTuple, Sequence
@@ -184,7 +185,11 @@ def read_documents(path: str, num_blocks: int | None = None):
         num_blocks = 4 * max(2, cpus)
     if is_lance_dataset(path):
         return read_lance_table(path, num_blocks=num_blocks)
-    ds = rd.read_parquet(path, override_num_blocks=num_blocks)
+    # a directory may also hold a half-written ``*.parquet.tmp`` shard;
+    # read only the committed ``*.parquet`` files
+    ds = rd.read_parquet(path, override_num_blocks=num_blocks,
+                         file_extensions=(["parquet"] if os.path.isdir(path)
+                                          else None))
     _READ_FRAGMENTS[ds] = parquet_fragments(sorted(ds.input_files()), num_blocks)
     return ds
 

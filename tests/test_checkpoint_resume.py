@@ -174,5 +174,6 @@ def test_cli_status_eta_uses_run_partition_count(tmp_path, capsys):
     assert main(["status", "--out", out_dir]) == 0
     status = json.loads(capsys.readouterr().out)
     assert status["partitions_committed"] == 2
+    assert status["status_counts"] == {"completed": 2}
     assert status["eta_seconds"] == 0.5 * (64 - 2)
     assert status["last_error"] is None  # no failed metrics row

@@ -75,19 +75,19 @@ def test_cli_query_subcommand(tmp_path):
         os.path.dirname(os.path.abspath(__file__))))
     out = subprocess.run(
         [sys.executable, "-m", "ocr_agent_ray.cli", "query",
-         "q_status_counts", "--sf-dir", "/root/testdata/sf0.001",
+         "q_token_count_by_source", "--sf-dir", "/root/testdata/sf0.001",
          "--num-cpus", "4"],
         capture_output=True, text=True, cwd=str(tmp_path), env=env,
         timeout=240)
     assert out.returncode == 0, out.stderr[-2000:]
     rows = [json.loads(l) for l in out.stdout.strip().splitlines()
             if l.startswith("{")]
-    assert rows and {"event_type", "n"} <= set(rows[0])
+    assert rows and {"source", "n_tokens"} <= set(rows[0])
 
     pq_path = str(tmp_path / "res.parquet")
     out = subprocess.run(
         [sys.executable, "-m", "ocr_agent_ray.cli", "query",
-         "q_mean_value_by_type", "--sf-dir", "/root/testdata/sf0.001",
+         "q_gini_doc_lengths", "--sf-dir", "/root/testdata/sf0.001",
          "--num-cpus", "4", "--output", pq_path],
         capture_output=True, text=True, cwd=str(tmp_path), env=env,
         timeout=240)

@@ -276,89 +276,6 @@ def test_dup_source_matrix_planted(ray_session, tmp_path):
     assert ("B", "B") not in got.index
 
 
-def test_time_decay_attribution_brute(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import time_decay_attribution
-
-    rng = np.random.default_rng(31)
-    n = 600
-    base = pd.Timestamp("2024-01-01").value // 1000
-    ts_us = np.sort(base + rng.integers(0, 30 * 86400_000_000, n))
-    df = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "ts": pd.to_datetime(ts_us, unit="us"),
-        "user_id": rng.integers(0, 40, n).astype(np.int64),
-        "event_type": rng.choice(["view", "click", "purchase", "other"],
-                                 n, p=[0.4, 0.3, 0.2, 0.1]),
-        "value": 0.0,
-        "props": "{}",
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (time_decay_attribution(str(tmp_path)).set_index("touch_type")
-           ["credit"])
-
-    # brute force over explicit pairs
-    lam = 0.1
-    credit = {"view": 0.0, "click": 0.0}
-    for uid, sub in df.groupby("user_id"):
-        sub = sub.sort_values(["ts", "event_id"])
-        t_us2 = sub["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        types = sub["event_type"].to_numpy()
-        for i in np.flatnonzero(types == "purchase"):
-            w = {"view": 0.0, "click": 0.0}
-            for j in range(len(sub)):
-                if t_us2[j] < t_us2[i] and types[j] in w:
-                    age = (t_us2[i] - t_us2[j]) / 86400e6
-                    w[types[j]] += np.exp(-lam * age)
-            tot = w["view"] + w["click"]
-            if tot > 0:
-                credit["view"] += w["view"] / tot
-                credit["click"] += w["click"] / tot
-    assert abs(got["view"] - credit["view"]) < 1e-4
-    assert abs(got["click"] - credit["click"]) < 1e-4
-
-
-def test_attribution_same_ts_purchases_match_oracle(ray_session, tmp_path):
-    """Two purchases at the SAME (user, ts) are two credit units on both
-    sides (the oracle keys purchases on event_id, not (user, ts))."""
-    import duckdb
-
-    import __ray_entry__ as entrymod
-    from ocr_agent_ray.pipelines.relational import (linear_attribution,
-                                                    time_decay_attribution)
-
-    ts = pd.to_datetime([
-        "2024-01-01 00:00", "2024-01-02 00:00",       # u1 view, click
-        "2024-01-03 00:00", "2024-01-03 00:00",       # u1 purchase x2 same ts
-        "2024-01-01 12:00", "2024-01-04 00:00",       # u2 view, purchase
-    ])
-    df = pd.DataFrame({
-        "event_id": np.arange(6, dtype=np.int64),
-        "ts": ts,
-        "user_id": np.array([1, 1, 1, 1, 2, 2], dtype=np.int64),
-        "event_type": ["view", "click", "purchase", "purchase",
-                       "view", "purchase"],
-        "value": 0.0,
-        "props": "{}",
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{tmp_path}/events.parquet')")
-    for name, fn in [("q_linear_attribution", linear_attribution),
-                     ("q_time_decay_attribution",
-                      time_decay_attribution)]:
-        got = fn(str(tmp_path)).sort_values("touch_type").reset_index(
-            drop=True)
-        want = (con.execute(entrymod.oracle_sql()[name]).df()
-                .sort_values("touch_type").reset_index(drop=True))
-        pd.testing.assert_frame_equal(got, want)
-        # 3 purchases with touches -> 3.0 total credit
-        assert abs(got["credit"].sum() - 3.0) < 1e-9
-
-
 def test_minhash_store_short_docs_bypass(ray_session, tmp_path):
     """Docs with no shingles (< shingle_k chars) are always admitted —
     they never near-dup-match each other — but re-admission of the same
@@ -456,61 +373,6 @@ def test_snapshot_diff_planted(ray_session):
     assert got[9] == "added"
 
 
-def test_chi_square_independent_is_zero(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import chi_square_type_band
-
-    # perfectly independent 2x2: chi2 == 0; bands split at 25/75
-    rows = []
-    eid = 0
-    for t, tn in [("A", 10), ("B", 20)]:
-        for v, vn in [(10.0, 3), (50.0, 7)]:
-            for _ in range(tn * vn // 10):
-                rows.append((eid, pd.Timestamp("2024-01-01"), 1, t, v,
-                             "{}"))
-                eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type", "value", "props"])
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = chi_square_type_band(str(tmp_path))
-    assert got["chi2"].iloc[0] == 0.0
-    assert got["dof"].iloc[0] == 1
-    assert got["n"].iloc[0] == len(df)
-
-
-def test_cohort_matrix_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import cohort_retention_matrix
-
-    mon = pd.Timestamp("2024-01-01")   # a Monday
-    rows = []
-    eid = 0
-    # cohort wk0: users 1,2; user 1 returns wk1 and wk3; user 2 never.
-    # cohort wk1: user 3, returns wk2.
-    for u, weeks in {1: [0, 1, 3], 2: [0], 3: [1, 2]}.items():
-        for w in weeks:
-            rows.append((eid, mon + pd.Timedelta(weeks=w, days=2), u,
-                         "view", 0.0, "{}"))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type", "value", "props"])
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cohort_retention_matrix(str(tmp_path)).set_index(
-        ["cohort_week", "week_offset"])["n_users"]
-    wk0, wk1 = mon, mon + pd.Timedelta(weeks=1)
-    assert got[(wk0, 0)] == 2
-    assert got[(wk0, 1)] == 1
-    assert got[(wk0, 3)] == 1
-    assert (wk0, 2) not in got.index
-    assert got[(wk1, 0)] == 1 and got[(wk1, 1)] == 1
-
-
 def test_benford_digits_sane(ray_session):
     from ocr_agent_ray.pipelines.relational import benford_first_digit
 
@@ -598,36 +460,3 @@ def test_ql_search_matches_brute_force(ray_session, tmp_path):
     got2 = ql_search(str(tmp_path), k=10, mu=mu).to_pandas()
     sub = got2[got2["query_id"] == 0].set_index("doc_id")
     assert sub.loc[0, "score"] > sub.loc[1, "score"]
-
-
-def test_scd2_intervals_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import scd2_intervals
-
-    ts = pd.to_datetime([
-        "2024-01-01", "2024-01-02", "2024-01-03",   # u1: A A B
-        "2024-01-05",                                # u1: A again
-        "2024-01-01", "2024-01-01",                  # u2: same-ts tie
-    ])
-    df = pd.DataFrame({
-        "event_id": np.arange(6, dtype=np.int64),
-        "ts": ts,
-        "user_id": np.array([1, 1, 1, 1, 2, 2], dtype=np.int64),
-        "event_type": ["A", "A", "B", "A", "X", "Y"],
-        "value": 0.0,
-        "props": "{}",
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = (scd2_intervals(str(tmp_path)).to_pandas()
-           .sort_values(["user_id", "valid_from"])
-           .reset_index(drop=True))
-    u1 = got[got["user_id"] == 1].reset_index(drop=True)
-    assert list(u1["event_type"]) == ["A", "B", "A"]
-    assert u1.loc[0, "valid_to"] == ts[2]      # A run ends when B starts
-    assert u1.loc[1, "valid_to"] == ts[3]
-    assert pd.isna(u1.loc[2, "valid_to"])      # current
-    u2 = got[got["user_id"] == 2].reset_index(drop=True)
-    # same-ts tie breaks by event_id: X then Y
-    assert list(u2["event_type"]) == ["X", "Y"]
-    assert u2.loc[0, "valid_to"] == ts[5]
-    assert pd.isna(u2.loc[1, "valid_to"])

@@ -26,8 +26,8 @@ def test_entry_returns_rows(ray_session):
     assert names == {"doc_id", "spans"}
 
 
-@pytest.mark.parametrize("name", ["q_status_counts", "q_corpus_report",
-                                  "q_source_quota_cap"])
+@pytest.mark.parametrize("name", ["q_token_count_by_source",
+                                  "q_corpus_report", "q_source_quota_cap"])
 def test_sample_query_runs(ray_session, name):
     import ray.data as rd
 

@@ -59,6 +59,19 @@ def test_bucket_hash_join_string_key(ray_session):
     pd.testing.assert_frame_equal(_norm(got), _norm(want), check_dtype=False)
 
 
+def test_bucket_hash_join_keeps_int64_past_float_precision(ray_session):
+    """Each side's int64 columns come through an inner join exact, also
+    above 2^53 where float64 cannot hold every integer."""
+    big = 2 ** 53 + np.arange(1, 41, dtype=np.int64)
+    left = pd.DataFrame({"k": np.arange(40) % 10, "a": big})
+    right = pd.DataFrame({"k": np.arange(10), "b": big[::-4]})
+    got = bucket_hash_join(
+        rd.from_pandas(left), rd.from_pandas(right), on="k", num_buckets=4
+    ).to_pandas()
+    want = left.merge(right, on="k")
+    pd.testing.assert_frame_equal(_norm(got), _norm(want))
+
+
 @pytest.mark.parametrize("how", ["left", "right", "outer"])
 def test_bucket_hash_join_other_hows(ray_session, tables, how):
     left, right = tables

@@ -217,6 +217,19 @@ def test_read_and_in_memory_inputs_commit_the_same_output(ray_session, tmp_path)
         assert a.sort_by("doc_id").equals(b.sort_by("doc_id")), pid
 
 
+def test_half_written_shard_beside_the_corpus_is_not_read(ray_session, tmp_path):
+    """A writer killed mid-shard leaves a truncated ``*.parquet.tmp`` in the
+    corpus directory; the read takes only the committed shards."""
+    corpus_dir = str(tmp_path / "corpus")
+    write_corpus_parquet(corpus_dir, 120, seed=43, rows_per_file=15)
+    with open(os.path.join(corpus_dir, "docs-000000120.parquet.tmp"), "wb") as f:
+        f.write(b"PAR1 truncated")
+    out = str(tmp_path / "out")
+    run_extract_checkpointed(read_documents(corpus_dir, num_blocks=8), out,
+                             settings=SETTINGS)
+    assert _spans(out) == _oracle_spans(generate_documents(120, seed=43))
+
+
 def test_empty_input_and_empty_blocks(ray_session, tmp_path):
     """No rows: no slot task and nothing committed. Empty blocks beside
     full ones are skipped, not cut into fragments."""

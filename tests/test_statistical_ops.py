@@ -1,6 +1,7 @@
 """Statistical / window / pivot / exact-Jaccard operator wave:
-moment-partial stddev+corr, mode with tie-break, pivot, lag deltas,
-inverted-index n-gram Jaccard (exact recall) and its cluster round-trip."""
+moment-partial corr, mode with tie-break, pivot, lag deltas,
+inverted-index n-gram Jaccard (exact recall) and its cluster round-trip,
+and rank statistics over document lengths."""
 
 from __future__ import annotations
 
@@ -11,20 +12,6 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_value_stats_moments_match_two_pass(ray_session):
-    from ocr_agent_ray.pipelines.relational import value_stats_by_type
-
-    got = value_stats_by_type(SF).sort_values("event_type").reset_index(drop=True)
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_type", "value"]).to_pandas()
-    want = ev.groupby("event_type")["value"].agg(["count", "mean", "std"])
-    want = want.sort_index()
-    assert list(got["event_type"]) == list(want.index)
-    np.testing.assert_allclose(got["mean_value"], want["mean"], atol=5e-7)
-    np.testing.assert_allclose(got["stddev_value"], want["std"], atol=5e-7)
-    assert got["n_events"].dtype == np.int64
 
 
 def test_corr_partials_match_numpy(ray_session):
@@ -162,20 +149,6 @@ def test_tfidf_ranks_rare_terms_over_ubiquitous(ray_session):
     assert (out["tfidf"] >= 0).all()
 
 
-def test_props_key_stats_extraction(ray_session):
-    import json
-
-    from ocr_agent_ray.pipelines.relational import props_key_stats
-
-    got = props_key_stats(SF)
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_type", "props"]).to_pandas()
-    ev["k"] = ev["props"].map(lambda s: json.loads(s)["k"])
-    want = ev.groupby("event_type")["k"].sum()
-    got_sum = got.set_index("event_type")["sum_k"]
-    assert got_sum.sort_index().equals(want.sort_index().astype("int64"))
-
-
 def test_priciest_part_argmax_tiebreak(ray_session):
     from ocr_agent_ray.pipelines.relational import priciest_part_per_brand
 
@@ -187,23 +160,6 @@ def test_priciest_part_argmax_tiebreak(ray_session):
         ties = sub[sub["p_retailprice"] == best]["p_partkey"].min()
         assert row["p_partkey"] == ties
         assert abs(row["p_retailprice"] - round(best, 2)) < 1e-9
-
-
-def test_set_ops_partition_purchasers(ray_session):
-    from ocr_agent_ray.pipelines.relational import (
-        purchasers_with_errors,
-        purchasers_without_errors,
-    )
-
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["user_id", "event_type"]).to_pandas()
-    p = set(ev.loc[ev["event_type"] == "purchase", "user_id"])
-    e = set(ev.loc[ev["event_type"] == "error", "user_id"])
-    without = set(purchasers_without_errors(SF)["user_id"])
-    with_ = set(purchasers_with_errors(SF)["user_id"])
-    assert without == p - e
-    assert with_ == p & e
-    assert without.isdisjoint(with_) and (without | with_) == p
 
 
 def test_revenue_by_nation_matches_pandas(ray_session):
@@ -237,11 +193,8 @@ def test_monthly_cum_revenue_monotone(ray_session):
     assert abs(out["cum_revenue"].iloc[-1] - out["revenue"].sum()) < 0.05
 
 
-def test_growth_and_retention_invariants(ray_session):
-    from ocr_agent_ray.pipelines.relational import (
-        weekly_retention,
-        yearly_order_growth,
-    )
+def test_yearly_order_growth_invariants(ray_session):
+    from ocr_agent_ray.pipelines.relational import yearly_order_growth
 
     g = yearly_order_growth(SF)
     assert g["year"].is_monotonic_increasing
@@ -249,29 +202,6 @@ def test_growth_and_retention_invariants(ray_session):
     assert (g["n_orders"].iloc[1:].to_numpy()
             - g["n_orders"].iloc[:-1].to_numpy()
             == g["delta"].iloc[1:].to_numpy()).all()
-
-    r = weekly_retention(SF)
-    assert (r["retained_users"] <= r["active_users"]).all()
-    assert r["week"].is_monotonic_increasing
-
-
-def test_anova_f_planted_two_groups(ray_session, tmp_path):
-    """Hand-computed one-way ANOVA: groups [1,2,3] and [4,5,6] give
-    SSB 13.5, SSW 4 -> F = 13.5, eta^2 = 13.5/17.5."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import anova_f_value_by_type
-
-    ev = pd.DataFrame({
-        "event_type": ["a"] * 3 + ["b"] * 3,
-        "value": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = anova_f_value_by_type(str(tmp_path))
-    assert got["n_groups"].tolist() == [2]
-    assert got["n_total"].tolist() == [6]
-    assert got["f_stat"].tolist() == [13.5]
-    assert got["eta_squared"].tolist() == [0.771429]
 
 
 def test_ks_planted_shifted_samples(ray_session, tmp_path):
@@ -413,65 +343,6 @@ def test_js_divergence_zero_and_symmetric(ray_session, tmp_path):
     assert abs(got.loc["A", "jsd"] - want) < 2e-6
 
 
-def test_welch_ttest_planted(ray_session, tmp_path):
-    """Hand-computed Welch: purchase [1,2,3] vs view [2,4,6,8] gives
-    v_a=1, v_b=20/3, se2=2, t=(2-5)/sqrt(2), df=216/53."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import welch_ttest_values
-
-    ev = pd.DataFrame({
-        "event_type": ["purchase"] * 3 + ["view"] * 4 + ["click"],
-        "value": [1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 8.0, 99.0]})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = welch_ttest_values(str(tmp_path))
-    assert got["n_a"].tolist() == [3] and got["n_b"].tolist() == [4]
-    assert got["mean_a"].tolist() == [2.0]
-    assert got["mean_b"].tolist() == [5.0]
-    assert got["t_stat"].tolist() == [round(-3.0 / np.sqrt(2.0), 6)]
-    assert got["df_welch"].tolist() == [round(216.0 / 53.0, 6)]
-
-    # degenerate: one side missing -> empty frame, stable schema
-    ev2 = ev[ev["event_type"] != "view"]
-    pq.write_table(pa.Table.from_pandas(ev2, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = welch_ttest_values(str(tmp_path))
-    assert len(got) == 0
-    assert list(got.columns) == ["type_a", "type_b", "n_a", "n_b",
-                                 "mean_a", "mean_b", "t_stat", "df_welch"]
-
-
-def test_skew_kurtosis_matches_pandas(ray_session, tmp_path):
-    """The adjusted-moment formulas equal pandas .skew()/.kurt()."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import skew_kurtosis_by_type
-
-    rng = np.random.RandomState(7)
-    vals = np.concatenate([rng.gamma(2.0, 10.0, 200),      # right-skewed
-                           rng.uniform(0.0, 100.0, 300)])   # flat
-    ev = pd.DataFrame({
-        "event_type": ["gamma"] * 200 + ["flat"] * 300,
-        "value": vals})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = skew_kurtosis_by_type(str(tmp_path)).set_index("event_type")
-    for t in ["gamma", "flat"]:
-        s = ev.loc[ev["event_type"] == t, "value"]
-        assert abs(got.loc[t, "skewness"] - s.skew()) < 1e-6, t
-        assert abs(got.loc[t, "kurtosis_excess"] - s.kurt()) < 1e-6, t
-    assert got.loc["gamma", "skewness"] > 0.5  # gamma(2) is right-skewed
-
-    # groups smaller than 4 rows are dropped (df in the corrections)
-    ev2 = pd.concat([ev, pd.DataFrame({
-        "event_type": ["tiny"] * 3, "value": [1.0, 2.0, 3.0]})])
-    pq.write_table(pa.Table.from_pandas(ev2, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = skew_kurtosis_by_type(str(tmp_path))
-    assert "tiny" not in got["event_type"].tolist()
-
-
 def test_ols_chars_model_matches_lstsq(ray_session, tmp_path):
     """Cramer-rule coefficients equal numpy lstsq on the design matrix;
     a perfectly linear corpus recovers the plant with r2 = 1."""
@@ -513,111 +384,3 @@ def test_ols_chars_model_matches_lstsq(ray_session, tmp_path):
     assert got["b1"].tolist() == [3.0]
     assert got["b2"].tolist() == [2.0]
     assert got["r2"].tolist() == [1.0]
-
-
-def test_cramers_v_planted(ray_session, tmp_path):
-    """A perfectly dependent 2x2 table gives V = 1; an independent one
-    gives V = 0 (both exact)."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import cramers_v_type_band
-
-    # perfect association: type A always low, type B always high
-    ev = pd.DataFrame({
-        "event_type": ["A"] * 40 + ["B"] * 60,
-        "value": [1.0] * 40 + [99.0] * 60})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cramers_v_type_band(str(tmp_path))
-    assert got["n"].tolist() == [100]
-    assert got["dof"].tolist() == [1]
-    assert got["cramers_v"].tolist() == [1.0]
-
-    # independence: identical band mix in both types -> chi2 = 0
-    ev2 = pd.DataFrame({
-        "event_type": ["A"] * 40 + ["B"] * 40,
-        "value": ([1.0] * 20 + [99.0] * 20) * 2})
-    pq.write_table(pa.Table.from_pandas(ev2, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cramers_v_type_band(str(tmp_path))
-    assert got["cramers_v"].tolist() == [0.0]
-
-    # single event type -> degenerate, empty with stable schema
-    ev3 = ev[ev["event_type"] == "A"]
-    pq.write_table(pa.Table.from_pandas(ev3, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = cramers_v_type_band(str(tmp_path))
-    assert len(got) == 0
-    assert list(got.columns) == ["n", "dof", "cramers_v"]
-
-
-def test_kruskal_wallis_planted_with_ties(ray_session, tmp_path):
-    """Groups a=[1,2,3], b=[2,3,4] with ties at 2 and 3 (verified by
-    hand: ranks 1, 2.5, 2.5, 4.5, 4.5, 6; R_a=8, R_b=13; scipy's
-    kruskal returns the tie-corrected 1.262626)."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import (
-        kruskal_wallis_value_by_type)
-
-    ev = pd.DataFrame({
-        "event_type": ["a"] * 3 + ["b"] * 3,
-        "value": [1.0, 2.0, 3.0, 2.0, 3.0, 4.0]})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = kruskal_wallis_value_by_type(str(tmp_path))
-    assert got["n_groups"].tolist() == [2]
-    assert got["n_total"].tolist() == [6]
-    # H = 12/42 * (64/3 + 169/3) - 21 = 1.190476
-    # C = 1 - ((8-2)+(8-2))/210 = 0.942857 -> Hc = 1.262626
-    assert got["h_stat"].tolist() == [1.190476]
-    assert got["h_tie_corrected"].tolist() == [1.262626]
-
-
-def test_mutual_information_planted_independent_and_dependent(
-        ray_session, tmp_path):
-    """A perfectly dependent 2x2 table has MI = ln 2 and NMI = 1; an
-    independent table has MI = 0."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import (
-        mutual_information_type_band)
-
-    dep = pd.DataFrame({
-        "event_type": ["a"] * 4 + ["b"] * 4,
-        "value": [1.0] * 4 + [90.0] * 4})
-    pq.write_table(pa.Table.from_pandas(dep, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = mutual_information_type_band(str(tmp_path))
-    assert got["mi_nats"].tolist() == [round(float(np.log(2.0)), 6)]
-    assert got["nmi"].tolist() == [1.0]
-
-    ind = pd.DataFrame({
-        "event_type": ["a", "a", "b", "b"],
-        "value": [1.0, 90.0, 1.0, 90.0]})
-    pq.write_table(pa.Table.from_pandas(ind, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = mutual_information_type_band(str(tmp_path))
-    assert got["mi_nats"].tolist() == [0.0]
-    assert got["nmi"].tolist() == [0.0]
-
-
-def test_exact_median_by_type_even_odd_and_ties(ray_session, tmp_path):
-    """Odd group picks the middle value; even group interpolates the
-    two middles; duplicated values land on the duplicate."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.relational import exact_median_by_type
-
-    ev = pd.DataFrame({
-        "event_type": ["odd"] * 3 + ["even"] * 4 + ["tied"] * 5,
-        "value": [3.0, 1.0, 2.0,
-                  4.0, 1.0, 3.0, 2.0,
-                  7.0, 7.0, 7.0, 1.0, 9.0]})
-    pq.write_table(pa.Table.from_pandas(ev, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    got = exact_median_by_type(str(tmp_path)).set_index("event_type")
-    assert got.loc["odd", "median_value"] == 2.0
-    assert got.loc["even", "median_value"] == 2.5
-    assert got.loc["tied", "median_value"] == 7.0
-    assert got["n"].tolist() == [4, 3, 5]

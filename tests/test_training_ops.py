@@ -266,22 +266,6 @@ def test_cube_counts_levels_consistent(ray_session):
     assert len(got) == len(fine) + len(by_source) + len(by_lang) + 1
 
 
-def test_customer_event_outer_covers_both_sides(ray_session):
-    from ocr_agent_ray.pipelines.relational import customer_event_outer
-
-    got = customer_event_outer(SF).to_pandas()
-    ev = pq.read_table(f"{SF}/events.parquet", columns=["user_id"]).to_pandas()
-    cust = pq.read_table(f"{SF}/customer.parquet",
-                         columns=["c_custkey"]).to_pandas()
-    assert set(got["user_id"]) == set(ev["user_id"]) | set(cust["c_custkey"])
-    # matched rows have both sides; unmatched keep typed nulls
-    matched = got[got["n_events"].notna() & got["c_name"].notna()]
-    assert set(matched["user_id"]) == set(ev["user_id"]) & set(cust["c_custkey"])
-    counts = ev["user_id"].value_counts()
-    sub = got[got["n_events"].notna()].set_index("user_id")["n_events"]
-    assert all(int(sub.loc[u]) == int(c) for u, c in counts.items())
-
-
 def test_media_manifest_matches_derivation(ray_session):
     from ocr_agent_ray.pipelines.interleave import media_manifest
 
@@ -577,131 +561,3 @@ def test_multimodal_pack_invariants(ray_session):
     a = got.sort_values(key).reset_index(drop=True)
     b = again.sort_values(key).reset_index(drop=True)
     assert a.equals(b)
-
-
-def test_ab_test_zscore_planted_split(ray_session, tmp_path):
-    """Arms split by user_id parity: 100 even users with 30 converting,
-    100 odd users with 60 converting — z must equal the pooled
-    two-proportion formula computed by hand; multi-event users count
-    once."""
-    from ocr_agent_ray.pipelines.relational import ab_test_zscore
-
-    rows = []
-    eid = 0
-    t0 = pd.Timestamp("2024-05-01")
-    for u in range(200):
-        arm = u % 2
-        rank = u // 2
-        converts = rank < (30 if arm == 0 else 60)
-        rows.append((eid, t0, u, "view")); eid += 1
-        if converts:  # duplicate purchases must not double-count
-            rows.append((eid, t0, u, "purchase")); eid += 1
-            rows.append((eid, t0, u, "purchase")); eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-
-    got = ab_test_zscore(str(tmp_path))
-    got = (got if isinstance(got, pd.DataFrame) else got.to_pandas()).iloc[0]
-    assert (got["n_a"], got["n_b"]) == (100, 100)
-    assert (got["conv_a"], got["conv_b"]) == (30, 60)
-    assert got["p_a"] == 0.3 and got["p_b"] == 0.6
-    assert got["lift"] == 0.3
-    pp = 90 / 200
-    se = np.sqrt(pp * (1 - pp) * (1 / 100 + 1 / 100))
-    assert abs(got["z_score"] - round(0.3 / se, 6)) < 5.1e-7
-
-
-def _write_daily_events(tmp_path, counts, day0="2024-06-03"):
-    rows, eid = [], 0
-    t0 = pd.Timestamp(day0)
-    for d, c in enumerate(counts):
-        for i in range(c):
-            rows.append((eid, t0 + pd.Timedelta(days=d, minutes=i),
-                         1, "view"))
-            eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["value"] = 1.0
-    df["props"] = "{}"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-    return t0
-
-
-def test_holt_linear_matches_recurrence_with_gap(ray_session, tmp_path):
-    """Holt output equals a direct recurrence replay, including a
-    missing calendar day gapfilled as 0, and the level tracks a linear
-    ramp to within the smoothing lag."""
-    from ocr_agent_ray.pipelines.relational import holt_linear_daily
-
-    counts = [4, 6, 8, 10, 0, 14, 16, 18, 20, 22]  # day 4 written as gap
-    rows_counts = list(counts)
-    rows_counts[4] = 0  # plant the gap by emitting no events that day
-    t0 = _write_daily_events(tmp_path, rows_counts)
-
-    got = holt_linear_daily(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert len(got) == 10
-    assert got["cnt"].tolist() == rows_counts
-    x = np.array(rows_counts, dtype=np.float64)
-    s, b = [x[0]], [x[1] - x[0]]
-    for t in range(1, len(x)):
-        s_new = 0.5 * x[t] + 0.5 * (s[-1] + b[-1])
-        b.append(0.3 * (s_new - s[-1]) + 0.7 * b[-1])
-        s.append(s_new)
-    assert np.allclose(got["level"], np.round(s, 6), atol=5.1e-7)
-    assert np.allclose(got["trend_rate"], np.round(b, 6), atol=5.1e-7)
-    assert abs(got["trend_rate"].iloc[-1] - 2.0) < 1.5  # ~ +2/day ramp
-
-
-def test_holt_winters_constant_and_seasonal(ray_session, tmp_path):
-    """A constant series is a fixed point (level=c, trend=0,
-    seasonal=0); a pure additive weekly pattern replays the direct
-    recurrence including the rotating seasonal buffer."""
-    from ocr_agent_ray.pipelines.relational import holt_winters_daily
-
-    _write_daily_events(tmp_path, [5] * 21)
-    got = holt_winters_daily(str(tmp_path))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert len(got) == 14
-    assert got["level"].tolist() == [5.0] * 14
-    assert got["trend_rate"].tolist() == [0.0] * 14
-    assert got["seasonal"].tolist() == [0.0] * 14
-
-    effect = [0, 3, 1, 4, 2, 6, 5]
-    counts = [10 + effect[d % 7] for d in range(28)]
-    tmp2 = tmp_path / "seasonal"
-    tmp2.mkdir()
-    _write_daily_events(tmp2, counts)
-    got = holt_winters_daily(str(tmp2))
-    got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
-    assert len(got) == 21
-    x = np.array(counts, dtype=np.float64)
-    lev = x[:7].mean()
-    b = (x[7:14].mean() - x[:7].mean()) / 7.0
-    buf = list(x[:7] - lev)
-    want_l, want_b, want_s = [], [], []
-    for t in range(7, 28):
-        s_old = buf[0]
-        l_new = 0.5 * (x[t] - s_old) + 0.5 * (lev + b)
-        b_new = 0.3 * (l_new - lev) + 0.7 * b
-        s_new = 0.2 * (x[t] - l_new) + 0.8 * s_old
-        buf = buf[1:] + [s_new]
-        want_l.append(l_new); want_b.append(b_new); want_s.append(s_new)
-        lev, b = l_new, b_new
-    assert np.allclose(got["level"], np.round(want_l, 6), atol=5.1e-7)
-    assert np.allclose(got["trend_rate"], np.round(want_b, 6),
-                       atol=5.1e-7)
-    assert np.allclose(got["seasonal"], np.round(want_s, 6),
-                       atol=5.1e-7)
-    # the seasonal state converges toward the centered weekly effect
-    last_week = got["seasonal"].tail(7).to_numpy()
-    dow = np.array(effect[(21 + 0) % 7:] + effect[:(21 + 0) % 7],
-                   dtype=np.float64)
-    assert np.corrcoef(last_week, dow - dow.mean())[0, 1] > 0.9

@@ -1,7 +1,7 @@
-"""Cluster-validity (Calinski-Harabasz, Davies-Bouldin), variance-
-homogeneity (Brown-Forsythe), daily-series outlier/drift (Grubbs,
-Page-Hinkley), vocabulary richness (Yule's K) and retrieval evaluation
-(NDCG) — planted hand-computed cases plus dense references."""
+"""Cluster validity (Calinski-Harabasz, Davies-Bouldin), vocabulary
+richness (Yule's K, Chao1), retrieval evaluation (NDCG, AP, MRR),
+near-dup graph statistics, sampling and curation audits over documents
+and embeddings — planted hand-computed cases plus dense references."""
 
 from __future__ import annotations
 
@@ -9,48 +9,17 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 
-def _write_events(tmp_path, df):
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "events.parquet"))
-
-
-def _write_embeddings(tmp_path, vecs, labels):
+def _write_embeddings(tmp_path, vecs, labels, first_id=0):
     tbl = pa.table({
-        "vec_id": pa.array(range(len(vecs)), pa.int64()),
+        "vec_id": pa.array(range(first_id, first_id + len(vecs)),
+                           pa.int64()),
         "embedding": pa.array([list(map(float, v)) for v in vecs],
                               pa.list_(pa.float32())),
         "label": pa.array(labels, pa.int32())})
     pq.write_table(tbl, str(tmp_path / "embeddings.parquet"))
-
-
-def test_levene_brown_forsythe_planted(ray_session, tmp_path):
-    """a=[1..4] (z sums 4, 5 -> ssw 1), b=[10,20,30,40] (ssw 100);
-    grand z-mean 5.5 -> ssb 162, W = 162/(101/6) = 9.623762."""
-    from ocr_agent_ray.pipelines.relational import levene_test_value_by_type
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 4 + ["b"] * 4,
-        "value": [1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]}))
-    got = levene_test_value_by_type(str(tmp_path))
-    assert got["n_groups"].tolist() == [2]
-    assert got["n_total"].tolist() == [8]
-    assert got["ssb_z"].tolist() == [162.0]
-    assert got["ssw_z"].tolist() == [101.0]
-    assert got["w_stat"].tolist() == [round(162.0 / (101.0 / 6.0), 6)]
-
-
-def test_levene_equal_spread_is_zero(ray_session, tmp_path):
-    """Identical spreads around different centers -> z distributions
-    identical -> SSB 0 -> W = 0 (location shift alone never fires)."""
-    from ocr_agent_ray.pipelines.relational import levene_test_value_by_type
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 3 + ["b"] * 3,
-        "value": [1.0, 2.0, 3.0, 101.0, 102.0, 103.0]}))
-    got = levene_test_value_by_type(str(tmp_path))
-    assert got["w_stat"].tolist() == [0.0]
 
 
 def test_calinski_harabasz_planted(ray_session, tmp_path):
@@ -197,23 +166,6 @@ def test_ndcg_matches_dense_reference(ray_session, tmp_path):
     assert got.loc[0, "ndcg"] < 1.0
 
 
-def test_tukey_hsd_planted(ray_session, tmp_path):
-    """Three groups [1,2,3],[4,5,6],[7,8,9]: MSW = 1, every pair's
-    se2 = 1/3; adjacent pairs q = 3*sqrt(3), outer pair q = 6*sqrt(3)."""
-    from ocr_agent_ray.pipelines.relational import tukey_hsd_value_by_type
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 3 + ["b"] * 3 + ["c"] * 3,
-        "value": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]}))
-    got = tukey_hsd_value_by_type(str(tmp_path))
-    assert got[["type_a", "type_b"]].values.tolist() == [
-        ["a", "b"], ["a", "c"], ["b", "c"]]
-    assert got["mean_diff"].tolist() == [-3.0, -6.0, -3.0]
-    q1 = round(3.0 / np.sqrt(1.0 / 3.0), 6)
-    q2 = round(6.0 / np.sqrt(1.0 / 3.0), 6)
-    assert got["q_stat"].tolist() == [q1, q2, q1]
-
-
 def test_avg_precision_all_relevant_is_one(ray_session, tmp_path):
     """Every candidate passes the relevance bar -> every P@i is 1 ->
     AP = 1 exactly."""
@@ -306,9 +258,10 @@ def test_adamic_adar_triangle_no_predictions(ray_session):
                                  "aa_score"]
 
 
-def _write_docs(tmp_path, texts, sources):
+def _write_docs(tmp_path, texts, sources, first_id=0):
     docs = pd.DataFrame({
-        "doc_id": range(len(texts)), "text": texts,
+        "doc_id": np.arange(len(texts), dtype=np.int64) + first_id,
+        "text": texts,
         "lang": ["en"] * len(texts), "source": sources,
         "n_chars": [len(t) for t in texts]})
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
@@ -388,39 +341,24 @@ def test_gmm_em_matches_dense_reference(ray_session, tmp_path):
     assert got["weight"].tolist() == [0.5, 0.5]
 
 
-def test_isotonic_pava_pooling(ray_session, tmp_path):
-    """Raw rates [0, 1, 0, 1] over increasing values pool the middle
-    violator pair to 0.5: iso = [0, 0.5, 0.5, 1]."""
-    from ocr_agent_ray.pipelines.relational import (
-        isotonic_conversion_curve)
+def test_gmm_em_seeds_from_the_lowest_ids(ray_session, tmp_path):
+    """Seeds are the k lowest vec_ids wherever the ids start: ids from
+    1,000 give the same mixture as ids from 0. A table with fewer than k
+    vectors is refused."""
+    from ocr_agent_ray.pipelines.similarity import gmm_em_embeddings
 
-    rows = []
-    for v, types in ((1.0, ["view", "view"]),
-                     (2.0, ["purchase", "purchase"]),
-                     (3.0, ["view", "view"]),
-                     (4.0, ["purchase", "purchase"])):
-        for t in types:
-            rows.append((t, v))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_type", "value"]))
-    got = isotonic_conversion_curve(str(tmp_path))
-    assert got["value"].tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert got["rate_raw"].tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert got["rate_iso"].tolist() == [0.0, 0.5, 0.5, 1.0]
-    # monotone by construction
-    assert (np.diff(got["rate_iso"]) >= 0).all()
-
-
-def test_isotonic_monotone_on_sf(ray_session):
-    from ocr_agent_ray.pipelines.relational import (
-        isotonic_conversion_curve)
-
-    got = isotonic_conversion_curve("/root/testdata/sf0.001")
-    assert len(got) > 0
-    assert (np.diff(got["rate_iso"]) >= -1e-12).all()
-    # pooled means preserve the overall conversion mass
-    assert abs((got["rate_iso"] * got["n"]).sum()
-               - (got["rate_raw"] * got["n"]).sum()) < 1e-3
+    rng = np.random.RandomState(11)
+    vecs = np.vstack([rng.randn(20, 3) * 0.5,
+                      rng.randn(20, 3) * 0.5 + 6.0]).astype(np.float32)
+    got = {}
+    for first_id in (0, 1000):
+        d = tmp_path / str(first_id)
+        d.mkdir()
+        _write_embeddings(d, vecs.tolist(), [0] * 40, first_id=first_id)
+        got[first_id] = gmm_em_embeddings(str(d), k=3, iters=3)
+    pd.testing.assert_frame_equal(got[0], got[1000])
+    with pytest.raises(ValueError, match="k=41"):
+        gmm_em_embeddings(str(tmp_path / "0"), k=41)
 
 
 def test_burrows_delta_identical_sources_zero(ray_session, tmp_path):
@@ -489,6 +427,25 @@ def test_bottomk_sample_merge_invariance(ray_session, tmp_path):
         .sort_values(["priority", "doc_id"]).head(16)
     assert got["doc_id"].tolist() == want["doc_id"].tolist()
     assert got["priority"].tolist() == want["priority"].tolist()
+
+
+def test_bottomk_priority_exact_past_the_int64_product(ray_session,
+                                                       tmp_path):
+    """The int64 product wraps for doc_id above ~3.46e9, but 2^32
+    divides 2^64, so the priority still equals exact integer
+    arithmetic, up to the largest int64 id."""
+    from ocr_agent_ray.pipelines.relational import bottomk_sample_documents
+
+    ids = [0, 3_470_000_000, 2 ** 40 + 7, 2 ** 62 + 12345, 2 ** 63 - 1]
+    docs = pd.DataFrame({
+        "doc_id": np.array(ids, dtype=np.int64),
+        "text": ["t"] * 5, "lang": ["en"] * 5,
+        "source": ["s"] * 5, "n_chars": [1] * 5})
+    pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
+                   str(tmp_path / "documents.parquet"))
+    got = bottomk_sample_documents(str(tmp_path), k=5).set_index("doc_id")
+    assert {d: int(got.loc[d, "priority"]) for d in ids} == {
+        d: d * 2654435761 % 2 ** 32 for d in ids}
 
 
 def test_degree_powerlaw_planted_star(ray_session):
@@ -699,72 +656,6 @@ def test_twonn_dimension_planted_manifold(ray_session, tmp_path):
     assert 0.5 < got["intrinsic_dim"].iloc[0] < 8.0
 
 
-def test_isotonic_is_optimal_against_perturbation(ray_session,
-                                                  tmp_path):
-    """PAVA output minimizes weighted squared error among monotone
-    fits: any small monotone perturbation scores no better."""
-    from ocr_agent_ray.pipelines.relational import (
-        isotonic_conversion_curve)
-
-    rng = np.random.RandomState(17)
-    rows = []
-    for v in range(1, 13):
-        n = int(rng.randint(2, 6))
-        k = int(rng.randint(0, n + 1))
-        for i in range(n):
-            rows.append(("purchase" if i < k else "view", float(v)))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_type", "value"]))
-    got = isotonic_conversion_curve(str(tmp_path))
-    w = got["n"].to_numpy(np.float64)
-    y = got["rate_raw"].to_numpy(np.float64)
-    f = got["rate_iso"].to_numpy(np.float64)
-    assert (np.diff(f) >= -1e-12).all()
-    base = float((w * (y - f) ** 2).sum())
-    for _ in range(200):
-        g = f + rng.randn(len(f)) * 0.01
-        g = np.maximum.accumulate(g)          # force monotone
-        g = np.clip(g, 0.0, 1.0)
-        assert float((w * (y - g) ** 2).sum()) >= base - 1e-9
-
-
-def test_cvar_planted_tail(ray_session, tmp_path):
-    """20 values 1..20: VaR95 interpolates at position 18.05 ->
-    19.05; the tail {19.05 <= v} = {20}? No — v >= 19.05 keeps 20
-    only... values 19 < 19.05 so tail = {20}, CVaR = 20."""
-    from ocr_agent_ray.pipelines.relational import cvar_by_type
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 20,
-        "value": [float(i) for i in range(1, 21)]}))
-    got = cvar_by_type(str(tmp_path)).set_index("event_type")
-    pos = 19 * 0.95
-    var = 19.0 + (20.0 - 19.0) * (pos - int(pos))
-    assert got.loc["a", "var_q"] == round(var, 6)
-    assert got.loc["a", "n_tail"] == 1
-    assert got.loc["a", "cvar_q"] == 20.0
-
-
-def test_trimmed_mean_planted(ray_session, tmp_path):
-    """Values 1..10 with trim 0.1 -> drop 1 from each end ->
-    mean(2..9) = 5.5; outliers at the ends don't move it."""
-    from ocr_agent_ray.pipelines.relational import trimmed_mean_by_type
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 10,
-        "value": [float(i) for i in range(1, 11)]}))
-    got = trimmed_mean_by_type(str(tmp_path)).set_index("event_type")
-    assert got.loc["a", "n_trimmed_each"] == 1
-    assert got.loc["a", "trimmed_mean"] == 5.5
-
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * 10,
-        "value": [-1000.0] + [float(i) for i in range(2, 10)]
-        + [1000.0]}))
-    got = trimmed_mean_by_type(str(tmp_path)).set_index("event_type")
-    assert got.loc["a", "trimmed_mean"] == 5.5
-
-
 def test_threshold_sweep_monotone_and_planted(ray_session):
     """Edge/node counts are non-increasing in the threshold, and a
     planted pair table sweeps exactly."""
@@ -781,21 +672,6 @@ def test_threshold_sweep_monotone_and_planted(ray_session):
     assert got["n_pairs"].tolist() == [4, 3, 2, 2, 1]
     assert got["n_docs_touched"].tolist() == [8, 6, 4, 4, 2]
     assert (np.diff(got["n_pairs"]) <= 0).all()
-
-
-def test_hill_tail_index_planted_pareto(ray_session, tmp_path):
-    """Exact Pareto(alpha=2) order statistics x_(i) = (n/i)^(1/2):
-    the Hill estimate over the top k recovers alpha to ~15%."""
-    from ocr_agent_ray.pipelines.relational import hill_tail_index
-
-    n = 2000
-    i = np.arange(1, n + 1, dtype=np.float64)
-    x = (n / i) ** 0.5                       # deterministic quantiles
-    _write_events(tmp_path, pd.DataFrame({
-        "event_type": ["a"] * n, "value": x}))
-    got = hill_tail_index(str(tmp_path), k=100)
-    assert got["k"].tolist() == [100]
-    assert abs(got["hill_alpha"].iloc[0] - 2.0) < 0.3
 
 
 def test_ipf_raking_converges_to_uniform_marginals(ray_session,
@@ -860,29 +736,6 @@ def test_bh_terms_planted_extreme_term(ray_session, tmp_path):
     assert 0.0 < got["bh_threshold"].iloc[0] <= 0.05
 
 
-def test_simpson_planted_flip(ray_session, tmp_path):
-    """Two strata each trending DOWN, but the later stratum sits
-    higher -> pooled correlation is positive while both within-type
-    correlations are negative: sign_flip = 1 for both."""
-    from ocr_agent_ray.pipelines.relational import simpson_paradox_check
-
-    rows = []
-    base = pd.Timestamp("2024-01-01")
-    for i in range(10):  # type a: early, values 10 -> 1 (down)
-        rows.append(("a", base + pd.Timedelta(hours=i),
-                     10.0 - float(i)))
-    for i in range(10):  # type b: later, values 110 -> 101 (down)
-        rows.append(("b", base + pd.Timedelta(days=5, hours=i),
-                     110.0 - float(i)))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_type", "ts", "value"]))
-    got = simpson_paradox_check(str(tmp_path)).set_index("event_type")
-    assert got.loc["a", "corr_within"] < 0
-    assert got.loc["b", "corr_within"] < 0
-    assert (got["pooled_corr"] > 0).all()
-    assert got["sign_flip"].tolist() == [1, 1]
-
-
 def test_dedup_savings_planted(ray_session, tmp_path):
     """Three copies of one doc plus a unique doc: 2 dropped, savings =
     dropped chars / total chars; first-wins keeps the lowest id."""
@@ -935,6 +788,33 @@ def test_cluster_source_ari_planted_agreement(ray_session, tmp_path):
     assert got["ari"].iloc[0] == 1.0
 
 
+def test_cluster_source_ari_exact_for_ids_past_float_precision(ray_session,
+                                                              tmp_path):
+    """Doc ids above 2^53 give the same result as ids from 0: no doc or
+    cluster id goes through float64, so singletons in one source never
+    share a cluster and no pair is lost or merged."""
+    from ocr_agent_ray.pipelines.dedup import cluster_source_ari
+
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(5000)]
+
+    def _unique():
+        return " ".join(rng.choice(vocab, 40))
+
+    # a family split across sources, then runs of singletons per source
+    texts = (["the quick brown fox jumps over the lazy dog " * 3] * 3
+             + [_unique() for _ in range(9)])
+    sources = ["s1", "s2", "s1"] + ["s1"] * 4 + ["s2"] * 5
+    got = {}
+    for first_id in (0, 2 ** 53 + 1):
+        d = tmp_path / str(first_id)
+        d.mkdir()
+        _write_docs(d, texts, sources, first_id=first_id)
+        got[first_id] = cluster_source_ari(str(d))
+    pd.testing.assert_frame_equal(got[0], got[2 ** 53 + 1])
+    assert got[0]["sum_comb_cells"].tolist() == [1]
+
+
 def test_mrr_planted_first_hit(ray_session, tmp_path):
     """Candidate pool where length normalization puts a low-relevance
     doc first: the first rel>=3 doc's 1-based rank drives 1/r; a
@@ -958,198 +838,3 @@ def test_mrr_planted_first_hit(ray_session, tmp_path):
     # query 1 ("vector","stream"): doc 2 has rel 2 < 3 -> no hit
     assert pd.isna(got.loc[1, "first_rel_rank"])
     assert got.loc[1, "reciprocal_rank"] == 0.0
-
-
-def test_mcnemar_planted_discordant(ray_session, tmp_path):
-    """Users: two first-half-only converters, one second-half-only,
-    one concordant, one never: b=2, c=1 -> stat 1/3, corrected 0."""
-    from ocr_agent_ray.pipelines.relational import mcnemar_conversion
-
-    rows = []
-    # stream spans day 0 .. day 10; midpoint = day 5
-    def ev(uid, day, etype):
-        rows.append((len(rows), pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(days=day), uid, etype, 0.0))
-    ev(1, 0, "view"); ev(1, 1, "purchase")            # b (first only)
-    ev(2, 1, "purchase")                              # b (first only)
-    ev(3, 8, "purchase")                              # c (second only)
-    ev(4, 1, "purchase"); ev(4, 8, "purchase")        # concordant 1/1
-    ev(5, 2, "view"); ev(5, 10, "view")               # never converts
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = mcnemar_conversion(str(tmp_path))
-    assert got["n_users"].tolist() == [5]
-    assert got["b_first_only"].tolist() == [2]
-    assert got["c_second_only"].tolist() == [1]
-    assert got["mcnemar_stat"].tolist() == [round(1.0 / 3.0, 6)]
-    assert got["mcnemar_cc"].tolist() == [0.0]
-
-
-def test_fisher_exact_matches_scipy_style_reference(ray_session,
-                                                    tmp_path):
-    """Hand hypergeometric: arms of 4 users each, 3 vs 1 converters ->
-    upper tail P(X >= 3) = (C(4,3)C(4,1) + C(4,4)C(4,0)) / C(8,4)
-    = 17/70; odds ratio (3*3)/(1*1) = 9."""
-    from ocr_agent_ray.pipelines.relational import fisher_exact_conversion
-
-    rows = []
-    # arm = user_id % 2: even users arm A, odd users arm B
-    for uid in range(8):
-        arm_a = uid % 2 == 0
-        converts = (uid in (0, 2, 4)) if arm_a else (uid == 1)
-        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                     "purchase" if converts else "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = fisher_exact_conversion(str(tmp_path))
-    assert got["conv_a"].tolist() == [3]
-    assert got["conv_b"].tolist() == [1]
-    assert got["odds_ratio"].tolist() == [9.0]
-    assert got["p_one_sided"].tolist() == [round(17.0 / 70.0, 6)]
-
-
-def test_bayes_ab_symmetry_and_known_value(ray_session, tmp_path):
-    """Symmetric arms -> P(B > A) = 0.5 by symmetry minus the tie
-    mass... actually for continuous Beta posteriors P = 0.5 exactly
-    when the arms are identical; a dominant B pushes P toward 1.
-    Known small case verified against numeric integration."""
-    from ocr_agent_ray.pipelines.relational import bayes_ab_conversion
-
-    rows = []
-    def users(n, conv_even, conv_odd):
-        for uid in range(n):
-            conv = conv_even if uid % 2 == 0 else conv_odd
-            c = conv(uid) if callable(conv) else (uid // 2 < conv)
-            rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                         "purchase" if c else "view", 0.0))
-    # identical arms: 2 of 4 convert on each side
-    users(8, 2, 2)
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = bayes_ab_conversion(str(tmp_path))
-    assert got["p_b_beats_a"].tolist() == [0.5]
-
-    # dominant B: 1/4 vs 4/4
-    rows.clear()
-    users(8, 1, 4)
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = bayes_ab_conversion(str(tmp_path))
-    assert got["conv_a"].tolist() == [1]
-    assert got["conv_b"].tolist() == [4]
-    # numeric double-check via a dense posterior grid (no scipy):
-    # p ~ Beta(2,4) vs Beta(5,1); P(B>A) by 2-D Riemann sum
-    import math
-    g = np.linspace(1e-6, 1 - 1e-6, 2000)
-    def beta_pdf(x, a, b):
-        lb = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return np.exp((a - 1) * np.log(x) + (b - 1) * np.log(1 - x) - lb)
-    fa = beta_pdf(g, 2, 4)
-    fb = beta_pdf(g, 5, 1)
-    fa /= fa.sum()
-    cb = np.cumsum(fb / fb.sum())
-    want = float((fa * (1.0 - cb)).sum())
-    assert abs(got["p_b_beats_a"].iloc[0] - want) < 2e-3
-
-
-def test_fisher_exact_matches_rational_arithmetic(ray_session,
-                                                  tmp_path):
-    """The lgamma tail sum agrees with the EXACT rational
-    hypergeometric sum (math.comb + Fraction) to 1e-12 on several
-    planted tables."""
-    from fractions import Fraction
-    from math import comb
-
-    from ocr_agent_ray.pipelines.relational import fisher_exact_conversion
-
-    cases = [(5, 2, 6, 1), (4, 3, 4, 1), (7, 5, 6, 2), (3, 0, 3, 2)]
-    for n_a, ca, n_b, cb in cases:
-        rows = []
-        eid = 0
-        for uid_half in range(max(n_a, n_b)):
-            for arm, (nn, cc) in enumerate(((n_a, ca), (n_b, cb))):
-                if uid_half >= nn:
-                    continue
-                uid = uid_half * 2 + arm
-                conv = uid_half < cc
-                rows.append((eid, pd.Timestamp("2024-01-01"), uid,
-                             "purchase" if conv else "view", 0.0))
-                eid += 1
-        _write_events(tmp_path, pd.DataFrame(
-            rows, columns=["event_id", "ts", "user_id", "event_type",
-                           "value"]))
-        got = fisher_exact_conversion(str(tmp_path))
-        n = n_a + n_b
-        r1, c1 = n_a, ca + cb
-        want = Fraction(0)
-        for k in range(ca, min(r1, c1) + 1):
-            if c1 - k > n - r1:
-                continue
-            want += Fraction(comb(r1, k) * comb(n - r1, c1 - k),
-                             comb(n, c1))
-        assert abs(got["p_one_sided"].iloc[0] - float(want)) < 1e-6, \
-            (n_a, ca, n_b, cb, got["p_one_sided"].iloc[0], float(want))
-
-
-def test_power_analysis_known_rates(ray_session, tmp_path):
-    """30% vs 60% conversion with 10 users/arm: closed form
-    n = 2.801585^2 * (0.21 + 0.24) / 0.09."""
-    from ocr_agent_ray.pipelines.relational import (
-        power_analysis_conversion)
-
-    rows = []
-    for uid in range(20):
-        half = uid // 2
-        conv = half < 3 if uid % 2 == 0 else half < 6
-        rows.append((len(rows), pd.Timestamp("2024-01-01"), uid,
-                     "purchase" if conv else "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = power_analysis_conversion(str(tmp_path))
-    assert got["p_a"].tolist() == [0.3]
-    assert got["p_b"].tolist() == [0.6]
-    z = 1.959964 + 0.841621
-    want = z * z * (0.3 * 0.7 + 0.6 * 0.4) / (0.3 * 0.3)
-    assert got["n_required_per_arm"].tolist() == [round(want, 6)]
-
-
-def test_forecast_backtest_linear_series_holt_wins(ray_session,
-                                                   tmp_path):
-    """On a pure linear trend Holt converges to near-zero error while
-    naive pays the slope every step -> skill_ratio >> 1."""
-    from ocr_agent_ray.pipelines.relational import forecast_backtest_daily
-
-    rows = []
-    for d in range(30):
-        for _ in range(10 + 5 * d):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = forecast_backtest_daily(str(tmp_path))
-    assert got["n_forecasts"].tolist() == [28]
-    assert got["mae_naive"].tolist() == [5.0]
-    # Holt's state tracks a pure line EXACTLY (s stays on the line,
-    # b equals the slope) -> zero error, skill pinned to NULL
-    assert got["mae_holt"].tolist() == [0.0]
-    assert np.isnan(got["skill_ratio"].iloc[0])
-
-    # a trending series with alternating wiggle: Holt still beats
-    # naive (which pays slope + wiggle every step)
-    rows = []
-    for d in range(30):
-        for _ in range(10 + 5 * d + (3 if d % 2 else 0)):
-            rows.append((len(rows), pd.Timestamp("2024-01-01")
-                         + pd.Timedelta(days=d), 0, "view", 0.0))
-    _write_events(tmp_path, pd.DataFrame(
-        rows, columns=["event_id", "ts", "user_id", "event_type",
-                       "value"]))
-    got = forecast_backtest_daily(str(tmp_path))
-    assert got["mae_holt"].iloc[0] > 0.0
-    assert got["skill_ratio"].iloc[0] > 1.0
