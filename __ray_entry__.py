@@ -67,12 +67,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return rd.read_parquet(f"{sf_dir}/embeddings.parquet")
 
-    def _copurchase_as_edges(b):
-        import pandas as pd
-
-        return pd.DataFrame({"doc_id_a": b["part_a"].astype("int64"),
-                             "doc_id_b": b["part_b"].astype("int64")})
-
     def _html_main_text(sf_dir: str):
         from ocr_agent_ray.stages.boilerplate import html_main_text
 
@@ -83,66 +77,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return topk_words_sketch(_docs(sf_dir))
 
-    def _smb_orders_customer(sf_dir: str):
-        """Sort-merge-bucket join demo: write both tables hash-bucketed
-        by custkey (shuffle-free bucketed write), then join co-bucketed
-        directories with zero shuffle — the pay-the-shuffle-once layout
-        for repeated joins. Fresh /tmp layout per call (idempotence)."""
-        import tempfile
-
-        import ray.data as rd
-
-        from ocr_agent_ray.pipelines.smb import smb_join, write_bucketed
-
-        root = tempfile.mkdtemp(prefix="smb_q_")
-        orders = rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_custkey", "o_orderkey", "o_totalprice"],
-        ).map_batches(
-            lambda b: b.rename(columns={"o_custkey": "c_custkey"}),
-            batch_format="pandas")
-        cust = rd.read_parquet(
-            f"{sf_dir}/customer.parquet",
-            columns=["c_custkey", "c_name", "c_mktsegment"])
-        write_bucketed(orders, f"{root}/orders", key="c_custkey",
-                       num_buckets=16)
-        write_bucketed(cust, f"{root}/customer", key="c_custkey",
-                       num_buckets=16)
-        return smb_join(f"{root}/orders", f"{root}/customer",
-                        on="c_custkey")
-
     def _corpus_report(sf_dir: str):
         from ocr_agent_ray.pipelines.profiling import corpus_report
 
         return corpus_report(sf_dir)
-
-    def _bloom_pruned_join(sf_dir: str):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        import ray.data as rd
-
-        from ocr_agent_ray.pipelines.joins import bloom_pruned_join
-
-        li = rd.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_extendedprice"],
-        ).map_batches(
-            lambda b: b.rename(columns={"l_orderkey": "o_orderkey"}),
-            batch_format="pandas")
-        big_orders = rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_totalprice"],
-            filter=pc.field("o_totalprice") > 450000.0)
-        out = bloom_pruned_join(
-            li, big_orders, on="o_orderkey",
-            left_schema=pa.schema([("o_orderkey", pa.int64()),
-                                   ("l_extendedprice", pa.float64())]),
-            right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                    ("o_totalprice", pa.float64())]))
-        return out.map_batches(
-            lambda b: b[["o_orderkey", "l_extendedprice", "o_totalprice"]],
-            batch_format="pandas")
 
     def _cms_probe_counts(sf_dir: str):
         import ray.data as rd
@@ -164,45 +102,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         return curation_funnel_extended(sf_dir)
 
-    def _profile_columns(sf_dir: str):
-        from ocr_agent_ray.pipelines.profiling import profile_columns
-
-        return profile_columns(sf_dir)
-
-    def _check_constraints(sf_dir: str):
-        from ocr_agent_ray.pipelines.profiling import check_constraints
-
-        return check_constraints(sf_dir)
-
     relational_hash_sample = relational.hash_sample_documents
 
     qs = {
         # --- relational (SURVEY §2.5-2.7 analogs) -------------------------
         "q_supported_path_filter": relational.supported_path_filter,
         "q_page_fanout": relational.page_fanout,
-        "q_suppliers_per_region": relational.suppliers_per_region,
-        "q_customer_balance_by_nation": relational.customer_balance_by_nation,
-        "q_top_orders_by_revenue": relational.top_orders_by_revenue,
-        "q_distinct_segments": relational.distinct_segments,
-        "q_customer_nation_native_join": relational.customer_nation_native_join,
-        "q_part_price_stats": relational.part_price_stats,
-        "q_orders_in_range_by_priority": relational.orders_in_range_by_priority,
-        "q_top_orders_per_priority": relational.top_orders_per_priority,
-        "q_nations_concat": relational.nations_per_region_concat,
-        "q_acctbal_histogram": relational.acctbal_histogram,
-        "q_corr_qty_price": relational.corr_qty_price,
-        "q_mode_segment_by_nation": relational.mode_segment_by_nation,
-        "q_orders_status_pivot": relational.orders_status_pivot,
-        "q_orders_status_unpivot": relational.orders_status_unpivot,
-        "q_weekday_orders": relational.weekday_order_counts,
-        "q_urgent_customers": relational.urgent_customers,
-        "q_orders_page": relational.orders_page,
-        "q_revenue_by_nation": relational.revenue_by_nation,
-        "q_priciest_part_per_brand": relational.priciest_part_per_brand,
-        "q_priority_share": relational.priority_share,
-        "q_monthly_cum_revenue": relational.monthly_cum_revenue,
-        "q_yearly_order_growth": relational.yearly_order_growth,
-        "q_customer_name_ids": relational.customer_name_ids,
         # --- text analysis ------------------------------------------------
         "q_quality_scores": text.quality_scores,
         "q_token_count_by_source": text.token_count_total,
@@ -236,7 +141,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_gini_doc_lengths": text.gini_doc_lengths,
         "q_docs_for_80pct": text.docs_for_80pct,
         "q_blocklist_hits": text.blocklist_hits,
-        "q_pareto_skyline": relational.pareto_skyline,
         "q_pack_sequences": text.pack_sequences,  # rows-only (iterative next-fit)
         "q_chunk_documents": text.chunk_documents,
         "q_winsorize_lengths": text.winsorize_doc_lengths,
@@ -262,26 +166,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_source_quota_cap": relational.source_quota_cap,
         "q_train_val_test_split": relational.train_val_test_split,
         "q_weighted_sample": relational.weighted_sample_documents,
-        "q_fuzzy_name_pairs": relational.fuzzy_name_pairs,
-        "q_jaro_winkler_pairs": relational.jaro_winkler_pairs,
-        "q_sorted_neighborhood": relational.sorted_neighborhood_pairs,
-        "q_entity_resolution": relational.entity_resolution,
-        "q_als_rmse": similarity.als_factorize,  # rows-only (iterative ALS; convergence + determinism pytest)
         "q_shuffle_order": relational.shuffle_order,
         "q_length_ntile": relational.length_ntile,
-        "q_price_bands": relational.price_band_lookup,
         "q_partition_checksums": relational.partition_checksums,
-        "q_bloom_pruned_join": _bloom_pruned_join,
         "q_corpus_report": _corpus_report,
         "q_merge_upsert": relational.merge_upsert_documents,
         "q_merge_cdc": relational.merge_cdc_documents,
         "q_snapshot_diff": relational.snapshot_diff_documents,
-        "q_benford_digits": relational.benford_first_digit,
-        "q_weighted_median": relational.weighted_median_price,
-        "q_price_band_join": relational.price_band_join,
-        "q_copurchase_pairs": relational.copurchase_pairs,
-        "q_copurchase_triples": relational.copurchase_triples,
-        "q_order_gap_days": relational.customer_order_gap_days,
         "q_ols_chars_model": relational.ols_chars_model,
         "q_heaps_law": text.heaps_law_fit,
         "q_term_burstiness": relational.term_burstiness,
@@ -290,8 +181,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_spearman_len_tokens": text.spearman_chars_tokens,
         "q_quality_pct_rank": text.quality_pct_rank_by_source,
         "q_source_js_divergence": text.source_js_divergence,
-        "q_profile_columns": _profile_columns,
-        "q_check_constraints": _check_constraints,
         "q_cube_counts": relational.cube_counts,
         "q_dup_gram_spans": lambda sf: dedup.duplicate_gram_spans(_docs(sf)),
         # --- dedup ---------------------------------------------------------
@@ -382,26 +271,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_contamination_fraction": text.contamination_fraction,
         "q_type_token_stats": text.type_token_stats,
         "q_pca_project": similarity.pca_project,  # rows-only (eigendecomposition; dense-numpy pytest)
-        "q_edit_distance_pairs": relational.edit_distance_pairs,
         "q_knn_graph": similarity.knn_graph_ivf,  # rows-only (approximate ANN graph; recall pytest)
         "q_quality_classifier": text.quality_classifier_scores,  # rows-only (iterative GD; dense-numpy pytest)
         # --- round-4 fourth-session additions ------------------------------
         "q_dup_graph_kcore": lambda sf: dedup.dup_graph_kcore(
             _docs(sf), k=2, pairs=dedup.shared_ngram_pairs(sf)
         ),  # rows-only (iterative peel; brute-force-peel pytest)
-        "q_smb_orders_customer": _smb_orders_customer,
         # --- round-5 fourth-session additions ------------------------------
         "q_calinski_harabasz": similarity.calinski_harabasz,
         "q_davies_bouldin": similarity.davies_bouldin,
         "q_yule_k": text.yule_k_by_source,
         "q_ndcg_search": text.ndcg_search,
         "q_avg_precision_search": text.avg_precision_search,
-        # AA over the CO-PURCHASE graph (the near-dup graph is
-        # transitively closed on this corpus — template families are
-        # cliques, so it has no 2-hop non-edges to predict)
-        "q_adamic_adar": lambda sf: dedup.dup_graph_adamic_adar(
-            None, pairs=relational.copurchase_pairs(sf).map_batches(
-                _copurchase_as_edges, batch_format="pandas")),
         "q_chao1_richness": text.chao1_richness,
         "q_log_odds_terms": text.log_odds_terms,
         "q_gmm_em": similarity.gmm_em_embeddings,  # rows-only (iterative EM; dense-numpy pytest)
@@ -443,9 +324,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_flagship_span_counts", "q_media_manifest", "q_page_fanout",
         "q_exact_dedup", "q_minhash_pairs", "q_ngram_jaccard",
         "q_curation_funnel", "q_dedup_keep_first",
-        # NOTES.md round-5 queue — never driver-sampled before
-        "q_readability", "q_price_band_join", "q_dup_graph_hops",
-        "q_copurchase_pairs", "q_copurchase_triples", "q_unicode_clean",
+        # round-5 queue (NOTES.md) and document search filters
+        "q_readability", "q_alnum_filter", "q_dup_graph_hops",
+        "q_rare_word_docs", "q_bm25_search", "q_unicode_clean",
         # near-dup graph family (shared pairs cache this round)
         "q_neighbor_jaccard", "q_dup_graph_triangles",
         "q_dup_source_matrix", "q_dedup_best_survivor",
@@ -458,14 +339,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_quality_scores", "q_c4_clean", "q_repetition_scores",
         "q_pii_scrub", "q_decontaminate", "q_chunk_documents",
         "q_token_count_by_source", "q_fingerprints",
-        # relational — never driver-sampled before
-        "q_edit_distance_pairs", "q_entity_resolution",
-        "q_smb_orders_customer", "q_merge_cdc", "q_snapshot_diff",
-        # text curation / statistics — never driver-sampled before
-        "q_naive_bayes_langid", "q_indexed_search", "q_pareto_skyline",
+        # document-table relational ops
+        "q_partition_checksums", "q_sample_n",
+        "q_hash_sample", "q_merge_cdc", "q_snapshot_diff",
+        # text curation / statistics
+        "q_naive_bayes_langid", "q_indexed_search", "q_gopher_quality",
         "q_gini_doc_lengths", "q_blocklist_hits", "q_boilerplate_strip",
         "q_contamination_fraction", "q_type_token_stats",
-        "q_benford_digits", "q_doc_length_zscore",
+        "q_embedding_norms", "q_doc_length_zscore",
     ]
     assert len(priority) == 50, len(priority)
     assert all(k in qs for k in priority), [k for k in priority
@@ -562,47 +443,9 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, UNNEST(range((n_chars % 5) + 1)) AS page_index, "
             "(n_chars % 5) + 1 AS total_pages FROM documents"
         ),
-        "q_suppliers_per_region": (
-            "SELECT r_name, COUNT(*) AS n_suppliers FROM supplier "
-            "JOIN nation ON s_nationkey = n_nationkey "
-            "JOIN region ON n_regionkey = r_regionkey GROUP BY r_name"
-        ),
-        "q_customer_balance_by_nation": (
-            "SELECT n_name, ROUND(SUM(c_acctbal)/COUNT(*), 2) AS avg_acctbal, "
-            "COUNT(*) AS n_customers FROM customer "
-            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-        ),
-        "q_top_orders_by_revenue": (
-            "SELECT o_orderkey, o_orderpriority, "
-            "ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "GROUP BY o_orderkey, o_orderpriority "
-            "ORDER BY revenue DESC, o_orderkey LIMIT 10"
-        ),
-        "q_distinct_segments": "SELECT DISTINCT c_mktsegment FROM customer",
-        "q_customer_nation_native_join": (
-            "SELECT c_custkey, c_name, n_name FROM customer "
-            "JOIN nation ON c_nationkey = n_nationkey"
-        ),
         "q_hash_sample": (
             "SELECT doc_id, source FROM documents "
             "WHERE md5(CAST(doc_id AS VARCHAR)) < '2'"
-        ),
-        "q_part_price_stats": (
-            "SELECT p_brand, ROUND(MIN(p_retailprice), 2) AS min_price, "
-            "ROUND(MAX(p_retailprice), 2) AS max_price, COUNT(*) AS n_parts "
-            "FROM part GROUP BY p_brand"
-        ),
-        "q_orders_in_range_by_priority": (
-            "SELECT o_orderpriority, COUNT(*) AS n_orders FROM orders "
-            "WHERE o_orderdate >= TIMESTAMP '1996-01-01' "
-            "AND o_orderdate < TIMESTAMP '1997-01-01' GROUP BY o_orderpriority"
-        ),
-        "q_top_orders_per_priority": (
-            "SELECT o_orderkey, o_orderpriority, o_totalprice, "
-            "row_number() OVER (PARTITION BY o_orderpriority "
-            "ORDER BY o_totalprice DESC, o_orderkey) AS rnk "
-            "FROM orders QUALIFY rnk <= 2"
         ),
         "q_quality_scores": (
             "WITH base AS ("
@@ -675,21 +518,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM (SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS v, "
             "generate_subscripts(embedding, 1) AS i FROM embeddings) "
             "GROUP BY label, i"
-        ),
-        "q_nations_concat": (
-            "SELECT r_name, string_agg(n_name, ',' ORDER BY n_name) AS nations, "
-            "CAST(COUNT(*) AS BIGINT) AS n_nations "
-            "FROM nation JOIN region ON n_regionkey = r_regionkey "
-            "GROUP BY r_name"
-        ),
-        "q_acctbal_histogram": (
-            # width_bucket semantics spelled out (no such fn in this DuckDB):
-            # lo=-1000, hi=10000, 11 bins of width 1000
-            "SELECT CAST(CASE WHEN c_acctbal < -1000.0 THEN 0 "
-            "WHEN c_acctbal >= 10000.0 THEN 12 "
-            "ELSE 1 + FLOOR((c_acctbal + 1000.0) / 1000.0) END AS BIGINT) "
-            "AS bucket, CAST(COUNT(*) AS BIGINT) AS n "
-            "FROM customer GROUP BY bucket"
         ),
         "q_stratified_sample": (
             "SELECT doc_id, source FROM ("
@@ -765,45 +593,6 @@ def oracle_sql() -> dict[str, str]:
             "cont AS (SELECT DISTINCT gr.doc_id FROM grams gr JOIN bench b USING(g)) "
             "SELECT d.doc_id, (c.doc_id IS NOT NULL) AS contaminated "
             "FROM documents d LEFT JOIN cont c USING(doc_id)"
-        ),
-        "q_corr_qty_price": (
-            "SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n_items, "
-            "ROUND(covar_samp(l_quantity, l_extendedprice), 4) AS covar, "
-            "ROUND(corr(l_quantity, l_extendedprice), 6) AS corr_coef "
-            "FROM lineitem GROUP BY l_returnflag"
-        ),
-        "q_mode_segment_by_nation": (
-            "SELECT c_nationkey, c_mktsegment AS mode_segment, "
-            "CAST(n AS BIGINT) AS n FROM ("
-            "SELECT c_nationkey, c_mktsegment, COUNT(*) AS n, "
-            "row_number() OVER (PARTITION BY c_nationkey "
-            "ORDER BY COUNT(*) DESC, c_mktsegment) AS rn "
-            "FROM customer GROUP BY c_nationkey, c_mktsegment) WHERE rn = 1"
-        ),
-        "q_orders_status_unpivot": (
-            "SELECT o_orderpriority, s.status, "
-            "CAST(COUNT(*) FILTER (WHERE o_orderstatus = s.status) "
-            "AS BIGINT) AS n FROM orders "
-            "CROSS JOIN (SELECT unnest(['F', 'O', 'P']) AS status) s "
-            "GROUP BY 1, 2"
-        ),
-        "q_orders_status_pivot": (
-            "SELECT o_orderpriority, "
-            "CAST(SUM(CASE WHEN o_orderstatus = 'F' THEN 1 ELSE 0 END) AS BIGINT) AS n_f, "
-            "CAST(SUM(CASE WHEN o_orderstatus = 'O' THEN 1 ELSE 0 END) AS BIGINT) AS n_o, "
-            "CAST(SUM(CASE WHEN o_orderstatus = 'P' THEN 1 ELSE 0 END) AS BIGINT) AS n_p, "
-            "CAST(COUNT(*) AS BIGINT) AS n_total "
-            "FROM orders GROUP BY o_orderpriority"
-        ),
-        "q_weekday_orders": (
-            "SELECT CAST(isodow(o_orderdate) AS BIGINT) AS isodow, "
-            "CAST(COUNT(*) AS BIGINT) AS n_orders "
-            "FROM orders GROUP BY 1"
-        ),
-        "q_urgent_customers": (
-            "SELECT c_custkey, c_name, c_acctbal FROM customer "
-            "WHERE c_custkey IN (SELECT o_custkey FROM orders "
-            "WHERE o_orderpriority = '1-URGENT')"
         ),
         "q_ngram_jaccard": _NGRAM_PAIRS_SQL + (
             "SELECT doc_id_a, doc_id_b, jaccard FROM pairs"
@@ -893,45 +682,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT d.doc_id, d.source, d.n_chars FROM documents d "
             "LEFT JOIN cl ON d.doc_id = cl.doc_id "
             "WHERE cl.doc_id IS NULL OR cl.doc_id = cl.cluster_id"
-        ),
-        "q_orders_page": (
-            "SELECT o_orderkey, o_totalprice FROM orders "
-            "ORDER BY o_totalprice DESC, o_orderkey LIMIT 10 OFFSET 20"
-        ),
-        "q_revenue_by_nation": (
-            "SELECT n_name, "
-            "ROUND(SUM(rev), 2) AS revenue, CAST(COUNT(*) AS BIGINT) AS n_orders "
-            "FROM (SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS rev "
-            "FROM lineitem GROUP BY l_orderkey) r "
-            "JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation ON c_nationkey = n_nationkey "
-            "GROUP BY n_name"
-        ),
-        "q_priciest_part_per_brand": (
-            "SELECT p_brand, p_partkey, p_name, ROUND(p_retailprice, 2) "
-            "AS p_retailprice FROM ("
-            "SELECT *, row_number() OVER (PARTITION BY p_brand "
-            "ORDER BY p_retailprice DESC, p_partkey) AS rn FROM part) "
-            "WHERE rn = 1"
-        ),
-        "q_yearly_order_growth": (
-            "WITH y AS (SELECT CAST(year(o_orderdate) AS BIGINT) AS year, "
-            "CAST(COUNT(*) AS BIGINT) AS n_orders FROM orders GROUP BY 1) "
-            "SELECT year, n_orders, "
-            "lag(n_orders) OVER (ORDER BY year) AS prev_n, "
-            "n_orders - lag(n_orders) OVER (ORDER BY year) AS delta FROM y"
-        ),
-        "q_priority_share": (
-            "SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n, "
-            "ROUND(CAST(COUNT(*) AS DOUBLE) / SUM(COUNT(*)) OVER (), 6) AS share "
-            "FROM orders GROUP BY o_orderpriority"
-        ),
-        "q_monthly_cum_revenue": (
-            "WITH m AS (SELECT CAST(date_trunc('month', o_orderdate) AS TIMESTAMP) AS month, "
-            "SUM(o_totalprice) AS rev FROM orders GROUP BY 1) "
-            "SELECT month, ROUND(rev, 2) AS revenue, "
-            "ROUND(SUM(rev) OVER (ORDER BY month), 2) AS cum_revenue FROM m"
         ),
         "q_heaps_law": (
             # log-log OLS over per-doc (tokens, distinct tokens);
@@ -1095,11 +845,6 @@ def oracle_sql() -> dict[str, str]:
             "END AS pct_rank FROM s "
             "JOIN cc ON cc.source = s.source AND cc.v = s.quality_score "
             "JOIN t ON t.source = s.source"
-        ),
-        "q_customer_name_ids": (
-            "SELECT c_custkey, "
-            "CAST(regexp_extract(c_name, '#(\\d+)', 1) AS BIGINT) AS name_id "
-            "FROM customer"
         ),
         "q_doc_length_zscore": (
             "SELECT doc_id, source, "
@@ -1791,14 +1536,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(SUM(hits) AS BIGINT) AS total_hits "
             "FROM h GROUP BY source"
         ),
-        "q_pareto_skyline": (
-            "SELECT p_partkey, p_retailprice, p_size FROM part p "
-            "WHERE NOT EXISTS (SELECT 1 FROM part q "
-            "WHERE q.p_retailprice <= p.p_retailprice "
-            "AND q.p_size >= p.p_size "
-            "AND (q.p_retailprice < p.p_retailprice "
-            "     OR q.p_size > p.p_size))"
-        ),
         "q_paragraph_dedup": (
             "WITH l AS (SELECT doc_id, "
             "unnest(string_split(text, chr(10)||chr(10))) AS para, "
@@ -1823,65 +1560,6 @@ def oracle_sql() -> dict[str, str]:
             "CASE CAST(regexp_extract(source, 'src(\\d+)', 1) AS BIGINT) % 5 "
             "WHEN 0 THEN '1999' WHEN 1 THEN '3333' WHEN 2 THEN '4ccc' "
             "WHEN 3 THEN '6666' ELSE '8000' END"
-        ),
-        "q_fuzzy_name_pairs": (
-            # names are equal-length within this dataset; hamming() on the
-            # nation-blocked self-join mirrors the pipeline's byte-matrix
-            # compare
-            "SELECT CAST(a.c_nationkey AS BIGINT) AS c_nationkey, "
-            "a.c_custkey AS custkey_a, b.c_custkey AS custkey_b, "
-            "CAST(hamming(a.c_name, b.c_name) AS BIGINT) AS hamming_dist "
-            "FROM customer a JOIN customer b "
-            "ON a.c_nationkey = b.c_nationkey "
-            "AND a.c_custkey < b.c_custkey "
-            "AND hamming(a.c_name, b.c_name) <= 2"
-        ),
-        "q_jaro_winkler_pairs": (
-            # the pipeline's pair-vectorized kernel reproduces DuckDB's
-            # jaro_winkler_similarity bitwise (60k-pair fuzz), so both
-            # the >= cut and ROUND agree exactly
-            "SELECT CAST(a.c_nationkey AS BIGINT) AS c_nationkey, "
-            "a.c_custkey AS custkey_a, b.c_custkey AS custkey_b, "
-            "ROUND(jaro_winkler_similarity(a.c_name, b.c_name), 6) AS jw "
-            "FROM customer a JOIN customer b "
-            "ON a.c_nationkey = b.c_nationkey "
-            "AND a.c_custkey < b.c_custkey "
-            "AND jaro_winkler_similarity(a.c_name, b.c_name) >= 0.97"
-        ),
-        "q_sorted_neighborhood": (
-            # rank-window self-join: every record vs its window-1
-            # successors in (c_name, c_custkey) order; jw bitwise per
-            # the shared kernel
-            "WITH ranked AS (SELECT c_custkey, c_name, "
-            "row_number() OVER (ORDER BY c_name, c_custkey) AS r "
-            "FROM customer) "
-            "SELECT a.c_custkey AS custkey_a, b.c_custkey AS custkey_b, "
-            "CAST(b.r - a.r AS BIGINT) AS rank_gap, "
-            "ROUND(jaro_winkler_similarity(a.c_name, b.c_name), 6) AS jw "
-            "FROM ranked a JOIN ranked b "
-            "ON b.r - a.r BETWEEN 1 AND 4"
-        ),
-        "q_entity_resolution": (
-            # fuzzy pairs -> recursive-CTE components -> canonical min-key
-            # entity + size (same equal-length hamming() caveat as
-            # q_fuzzy_name_pairs)
-            "WITH RECURSIVE fp AS (SELECT a.c_custkey AS ka, "
-            "b.c_custkey AS kb FROM customer a JOIN customer b "
-            "ON a.c_nationkey = b.c_nationkey "
-            "AND a.c_custkey < b.c_custkey "
-            "AND hamming(a.c_name, b.c_name) <= 2), "
-            "edges AS (SELECT ka AS a, kb AS b FROM fp "
-            "UNION ALL SELECT kb, ka FROM fp), "
-            "reach(id, lbl) AS ("
-            "  SELECT DISTINCT a, a FROM edges"
-            "  UNION"
-            "  SELECT e.a, r.lbl FROM edges e JOIN reach r ON r.id = e.b), "
-            "comp AS (SELECT id AS c_custkey, MIN(lbl) AS entity_id "
-            "FROM reach GROUP BY id), "
-            "sz AS (SELECT entity_id, CAST(COUNT(*) AS BIGINT) "
-            "AS entity_size FROM comp GROUP BY 1) "
-            "SELECT comp.c_custkey, comp.entity_id, sz.entity_size "
-            "FROM comp JOIN sz USING (entity_id)"
         ),
         "q_weighted_sample": (
             # Efraimidis-Spirakis key u^(1/w): u = first 4 md5 bytes /
@@ -1920,16 +1598,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, n_chars, CAST(ntile(4) OVER ("
             "ORDER BY n_chars, doc_id) AS BIGINT) AS tile FROM documents"
         ),
-        "q_price_bands": (
-            "SELECT band, CAST(COUNT(*) AS BIGINT) AS n_items, "
-            "ROUND(SUM(l_extendedprice), 2) AS total_price "
-            "FROM lineitem JOIN (VALUES "
-            "('budget', 0.0, 5000.0), ('economy', 5000.0, 20000.0), "
-            "('mid', 20000.0, 50000.0), ('premium', 50000.0, 90000.0), "
-            "('luxury', 90000.0, 1e12)) AS b(band, lo, hi) "
-            "ON l_extendedprice >= lo AND l_extendedprice < hi "
-            "GROUP BY band"
-        ),
         "q_partition_checksums": (
             "WITH f AS (SELECT doc_id, doc_id // 64 AS part, md5(text) AS fp "
             "FROM documents) "
@@ -1937,12 +1605,6 @@ def oracle_sql() -> dict[str, str]:
             "md5(string_agg(CAST(doc_id AS VARCHAR) || ':' || fp, '|' "
             "ORDER BY doc_id)) AS checksum "
             "FROM f GROUP BY part"
-        ),
-        "q_bloom_pruned_join": (
-            "SELECT l.l_orderkey AS o_orderkey, l.l_extendedprice, "
-            "o.o_totalprice FROM lineitem l "
-            "JOIN orders o ON l.l_orderkey = o.o_orderkey "
-            "WHERE o.o_totalprice > 450000.0"
         ),
         "q_corpus_report": (
             "WITH q AS (SELECT doc_id, source, lang, "
@@ -1978,14 +1640,6 @@ def oracle_sql() -> dict[str, str]:
         "q_sample_n": (
             "SELECT doc_id, source FROM documents "
             "ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id LIMIT 50"
-        ),
-        "q_order_gap_days": (
-            "WITH g AS (SELECT o_custkey, CAST(date_diff('microsecond', "
-            "LAG(o_orderdate) OVER (PARTITION BY o_custkey "
-            "ORDER BY o_orderdate), o_orderdate) AS DOUBLE) / 86400e6 "
-            "AS gap FROM orders) "
-            "SELECT o_custkey, ROUND(AVG(gap), 6) AS avg_gap_days "
-            "FROM g WHERE gap IS NOT NULL GROUP BY o_custkey"
         ),
         "q_merge_upsert": (
             "WITH base AS (SELECT doc_id, text, CAST(0 AS BIGINT) AS version, "
@@ -2054,27 +1708,6 @@ def oracle_sql() -> dict[str, str]:
             "FROM rk JOIN documents d ON d.doc_id = rk.doc_id "
             "WHERE rk.r = 1"
         ),
-        "q_copurchase_pairs": (
-            # market-basket pair support; DISTINCT orderkey guards
-            # against a part repeated within one order
-            "SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-            "CAST(COUNT(DISTINCT a.l_orderkey) AS BIGINT) AS n_orders "
-            "FROM lineitem a JOIN lineitem b "
-            "ON a.l_orderkey = b.l_orderkey "
-            "AND a.l_partkey < b.l_partkey "
-            "GROUP BY 1, 2 HAVING COUNT(DISTINCT a.l_orderkey) >= 2"
-        ),
-        "q_copurchase_triples": (
-            "SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-            "c.l_partkey AS part_c, "
-            "CAST(COUNT(DISTINCT a.l_orderkey) AS BIGINT) AS n_orders "
-            "FROM lineitem a JOIN lineitem b "
-            "ON a.l_orderkey = b.l_orderkey "
-            "AND a.l_partkey < b.l_partkey "
-            "JOIN lineitem c ON a.l_orderkey = c.l_orderkey "
-            "AND b.l_partkey < c.l_partkey "
-            "GROUP BY 1, 2, 3 HAVING COUNT(DISTINCT a.l_orderkey) >= 2"
-        ),
         "q_unicode_clean": (
             # same rules, same order: tab/newline -> space, control
             # strip, THEN NFC (nfc_normalize truncates at embedded NUL,
@@ -2090,45 +1723,6 @@ def oracle_sql() -> dict[str, str]:
             "regexp_replace(COALESCE(text, ''), '[\\t\\n\\r]', ' ', 'g'), "
             "'[\\x00-\\x1f\\x7f-\\x9f]', '', 'g')), '  +', ' ', 'g'), ' ') "
             "<> COALESCE(text, '') AS BIGINT) AS changed FROM documents"
-        ),
-        "q_price_band_join": (
-            # non-equi band self-join, canonical (price, key) ascending
-            # orientation; delta pinned to the pipeline default 2.0
-            "SELECT a.o_orderkey AS key_a, b.o_orderkey AS key_b, "
-            "a.o_totalprice AS price_a, b.o_totalprice AS price_b, "
-            "ROUND(b.o_totalprice - a.o_totalprice, 6) AS diff "
-            "FROM orders a JOIN orders b "
-            "ON b.o_totalprice >= a.o_totalprice "
-            "AND b.o_totalprice <= a.o_totalprice + 2.0 "
-            "AND (a.o_totalprice < b.o_totalprice OR "
-            "(a.o_totalprice = b.o_totalprice "
-            "AND a.o_orderkey < b.o_orderkey))"
-        ),
-        "q_weighted_median": (
-            # smallest x whose cumulative quantity-weight reaches half
-            # the total; quantities are integer-valued so all float
-            # sums/compares are exact
-            "WITH g AS (SELECT l_returnflag AS k, l_extendedprice AS x, "
-            "SUM(l_quantity) AS w FROM lineitem GROUP BY 1, 2), "
-            "t AS (SELECT k, SUM(w) AS tot FROM g GROUP BY 1), "
-            "c AS (SELECT g.k, g.x, SUM(g.w) OVER (PARTITION BY g.k "
-            "ORDER BY g.x ROWS UNBOUNDED PRECEDING) AS cum, t.tot "
-            "FROM g JOIN t USING (k)) "
-            "SELECT k AS l_returnflag, MIN(x) AS weighted_median "
-            "FROM c WHERE cum >= 0.5 * tot GROUP BY 1"
-        ),
-        "q_benford_digits": (
-            "WITH d AS (SELECT CAST(FLOOR(o_totalprice "
-            "/ POWER(10.0, FLOOR(LOG10(o_totalprice)))) AS BIGINT) "
-            "AS digit FROM orders WHERE o_totalprice > 0), "
-            "c AS (SELECT digit, CAST(COUNT(*) AS BIGINT) AS n "
-            "FROM d GROUP BY 1), "
-            "t AS (SELECT CAST(SUM(n) AS DOUBLE) AS total FROM c) "
-            "SELECT digit, n, "
-            "ROUND(CAST(n AS DOUBLE) / (SELECT total FROM t), 6) "
-            "AS observed_p, "
-            "ROUND(LOG10(1.0 + 1.0 / CAST(digit AS DOUBLE)), 6) "
-            "AS expected_p FROM c"
         ),
         "q_snapshot_diff": (
             "WITH base AS (SELECT doc_id, text FROM documents), "
@@ -2273,39 +1867,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT source, lang, CAST(COUNT(*) AS BIGINT) AS n "
             "FROM documents GROUP BY CUBE(source, lang)"
         ),
-        "q_profile_columns": (
-            "SELECT 'o_custkey' AS \"column\", "
-            "CAST(COUNT(*) AS BIGINT) AS n_rows, "
-            "CAST(COUNT(*) - COUNT(o_custkey) AS BIGINT) AS n_nulls, "
-            "CAST(COUNT(DISTINCT o_custkey) AS BIGINT) AS n_distinct, "
-            "CAST(MIN(o_custkey) AS VARCHAR) AS min_v, "
-            "CAST(MAX(o_custkey) AS VARCHAR) AS max_v FROM orders "
-            "UNION ALL SELECT 'o_orderstatus', CAST(COUNT(*) AS BIGINT), "
-            "CAST(COUNT(*) - COUNT(o_orderstatus) AS BIGINT), "
-            "CAST(COUNT(DISTINCT o_orderstatus) AS BIGINT), "
-            "CAST(MIN(o_orderstatus) AS VARCHAR), "
-            "CAST(MAX(o_orderstatus) AS VARCHAR) FROM orders "
-            "UNION ALL SELECT 'o_orderpriority', CAST(COUNT(*) AS BIGINT), "
-            "CAST(COUNT(*) - COUNT(o_orderpriority) AS BIGINT), "
-            "CAST(COUNT(DISTINCT o_orderpriority) AS BIGINT), "
-            "CAST(MIN(o_orderpriority) AS VARCHAR), "
-            "CAST(MAX(o_orderpriority) AS VARCHAR) FROM orders"
-        ),
-        "q_check_constraints": (
-            "SELECT 'orders_orderkey_unique' AS rule, "
-            "CAST(COUNT(*) - COUNT(DISTINCT o_orderkey) AS BIGINT) "
-            "AS n_violations, "
-            "(COUNT(*) = COUNT(DISTINCT o_orderkey)) AS passed FROM orders "
-            "UNION ALL SELECT 'orders_custkey_fk', "
-            "CAST(COUNT(*) AS BIGINT), COUNT(*) = 0 FROM orders "
-            "WHERE o_custkey NOT IN (SELECT c_custkey FROM customer) "
-            "UNION ALL SELECT 'lineitem_orderkey_fk', "
-            "CAST(COUNT(*) AS BIGINT), COUNT(*) = 0 FROM lineitem "
-            "WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders) "
-            "UNION ALL SELECT 'events_value_nonneg', "
-            "CAST(COUNT(*) AS BIGINT), COUNT(*) = 0 FROM events "
-            "WHERE value < 0"
-        ),
         "q_dup_gram_spans": (
             # 8-gram duplicate spans; DuckDB list slice t[i:i+7] is
             # 1-based INCLUSIVE = 8 tokens; starts i = 1..len-7
@@ -2378,21 +1939,6 @@ def oracle_sql() -> dict[str, str]:
             "ROUND(CAST(SUM(CASE WHEN n = 1 THEN 1 ELSE 0 END) AS DOUBLE)"
             "/COUNT(*), 6) AS hapax_ratio "
             "FROM c GROUP BY source"
-        ),
-        "q_edit_distance_pairs": (
-            # the quadratic self-join the FastSS blocking avoids; the
-            # length prefilter only speeds DuckDB up, it cannot change
-            # the answer (|len diff| > 1 forces distance > 1)
-            "SELECT a.c_custkey AS custkey_a, b.c_custkey AS custkey_b, "
-            "CAST(levenshtein(a.c_name, b.c_name) AS BIGINT) AS edit_dist "
-            "FROM customer a JOIN customer b ON a.c_custkey < b.c_custkey "
-            "AND abs(length(a.c_name) - length(b.c_name)) <= 1 "
-            "WHERE levenshtein(a.c_name, b.c_name) <= 1"
-        ),
-        "q_smb_orders_customer": (
-            "SELECT o_custkey AS c_custkey, o_orderkey, o_totalprice, "
-            "c_name, c_mktsegment FROM orders "
-            "JOIN customer ON o_custkey = c_custkey"
         ),
         "q_calinski_harabasz": (
             # variance-ratio index from per-label (n, Σv, Σ|v|²) sums;
@@ -2562,33 +2108,6 @@ def oracle_sql() -> dict[str, str]:
             "CASE WHEN r.n_rel = 0 THEN 0.0 ELSE ROUND(ap.num "
             "/ CAST(LEAST(r.n_rel, 20) AS DOUBLE), 6) END AS ap "
             "FROM r JOIN ap ON r.qid = ap.qid ORDER BY 1"
-        ),
-        "q_adamic_adar": (
-            # AA link prediction over the co-purchase graph (support
-            # >= 2): wedge weight 1/ln(deg(center)) (deg >= 2 by wedge
-            # construction), sum per non-adjacent pair, top-100 by
-            # ROUNDED score (the RRF rounded-rank contract), ties (a,b)
-            "WITH pairs AS (SELECT a.l_partkey AS doc_id_a, "
-            "b.l_partkey AS doc_id_b FROM lineitem a JOIN lineitem b "
-            "ON a.l_orderkey = b.l_orderkey "
-            "AND a.l_partkey < b.l_partkey GROUP BY 1, 2 "
-            "HAVING COUNT(DISTINCT a.l_orderkey) >= 2), "
-            "sym AS (SELECT doc_id_a AS u, doc_id_b AS v FROM pairs "
-            "UNION ALL SELECT doc_id_b, doc_id_a FROM pairs), "
-            "deg AS (SELECT u, CAST(COUNT(*) AS BIGINT) AS d FROM sym "
-            "GROUP BY 1), "
-            "w AS (SELECT a.u AS ctr, a.v AS p, b.v AS q FROM sym a "
-            "JOIN sym b ON a.u = b.u AND a.v < b.v), "
-            "aa AS (SELECT w.p, w.q, CAST(COUNT(*) AS BIGINT) "
-            "AS n_common, SUM(1.0 / ln(CAST(deg.d AS DOUBLE))) "
-            "AS score FROM w JOIN deg ON deg.u = w.ctr GROUP BY 1, 2), "
-            "ne AS (SELECT aa.* FROM aa WHERE NOT EXISTS "
-            "(SELECT 1 FROM pairs WHERE pairs.doc_id_a = aa.p "
-            "AND pairs.doc_id_b = aa.q)) "
-            "SELECT p AS doc_id_a, q AS doc_id_b, n_common, "
-            "ROUND(score, 6) AS aa_score FROM ne "
-            "QUALIFY row_number() OVER (ORDER BY ROUND(score, 6) DESC, "
-            "p, q) <= 100"
         ),
         "q_chao1_richness": (
             # bias-corrected Chao1 per source from the word-count

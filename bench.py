@@ -104,12 +104,6 @@ def _run_flagship(work_ms: float | None = None) -> dict:
 
 
 QUERY_NAMES = [
-    # q_als_rmse runs FIRST: BASELINE r4 measured its in-bench wall at
-    # 11.2s vs ~8s standalone — interference from lingering media
-    # actor pools spun up mid-sweep. The iterative solve now runs on a
-    # quiet cluster, and the pool-spinning media queries run LAST.
-    "q_als_rmse",
-    "q_top_orders_by_revenue",
     "q_quality_scores",
     "q_exact_dedup",
     "q_dedup_keep_first",
@@ -130,11 +124,9 @@ QUERY_NAMES = [
     "q_chars_quantiles_by_source",
     "q_decontaminate",
     "q_knn_ivf",
-    "q_corr_qty_price",
     "q_ngram_jaccard",
     "q_ngram_dup_clusters",
     "q_tfidf_top_terms",
-    "q_revenue_by_nation",
     "q_doc_length_zscore",
     "q_decontaminate_bloom",
     "q_line_dedup",
@@ -155,7 +147,6 @@ QUERY_NAMES = [
     "q_mad_lengths",
     "q_ngram_dup_degrees",
     "q_multimodal_pack",
-    "q_bloom_pruned_join",
     "q_bigram_perplexity",
     "q_source_vocab_overlap",
     "q_sentence_stats",
@@ -171,7 +162,6 @@ QUERY_NAMES = [
     "q_indexed_search",
     "q_merge_upsert",
     "q_weighted_sample",
-    "q_fuzzy_name_pairs",
     "q_dup_graph_triangles",
     "q_media_router_stats",
     "q_dup_graph_pagerank",
@@ -180,14 +170,11 @@ QUERY_NAMES = [
     "q_contamination_fraction",
     "q_type_token_stats",
     "q_pca_project",
-    "q_edit_distance_pairs",
     "q_knn_graph",
     "q_quality_classifier",
     "q_ngram_containment",
     "q_dup_graph_kcore",
-    "q_smb_orders_customer",
     "q_merge_cdc",
-    "q_pareto_skyline",
     "q_gini_doc_lengths",
     "q_blocklist_hits",
     "q_boilerplate_strip",
@@ -196,17 +183,11 @@ QUERY_NAMES = [
     "q_bm25_search",
     "q_mixture_weights",
     "q_dup_source_matrix",
-    "q_entity_resolution",
     "q_snapshot_diff",
-    "q_benford_digits",
-    "q_weighted_median",
     "q_readability",
-    "q_price_band_join",
     "q_textrank_keywords",
     "q_dup_graph_hops",
-    "q_copurchase_pairs",
     "q_compression_ratio",
-    "q_copurchase_triples",
     "q_unicode_clean",
     "q_neighbor_jaccard",
     "q_clustering_coefficient",
@@ -222,7 +203,6 @@ QUERY_NAMES = [
     "q_yule_k",
     "q_ndcg_search",
     "q_avg_precision_search",
-    "q_adamic_adar",
     "q_chao1_richness",
     "q_log_odds_terms",
     "q_gmm_em",

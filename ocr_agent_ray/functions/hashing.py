@@ -194,14 +194,6 @@ def hamming64(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 
 
-def simhash_band_keys(value: int, num_bands: int = 4) -> list[int]:
-    """Split a 64-bit simhash into num_bands chunks; near-dups within
-    hamming distance < num_bands share at least one chunk (pigeonhole)."""
-    width = 64 // num_bands
-    mask = (1 << width) - 1
-    return [((value >> (i * width)) & mask) | (i << 60) for i in range(num_bands)]
-
-
 def popcount64_batch(x: np.ndarray) -> np.ndarray:
     """Vectorized popcount of a uint64 array (int64 out) — the Hamming
     kernel shared by SimHash and perceptual-hash verification."""

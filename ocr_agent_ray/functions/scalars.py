@@ -93,10 +93,6 @@ def dots_per_inch_to_scale(dpi: float) -> float:
 
 # --- vectorized wrappers ---------------------------------------------------
 
-def sanitize_filenames(s: pd.Series) -> pd.Series:
-    out = s.fillna("").str.replace(r"[\\/:]", "_", regex=True)
-    return out.where(out != "", "input")
-
 
 def mime_types(s: pd.Series) -> pd.Series:
     from ocr_agent_ray.functions.kernels import suffix_lower_series

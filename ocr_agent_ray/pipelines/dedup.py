@@ -29,9 +29,7 @@ import ray.data as rd
 from ocr_agent_ray.functions.hashing import (
     char_shingle_set,
     jaccard,
-    lsh_band_keys,
     lsh_band_keys_batch,
-    minhash_signature,
     minhash_signatures_batch,
     simhash64,
 )
@@ -371,9 +369,7 @@ def simhash_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
             "sig64": sigs.astype(np.int64),  # two's-complement view
         })
 
-    # shared pigeonhole + popcount tail (hamming64_band_pairs' band-key
-    # construction is value-identical to simhash_band_keys: same chunk
-    # width, same i<<60 tag)
+    # shared pigeonhole + popcount tail
     return hamming64_band_pairs(
         ds.map_batches(_sigs, batch_format="pandas"),
         hash_col="sig64", id_col=id_col,
@@ -2733,123 +2729,6 @@ def dup_graph_harmonic_2hop(docs, *, threshold: float = 0.5,
 
     return joined.map_batches(_finish, batch_format="pandas",
                               batch_size=65536)
-
-
-def dup_graph_adamic_adar(docs, *, threshold: float = 0.5,
-                          num_buckets: int = 16, k: int = 100,
-                          pairs=None):
-    """Adamic–Adar link prediction over the near-duplicate graph — the
-    'which documents are PROBABLY near-dups we have not detected yet'
-    score: for each non-adjacent pair (p, q) at distance 2,
-
-        AA(p, q) = Σ_{z ∈ N(p) ∩ N(q)} 1 / ln(deg(z))
-
-    (low-degree common neighbors are strong evidence — a shared hub
-    says little). High-AA non-edges are the candidates a second, more
-    expensive verification pass (exact Jaccard, embedding cosine)
-    should re-check; the classic recall-recovery step after LSH.
-
-    Dataset-native plan (the ``dup_graph_neighbor_jaccard`` idiom):
-    symmetrize edges → per-center wedge pairs via ``key_map_groups``,
-    each weighted 1/ln(deg(center)) — the center's degree is simply
-    its group's distinct-neighbor count, so NO degree join is needed
-    (wedges require deg ≥ 2, so ln > 0) → bucketed (pair) sum →
-    bucket ANTI join against the edge set (existing edges are not
-    predictions) → global top-``k`` via per-batch partial top-k and a
-    single-bucket merge. Ranking is pinned to the ROUNDED score
-    (6 dp, ties → p, q asc) — the RRF precedent: both engines rank
-    identical rounded values, immune to sum-order ulps. Columns:
-    doc_id_a, doc_id_b, n_common, aa_score."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
-    from ocr_agent_ray.pipelines.joins import bucket_anti_join
-
-    if pairs is None:
-        pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    edges = pairs.map_batches(
-        lambda b: b[["doc_id_a", "doc_id_b"]],
-        batch_format="pandas", batch_size=65536).materialize()
-
-    sym = edges.map_batches(
-        lambda b: pd.DataFrame({
-            "u": np.concatenate([b["doc_id_a"].to_numpy(),
-                                 b["doc_id_b"].to_numpy()]),
-            "v": np.concatenate([b["doc_id_b"].to_numpy(),
-                                 b["doc_id_a"].to_numpy()])}),
-        batch_format="pandas", batch_size=65536)
-
-    def _wedges(g: pd.DataFrame) -> pd.DataFrame:
-        nb = np.sort(g["v"].unique())
-        if len(nb) < 2:
-            return pd.DataFrame({"p": pd.Series(dtype="int64"),
-                                 "q": pd.Series(dtype="int64"),
-                                 "w": pd.Series(dtype="float64")})
-        i, j = np.triu_indices(len(nb), k=1)
-        w = 1.0 / np.log(np.float64(len(nb)))
-        return pd.DataFrame({"p": nb[i], "q": nb[j],
-                             "w": np.full(len(i), w, np.float64)})
-
-    wedges = key_map_groups(sym, _wedges, key_col="u",
-                            num_buckets=num_buckets)
-    aa = hash_partition_aggregate(
-        wedges.map_batches(lambda b: b.assign(n=np.int64(1)),
-                           batch_format="pandas", batch_size=65536),
-        ["p", "q"], {"n_common": ("n", "sum"), "score": ("w", "sum")},
-        num_buckets=num_buckets)
-
-    ek_aa = aa.map_batches(
-        lambda b: pd.DataFrame({
-            "ek": b["p"].astype(str) + ":" + b["q"].astype(str),
-            "p": b["p"].astype("int64"), "q": b["q"].astype("int64"),
-            "n_common": b["n_common"].astype("int64"),
-            "score": b["score"].astype("float64")}),
-        batch_format="pandas", batch_size=65536)
-    ek_edges = edges.map_batches(
-        lambda b: pd.DataFrame({
-            "ek": b["doc_id_a"].astype(str) + ":"
-                  + b["doc_id_b"].astype(str)}),
-        batch_format="pandas", batch_size=65536)
-    nonedge = bucket_anti_join(
-        ek_aa, ek_edges, on="ek", num_buckets=num_buckets,
-        left_schema=pa.schema([("ek", pa.string()), ("p", pa.int64()),
-                               ("q", pa.int64()),
-                               ("n_common", pa.int64()),
-                               ("score", pa.float64())]))
-
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(aa_score=round_half_away(
-            b["score"].to_numpy(np.float64), 6), __k=np.int64(0))
-        return b.sort_values(["aa_score", "p", "q"],
-                             ascending=[False, True, True]).head(k)[
-            ["__k", "p", "q", "n_common", "aa_score"]]
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["aa_score", "p", "q"],
-                          ascending=[False, True, True]).head(k)
-        return pd.DataFrame({
-            "doc_id_a": g["p"].astype("int64").to_numpy(),
-            "doc_id_b": g["q"].astype("int64").to_numpy(),
-            "n_common": g["n_common"].astype("int64").to_numpy(),
-            "aa_score": g["aa_score"].to_numpy(np.float64)})
-
-    out = key_map_groups(
-        nonedge.map_batches(_local_topk, batch_format="pandas",
-                            batch_size=65536),
-        _final, key_col="__k", num_buckets=1).to_pandas()
-    # bounded top-k result: close to a schema-pinned frame so a graph
-    # whose every 2-hop pair is already an edge (no predictions) still
-    # hashes with the right columns
-    if out.empty:
-        return pd.DataFrame({
-            "doc_id_a": pd.Series(dtype="int64"),
-            "doc_id_b": pd.Series(dtype="int64"),
-            "n_common": pd.Series(dtype="int64"),
-            "aa_score": pd.Series(dtype="float64")})
-    return out
 
 
 def dup_graph_degree_powerlaw(docs, *, threshold: float = 0.5,

@@ -61,21 +61,28 @@ def stable_bucket_array(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa
     )
 
 
+_NULLABLE_INTS = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+}
+
+
+def _exact_pandas(table: pa.Table) -> pd.DataFrame:
+    """Arrow → pandas with integer columns as pandas nullable integers:
+    a merge's null fill then keeps them exact instead of upcasting them
+    to float64, which rounds values above 2^53."""
+    return table.to_pandas(types_mapper=_NULLABLE_INTS.get)
+
+
 def _typed_table(df: pd.DataFrame, cols: list[str], types: dict[str, pa.DataType],
                  schema: pa.Schema) -> pa.Table:
-    """pandas → Arrow with declared per-column types (int-with-null kept
-    integral even after a float64 NaN upcast; list columns kept as lists)."""
-    arrays = []
-    for c in cols:
-        col = df[c]
-        t = types[c]
-        if pa.types.is_integer(t) and col.dtype.kind == "f":
-            mask = col.isna().to_numpy()
-            vals = np.nan_to_num(col.to_numpy()).astype(np.int64)
-            arrays.append(pa.array(vals, pa.int64(), mask=mask).cast(t))
-        else:
-            arrays.append(pa.Array.from_pandas(col, type=t))
-    return pa.Table.from_arrays(arrays, schema=schema)
+    """pandas → Arrow with the declared per-column types (list columns
+    kept as lists)."""
+    return pa.Table.from_arrays(
+        [pa.Array.from_pandas(df[c], type=types[c]) for c in cols],
+        schema=schema)
 
 
 def broadcast_join(ds, small: pd.DataFrame, on: str | list[str], how: str = "inner"):
@@ -175,95 +182,22 @@ def bucket_hash_join(left, right, *, on: str, num_buckets: int = 16,
     out_schema = pa.schema([pa.field(c, types[c]) for c in all_cols])
 
     def _join_bucket(g: pa.Table) -> pa.Table:
-        # split the sides in Arrow: in the union, one side's columns are
-        # null on the other side's rows, and pandas reads an int column
-        # holding nulls as float64, which rounds values above 2^53
+        # split the sides in Arrow (in the union, one side's columns are
+        # null on the other side's rows) and merge on nullable integers,
+        # so neither the union nor a left/outer null fill rounds int64
         is_left = pc.equal(g["__side"], "l")
-        lhs = g.filter(is_left).select(left_cols).to_pandas()
-        rhs = g.filter(pc.invert(is_left)).select(right_cols).to_pandas()
+        lhs = _exact_pandas(g.filter(is_left).select(left_cols))
+        rhs = _exact_pandas(g.filter(pc.invert(is_left)).select(right_cols))
         merged = lhs.merge(rhs, on=on, how=how, suffixes=("_l", "_r"))
-        # emit Arrow with the declared join types: pandas upcasts
-        # null-filled int columns to float64 (outer/left joins), and Ray
-        # would re-encode list-of-array object columns as its tensor
-        # extension struct, breaking downstream list casts.
+        # emit Arrow with the declared join types: Ray would re-encode
+        # list-of-array object columns as its tensor extension struct,
+        # breaking downstream list casts.
         return _typed_table(merged, all_cols, types, out_schema)
 
     from ocr_agent_ray.pipelines.exchange import bucket_map_groups
 
     return bucket_map_groups(both, _join_bucket, bucket_col="__bucket",
                              num_buckets=num_buckets, batch_format="pyarrow")
-
-
-def asof_join(left, right, *, on: str, left_ts: str, right_ts: str,
-              num_buckets: int = 16,
-              left_schema: pa.Schema | None = None,
-              right_schema: pa.Schema | None = None,
-              prep_batch_size: int = 32768):
-    """As-of join: for each left row, the latest right row with the same
-    key and right_ts <= left_ts (backward search).
-
-    A custom operator Ray Data lacks (SURVEY.md §2.4 guidance): bucket both
-    sides by key hash (one union + one shuffle, same shape as
-    bucket_hash_join), then ``pd.merge_asof`` over the ts-sorted bucket.
-    Partitioning assumption: all rows of one key land in one bucket — true
-    by construction of the hash; skew bounded by the hottest key.
-    Right columns come back null when no match exists (left join).
-    """
-    lschema = left_schema if left_schema is not None else _arrow_schema_of(left)
-    rschema = right_schema if right_schema is not None else _arrow_schema_of(right)
-    left_cols = list(lschema.names)
-    right_cols = list(rschema.names)
-
-    types: dict[str, pa.DataType] = {}
-    for name in left_cols:
-        types[name] = lschema.field(name).type
-    for name in right_cols:
-        types.setdefault(name, rschema.field(name).type)
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
-    target = pa.schema(
-        [pa.field(c, types[c]) for c in all_cols]
-        + [pa.field("__bucket", pa.int32()), pa.field("__side", pa.string())]
-    )
-
-    def _prep(side: str, cols: list[str]):
-        def _fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            arrays = []
-            for c in all_cols:
-                arrays.append(batch[c].cast(types[c]) if c in cols else pa.nulls(n, types[c]))
-            arrays.append(stable_bucket_array(batch[on].combine_chunks(), num_buckets))
-            arrays.append(pa.array([side] * n, pa.string()))
-            return pa.Table.from_arrays(arrays, schema=target)
-
-        return _fn
-
-    lt = left.select_columns(left_cols).map_batches(
-        _prep("l", left_cols), batch_format="pyarrow", batch_size=prep_batch_size)
-    rt = right.select_columns(right_cols).map_batches(
-        _prep("r", right_cols), batch_format="pyarrow", batch_size=prep_batch_size)
-    both = lt.union(rt)
-
-    out_schema = pa.schema([pa.field(c, types[c]) for c in all_cols])
-
-    def _asof_bucket(g: pd.DataFrame) -> pa.Table:
-        # empty sides flow through merge_asof so every bucket's output
-        # keeps identical column dtypes (a hand-built empty frame would
-        # come back all-object and break cross-bucket schema unification)
-        lhs = g.loc[g["__side"] == "l", left_cols].sort_values(left_ts, kind="mergesort")
-        rhs = g.loc[g["__side"] == "r", right_cols].sort_values(right_ts, kind="mergesort")
-        merged = pd.merge_asof(
-            lhs, rhs, left_on=left_ts, right_on=right_ts, by=on,
-            direction="backward",
-        )
-        # merge_asof upcasts unmatched right-side int columns to float64
-        # (NaN fill); emit Arrow with the declared target types so integers
-        # come back as int-with-null, matching the join's logical schema.
-        return _typed_table(merged, all_cols, types, out_schema)
-
-    from ocr_agent_ray.pipelines.exchange import bucket_map_groups
-
-    return bucket_map_groups(both, _asof_bucket, bucket_col="__bucket",
-                             num_buckets=num_buckets)
 
 
 def skew_join(left, right, *, on: str, num_buckets: int = 16,
@@ -314,7 +248,13 @@ def skew_join(left, right, *, on: str, num_buckets: int = 16,
         return ds.map_batches(_f, batch_format="pyarrow")
 
     # hot path: right-side hot rows are bounded by assumption -> broadcast
-    right_hot = _split(right, True).to_pandas()
+    # (as nullable integers, so a left join's null fill stays exact)
+    import ray
+
+    hot_tables = ray.get(_split(right, True).to_arrow_refs())
+    right_hot = _exact_pandas(
+        pa.concat_tables(hot_tables, promote_options="default")
+        if hot_tables else rschema.empty_table())
     hot_out = broadcast_join(_split(left, True), right_hot, on=on, how=how)
 
     # align the broadcast output to the join's typed Arrow schema so the
@@ -338,66 +278,6 @@ def skew_join(left, right, *, on: str, num_buckets: int = 16,
         left_schema=lschema, right_schema=rschema,
     )
     return hot_out.union(cold_out)
-
-
-def bloom_pruned_join(left, right, *, on: str,
-                      left_schema: pa.Schema, right_schema: pa.Schema,
-                      num_buckets: int = 16, log2_bits: int = 20,
-                      k_hashes: int = 4):
-    """Bloom-pruned large-large join (the Spark/Photon runtime-filter
-    pattern): fold the RIGHT side's join keys into a constant-size bloom
-    filter (per-batch packed bitsets OR-ed on the driver — 2^log2_bits
-    bits regardless of key count), broadcast it, and drop left rows that
-    cannot match BEFORE the bucket shuffle. False positives survive to
-    the exact bucket_hash_join (which removes them); false negatives are
-    impossible, so the result is exactly the plain inner join while the
-    shuffle carries only ~selectivity × |left| rows.
-
-    Use when BOTH sides are too big to broadcast but the join is
-    selective. The right side executes twice (bloom pass + join) — feed
-    it a re-creatable source, not a deep plan."""
-    import ray
-
-    from ocr_agent_ray.functions.hashing import splitmix64
-
-    bits = 1 << log2_bits
-    mask = np.uint64(bits - 1)
-
-    def _positions(keys: np.ndarray) -> np.ndarray:
-        h = splitmix64(keys.astype(np.uint64))
-        offs = np.arange(1, k_hashes + 1, dtype=np.uint64)
-        return (splitmix64((h[:, None] + offs[None, :]).ravel()) & mask
-                ).reshape(len(keys), k_hashes)
-
-    def _partial_bloom(batch: pd.DataFrame) -> pd.DataFrame:
-        bloom = np.zeros(bits, dtype=bool)
-        keys = batch[on].to_numpy()
-        if len(keys):
-            bloom[_positions(keys).ravel()] = True
-        return pd.DataFrame({"bloom": [np.packbits(bloom).tobytes()]})
-
-    bloom = np.zeros(bits // 8, dtype=np.uint8)
-    for b in right.map_batches(_partial_bloom, batch_format="pandas",
-                               batch_size=65536).iter_batches(
-        batch_format="pandas", batch_size=1024
-    ):
-        for blob in b["bloom"]:
-            bloom |= np.frombuffer(blob, dtype=np.uint8)
-    ref = ray.put(bloom)
-
-    def _prune(batch: pd.DataFrame) -> pd.DataFrame:
-        filt = np.unpackbits(ray.get(ref)).view(bool)
-        keys = batch[on].to_numpy()
-        if not len(keys):
-            return batch
-        keep = filt[_positions(keys)].all(axis=1)
-        return batch[keep]
-
-    pruned = left.map_batches(_prune, batch_format="pandas",
-                              batch_size=65536)
-    return bucket_hash_join(pruned, right, on=on, num_buckets=num_buckets,
-                            left_schema=left_schema,
-                            right_schema=right_schema)
 
 
 def bucket_anti_join(left, right_keys, *, on: str, num_buckets: int = 16,
@@ -429,8 +309,6 @@ def _bucket_membership_join(left, right_keys, *, on: str, keep: bool,
         [pa.field(c, types[c]) for c in left_cols]
         + [pa.field("__bucket", pa.int32()), pa.field("__side", pa.string())]
     )
-    out_schema = pa.schema([pa.field(c, types[c]) for c in left_cols])
-
     def _prep(side: str):
         def _fn(batch: pa.Table) -> pa.Table:
             n = len(batch)
@@ -456,16 +334,18 @@ def _bucket_membership_join(left, right_keys, *, on: str, keep: bool,
     rt = keys_only.map_batches(_prep("r"), batch_format="pyarrow",
                                batch_size=prep_batch_size)
 
-    def _membership_bucket(g: pd.DataFrame) -> pa.Table:
-        lhs = g.loc[g["__side"] == "l", left_cols]
-        member = lhs[on].isin(set(g.loc[g["__side"] == "r", on]))
-        kept = lhs[member if keep else ~member]
-        return _typed_table(kept, left_cols, types, out_schema)
+    def _membership_bucket(g: pa.Table) -> pa.Table:
+        is_left = pc.equal(g["__side"], "l")
+        lhs = g.filter(is_left).select(left_cols)
+        member = pc.is_in(lhs[on], value_set=g.filter(pc.invert(is_left))[on]
+                          .combine_chunks())
+        return lhs.filter(member if keep else pc.invert(member))
 
     from ocr_agent_ray.pipelines.exchange import bucket_map_groups
 
     return bucket_map_groups(lt.union(rt), _membership_bucket,
-                             bucket_col="__bucket", num_buckets=num_buckets)
+                             bucket_col="__bucket", num_buckets=num_buckets,
+                             batch_format="pyarrow")
 
 
 def bucket_semi_join(left, right_keys, *, on: str, num_buckets: int = 16,

@@ -1,135 +1,17 @@
-"""Table profiling (ANALYZE-style column stats) and data-quality
-constraint checking (dbt-test-style rules) — the operational layer a
-standalone engine needs around its pipelines: profile before you plan,
-constrain before you publish.
+"""Corpus profiling: the data card a dataset release ships with.
 
-Both return tiny driver DataFrames; everything upstream streams.
-Per-column stats fold as map-side partials (one row per batch); exact
-distinct counts reuse the bucketed distinct shuffle (agg.distinct_rows);
-referential checks use a broadcast key set for dimension-sized parents
-and the bucketed left-join path for fact-sized parents.
+``corpus_report`` returns a tiny driver DataFrame; everything upstream
+streams. Per-source stats fold as map-side partials (one row per batch),
+and exact distinct counts reuse the bucketed distinct shuffle
+(agg.distinct_rows).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from ocr_agent_ray.sources.readers import read_table
-
-PROFILE_COLUMNS = ("o_custkey", "o_orderstatus", "o_orderpriority")
-
-
-def profile_columns(sf_dir: str, *, table: str = "orders",
-                    columns=PROFILE_COLUMNS) -> pd.DataFrame:
-    """Per-column profile: row count, nulls, exact distinct count, min /
-    max (as strings so mixed-type columns share one schema). One
-    streaming pass per column for the foldable stats plus one bucketed
-    distinct per column — at 100 TB you would fuse the per-column passes
-    into one multi-column scan; per-column keeps each read pruned here."""
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver, distinct_rows
-
-    rows = []
-    for name in columns:
-        ds = read_table(sf_dir, table, [name])
-
-        def _prep(b: pd.DataFrame, _name=name) -> pd.DataFrame:
-            return pd.DataFrame({
-                "column": _name,
-                "v": b[_name],
-                "__null": b[_name].isna(),
-            })
-
-        stats = combine_partials_driver(
-            ds.map_batches(_prep, batch_format="pandas"),
-            ["column"],
-            {"n_rows": ("v", "count"), "n_nulls": ("__null", "sum"),
-             "min_v": ("v", "min"), "max_v": ("v", "max")},
-        )
-        n_distinct = distinct_rows(ds, [name]).count()
-        rows.append({
-            "column": name,
-            "n_rows": int(stats["n_rows"].iloc[0]),
-            "n_nulls": int(stats["n_nulls"].iloc[0]),
-            "n_distinct": int(n_distinct),
-            "min_v": str(stats["min_v"].iloc[0]),
-            "max_v": str(stats["max_v"].iloc[0]),
-        })
-    out = pd.DataFrame(rows)
-    for c in ("n_rows", "n_nulls", "n_distinct"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def check_constraints(sf_dir: str) -> pd.DataFrame:
-    """Data-quality rule sweep returning (rule, n_violations, passed):
-
-    - ``orders_orderkey_unique``: primary-key uniqueness via
-      count - bucketed-distinct count (no driver key set);
-    - ``orders_custkey_fk``: referential check against a DIMENSION
-      parent — parent keys broadcast as a membership set;
-    - ``lineitem_orderkey_fk``: referential check against a FACT parent —
-      distinct child keys left-bucket-join parent keys, the (tiny) missing
-      set broadcasts back to count violating child ROWS;
-    - ``events_value_nonneg``: scalar domain rule, pure map filter.
-    """
-    from ocr_agent_ray.pipelines.agg import distinct_rows
-    from ocr_agent_ray.pipelines.joins import (
-        broadcast_semi_filter,
-        bucket_hash_join,
-    )
-
-    rows = []
-
-    orders_keys = read_table(sf_dir, "orders", ["o_orderkey"])
-    n_orders = orders_keys.count()
-    n_distinct_orders = distinct_rows(orders_keys, ["o_orderkey"]).count()
-    rows.append(("orders_orderkey_unique", n_orders - n_distinct_orders))
-
-    cust_keys = {
-        int(k)
-        for b in read_table(sf_dir, "customer", ["c_custkey"]).iter_batches(
-            batch_format="pandas", batch_size=65536)
-        for k in b["c_custkey"]
-    }
-    bad_orders = broadcast_semi_filter(
-        read_table(sf_dir, "orders", ["o_custkey"]),
-        cust_keys, "o_custkey", keep=False).count()
-    rows.append(("orders_custkey_fk", bad_orders))
-
-    child = distinct_rows(
-        read_table(sf_dir, "lineitem", ["l_orderkey"]), ["l_orderkey"])
-    parent = distinct_rows(orders_keys, ["o_orderkey"]).map_batches(
-        lambda b: pd.DataFrame({"l_orderkey": b["o_orderkey"],
-                                "__present": True}),
-        batch_format="pandas")
-    probe = bucket_hash_join(
-        child, parent, on="l_orderkey", how="left",
-        left_schema=pa.schema([("l_orderkey", pa.int64())]),
-        right_schema=pa.schema([("l_orderkey", pa.int64()),
-                                ("__present", pa.bool_())]),
-    )
-    missing = set()
-    for b in probe.iter_batches(batch_format="pandas", batch_size=65536):
-        missing.update(int(k) for k in b.loc[b["__present"].isna(),
-                                             "l_orderkey"])
-    if missing:
-        n_bad = broadcast_semi_filter(
-            read_table(sf_dir, "lineitem", ["l_orderkey"]),
-            missing, "l_orderkey", keep=True).count()
-    else:
-        n_bad = 0
-    rows.append(("lineitem_orderkey_fk", n_bad))
-
-    neg = read_table(sf_dir, "events", ["value"]).map_batches(
-        lambda b: b[b["value"] < 0], batch_format="pandas").count()
-    rows.append(("events_value_nonneg", neg))
-
-    out = pd.DataFrame(rows, columns=["rule", "n_violations"])
-    out["n_violations"] = out["n_violations"].astype("int64")
-    out["passed"] = out["n_violations"] == 0
-    return out
 
 
 def corpus_report(sf_dir: str) -> pd.DataFrame:
@@ -141,15 +23,12 @@ def corpus_report(sf_dir: str) -> pd.DataFrame:
 
     Columns: source, n_docs, total_chars, median_chars, p90_chars,
     mean_quality, dup_rate, top_lang, top_lang_share."""
-    import numpy as np
-
     from ocr_agent_ray.functions.textstats import (
         md5_fingerprint,
         quality_features,
         round_half_away,
     )
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.sources.readers import read_table
 
     docs = read_table(sf_dir, "documents",
                       ["doc_id", "text", "lang", "source", "n_chars"])

@@ -27,6 +27,28 @@ def _read_embeddings(sf_dir: str):
     return read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
+def _lowest_id_seeds(sf_dir: str, k: int) -> np.ndarray:
+    """The (k × dim) float64 vectors of the k lowest vec_ids, wherever
+    the ids start — the deterministic init of the Lloyd / PQ / EM
+    family. Two pruned reads: the id column, then only the rows up to
+    the k-th smallest id. Raises ValueError when the table holds fewer
+    than k vectors."""
+    import pyarrow.parquet as pq
+
+    path = f"{sf_dir}/embeddings.parquet"
+    ids = np.sort(pq.read_table(path, columns=["vec_id"])["vec_id"]
+                  .to_numpy())[:k]
+    if len(ids) < k:
+        raise ValueError(f"k={k} seeds need at least k vectors, the "
+                         f"table holds {len(ids)}")
+    seed_tbl = pq.read_table(
+        path, columns=["vec_id", "embedding"],
+        filters=[("vec_id", "<=", int(ids[-1]))],
+    ).to_pandas().sort_values("vec_id", kind="stable").head(k)
+    return np.stack([np.asarray(v, dtype=np.float64)
+                     for v in seed_tbl["embedding"]])
+
+
 def _unit(mat: np.ndarray) -> np.ndarray:
     mat = mat.astype(np.float64)
     n = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -560,17 +582,11 @@ def pq_codes(sf_dir: str, *, m: int = 8, k: int = 16, iters: int = 3):
     billion-vector ANN memory layout."""
     import numpy as np
     import pandas as pd
-    import pyarrow.parquet as pq
 
     import ray
     import ray.data as rd
 
-    seed_tbl = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", k)],
-    ).to_pandas().sort_values("vec_id")
-    seeds = np.stack([np.asarray(v, dtype=np.float64)
-                      for v in seed_tbl["embedding"]])
+    seeds = _lowest_id_seeds(sf_dir, k)
     dim = seeds.shape[1]
     if dim % m:
         raise ValueError(f"dim {dim} not divisible by m={m}")
@@ -813,20 +829,7 @@ def kmeans_embeddings(sf_dir: str, *, k: int = 8, iters: int = 5):
     Scale shape: the data is read per round but never shuffled; the only
     driver state is k × dim floats. Empty clusters keep their previous
     centroid (standard Lloyd fallback)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    import ray
-    import ray.data as rd
-
-    # deterministic seeds: the k lowest vec_ids, pruned at the read
-    seed_tbl = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", k)],
-    ).to_pandas().sort_values("vec_id")
-    centroids = np.stack([np.asarray(v, dtype=np.float64)
-                          for v in seed_tbl["embedding"]])
+    centroids = _lowest_id_seeds(sf_dir, k)
     return _lloyd_rounds(sf_dir, centroids, k, iters)[1]
 
 
@@ -834,15 +837,7 @@ def train_kmeans_centroids(sf_dir: str, *, k: int = 8,
                            iters: int = 3) -> "np.ndarray":
     """Run the same deterministic Lloyd rounds and return the (k × dim)
     centroid matrix itself — the training half of SemDeDup / IVF."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    seed_tbl = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", k)],
-    ).to_pandas().sort_values("vec_id")
-    centroids = np.stack([np.asarray(v, dtype=np.float64)
-                          for v in seed_tbl["embedding"]])
+    centroids = _lowest_id_seeds(sf_dir, k)
     return _lloyd_rounds(sf_dir, centroids, k, iters)[0]
 
 
@@ -1006,162 +1001,6 @@ def embedding_outliers(sf_dir: str):
         })
 
     return dists.map_batches(_z, batch_format="pandas")
-
-
-def als_factorize(sf_dir: str, *, k: int = 8, iters: int = 3,
-                  lam: float = 0.1):
-    """Distributed ALS collaborative filtering over the implicit
-    customer×part interaction matrix (rating = Σ l_quantity through the
-    lineitem⋈orders join) — the matrix-factorization member of the ML
-    family (k-means / logreg / PageRank / PCA live nearby).
-
-    Scale shape: ratings hash-exchange ONCE on the user key
-    (exchange_shards — the shard-reuse pattern of the window family);
-    every iteration is then a SINGLE reduce wave: each bucket solves
-    its users' k×k normal equations BATCHED (np.add.reduceat segment
-    sums of vvᵀ + one stacked np.linalg.solve, no per-user Python
-    loop) against the broadcast item factors, and — because the solved
-    user vectors are in hand — emits the ITEM-side normal-equation
-    partials (Σuuᵀ, Σru per item) plus its sse in the same kernel. No
-    per-iteration join, no user-factor materialization; the driver
-    folds items × (k²+k) floats (items are a dimension) and solves V.
-    At web scale swap the closure capture of V for an explicit
-    ray.put.
-
-    Returns (iteration, rmse): training RMSE before each item-pass
-    update, strictly decreasing on this data (pytest-asserted).
-    No RNG anywhere (splitmix64-seeded init); reproducible up to float
-    summation order — per-bucket partials fold in sorted (item,
-    bucket) order, repeated runs agree to ~1e-12 relative."""
-    from ocr_agent_ray.functions.hashing import splitmix64
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.exchange import exchange_shards
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
-
-    import pyarrow as pa
-
-    li = read_table(sf_dir, "lineitem",
-                    ["l_orderkey", "l_partkey", "l_quantity"])
-    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    joined = bucket_hash_join(
-        li.map_batches(lambda b: b.rename(
-            columns={"l_orderkey": "o_orderkey"}), batch_format="pandas"),
-        orders, on="o_orderkey", num_buckets=8,
-        left_schema=pa.schema([("o_orderkey", pa.int64()),
-                               ("l_partkey", pa.int64()),
-                               ("l_quantity", pa.float64())]),
-        right_schema=pa.schema([("o_orderkey", pa.int64()),
-                                ("o_custkey", pa.int64())]))
-    ratings = hash_partition_aggregate(
-        joined.map_batches(lambda b: pd.DataFrame({
-            "u": b["o_custkey"].astype("int64"),
-            "i": b["l_partkey"].astype("int64"),
-            "r": b["l_quantity"].astype("float64")}),
-            batch_format="pandas"),
-        ["u", "i"], {"r": ("r", "sum")}, num_buckets=8)
-
-    keyed = ratings.map_batches(
-        lambda b: b.assign(__b=(b["u"] % 16).astype("int32")),
-        batch_format="pandas")
-    shards = exchange_shards(keyed, bucket_col="__b", num_buckets=16,
-                             mode="mod")
-
-    # item index: dimension-bounded distinct partkeys, folded from one
-    # tiny reduce wave over the same shards
-    items_tbl = shards.reduce(
-        lambda g: g[["i"]].drop_duplicates()).to_pandas()
-    item_ids = np.sort(items_tbl["i"].unique())
-    n_items = len(item_ids)
-
-    # deterministic init in [-0.5, 0.5) / sqrt(k)
-    g = splitmix64((item_ids[:, None] * np.int64(k)
-                    + np.arange(k)[None, :]).astype(np.uint64))
-    V = ((g.astype(np.float64) / 2.0**64) - 0.5) / np.sqrt(k)
-
-    eye = lam * np.eye(k)
-    acol = [f"a{c}" for c in range(k * k)]
-    bcol = [f"b{c}" for c in range(k)]
-    rmses: list[float] = []
-    n_ratings = 0
-
-    for _ in range(iters):
-        V_now = V  # rebind for closure capture (ray.put at web scale)
-
-        def _pass(gdf: pd.DataFrame) -> pd.DataFrame:
-            if gdf.empty:
-                return pd.DataFrame(
-                    {"item": pd.Series(dtype="int64"),
-                     "__bucket": pd.Series(dtype="int32"),
-                     **{c: pd.Series(dtype="float64")
-                        for c in acol + bcol}})
-            # total order (ratings are unique per (u,i)): keeps the
-            # reduceat summation order stable within a bucket
-            gdf = gdf.sort_values(["u", "i"], kind="mergesort")
-            bucket = np.int32(gdf["__b"].iloc[0])
-            u_arr = gdf["u"].to_numpy()
-            idx = np.searchsorted(item_ids, gdf["i"].to_numpy())
-            r = gdf["r"].to_numpy(dtype=np.float64)
-            vi = V_now[idx]                         # (n, k)
-            starts = np.flatnonzero(
-                np.r_[True, u_arr[1:] != u_arr[:-1]])
-            outer = vi[:, :, None] * vi[:, None, :]  # (n, k, k)
-            ata = np.add.reduceat(
-                outer.reshape(len(vi), -1), starts, axis=0
-            ).reshape(-1, k, k) + eye[None, :, :]
-            atb = np.add.reduceat(r[:, None] * vi, starts, axis=0)
-            # [..., None]/[..., 0]: explicit batched-vector RHS — the
-            # bare 2-D form is a removed legacy dispatch on numpy >= 2
-            uf = np.linalg.solve(ata, atb[..., None])[..., 0]
-            counts = np.diff(np.r_[starts, len(u_arr)])
-            uf_rows = np.repeat(uf, counts, axis=0)  # (n, k)
-            pred = (uf_rows * vi).sum(axis=1)
-            sse = float(((pred - r) ** 2).sum())
-
-            # item-side partials from the SAME kernel: Σuuᵀ, Σru per
-            # item present in this bucket
-            order = np.argsort(idx, kind="stable")
-            idx_s, uf_s, r_s = idx[order], uf_rows[order], r[order]
-            istarts = np.flatnonzero(
-                np.r_[True, idx_s[1:] != idx_s[:-1]])
-            i_ata = np.add.reduceat(
-                (uf_s[:, :, None] * uf_s[:, None, :])
-                .reshape(len(uf_s), -1), istarts, axis=0)
-            i_atb = np.add.reduceat(r_s[:, None] * uf_s, istarts, axis=0)
-            out = pd.DataFrame({"item": item_ids[idx_s[istarts]],
-                                "__bucket": bucket})
-            for c in range(k * k):
-                out[f"a{c}"] = i_ata[:, c]
-            for c in range(k):
-                out[f"b{c}"] = i_atb[:, c]
-            # sse/count marker row (item = -1 never collides: real ids
-            # are non-negative partkeys)
-            marker = {"item": np.int64(-1), "__bucket": bucket,
-                      **{c: 0.0 for c in acol + bcol}}
-            marker["a0"] = sse
-            marker["b0"] = float(len(gdf))
-            return pd.concat([out, pd.DataFrame([marker])],
-                             ignore_index=True)
-
-        parts = shards.reduce(_pass).to_pandas()
-        # deterministic fold order across buckets
-        parts = parts.sort_values(["item", "__bucket"],
-                                  kind="mergesort")
-        markers = parts[parts["item"] < 0]
-        rmses.append(float(markers["a0"].sum()))
-        n_ratings = int(markers["b0"].sum())
-        cells = parts[parts["item"] >= 0]
-        folded = (cells.groupby("item", sort=True)[acol + bcol].sum()
-                  .reindex(item_ids))
-        ata_all = folded[acol].to_numpy(np.float64).reshape(
-            n_items, k, k) + eye[None, :, :]
-        atb_all = folded[bcol].to_numpy(np.float64)
-        V = np.linalg.solve(ata_all, atb_all[..., None])[..., 0]
-
-    shards.release()
-    return pd.DataFrame({
-        "iteration": np.arange(len(rmses), dtype=np.int64),
-        "rmse": [float(np.sqrt(s / n_ratings)) for s in rmses],
-    })
 
 
 def rrf_hybrid_search(sf_dir: str, *, k_arm: int = 20, k_out: int = 10,
@@ -1815,25 +1654,12 @@ def gmm_em_embeddings(sf_dir: str, *, k: int = 5, iters: int = 5,
     ``var_floor``. Rows-only (iterative; dense-numpy EM reference in
     pytest). Columns: cluster, weight, n_soft, avg_var, loglik (total
     data log-likelihood repeated per row for visibility)."""
-    import pyarrow.parquet as pq
-
     import ray
 
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
-    path = f"{sf_dir}/embeddings.parquet"
-    ids = np.sort(pq.read_table(path, columns=["vec_id"])["vec_id"]
-                  .to_numpy())[:k]
-    if len(ids) < k:
-        raise ValueError(f"gmm_em_embeddings: k={k} clusters need at "
-                         f"least k vectors, the table holds {len(ids)}")
-    seed_tbl = pq.read_table(
-        path, columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<=", int(ids[-1]))],
-    ).to_pandas().sort_values("vec_id", kind="stable").head(k)
-    means = np.stack([np.asarray(v, dtype=np.float64)
-                      for v in seed_tbl["embedding"]])
+    means = _lowest_id_seeds(sf_dir, k)
     dim = means.shape[1]
     variances = np.ones((k, dim), np.float64)
     weights = np.full(k, 1.0 / k, np.float64)

@@ -1,17 +1,15 @@
-"""Sort-merge-bucket (SMB) layout: pay the join shuffle ONCE.
+"""Sort-merge-bucket (SMB) layout: pay the partitioning shuffle ONCE.
 
-The standard 100-TB repeated-join optimization (Hive bucketing / Spark
-bucketed tables): write each table hash-bucketed on the join key into
+The standard 100-TB bucketed-table layout (Hive bucketing / Spark
+bucketed tables): write a table hash-bucketed on a key into
 ``path/bucket=i/`` directories — every map task splits its own rows by
 bucket and writes its own files, so the WRITE needs no shuffle and no
-exchange, and stays memory-flat at any scale. Any later join of two
-co-bucketed tables is then embarrassingly parallel: bucket i of A can
-only match bucket i of B, so each join task reads one bucket pair and
-hash-joins locally — zero shuffle per join, repeated joins amortize the
-one-time layout cost.
+exchange, and stays memory-flat at any scale. A later reader that
+wants key k opens only bucket hash(k) — the persisted inverted index
+(invindex.py) prunes every query's read this way.
 
-Bucket assignment reuses joins.stable_bucket_array (the same siphash
-the in-memory bucket_hash_join uses), so a table bucketed here is
+Bucket assignment reuses joins.stable_bucket_array (the same hash the
+in-memory bucket_hash_join uses), so a table bucketed here is
 co-partitioned with any exchange-side consumer too.
 """
 
@@ -22,11 +20,8 @@ import os
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray.data as rd
 
 from ocr_agent_ray.pipelines.joins import stable_bucket_array
 
@@ -39,7 +34,7 @@ def write_bucketed(ds, path: str, *, key: str, num_buckets: int = 16) -> dict:
     Shuffle-free: each map task partitions its own batch by the stable
     key hash and appends one file per non-empty bucket (task-unique
     names), exactly the Hive/Spark bucketed-write layout. A manifest
-    records (key, num_buckets) so joins can verify co-bucketing.
+    records (key, num_buckets, rows) for readers of the layout.
 
     Crash discipline: files land under a task-unique name and the
     manifest is written LAST on the driver — a re-run should target a
@@ -86,62 +81,3 @@ def write_bucketed(ds, path: str, *, key: str, num_buckets: int = 16) -> dict:
     with open(os.path.join(path, _MANIFEST), "w") as f:
         json.dump(manifest, f)
     return manifest
-
-
-def _load_manifest(path: str) -> dict:
-    with open(os.path.join(path, _MANIFEST)) as f:
-        return json.load(f)
-
-
-def smb_join(path_a: str, path_b: str, *, on: str, how: str = "inner",
-             concurrency: int | None = None):
-    """Join two bucketed layouts with ZERO shuffle: one task per bucket
-    reads ``bucket=i`` of both sides and hash-joins locally. Raises
-    loudly if the layouts are not co-bucketed (different key column is
-    allowed — callers may have renamed — but bucket counts must match
-    and both manifests must exist)."""
-    ma, mb = _load_manifest(path_a), _load_manifest(path_b)
-    if ma["num_buckets"] != mb["num_buckets"]:
-        raise ValueError(
-            f"not co-bucketed: {ma['num_buckets']} vs {mb['num_buckets']} "
-            "buckets — rewrite one side")
-    n = ma["num_buckets"]
-
-    def _dir_schema(path: str) -> pa.Schema:
-        for b in range(n):
-            d = os.path.join(path, f"bucket={b}")
-            for f in sorted(os.listdir(d)):
-                if f.endswith(".parquet"):
-                    return pq.read_schema(os.path.join(d, f))
-        raise FileNotFoundError(f"no parquet files under {path}")
-
-    # empty-bucket discipline: every task must emit the SAME columns, so
-    # the join schema is fixed up front from the layouts' file metadata
-    sa, sb_ = _dir_schema(path_a), _dir_schema(path_b)
-    left_empty = sa.empty_table().to_pandas()
-    right_empty = sb_.empty_table().to_pandas()
-    empty_out = left_empty.merge(right_empty, on=on, how=how)
-
-    def _join_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = [empty_out]
-        for b in batch["bucket"]:
-            da = os.path.join(path_a, f"bucket={b}")
-            db = os.path.join(path_b, f"bucket={b}")
-            fa = [os.path.join(da, f) for f in sorted(os.listdir(da))
-                  if f.endswith(".parquet")]
-            fb = [os.path.join(db, f) for f in sorted(os.listdir(db))
-                  if f.endswith(".parquet")]
-            if not fa and how == "inner":
-                continue
-            left = (pa.concat_tables([pq.read_table(f) for f in fa])
-                    .to_pandas() if fa else left_empty)
-            right = (pa.concat_tables([pq.read_table(f) for f in fb])
-                     .to_pandas() if fb else right_empty)
-            outs.append(left.merge(right, on=on, how=how))
-        return pd.concat(outs, ignore_index=True)
-
-    buckets = rd.from_pandas(pd.DataFrame({"bucket": range(n)})) \
-        .repartition(n)
-    return buckets.map_batches(
-        _join_bucket, batch_format="pandas", batch_size=1,
-        concurrency=concurrency)

@@ -29,14 +29,6 @@ import pyarrow as pa
 from ocr_agent_ray.functions.scalars import dots_per_inch_to_scale
 from ocr_agent_ray.state.checkpoint import MetricsSpool
 
-MEDIA_SCHEMA_FIELDS = [
-    pa.field("media_ref", pa.string()),
-    pa.field("media_bytes", pa.binary()),
-    pa.field("mime_type", pa.string()),
-    pa.field("width", pa.int32()),
-    pa.field("height", pa.int32()),
-]
-
 
 class DeterministicFakeCodec:
     """Stand-in codec: pure function of (media_ref, params) -> fake payload.

@@ -403,10 +403,6 @@ def process_stage(run_id: str, engine_factory, *, fail_fast: bool = False,
     return cache.stage
 
 
-def _stable_u64(text: str) -> int:
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
-
-
 class OcrStage:
     """``map_batches`` callable: OCR media rows, pass text rows.
 

@@ -1,54 +1,16 @@
-"""As-of join vs pandas oracle; metrics spool + ETA estimator."""
+"""Metrics spool + ETA estimator."""
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
 
-from ocr_agent_ray.pipelines.joins import asof_join
 from ocr_agent_ray.state.checkpoint import (
     CheckpointStore,
     MetricsSpool,
     compute_eta_seconds,
 )
-
-
-def test_asof_join_matches_merge_asof(ray_session):
-    rng = np.random.default_rng(5)
-    left = pd.DataFrame({
-        "k": rng.integers(0, 10, 200),
-        "t": pd.to_datetime("2024-01-01") + pd.to_timedelta(rng.integers(0, 10_000, 200), unit="m"),
-        "lv": np.arange(200),
-    }).astype({"k": "int64"})
-    right = pd.DataFrame({
-        "k": rng.integers(0, 10, 50),
-        "rt": pd.to_datetime("2024-01-01") + pd.to_timedelta(rng.integers(0, 10_000, 50), unit="m"),
-        "rv": np.arange(50),
-    }).astype({"k": "int64"})
-    right = right.drop_duplicates(["k", "rt"])
-
-    got = asof_join(
-        rd.from_pandas(left), rd.from_pandas(right),
-        on="k", left_ts="t", right_ts="rt",
-        left_schema=pa.schema([("k", pa.int64()), ("t", pa.timestamp("us")), ("lv", pa.int64())]),
-        right_schema=pa.schema([("k", pa.int64()), ("rt", pa.timestamp("us")), ("rv", pa.int64())]),
-    ).to_pandas()
-
-    want = pd.merge_asof(
-        left.sort_values("t", kind="mergesort"),
-        right.sort_values("rt", kind="mergesort"),
-        left_on="t", right_on="rt", by="k", direction="backward",
-    )
-    key = ["k", "t", "lv"]
-    for c in ("t", "rt"):  # normalize us/ns timestamp resolution
-        got[c] = got[c].astype("datetime64[ns]")
-        want[c] = want[c].astype("datetime64[ns]")
-    got = got.sort_values(key).reset_index(drop=True)
-    want = want.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
 
 
 def test_metrics_spool_and_eta(tmp_path):

@@ -1,5 +1,6 @@
-"""Planted-fixture tests for the round-4 curation extras: Pareto
-skyline, per-source Gini, blocklist screening, CCNet boilerplate strip."""
+"""Planted-fixture tests for the round-4 curation extras: per-source
+Gini, blocklist screening, CCNet boilerplate strip, search and near-dup
+media ops."""
 
 from __future__ import annotations
 
@@ -13,73 +14,6 @@ def _write(tmp_path, name: str, df: pd.DataFrame) -> str:
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    str(tmp_path / f"{name}.parquet"))
     return str(tmp_path)
-
-
-def _brute_skyline(df: pd.DataFrame) -> set[int]:
-    pts = df[["p_retailprice", "p_size"]].to_numpy()
-    keys = df["p_partkey"].to_numpy()
-    out = set()
-    for i in range(len(pts)):
-        pi, si = pts[i]
-        dominated = False
-        for j in range(len(pts)):
-            pj, sj = pts[j]
-            if pj <= pi and sj >= si and (pj < pi or sj > si):
-                dominated = True
-                break
-        if not dominated:
-            out.add(int(keys[i]))
-    return out
-
-
-def test_local_skyline_fuzz_vs_brute():
-    from ocr_agent_ray.pipelines.relational import _local_skyline
-
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        n = int(rng.integers(1, 120))
-        df = pd.DataFrame({
-            "p_partkey": np.arange(n),
-            # small value domains force duplicate points and price ties
-            "p_retailprice": rng.integers(0, 8, n).astype(float),
-            "p_size": rng.integers(0, 8, n),
-        })
-        got = set(_local_skyline(df, "p_retailprice", "p_size")
-                  ["p_partkey"].tolist())
-        assert got == _brute_skyline(df), f"trial {trial}"
-
-
-def test_local_skyline_split_union_equals_whole():
-    """Local prune per split + final pass over the union == brute force
-    on the whole set (the distributed plan's correctness argument)."""
-    from ocr_agent_ray.pipelines.relational import _local_skyline
-
-    rng = np.random.default_rng(11)
-    df = pd.DataFrame({
-        "p_partkey": np.arange(300),
-        "p_retailprice": rng.integers(0, 20, 300).astype(float),
-        "p_size": rng.integers(0, 20, 300),
-    })
-    parts = [_local_skyline(g, "p_retailprice", "p_size")
-             for _, g in df.groupby(df.index % 5)]
-    final = _local_skyline(pd.concat(parts), "p_retailprice", "p_size")
-    assert set(final["p_partkey"].tolist()) == _brute_skyline(df)
-
-
-def test_pareto_skyline_pipeline(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import pareto_skyline
-
-    rng = np.random.default_rng(3)
-    df = pd.DataFrame({
-        "p_partkey": np.arange(500, dtype=np.int64),
-        "p_retailprice": rng.integers(0, 50, 500).astype(float),
-        "p_size": rng.integers(0, 50, 500).astype(np.int64),
-    })
-    sf = _write(tmp_path, "part", df)
-    got = pareto_skyline(sf).to_pandas()
-    assert set(got["p_partkey"].tolist()) == _brute_skyline(df)
-    # duplicates of a frontier point all survive
-    assert got["p_partkey"].is_unique
 
 
 def test_gini_known_values(ray_session, tmp_path):
@@ -371,47 +305,6 @@ def test_snapshot_diff_planted(ray_session):
     assert got[2] == "removed"
     assert got[3] == "unchanged"
     assert got[9] == "added"
-
-
-def test_benford_digits_sane(ray_session):
-    from ocr_agent_ray.pipelines.relational import benford_first_digit
-
-    got = benford_first_digit("/root/testdata/sf0.001")
-    assert set(got["digit"]).issubset(set(range(1, 10)))
-    assert abs(got["observed_p"].sum() - 1.0) < 1e-5
-    # expected follows Benford exactly
-    import numpy as _np
-
-    for _, r in got.iterrows():
-        assert abs(r["expected_p"]
-                   - round(_np.log10(1 + 1 / r["digit"]), 6)) < 1e-9
-
-
-def test_weighted_median_planted(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.relational import weighted_median_price
-
-    # flag A: prices 10(w1), 20(w1), 30(w8) -> half of 10 is 5 ->
-    # cum at 30 first reaches 5 -> weighted median 30 (plain median 20)
-    li = pd.DataFrame({
-        "l_returnflag": ["A"] * 3 + ["B"] * 2,
-        "l_extendedprice": [10.0, 20.0, 30.0, 5.0, 7.0],
-        "l_quantity": [1.0, 1.0, 8.0, 3.0, 1.0],
-    })
-    for c in ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber"]:
-        li[c] = np.arange(len(li), dtype=np.int64)
-    for c in ["l_discount", "l_tax"]:
-        li[c] = 0.0
-    li["l_linestatus"] = "O"
-    li["l_shipdate"] = pd.Timestamp("2024-01-01")
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(li, preserve_index=False),
-                   str(tmp_path / "lineitem.parquet"))
-    got = weighted_median_price(str(tmp_path)).set_index("l_returnflag")
-    assert got.loc["A", "weighted_median"] == 30.0
-    # B: w 3@5, 1@7 -> half=2 -> cum at 5 is 3 >= 2 -> median 5
-    assert got.loc["B", "weighted_median"] == 5.0
 
 
 def test_ql_search_matches_brute_force(ray_session, tmp_path):

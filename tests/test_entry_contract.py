@@ -44,3 +44,21 @@ def test_driver_window_is_oracled():
     assert [k for k in names[8:50] if k not in oracles] == []
     # an oracle left behind by a deleted query names no queries() entry
     assert [k for k in oracles if k not in names] == []
+
+
+def test_oracles_read_only_the_extraction_schema():
+    """Every oracle_sql() statement reads only `documents` and
+    `embeddings`: each name after FROM/JOIN is one of them or a CTE the
+    statement defines."""
+    import re
+
+    cte = re.compile(r"(?:\bWITH|,)\s*(?:RECURSIVE\s+)?(\w+)\s*"
+                     r"(?:\([^()]*\))?\s+AS\s*(?:MATERIALIZED\s*)?\(", re.I)
+    read = re.compile(r"\b(?:FROM|JOIN)\s+(\w+)", re.I)
+    outside = {}
+    for name, sql in entrymod.oracle_sql().items():
+        tables = {t.lower() for t in read.findall(sql)}
+        tables -= {t.lower() for t in cte.findall(sql)}
+        if tables - {"documents", "embeddings"}:
+            outside[name] = sorted(tables - {"documents", "embeddings"})
+    assert outside == {}

@@ -111,8 +111,6 @@ def test_quantize_embeddings_roundtrip_error(ray_session):
 def test_pq_codes_reconstruction(ray_session):
     """PQ codes reconstruct vectors with lower error than quantizing to
     the global mean, are deterministic, and cover every (vec, subspace)."""
-    import pyarrow.parquet as papq
-
     from ocr_agent_ray.pipelines.similarity import pq_codes
 
     sf = "/root/testdata/sf0.001"
@@ -144,6 +142,39 @@ def test_pq_codes_reconstruction(ray_session):
     a = got.sort_values(["vec_id", "subspace"]).reset_index(drop=True)
     b = again.sort_values(["vec_id", "subspace"]).reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_lloyd_and_pq_seed_from_the_lowest_ids(ray_session, tmp_path):
+    """k-means and PQ seed from the k lowest vec_ids wherever the ids
+    start: ids from 1,000 give the same output as ids from 0. A table
+    with fewer than k vectors is refused with a ValueError naming k."""
+    import pyarrow as pa
+
+    from ocr_agent_ray.pipelines.similarity import kmeans_embeddings, pq_codes
+
+    rng = np.random.RandomState(5)
+    vecs = np.vstack([rng.randn(20, 4) * 0.5,
+                      rng.randn(20, 4) * 0.5 + 5.0]).astype(np.float32)
+    km, codes = {}, {}
+    for first_id in (0, 1000):
+        d = tmp_path / str(first_id)
+        d.mkdir()
+        pq.write_table(pa.table({
+            "vec_id": pa.array(range(first_id, first_id + len(vecs)),
+                               pa.int64()),
+            "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}),
+            str(d / "embeddings.parquet"))
+        km[first_id] = kmeans_embeddings(str(d), k=3, iters=3)
+        c = pq_codes(str(d), m=2, k=4, iters=2).to_pandas()
+        c["vec_id"] -= first_id
+        codes[first_id] = c.sort_values(["vec_id", "subspace"]) \
+            .reset_index(drop=True)
+    pd.testing.assert_frame_equal(km[0], km[1000])
+    pd.testing.assert_frame_equal(codes[0], codes[1000])
+    with pytest.raises(ValueError, match="k=41"):
+        kmeans_embeddings(str(tmp_path / "1000"), k=41)
+    with pytest.raises(ValueError, match="k=41"):
+        pq_codes(str(tmp_path / "1000"), m=2, k=41)
 
 
 def test_embedding_outliers_degenerate_labels(ray_session, tmp_path):
@@ -271,82 +302,6 @@ def test_knn_graph_ivf_recall_and_determinism(ray_session):
     again = (knn_graph_ivf(sf, k=k).to_pandas()
              .sort_values(["vec_id", "rank"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, again)
-
-
-def test_als_converges_and_deterministic(ray_session):
-    from ocr_agent_ray.pipelines.similarity import als_factorize
-
-    out1 = als_factorize("/root/testdata/sf0.001", iters=4)
-    r = out1["rmse"].to_numpy()
-    assert len(r) == 4
-    assert (r[1:] < r[:-1]).all()          # training rmse decreases
-    assert r[-1] < 0.5 * r[0]              # and by a lot on this data
-    out2 = als_factorize("/root/testdata/sf0.001", iters=4)
-    # reproducible up to float summation order: cross-batch partials fold
-    # in arrival order, so exact bit equality is not guaranteed
-    assert np.allclose(out1["rmse"].to_numpy(), out2["rmse"].to_numpy(),
-                       rtol=1e-9)
-
-
-def test_als_matches_dense_reference(ray_session, tmp_path):
-    """Pipeline ALS == a dense in-memory ALS on a tiny planted matrix."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.functions.hashing import splitmix64
-    from ocr_agent_ray.pipelines.similarity import als_factorize
-
-    rng = np.random.default_rng(23)
-    n_u, n_i, k, lam = 12, 6, 8, 0.1
-    # planted low-rank structure + noise, expressed as lineitem/orders
-    ratings = []
-    for u in range(n_u):
-        for i in rng.choice(n_i, size=4, replace=False):
-            ratings.append((u, int(i), float(rng.integers(1, 20))))
-    li = pd.DataFrame({
-        "l_orderkey": np.arange(len(ratings), dtype=np.int64),
-        "l_partkey": np.array([i for _, i, _ in ratings], dtype=np.int64),
-        "l_quantity": np.array([r for _, _, r in ratings]),
-    })
-    orders = pd.DataFrame({
-        "o_orderkey": np.arange(len(ratings), dtype=np.int64),
-        "o_custkey": np.array([u for u, _, _ in ratings], dtype=np.int64),
-    })
-    pq.write_table(pa.Table.from_pandas(li, preserve_index=False),
-                   str(tmp_path / "lineitem.parquet"))
-    pq.write_table(pa.Table.from_pandas(orders, preserve_index=False),
-                   str(tmp_path / "orders.parquet"))
-
-    got = als_factorize(str(tmp_path), k=k, iters=3, lam=lam)
-
-    # dense reference with the same deterministic init
-    df = pd.DataFrame(ratings, columns=["u", "i", "r"])
-    df = df.groupby(["u", "i"], as_index=False)["r"].sum()
-    item_ids = np.sort(df["i"].unique())
-    g = splitmix64((item_ids[:, None] * np.int64(k)
-                    + np.arange(k)[None, :]).astype(np.uint64))
-    V = ((g.astype(np.float64) / 2.0**64) - 0.5) / np.sqrt(k)
-    eye = lam * np.eye(k)
-    users = np.sort(df["u"].unique())
-    rmses = []
-    for _ in range(3):
-        U = np.zeros((len(users), k))
-        sse = 0.0
-        for ui, u in enumerate(users):
-            sub = df[df["u"] == u]
-            vi = V[np.searchsorted(item_ids, sub["i"].to_numpy())]
-            r = sub["r"].to_numpy()
-            U[ui] = np.linalg.solve(vi.T @ vi + eye, vi.T @ r)
-            sse += float(((vi @ U[ui] - r) ** 2).sum())
-        rmses.append(np.sqrt(sse / len(df)))
-        Vn = np.zeros_like(V)
-        for ii, i in enumerate(item_ids):
-            sub = df[df["i"] == i]
-            uf = U[np.searchsorted(users, sub["u"].to_numpy())]
-            r = sub["r"].to_numpy()
-            Vn[ii] = np.linalg.solve(uf.T @ uf + eye, uf.T @ r)
-        V = Vn
-    assert np.allclose(got["rmse"].to_numpy(), rmses, rtol=1e-8)
 
 
 def test_rrf_hybrid_search_matches_brute_fusion(ray_session):

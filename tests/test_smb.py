@@ -1,72 +1,14 @@
-"""Sort-merge-bucket layout: shuffle-once write, shuffle-free joins."""
+"""Sort-merge-bucket layout: the shuffle-free bucketed write shares its
+bucket assignment with the in-memory exchange."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pytest
 
 import ray.data as rd
 
-from ocr_agent_ray.pipelines.smb import smb_join, write_bucketed
-
-
-@pytest.fixture()
-def layouts(ray_session, tmp_path):
-    rng = np.random.default_rng(5)
-    # sparse keys so several of the 8 buckets are empty on each side
-    left = pd.DataFrame({
-        "k": np.repeat([1, 2, 3, 900], [3, 2, 1, 2]),
-        "lv": np.arange(8, dtype=np.int64)})
-    right = pd.DataFrame({
-        "k": [2, 3, 4, 900],
-        "rv": ["a", "b", "c", "d"]})
-    pa_dir, pb_dir = str(tmp_path / "a"), str(tmp_path / "b")
-    ma = write_bucketed(rd.from_pandas(left).repartition(3),
-                        pa_dir, key="k", num_buckets=8)
-    mb = write_bucketed(rd.from_pandas(right), pb_dir, key="k",
-                        num_buckets=8)
-    assert ma["rows"] == len(left) and mb["rows"] == len(right)
-    return left, right, pa_dir, pb_dir
-
-
-def _sorted(df):
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-def test_smb_inner_matches_pandas(layouts):
-    left, right, pa_dir, pb_dir = layouts
-    got = smb_join(pa_dir, pb_dir, on="k").to_pandas()
-    want = left.merge(right, on="k")
-    pd.testing.assert_frame_equal(_sorted(got), _sorted(want),
-                                  check_dtype=False)
-
-
-def test_smb_left_keeps_unmatched(layouts):
-    left, right, pa_dir, pb_dir = layouts
-    got = smb_join(pa_dir, pb_dir, on="k", how="left").to_pandas()
-    want = left.merge(right, on="k", how="left")
-    pd.testing.assert_frame_equal(_sorted(got), _sorted(want),
-                                  check_dtype=False)
-
-
-def test_smb_layout_reused_across_joins(layouts):
-    """Pay the shuffle once: the SAME layout serves repeated joins with
-    identical results and no rewrite."""
-    left, right, pa_dir, pb_dir = layouts
-    a = smb_join(pa_dir, pb_dir, on="k").to_pandas()
-    b = smb_join(pa_dir, pb_dir, on="k").to_pandas()
-    pd.testing.assert_frame_equal(_sorted(a), _sorted(b))
-
-
-def test_smb_bucket_mismatch_raises(ray_session, tmp_path):
-    df = pd.DataFrame({"k": [1, 2], "v": [1, 2]})
-    write_bucketed(rd.from_pandas(df), str(tmp_path / "x"), key="k",
-                   num_buckets=4)
-    write_bucketed(rd.from_pandas(df), str(tmp_path / "y"), key="k",
-                   num_buckets=8)
-    with pytest.raises(ValueError, match="not co-bucketed"):
-        smb_join(str(tmp_path / "x"), str(tmp_path / "y"), on="k")
+from ocr_agent_ray.pipelines.smb import write_bucketed
 
 
 def test_smb_cobucketed_with_exchange_hash(ray_session, tmp_path):

@@ -1,7 +1,6 @@
-"""Statistical / window / pivot / exact-Jaccard operator wave:
-moment-partial corr, mode with tie-break, pivot, lag deltas,
-inverted-index n-gram Jaccard (exact recall) and its cluster round-trip,
-and rank statistics over document lengths."""
+"""Statistical / exact-Jaccard operator wave: inverted-index n-gram
+Jaccard (exact recall) and its cluster round-trip, heavy-hitter and
+TF-IDF ranking, rank statistics over document lengths, and OLS."""
 
 from __future__ import annotations
 
@@ -12,46 +11,6 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_corr_partials_match_numpy(ray_session):
-    from ocr_agent_ray.pipelines.relational import corr_qty_price
-
-    got = corr_qty_price(SF).set_index("l_returnflag")
-    li = pq.read_table(
-        f"{SF}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"],
-    ).to_pandas()
-    for flag, grp in li.groupby("l_returnflag"):
-        want = np.corrcoef(grp["l_quantity"], grp["l_extendedprice"])[0, 1]
-        assert abs(got.loc[flag, "corr_coef"] - want) < 5e-7
-        want_cov = np.cov(grp["l_quantity"], grp["l_extendedprice"])[0, 1]
-        assert abs(got.loc[flag, "covar"] - want_cov) < 5e-5
-
-
-def test_mode_tie_break_is_lexicographic(ray_session):
-    from ocr_agent_ray.pipelines.relational import mode_segment_by_nation
-
-    got = mode_segment_by_nation(SF)
-    cust = pq.read_table(f"{SF}/customer.parquet",
-                         columns=["c_nationkey", "c_mktsegment"]).to_pandas()
-    counts = cust.groupby(["c_nationkey", "c_mktsegment"]).size().reset_index(name="n")
-    for _, row in got.iterrows():
-        sub = counts[counts["c_nationkey"] == row["c_nationkey"]]
-        best_n = sub["n"].max()
-        ties = sorted(sub[sub["n"] == best_n]["c_mktsegment"])
-        assert row["mode_segment"] == ties[0]
-        assert row["n"] == best_n
-
-
-def test_pivot_rows_sum_to_total(ray_session):
-    from ocr_agent_ray.pipelines.relational import orders_status_pivot
-
-    got = orders_status_pivot(SF)
-    assert (got["n_f"] + got["n_o"] + got["n_p"] == got["n_total"]).all()
-    orders = pq.read_table(f"{SF}/orders.parquet",
-                           columns=["o_orderpriority"]).to_pandas()
-    assert got["n_total"].sum() == len(orders)
 
 
 def _brute_jaccard_pairs(docs: pd.DataFrame, n: int, threshold: float):
@@ -147,61 +106,6 @@ def test_tfidf_ranks_rare_terms_over_ubiquitous(ray_session):
     if in_all:
         assert (out.loc[out["word"] == "data", "tfidf"] == 0).all()
     assert (out["tfidf"] >= 0).all()
-
-
-def test_priciest_part_argmax_tiebreak(ray_session):
-    from ocr_agent_ray.pipelines.relational import priciest_part_per_brand
-
-    got = priciest_part_per_brand(SF)
-    part = pq.read_table(f"{SF}/part.parquet").to_pandas()
-    for _, row in got.iterrows():
-        sub = part[part["p_brand"] == row["p_brand"]]
-        best = sub["p_retailprice"].max()
-        ties = sub[sub["p_retailprice"] == best]["p_partkey"].min()
-        assert row["p_partkey"] == ties
-        assert abs(row["p_retailprice"] - round(best, 2)) < 1e-9
-
-
-def test_revenue_by_nation_matches_pandas(ray_session):
-    from ocr_agent_ray.pipelines.relational import revenue_by_nation
-
-    got = revenue_by_nation(SF).set_index("n_name").sort_index()
-    li = pq.read_table(f"{SF}/lineitem.parquet",
-                       columns=["l_orderkey", "l_extendedprice", "l_discount"]).to_pandas()
-    orders = pq.read_table(f"{SF}/orders.parquet",
-                           columns=["o_orderkey", "o_custkey"]).to_pandas()
-    cust = pq.read_table(f"{SF}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"]).to_pandas()
-    nation = pq.read_table(f"{SF}/nation.parquet",
-                           columns=["n_nationkey", "n_name"]).to_pandas()
-    li["rev"] = li["l_extendedprice"] * (1 - li["l_discount"])
-    per_order = li.groupby("l_orderkey", as_index=False)["rev"].sum()
-    j = (per_order.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
-                  .merge(cust, left_on="o_custkey", right_on="c_custkey")
-                  .merge(nation, left_on="c_nationkey", right_on="n_nationkey"))
-    want = j.groupby("n_name")["rev"].agg(["sum", "size"]).sort_index()
-    np.testing.assert_allclose(got["revenue"], want["sum"].round(2), atol=0.011)
-    np.testing.assert_array_equal(got["n_orders"], want["size"])
-
-
-def test_monthly_cum_revenue_monotone(ray_session):
-    from ocr_agent_ray.pipelines.relational import monthly_cum_revenue
-
-    out = monthly_cum_revenue(SF)
-    assert out["month"].is_monotonic_increasing
-    assert out["cum_revenue"].is_monotonic_increasing
-    assert abs(out["cum_revenue"].iloc[-1] - out["revenue"].sum()) < 0.05
-
-
-def test_yearly_order_growth_invariants(ray_session):
-    from ocr_agent_ray.pipelines.relational import yearly_order_growth
-
-    g = yearly_order_growth(SF)
-    assert g["year"].is_monotonic_increasing
-    assert g["prev_n"].isna().sum() == 1            # only the first year
-    assert (g["n_orders"].iloc[1:].to_numpy()
-            - g["n_orders"].iloc[:-1].to_numpy()
-            == g["delta"].iloc[1:].to_numpy()).all()
 
 
 def test_ks_planted_shifted_samples(ray_session, tmp_path):

@@ -682,29 +682,6 @@ def test_unicode_clean_matches_duckdb_on_real_unicode(ray_session, tmp_path):
     assert got.loc[2, "clean_text"] == "line1 line2 line3"
 
 
-def test_copurchase_triples_planted(ray_session, tmp_path):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.relational import copurchase_triples
-
-    # orders 1,2 share basket {10,20,30}; order 3 has {10,20,30,40};
-    # order 4 is {10,20} only
-    rows = [(1, 10), (1, 20), (1, 30), (1, 10),   # dup line collapses
-            (2, 10), (2, 20), (2, 30),
-            (3, 10), (3, 20), (3, 30), (3, 40),
-            (4, 10), (4, 20)]
-    df = pd.DataFrame(rows, columns=["l_orderkey", "l_partkey"])
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(tmp_path / "lineitem.parquet"))
-    got = (copurchase_triples(str(tmp_path), min_support=2).to_pandas()
-           .sort_values(["part_a", "part_b", "part_c"])
-           .reset_index(drop=True))
-    assert got[["part_a", "part_b", "part_c"]].values.tolist() == \
-        [[10, 20, 30]]
-    assert got["n_orders"].tolist() == [3]
-
-
 def test_naive_bayes_langid_zero_token_lang(ray_session, tmp_path):
     """ADVICE r4: a lang whose EVERY doc has zero tokens must be
     dropped as a candidate class (the SQL twin's INNER JOIN on the
@@ -796,51 +773,6 @@ def test_unicode_clean_null_text_matches_twin(ray_session, tmp_path):
     assert got["clean_text"].tolist() == want["clean_text"].tolist()
     assert got["changed"].tolist() == want["changed"].tolist()
     assert got.loc[1, "clean_text"] == "" and got.loc[1, "changed"] == 0
-
-
-def test_copurchase_hot_basket_cap(ray_session, tmp_path, caplog):
-    """VERDICT r4 #6: a degenerate multi-thousand-item basket is dropped
-    (logged, not silent) instead of exploding C(k,2)/C(k,3); normal
-    baskets in the same corpus are still mined."""
-    import logging
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ocr_agent_ray.pipelines.relational import (MAX_BASKET,
-                                                    copurchase_pairs,
-                                                    copurchase_triples)
-
-    hot_n = MAX_BASKET + 50
-    rows = {
-        "l_orderkey": ([1] * hot_n          # the hot basket
-                       + [2, 2, 2, 3, 3, 3]),  # two normal baskets
-        "l_partkey": (list(range(hot_n)) + [7, 8, 9, 7, 8, 9]),
-    }
-    pq.write_table(pa.table({k: pd.array(v, dtype="int64")
-                             for k, v in rows.items()}),
-                   str(tmp_path / "lineitem.parquet"))
-
-    pairs = copurchase_pairs(str(tmp_path), min_support=2).to_pandas()
-    triples = copurchase_triples(str(tmp_path), min_support=2).to_pandas()
-    # the two normal baskets both contain {7,8,9}: 3 pairs + 1 triple
-    got_pairs = sorted(zip(pairs["part_a"], pairs["part_b"]))
-    assert got_pairs == [(7, 8), (7, 9), (8, 9)]
-    assert all(pairs["n_orders"] == 2)
-    assert sorted(zip(triples["part_a"], triples["part_b"],
-                      triples["part_c"])) == [(7, 8, 9)]
-
-    # the drop is logged, not silent (the kernel runs in Ray workers in
-    # the pipeline, so probe the helper directly for the warning)
-    from ocr_agent_ray.pipelines.relational import _drop_hot_baskets
-
-    g = pd.DataFrame({"l_orderkey": [1] * hot_n + [2],
-                      "l_partkey": list(range(hot_n)) + [0]})
-    with caplog.at_level(logging.WARNING,
-                         logger="ocr_agent_ray.pipelines.relational"):
-        kept = _drop_hot_baskets(g, "pairs")
-    assert kept["l_orderkey"].tolist() == [2]
-    assert any("hot basket" in r.message for r in caplog.records)
 
 
 def test_bigram_perplexity_tiers_identical(ray_session, tmp_path):

@@ -167,16 +167,6 @@ def test_dup_gram_spans_planted(ray_session):
     assert list(got["n_grams"]) == [max(int(t) - 7, 0) for t in toks]
 
 
-def test_price_band_lookup_partitions_everything(ray_session):
-    from ocr_agent_ray.pipelines.relational import price_band_lookup
-
-    got = price_band_lookup(SF)
-    li = pq.read_metadata(f"{SF}/lineitem.parquet").num_rows
-    assert int(got["n_items"].sum()) == li
-    assert set(got["band"]) == {"budget", "economy", "mid", "premium",
-                                "luxury"}
-
-
 def test_partition_checksums_localize_divergence(ray_session, tmp_path):
     from ocr_agent_ray.pipelines.relational import partition_checksums
 
@@ -198,57 +188,6 @@ def test_partition_checksums_localize_divergence(ray_session, tmp_path):
     # deterministic across runs
     again = partition_checksums(a).to_pandas().set_index("part")["checksum"]
     assert ca.equals(again)
-
-
-def test_profile_columns_matches_table(ray_session):
-    from ocr_agent_ray.pipelines.profiling import profile_columns
-
-    got = profile_columns(SF).set_index("column")
-    orders = pq.read_table(f"{SF}/orders.parquet").to_pandas()
-    for col in got.index:
-        assert got.loc[col, "n_rows"] == len(orders)
-        assert got.loc[col, "n_nulls"] == int(orders[col].isna().sum())
-        assert got.loc[col, "n_distinct"] == orders[col].nunique()
-        assert got.loc[col, "min_v"] == str(orders[col].min())
-        assert got.loc[col, "max_v"] == str(orders[col].max())
-
-
-def _write(dirpath, name, df):
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   str(dirpath / f"{name}.parquet"))
-
-
-def test_check_constraints_planted_violations(ray_session, tmp_path):
-    from ocr_agent_ray.pipelines.profiling import check_constraints
-
-    _write(tmp_path, "customer", pd.DataFrame({"c_custkey": [1, 2, 3]}))
-    _write(tmp_path, "orders", pd.DataFrame({
-        # orderkey 10 duplicated; custkey 99 not a customer
-        "o_orderkey": [10, 10, 11, 12],
-        "o_custkey": [1, 2, 99, 3],
-    }))
-    _write(tmp_path, "lineitem", pd.DataFrame({
-        # orderkey 77 has no parent order, twice
-        "l_orderkey": [10, 11, 77, 77, 12],
-    }))
-    _write(tmp_path, "events", pd.DataFrame({
-        "event_id": [1, 2, 3], "value": [1.0, -0.5, 2.0],
-    }))
-
-    got = check_constraints(str(tmp_path)).set_index("rule")
-    assert got.loc["orders_orderkey_unique", "n_violations"] == 1
-    assert got.loc["orders_custkey_fk", "n_violations"] == 1
-    assert got.loc["lineitem_orderkey_fk", "n_violations"] == 2
-    assert got.loc["events_value_nonneg", "n_violations"] == 1
-    assert not got["passed"].any()
-
-
-def test_check_constraints_clean_corpus(ray_session):
-    from ocr_agent_ray.pipelines.profiling import check_constraints
-
-    got = check_constraints(SF)
-    assert got["passed"].all()
-    assert (got["n_violations"] == 0).all()
 
 
 def test_cube_counts_levels_consistent(ray_session):

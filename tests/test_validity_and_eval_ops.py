@@ -225,39 +225,6 @@ def test_avg_precision_matches_dense_reference(ray_session, tmp_path):
     assert got.loc[0, "ap"] == round(float(ap), 6)
 
 
-def test_adamic_adar_path_graph(ray_session):
-    """Path 1-2-3-4: the two distance-2 pairs (1,3) and (2,4) are
-    predicted, each through one degree-2 center -> score 1/ln 2;
-    adjacent pairs never appear."""
-    import ray.data as rd
-
-    from ocr_agent_ray.pipelines.dedup import dup_graph_adamic_adar
-
-    pairs = rd.from_pandas(pd.DataFrame({
-        "doc_id_a": [1, 2, 3], "doc_id_b": [2, 3, 4]}))
-    got = dup_graph_adamic_adar(None, pairs=pairs)
-    assert got[["doc_id_a", "doc_id_b"]].values.tolist() == [
-        [1, 3], [2, 4]]
-    assert got["n_common"].tolist() == [1, 1]
-    w = round(1.0 / np.log(2.0), 6)
-    assert got["aa_score"].tolist() == [w, w]
-
-
-def test_adamic_adar_triangle_no_predictions(ray_session):
-    """A triangle is transitively closed -> no non-adjacent 2-hop
-    pairs -> empty output WITH the pinned schema."""
-    import ray.data as rd
-
-    from ocr_agent_ray.pipelines.dedup import dup_graph_adamic_adar
-
-    pairs = rd.from_pandas(pd.DataFrame({
-        "doc_id_a": [1, 1, 2], "doc_id_b": [2, 3, 3]}))
-    got = dup_graph_adamic_adar(None, pairs=pairs)
-    assert len(got) == 0
-    assert list(got.columns) == ["doc_id_a", "doc_id_b", "n_common",
-                                 "aa_score"]
-
-
 def _write_docs(tmp_path, texts, sources, first_id=0):
     docs = pd.DataFrame({
         "doc_id": np.arange(len(texts), dtype=np.int64) + first_id,

@@ -15,7 +15,7 @@ import warnings
 
 warnings.filterwarnings("ignore")
 
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = ["documents", "embeddings"]
 
 
 def to_arrow(result):

@@ -1,13 +1,11 @@
-"""Stress datapoints for the round-4 curation extras (BASELINE.md).
+"""Stress datapoint for the round-4 curation extras (BASELINE.md).
 
-- Pareto skyline over N random 2-D points (default 10M): the local-prune
-  property is what makes it scale — reports survivor counts per stage.
-- boilerplate_strip over a planted multi-line corpus (default 200k docs
-  × 20 lines, 10% boilerplate lines per source): exercises the
-  hash-only wire + reassembly at line volume, verifies planted lines
-  were stripped and uniques survived.
+boilerplate_strip over a planted multi-line corpus (default 200k docs
+× 20 lines, 10% boilerplate lines per source): exercises the hash-only
+wire + reassembly at line volume, verifies planted lines were stripped
+and uniques survived.
 
-Usage: python tools/curation_extras_stress.py [n_points] [n_docs]
+Usage: python tools/curation_extras_stress.py [n_docs]
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ def main() -> None:
     import pyarrow.parquet as pq
     import ray
 
-    n_points = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
-    n_docs = int(sys.argv[2]) if len(sys.argv) > 2 else 200_000
+    n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 
     ray.init(address="local", num_cpus=32, include_dashboard=False,
              logging_level="ERROR")
@@ -36,36 +33,10 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from ocr_agent_ray.pipelines.relational import pareto_skyline
     from ocr_agent_ray.pipelines.text import boilerplate_strip
 
-    # ---- skyline ----
     root = "/tmp/curation_stress"
     os.makedirs(root, exist_ok=True)
-    rng = np.random.default_rng(17)
-    # continuous domain: expected skyline size ~ H(n) (log n) — the
-    # local prune does nearly all the work
-    df = pd.DataFrame({
-        "p_partkey": np.arange(n_points, dtype=np.int64),
-        "p_retailprice": rng.random(n_points),
-        "p_size": rng.integers(0, 1 << 30, n_points),
-    })
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   f"{root}/part.parquet", row_group_size=1 << 20)
-    t0 = time.monotonic()
-    sky = pareto_skyline(root).to_pandas()
-    sky_sec = time.monotonic() - t0
-    # brute-check a sample of survivors against the full frame
-    pts = df[["p_retailprice", "p_size"]].to_numpy()
-    for pk in sky["p_partkey"].head(5):
-        p, s = pts[pk]
-        dom = ((pts[:, 0] <= p) & (pts[:, 1] >= s)
-               & ((pts[:, 0] < p) | (pts[:, 1] > s))).any()
-        assert not dom, pk
-    print(f"skyline: {n_points} pts -> {len(sky)} frontier in "
-          f"{sky_sec:.2f} s ({n_points / sky_sec / 1e6:.1f}M pts/s)")
-
-    # ---- boilerplate ----
     n_sources = 50
     lines_per_doc = 20
     boiler_pool = [f"BOILER-{s}-{i}" for s in range(n_sources)
