@@ -431,6 +431,88 @@ _NGRAM_CONTAIN_SQL = (
 )
 
 
+# Retrieval CTEs over text._SEARCH_QUERIES, shared verbatim by the search
+# oracles: tokens, doc lengths, the query terms, per-(query, doc, term)
+# tf, doc frequency, corpus size with mean doc length, and query sizes
+_SEARCH_TOKS = (
+    "WITH toks AS (SELECT doc_id, "
+    "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
+    "FROM documents), "
+)
+_SEARCH_DL = (
+    "dl AS (SELECT doc_id, "
+    "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
+    "AS DOUBLE) AS dl FROM documents), "
+)
+_SEARCH_Q = (
+    "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
+    "(1,'vector'),(1,'stream'),"
+    "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
+)
+_SEARCH_TF = (
+    "tf AS (SELECT q.qid, toks.doc_id, q.w, "
+    "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
+    "GROUP BY 1, 2, 3), "
+)
+_SEARCH_DF = (
+    "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
+    "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
+)
+_SEARCH_N = (
+    "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
+    "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
+    "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
+    "FROM documents), "
+)
+_SEARCH_QSZ = "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
+_BM25_CTES = (_SEARCH_TOKS + _SEARCH_DL + _SEARCH_Q + _SEARCH_TF
+              + _SEARCH_DF + _SEARCH_N + _SEARCH_QSZ)
+# binary relevance: at least 3 query-term hits
+_REL3 = "CASE WHEN SUM(tf.tf) >= 3.0 THEN 1 ELSE 0 END AS rel, "
+# conjunctive matches (every query term present), top 20 per query by
+# unrounded score
+_SEARCH_TOP20 = (
+    "FROM sc JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
+    "QUALIFY row_number() OVER (PARTITION BY sc.qid "
+    "ORDER BY sc.score DESC, sc.doc_id) <= 20"
+)
+_SEARCH_SELECT = ("SELECT sc.qid AS query_id, sc.doc_id, "
+                  "ROUND(sc.score, 6) AS score " + _SEARCH_TOP20)
+# every conjunctive match with its score and relevance
+_SEARCH_CAND = (
+    "cand AS (SELECT sc.qid, sc.doc_id, sc.score, sc.rel "
+    "FROM sc JOIN qsz ON sc.qid = qsz.qid "
+    "WHERE sc.matched = qsz.sz), "
+)
+
+
+def _bm25_sc(rel: str = "") -> str:
+    """The BM25 ``sc`` CTE per (query, doc): the Lucene idf, k1 = 1.2,
+    b = 0.75, written as the same float expressions the pipeline
+    evaluates, then the optional ``rel`` column and the count of
+    matched query terms."""
+    return ("sc AS (SELECT tf.qid, tf.doc_id, "
+            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
+            "* (tf.tf * (1.2 + 1.0)) "
+            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
+            "AS score, " + rel + "COUNT(*) AS matched "
+            "FROM tf JOIN df USING (w) "
+            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2)")
+
+
+# AND-semantics TF-IDF search; raw ln(N/df) idf, same float expression
+# as the pipeline
+_KEYWORD_SQL = (
+    _SEARCH_TOKS + _SEARCH_Q + _SEARCH_TF + _SEARCH_DF
+    + "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents), "
+    + _SEARCH_QSZ
+    + "sc AS (SELECT tf.qid, tf.doc_id, "
+    "SUM(tf.tf * ln(n.n / df.df)) AS score, "
+    "COUNT(*) AS matched FROM tf JOIN df USING (w), n "
+    "GROUP BY 1, 2) " + _SEARCH_SELECT
+)
+
+
 def oracle_sql() -> dict[str, str]:
     return {
         "q_supported_path_filter": (
@@ -1179,127 +1261,33 @@ def oracle_sql() -> dict[str, str]:
             "contains(lower(d.text), 'javascript') AS has_javascript "
             "FROM documents d JOIN agg a ON d.doc_id = a.doc_id"
         ),
-        "q_keyword_search": (
-            # AND-semantics TF-IDF search; raw ln(N/df) idf, same float
-            # expression as the pipeline
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(tf.tf * ln(n.n / df.df)) AS score, "
-            "COUNT(*) AS matched FROM tf JOIN df USING (w), n "
-            "GROUP BY 1, 2) "
-            "SELECT sc.qid AS query_id, sc.doc_id, "
-            "ROUND(sc.score, 6) AS score FROM sc "
-            "JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
-            "QUALIFY row_number() OVER (PARTITION BY sc.qid "
-            "ORDER BY sc.score DESC, sc.doc_id) <= 20"
-        ),
+        "q_keyword_search": _KEYWORD_SQL,
         # index-backed physical plan, same logical result as
         # q_keyword_search: the persisted-inverted-index path must agree
         # with the corpus-rescan path AND the SQL oracle (the same
         # two-plans-one-oracle discipline as the bucketed SEMI/ANTI
         # join variants)
-        "q_indexed_search": (
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(tf.tf * ln(n.n / df.df)) AS score, "
-            "COUNT(*) AS matched FROM tf JOIN df USING (w), n "
-            "GROUP BY 1, 2) "
-            "SELECT sc.qid AS query_id, sc.doc_id, "
-            "ROUND(sc.score, 6) AS score FROM sc "
-            "JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
-            "QUALIFY row_number() OVER (PARTITION BY sc.qid "
-            "ORDER BY sc.score DESC, sc.doc_id) <= 20"
-        ),
+        "q_indexed_search": _KEYWORD_SQL,
         "q_bm25_search": (
-            # BM25 with the Lucene idf; constants written as the same
-            # float expressions the pipeline evaluates
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
-            "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
-            "FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
-            "* (tf.tf * (1.2 + 1.0)) "
-            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
-            "AS score, COUNT(*) AS matched "
-            "FROM tf JOIN df USING (w) "
-            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2) "
-            "SELECT sc.qid AS query_id, sc.doc_id, "
-            "ROUND(sc.score, 6) AS score FROM sc "
-            "JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
-            "QUALIFY row_number() OVER (PARTITION BY sc.qid "
-            "ORDER BY sc.score DESC, sc.doc_id) <= 20"
+            # BM25 with the Lucene idf
+            _BM25_CTES + _bm25_sc() + " " + _SEARCH_SELECT
         ),
         "q_ql_search": (
             # Dirichlet query likelihood: smooth by COLLECTION term
             # frequency cf/ctot (BM25 smooths by doc frequency);
             # conjunctive membership, top-20, identical float nesting
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "cf AS (SELECT w, CAST(COUNT(*) AS DOUBLE) AS cf "
+            _SEARCH_TOKS + _SEARCH_DL + _SEARCH_Q + _SEARCH_TF
+            + "cf AS (SELECT w, CAST(COUNT(*) AS DOUBLE) AS cf "
             "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
             "n AS (SELECT CAST(SUM(len(regexp_extract_all(lower(text), "
             "'[0-9a-z_]+'))) AS DOUBLE) AS ctot FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
+            + _SEARCH_QSZ
+            + "sc AS (SELECT tf.qid, tf.doc_id, "
             "SUM(ln((tf.tf + 2000.0 * (cf.cf / n.ctot)) "
             "/ (dl.dl + 2000.0))) AS score, COUNT(*) AS matched "
             "FROM tf JOIN cf USING (w) "
             "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2) "
-            "SELECT sc.qid AS query_id, sc.doc_id, "
-            "ROUND(sc.score, 6) AS score FROM sc "
-            "JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
-            "QUALIFY row_number() OVER (PARTITION BY sc.qid "
-            "ORDER BY sc.score DESC, sc.doc_id) <= 20"
+            + _SEARCH_SELECT
         ),
         "q_rrf_hybrid_search": (
             # Reciprocal Rank Fusion of the BM25 arm (same CTEs as
@@ -1308,37 +1296,9 @@ def oracle_sql() -> dict[str, str]:
             # the exact-cosine arm (same construction as
             # q_knn_bruteforce with vec_id < 3, rank <= 20);
             # rrf = sum over present arms of 1/(60 + rank)
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
-            "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
-            "FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
-            "* (tf.tf * (1.2 + 1.0)) "
-            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
-            "AS score, COUNT(*) AS matched "
-            "FROM tf JOIN df USING (w) "
-            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2), "
+            _BM25_CTES + _bm25_sc() + ", "
             "lexsel AS (SELECT sc.qid AS query_id, sc.doc_id, "
-            "ROUND(sc.score, 6) AS rscore FROM sc "
-            "JOIN qsz ON sc.qid = qsz.qid WHERE sc.matched = qsz.sz "
-            "QUALIFY row_number() OVER (PARTITION BY sc.qid "
-            "ORDER BY sc.score DESC, sc.doc_id) <= 20), "
+            "ROUND(sc.score, 6) AS rscore " + _SEARCH_TOP20 + "), "
             "lex AS (SELECT query_id, doc_id, row_number() OVER "
             "(PARTITION BY query_id ORDER BY rscore DESC, doc_id) "
             "AS lex_rank FROM lexsel), "
@@ -2011,37 +1971,9 @@ def oracle_sql() -> dict[str, str]:
             # NDCG@20 of the BM25 order vs the ideal (rel DESC) order
             # of the same conjunctive candidate pool; linear gain
             # rel = Σ tf; builds on the q_bm25_search CTEs
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
-            "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
-            "FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
-            "* (tf.tf * (1.2 + 1.0)) "
-            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
-            "AS score, CAST(SUM(tf.tf) AS BIGINT) AS rel, "
-            "COUNT(*) AS matched "
-            "FROM tf JOIN df USING (w) "
-            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2), "
-            "cand AS (SELECT sc.qid, sc.doc_id, sc.score, sc.rel "
-            "FROM sc JOIN qsz ON sc.qid = qsz.qid "
-            "WHERE sc.matched = qsz.sz), "
-            "ranked AS (SELECT qid, rel, row_number() OVER "
+            _BM25_CTES + _bm25_sc("CAST(SUM(tf.tf) AS BIGINT) AS rel, ")
+            + ", " + _SEARCH_CAND
+            + "ranked AS (SELECT qid, rel, row_number() OVER "
             "(PARTITION BY qid ORDER BY score DESC, doc_id) AS rk "
             "FROM cand), "
             "ideal AS (SELECT qid, rel, row_number() OVER "
@@ -2063,37 +1995,8 @@ def oracle_sql() -> dict[str, str]:
             # AP@20 of the BM25 order under binary relevance
             # (>= 3 total query-term hits); P@i are exact int ratios;
             # denominator min(R, 20) with R over the FULL candidate pool
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
-            "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
-            "FROM documents), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
-            "* (tf.tf * (1.2 + 1.0)) "
-            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
-            "AS score, CASE WHEN SUM(tf.tf) >= 3.0 THEN 1 ELSE 0 END "
-            "AS rel, COUNT(*) AS matched "
-            "FROM tf JOIN df USING (w) "
-            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2), "
-            "cand AS (SELECT sc.qid, sc.doc_id, sc.score, sc.rel "
-            "FROM sc JOIN qsz ON sc.qid = qsz.qid "
-            "WHERE sc.matched = qsz.sz), "
-            "r AS (SELECT qid, CAST(SUM(rel) AS BIGINT) AS n_rel "
+            _BM25_CTES + _bm25_sc(_REL3) + ", " + _SEARCH_CAND
+            + "r AS (SELECT qid, CAST(SUM(rel) AS BIGINT) AS n_rel "
             "FROM cand GROUP BY 1), "
             "ranked AS (SELECT qid, rel, row_number() OVER "
             "(PARTITION BY qid ORDER BY score DESC, doc_id) AS rk "
@@ -2455,8 +2358,8 @@ def oracle_sql() -> dict[str, str]:
         ),
         "q_dedup_savings": (
             # first-wins exact-dedup savings; groups by text equality
-            # (the kernel's 64-bit fingerprint stands in — the
-            # q_exact_dedup collision precedent)
+            # (the kernel groups by the 128-bit md5 of the raw text,
+            # the fingerprint q_exact_dedup relies on)
             "WITH g AS (SELECT text, CAST(COUNT(*) AS BIGINT) AS docs, "
             "CAST(SUM(n_chars) AS BIGINT) AS chars, "
             "CAST(MIN(doc_id) AS BIGINT) AS keep_id FROM documents "
@@ -2488,34 +2391,9 @@ def oracle_sql() -> dict[str, str]:
         "q_mrr_search": (
             # rank of the first relevant (rel >= 3) doc in the BM25
             # top-20; none -> rank NULL, reciprocal 0
-            "WITH toks AS (SELECT doc_id, "
-            "unnest(regexp_extract_all(lower(text), '[0-9a-z_]+')) AS w "
-            "FROM documents), "
-            "dl AS (SELECT doc_id, "
-            "CAST(len(regexp_extract_all(lower(text), '[0-9a-z_]+')) "
-            "AS DOUBLE) AS dl FROM documents), "
-            "q AS (SELECT * FROM (VALUES (0,'join'),(0,'hash'),"
-            "(1,'vector'),(1,'stream'),"
-            "(2,'window'),(2,'filter'),(2,'merge')) AS t(qid, w)), "
-            "qsz AS (SELECT qid, COUNT(*) AS sz FROM q GROUP BY 1), "
-            "tf AS (SELECT q.qid, toks.doc_id, q.w, "
-            "CAST(COUNT(*) AS DOUBLE) AS tf FROM toks JOIN q USING (w) "
-            "GROUP BY 1, 2, 3), "
-            "df AS (SELECT w, CAST(COUNT(DISTINCT doc_id) AS DOUBLE) AS df "
-            "FROM toks WHERE w IN (SELECT DISTINCT w FROM q) GROUP BY 1), "
-            "n AS (SELECT CAST(COUNT(*) AS DOUBLE) AS n, "
-            "CAST(SUM(len(regexp_extract_all(lower(text), '[0-9a-z_]+'))) "
-            "AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS avgdl "
-            "FROM documents), "
-            "sc AS (SELECT tf.qid, tf.doc_id, "
-            "SUM(ln((n.n - df.df + 0.5) / (df.df + 0.5) + 1.0) "
-            "* (tf.tf * (1.2 + 1.0)) "
-            "/ (tf.tf + 1.2 * (1.0 - 0.75 + 0.75 * dl.dl / n.avgdl))) "
-            "AS score, CASE WHEN SUM(tf.tf) >= 3.0 THEN 1 ELSE 0 END "
-            "AS rel, COUNT(*) AS matched "
-            "FROM tf JOIN df USING (w) "
-            "JOIN dl ON tf.doc_id = dl.doc_id, n GROUP BY 1, 2), "
-            "ranked AS (SELECT sc.qid, sc.rel, row_number() OVER "
+            _SEARCH_TOKS + _SEARCH_DL + _SEARCH_Q + _SEARCH_QSZ + _SEARCH_TF
+            + _SEARCH_DF + _SEARCH_N + _bm25_sc(_REL3) + ", "
+            + "ranked AS (SELECT sc.qid, sc.rel, row_number() OVER "
             "(PARTITION BY sc.qid ORDER BY sc.score DESC, sc.doc_id) "
             "AS rk FROM sc JOIN qsz ON sc.qid = qsz.qid "
             "WHERE sc.matched = qsz.sz), "

@@ -84,7 +84,8 @@ def cmd_run(args) -> int:
     _ray_init(args.num_cpus)
     import functools
 
-    from ocr_agent_ray.config import PipelineSettings, PostProcessSettings
+    from ocr_agent_ray.config import (OcrModelSettings, PipelineSettings,
+                                      PostProcessSettings)
     from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
     from ocr_agent_ray.sources.corpus import read_documents
     from ocr_agent_ray.stages.ocr import MockOcrEngine
@@ -105,7 +106,10 @@ def cmd_run(args) -> int:
     elif args.engine == "deepseek":
         from ocr_agent_ray.stages.ocr import DeepSeekOcr2Engine
 
-        engine_factory = DeepSeekOcr2Engine  # raises: needs GPU + weights
+        # settings read on the driver, where the OCR_AGENT_* variables
+        # are set; raises in the workers without a GPU and weights
+        engine_factory = functools.partial(
+            DeepSeekOcr2Engine, OcrModelSettings.from_environment())
     else:
         engine_factory = functools.partial(MockOcrEngine, work_ms=args.ocr_work_ms)
     summary = run_extract_checkpointed(

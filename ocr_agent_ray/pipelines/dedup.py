@@ -838,21 +838,15 @@ def _word_ngram_hash_sets(texts, n: int) -> list[np.ndarray]:
     return out
 
 
-def ngram_jaccard_all_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                            n: int = 4, threshold: float = 0.5):
-    """EXACT word-n-gram Jaccard near-dup pairs via an inverted index —
-    no LSH loss: every pair sharing at least one n-gram meets in that
-    gram's bucket, so recall is 1.0 by construction and the result is
-    SQL-oracle-able (q_ngram_jaccard). Any pair with Jaccard ≥ t > 0
-    shares a gram, so the index finds all of them.
-
-    Scale shape: band rows are (doc_id, hash(gram)); pair generation is
-    the usual bucketed self-merge (_bucketed_band_pairs). Ultra-common
-    grams above MAX_BUCKET are boilerplate (a gram shared by thousands of
-    docs contributes ~0 to Jaccard ≥ 0.5 pairs unless the docs also share
-    rare grams, which still collide elsewhere) — at this corpus size the
-    hottest gram touches 3 docs, so the result is exact. Verification
-    rejoins gram sets through two bucket_hash_joins (distributed)."""
+def _exact_ngram_pairs(ds, text_col: str, id_col: str, n: int,
+                       threshold: float, pair_score, score_col: str):
+    """Exact word-n-gram near-dup pairs, the one path behind
+    ``ngram_jaccard_all_pairs`` and ``ngram_containment_all_pairs``:
+    band rows (doc_id, hash(gram)) feed the bucketed self-merge
+    (_bucketed_band_pairs), candidates rejoin their gram sets through
+    two bucket_hash_joins (_pair_feature_verify), and
+    ``pair_score(a, b)`` scores each pair's uint64 gram sets. Keeps the
+    pairs whose rounded score, column ``score_col``, is ≥ threshold."""
     import pyarrow as pa
 
     from ocr_agent_ray.functions.textstats import round_half_away
@@ -890,8 +884,8 @@ def ngram_jaccard_all_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id
 
     def _score(fa: pd.Series, fb: pd.Series) -> np.ndarray:
         return round_half_away(
-            np.array([jaccard(np.asarray(a, dtype=np.uint64),
-                              np.asarray(b, dtype=np.uint64))
+            np.array([pair_score(np.asarray(a, dtype=np.uint64),
+                                 np.asarray(b, dtype=np.uint64))
                       for a, b in zip(fa, fb)]), 6)
 
     scored = _pair_feature_verify(
@@ -900,10 +894,29 @@ def ngram_jaccard_all_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id
     )
 
     def _filter(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.rename(columns={"score": "jaccard"})
-        return b[b["jaccard"] >= threshold]
+        b = b.rename(columns={"score": score_col})
+        return b[b[score_col] >= threshold]
 
     return scored.map_batches(_filter, batch_format="pandas")
+
+
+def ngram_jaccard_all_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
+                            n: int = 4, threshold: float = 0.5):
+    """EXACT word-n-gram Jaccard near-dup pairs via an inverted index —
+    no LSH loss: every pair sharing at least one n-gram meets in that
+    gram's bucket, so recall is 1.0 by construction and the result is
+    SQL-oracle-able (q_ngram_jaccard). Any pair with Jaccard ≥ t > 0
+    shares a gram, so the index finds all of them.
+
+    Scale shape: band rows are (doc_id, hash(gram)); pair generation is
+    the usual bucketed self-merge (_bucketed_band_pairs). Ultra-common
+    grams above MAX_BUCKET are boilerplate (a gram shared by thousands of
+    docs contributes ~0 to Jaccard ≥ 0.5 pairs unless the docs also share
+    rare grams, which still collide elsewhere) — at this corpus size the
+    hottest gram touches 3 docs, so the result is exact. Verification
+    rejoins gram sets through two bucket_hash_joins (distributed)."""
+    return _exact_ngram_pairs(ds, text_col, id_col, n, threshold,
+                              jaccard, "jaccard")
 
 
 PAIRS_CACHE_VERSION = 1
@@ -989,119 +1002,15 @@ def ngram_containment_all_pairs(ds, *, text_col: str = "text",
     every qualifying pair shares a gram (the smaller side is non-empty by
     construction), so recall is 1.0 and the result is SQL-oracle-able
     (q_ngram_containment). Columns: doc_id_a, doc_id_b, containment."""
-    import pyarrow as pa
 
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.joins import _arrow_schema_of
+    def _containment(a: np.ndarray, b: np.ndarray) -> float:
+        m = min(len(a), len(b))
+        if m == 0:
+            return 0.0
+        return float(len(np.intersect1d(a, b, assume_unique=True)) / m)
 
-    id_type = _arrow_schema_of(ds).field(id_col).type
-
-    def _bands(batch: pd.DataFrame) -> pd.DataFrame:
-        hs = _word_ngram_hash_sets(batch[text_col], n)
-        lens = np.fromiter((len(h) for h in hs), dtype=np.int64, count=len(hs))
-        keys = (np.concatenate(hs) if hs else np.empty(0, np.uint64))
-        return pd.DataFrame({
-            id_col: np.repeat(batch[id_col].to_numpy(), lens),
-            "band_key": keys.view(np.int64),
-        })
-
-    cands = _bucketed_band_pairs(
-        ds.map_batches(_bands, batch_format="pandas"), id_col
-    )
-
-    def _feats(cand_ids):
-        from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-        filtered = broadcast_semi_filter(ds, cand_ids, id_col)
-
-        def _sets(batch: pd.DataFrame) -> pa.Table:
-            feats = _word_ngram_hash_sets(batch[text_col], n)
-            return pa.Table.from_arrays(
-                [pa.Array.from_pandas(batch[id_col], type=id_type),
-                 pa.array(feats, type=pa.list_(pa.uint64()))],
-                names=["doc_id", "__feat"],
-            )
-
-        return filtered.map_batches(_sets, batch_format="pandas")
-
-    def _score(fa: pd.Series, fb: pd.Series) -> np.ndarray:
-        def c(a, b) -> float:
-            a = np.asarray(a, dtype=np.uint64)
-            b = np.asarray(b, dtype=np.uint64)
-            m = min(len(a), len(b))
-            if m == 0:
-                return 0.0
-            return float(len(np.intersect1d(a, b, assume_unique=True)) / m)
-
-        return round_half_away(
-            np.array([c(a, b) for a, b in zip(fa, fb)]), 6)
-
-    scored = _pair_feature_verify(
-        cands, _feats, id_type=id_type, feat_type=pa.list_(pa.uint64()),
-        score_batch=_score,
-    )
-
-    def _filter(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.rename(columns={"score": "containment"})
-        return b[b["containment"] >= threshold]
-
-    return scored.map_batches(_filter, batch_format="pandas")
-
-
-def ngram_jaccard_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                        n: int = 3, threshold: float = 0.5):
-    """Word n-gram Jaccard near-dup pairs (LSH-free small-scale variant):
-    candidates = docs sharing any n-gram hash band via minhash, verified on
-    word-ngram sets rejoined through two bucket_hash_joins."""
-    import pyarrow as pa
-
-    from ocr_agent_ray.pipelines.joins import _arrow_schema_of
-
-    def _ngram_set(text: str) -> np.ndarray:
-        from ocr_agent_ray.functions.hashing import rolling_hashes
-
-        toks = (text or "").lower().split()
-        grams = [" ".join(toks[i : i + n]) for i in range(max(0, len(toks) - n + 1))]
-        if not grams:
-            return np.empty(0, dtype=np.uint64)
-        # one full-length rolling hash per n-gram string
-        return np.unique(
-            np.concatenate([rolling_hashes(g, len(g.encode())) for g in grams if g])
-        )
-
-    id_type = _arrow_schema_of(ds).field(id_col).type
-    cands = minhash_candidates(ds, text_col=text_col, id_col=id_col)
-
-    def _feats(cand_ids):
-        from ocr_agent_ray.pipelines.joins import broadcast_semi_filter
-
-        filtered = broadcast_semi_filter(ds, cand_ids, id_col)
-
-        def _sets(batch: pd.DataFrame) -> pa.Table:
-            feats = [_ngram_set(t) for t in batch[text_col]]
-            return pa.Table.from_arrays(
-                [pa.Array.from_pandas(batch[id_col], type=id_type),
-                 pa.array(feats, type=pa.list_(pa.uint64()))],
-                names=["doc_id", "__feat"],
-            )
-
-        return filtered.map_batches(_sets, batch_format="pandas")
-
-    def _score(fa: pd.Series, fb: pd.Series) -> np.ndarray:
-        return np.round(
-            [jaccard(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
-             for a, b in zip(fa, fb)], 6)
-
-    scored = _pair_feature_verify(
-        cands, _feats, id_type=id_type, feat_type=pa.list_(pa.uint64()),
-        score_batch=_score,
-    )
-
-    def _filter(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.rename(columns={"score": "jaccard"})
-        return b[b["jaccard"] >= threshold]
-
-    return scored.map_batches(_filter, batch_format="pandas")
+    return _exact_ngram_pairs(ds, text_col, id_col, n, threshold,
+                              _containment, "containment")
 
 
 def duplicate_gram_spans(ds, *, n: int = 8, text_col: str = "text",
@@ -2954,23 +2863,22 @@ def dedup_savings_report(sf_dir: str):
     from dropping non-first exact duplicates (the capacity-planning
     number behind every dedup rollout). First-wins semantics match
     ``dedup_keep_first`` (min doc_id per fingerprint survives): one
-    fingerprint exchange carrying (hash, doc_id, n_chars) — never
-    text — with a bucketed per-hash fold emitting mergeable
-    (docs, kept, chars, chars_kept) partials. Columns: n_docs,
+    fingerprint exchange carrying (fingerprint, doc_id, n_chars) — never
+    text — with a per-fingerprint fold emitting mergeable
+    (docs, kept, chars, chars_kept) partials. The fingerprint is the
+    128-bit md5 of the raw text, and the exchange regroups by its true
+    value: a 64-bit key is expected to collide about 2^15 times over
+    10^12 documents, merging distinct texts. Columns: n_docs,
     n_kept, n_dropped, chars_total, chars_dropped, savings_fraction."""
     import pandas as pd
 
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
+    from ocr_agent_ray.pipelines.exchange import grouped_map_groups
     from ocr_agent_ray.sources.readers import read_table
 
     def _fp(b: pd.DataFrame) -> pd.DataFrame:
-        from pandas.util import hash_array
-
-        h = hash_array(b["text"].fillna("").to_numpy(dtype=object),
-                       categorize=False).astype(np.int64)
-        return pd.DataFrame({"h": h,
+        return pd.DataFrame({"h": md5_fingerprint(b["text"], normalize=False),
                              "doc_id": b["doc_id"].astype("int64"),
                              "nc": b["n_chars"].astype("int64")})
 
@@ -2988,7 +2896,7 @@ def dedup_savings_report(sf_dir: str):
             "chars_kept": [np.int64(int(g.loc[keep, "nc"]))]})
 
     tot = combine_partials_driver(
-        key_map_groups(fp, _per_hash, key_col="h", num_buckets=32),
+        grouped_map_groups(fp, _per_hash, key_col="h", num_buckets=32),
         ["__k"],
         {"docs": ("docs", "sum"), "kept": ("kept", "sum"),
          "chars": ("chars", "sum"),

@@ -27,24 +27,35 @@ def _read_embeddings(sf_dir: str):
     return read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
-def _lowest_id_seeds(sf_dir: str, k: int) -> np.ndarray:
-    """The (k × dim) float64 vectors of the k lowest vec_ids, wherever
-    the ids start — the deterministic init of the Lloyd / PQ / EM
-    family. Two pruned reads: the id column, then only the rows up to
-    the k-th smallest id. Raises ValueError when the table holds fewer
-    than k vectors."""
+def _lowest_id_rows(sf_dir: str, k: int) -> pd.DataFrame:
+    """(vec_id, embedding) rows holding the k lowest vec_ids (all rows
+    when the table holds fewer), in file order, wherever the ids start.
+    Two pruned reads: the id column, then only the rows up to the k-th
+    smallest id."""
     import pyarrow.parquet as pq
 
     path = f"{sf_dir}/embeddings.parquet"
     ids = np.sort(pq.read_table(path, columns=["vec_id"])["vec_id"]
                   .to_numpy())[:k]
-    if len(ids) < k:
-        raise ValueError(f"k={k} seeds need at least k vectors, the "
-                         f"table holds {len(ids)}")
-    seed_tbl = pq.read_table(
+    if not len(ids):
+        return pd.DataFrame({"vec_id": pd.Series(dtype="int64"),
+                             "embedding": pd.Series(dtype="object")})
+    return pq.read_table(
         path, columns=["vec_id", "embedding"],
         filters=[("vec_id", "<=", int(ids[-1]))],
-    ).to_pandas().sort_values("vec_id", kind="stable").head(k)
+    ).to_pandas()
+
+
+def _lowest_id_seeds(sf_dir: str, k: int) -> np.ndarray:
+    """The (k × dim) float64 vectors of the k lowest vec_ids, wherever
+    the ids start — the deterministic init of the Lloyd / PQ / EM
+    family. Raises ValueError when the table holds fewer than k
+    vectors."""
+    rows = _lowest_id_rows(sf_dir, k)
+    if len(rows) < k:
+        raise ValueError(f"k={k} seeds need at least k vectors, the "
+                         f"table holds {len(rows)}")
+    seed_tbl = rows.sort_values("vec_id", kind="stable").head(k)
     return np.stack([np.asarray(v, dtype=np.float64)
                      for v in seed_tbl["embedding"]])
 
@@ -196,14 +207,11 @@ def _ivf_centroids(sf_dir: str, num_lists: int, sample_rows: int = 4096,
                    iters: int = 10) -> np.ndarray:
     """Deterministic mini k-means over a pruned sample read: seeded
     kmeans++-lite init (first k of a seeded shuffle), Lloyd iterations in
-    numpy. The sample is tiny and read once — the 100 TB analog trains
-    centroids on a fixed sample shard, never the full corpus."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "<", sample_rows)])
-    mat = _unit(np.stack(t["embedding"].to_pandas().to_numpy()))
+    numpy. The sample (the ``sample_rows`` lowest ids) is tiny and read
+    once — the 100 TB analog trains centroids on a fixed sample shard,
+    never the full corpus."""
+    mat = _unit(np.stack(
+        _lowest_id_rows(sf_dir, sample_rows)["embedding"].to_numpy()))
     rng = np.random.default_rng(424242)
     init = rng.permutation(len(mat))[:num_lists]
     cent = mat[init].copy()
@@ -374,12 +382,8 @@ def _pq_train_sample(sf_dir: str, m: int, codebook_k: int,
     Vectors are unit-normalized FIRST so L2-on-units is monotone with
     cosine and the ADC scores approximate cosine directly. Returns
     ``(m, codebook_k, dim//m)`` float64 codebooks, deterministic."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "<", sample_rows)])
-    mat = _unit(np.stack(t["embedding"].to_pandas().to_numpy()))
+    mat = _unit(np.stack(
+        _lowest_id_rows(sf_dir, sample_rows)["embedding"].to_numpy()))
     dim = mat.shape[1]
     if dim % m:
         raise ValueError(f"dim {dim} not divisible by m={m}")

@@ -1244,46 +1244,19 @@ def _segment_dedup(sf_dir: str, *, sep: str, kept_col: str,
     from pandas.util import hash_array
 
     def _occ(batch: pd.DataFrame) -> pd.DataFrame:
-        lists = batch["text"].fillna("").str.split(sep, regex=False)
-        counts = lists.str.len().to_numpy(dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        total = int(counts.sum())
-        idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+        lists, counts, idx = _split_segments(batch, sep)
         h = hash_array(lists.explode().to_numpy(), categorize=False)
-        return pd.DataFrame({
-            "doc_id": np.repeat(batch["doc_id"].to_numpy(), counts),
-            "idx": idx,
-            "h": h,
-            "__bucket": (h % np.uint64(num_buckets)).astype(np.int32),
-        })
+        return _occurrence_rows(batch, counts, idx, h, num_buckets)
 
     def _winners(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h", "doc_id", "idx"], kind="mergesort")
         k = g[~g.duplicated("h")]
-        return pd.DataFrame({
-            "doc_id": k["doc_id"],
-            "idx": k["idx"],
-            "text": pd.Series([None] * len(k), dtype="object",
-                              index=k.index),
-            "__db": (k["doc_id"].to_numpy() % num_buckets).astype(np.int32),
-        })
+        return _marked_segments(k, num_buckets)
 
     kept = bucket_map_groups(
         _read_documents(sf_dir)
         .map_batches(_occ, batch_format="pandas", batch_size=65536),
         _winners, bucket_col="__bucket", num_buckets=num_buckets)
-
-    def _doc_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": batch["doc_id"],
-            "idx": np.full(len(batch), -1, dtype=np.int64),
-            "text": batch["text"].fillna("").astype("object"),
-            "__db": (batch["doc_id"].to_numpy() % num_buckets
-                     ).astype(np.int32),
-        })
-
-    doc_rows = _read_documents(sf_dir).map_batches(
-        _doc_rows, batch_format="pandas", batch_size=65536)
 
     def _assemble(g: pd.DataFrame) -> pd.DataFrame:
         texts = g[g["idx"] < 0]
@@ -1304,7 +1277,62 @@ def _segment_dedup(sf_dir: str, *, sep: str, kept_col: str,
         out[total_col] = out[total_col].astype("int64")
         return out
 
-    return bucket_map_groups(doc_rows.union(kept), _assemble,
+    return _reassemble(sf_dir, kept, _assemble, num_buckets)
+
+
+def _split_segments(batch: pd.DataFrame, sep: str):
+    """Split each doc's text on ``sep``: the per-doc segment lists, the
+    per-doc segment counts and each segment's 0-based index in its doc
+    (flattened in doc order)."""
+    lists = batch["text"].fillna("").str.split(sep, regex=False)
+    counts = lists.str.len().to_numpy(dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    return lists, counts, idx
+
+
+def _occurrence_rows(batch: pd.DataFrame, counts, idx, h,
+                     num_buckets: int) -> pd.DataFrame:
+    """One (doc_id, idx, h) row per segment occurrence, bucketed by its
+    64-bit hash ``h`` so identical segments co-locate."""
+    return pd.DataFrame({
+        "doc_id": np.repeat(batch["doc_id"].to_numpy(), counts),
+        "idx": idx,
+        "h": h,
+        "__bucket": (h % np.uint64(num_buckets)).astype(np.int32),
+    })
+
+
+def _marked_segments(k: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
+    """Marked (doc_id, idx) segment rows, routed by doc bucket ``__db``
+    to meet their doc in :func:`_reassemble`; they carry no text."""
+    return pd.DataFrame({
+        "doc_id": k["doc_id"],
+        "idx": k["idx"],
+        "text": pd.Series([None] * len(k), dtype="object", index=k.index),
+        "__db": (k["doc_id"].to_numpy() % num_buckets).astype(np.int32),
+    })
+
+
+def _reassemble(sf_dir: str, marked, assemble, num_buckets: int):
+    """Segment reassembly: a second column-pruned read of the documents
+    as (doc_id, idx=-1, text) rows, unioned with the ``marked`` segment
+    rows and grouped by doc bucket, where ``assemble`` rebuilds each
+    doc's text from its marked indices."""
+
+    def _doc_rows(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "doc_id": batch["doc_id"],
+            "idx": np.full(len(batch), -1, dtype=np.int64),
+            "text": batch["text"].fillna("").astype("object"),
+            "__db": (batch["doc_id"].to_numpy() % num_buckets
+                     ).astype(np.int32),
+        })
+
+    doc_rows = _read_documents(sf_dir).map_batches(
+        _doc_rows, batch_format="pandas", batch_size=65536)
+    return bucket_map_groups(doc_rows.union(marked), assemble,
                              bucket_col="__db", num_buckets=num_buckets)
 
 
@@ -1480,6 +1508,144 @@ _SEARCH_QUERIES = {
     2: ("window", "filter", "merge"),
 }
 
+# The retrieval family (keyword_search, bm25_search, ql_search,
+# ndcg_search, avg_precision_search, mrr_search) shares one core: the
+# term-frequency pivot, one statistics pass, the conjunctive-match
+# generator and the per-query top-k merge. Each query supplies only its
+# scorer, its per-batch candidate emission and its per-query final step.
+# The registered queries are read at call time and captured by the task
+# closures, so a caller may swap ``_SEARCH_QUERIES`` between calls.
+
+
+def _search_terms(queries) -> list[str]:
+    return sorted({t for q in queries.values() for t in q})
+
+
+def _search_pivot(batch: pd.DataFrame, terms) -> pd.DataFrame:
+    """Per-row tf counts for the query terms plus the doc length ``__dl``
+    (tokens), vectorized: explode -> isin filter -> one C-speed groupby;
+    no per-doc Python loop."""
+    toks = (batch["text"].fillna("").str.lower()
+            .str.findall(r"[0-9a-z_]+"))
+    ex = toks.explode()
+    m = ex.isin(terms)
+    hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
+    tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
+          if len(hits) else pd.DataFrame())
+    tf = tf.reindex(index=range(len(batch)), columns=terms,
+                    fill_value=0)
+    tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
+    tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
+    return tf
+
+
+def _search_stats(sf_dir: str) -> pd.Series:
+    """The one streaming statistics fold of the retrieval family: the
+    doc count ``__n_docs`` (N), the token total ``__sum_dl`` (Σdl), and
+    per query term its document frequency ``df_<t>`` and collection
+    frequency ``cf_<t>``. Per-batch partial sums fold driver-side: a
+    constant-size broadcast 'mini index' (term stats only, never
+    postings)."""
+    terms = _search_terms(_SEARCH_QUERIES)
+
+    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
+        tf = _search_pivot(batch, terms)
+        row = {"__n_docs": np.int64(len(batch)),
+               "__sum_dl": np.int64(tf["__dl"].sum())}
+        for t in terms:
+            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
+            row[f"cf_{t}"] = np.int64(tf[t].sum())
+        return pd.DataFrame([row])
+
+    return pd.concat(
+        [x for x in _read_documents(sf_dir).map_batches(
+            _partial, batch_format="pandas").iter_batches(
+                batch_format="pandas", batch_size=None)],
+        ignore_index=True).sum()
+
+
+def _search_matches(batch: pd.DataFrame, queries):
+    """Yield ``(qid, qterms, sub, doc_ids, dl)`` for every registered
+    query with at least one conjunctive (all-terms) match in ``batch``:
+    ``sub`` holds the matching docs' counts of the query's terms,
+    ``dl`` their float64 lengths."""
+    tf = _search_pivot(batch, _search_terms(queries))
+    dl = tf["__dl"].to_numpy(dtype=np.float64)
+    for qid, qterms in queries.items():
+        sub = tf[list(qterms)]
+        match = (sub > 0).all(axis=1)
+        if not match.any():
+            continue
+        yield (qid, qterms, sub.loc[match],
+               tf.loc[match, "doc_id"].to_numpy(), dl[match.to_numpy()])
+
+
+def _bm25_scorer(sf_dir: str, k1: float, b: float):
+    """BM25 (Robertson et al.; the Lucene-default idf
+    ln((N−df+0.5)/(df+0.5)+1)) from the statistics pass, as
+    ``score(qterms, sub, dl)``; terms add up in query order."""
+    stats = _search_stats(sf_dir)
+    n_docs = float(stats["__n_docs"])
+    avgdl = float(stats["__sum_dl"]) / n_docs
+    idf = {t: np.log((n_docs - float(stats[f"df_{t}"]) + 0.5)
+                     / (float(stats[f"df_{t}"]) + 0.5) + 1.0)
+           for t in _search_terms(_SEARCH_QUERIES)}
+
+    def _score(qterms, sub: pd.DataFrame, dl: np.ndarray) -> np.ndarray:
+        score = np.zeros(len(sub), dtype=np.float64)
+        for t in qterms:
+            tfv = sub[t].to_numpy(dtype=np.float64)
+            score += idf[t] * (tfv * (k1 + 1.0)) / (
+                tfv + k1 * (1.0 - b + b * dl / avgdl))
+        return score
+
+    return _score
+
+
+def _top_by(g: pd.DataFrame, col: str, k: int) -> pd.DataFrame:
+    return g.sort_values([col, "doc_id"], ascending=[False, True]).head(k)
+
+
+def _search_run(sf_dir: str, emit, final, rel: bool = False):
+    """One streaming scoring pass: ``emit(qid, qterms, sub, doc_ids,
+    dl)`` turns each query's conjunctive matches in a batch into
+    candidate rows (query_id, doc_id, score[, rel]), and ``final`` merges
+    one query's candidates after a query_id-keyed exchange."""
+    queries = dict(_SEARCH_QUERIES)
+    cols = {"query_id": "int64", "doc_id": "int64", "score": "float64"}
+    if rel:
+        cols["rel"] = "int64"
+
+    def _cand(batch: pd.DataFrame) -> pd.DataFrame:
+        out = [emit(*m) for m in _search_matches(batch, queries)]
+        if not out:
+            return pd.DataFrame({c: pd.Series(dtype=t)
+                                 for c, t in cols.items()})
+        return pd.concat(out, ignore_index=True)
+
+    return key_map_groups(
+        _read_documents(sf_dir).map_batches(_cand, batch_format="pandas"),
+        final, key_col="query_id", num_buckets=4)
+
+
+def _ranked_search(sf_dir: str, score, k: int):
+    """Top-``k`` per query by ``score(qterms, sub, dl)``: each batch
+    emits its per-query partial top-k, and the per-query merge keeps the
+    global top-k, score rounded. Columns: query_id, doc_id, score."""
+    from ocr_agent_ray.functions.textstats import round_half_away
+
+    def _emit(qid, qterms, sub, doc_ids, dl) -> pd.DataFrame:
+        g = pd.DataFrame({"query_id": np.int64(qid), "doc_id": doc_ids,
+                          "score": score(qterms, sub, dl)})
+        return _top_by(g, "score", k)
+
+    def _final(g: pd.DataFrame) -> pd.DataFrame:
+        g = _top_by(g, "score", k).reset_index(drop=True)
+        g["score"] = round_half_away(g["score"].to_numpy(), 6)
+        return g[["query_id", "doc_id", "score"]]
+
+    return _search_run(sf_dir, _emit, _final)
+
 
 def keyword_search(sf_dir: str, *, k: int = 20):
     """Conjunctive (AND) keyword search with TF-IDF ranking — the
@@ -1492,72 +1658,16 @@ def keyword_search(sf_dir: str, *, k: int = 20):
     (2) one streaming scoring pass emits per-batch per-query partial
     top-k; the final per-query merge sees batches×k rows. At 100 TB the
     same shape holds: the wire carries candidate scores, not tokens."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
-
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
-
-    def _pivot(b: pd.DataFrame) -> pd.DataFrame:
-        """Per-row tf counts for the query terms, vectorized: explode ->
-        isin filter -> one C-speed groupby; no per-doc Python loop."""
-        toks = b["text"].fillna("").str.lower().str.findall(r"[0-9a-z_]+")
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(b)), columns=terms, fill_value=0)
-        tf.insert(0, "doc_id", b["doc_id"].to_numpy())
-        return tf
-
-    def _df_partial(b: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(b)
-        row = {"__n_docs": np.int64(len(b))}
-        for t in terms:
-            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [b for b in _read_documents(sf_dir).map_batches(
-            _df_partial, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
+    stats = _search_stats(sf_dir)
     n_docs = float(stats["__n_docs"])
-    idf = {t: np.log(n_docs / float(stats[f"df_{t}"])) for t in terms}
+    idf = {t: np.log(n_docs / float(stats[f"df_{t}"]))
+           for t in _search_terms(_SEARCH_QUERIES)}
 
-    def _score(b: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(b)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            score = sum(sub.loc[match, t].to_numpy(dtype=np.float64)
-                        * idf[t] for t in qterms)
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score})
-            out.append(g.sort_values(["score", "doc_id"],
-                                     ascending=[False, True]).head(k))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64")})
-        return pd.concat(out, ignore_index=True)
+    def _score(qterms, sub, dl):
+        return sum(sub[t].to_numpy(dtype=np.float64) * idf[t]
+                   for t in qterms)
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "doc_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["score"] = round_half_away(g["score"].to_numpy(), 6)
-        return g[["query_id", "doc_id", "score"]]
-
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_score, batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _ranked_search(sf_dir, _score, k)
 
 
 def learn_bpe_merges(sf_dir: str, *, n_merges: int = 20):
@@ -1994,48 +2104,21 @@ def boilerplate_strip(sf_dir: str, *, min_docs: int = 2,
     from ocr_agent_ray.functions.hashing import splitmix64
 
     def _occ(batch: pd.DataFrame) -> pd.DataFrame:
-        lists = batch["text"].fillna("").str.split("\n", regex=False)
-        counts = lists.str.len().to_numpy(dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        total = int(counts.sum())
-        idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+        lists, counts, idx = _split_segments(batch, "\n")
         hl = hash_array(lists.explode().to_numpy(), categorize=False)
         hs = hash_array(batch["source"].to_numpy(), categorize=False)
         h = splitmix64(hl ^ np.repeat(hs, counts))
-        return pd.DataFrame({
-            "doc_id": np.repeat(batch["doc_id"].to_numpy(), counts),
-            "idx": idx,
-            "h": h,
-            "__bucket": (h % np.uint64(num_buckets)).astype(np.int32),
-        })
+        return _occurrence_rows(batch, counts, idx, h, num_buckets)
 
     def _boiler(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.groupby("h", sort=False)["doc_id"].transform("nunique")
         k = g[nd.to_numpy() >= min_docs]
-        return pd.DataFrame({
-            "doc_id": k["doc_id"],
-            "idx": k["idx"],
-            "text": pd.Series([None] * len(k), dtype="object",
-                              index=k.index),
-            "__db": (k["doc_id"].to_numpy() % num_buckets).astype(np.int32),
-        })
+        return _marked_segments(k, num_buckets)
 
     dropped = bucket_map_groups(
         _read_documents(sf_dir, columns=("doc_id", "text", "source"))
         .map_batches(_occ, batch_format="pandas", batch_size=65536),
         _boiler, bucket_col="__bucket", num_buckets=num_buckets)
-
-    def _doc_rows(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": batch["doc_id"],
-            "idx": np.full(len(batch), -1, dtype=np.int64),
-            "text": batch["text"].fillna("").astype("object"),
-            "__db": (batch["doc_id"].to_numpy() % num_buckets
-                     ).astype(np.int32),
-        })
-
-    doc_rows = _read_documents(sf_dir).map_batches(
-        _doc_rows, batch_format="pandas", batch_size=65536)
 
     def _assemble(g: pd.DataFrame) -> pd.DataFrame:
         texts = g[g["idx"] < 0]
@@ -2055,8 +2138,7 @@ def boilerplate_strip(sf_dir: str, *, min_docs: int = 2,
         out["n_lines"] = out["n_lines"].astype("int64")
         return out
 
-    return bucket_map_groups(doc_rows.union(dropped), _assemble,
-                             bucket_col="__db", num_buckets=num_buckets)
+    return _reassemble(sf_dir, dropped, _assemble, num_buckets)
 
 
 def docs_for_80pct(sf_dir: str, *, frac: float = 0.8,
@@ -2154,82 +2236,7 @@ def bm25_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
     stats fold (N, Σdl, per-term df — a constant-size broadcast 'mini
     index'); (2) one scoring pass emitting per-batch per-query partial
     top-k, merged per query. Columns: query_id, doc_id, score."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
-
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
-
-    def _pivot(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(batch)), columns=terms,
-                        fill_value=0)
-        tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
-        tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
-        return tf
-
-    def _stats(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        row = {"__n_docs": np.int64(len(batch)),
-               "__sum_dl": np.int64(tf["__dl"].sum())}
-        for t in terms:
-            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [x for x in _read_documents(sf_dir).map_batches(
-            _stats, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    n_docs = float(stats["__n_docs"])
-    avgdl = float(stats["__sum_dl"]) / n_docs
-    idf = {t: np.log((n_docs - float(stats[f"df_{t}"]) + 0.5)
-                     / (float(stats[f"df_{t}"]) + 0.5) + 1.0)
-           for t in terms}
-
-    def _score(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        dl = tf["__dl"].to_numpy(dtype=np.float64)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            dlm = dl[match.to_numpy()]
-            score = np.zeros(int(match.sum()), dtype=np.float64)
-            for t in qterms:
-                tfv = sub.loc[match, t].to_numpy(dtype=np.float64)
-                score += idf[t] * (tfv * (k1 + 1.0)) / (
-                    tfv + k1 * (1.0 - b + b * dlm / avgdl))
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score})
-            out.append(g.sort_values(["score", "doc_id"],
-                                     ascending=[False, True]).head(k))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64")})
-        return pd.concat(out, ignore_index=True)
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "doc_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["score"] = round_half_away(g["score"].to_numpy(), 6)
-        return g[["query_id", "doc_id", "score"]]
-
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_score,
-                                            batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _ranked_search(sf_dir, _bm25_scorer(sf_dir, k1, b), k)
 
 
 def ql_search(sf_dir: str, *, k: int = 20, mu: float = 2000.0):
@@ -2250,78 +2257,20 @@ def ql_search(sf_dir: str, *, k: int = 20, mu: float = 2000.0):
     per-query partial top-k merged per query — the wire carries
     candidate scores, never postings. Columns: query_id, doc_id,
     score."""
-    from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
-
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
-
-    def _pivot(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(batch)), columns=terms,
-                        fill_value=0)
-        tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
-        tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
-        return tf
-
-    def _stats(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        row = {"__ctot": np.int64(tf["__dl"].sum())}
-        for t in terms:
-            row[f"cf_{t}"] = np.int64(tf[t].sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [x for x in _read_documents(sf_dir).map_batches(
-            _stats, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    ctot = float(stats["__ctot"])
+    stats = _search_stats(sf_dir)
+    ctot = float(stats["__sum_dl"])
     # p(t|C), the same division the twin writes inline (cf / ctot)
-    p_c = {t: float(stats[f"cf_{t}"]) / ctot for t in terms}
+    p_c = {t: float(stats[f"cf_{t}"]) / ctot
+           for t in _search_terms(_SEARCH_QUERIES)}
 
-    def _score(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        dl = tf["__dl"].to_numpy(dtype=np.float64)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            dlm = dl[match.to_numpy()]
-            score = np.zeros(int(match.sum()), dtype=np.float64)
-            for t in qterms:
-                tfv = sub.loc[match, t].to_numpy(dtype=np.float64)
-                score += np.log((tfv + mu * p_c[t]) / (dlm + mu))
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score})
-            out.append(g.sort_values(["score", "doc_id"],
-                                     ascending=[False, True]).head(k))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64")})
-        return pd.concat(out, ignore_index=True)
+    def _score(qterms, sub, dl):
+        score = np.zeros(len(sub), dtype=np.float64)
+        for t in qterms:
+            tfv = sub[t].to_numpy(dtype=np.float64)
+            score += np.log((tfv + mu * p_c[t]) / (dl + mu))
+        return score
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "doc_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["score"] = round_half_away(g["score"].to_numpy(), 6)
-        return g[["query_id", "doc_id", "score"]]
-
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_score,
-                                            batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _ranked_search(sf_dir, _score, k)
 
 
 def mixture_weights(sf_dir: str, *, alpha: float = 0.5):
@@ -2994,6 +2943,28 @@ def heaps_law_fit(sf_dir: str):
         "heaps_k": round_half_away(np.array([k]), 6)})
 
 
+def _source_word_counts(sf_dir: str):
+    """The (source, word) count exchange shared by the vocabulary
+    statistics: per-batch partial value_counts keyed (source, word),
+    combined by a bucketed hash aggregate. Columns: source, word, n."""
+    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
+
+    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
+        toks = (batch["text"].fillna("").str.lower()
+                .str.findall(r"[0-9a-z_]+"))
+        ex = pd.DataFrame({"source": batch["source"], "w": toks}) \
+            .explode("w").dropna(subset=["w"])
+        c = ex.groupby(["source", "w"], sort=False).size()
+        return pd.DataFrame({"source": c.index.get_level_values(0),
+                             "word": c.index.get_level_values(1),
+                             "n": c.to_numpy(np.int64)})
+
+    return hash_partition_aggregate(
+        _read_documents(sf_dir, ("source", "text")).map_batches(
+            _partial, batch_format="pandas"),
+        ["source", "word"], {"n": ("n", "sum")})
+
+
 def yule_k_by_source(sf_dir: str):
     """Yule's characteristic K per source — the vocabulary-richness
     constant (Yule 1944) that is INDEPENDENT of corpus size, unlike
@@ -3013,23 +2984,9 @@ def yule_k_by_source(sf_dir: str):
     escalation the twin already uses). Columns: source, n_tokens,
     n_types, yule_k."""
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
-    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = pd.DataFrame({"source": batch["source"], "w": toks}) \
-            .explode("w").dropna(subset=["w"])
-        c = ex.groupby(["source", "w"], sort=False).size()
-        return pd.DataFrame({"source": c.index.get_level_values(0),
-                             "word": c.index.get_level_values(1),
-                             "n": c.to_numpy(np.int64)})
-
-    per_word = hash_partition_aggregate(
-        _read_documents(sf_dir, ("source", "text")).map_batches(
-            _partial, batch_format="pandas"),
-        ["source", "word"], {"n": ("n", "sum")})
+    per_word = _source_word_counts(sf_dir)
     g = combine_partials_driver(
         per_word.map_batches(
             lambda b: pd.DataFrame({
@@ -3079,81 +3036,20 @@ def ndcg_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
     Ties break (score DESC, doc_id ASC) / (rel DESC, doc_id ASC).
     Columns: query_id, dcg, idcg, ndcg."""
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
 
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
+    score = _bm25_scorer(sf_dir, k1, b)
 
-    def _pivot(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(batch)), columns=terms,
-                        fill_value=0)
-        tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
-        tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
-        return tf
-
-    def _stats(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        row = {"__n_docs": np.int64(len(batch)),
-               "__sum_dl": np.int64(tf["__dl"].sum())}
-        for t in terms:
-            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [x for x in _read_documents(sf_dir).map_batches(
-            _stats, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    n_docs = float(stats["__n_docs"])
-    avgdl = float(stats["__sum_dl"]) / n_docs
-    idf = {t: np.log((n_docs - float(stats[f"df_{t}"]) + 0.5)
-                     / (float(stats[f"df_{t}"]) + 0.5) + 1.0)
-           for t in terms}
-
-    def _cand(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        dl = tf["__dl"].to_numpy(dtype=np.float64)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            dlm = dl[match.to_numpy()]
-            score = np.zeros(int(match.sum()), dtype=np.float64)
-            for t in qterms:
-                tfv = sub.loc[match, t].to_numpy(dtype=np.float64)
-                score += idf[t] * (tfv * (k1 + 1.0)) / (
-                    tfv + k1 * (1.0 - b + b * dlm / avgdl))
-            rel = sub.loc[match].sum(axis=1).to_numpy(np.int64)
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score, "rel": rel})
-            top_s = g.sort_values(["score", "doc_id"],
-                                  ascending=[False, True]).head(k)
-            top_r = g.sort_values(["rel", "doc_id"],
-                                  ascending=[False, True]).head(k)
-            out.append(pd.concat([top_s, top_r]).drop_duplicates("doc_id"))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64"),
-                "rel": pd.Series(dtype="int64")})
-        return pd.concat(out, ignore_index=True)
+    def _emit(qid, qterms, sub, doc_ids, dl) -> pd.DataFrame:
+        g = pd.DataFrame({"query_id": np.int64(qid), "doc_id": doc_ids,
+                          "score": score(qterms, sub, dl),
+                          "rel": sub.sum(axis=1).to_numpy(np.int64)})
+        return pd.concat([_top_by(g, "score", k), _top_by(g, "rel", k)]
+                         ).drop_duplicates("doc_id")
 
     def _final(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates("doc_id")
-        ranked = g.sort_values(["score", "doc_id"],
-                               ascending=[False, True]).head(k)
-        ideal = g.sort_values(["rel", "doc_id"],
-                              ascending=[False, True]).head(k)
+        ranked = _top_by(g, "score", k)
+        ideal = _top_by(g, "rel", k)
         disc = np.log2(np.arange(2, len(ranked) + 2, dtype=np.float64))
         dcg = float((ranked["rel"].to_numpy(np.int64).astype(np.float64)
                      / disc).sum())
@@ -3172,10 +3068,7 @@ def ndcg_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
             "idcg": round_half_away(np.array([idcg]), 6),
             "ndcg": round_half_away(np.array([dcg / idcg]), 6)})
 
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_cand,
-                                            batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _search_run(sf_dir, _emit, _final, rel=True)
 
 
 def avg_precision_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
@@ -3197,83 +3090,24 @@ def avg_precision_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
     divisions, so both engines sum identical floats. Columns:
     query_id, n_relevant, ap."""
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
 
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
+    score = _bm25_scorer(sf_dir, k1, b)
 
-    def _pivot(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(batch)), columns=terms,
-                        fill_value=0)
-        tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
-        tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
-        return tf
-
-    def _stats(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        row = {"__n_docs": np.int64(len(batch)),
-               "__sum_dl": np.int64(tf["__dl"].sum())}
-        for t in terms:
-            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [x for x in _read_documents(sf_dir).map_batches(
-            _stats, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    n_docs = float(stats["__n_docs"])
-    avgdl = float(stats["__sum_dl"]) / n_docs
-    idf = {t: np.log((n_docs - float(stats[f"df_{t}"]) + 0.5)
-                     / (float(stats[f"df_{t}"]) + 0.5) + 1.0)
-           for t in terms}
-
-    def _cand(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        dl = tf["__dl"].to_numpy(dtype=np.float64)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            dlm = dl[match.to_numpy()]
-            score = np.zeros(int(match.sum()), dtype=np.float64)
-            for t in qterms:
-                tfv = sub.loc[match, t].to_numpy(dtype=np.float64)
-                score += idf[t] * (tfv * (k1 + 1.0)) / (
-                    tfv + k1 * (1.0 - b + b * dlm / avgdl))
-            rel = (sub.loc[match].sum(axis=1).to_numpy(np.int64)
-                   >= rel_min).astype(np.int64)
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score, "rel": rel})
-            top = g.sort_values(["score", "doc_id"],
-                                ascending=[False, True]).head(k)
-            summary = pd.DataFrame({
-                "query_id": [np.int64(qid)], "doc_id": [np.int64(-1)],
-                "score": [0.0], "rel": [np.int64(rel.sum())]})
-            out.append(pd.concat([top, summary], ignore_index=True))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64"),
-                "rel": pd.Series(dtype="int64")})
-        return pd.concat(out, ignore_index=True)
+    def _emit(qid, qterms, sub, doc_ids, dl) -> pd.DataFrame:
+        rel = (sub.sum(axis=1).to_numpy(np.int64)
+               >= rel_min).astype(np.int64)
+        g = pd.DataFrame({"query_id": np.int64(qid), "doc_id": doc_ids,
+                          "score": score(qterms, sub, dl), "rel": rel})
+        summary = pd.DataFrame({
+            "query_id": [np.int64(qid)], "doc_id": [np.int64(-1)],
+            "score": [0.0], "rel": [np.int64(rel.sum())]})
+        return pd.concat([_top_by(g, "score", k), summary],
+                         ignore_index=True)
 
     def _final(g: pd.DataFrame) -> pd.DataFrame:
         summaries = g[g["doc_id"] < 0]
         n_rel = np.int64(summaries["rel"].sum())
-        cand = g[g["doc_id"] >= 0]
-        ranked = cand.sort_values(["score", "doc_id"],
-                                  ascending=[False, True]).head(k)
+        ranked = _top_by(g[g["doc_id"] >= 0], "score", k)
         flags = ranked["rel"].to_numpy(np.int64)
         if n_rel == 0:
             ap = 0.0
@@ -3287,10 +3121,7 @@ def avg_precision_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
             "query_id": [np.int64(g["query_id"].iloc[0])],
             "n_relevant": [n_rel], "ap": [ap]})
 
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_cand,
-                                            batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _search_run(sf_dir, _emit, _final, rel=True)
 
 
 def chao1_richness(sf_dir: str):
@@ -3308,23 +3139,9 @@ def chao1_richness(sf_dir: str):
     source over the wire, the estimator closes on the driver. Columns:
     source, n_tokens, n_types, f1, f2, chao1."""
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
-    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = pd.DataFrame({"source": batch["source"], "w": toks}) \
-            .explode("w").dropna(subset=["w"])
-        c = ex.groupby(["source", "w"], sort=False).size()
-        return pd.DataFrame({"source": c.index.get_level_values(0),
-                             "word": c.index.get_level_values(1),
-                             "n": c.to_numpy(np.int64)})
-
-    per_word = hash_partition_aggregate(
-        _read_documents(sf_dir, ("source", "text")).map_batches(
-            _partial, batch_format="pandas"),
-        ["source", "word"], {"n": ("n", "sum")})
+    per_word = _source_word_counts(sf_dir)
     g = combine_partials_driver(
         per_word.map_batches(
             lambda b: pd.DataFrame({
@@ -3359,28 +3176,18 @@ def chao1_richness(sf_dir: str):
             v + f1 * (f1 - 1.0) / (2.0 * (f2 + 1.0)), 6)})
 
 
-def log_odds_terms(sf_dir: str, *, source_a: str = "src0",
-                   source_b: str = "src1", alpha: float = 0.01,
-                   k: int = 15):
-    """'Fightin' Words' comparative lexical analysis (Monroe, Colaresi
-    & Quinn 2008): which terms most distinguish ``source_a`` from
-    ``source_b``? Dirichlet-smoothed log-odds delta with its variance
-    estimate, z-scored:
-
-        δ_w = ln((a_w+α)/(N_a+Vα−a_w−α)) − ln((b_w+α)/(N_b+Vα−b_w−α))
-        z_w = δ_w / sqrt(1/(a_w+α) + 1/(b_w+α))
-
-    over V = the two sources' union vocabulary. Distributed shape: the
-    word-count exchange filtered to the two sources, pivoted to
-    per-word (a, b) count partials; ONE tiny totals fold broadcasts
-    (N_a, N_b, V); a scoring pass emits per-batch partial top-``k`` by
-    ROUNDED |z| (the rounded-rank contract — sum-order ulps cannot
-    flip ranks), merged in one bucket. Columns: word, n_a, n_b,
-    z_score."""
-    from ocr_agent_ray.functions.textstats import round_half_away
+def _two_source_contrast(sf_dir: str, source_a: str, source_b: str,
+                         alpha: float):
+    """The two-source word contrast shared by the log-odds screens: the
+    word-count exchange filtered to the two sources and pivoted to
+    per-word (a, b) count partials, then ONE tiny totals fold (N_a, N_b,
+    V = the union vocabulary size). Returns ``(counts, z_score)``:
+    ``counts`` is the materialized (word, a, b) Dataset and
+    ``z_score(t)`` maps a batch of it to the Dirichlet-smoothed
+    log-odds z-scores (``log_odds_terms`` gives the formula);
+    ``z_score`` is None when the two sources hold no words."""
     from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
                                              hash_partition_aggregate)
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
 
     def _partial(batch: pd.DataFrame) -> pd.DataFrame:
         m = batch["source"].isin([source_a, source_b])
@@ -3413,25 +3220,57 @@ def log_odds_terms(sf_dir: str, *, source_a: str = "src0",
             "v": np.int64(1)}), batch_format="pandas"),
         ["__k"], {"na": ("na", "sum"), "nb": ("nb", "sum"),
                   "v": ("v", "sum")})
-    empty = pd.DataFrame({
-        "word": pd.Series(dtype="object"),
-        "n_a": pd.Series(dtype="int64"),
-        "n_b": pd.Series(dtype="int64"),
-        "z_score": pd.Series(dtype="float64")})
     if tot.empty:
-        return empty
+        return counts, None
     na = np.float64(np.int64(tot["na"].iloc[0]))
     nb = np.float64(np.int64(tot["nb"].iloc[0]))
     vocab = np.float64(np.int64(tot["v"].iloc[0]))
 
-    def _score(t: pd.DataFrame) -> pd.DataFrame:
+    def _z(t: pd.DataFrame) -> np.ndarray:
         a = t["a"].to_numpy(np.int64).astype(np.float64)
         b = t["b"].to_numpy(np.int64).astype(np.float64)
         delta = (np.log((a + alpha)
                         / (na + vocab * alpha - a - alpha))
                  - np.log((b + alpha)
                           / (nb + vocab * alpha - b - alpha)))
-        z = delta / np.sqrt(1.0 / (a + alpha) + 1.0 / (b + alpha))
+        return delta / np.sqrt(1.0 / (a + alpha) + 1.0 / (b + alpha))
+
+    return counts, _z
+
+
+def log_odds_terms(sf_dir: str, *, source_a: str = "src0",
+                   source_b: str = "src1", alpha: float = 0.01,
+                   k: int = 15):
+    """'Fightin' Words' comparative lexical analysis (Monroe, Colaresi
+    & Quinn 2008): which terms most distinguish ``source_a`` from
+    ``source_b``? Dirichlet-smoothed log-odds delta with its variance
+    estimate, z-scored:
+
+        δ_w = ln((a_w+α)/(N_a+Vα−a_w−α)) − ln((b_w+α)/(N_b+Vα−b_w−α))
+        z_w = δ_w / sqrt(1/(a_w+α) + 1/(b_w+α))
+
+    over V = the two sources' union vocabulary. Distributed shape: the
+    word-count exchange filtered to the two sources, pivoted to
+    per-word (a, b) count partials; ONE tiny totals fold broadcasts
+    (N_a, N_b, V); a scoring pass emits per-batch partial top-``k`` by
+    ROUNDED |z| (the rounded-rank contract — sum-order ulps cannot
+    flip ranks), merged in one bucket. Columns: word, n_a, n_b,
+    z_score."""
+    from ocr_agent_ray.functions.textstats import round_half_away
+    from ocr_agent_ray.pipelines.exchange import key_map_groups
+
+    counts, z_score = _two_source_contrast(sf_dir, source_a, source_b,
+                                           alpha)
+    empty = pd.DataFrame({
+        "word": pd.Series(dtype="object"),
+        "n_a": pd.Series(dtype="int64"),
+        "n_b": pd.Series(dtype="int64"),
+        "z_score": pd.Series(dtype="float64")})
+    if z_score is None:
+        return empty
+
+    def _score(t: pd.DataFrame) -> pd.DataFrame:
+        z = z_score(t)
         out = pd.DataFrame({
             "__k": np.int64(0), "word": t["word"],
             "n_a": t["a"].astype("int64"),
@@ -3478,20 +3317,7 @@ def burrows_delta(sf_dir: str, *, m: int = 20):
                                              hash_partition_aggregate)
     from ocr_agent_ray.pipelines.exchange import key_map_groups
 
-    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = pd.DataFrame({"source": batch["source"], "w": toks}) \
-            .explode("w").dropna(subset=["w"])
-        c = ex.groupby(["source", "w"], sort=False).size()
-        return pd.DataFrame({"source": c.index.get_level_values(0),
-                             "word": c.index.get_level_values(1),
-                             "n": c.to_numpy(np.int64)})
-
-    per_word = hash_partition_aggregate(
-        _read_documents(sf_dir, ("source", "text")).map_batches(
-            _partial, batch_format="pandas"),
-        ["source", "word"], {"n": ("n", "sum")}).materialize()
+    per_word = _source_word_counts(sf_dir).materialize()
 
     # corpus top-m words: re-aggregate by word, partial top-k merge
     by_word = hash_partition_aggregate(
@@ -3816,59 +3642,19 @@ def bh_significant_terms(sf_dir: str, *, source_a: str = "src0",
     n_significant, bh_threshold."""
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate,
                                              ranged_global_rank)
 
-    def _partial(batch: pd.DataFrame) -> pd.DataFrame:
-        m = batch["source"].isin([source_a, source_b])
-        batch = batch[m]
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = pd.DataFrame({"source": batch["source"], "w": toks}) \
-            .explode("w").dropna(subset=["w"])
-        if not len(ex):
-            return pd.DataFrame({"word": pd.Series(dtype="object"),
-                                 "a": pd.Series(dtype="int64"),
-                                 "b": pd.Series(dtype="int64")})
-        c = (ex.groupby(["w", "source"], sort=False).size()
-             .unstack(fill_value=0))
-        for s in (source_a, source_b):
-            if s not in c.columns:
-                c[s] = 0
-        return pd.DataFrame({"word": c.index,
-                             "a": c[source_a].to_numpy(np.int64),
-                             "b": c[source_b].to_numpy(np.int64)})
-
-    counts = hash_partition_aggregate(
-        _read_documents(sf_dir, ("source", "text")).map_batches(
-            _partial, batch_format="pandas"),
-        ["word"], {"a": ("a", "sum"), "b": ("b", "sum")}).materialize()
-    tot = combine_partials_driver(
-        counts.map_batches(lambda t: pd.DataFrame({
-            "__k": np.int64(0),
-            "na": t["a"].astype("int64"), "nb": t["b"].astype("int64"),
-            "v": np.int64(1)}), batch_format="pandas"),
-        ["__k"], {"na": ("na", "sum"), "nb": ("nb", "sum"),
-                  "v": ("v", "sum")})
+    counts, z_score = _two_source_contrast(sf_dir, source_a, source_b,
+                                           alpha)
     empty = pd.DataFrame({
         "n_tested": pd.Series(dtype="int64"),
         "n_significant": pd.Series(dtype="int64"),
         "bh_threshold": pd.Series(dtype="float64")})
-    if tot.empty:
+    if z_score is None:
         return empty
-    na = np.float64(np.int64(tot["na"].iloc[0]))
-    nb = np.float64(np.int64(tot["nb"].iloc[0]))
-    vocab = np.float64(np.int64(tot["v"].iloc[0]))
 
     def _pvals(t: pd.DataFrame) -> pd.DataFrame:
-        a = t["a"].to_numpy(np.int64).astype(np.float64)
-        b = t["b"].to_numpy(np.int64).astype(np.float64)
-        delta = (np.log((a + alpha)
-                        / (na + vocab * alpha - a - alpha))
-                 - np.log((b + alpha)
-                          / (nb + vocab * alpha - b - alpha)))
-        z = delta / np.sqrt(1.0 / (a + alpha) + 1.0 / (b + alpha))
-        p = _norm_two_sided_p(z)
+        p = _norm_two_sided_p(z_score(t))
         return pd.DataFrame({
             "word": t["word"], "p": p,
             "__rb": np.minimum((p * 1024.0), 1023.0).astype(np.int64)})
@@ -3949,77 +3735,18 @@ def mrr_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
     finds the first relevant rank. Columns: query_id, first_rel_rank
     (NULL when none), reciprocal_rank."""
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
 
-    terms = sorted({t for q in _SEARCH_QUERIES.values() for t in q})
+    score = _bm25_scorer(sf_dir, k1, b)
 
-    def _pivot(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = (batch["text"].fillna("").str.lower()
-                .str.findall(r"[0-9a-z_]+"))
-        ex = toks.explode()
-        m = ex.isin(terms)
-        hits = pd.DataFrame({"i": ex.index[m], "t": ex[m].to_numpy()})
-        tf = (hits.groupby(["i", "t"]).size().unstack(fill_value=0)
-              if len(hits) else pd.DataFrame())
-        tf = tf.reindex(index=range(len(batch)), columns=terms,
-                        fill_value=0)
-        tf.insert(0, "doc_id", batch["doc_id"].to_numpy())
-        tf.insert(1, "__dl", toks.str.len().to_numpy(dtype=np.int64))
-        return tf
-
-    def _stats(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        row = {"__n_docs": np.int64(len(batch)),
-               "__sum_dl": np.int64(tf["__dl"].sum())}
-        for t in terms:
-            row[f"df_{t}"] = np.int64((tf[t] > 0).sum())
-        return pd.DataFrame([row])
-
-    stats = pd.concat(
-        [x for x in _read_documents(sf_dir).map_batches(
-            _stats, batch_format="pandas").iter_batches(
-                batch_format="pandas", batch_size=None)],
-        ignore_index=True).sum()
-    n_docs = float(stats["__n_docs"])
-    avgdl = float(stats["__sum_dl"]) / n_docs
-    idf = {t: np.log((n_docs - float(stats[f"df_{t}"]) + 0.5)
-                     / (float(stats[f"df_{t}"]) + 0.5) + 1.0)
-           for t in terms}
-
-    def _cand(batch: pd.DataFrame) -> pd.DataFrame:
-        tf = _pivot(batch)
-        dl = tf["__dl"].to_numpy(dtype=np.float64)
-        out = []
-        for qid, qterms in _SEARCH_QUERIES.items():
-            sub = tf[list(qterms)]
-            match = (sub > 0).all(axis=1)
-            if not match.any():
-                continue
-            dlm = dl[match.to_numpy()]
-            score = np.zeros(int(match.sum()), dtype=np.float64)
-            for t in qterms:
-                tfv = sub.loc[match, t].to_numpy(dtype=np.float64)
-                score += idf[t] * (tfv * (k1 + 1.0)) / (
-                    tfv + k1 * (1.0 - b + b * dlm / avgdl))
-            rel = (sub.loc[match].sum(axis=1).to_numpy(np.int64)
-                   >= rel_min).astype(np.int64)
-            g = pd.DataFrame({"query_id": np.int64(qid),
-                              "doc_id": tf.loc[match, "doc_id"].to_numpy(),
-                              "score": score, "rel": rel})
-            out.append(g.sort_values(["score", "doc_id"],
-                                     ascending=[False, True]).head(k))
-        if not out:
-            return pd.DataFrame({
-                "query_id": pd.Series(dtype="int64"),
-                "doc_id": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64"),
-                "rel": pd.Series(dtype="int64")})
-        return pd.concat(out, ignore_index=True)
+    def _emit(qid, qterms, sub, doc_ids, dl) -> pd.DataFrame:
+        rel = (sub.sum(axis=1).to_numpy(np.int64)
+               >= rel_min).astype(np.int64)
+        g = pd.DataFrame({"query_id": np.int64(qid), "doc_id": doc_ids,
+                          "score": score(qterms, sub, dl), "rel": rel})
+        return _top_by(g, "score", k)
 
     def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop_duplicates("doc_id")
-             .sort_values(["score", "doc_id"],
-                          ascending=[False, True]).head(k))
+        g = _top_by(g.drop_duplicates("doc_id"), "score", k)
         flags = g["rel"].to_numpy(np.int64)
         hit = np.nonzero(flags == 1)[0]
         if len(hit):
@@ -4034,7 +3761,4 @@ def mrr_search(sf_dir: str, *, k: int = 20, k1: float = 1.2,
             "first_rel_rank": pd.array([rank], dtype="Int64"),
             "reciprocal_rank": [rr]})
 
-    return key_map_groups(
-        _read_documents(sf_dir).map_batches(_cand,
-                                            batch_format="pandas"),
-        _final, key_col="query_id", num_buckets=4)
+    return _search_run(sf_dir, _emit, _final, rel=True)

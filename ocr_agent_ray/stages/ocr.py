@@ -21,13 +21,14 @@ import hashlib
 import random
 import sys
 import types
-from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
 import pyarrow as pa
 
+from ocr_agent_ray.config import OcrModelSettings
 from ocr_agent_ray.functions.kernels import normalize_infer_result_to_markdown
 from ocr_agent_ray.schema import MEDIA_KINDS
+from ocr_agent_ray.stages.media import RealCodec
 from ocr_agent_ray.stages.postprocess import FinalizeStage
 from ocr_agent_ray.state.checkpoint import MetricsSpool
 
@@ -186,20 +187,8 @@ class MetadataOcrEngine:
         return out
 
 
-@dataclass
-class DeepSeekOcr2Config:
-    """Model knobs (behavioral parity with the reference's
-    DeepSeekOcr2Settings, config.py:33-39; defaults are the public model
-    card's)."""
-
-    model_name: str = "deepseek-ai/DeepSeek-OCR-2"
-    model_revision: str | None = None
-    markdown_prompt: str = "<image>\n<|grounding|>Convert the document to markdown."
-    base_size: int = 1024
-    image_size: int = 768
-    crop_mode: bool = True
-    result_filename: str = "result.mmd"
-    work_dir: str | None = None  # scratch root for per-image model output
+_RESULT_FILENAME = "result.mmd"  # the file model.infer saves its markdown to
+_PDF_DPI = 200  # page render resolution (reference config.py:24)
 
 
 class DeepSeekOcr2Engine:
@@ -232,19 +221,31 @@ class DeepSeekOcr2Engine:
     - flash-attention-2 requested first; a ``TypeError`` from builds that
       don't accept the argument falls back to the plain load,
     - CUDA required (explicit RuntimeError otherwise),
+    - a ``pdf_page`` unit's page (0-based ``page_index``) is rendered at
+      200 DPI to a PNG in the per-image scratch dir (reference
+      pdf_render.py:28-62) and inference runs on that PNG; an image unit
+      (``page_index`` None) is read as is,
     - per image: ``model.infer(..., save_results=True)`` into a scratch
       dir; the saved result file is preferred when non-empty because the
       model may print output and return nothing; otherwise the raw return
       value is handed to the stage normalizer,
     - scratch dirs are deleted best-effort, never failing the row.
+
+    Model settings come from one :class:`OcrModelSettings`; ``cli run
+    --engine deepseek`` reads them from the ``OCR_AGENT_*`` environment
+    on the driver. ``work_dir`` is the scratch root for per-image model
+    output (the system temp dir when None).
     """
 
-    def __init__(self, config: DeepSeekOcr2Config | None = None,
+    def __init__(self, settings: OcrModelSettings | None = None,
+                 work_dir: str | None = None,
                  require_cuda: bool = True) -> None:
-        self.config = config or DeepSeekOcr2Config()
+        self.settings = settings or OcrModelSettings()
+        self.work_dir = work_dir
         self.require_cuda = require_cuda
         self._tokenizer: Any = None
         self._model: Any = None
+        self._codec: Any = None
 
     # -- loading -----------------------------------------------------------
 
@@ -276,23 +277,23 @@ class DeepSeekOcr2Engine:
         common: dict[str, Any] = dict(
             trust_remote_code=True, use_safetensors=True, torch_dtype=dtype,
         )
-        if self.config.model_revision is not None:
-            common["revision"] = self.config.model_revision
+        if self.settings.model_revision is not None:
+            common["revision"] = self.settings.model_revision
 
         self._tokenizer = AutoTokenizer.from_pretrained(
-            self.config.model_name,
+            self.settings.model_name,
             **{k: v for k, v in common.items()
                if k in ("revision", "trust_remote_code")},
         )
         try:
             model = AutoModel.from_pretrained(
-                self.config.model_name,
+                self.settings.model_name,
                 _attn_implementation="flash_attention_2",
                 **common,
             )
         except TypeError:
             # this transformers build doesn't accept the attn argument
-            model = AutoModel.from_pretrained(self.config.model_name, **common)
+            model = AutoModel.from_pretrained(self.settings.model_name, **common)
         model = model.eval()
         if torch.cuda.is_available():
             model = model.cuda()
@@ -300,27 +301,36 @@ class DeepSeekOcr2Engine:
 
     # -- inference ---------------------------------------------------------
 
-    def _infer_one(self, image_path: str) -> Any:
+    def _infer_one(self, media_ref: str, page_index: int | None) -> Any:
         import os
         import shutil
         import tempfile
 
-        if not os.path.exists(image_path):
-            raise FileNotFoundError(image_path)
+        if page_index is None and not os.path.exists(media_ref):
+            raise FileNotFoundError(media_ref)
         self._load_once()
-        scratch = tempfile.mkdtemp(prefix="dsocr2-", dir=self.config.work_dir)
+        scratch = tempfile.mkdtemp(prefix="dsocr2-", dir=self.work_dir)
         try:
+            image_path = media_ref
+            if page_index is not None:
+                if self._codec is None:  # first PDF page: images need no pdfium
+                    self._codec = RealCodec()
+                png, _, _ = self._codec.rasterize_pdf_page(
+                    media_ref, page_index, dpi=_PDF_DPI)
+                image_path = os.path.join(scratch, "page.png")
+                with open(image_path, "wb") as f:
+                    f.write(png)
             raw = self._model.infer(
                 self._tokenizer,
-                prompt=self.config.markdown_prompt,
+                prompt=self.settings.prompt,
                 image_file=str(image_path),
                 output_path=scratch,
-                base_size=self.config.base_size,
-                image_size=self.config.image_size,
-                crop_mode=self.config.crop_mode,
+                base_size=self.settings.base_size_pixels,
+                image_size=self.settings.image_size_pixels,
+                crop_mode=self.settings.crop_mode,
                 save_results=True,
             )
-            saved = os.path.join(scratch, self.config.result_filename)
+            saved = os.path.join(scratch, _RESULT_FILENAME)
             if os.path.exists(saved):
                 with open(saved, encoding="utf-8") as f:
                     text = f.read()
@@ -333,9 +343,8 @@ class DeepSeekOcr2Engine:
     def infer_batch(
         self, media_refs: Sequence[str], page_indices: Sequence[int | None]
     ) -> list[Any]:
-        # page_indices unused: upstream rasterization (stages/media.py)
-        # already turned pdf pages into per-page images
-        return [self._infer_one(ref) for ref in media_refs]
+        return [self._infer_one(ref, page)
+                for ref, page in zip(media_refs, page_indices)]
 
 
 class OcrFinalizeStage:

@@ -207,13 +207,13 @@ def test_dedup_empty_inputs(ray_session):
         dedup_keep_first,
         embedding_near_dup_lsh,
         minhash_lsh_dedup,
-        ngram_jaccard_pairs,
+        ngram_jaccard_all_pairs,
     )
 
     empty = rd.from_pandas(pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                                          "text": pd.Series(dtype="object")}))
     assert len(minhash_lsh_dedup(empty).to_pandas()) == 0
-    assert len(ngram_jaccard_pairs(empty).to_pandas()) == 0
+    assert len(ngram_jaccard_all_pairs(empty).to_pandas()) == 0
     assert len(dedup_keep_first(empty).to_pandas()) == 0
 
     empty_vec = rd.from_pandas(pd.DataFrame({"vec_id": pd.Series(dtype="int64"),

@@ -13,7 +13,9 @@ import types
 
 import pytest
 
-from ocr_agent_ray.stages.ocr import DeepSeekOcr2Config, DeepSeekOcr2Engine
+from ocr_agent_ray.config import DEFAULT_GROUNDING_PROMPT
+from ocr_agent_ray.stages import ocr as ocr_mod
+from ocr_agent_ray.stages.ocr import DeepSeekOcr2Engine
 
 
 class _FakeCuda:
@@ -43,6 +45,7 @@ class _FakeModel:
         self.eval_called = 0
         self.cuda_called = 0
         self.infer_calls = []
+        self.images = []
 
     def eval(self):
         self.eval_called += 1
@@ -54,6 +57,8 @@ class _FakeModel:
 
     def infer(self, tokenizer, **kw):
         self.infer_calls.append(kw)
+        with open(kw["image_file"], "rb") as f:
+            self.images.append(f.read())
         assert kw["save_results"] is True
         if self.result_text is not None:
             with open(os.path.join(kw["output_path"], "result.mmd"), "w",
@@ -106,7 +111,7 @@ def test_load_once_and_result_file_preferred(monkeypatch, image, tmp_path):
     tf = _fake_transformers(model)
     _install(monkeypatch, _fake_torch(), tf)
 
-    eng = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)))
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
     out1 = eng.infer_batch([image], [None])
     out2 = eng.infer_batch([image, image], [None, None])
     # saved result.mmd wins over the returned dict
@@ -127,7 +132,7 @@ def test_flash_attn_typeerror_falls_back(monkeypatch, image, tmp_path):
     tf = _fake_transformers(model, flash_attn_ok=False)
     _install(monkeypatch, _fake_torch(bf16=False), tf)
 
-    eng = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)))
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
     out = eng.infer_batch([image], [None])
     # empty/missing result file -> raw return value (stage normalizes later)
     assert out == ["plain return"]
@@ -138,28 +143,96 @@ def test_flash_attn_typeerror_falls_back(monkeypatch, image, tmp_path):
 def test_empty_result_file_falls_back_to_return(monkeypatch, image, tmp_path):
     model = _FakeModel(result_text="   \n", returned={"markdown": "from dict"})
     _install(monkeypatch, _fake_torch(), _fake_transformers(model))
-    eng = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)))
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
     assert eng.infer_batch([image], [None]) == [{"markdown": "from dict"}]
 
 
 def test_requires_cuda(monkeypatch, image, tmp_path):
     model = _FakeModel(returned="x")
     _install(monkeypatch, _fake_torch(available=False), _fake_transformers(model))
-    eng = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)))
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
     with pytest.raises(RuntimeError, match="CUDA"):
         eng.infer_batch([image], [None])
     # opt-out for CPU smoke runs
-    eng2 = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)),
-                              require_cuda=False)
+    eng2 = DeepSeekOcr2Engine(work_dir=str(tmp_path), require_cuda=False)
     assert eng2.infer_batch([image], [None]) == ["x"]
 
 
 def test_missing_image_raises(monkeypatch, tmp_path):
     model = _FakeModel(returned="x")
     _install(monkeypatch, _fake_torch(), _fake_transformers(model))
-    eng = DeepSeekOcr2Engine(DeepSeekOcr2Config(work_dir=str(tmp_path)))
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
     with pytest.raises(FileNotFoundError):
         eng.infer_batch([str(tmp_path / "nope.png")], [None])
+
+
+def test_prompt_and_sizes_come_from_model_settings(monkeypatch, image,
+                                                   tmp_path):
+    """The engine reads the one OcrModelSettings: its default prompt is
+    DEFAULT_GROUNDING_PROMPT (trailing space included), and
+    ``cli run --engine deepseek`` hands the OCR_AGENT_* overrides, read
+    on the driver, to the engine it builds."""
+    import ray
+
+    from ocr_agent_ray import cli
+    from ocr_agent_ray.pipelines import extract
+    from ocr_agent_ray.sources import corpus
+
+    model = _FakeModel(returned="x")
+    _install(monkeypatch, _fake_torch(), _fake_transformers(model))
+    DeepSeekOcr2Engine(work_dir=str(tmp_path)).infer_batch([image], [None])
+    assert model.infer_calls[-1]["prompt"] == DEFAULT_GROUNDING_PROMPT
+    assert model.infer_calls[-1]["base_size"] == 1024
+
+    monkeypatch.setenv("OCR_AGENT_PROMPT", "<image>\\nFree OCR.")
+    monkeypatch.setenv("OCR_AGENT_BASE_SIZE", "640")
+    factories = []
+
+    def _run(docs, out, *, engine_factory, **kw):
+        factories.append(engine_factory)
+        return {}
+
+    monkeypatch.setattr(cli, "_ray_init", lambda num_cpus: None)
+    monkeypatch.setattr(corpus, "read_documents", lambda path: None)
+    monkeypatch.setattr(extract, "run_extract_checkpointed", _run)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    assert cli.main(["run", "--input", str(tmp_path), "--out",
+                     str(tmp_path / "out"), "--engine", "deepseek"]) == 0
+    monkeypatch.delenv("OCR_AGENT_PROMPT")
+    monkeypatch.delenv("OCR_AGENT_BASE_SIZE")
+    factories[0]().infer_batch([image], [None])
+    assert model.infer_calls[-1]["prompt"] == "<image>\nFree OCR."
+    assert model.infer_calls[-1]["base_size"] == 640
+
+
+def test_pdf_pages_render_to_their_own_images(monkeypatch, tmp_path):
+    """A pdf_page unit reaches model.infer as its own page image,
+    rendered at 200 DPI into the per-image scratch dir, not as the PDF
+    path."""
+    rendered = []
+
+    class _StubCodec:
+        def rasterize_pdf_page(self, media_ref, page_index, dpi=200):
+            if page_index >= 3:
+                raise ValueError("pdf_page_index is out of range")
+            rendered.append((media_ref, page_index, dpi))
+            return f"png of page {page_index}".encode(), 10, 10
+
+    model = _FakeModel(returned="md")
+    _install(monkeypatch, _fake_torch(), _fake_transformers(model))
+    monkeypatch.setattr(ocr_mod, "RealCodec", _StubCodec)
+    pdf = tmp_path / "doc.pdf"
+    pdf.write_bytes(b"%PDF-1.4 fake")
+    eng = DeepSeekOcr2Engine(work_dir=str(tmp_path))
+    assert eng.infer_batch([str(pdf)] * 3, [0, 1, 2]) == ["md"] * 3
+    assert rendered == [(str(pdf), p, 200) for p in range(3)]
+    assert model.images == [f"png of page {p}".encode() for p in range(3)]
+    files = [kw["image_file"] for kw in model.infer_calls]
+    assert all(f.endswith(".png") and f != str(pdf) for f in files)
+    assert len(set(files)) == 3
+    with pytest.raises(ValueError, match="out of range"):
+        eng.infer_batch([str(pdf)], [3])
+    assert not [d for d in os.listdir(tmp_path) if d.startswith("dsocr2-")]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pandas as pd
 import ray.data as rd
 
 from ocr_agent_ray.cli import main
-from ocr_agent_ray.pipelines.dedup import ngram_jaccard_pairs
+from ocr_agent_ray.pipelines.dedup import ngram_jaccard_all_pairs
 from ocr_agent_ray.pipelines.extract import run_extract_checkpointed
 from ocr_agent_ray.sources.corpus import generate_documents
 from ocr_agent_ray.stages.postprocess import GroundingExtractStage
@@ -79,7 +79,8 @@ def test_ngram_jaccard_planted(ray_session):
     rows = [{"doc_id": 1, "text": base},
             {"doc_id": 2, "text": base.replace("sigma", "SIGMA2")},
             {"doc_id": 3, "text": "totally different words entirely here now"}]
-    out = ngram_jaccard_pairs(rd.from_pandas(pd.DataFrame(rows)), threshold=0.4)
+    out = ngram_jaccard_all_pairs(rd.from_pandas(pd.DataFrame(rows)),
+                                  threshold=0.4)
     got = out.to_pandas()
     pairs = set(zip(got["doc_id_a"], got["doc_id_b"]))
     assert (1, 2) in pairs

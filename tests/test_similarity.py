@@ -177,6 +177,39 @@ def test_lloyd_and_pq_seed_from_the_lowest_ids(ray_session, tmp_path):
         pq_codes(str(tmp_path / "1000"), m=2, k=41)
 
 
+def test_ivf_and_pq_train_on_the_lowest_ids(tmp_path):
+    """The IVF coarse quantizer and the PQ codebooks train on the
+    sample_rows lowest vec_ids wherever the ids start: a table with ids
+    5000-5039 trains the same centroids and codebooks as the same
+    vectors with ids 0-39, for a sample of all rows and of the lowest
+    16."""
+    import pyarrow as pa
+
+    from ocr_agent_ray.pipelines.similarity import (_ivf_centroids,
+                                                    _pq_train_sample)
+
+    rng = np.random.RandomState(11)
+    vecs = rng.randn(40, 16).astype(np.float32)
+    trained = {}
+    for first_id in (0, 5000):
+        d = tmp_path / str(first_id)
+        d.mkdir()
+        pq.write_table(pa.table({
+            "vec_id": pa.array(range(first_id, first_id + len(vecs)),
+                               pa.int64()),
+            "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}),
+            str(d / "embeddings.parquet"))
+        trained[first_id] = [
+            _ivf_centroids(str(d), 4),
+            _ivf_centroids(str(d), 4, sample_rows=16),
+            _pq_train_sample(str(d), 8, 4),
+            _pq_train_sample(str(d), 8, 4, sample_rows=16)]
+    for a, b in zip(trained[0], trained[5000]):
+        np.testing.assert_array_equal(a, b)
+    # a 16-row sample is not the whole table
+    assert not np.array_equal(trained[0][0], trained[0][1])
+
+
 def test_embedding_outliers_degenerate_labels(ray_session, tmp_path):
     """Labels with one member (sample stddev undefined) or zero variance
     (all members identical) must z-score to NaN on BOTH the Ray side and
