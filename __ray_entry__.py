@@ -586,7 +586,8 @@ def oracle_sql() -> dict[str, str]:
         ),
         "q_knn_bruteforce": (
             "WITH q AS (SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS qe "
-            "FROM embeddings WHERE vec_id < 8), "
+            "FROM embeddings WHERE vec_id IN "
+            "(SELECT vec_id FROM embeddings ORDER BY vec_id LIMIT 8)), "
             "scored AS (SELECT q.qid AS query_id, e.vec_id, "
             "list_cosine_similarity(q.qe, CAST(e.embedding AS DOUBLE[])) AS cos "
             "FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.qid) "
@@ -1294,7 +1295,8 @@ def oracle_sql() -> dict[str, str]:
             # q_bm25_search: top-20 membership by unrounded score,
             # fusion rank over the arm's ROUNDED output contract) and
             # the exact-cosine arm (same construction as
-            # q_knn_bruteforce with vec_id < 3, rank <= 20);
+            # q_knn_bruteforce, rank <= 20, its queries the vec_ids
+            # < 3 that pair with the BM25 query ids);
             # rrf = sum over present arms of 1/(60 + rank)
             _BM25_CTES + _bm25_sc() + ", "
             "lexsel AS (SELECT sc.qid AS query_id, sc.doc_id, "

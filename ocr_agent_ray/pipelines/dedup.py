@@ -564,66 +564,184 @@ def dedup_best_survivor(sf_dir: str, *, threshold: float = 0.5, n: int = 4,
     return broadcast_semi_filter(meta, drop, "doc_id", keep=False)
 
 
-def duplicate_clusters(pairs_ds, *, max_rounds: int = 50,
-                       driver_max_edges: int = 2_000_000):
+# --- near-duplicate graph core -----------------------------------------
+# The pair-graph queries below build on these stages. Every stage
+# exchanges over GRAPH_BUCKETS buckets; a query whose symmetric edge
+# table holds at most DRIVER_MAX_EDGES rows iterates on the driver, a
+# larger one dataset-native.
+GRAPH_BUCKETS = 16
+DRIVER_MAX_EDGES = 2_000_000
+
+
+def _sym_edges(pairs):
+    """The materialized symmetric (src, dst) edge table of a pair table:
+    each undirected pair both ways, ids in their own dtype."""
+    def _both_ways(b: pd.DataFrame) -> pd.DataFrame:
+        a, c = b["doc_id_a"].to_numpy(), b["doc_id_b"].to_numpy()
+        return pd.DataFrame({"src": np.concatenate([a, c]),
+                             "dst": np.concatenate([c, a])})
+
+    return pairs.map_batches(_both_ways, batch_format="pandas",
+                             batch_size=65536).materialize()
+
+
+def _degrees(edges):
+    """(src, deg): the edge count of every src in an edge table — on a
+    symmetric table the undirected degree — as one bucketed fold."""
+    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
+
+    return hash_partition_aggregate(edges, ["src"],
+                                    {"deg": ("dst", "count")},
+                                    num_buckets=GRAPH_BUCKETS)
+
+
+def _wedges(edges):
+    """(b, c): every pair b < c of distinct neighbors that share a src in
+    an edge table (src, dst) — C(deg, 2) rows per center, emitted per
+    center after one key exchange on src."""
+    from ocr_agent_ray.pipelines.exchange import key_map_groups
+
+    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
+        nb = np.sort(g["dst"].unique())
+        if len(nb) < 2:
+            return pd.DataFrame({"b": pd.Series(dtype="int64"),
+                                 "c": pd.Series(dtype="int64")})
+        i, j = np.triu_indices(len(nb), k=1)
+        return pd.DataFrame({"b": nb[i], "c": nb[j]})
+
+    return key_map_groups(edges, _pairs, key_col="src",
+                          num_buckets=GRAPH_BUCKETS)
+
+
+def _edge_keys(ds, a: str, b: str, keep: tuple = ()):
+    """``ds`` as the "a:b" string edge key ``ek`` of its columns a and b,
+    followed by its ``keep`` columns: the composite key on both sides of
+    a wedge-closing join."""
+    def _key(df: pd.DataFrame) -> pd.DataFrame:
+        out = pd.DataFrame({"ek": df[a].astype(str) + ":"
+                                  + df[b].astype(str)})
+        for c in keep:
+            out[c] = df[c].to_numpy()
+        return out
+
+    return ds.map_batches(_key, batch_format="pandas", batch_size=65536)
+
+
+def _with_degrees(edges, deg, fields: list, ends: dict):
+    """``edges`` (Arrow fields ``fields``) with a node degree joined on
+    per end: ``ends`` maps an id column to the degree column it gets
+    from ``deg``, a ``_degrees`` table."""
+    import pyarrow as pa
+
+    from ocr_agent_ray.pipelines.joins import bucket_hash_join
+
+    fields = list(fields)
+    for key, out in ends.items():
+        edges = bucket_hash_join(
+            edges, deg.map_batches(
+                lambda b, _k=key, _o=out: pd.DataFrame({
+                    _k: b["src"].astype("int64"),
+                    _o: b["deg"].astype("int64")}),
+                batch_format="pandas", batch_size=65536),
+            on=key, num_buckets=GRAPH_BUCKETS,
+            left_schema=pa.schema(fields),
+            right_schema=pa.schema([(key, pa.int64()), (out, pa.int64())]))
+        fields.append((out, pa.int64()))
+    return edges
+
+
+def _endpoint_sources(sf_dir: str, pairs):
+    """(doc_id_a, doc_id_b, src_a, src_b): every pair with the ``source``
+    of both endpoints, attached by two bucketed hash joins against one
+    column-pruned documents read."""
+    import pyarrow as pa
+
+    from ocr_agent_ray.pipelines.joins import bucket_hash_join
+    from ocr_agent_ray.sources.readers import read_table
+
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
+
+    def _side(end: str):
+        return docs.map_batches(lambda b: pd.DataFrame({
+            f"doc_id_{end}": b["doc_id"].astype("int64"),
+            f"src_{end}": b["source"]}),
+            batch_format="pandas", batch_size=65536)
+
+    i64, s = pa.int64(), pa.string()
+    with_a = bucket_hash_join(
+        pairs.map_batches(lambda b: b[_PAIR_COLS], batch_format="pandas",
+                          batch_size=65536),
+        _side("a"), on="doc_id_a", num_buckets=GRAPH_BUCKETS,
+        left_schema=pa.schema([("doc_id_a", i64), ("doc_id_b", i64)]),
+        right_schema=pa.schema([("doc_id_a", i64), ("src_a", s)]))
+    return bucket_hash_join(
+        with_a, _side("b"), on="doc_id_b", num_buckets=GRAPH_BUCKETS,
+        left_schema=pa.schema([("doc_id_a", i64), ("doc_id_b", i64),
+                               ("src_a", s)]),
+        right_schema=pa.schema([("doc_id_b", i64), ("src_b", s)]))
+
+
+def _driver_graph(edges):
+    """A materialized symmetric edge table on the driver as (nodes, s, t):
+    the sorted node ids and every edge's endpoint indices into them.
+    None when the table holds more than DRIVER_MAX_EDGES rows: the
+    caller then runs its dataset-native tier."""
+    if edges.count() > DRIVER_MAX_EDGES:
+        return None
+    edf = edges.to_pandas()
+    nodes = np.unique(edf["src"].to_numpy())  # symmetric ⇒ src covers all
+    return (nodes, np.searchsorted(nodes, edf["src"].to_numpy()),
+            np.searchsorted(nodes, edf["dst"].to_numpy()))
+
+
+def _component_roots(n_nodes: int, s: np.ndarray, t: np.ndarray,
+                     max_rounds: int = 50) -> np.ndarray:
+    """Per node index, the index of the minimum node of its component:
+    min-label propagation over the edge index pairs (s, t), one hop per
+    round, to fixpoint. ``max_rounds`` is a hard cap with a convergence
+    warning, never a silent truncation."""
+    import logging
+
+    roots = np.arange(n_nodes)
+    for _ in range(max_rounds):
+        nxt = roots.copy()
+        np.minimum.at(nxt, t, roots[s])
+        if np.array_equal(nxt, roots):
+            return roots
+        roots = nxt
+    logging.getLogger(__name__).warning(
+        "component labels not converged after %d rounds (chain "
+        "diameter exceeds max_rounds); labels unfinished", max_rounds)
+    return roots
+
+
+def duplicate_clusters(pairs_ds, *, max_rounds: int = 50):
     """Connected components over near-dup pairs: (doc_id, cluster_id) with
     cluster_id = the component's minimum doc_id.
 
     Min-label propagation to fixpoint (converges in O(diameter) rounds;
     ``max_rounds`` is a hard cap with a convergence warning, never a
     silent truncation). Pair sets that fit the driver
-    (≤ driver_max_edges) run in pandas; larger sets run each round
-    dataset-native: edge⋈label bucket_hash_join on src, hash-partitioned
-    groupby-min per dst, left bucket_hash_join back onto the label table.
-    Only the label table (two id columns over docs that appear in pairs)
-    is materialized per round; edges are materialized once.
+    (≤ DRIVER_MAX_EDGES symmetric edges) run in numpy; larger sets run
+    each round dataset-native: edge⋈label bucket_hash_join on src,
+    hash-partitioned groupby-min per dst, left bucket_hash_join back onto
+    the label table. Only the label table (two id columns over docs that
+    appear in pairs) is materialized per round; edges are materialized
+    once.
     """
-    import logging
-
-    import pandas as pd
-
-    edges = pairs_ds.map_batches(
-        lambda b: pd.concat([
-            pd.DataFrame({"src": b["doc_id_a"], "dst": b["doc_id_b"]}),
-            pd.DataFrame({"src": b["doc_id_b"], "dst": b["doc_id_a"]}),
-        ], ignore_index=True),
-        batch_format="pandas",
-    ).materialize()
-
-    n_edges = edges.count()
-    if n_edges == 0:
+    edges = _sym_edges(pairs_ds)
+    if edges.count() == 0:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "cluster_id": pd.Series(dtype="int64")})
-
-    log = logging.getLogger(__name__)
-
-    if n_edges <= driver_max_edges:
-        # small-pairs fast path: the whole edge table on the driver
-        edf = edges.to_pandas()
-        labels = pd.DataFrame({"node": pd.unique(edf[["src", "dst"]].values.ravel())})
-        labels["label"] = labels["node"]
-        converged = False
-        for _ in range(max_rounds):
-            nbr = edf.merge(labels.rename(columns={"node": "src"}), on="src")
-            nbr = nbr.groupby("dst", as_index=False)["label"].min()
-            merged = labels.merge(nbr.rename(columns={"dst": "node"}),
-                                  on="node", how="left", suffixes=("", "_nbr"))
-            new = merged[["label", "label_nbr"]].min(axis=1)
-            if (new == labels["label"]).all():
-                converged = True
-                break
-            labels["label"] = new
-        if not converged:
-            log.warning("duplicate_clusters: not converged after %d rounds "
-                        "(chain diameter exceeds max_rounds); labels unfinished",
-                        max_rounds)
-        return labels.rename(columns={"node": "doc_id", "label": "cluster_id"})
-
-    return _duplicate_clusters_native(edges, max_rounds=max_rounds)
+    graph = _driver_graph(edges)
+    if graph is None:
+        return _duplicate_clusters_native(edges, max_rounds=max_rounds)
+    nodes, s, t = graph
+    roots = _component_roots(len(nodes), s, t, max_rounds)
+    return pd.DataFrame({"doc_id": nodes, "cluster_id": nodes[roots]})
 
 
-def _duplicate_clusters_native(edges, *, max_rounds: int = 50,
-                               num_buckets: int = 16):
+def _duplicate_clusters_native(edges, *, max_rounds: int = 50):
     """Dataset-native min-label propagation (see duplicate_clusters).
 
     ``edges``: materialized symmetric (src, dst) Dataset. Returns a
@@ -644,7 +762,7 @@ def _duplicate_clusters_native(edges, *, max_rounds: int = 50,
     labels = distinct_rows(
         edges.map_batches(lambda b: pd.DataFrame({"node": b["src"]}),
                           batch_format="pandas"),
-        ["node"], num_buckets=num_buckets,
+        ["node"], num_buckets=GRAPH_BUCKETS,
     ).map_batches(lambda b: b.assign(label=b["node"]),
                   batch_format="pandas").materialize()
 
@@ -653,19 +771,20 @@ def _duplicate_clusters_native(edges, *, max_rounds: int = 50,
         lab_src = labels.map_batches(
             lambda b: b.rename(columns={"node": "src"}), batch_format="pandas")
         nbr = bucket_hash_join(
-            edges, lab_src, on="src", num_buckets=num_buckets,
+            edges, lab_src, on="src", num_buckets=GRAPH_BUCKETS,
             left_schema=pa.schema([("src", id_type), ("dst", id_type)]),
             right_schema=pa.schema([("src", id_type), ("label", id_type)]),
         )
         nbr_min = hash_partition_aggregate(
             nbr.map_batches(lambda b: b[["dst", "label"]], batch_format="pandas"),
-            ["dst"], {"nbr_label": ("label", "min")}, num_buckets=num_buckets,
+            ["dst"], {"nbr_label": ("label", "min")},
+            num_buckets=GRAPH_BUCKETS,
         )
         joined = bucket_hash_join(
             labels,
             nbr_min.map_batches(lambda b: b.rename(columns={"dst": "node"}),
                                 batch_format="pandas"),
-            on="node", how="left", num_buckets=num_buckets,
+            on="node", how="left", num_buckets=GRAPH_BUCKETS,
             left_schema=label_schema,
             right_schema=pa.schema([("node", id_type), ("nbr_label", id_type)]),
         )
@@ -926,10 +1045,13 @@ def shared_ngram_pairs(sf_dir: str, *, threshold: float = 0.5, n: int = 4,
                        cache_root: str = "/tmp/graft_dup_pairs"):
     """Materialize-once / read-many near-dup pair table (VERDICT r4 #1).
 
-    Six graph-analytics queries (hops, k-core, pagerank, triangles,
-    neighbor-Jaccard, source-matrix) all consume the SAME exact n-gram
+    Sixteen registry queries (the pair-graph family: components, hops,
+    k-core, pagerank, triangles, neighbor-Jaccard, clustering
+    coefficient, harmonic reach, assortativity, degree histogram and
+    power law; the source matrix and modularity; dedup apply, best
+    survivor and the threshold sweep) all consume the SAME exact n-gram
     Jaccard pair set; rebuilding it per query re-runs the inverted-index
-    exchange and the two verification joins six times per corpus. This
+    exchange and the two verification joins sixteen times per corpus. This
     persists the pair table ONCE per (corpus fingerprint, threshold, n)
     as partitioned parquet under ``cache_root`` and returns a Dataset
     reading it — the invindex persist pattern (content fingerprint in
@@ -1148,27 +1270,15 @@ def ngram_dup_degree_distribution(sf_dir: str, *, threshold: float = 0.5,
     (degree 1) or hub-shaped (boilerplate families). Per-doc degrees
     fold bucketed over the symmetric edge list; the distribution is a
     tiny driver combine (|distinct degrees| keys)."""
-    from ocr_agent_ray.pipelines.agg import (
-        combine_partials_driver,
-        hash_partition_aggregate,
-    )
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
     from ocr_agent_ray.sources.readers import read_table
 
-    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     if pairs is None:
+        docs = read_table(sf_dir, "documents", ["doc_id", "text"])
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold, n=n)
-
-    def _sym(batch: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": np.concatenate([batch["doc_id_a"].to_numpy(),
-                                      batch["doc_id_b"].to_numpy()]),
-        })
-
-    degrees = hash_partition_aggregate(
-        pairs.map_batches(_sym, batch_format="pandas", batch_size=65536),
-        ["doc_id"], {"degree": ("doc_id", "count")})
-    out = combine_partials_driver(degrees, ["degree"],
-                                  {"n_docs": ("doc_id", "count")})
+    out = combine_partials_driver(_degrees(_sym_edges(pairs)), ["deg"],
+                                  {"n_docs": ("src", "count")})
+    out = out.rename(columns={"deg": "degree"})
     out["degree"] = out["degree"].astype("int64")
     out["n_docs"] = out["n_docs"].astype("int64")
     return out.sort_values("degree").reset_index(drop=True)
@@ -1453,66 +1563,38 @@ def dup_graph_triangles(docs, *, threshold: float = 0.5, pairs=None):
     generation to cap per-node work at O(arboricity²).
 
     Returns one row: (n_edges, n_wedges, n_triangles)."""
-    import pandas as pd
     import pyarrow as pa
 
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
     from ocr_agent_ray.pipelines.joins import bucket_semi_join
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
+    # the oriented (a < b) pairs are the edge table: one wedge per
+    # triangle, at its lowest node
     edges = pairs.map_batches(
-        lambda b: b[["doc_id_a", "doc_id_b"]],
+        lambda b: pd.DataFrame({"src": b["doc_id_a"], "dst": b["doc_id_b"]}),
         batch_format="pandas", batch_size=65536).materialize()
-
-    n_edges = int(edges.count())
-
-    def _wedges(g: pd.DataFrame) -> pd.DataFrame:
-        nb = np.sort(g["doc_id_b"].unique())
-        if len(nb) < 2:
-            return pd.DataFrame({"b": pd.Series(dtype="int64"),
-                                 "c": pd.Series(dtype="int64")})
-        i, j = np.triu_indices(len(nb), k=1)
-        return pd.DataFrame({"b": nb[i], "c": nb[j]})
-
-    wedges = key_map_groups(edges, _wedges, key_col="doc_id_a",
-                            num_buckets=16)
-
-    def _wkey(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "ek": b["b"].astype(str) + ":" + b["c"].astype(str)})
-
-    def _ekey(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "ek": b["doc_id_a"].astype(str) + ":"
-                  + b["doc_id_b"].astype(str)})
-
-    wk = wedges.map_batches(_wkey, batch_format="pandas",
-                            batch_size=65536)
-    ek = edges.map_batches(_ekey, batch_format="pandas",
-                           batch_size=65536)
-    n_wedges = int(wedges.count())
+    wedges = _wedges(edges)
     closed = bucket_semi_join(
-        wk, ek, on="ek",
+        _edge_keys(wedges, "b", "c"), _edge_keys(edges, "src", "dst"),
+        on="ek", num_buckets=GRAPH_BUCKETS,
         left_schema=pa.schema([("ek", pa.string())]))
-    n_tri = int(closed.count())
     return pd.DataFrame({
-        "n_edges": np.array([n_edges], dtype="int64"),
-        "n_wedges": np.array([n_wedges], dtype="int64"),
-        "n_triangles": np.array([n_tri], dtype="int64"),
+        "n_edges": np.array([edges.count()], dtype="int64"),
+        "n_wedges": np.array([wedges.count()], dtype="int64"),
+        "n_triangles": np.array([closed.count()], dtype="int64"),
     })
 
 
 def dup_graph_pagerank(docs, *, threshold: float = 0.5, damping: float = 0.85,
-                       iters: int = 20, driver_max_edges: int = 2_000_000,
-                       num_buckets: int = 16, pairs=None):
+                       iters: int = 20, pairs=None):
     """PageRank over the (undirected) near-duplicate graph — ranks the
     'template hubs' whose text radiates through the corpus; the classic
     iterative graph algorithm expressed in the engine's idiom.
 
     Mirrors ``duplicate_clusters``' two-tier plan: pair sets that fit the
-    driver (≤ ``driver_max_edges``) run a vectorized bincount power
-    iteration in numpy; larger graphs run each round dataset-native
+    driver (≤ DRIVER_MAX_EDGES symmetric edges) run a vectorized bincount
+    power iteration in numpy; larger graphs run each round dataset-native
     (``_pagerank_native``): edge⋈(rank/deg) bucket_hash_join on src,
     hash-partitioned sum per dst, left bucket_hash_join back onto the
     rank table — per round the only materialization is the (node, deg,
@@ -1520,28 +1602,20 @@ def dup_graph_pagerank(docs, *, threshold: float = 0.5, damping: float = 0.85,
     edge table is symmetric and every node has degree ≥ 1 (no dangling
     mass). Deterministic; validated in pytest against a dense numpy
     power iteration on BOTH paths."""
-    import pandas as pd
-
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    # symmetric (src, dst): each undirected edge contributes both ways
-    edges = pairs.map_batches(
-        lambda b: pd.concat([
-            pd.DataFrame({"src": b["doc_id_a"], "dst": b["doc_id_b"]}),
-            pd.DataFrame({"src": b["doc_id_b"], "dst": b["doc_id_a"]}),
-        ], ignore_index=True),
-        batch_format="pandas", batch_size=65536).materialize()
-
-    n_sym_edges = int(edges.count())
-    if n_sym_edges == 0:
+    edges = _sym_edges(pairs)
+    if edges.count() == 0:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "pagerank": pd.Series(dtype="float64")})
 
-    if n_sym_edges <= driver_max_edges:
-        edf = edges.to_pandas()
-        nodes = np.unique(edf["src"].to_numpy())  # symmetric ⇒ src covers all
-        a = np.searchsorted(nodes, edf["src"].to_numpy())
-        c = np.searchsorted(nodes, edf["dst"].to_numpy())
+    graph = _driver_graph(edges)
+    if graph is None:
+        out = _pagerank_native(edges, damping=damping,
+                               iters=iters).to_pandas()
+        out["pagerank"] = np.round(out["pagerank"].to_numpy(), 9)
+    else:
+        nodes, a, c = graph
         n_nodes = len(nodes)
         deg = np.bincount(a, minlength=n_nodes).astype(np.float64)
         r = np.full(n_nodes, 1.0 / n_nodes)
@@ -1551,17 +1625,12 @@ def dup_graph_pagerank(docs, *, threshold: float = 0.5, damping: float = 0.85,
                 c, weights=r[a] / deg[a], minlength=n_nodes)
         out = pd.DataFrame({"doc_id": nodes.astype("int64"),
                             "pagerank": np.round(r, 9)})
-    else:
-        out = _pagerank_native(edges, damping=damping, iters=iters,
-                               num_buckets=num_buckets).to_pandas()
-        out["pagerank"] = np.round(out["pagerank"].to_numpy(), 9)
 
     return out.sort_values(["pagerank", "doc_id"], ascending=[False, True],
                            kind="mergesort").reset_index(drop=True)
 
 
-def _pagerank_native(edges, *, damping: float, iters: int,
-                     num_buckets: int = 16):
+def _pagerank_native(edges, *, damping: float, iters: int):
     """Dataset-native power iteration (see dup_graph_pagerank).
 
     ``edges``: materialized symmetric (src, dst) Dataset. Returns a
@@ -1570,7 +1639,6 @@ def _pagerank_native(edges, *, damping: float, iters: int,
     per-round materialization is the (node, deg, rank) state table.
     The contribution kernel is the bucket join's pandas merge itself —
     no driver-side rank dict, no per-element lookups."""
-    import pandas as pd
     import pyarrow as pa
 
     from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
@@ -1579,12 +1647,7 @@ def _pagerank_native(edges, *, damping: float, iters: int,
     id_type = _arrow_schema_of(edges).field("src").type
     edge_schema = pa.schema([("src", id_type), ("dst", id_type)])
 
-    # bucketed degree fold: symmetric edges ⇒ out-degree == undirected degree
-    deg = hash_partition_aggregate(
-        edges.map_batches(lambda b: b[["src"]], batch_format="pandas",
-                          batch_size=65536),
-        ["src"], {"deg": ("src", "count")}, num_buckets=num_buckets)
-    state = deg.map_batches(
+    state = _degrees(edges).map_batches(
         lambda b: b.rename(columns={"src": "node"}),
         batch_format="pandas").materialize()
     n_nodes = int(state.count())
@@ -1603,19 +1666,19 @@ def _pagerank_native(edges, *, damping: float, iters: int,
                 "w": b["rank"].to_numpy() / b["deg"].to_numpy()}),
             batch_format="pandas")
         contrib_edges = bucket_hash_join(
-            edges, w, on="src", num_buckets=num_buckets,
+            edges, w, on="src", num_buckets=GRAPH_BUCKETS,
             left_schema=edge_schema,
             right_schema=pa.schema([("src", id_type), ("w", pa.float64())]))
         contrib = hash_partition_aggregate(
             contrib_edges.map_batches(lambda b: b[["dst", "w"]],
                                       batch_format="pandas",
                                       batch_size=65536),
-            ["dst"], {"contrib": ("w", "sum")}, num_buckets=num_buckets)
+            ["dst"], {"contrib": ("w", "sum")}, num_buckets=GRAPH_BUCKETS)
         joined = bucket_hash_join(
             state,
             contrib.map_batches(lambda b: b.rename(columns={"dst": "node"}),
                                 batch_format="pandas"),
-            on="node", how="left", num_buckets=num_buckets,
+            on="node", how="left", num_buckets=GRAPH_BUCKETS,
             left_schema=state_schema,
             right_schema=pa.schema([("node", id_type),
                                     ("contrib", pa.float64())]))
@@ -1651,46 +1714,35 @@ def dup_graph_kcore(docs, *, k: int = 2, threshold: float = 0.5,
     core_degree is the node's degree WITHIN the core subgraph."""
     import pyarrow as pa
 
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
     from ocr_agent_ray.pipelines.joins import bucket_anti_join
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    # symmetric edge list: degree(src) = row count per src
-    edges = pairs.map_batches(
-        lambda b: pd.DataFrame({
-            "src": np.concatenate([b["doc_id_a"].to_numpy(),
-                                   b["doc_id_b"].to_numpy()]),
-            "dst": np.concatenate([b["doc_id_b"].to_numpy(),
-                                   b["doc_id_a"].to_numpy()])}),
-        batch_format="pandas", batch_size=65536).materialize()
-
+    edges = _sym_edges(pairs)
     edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 
     for _ in range(max_rounds):
-        deg = hash_partition_aggregate(
-            edges, ["src"], {"deg": ("dst", "count")}, num_buckets=8)
+        deg = _degrees(edges)
         low = deg.map_batches(
             lambda b: b.loc[b["deg"] < k, ["src"]],
             batch_format="pandas").materialize()
         if int(low.count()) == 0:
-            final = deg.map_batches(
+            return deg.map_batches(
                 lambda b: pd.DataFrame({
                     "doc_id": b["src"].astype("int64"),
                     "core_degree": b["deg"].astype("int64")}),
                 batch_format="pandas")
-            return final
-        kept = bucket_anti_join(edges, low, on="src", num_buckets=8,
+        kept = bucket_anti_join(edges, low, on="src",
+                                num_buckets=GRAPH_BUCKETS,
                                 left_schema=edge_schema)
         low_dst = low.map_batches(
             lambda b: b.rename(columns={"src": "dst"}),
             batch_format="pandas")
-        edges = bucket_anti_join(kept, low_dst, on="dst", num_buckets=8,
+        edges = bucket_anti_join(kept, low_dst, on="dst",
+                                 num_buckets=GRAPH_BUCKETS,
                                  left_schema=edge_schema).materialize()
         if int(edges.count()) == 0:
-            import ray.data as _rd
-
-            return _rd.from_arrow(pa.Table.from_arrays(
+            return rd.from_arrow(pa.Table.from_arrays(
                 [pa.array([], pa.int64()), pa.array([], pa.int64())],
                 names=["doc_id", "core_degree"]))
     raise RuntimeError(
@@ -1935,62 +1987,23 @@ def dup_pair_source_matrix(sf_dir: str, *, threshold: float = 0.5,
     ids; each side's source attaches via one bucket_hash_join against a
     column-pruned documents read; the matrix itself is ≤ |sources|²
     keys — a driver combine."""
-    import pyarrow as pa
-
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
     from ocr_agent_ray.sources.readers import read_table
 
-    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     if pairs is None:
+        docs = read_table(sf_dir, "documents", ["doc_id", "text"])
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold, n=n)
 
-    def _src(col_out: str):
-        def _fn(b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"doc_id": b["doc_id"],
-                                 col_out: b["source"]})
-
-        return _fn
-
-    src = read_table(sf_dir, "documents", ["doc_id", "source"])
-
-    def _key_a(b: pd.DataFrame) -> pd.DataFrame:
-        return b.rename(columns={"doc_id_a": "doc_id"})
-
-    with_a = bucket_hash_join(
-        pairs.map_batches(_key_a, batch_format="pandas"),
-        src.map_batches(_src("source_a"), batch_format="pandas"),
-        on="doc_id",
-        left_schema=pa.schema([("doc_id", pa.int64()),
-                               ("doc_id_b", pa.int64()),
-                               ("jaccard", pa.float64())]),
-        right_schema=pa.schema([("doc_id", pa.int64()),
-                                ("source_a", pa.string())]))
-
-    def _key_b(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.drop(columns=["doc_id"])
-                .rename(columns={"doc_id_b": "doc_id"}))
-
-    with_b = bucket_hash_join(
-        with_a.map_batches(_key_b, batch_format="pandas"),
-        src.map_batches(_src("source_b"), batch_format="pandas"),
-        on="doc_id",
-        left_schema=pa.schema([("doc_id", pa.int64()),
-                               ("jaccard", pa.float64()),
-                               ("source_a", pa.string())]),
-        right_schema=pa.schema([("doc_id", pa.int64()),
-                                ("source_b", pa.string())]))
-
     def _cells(b: pd.DataFrame) -> pd.DataFrame:
-        lo = np.minimum(b["source_a"].to_numpy(dtype=object),
-                        b["source_b"].to_numpy(dtype=object))
-        hi = np.maximum(b["source_a"].to_numpy(dtype=object),
-                        b["source_b"].to_numpy(dtype=object))
-        return pd.DataFrame({"src_lo": lo, "src_hi": hi,
+        sa = b["src_a"].to_numpy(dtype=object)
+        sb = b["src_b"].to_numpy(dtype=object)
+        return pd.DataFrame({"src_lo": np.minimum(sa, sb),
+                             "src_hi": np.maximum(sa, sb),
                              "n_pairs": np.int64(1)})
 
     out = combine_partials_driver(
-        with_b.map_batches(_cells, batch_format="pandas"),
+        _endpoint_sources(sf_dir, pairs).map_batches(
+            _cells, batch_format="pandas"),
         ["src_lo", "src_hi"], {"n_pairs": ("n_pairs", "sum")})
     out["n_pairs"] = out["n_pairs"].astype("int64")
     return out.sort_values(["src_lo", "src_hi"]).reset_index(drop=True)
@@ -2159,8 +2172,7 @@ def audio_dup_pairs_query(sf_dir: str):
 
 
 def dup_graph_hops(docs, *, threshold: float = 0.5, max_hops: int = 10,
-                   driver_max_edges: int = 2_000_000,
-                   num_buckets: int = 16, pairs=None):
+                   pairs=None):
     """Multi-source BFS over the near-duplicate graph: hop distance from
     each component's canonical root (its minimum doc_id — the node
     ``duplicate_clusters`` elects and dedup-apply keeps) to every member
@@ -2171,44 +2183,25 @@ def dup_graph_hops(docs, *, threshold: float = 0.5, max_hops: int = 10,
     not a truncation, at any realistic threshold.
 
     Two-tier like ``duplicate_clusters``/``dup_graph_pagerank``: pair
-    sets ≤ ``driver_max_edges`` run a vectorized numpy frontier BFS;
-    larger graphs run each wave dataset-native — frontier⋈edges
-    ``bucket_hash_join`` on the frontier node, distinct new nodes, then
-    a ``bucket_anti_join`` against the visited set; per wave only the
-    frontier and visited (id, root, hops) tables materialize, never on
-    the driver. Output: (doc_id, root_id, hops)."""
-    import pandas as pd
-
+    sets ≤ DRIVER_MAX_EDGES symmetric edges run a vectorized numpy
+    frontier BFS; larger graphs run each wave dataset-native —
+    frontier⋈edges ``bucket_hash_join`` on the frontier node, distinct
+    new nodes, then a ``bucket_anti_join`` against the visited set; per
+    wave only the frontier and visited (id, root, hops) tables
+    materialize, never on the driver. Output: (doc_id, root_id, hops)."""
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    edges = pairs.map_batches(
-        lambda b: pd.concat([
-            pd.DataFrame({"src": b["doc_id_a"], "dst": b["doc_id_b"]}),
-            pd.DataFrame({"src": b["doc_id_b"], "dst": b["doc_id_a"]}),
-        ], ignore_index=True),
-        batch_format="pandas", batch_size=65536).materialize()
-
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
-                          "root_id": pd.Series(dtype="int64"),
-                          "hops": pd.Series(dtype="int64")})
-    n_sym_edges = int(edges.count())
-    if n_sym_edges == 0:
-        return empty
-    if n_sym_edges <= driver_max_edges:
-        edf = edges.to_pandas()
-        nodes = np.unique(edf["src"].to_numpy())  # symmetric ⇒ covers all
-        s = np.searchsorted(nodes, edf["src"].to_numpy())
-        t = np.searchsorted(nodes, edf["dst"].to_numpy())
-        # component min via label propagation (diameter-bounded rounds)
-        lbl = nodes.copy()
-        while True:
-            nxt = lbl.copy()
-            np.minimum.at(nxt, t, lbl[s])
-            if np.array_equal(nxt, lbl):
-                break
-            lbl = nxt
+    edges = _sym_edges(pairs)
+    if edges.count() == 0:
+        return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
+                             "root_id": pd.Series(dtype="int64"),
+                             "hops": pd.Series(dtype="int64")})
+    graph = _driver_graph(edges)
+    if graph is not None:
+        nodes, s, t = graph
+        roots = _component_roots(len(nodes), s, t)
         dist = np.full(len(nodes), -1, dtype=np.int64)
-        dist[nodes == lbl] = 0
+        dist[roots == np.arange(len(nodes))] = 0
         frontier = dist == 0
         for d in range(1, max_hops + 1):
             hit = frontier[s]
@@ -2221,26 +2214,15 @@ def dup_graph_hops(docs, *, threshold: float = 0.5, max_hops: int = 10,
             frontier = new
         keep = dist >= 0
         return (pd.DataFrame({"doc_id": nodes[keep].astype("int64"),
-                              "root_id": lbl[keep].astype("int64"),
+                              "root_id": nodes[roots[keep]].astype("int64"),
                               "hops": dist[keep]})
                 .sort_values(["root_id", "hops", "doc_id"])
                 .reset_index(drop=True))
 
-    import ray.data as rd
-
     from ocr_agent_ray.pipelines.agg import distinct_rows
     from ocr_agent_ray.pipelines.joins import bucket_anti_join, bucket_hash_join
 
-    # rebuild the canonical (a < b) pair view from the materialized
-    # symmetric edges so the expensive pair generation runs exactly once
-    pairs_m = edges.map_batches(
-        lambda b: pd.DataFrame({"doc_id_a": b["src"][b["src"] < b["dst"]],
-                                "doc_id_b": b["dst"][b["src"] < b["dst"]]}),
-        batch_format="pandas", batch_size=65536)
-    labels = duplicate_clusters(pairs_m, driver_max_edges=0)
-    if isinstance(labels, pd.DataFrame):
-        labels = rd.from_pandas(labels)
-    visited = labels.map_batches(
+    visited = _duplicate_clusters_native(edges).map_batches(
         lambda b: pd.DataFrame({
             "doc_id": b["doc_id"][b["doc_id"] == b["cluster_id"]],
             "root_id": b["cluster_id"][b["doc_id"] == b["cluster_id"]],
@@ -2253,19 +2235,19 @@ def dup_graph_hops(docs, *, threshold: float = 0.5, max_hops: int = 10,
                                     "root_id": b["root_id"]}),
             batch_format="pandas", batch_size=65536)
         nbr = bucket_hash_join(edges, fr, on="src",
-                               num_buckets=num_buckets)
+                               num_buckets=GRAPH_BUCKETS)
         cand = distinct_rows(
             nbr.map_batches(
                 lambda b: pd.DataFrame({"doc_id": b["dst"],
                                         "root_id": b["root_id"]}),
                 batch_format="pandas", batch_size=65536),
-            ["doc_id", "root_id"], num_buckets=num_buckets)
+            ["doc_id", "root_id"], num_buckets=GRAPH_BUCKETS)
         visited_keys = visited.map_batches(
             lambda b: pd.DataFrame({"doc_id": b["doc_id"]}),
             batch_format="pandas", batch_size=65536)
         new = bucket_anti_join(
             cand, visited_keys, on="doc_id",
-            num_buckets=num_buckets).map_batches(
+            num_buckets=GRAPH_BUCKETS).map_batches(
                 lambda b, _d=d: b.assign(hops=np.int64(_d)),
                 batch_format="pandas", batch_size=65536).materialize()
         if int(new.count()) == 0:
@@ -2275,8 +2257,7 @@ def dup_graph_hops(docs, *, threshold: float = 0.5, max_hops: int = 10,
     return visited
 
 
-def dup_graph_neighbor_jaccard(docs, *, threshold: float = 0.5,
-                               num_buckets: int = 16, pairs=None):
+def dup_graph_neighbor_jaccard(docs, *, threshold: float = 0.5, pairs=None):
     """Neighborhood-Jaccard per EDGE of the near-duplicate graph — the
     classic link-prediction / community-strength feature: for each
     near-dup pair (a, b), J(N(a), N(b)) over the full neighbor sets.
@@ -2297,91 +2278,31 @@ def dup_graph_neighbor_jaccard(docs, *, threshold: float = 0.5,
 
     Columns: doc_id_a, doc_id_b, n_common, jaccard (ROUND 6).
     """
-    import pandas as pd
     import pyarrow as pa
 
     from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
     from ocr_agent_ray.pipelines.joins import bucket_hash_join
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    edges = pairs.map_batches(
-        lambda b: b[["doc_id_a", "doc_id_b"]],
-        batch_format="pandas", batch_size=65536).materialize()
-
-    sym = edges.map_batches(
-        lambda b: pd.DataFrame({
-            "u": np.concatenate([b["doc_id_a"].to_numpy(),
-                                 b["doc_id_b"].to_numpy()]),
-            "v": np.concatenate([b["doc_id_b"].to_numpy(),
-                                 b["doc_id_a"].to_numpy()])}),
-        batch_format="pandas", batch_size=65536)
-
-    deg = hash_partition_aggregate(
-        sym, ["u"], {"deg": ("v", "count")}, num_buckets=num_buckets)
-
-    def _npairs(g: pd.DataFrame) -> pd.DataFrame:
-        nb = np.sort(g["v"].unique())
-        if len(nb) < 2:
-            return pd.DataFrame({"b": pd.Series(dtype="int64"),
-                                 "c": pd.Series(dtype="int64")})
-        i, j = np.triu_indices(len(nb), k=1)
-        return pd.DataFrame({"b": nb[i], "c": nb[j]})
-
-    wedges = key_map_groups(sym, _npairs, key_col="u",
-                            num_buckets=num_buckets)
+    edges = pairs.map_batches(lambda b: b[_PAIR_COLS], batch_format="pandas",
+                              batch_size=65536).materialize()
+    sym = _sym_edges(edges)
     common = hash_partition_aggregate(
-        wedges.map_batches(lambda b: b.assign(n=np.int64(1)),
-                           batch_format="pandas", batch_size=65536),
-        ["b", "c"], {"n_common": ("n", "sum")}, num_buckets=num_buckets)
-
-    ek_edges = edges.map_batches(
-        lambda b: pd.DataFrame({
-            "ek": b["doc_id_a"].astype(str) + ":"
-                  + b["doc_id_b"].astype(str),
-            "doc_id_a": b["doc_id_a"].astype("int64"),
-            "doc_id_b": b["doc_id_b"].astype("int64")}),
-        batch_format="pandas", batch_size=65536)
-    ek_common = common.map_batches(
-        lambda b: pd.DataFrame({
-            "ek": b["b"].astype(str) + ":" + b["c"].astype(str),
-            "n_common": b["n_common"].astype("int64")}),
-        batch_format="pandas", batch_size=65536)
-    j1 = bucket_hash_join(
-        ek_edges, ek_common, on="ek", how="left",
-        num_buckets=num_buckets,
-        left_schema=pa.schema([("ek", pa.string()),
-                               ("doc_id_a", pa.int64()),
-                               ("doc_id_b", pa.int64())]),
-        right_schema=pa.schema([("ek", pa.string()),
-                                ("n_common", pa.int64())]))
-
-    dega = deg.map_batches(
-        lambda b: pd.DataFrame({"doc_id_a": b["u"].astype("int64"),
-                                "deg_a": b["deg"].astype("int64")}),
-        batch_format="pandas", batch_size=65536)
-    degb = deg.map_batches(
-        lambda b: pd.DataFrame({"doc_id_b": b["u"].astype("int64"),
-                                "deg_b": b["deg"].astype("int64")}),
-        batch_format="pandas", batch_size=65536)
-    j2 = bucket_hash_join(
-        j1, dega, on="doc_id_a", how="inner", num_buckets=num_buckets,
-        left_schema=pa.schema([("ek", pa.string()),
-                               ("doc_id_a", pa.int64()),
-                               ("doc_id_b", pa.int64()),
-                               ("n_common", pa.int64())]),
-        right_schema=pa.schema([("doc_id_a", pa.int64()),
-                                ("deg_a", pa.int64())]))
-    j3 = bucket_hash_join(
-        j2, degb, on="doc_id_b", how="inner", num_buckets=num_buckets,
-        left_schema=pa.schema([("ek", pa.string()),
-                               ("doc_id_a", pa.int64()),
-                               ("doc_id_b", pa.int64()),
-                               ("n_common", pa.int64()),
-                               ("deg_a", pa.int64())]),
-        right_schema=pa.schema([("doc_id_b", pa.int64()),
-                                ("deg_b", pa.int64())]))
+        _wedges(sym).map_batches(lambda b: b.assign(n=np.int64(1)),
+                                 batch_format="pandas", batch_size=65536),
+        ["b", "c"], {"n_common": ("n", "sum")}, num_buckets=GRAPH_BUCKETS)
+    i64 = pa.int64()
+    fields = [("ek", pa.string()), ("doc_id_a", i64), ("doc_id_b", i64)]
+    counted = bucket_hash_join(
+        _edge_keys(edges, "doc_id_a", "doc_id_b", keep=_PAIR_COLS),
+        _edge_keys(common, "b", "c", keep=("n_common",)),
+        on="ek", how="left", num_buckets=GRAPH_BUCKETS,
+        left_schema=pa.schema(fields),
+        right_schema=pa.schema([("ek", pa.string()), ("n_common", i64)]))
+    scored = _with_degrees(counted, _degrees(sym).materialize(),
+                           fields + [("n_common", i64)],
+                           {"doc_id_a": "deg_a", "doc_id_b": "deg_b"})
 
     def _close(b: pd.DataFrame) -> pd.DataFrame:
         from ocr_agent_ray.functions.textstats import round_half_away
@@ -2397,12 +2318,12 @@ def dup_graph_neighbor_jaccard(docs, *, threshold: float = 0.5,
             "jaccard": round_half_away(
                 nc.astype(np.float64) / union, 6)})
 
-    return j3.map_batches(_close, batch_format="pandas",
-                          batch_size=65536)
+    return scored.map_batches(_close, batch_format="pandas",
+                              batch_size=65536)
 
 
 def dup_graph_clustering_coefficient(docs, *, threshold: float = 0.5,
-                                     num_buckets: int = 16, pairs=None):
+                                     pairs=None):
     """Local clustering coefficient per node of the near-dup graph —
     cc(v) = 2·T(v) / (deg(v)·(deg(v)−1)) for deg ≥ 2 — the
     template-family density score per document (cc ≈ 1: v sits inside
@@ -2417,8 +2338,7 @@ def dup_graph_clustering_coefficient(docs, *, threshold: float = 0.5,
     degree, triangles, clustering_coeff."""
     from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
 
-    nj = dup_graph_neighbor_jaccard(docs, threshold=threshold,
-                                    num_buckets=num_buckets, pairs=pairs)
+    nj = dup_graph_neighbor_jaccard(docs, threshold=threshold, pairs=pairs)
     both = nj.map_batches(
         lambda b: pd.DataFrame({
             "doc_id": np.concatenate([b["doc_id_a"].to_numpy(),
@@ -2430,7 +2350,7 @@ def dup_graph_clustering_coefficient(docs, *, threshold: float = 0.5,
     agg = hash_partition_aggregate(
         both, ["doc_id"], {"sum_nc": ("nc", "sum"),
                            "degree": ("one", "sum")},
-        num_buckets=num_buckets)
+        num_buckets=GRAPH_BUCKETS)
 
     def _cc(b: pd.DataFrame) -> pd.DataFrame:
         from ocr_agent_ray.functions.textstats import round_half_away
@@ -2448,8 +2368,7 @@ def dup_graph_clustering_coefficient(docs, *, threshold: float = 0.5,
     return agg.map_batches(_cc, batch_format="pandas")
 
 
-def dup_graph_assortativity(docs, *, threshold: float = 0.5,
-                            num_buckets: int = 16, pairs=None):
+def dup_graph_assortativity(docs, *, threshold: float = 0.5, pairs=None):
     """Degree assortativity coefficient of the near-dup graph — the
     Pearson correlation of endpoint degrees over the (symmetrized)
     edge list (Newman 2002). r > 0: hubs attach to hubs (boilerplate
@@ -2467,51 +2386,14 @@ def dup_graph_assortativity(docs, *, threshold: float = 0.5,
     import pyarrow as pa
 
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-
-    def _sym(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "src": np.concatenate([b["doc_id_a"].to_numpy(np.int64),
-                                   b["doc_id_b"].to_numpy(np.int64)]),
-            "dst": np.concatenate([b["doc_id_b"].to_numpy(np.int64),
-                                   b["doc_id_a"].to_numpy(np.int64)])})
-
-    sym = pairs.map_batches(_sym, batch_format="pandas",
-                            batch_size=65536).materialize()
-    edge_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-    deg_schema = pa.schema([("doc_id", pa.int64()),
-                            ("degree", pa.int64())])
-    deg = hash_partition_aggregate(
-        sym, ["src"], {"degree": ("dst", "count")},
-        num_buckets=num_buckets).map_batches(
-            lambda b: b.rename(columns={"src": "doc_id"}).astype(
-                {"doc_id": "int64", "degree": "int64"}),
-            batch_format="pandas").materialize()
-    with_src = bucket_hash_join(
-        sym, deg.map_batches(
-            lambda b: b.rename(columns={"doc_id": "src",
-                                        "degree": "deg_src"}),
-            batch_format="pandas"),
-        on="src", num_buckets=num_buckets,
-        left_schema=edge_schema,
-        right_schema=pa.schema([("src", pa.int64()),
-                                ("deg_src", pa.int64())]))
-    both = bucket_hash_join(
-        with_src, deg.map_batches(
-            lambda b: b.rename(columns={"doc_id": "dst",
-                                        "degree": "deg_dst"}),
-            batch_format="pandas"),
-        on="dst", num_buckets=num_buckets,
-        left_schema=pa.schema([("src", pa.int64()), ("dst", pa.int64()),
-                               ("deg_src", pa.int64())]),
-        right_schema=pa.schema([("dst", pa.int64()),
-                                ("deg_dst", pa.int64())]))
-    _ = deg_schema
+    edges = _sym_edges(pairs)
+    edges = _with_degrees(edges, _degrees(edges).materialize(),
+                          [("src", pa.int64()), ("dst", pa.int64())],
+                          {"src": "deg_src", "dst": "deg_dst"})
 
     def _moments(b: pd.DataFrame) -> pd.DataFrame:
         x = b["deg_src"].to_numpy(np.int64)
@@ -2521,7 +2403,7 @@ def dup_graph_assortativity(docs, *, threshold: float = 0.5,
             "xx": x * x, "yy": y * y, "xy": x * y})
 
     g = combine_partials_driver(
-        both.map_batches(_moments, batch_format="pandas",
+        edges.map_batches(_moments, batch_format="pandas",
                          batch_size=65536),
         ["k"],
         {"n": ("x", "count"), "sx": ("x", "sum"), "sy": ("y", "sum"),
@@ -2547,8 +2429,7 @@ def dup_graph_assortativity(docs, *, threshold: float = 0.5,
         "assortativity": round_half_away(np.array([r]), 6)})
 
 
-def dup_graph_harmonic_2hop(docs, *, threshold: float = 0.5,
-                            num_buckets: int = 16, pairs=None):
+def dup_graph_harmonic_2hop(docs, *, threshold: float = 0.5, pairs=None):
     """Radius-2 truncated harmonic centrality per node of the near-dup
     graph — h2(v) = |N1(v)| + ½·|N2(v)| (N2 = nodes at distance
     exactly 2): the 'template reach' score, separating documents whose
@@ -2559,78 +2440,52 @@ def dup_graph_harmonic_2hop(docs, *, threshold: float = 0.5,
     per-MIDDLE-node neighbor pairs via one key exchange (same wedge
     discipline as ``dup_graph_triangles``; bounded here by the pair
     threshold — orient by degree before the wedge stage at true web
-    scale), distinct-(a,w) via one bucketed fold, direct edges removed
-    by a large-large bucketed ANTI join on the composite key, per-node
-    counts by one more fold, then a LEFT bucket join onto the degree
-    table. Nothing is driver-resident. Columns: doc_id, n_dist1,
-    n_dist2, harmonic_2hop."""
+    scale), mirrored both ways, distinct-(a,w) via one bucketed
+    distinct, direct edges removed by a large-large bucketed ANTI join
+    on the composite key, per-node counts by one more fold, then a LEFT
+    bucket join onto the degree table. Nothing is driver-resident.
+    Columns: doc_id, n_dist1, n_dist2, harmonic_2hop."""
     import pyarrow as pa
 
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import hash_partition_aggregate
-    from ocr_agent_ray.pipelines.exchange import key_map_groups
+    from ocr_agent_ray.pipelines.agg import (distinct_rows,
+                                             hash_partition_aggregate)
     from ocr_agent_ray.pipelines.joins import (bucket_anti_join,
                                                bucket_hash_join)
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    sym = pairs.map_batches(
-        lambda b: pd.DataFrame({
-            "u": np.concatenate([b["doc_id_a"].to_numpy(np.int64),
-                                 b["doc_id_b"].to_numpy(np.int64)]),
-            "v": np.concatenate([b["doc_id_b"].to_numpy(np.int64),
-                                 b["doc_id_a"].to_numpy(np.int64)])}),
-        batch_format="pandas", batch_size=65536).materialize()
+    sym = _sym_edges(pairs)
 
-    deg = hash_partition_aggregate(
-        sym.map_batches(lambda b: b.assign(one=np.int64(1)),
-                        batch_format="pandas", batch_size=65536),
-        ["u"], {"d": ("one", "sum")}, num_buckets=num_buckets)
+    def _mirror(b: pd.DataFrame) -> pd.DataFrame:
+        x, y = b["b"].to_numpy(np.int64), b["c"].to_numpy(np.int64)
+        return pd.DataFrame({"a": np.concatenate([x, y]),
+                             "w": np.concatenate([y, x])})
 
-    def _nbr_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        nb = np.sort(g["v"].unique())
-        if len(nb) < 2:
-            return pd.DataFrame({"a": pd.Series(dtype="int64"),
-                                 "w": pd.Series(dtype="int64")})
-        i, j = np.triu_indices(len(nb), k=1)
-        return pd.DataFrame({
-            "a": np.concatenate([nb[i], nb[j]]),
-            "w": np.concatenate([nb[j], nb[i]])})
-
-    cand = key_map_groups(sym, _nbr_pairs, key_col="u",
-                          num_buckets=num_buckets)
-    dist = hash_partition_aggregate(
-        cand.map_batches(lambda b: b.assign(one=np.int64(1)),
-                         batch_format="pandas", batch_size=65536),
-        ["a", "w"], {"one": ("one", "sum")}, num_buckets=num_buckets)
-    keyed = dist.map_batches(
-        lambda b: pd.DataFrame({
-            "a": b["a"].astype("int64"),
-            "ek": b["a"].astype(str) + ":" + b["w"].astype(str)}),
-        batch_format="pandas", batch_size=65536)
-    ekeys = sym.map_batches(
-        lambda b: pd.DataFrame({
-            "ek": b["u"].astype(str) + ":" + b["v"].astype(str)}),
-        batch_format="pandas", batch_size=65536)
+    dist = distinct_rows(
+        _wedges(sym).map_batches(_mirror, batch_format="pandas",
+                                 batch_size=65536),
+        ["a", "w"], num_buckets=GRAPH_BUCKETS)
     d2 = bucket_anti_join(
-        keyed, ekeys, on="ek", num_buckets=num_buckets,
-        left_schema=pa.schema([("a", pa.int64()), ("ek", pa.string())]))
+        _edge_keys(dist, "a", "w", keep=("a",)),
+        _edge_keys(sym, "src", "dst"), on="ek", num_buckets=GRAPH_BUCKETS,
+        left_schema=pa.schema([("ek", pa.string()), ("a", pa.int64())]))
     n2 = hash_partition_aggregate(
         d2.map_batches(lambda b: pd.DataFrame({
-            "u": b["a"].astype("int64"), "c": np.int64(1)}),
+            "src": b["a"].astype("int64"), "c": np.int64(1)}),
             batch_format="pandas", batch_size=65536),
-        ["u"], {"c": ("c", "sum")}, num_buckets=num_buckets)
+        ["src"], {"c": ("c", "sum")}, num_buckets=GRAPH_BUCKETS)
 
     joined = bucket_hash_join(
-        deg, n2, on="u", how="left", num_buckets=num_buckets,
-        left_schema=pa.schema([("u", pa.int64()), ("d", pa.int64())]),
-        right_schema=pa.schema([("u", pa.int64()), ("c", pa.int64())]))
+        _degrees(sym), n2, on="src", how="left", num_buckets=GRAPH_BUCKETS,
+        left_schema=pa.schema([("src", pa.int64()), ("deg", pa.int64())]),
+        right_schema=pa.schema([("src", pa.int64()), ("c", pa.int64())]))
 
     def _finish(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["d"].to_numpy(np.int64)
+        d = b["deg"].to_numpy(np.int64)
         c = b["c"].fillna(0).to_numpy(np.int64)
         return pd.DataFrame({
-            "doc_id": b["u"].to_numpy(np.int64),
+            "doc_id": b["src"].to_numpy(np.int64),
             "n_dist1": d,
             "n_dist2": c,
             "harmonic_2hop": round_half_away(
@@ -2640,8 +2495,7 @@ def dup_graph_harmonic_2hop(docs, *, threshold: float = 0.5,
                               batch_size=65536)
 
 
-def dup_graph_degree_powerlaw(docs, *, threshold: float = 0.5,
-                              num_buckets: int = 16, pairs=None):
+def dup_graph_degree_powerlaw(docs, *, threshold: float = 0.5, pairs=None):
     """Continuous-MLE power-law fit of the near-dup graph's degree
     distribution (Clauset-Shalizi-Newman with d_min = 1):
 
@@ -2653,25 +2507,13 @@ def dup_graph_degree_powerlaw(docs, *, threshold: float = 0.5,
     shape: symmetrize the shared pair table, one bucketed degree fold,
     then a mergeable (n, Σ ln(d/0.5), max d) combine — three numbers
     reach the driver. Columns: n_nodes, d_max, alpha."""
-    import pandas as pd
-
     from ocr_agent_ray.functions.textstats import round_half_away
-    from ocr_agent_ray.pipelines.agg import (combine_partials_driver,
-                                             hash_partition_aggregate)
+    from ocr_agent_ray.pipelines.agg import combine_partials_driver
 
     if pairs is None:
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    sym = pairs.map_batches(
-        lambda b: pd.DataFrame({
-            "u": np.concatenate([b["doc_id_a"].to_numpy(),
-                                 b["doc_id_b"].to_numpy()])}),
-        batch_format="pandas", batch_size=65536)
-    deg = hash_partition_aggregate(
-        sym.map_batches(lambda b: b.assign(c=np.int64(1)),
-                        batch_format="pandas", batch_size=65536),
-        ["u"], {"deg": ("c", "sum")}, num_buckets=num_buckets)
     g = combine_partials_driver(
-        deg.map_batches(lambda b: pd.DataFrame({
+        _degrees(_sym_edges(pairs)).map_batches(lambda b: pd.DataFrame({
             "__k": np.int64(0), "n": np.int64(1),
             "s": np.log(b["deg"].to_numpy(np.int64)
                         .astype(np.float64) / 0.5),
@@ -2695,8 +2537,7 @@ def dup_graph_degree_powerlaw(docs, *, threshold: float = 0.5,
             np.array([1.0 + np.float64(n) / s]), 6)})
 
 
-def source_modularity(sf_dir: str, *, threshold: float = 0.5,
-                      num_buckets: int = 16, pairs=None):
+def source_modularity(sf_dir: str, *, threshold: float = 0.5, pairs=None):
     """Newman modularity of the SOURCE partition over the near-dup
     graph — 'does duplication live within sources or across them?'
     (high Q: each source duplicates internally, per-source dedup is
@@ -2710,43 +2551,13 @@ def source_modularity(sf_dir: str, *, threshold: float = 0.5,
     mergeable per-source fold of (intra-edges, degree) — |sources|×2
     ints reach the driver. Columns: n_communities, n_edges,
     modularity."""
-    import pandas as pd
-    import pyarrow as pa
-
     from ocr_agent_ray.functions.textstats import round_half_away
     from ocr_agent_ray.pipelines.agg import combine_partials_driver
-    from ocr_agent_ray.pipelines.joins import bucket_hash_join
     from ocr_agent_ray.sources.readers import read_table
 
     if pairs is None:
         docs = read_table(sf_dir, "documents", ["doc_id", "text"])
         pairs = ngram_jaccard_all_pairs(docs, threshold=threshold)
-    edges = pairs.map_batches(
-        lambda b: b[["doc_id_a", "doc_id_b"]],
-        batch_format="pandas", batch_size=65536)
-    src = read_table(sf_dir, "documents", ["doc_id", "source"]) \
-        .map_batches(lambda b: pd.DataFrame({
-            "doc_id_a": b["doc_id"].astype("int64"),
-            "src_a": b["source"]}),
-            batch_format="pandas", batch_size=65536)
-    src_b = read_table(sf_dir, "documents", ["doc_id", "source"]) \
-        .map_batches(lambda b: pd.DataFrame({
-            "doc_id_b": b["doc_id"].astype("int64"),
-            "src_b": b["source"]}),
-            batch_format="pandas", batch_size=65536)
-    j1 = bucket_hash_join(
-        edges, src, on="doc_id_a", num_buckets=num_buckets,
-        left_schema=pa.schema([("doc_id_a", pa.int64()),
-                               ("doc_id_b", pa.int64())]),
-        right_schema=pa.schema([("doc_id_a", pa.int64()),
-                                ("src_a", pa.string())]))
-    j2 = bucket_hash_join(
-        j1, src_b, on="doc_id_b", num_buckets=num_buckets,
-        left_schema=pa.schema([("doc_id_a", pa.int64()),
-                               ("doc_id_b", pa.int64()),
-                               ("src_a", pa.string())]),
-        right_schema=pa.schema([("doc_id_b", pa.int64()),
-                                ("src_b", pa.string())]))
 
     def _cells(b: pd.DataFrame) -> pd.DataFrame:
         intra = pd.DataFrame({
@@ -2760,8 +2571,8 @@ def source_modularity(sf_dir: str, *, threshold: float = 0.5,
         return pd.concat([intra, other], ignore_index=True)
 
     g = combine_partials_driver(
-        j2.map_batches(_cells, batch_format="pandas",
-                       batch_size=65536),
+        _endpoint_sources(sf_dir, pairs).map_batches(
+            _cells, batch_format="pandas", batch_size=65536),
         ["community"], {"e": ("e", "sum"), "d": ("d", "sum")})
     empty = pd.DataFrame({
         "n_communities": pd.Series(dtype="int64"),

@@ -68,21 +68,16 @@ def _unit(mat: np.ndarray) -> np.ndarray:
 
 
 def _query_matrix(sf_dir: str, num_queries: int) -> tuple[np.ndarray, np.ndarray]:
-    import pyarrow.parquet as pq
-
-    # predicate pushed into the read: only query-row row-groups leave
-    # storage (at scale the embeddings table is the whole corpus; the
-    # query set is tiny)
-    t = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", num_queries)],
-    )
-    df = t.to_pandas().sort_values("vec_id")
+    """(ids, unit vectors) of the ``num_queries`` lowest vec_ids,
+    ascending, wherever the ids start."""
+    df = _lowest_id_rows(sf_dir, num_queries).sort_values(
+        "vec_id", kind="stable").head(num_queries)
     return df["vec_id"].to_numpy(), _unit(np.stack(df["embedding"].to_numpy()))
 
 
 def knn_bruteforce(sf_dir: str, *, k: int = 5, num_queries: int = 8):
-    """Exact top-k cosine neighbors for query vectors vec_id < num_queries.
+    """Exact top-k cosine neighbors for the query vectors: the
+    ``num_queries`` lowest vec_ids.
 
     Output: (query_id, vec_id, rank, cosine) — self-matches excluded; ties
     broken by vec_id ascending for determinism.
@@ -1039,6 +1034,9 @@ def rrf_hybrid_search(sf_dir: str, *, k_arm: int = 20, k_out: int = 10,
     lex["lex_rank"] = lex.groupby("query_id").cumcount() + 1
     sem = knn_bruteforce(sf_dir, k=k_arm,
                          num_queries=num_queries).to_pandas()
+    # BM25 query q pairs with vec_id q: dense queries that are not BM25
+    # queries (a table whose ids start above num_queries) drop out
+    sem = sem[sem["query_id"] < num_queries]
     sem = sem.rename(columns={"vec_id": "doc_id", "rank": "sem_rank"})
     f = lex[["query_id", "doc_id", "lex_rank"]].merge(
         sem[["query_id", "doc_id", "sem_rank"]],
@@ -1411,7 +1409,8 @@ def mmr_rerank(sf_dir: str, *, lam: float = 0.7, k: int = 10,
 
     cand = knn_bruteforce(sf_dir, k=pool, num_queries=num_queries) \
         .to_pandas()
-    need = sorted(set(cand["vec_id"]) | set(range(num_queries)))
+    qids = np.unique(cand["query_id"].to_numpy(np.int64))
+    need = sorted(set(cand["vec_id"]) | set(qids.tolist()))
     t = pq_mod.read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
         filters=[("vec_id", "in", need)]).to_pandas()
@@ -1420,7 +1419,7 @@ def mmr_rerank(sf_dir: str, *, lam: float = 0.7, k: int = 10,
     unit = _unit(np.stack(t["embedding"].to_numpy()))
 
     out = []
-    for qid in range(num_queries):
+    for qid in qids:
         sub = cand[cand["query_id"] == qid].sort_values("rank")
         ids = sub["vec_id"].to_numpy(np.int64)
         if ids.size == 0:

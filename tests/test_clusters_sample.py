@@ -6,6 +6,7 @@ import pandas as pd
 
 import ray.data as rd
 
+from ocr_agent_ray.pipelines import dedup
 from ocr_agent_ray.pipelines.dedup import duplicate_clusters
 
 
@@ -23,7 +24,7 @@ def test_duplicate_clusters_chain_and_islands(ray_session):
     assert len(out) == 8
 
 
-def test_duplicate_clusters_native_long_chain(ray_session):
+def test_duplicate_clusters_native_long_chain(ray_session, monkeypatch):
     """Dataset-native rounds (driver fallback disabled) on a chain with
     diameter 6 — proves multi-round convergence, not just 1-hop
     propagation — plus parity with the driver path."""
@@ -32,7 +33,9 @@ def test_duplicate_clusters_native_long_chain(ray_session):
         "doc_id_a": list(range(100, 100 + n)) + [7, 500],
         "doc_id_b": list(range(101, 101 + n)) + [8, 501],
     })
-    native = duplicate_clusters(rd.from_pandas(pairs), driver_max_edges=0)
+    with monkeypatch.context() as m:
+        m.setattr(dedup, "DRIVER_MAX_EDGES", 0)
+        native = duplicate_clusters(rd.from_pandas(pairs))
     got = dict(zip(*[native.to_pandas()[c] for c in ("doc_id", "cluster_id")]))
     assert all(got[100 + i] == 100 for i in range(n + 1))
     assert got[7] == got[8] == 7
@@ -43,12 +46,13 @@ def test_duplicate_clusters_native_long_chain(ray_session):
     assert drv == got
 
 
-def test_duplicate_clusters_native_string_ids(ray_session):
+def test_duplicate_clusters_native_string_ids(ray_session, monkeypatch):
     pairs = pd.DataFrame({
         "doc_id_a": ["a", "b", "x"],
         "doc_id_b": ["b", "c", "y"],
     })
-    native = duplicate_clusters(rd.from_pandas(pairs), driver_max_edges=0)
+    monkeypatch.setattr(dedup, "DRIVER_MAX_EDGES", 0)
+    native = duplicate_clusters(rd.from_pandas(pairs))
     got = dict(zip(*[native.to_pandas()[c] for c in ("doc_id", "cluster_id")]))
     assert got["a"] == got["b"] == got["c"] == "a"
     assert got["x"] == got["y"] == "x"

@@ -354,7 +354,7 @@ def test_cdc_chunk_dedup_deterministic(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_dup_graph_pagerank_matches_dense(ray_session):
+def test_dup_graph_pagerank_matches_dense(ray_session, monkeypatch):
     """Distributed PageRank equals a dense numpy power iteration on the
     same undirected graph."""
     import numpy as np
@@ -390,8 +390,10 @@ def test_dup_graph_pagerank_matches_dense(ray_session):
         assert abs(got[n] - r[idx[n]]) < 1e-6, (n, got[n], r[idx[n]])
 
     # dataset-native path (forced): same graph, same ranks
-    out_native = dup_graph_pagerank(rd.from_items(docs), iters=15,
-                                    driver_max_edges=0, num_buckets=4)
+    from ocr_agent_ray.pipelines import dedup
+
+    monkeypatch.setattr(dedup, "DRIVER_MAX_EDGES", 0)
+    out_native = dup_graph_pagerank(rd.from_items(docs), iters=15)
     assert abs(out_native["pagerank"].sum() - 1.0) < 1e-6
     got_n = out_native.set_index("doc_id")["pagerank"]
     for n in nodes:
@@ -594,10 +596,12 @@ def test_minhash_store_estimate_matches_pairwise(tmp_path):
     assert (keys[0] == keys[1]).any()
 
 
-def test_dup_graph_hops_chain_and_both_tiers(ray_session):
+def test_dup_graph_hops_chain_and_both_tiers(ray_session, monkeypatch):
     """Planted A~B~C shingle chain (A!~C) plus an exact-dup pair:
     hop distances match the hand-derived BFS, and the dataset-native
-    tier (driver_max_edges=0) agrees with the driver fast path."""
+    tier (DRIVER_MAX_EDGES patched to 0) agrees with the driver fast
+    path."""
+    from ocr_agent_ray.pipelines import dedup
     from ocr_agent_ray.pipelines.dedup import dup_graph_hops
 
     w = [f"w{i}" for i in range(14)]
@@ -616,7 +620,8 @@ def test_dup_graph_hops_chain_and_both_tiers(ray_session):
     assert set(map(tuple, fast[["doc_id", "root_id", "hops"]]
                    .to_numpy())) == want
 
-    native = dup_graph_hops(rd.from_pandas(docs), driver_max_edges=0)
+    monkeypatch.setattr(dedup, "DRIVER_MAX_EDGES", 0)
+    native = dup_graph_hops(rd.from_pandas(docs))
     native = native if isinstance(native, pd.DataFrame) \
         else native.to_pandas()
     assert set(map(tuple, native[["doc_id", "root_id", "hops"]]
@@ -774,3 +779,69 @@ def test_assortativity_star_and_clique(ray_session):
             * np.sqrt(n * (y * y).sum() - y.sum() ** 2)))
     assert got["n_edges_directed"].tolist() == [12]
     assert got["assortativity"].tolist() == [round(r, 6)]
+
+
+def _planted_pair_table(seed: int = 3) -> pd.DataFrame:
+    """A small near-dup pair table (doc_id_a < doc_id_b, no repeats): a
+    planted 5-clique, a 4-cycle, a star and random edges over ids 0-39."""
+    rng = np.random.default_rng(seed)
+    edges = {(a, b) for a in range(5) for b in range(a + 1, 5)}
+    edges |= {(10, 11), (11, 12), (12, 13), (10, 13)}
+    edges |= {(20, b) for b in range(21, 27)}
+    for a, b in rng.integers(0, 40, size=(40, 2)):
+        if a != b:
+            edges.add((int(min(a, b)), int(max(a, b))))
+    rows = sorted(edges)
+    return pd.DataFrame({"doc_id_a": [a for a, _ in rows],
+                         "doc_id_b": [b for _, b in rows],
+                         "jaccard": np.full(len(rows), 0.75)})
+
+
+def test_dup_graph_triangles_matches_bruteforce(ray_session):
+    """Edge, wedge and triangle counts equal a brute-force count over the
+    same pair table: a wedge is two higher-id neighbors of one node, a
+    triangle is a closed wedge."""
+    from itertools import combinations
+
+    from ocr_agent_ray.pipelines.dedup import dup_graph_triangles
+
+    pairs = _planted_pair_table()
+    edges = set(zip(pairs["doc_id_a"], pairs["doc_id_b"]))
+    up: dict = {}
+    for a, b in edges:
+        up.setdefault(a, set()).add(b)
+    wedges = [(b, c) for nb in up.values()
+              for b, c in combinations(sorted(nb), 2)]
+    want_tri = sum((b, c) in edges for b, c in wedges)
+    assert want_tri >= 10  # the 5-clique alone closes 10
+
+    got = dup_graph_triangles(None, pairs=rd.from_pandas(pairs))
+    assert got.to_dict("records") == [{
+        "n_edges": len(edges), "n_wedges": len(wedges),
+        "n_triangles": want_tri}]
+    assert got.dtypes.tolist() == [np.dtype("int64")] * 3
+
+
+def test_ngram_dup_degree_distribution_matches_bruteforce(ray_session,
+                                                          tmp_path):
+    """The (degree, n_docs) histogram equals a brute-force degree count
+    over the same pair table, sorted by degree."""
+    from collections import Counter
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ocr_agent_ray.pipelines.dedup import ngram_dup_degree_distribution
+
+    pq.write_table(pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                             "text": pa.array(["x"] * 40)}),
+                   str(tmp_path / "documents.parquet"))
+    pairs = _planted_pair_table()
+    deg = Counter(pairs["doc_id_a"].tolist() + pairs["doc_id_b"].tolist())
+    hist = sorted(Counter(deg.values()).items())
+    assert deg[20] >= 6 and len(hist) >= 4
+
+    got = ngram_dup_degree_distribution(str(tmp_path),
+                                        pairs=rd.from_pandas(pairs))
+    assert list(map(tuple, got[["degree", "n_docs"]].to_numpy())) == hist
+    assert got.dtypes.tolist() == [np.dtype("int64")] * 2

@@ -210,6 +210,79 @@ def test_ivf_and_pq_train_on_the_lowest_ids(tmp_path):
     assert not np.array_equal(trained[0][0], trained[0][1])
 
 
+def test_knn_queries_are_the_lowest_ids(ray_session, tmp_path):
+    """The kNN queries are the num_queries lowest vec_ids wherever the
+    ids start: a table with ids 5000-5039 answers exactly as the same
+    vectors with ids 0-39, shifted by 5000, for the brute-force, LSH,
+    IVF and IVF-PQ searches and the MMR re-rank on top of the
+    brute-force pool; the brute-force twin picks the same query
+    rows. RRF pairs BM25 query q with vec_id q, so on the shifted table
+    its dense arm is empty on both sides and the fusion is the lexical
+    ranking alone."""
+    import duckdb
+    import pyarrow as pa
+
+    import __ray_entry__ as entrymod
+    from ocr_agent_ray.pipelines.similarity import (knn_ivf, knn_ivf_pq,
+                                                    mmr_rerank,
+                                                    rrf_hybrid_search)
+
+    rng = np.random.RandomState(17)
+    vecs = rng.randn(40, 16).astype(np.float32)
+    words = ["join", "hash", "vector", "stream", "window", "filter",
+             "merge", "plain", "text", "noise"]
+    texts = [" ".join(rng.choice(words, size=12)) for _ in range(40)]
+    searches = {
+        "bruteforce": knn_bruteforce, "lsh": knn_lsh,
+        "ivf": lambda d: knn_ivf(d, num_lists=4, nprobe=2),
+        "ivf_pq": lambda d: knn_ivf_pq(d, num_lists=4, nprobe=2, m=4,
+                                       codebook_k=8),
+        "mmr": mmr_rerank}
+    got: dict = {}
+    for first_id in (0, 5000):
+        d = tmp_path / str(first_id)
+        d.mkdir()
+        ids = pa.array(range(first_id, first_id + 40), pa.int64())
+        pq.write_table(pa.table({
+            "vec_id": ids,
+            "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}),
+            str(d / "embeddings.parquet"))
+        pq.write_table(pa.table({"doc_id": ids, "text": texts}),
+                       str(d / "documents.parquet"))
+        for name, fn in searches.items():
+            out = fn(str(d))
+            out = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+            out[["query_id", "vec_id"]] -= first_id
+            got[first_id, name] = out.sort_values(
+                ["query_id", "vec_id"]).reset_index(drop=True)
+    for name in searches:
+        n_queries = 3 if name == "mmr" else 8
+        assert sorted(got[0, name]["query_id"].unique()) \
+            == list(range(n_queries))
+        pd.testing.assert_frame_equal(got[0, name], got[5000, name])
+
+    d = str(tmp_path / "5000")
+    con = duckdb.connect()
+    for t in ("embeddings", "documents"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{d}/{t}.parquet')")
+    sql = entrymod.oracle_sql()
+    keys = ["query_id", "vec_id"]
+    want = con.execute(sql["q_knn_bruteforce"]).df() \
+        .sort_values(keys).reset_index(drop=True)
+    mine = knn_bruteforce(d).to_pandas()[want.columns] \
+        .sort_values(keys).reset_index(drop=True)
+    assert sorted(want["query_id"].unique()) == list(range(5000, 5008))
+    pd.testing.assert_frame_equal(mine, want, check_dtype=False)
+
+    keys = ["query_id", "fused_rank"]
+    rrf = rrf_hybrid_search(d).sort_values(keys).reset_index(drop=True)
+    want = con.execute(sql["q_rrf_hybrid_search"]).df() \
+        .sort_values(keys).reset_index(drop=True)
+    assert len(rrf) > 0 and (rrf["sem_rank"] == 0).all()
+    pd.testing.assert_frame_equal(rrf, want[rrf.columns], check_dtype=False)
+
+
 def test_embedding_outliers_degenerate_labels(ray_session, tmp_path):
     """Labels with one member (sample stddev undefined) or zero variance
     (all members identical) must z-score to NaN on BOTH the Ray side and

@@ -4,10 +4,10 @@ Generates 100k 64-dim embeddings — 2,000 planted clusters of 50 members
 (unit center + small gaussian jitter, within-cluster cosine ≈ 0.95) plus
 random-direction noise points — and runs ``embedding_dbscan`` with a
 32×32 tile grid at cosine ≥ 0.85 / min_pts 4. The planted design puts
-~2.45M core-core edges through the pipeline, which crosses
-``duplicate_clusters``' 2M driver cap, so the COMPONENT step runs the
-dataset-native min-label propagation — the 100 TB path, not the driver
-shortcut.
+~2.45M core-core pairs through the pipeline, 4.9M symmetric edges,
+which crosses ``dedup.DRIVER_MAX_EDGES`` (2M symmetric edges), so the
+COMPONENT step runs the dataset-native min-label propagation — the
+100 TB path, not the driver shortcut.
 
 Checks (hard assertions):
 - every planted cluster is recovered exactly (all 50 members share one

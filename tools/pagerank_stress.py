@@ -51,7 +51,6 @@ def main() -> None:
     ap.add_argument("--edges", type=int, default=1_200_000)
     ap.add_argument("--nodes", type=int, default=300_000)
     ap.add_argument("--iters", type=int, default=10)
-    ap.add_argument("--buckets", type=int, default=16)
     ap.add_argument("--verify-nodes", type=int, default=2000,
                     help="sample size for the dense-numpy spot check")
     args = ap.parse_args()
@@ -74,8 +73,8 @@ def main() -> None:
 
     rss0 = _rss_mb()
     t0 = time.perf_counter()
-    out = _pagerank_native(edges, damping=0.85, iters=args.iters,
-                           num_buckets=args.buckets).materialize()
+    out = _pagerank_native(edges, damping=0.85,
+                           iters=args.iters).materialize()
     n_out = out.count()
     wall = time.perf_counter() - t0
     rss1 = _rss_mb()
